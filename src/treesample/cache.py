@@ -80,6 +80,14 @@ def read_matrix(path: str) -> DistanceMatrix:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise CacheMismatchError(f"{path}: bad magic {blob[:4]!r}")
+    try:
+        return _parse(blob, path)
+    # a short header, a short value block, or a corrupt size field
+    except (struct.error, ValueError, OverflowError) as exc:
+        raise CacheMismatchError(f"{path}: truncated or corrupt cache ({exc})") from exc
+
+
+def _parse(blob: bytes, path: str) -> DistanceMatrix:
     off = 4
     version, n, depth = struct.unpack_from("<IQI", blob, off)
     off += struct.calcsize("<IQI")
@@ -93,11 +101,8 @@ def read_matrix(path: str) -> DistanceMatrix:
 
     metric, off = unpack_str(off)
     preset, off = unpack_str(off)
-    count = n * (n - 1) // 2
-    values = np.frombuffer(blob, dtype="<f8", count=count, offset=off).copy()
-    if values.shape[0] != count:
-        raise CacheMismatchError(f"{path}: truncated value block")
-    return DistanceMatrix(int(n), metric, int(depth), preset, values)
+    values = np.frombuffer(blob, dtype="<f8", count=n * (n - 1) // 2, offset=off)
+    return DistanceMatrix(int(n), metric, int(depth), preset, values.copy())
 
 
 def read_sidecar(path: str) -> dict:
@@ -105,7 +110,10 @@ def read_sidecar(path: str) -> dict:
     if not os.path.exists(side):
         raise CacheMismatchError(f"{path}: sidecar {side} is missing")
     with open(side, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise CacheMismatchError(f"{path}: corrupt sidecar {side} ({exc})") from exc
 
 
 def load_or_compute(path: str | None, ds: Dataset, metric: str, cfg: TmdConfig,

@@ -32,7 +32,7 @@ class Graph:
     """
 
     __slots__ = ("node_count", "edges", "features", "label",
-                 "_neighbors", "_edge_u", "_edge_v")
+                 "_neighbors", "_edge_u", "_edge_v", "_tmd_plan")
 
     def __init__(self, node_count, edges, features, label=None):
         self.node_count = int(node_count)
@@ -46,6 +46,8 @@ class Graph:
         self._neighbors = None
         self._edge_u = None
         self._edge_v = None
+        # last (TmdConfig, plan) built by tmd for this graph
+        self._tmd_plan = None
 
     @property
     def feature_dim(self) -> int:

@@ -17,16 +17,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist, squareform
 
 from .config import TmdConfig
-from .errors import ConfigError, DatasetError, ScaleLimitError
+from .errors import (ConfigError, DatasetError, NumericalOverflowError,
+                     ScaleLimitError)
 from .graphs import Dataset, Graph, RootedTree, computation_tree, empty_graph
-from .matching import matching_value
+from .matching import _permutations, matching_value
 from .treenorm import feature_norms, tree_norm
 
 _NAIVE_NODE_LIMIT = 12
 _NAIVE_DEPTH_LIMIT = 4
+# blocks up to this size are solved by enumerating permutations, larger ones
+# by linear_sum_assignment
+_ENUM_MAX_Q = 4
+# permutations whose float sum is within this relative distance of the
+# smallest one are re-summed exactly
+_NEAR_RTOL = 1e-9
 
 
 def _cross_distances(fa: np.ndarray, fb: np.ndarray, norm: str) -> np.ndarray:
@@ -68,33 +76,147 @@ def _padded_matching(block: np.ndarray, row_blanks: np.ndarray,
     return matching_value(c)
 
 
-def _tmd_tables(ga: Graph, gb: Graph, cfg: TmdConfig):
-    """Depth-L tables: td[u, v] = TD of the two computation trees, plus the
-    distances of each tree to a blank."""
+@dataclass(frozen=True)
+class _Plan:
+    """Everything the distance needs from one graph under one config.
+
+    ``nbr[u, :deg[u]]`` are u's neighbours in ascending order; the rest of the
+    row holds ``n``, the index of the blank tree in an extended table.
+    ``blanks[d - 1][u]`` is the distance of u's depth-d tree to a blank tree.
+    """
+
+    deg: np.ndarray
+    nbr: np.ndarray
+    blanks: tuple[np.ndarray, ...]
+
+
+def _build_plan(g: Graph, cfg: TmdConfig) -> _Plan:
+    n = g.node_count
+    eu, ev = g.edge_arrays()  # each edge stored as (min, max)
+    bad = (eu < 0) | (ev >= n) | (eu == ev)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise DatasetError(
+            f"edge ({eu[i]},{ev[i]}) is a self-loop or has an endpoint "
+            f"outside 0..{n - 1}")
+    src = np.concatenate([eu, ev])
+    dst = np.concatenate([ev, eu])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    deg = np.bincount(src, minlength=n)
+    start = np.cumsum(deg) - deg
+    nbr = np.full((n, int(deg.max(initial=0))), n, dtype=np.intp)
+    nbr[src, np.arange(src.size) - start[src]] = dst
+
+    x = feature_norms(g.features, cfg.feature_norm)
+    blanks = [x]
+    for d in range(2, cfg.depth + 1):
+        # padding slots read the trailing 0.0, which leaves each fsum unchanged
+        kids = np.append(blanks[-1], 0.0)[nbr]
+        blanks.append(x + cfg.level_weight(d - 1) * np.fromiter(
+            map(math.fsum, kids.tolist()), dtype=np.float64, count=n))
+    return _Plan(deg, nbr, tuple(blanks))
+
+
+def _plan(g: Graph, cfg: TmdConfig) -> _Plan:
+    cached = g._tmd_plan
+    if cached is None or cached[0] != cfg:
+        cached = g._tmd_plan = (cfg, _build_plan(g, cfg))
+    return cached[1]
+
+
+def _extended(td: np.ndarray, bl_a: np.ndarray, bl_b: np.ndarray) -> np.ndarray:
+    """``td`` with a blank row and column appended (blank vs blank costs 0)."""
+    na, nb = td.shape
+    ext = np.empty((na + 1, nb + 1))
+    ext[:na, :nb] = td
+    ext[:na, nb] = bl_a
+    ext[na, :nb] = bl_b
+    ext[na, nb] = 0.0
+    if not np.isfinite(ext).all():
+        raise NumericalOverflowError(
+            f"tree distance table overflowed (n={na} vs n={nb}); "
+            "reduce the depth, the level weights or the feature scale")
+    return ext
+
+
+def _solve_enumerated(blocks: np.ndarray) -> np.ndarray:
+    """Exact matching values of small (P, q, q) blocks by permutation scan.
+
+    Vectorized sums locate every permutation within a relative hair of the
+    minimum; ``fsum`` then re-evaluates those candidates exactly, once per
+    distinct multiset of entries (permutations of identical blank rows repeat
+    the same multiset).
+    """
+    count, q = blocks.shape[0], blocks.shape[1]
+    entries = blocks.reshape(count, q * q)[:, np.arange(q) * q + _permutations(q)]
+    totals = entries.sum(axis=2)
+    # entries are non-negative, so the summation error is relative to the total
+    near = totals <= totals.min(axis=1, keepdims=True) * (1.0 + _NEAR_RTOL)
+    block, perm = np.nonzero(near)
+    cand = entries[block, perm]
+    if block.size > count:
+        cand = np.sort(cand, axis=1)
+        order = np.lexsort((*cand.T[::-1], block))
+        block, cand = block[order], cand[order]
+        keep = np.ones(block.size, dtype=bool)
+        keep[1:] = (block[1:] != block[:-1]) | (cand[1:] != cand[:-1]).any(axis=1)
+        block, cand = block[keep], cand[keep]
+    exact = np.fromiter(map(math.fsum, cand.tolist()), dtype=np.float64,
+                        count=block.size)
+    firsts = np.flatnonzero(np.r_[True, block[1:] != block[:-1]])
+    return np.minimum.reduceat(exact, firsts)
+
+
+def _solve_lsap(blocks: np.ndarray) -> np.ndarray:
+    """Exact matching values of wide (P, q, q) blocks: LSAP, then ``fsum``."""
+    count, q = blocks.shape[0], blocks.shape[1]
+    cols = np.array([linear_sum_assignment(c)[1] for c in blocks])
+    chosen = blocks[np.arange(count)[:, None], np.arange(q), cols]
+    return np.fromiter(map(math.fsum, chosen.tolist()), dtype=np.float64,
+                       count=count)
+
+
+def _tmd_tables(ga: Graph, gb: Graph, cfg: TmdConfig) -> np.ndarray:
+    """Extended depth-L table: ``ext[u, v]`` is the distance between the
+    computation trees of u and v, row ``na`` / column ``nb`` the blank tree.
+
+    Each level solves one padded matching per node pair (u, v) over the
+    children of u and v.  Pairs are grouped by block size q = max(deg u,
+    deg v) and every block of one size is gathered from the previous level's
+    extended table in one indexing step.
+    """
+    pa, pb = _plan(ga, cfg), _plan(gb, cfg)
     na, nb = ga.node_count, gb.node_count
     base = _cross_distances(ga.features, gb.features, cfg.feature_norm)
-    xa = feature_norms(ga.features, cfg.feature_norm)
-    xb = feature_norms(gb.features, cfg.feature_norm)
-    nbrs_a = [ga.neighbors(u) for u in range(na)]
-    nbrs_b = [gb.neighbors(v) for v in range(nb)]
+    ext = _extended(base, pa.blanks[0], pb.blanks[0])
+    if cfg.depth == 1:
+        return ext
 
-    td, bl_a, bl_b = base, xa, xb
+    sizes = np.maximum(pa.deg[:, None], pb.deg[None, :]).ravel()
+    width = int(sizes.max())
+    nbr_a = np.full((na, width), na, dtype=np.intp)
+    nbr_a[:, :pa.nbr.shape[1]] = pa.nbr
+    nbr_b = np.full((nb, width), nb, dtype=np.intp)
+    nbr_b[:, :pb.nbr.shape[1]] = pb.nbr
+    order = np.argsort(sizes, kind="stable")
+    bounds = np.searchsorted(sizes[order], np.arange(1, width + 2))
+    groups = []
+    for q in range(1, width + 1):
+        pairs = order[bounds[q - 1]:bounds[q]]
+        if pairs.size:
+            u, v = np.divmod(pairs, nb)
+            groups.append((q, pairs, nbr_a[u, :q, None], nbr_b[v, None, :q]))
+
     for d in range(2, cfg.depth + 1):
-        w = cfg.level_weight(d - 1)
-        new_td = base.copy()
-        for u in range(na):
-            nu = nbrs_a[u]
-            row_blanks = bl_a[nu]
-            for v in range(nb):
-                nv = nbrs_b[v]
-                if nu.size == 0 and nv.size == 0:
-                    continue
-                new_td[u, v] += w * _padded_matching(
-                    td[np.ix_(nu, nv)], row_blanks, bl_b[nv])
-        new_bl_a = xa + w * np.array([math.fsum(bl_a[nu]) for nu in nbrs_a])
-        new_bl_b = xb + w * np.array([math.fsum(bl_b[nv]) for nv in nbrs_b])
-        td, bl_a, bl_b = new_td, new_bl_a, new_bl_b
-    return td, bl_a, bl_b
+        values = np.zeros(na * nb)
+        for q, pairs, rows, cols in groups:
+            blocks = ext[rows, cols]
+            values[pairs] = (_solve_enumerated(blocks) if q <= _ENUM_MAX_Q
+                             else _solve_lsap(blocks))
+        td = base + cfg.level_weight(d - 1) * values.reshape(na, nb)
+        ext = _extended(td, pa.blanks[d - 1], pb.blanks[d - 1])
+    return ext
 
 
 def tmd_cost_matrix(ga: Graph, gb: Graph, cfg: TmdConfig) -> np.ndarray:
@@ -105,15 +227,9 @@ def tmd_cost_matrix(ga: Graph, gb: Graph, cfg: TmdConfig) -> np.ndarray:
     the min-cost matching value of this matrix.
     """
     na, nb = ga.node_count, gb.node_count
-    td, bl_a, bl_b = _tmd_tables(ga, gb, cfg)
-    q = max(na, nb)
-    c = np.zeros((q, q))
-    c[:na, :nb] = td
-    if nb < q:
-        c[:na, nb:] = bl_a[:, None]
-    if na < q:
-        c[na:, :nb] = bl_b[None, :]
-    return c
+    ext = _tmd_tables(ga, gb, cfg)
+    idx = np.arange(max(na, nb))
+    return ext[np.minimum(idx, na)[:, None], np.minimum(idx, nb)[None, :]]
 
 
 def tmd(ga: Graph, gb: Graph, cfg: TmdConfig) -> float:
@@ -128,7 +244,12 @@ def tmd(ga: Graph, gb: Graph, cfg: TmdConfig) -> float:
         return tree_norm(gb, cfg)
     if gb.node_count == 0:
         return tree_norm(ga, cfg)
-    return matching_value(tmd_cost_matrix(ga, gb, cfg))
+    try:
+        return matching_value(tmd_cost_matrix(ga, gb, cfg))
+    except OverflowError as exc:  # an exact fsum of finite entries overflowed
+        raise NumericalOverflowError(
+            f"tree mover's distance overflowed at depth {cfg.depth}; "
+            "reduce the depth, the level weights or the feature scale") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +400,9 @@ class DistanceMatrix:
         return float(self.values[self.index(i, j)])
 
     def full(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        k = 0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                out[i, j] = out[j, i] = self.values[k]
-                k += 1
-        return out
+        if self.n == 0:
+            return np.zeros((0, 0))
+        return squareform(self.values)
 
 
 def pairwise_matrix(ds: Dataset, cfg: TmdConfig) -> DistanceMatrix:

@@ -1,8 +1,12 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and reference routines for the test suite."""
+
+import math
 
 import numpy as np
 
-from treesample import Graph, TmdConfig, WeightFn, const_weights
+from treesample import (Graph, TmdConfig, WeightFn, const_weights,
+                        feature_norms, tree_norm)
+from treesample.tmd import _cross_distances, _padded_matching
 
 
 def random_graph(rng, n_max=8, feature_dim=2, p=0.4, n_min=1):
@@ -22,3 +26,47 @@ def random_table_cfg(rng, depth, norm="l2"):
     table = tuple(float(x) for x in rng.uniform(0.2, 2.5, size=max(1, depth - 1)))
     return TmdConfig(depth=depth, weights=WeightFn("table", table=table),
                      feature_norm=norm)
+
+
+def reference_tmd_tables(ga, gb, cfg):
+    """Per-block dynamic program: one padded matching per node pair and level.
+
+    ``td[u, v]`` is the distance between the depth-L computation trees of u and
+    v; ``bl_a``/``bl_b`` are each tree's distance to a blank tree.
+    """
+    na, nb = ga.node_count, gb.node_count
+    base = _cross_distances(ga.features, gb.features, cfg.feature_norm)
+    xa = feature_norms(ga.features, cfg.feature_norm)
+    xb = feature_norms(gb.features, cfg.feature_norm)
+    nbrs_a = [ga.neighbors(u) for u in range(na)]
+    nbrs_b = [gb.neighbors(v) for v in range(nb)]
+
+    td, bl_a, bl_b = base, xa, xb
+    for d in range(2, cfg.depth + 1):
+        w = cfg.level_weight(d - 1)
+        new_td = base.copy()
+        for u in range(na):
+            nu = nbrs_a[u]
+            row_blanks = bl_a[nu]
+            for v in range(nb):
+                nv = nbrs_b[v]
+                if nu.size == 0 and nv.size == 0:
+                    continue
+                new_td[u, v] += w * _padded_matching(
+                    td[np.ix_(nu, nv)], row_blanks, bl_b[nv])
+        new_bl_a = xa + w * np.array([math.fsum(bl_a[nu]) for nu in nbrs_a])
+        new_bl_b = xb + w * np.array([math.fsum(bl_b[nv]) for nv in nbrs_b])
+        td, bl_a, bl_b = new_td, new_bl_a, new_bl_b
+    return td, bl_a, bl_b
+
+
+def reference_tmd(ga, gb, cfg):
+    """Tree mover's distance from :func:`reference_tmd_tables`."""
+    if ga.node_count == 0 and gb.node_count == 0:
+        return 0.0
+    if ga.node_count == 0:
+        return tree_norm(gb, cfg)
+    if gb.node_count == 0:
+        return tree_norm(ga, cfg)
+    td, bl_a, bl_b = reference_tmd_tables(ga, gb, cfg)
+    return _padded_matching(td, bl_a, bl_b)

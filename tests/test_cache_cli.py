@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from treesample import (CacheMismatchError, StabilityReport, TmdConfig,
+from treesample import (CacheMismatchError, Graph, StabilityReport, TmdConfig,
                         clustered_dataset, const_weights, load_or_compute,
                         make_dataset, pairwise_matrix, read_matrix, read_sidecar,
                         save_jsonl, sidecar_path, write_matrix)
@@ -38,6 +38,18 @@ def test_read_rejects_foreign_bytes(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(CacheMismatchError, match="bad magic"):
         read_matrix(str(path))
+
+
+def test_read_rejects_truncated_files(tmp_path, small_ds):
+    path = str(tmp_path / "d.tmdc")
+    write_matrix(path, pairwise_matrix(small_ds, cfg(2)))
+    blob = open(path, "rb").read()
+    # inside the header, inside a string, inside the value block
+    for cut in (10, 22, len(blob) - 3):
+        with open(path, "wb") as fh:
+            fh.write(blob[:cut])
+        with pytest.raises(CacheMismatchError, match="truncated"):
+            read_matrix(path)
 
 
 def test_load_or_compute_hit_skips_work(tmp_path, small_ds):
@@ -123,6 +135,36 @@ def test_cli_exit_codes(tmp_path, ds_path, capsys):
     assert main(["dist", "--dataset", ds_path, "--cache", cache,
                  "--depth", "3"]) == 3
     capsys.readouterr()
+
+
+def test_cli_dist_truncated_or_corrupt_cache_is_a_mismatch(tmp_path, ds_path, capsys):
+    cache = str(tmp_path / "d.tmdc")
+    args = ["dist", "--dataset", ds_path, "--cache", cache]
+    assert main(args) == 0
+    blob = open(cache, "rb").read()
+    with open(cache, "wb") as fh:
+        fh.write(blob[:-5])
+    assert main(args) == 3
+    assert "truncated" in capsys.readouterr().err
+    with open(cache, "wb") as fh:
+        fh.write(blob)
+    with open(sidecar_path(cache), "w", encoding="utf-8") as fh:
+        fh.write('{"norm": "l2", "data')
+    assert main(args) == 3
+    assert "corrupt sidecar" in capsys.readouterr().err
+
+
+def test_cli_dist_overflow_exits_2(tmp_path, capsys):
+    ds = make_dataset([Graph(3, [(0, 1), (1, 2)], np.full((3, 2), 1e306)),
+                       Graph(2, [(0, 1)], np.full((2, 2), -1e306))])
+    path = tmp_path / "big.jsonl"
+    save_jsonl(ds, path)
+    with np.errstate(over="ignore"):
+        code = main(["dist", "--dataset", str(path), "--weights", "const:1000",
+                     "--cache", str(tmp_path / "d.tmdc")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "overflow" in err and "Traceback" not in err
 
 
 def test_cli_treenorm_values_match_library(ds_path, capsys):

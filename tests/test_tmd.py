@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from treesample import (ConfigError, DatasetError, Graph, ScaleLimitError,
-                        blank_tree, computation_tree, empty_graph,
-                        induced_subgraph, make_dataset, pairwise_matrix, tmd,
-                        tmd_cost_matrix, tmd_naive, tmd_subgraph, tree_distance,
+from treesample import (ConfigError, DatasetError, Graph, NumericalOverflowError,
+                        ScaleLimitError, TmdConfig, blank_tree, computation_tree,
+                        const_weights, empty_graph, induced_subgraph,
+                        make_dataset, pairwise_matrix, tmd, tmd_cost_matrix,
+                        tmd_naive, tmd_subgraph, tree_distance,
                         tree_blank_distance, tree_norm)
 
-from helpers import cfg, random_graph, random_table_cfg
+from helpers import cfg, random_graph, random_table_cfg, reference_tmd
 
 K3 = Graph(3, [(0, 1), (1, 2), (0, 2)], np.ones((3, 1)))
 P2 = Graph(2, [(0, 1)], np.ones((2, 1)))
@@ -173,4 +174,46 @@ def test_pairwise_matrix_layout():
     for i, j in itertools.combinations(range(6), 2):
         assert dm.value(i, j) == tmd(ds[i], ds[j], c)
         assert dm.value(j, i) == dm.value(i, j)
+        assert full[i, j] == dm.value(i, j)
     assert dm.value(2, 2) == 0.0
+    assert np.array_equal(np.diag(full), np.zeros(6))
+
+
+def test_kernel_matches_per_block_reference_bit_for_bit():
+    # the batched kernel against the one-matching-per-node-pair dynamic
+    # program, in both argument orders; the graph mix puts blocks on both
+    # sides of the enumeration threshold and includes edgeless and one-node
+    # graphs, and every fifth pair has integer features, so exact ties occur
+    rng = np.random.default_rng(43)
+    shapes = [dict(n_max=12, p=0.25), dict(n_max=10, p=0.8),
+              dict(n_max=3, p=0.5), dict(n_max=6, p=0.0)]
+    for i in range(320):
+        depth, norm = int(rng.integers(1, 5)), ("l1", "l2")[i % 2]
+        c = (random_table_cfg(rng, depth, norm) if i % 3 else
+             cfg(depth, float(rng.uniform(0.3, 2.0)), norm))
+        a = random_graph(rng, **shapes[i % 4])
+        b = random_graph(rng, **shapes[(i // 4) % 4])
+        if i % 5 == 0:
+            a = Graph(a.node_count, a.edges, np.round(a.features))
+            b = Graph(b.node_count, b.edges, np.round(b.features))
+        assert tmd(a, b, c) == reference_tmd(a, b, c)
+        assert tmd(b, a, c) == reference_tmd(b, a, c)
+
+
+def test_overflow_raises_numerical_overflow_error():
+    g = Graph(3, [(0, 1), (1, 2)], np.full((3, 1), 1e306))
+    big = TmdConfig(depth=3, weights=const_weights(1000.0), feature_norm="l1")
+    with np.errstate(over="ignore"), pytest.raises(NumericalOverflowError):
+        tmd(g, P2, big)
+    # every entry is finite, but the exact sum of two of them is not
+    huge = Graph(3, [(0, 1), (1, 2)], np.full((3, 1), 1.5e308))
+    with pytest.raises(NumericalOverflowError) as info:
+        tmd(huge, P2, cfg(2, norm="l1"))
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
+@pytest.mark.parametrize("edge", [(-1, 1), (0, 5), (1, 1)])
+def test_bad_edge_raises_dataset_error(edge):
+    g = Graph(3, [edge], np.ones((3, 1)))
+    with pytest.raises(DatasetError, match="edge"):
+        tmd(g, K3, cfg(2))
