@@ -12,6 +12,7 @@ cache (3) from a failed verification (4).
 
 import json
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -23,8 +24,10 @@ save_jsonl(clustered_dataset(n_graphs=20, families=4, seed=0), data)
 
 
 def run(*args):
-    cmd = ["treesample", *args]
-    print("$", " ".join(str(a) for a in cmd))
+    # the installed ``treesample`` script is this module's main(); running it
+    # through the current interpreter also works from a source checkout
+    cmd = [sys.executable, "-m", "treesample.cli", *args]
+    print("$ treesample", " ".join(str(a) for a in args))
     proc = subprocess.run(cmd, capture_output=True, text=True)
     print(proc.stdout.strip() or proc.stderr.strip())
     print(f"(exit code {proc.returncode})\n")

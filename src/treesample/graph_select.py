@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TmdConfig
-from .errors import ConfigError
+from .errors import ConfigError, DatasetError
 from .graphs import Dataset, Graph
 from .tmd import DistanceMatrix
 from .treenorm import feature_norms
@@ -71,31 +71,46 @@ def _check_indices(n: int, indices) -> list[int]:
     return idx
 
 
+def _assign(full: np.ndarray, idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Position in ``idx`` of each graph's nearest medoid, and its distance.
+
+    ``full`` is the square distance matrix.  Ties resolve to the first
+    position, i.e. the smallest medoid index when ``idx`` is sorted.
+    """
+    cols = full[:, idx]
+    choice = np.argmin(cols, axis=1)
+    return choice, cols[np.arange(full.shape[0]), choice]
+
+
 def nearest_medoid(d: DistanceMatrix, indices) -> np.ndarray:
     """Index (into the dataset) of each graph's nearest medoid.
 
     Ties resolve to the smallest medoid index.
     """
     idx = _check_indices(d.n, indices)
-    full = d.full()
-    cols = full[:, idx]
-    choice = np.argmin(cols, axis=1)  # first minimum = smallest medoid index
+    choice, _ = _assign(d.full(), idx)
     return np.asarray(idx, dtype=np.int64)[choice]
 
 
 def medoids_objective(d: DistanceMatrix, indices) -> float:
     """Mean distance from every graph to its nearest medoid."""
     idx = _check_indices(d.n, indices)
-    full = d.full()
-    return float(full[:, idx].min(axis=1).mean())
+    return float(_assign(d.full(), idx)[1].mean())
 
 
 def cluster_sizes(d: DistanceMatrix, indices) -> list[int]:
     """Number of graphs assigned to each medoid, in medoid-index order."""
     idx = _check_indices(d.n, indices)
-    owners = nearest_medoid(d, idx)
-    counts = Counter(int(o) for o in owners)
-    return [counts.get(j, 0) for j in idx]
+    choice, _ = _assign(d.full(), idx)
+    return np.bincount(choice, minlength=len(idx)).tolist()
+
+
+def _selection(method: str, k: int, seed: int, full: np.ndarray,
+               idx: list[int]) -> Selection:
+    choice, near = _assign(full, idx)
+    return Selection(method, k, seed, idx,
+                     np.bincount(choice, minlength=len(idx)).tolist(),
+                     float(near.mean()))
 
 
 def kmedoids(d: DistanceMatrix, k: int, seed: int = 0, max_iter: int = 100,
@@ -110,36 +125,43 @@ def kmedoids(d: DistanceMatrix, k: int, seed: int = 0, max_iter: int = 100,
     are skipped on instances large enough that the sweep would dominate the
     runtime; single swaps always run.
 
+    Each sweep scores whole candidate sets at once: every candidate's
+    objective is the mean of one contiguous row of length n in a batched
+    reduction, which numpy sums in the same order as a 1-D mean.  The
+    selections, objectives and trace are therefore bit-identical to scoring
+    one swap at a time in ascending scan order and keeping only strictly
+    better moves (``np.argmin`` keeps the first of equal minima).
+
     Fully deterministic; ``seed`` is recorded for provenance only.  The
     objective never increases between exchange iterations.  Pass a list as
     ``trace`` to collect the objective after BUILD and after each accepted
-    exchange.
+    exchange.  A NaN or infinite distance raises :class:`DatasetError`.
     """
     n = d.n
     if not (1 <= k <= n):
         raise ConfigError(f"k must be in 1..{n}, got {k}")
-    full = d.full()
     if k == n:
         sel = list(range(n))
         if trace is not None:
             trace.append(0.0)
         return Selection("tmd-medoids", k, seed, sel, [1] * n, 0.0)
+    # symmetric, so row i equals column i bit for bit; candidates are rows
+    full = d.full()
+    if not np.isfinite(full).all():
+        # argmin would pick a NaN candidate that a strict-< scan skips
+        raise DatasetError("distance matrix has non-finite entries")
 
     # BUILD: repeatedly add the index that lowers the objective most
-    chosen: list[int] = []
+    taken = np.zeros(n, dtype=bool)
     best_dist = np.full(n, np.inf)
     for _ in range(k):
-        best_idx, best_obj = -1, np.inf
-        for cand in range(n):
-            if cand in chosen:
-                continue
-            obj = float(np.minimum(best_dist, full[:, cand]).mean())
-            if obj < best_obj:
-                best_idx, best_obj = cand, obj
-        chosen.append(best_idx)
-        best_dist = np.minimum(best_dist, full[:, best_idx])
-    chosen.sort()
-    objective = medoids_objective(d, chosen)
+        cands = np.flatnonzero(~taken)
+        objs = np.minimum(full[cands], best_dist).mean(axis=1)
+        best_idx = int(cands[np.argmin(objs)])
+        taken[best_idx] = True
+        best_dist = np.minimum(best_dist, full[best_idx])
+    chosen = np.flatnonzero(taken).tolist()
+    objective = float(best_dist.mean())
     if trace is not None:
         trace.append(objective)
 
@@ -150,25 +172,27 @@ def kmedoids(d: DistanceMatrix, k: int, seed: int = 0, max_iter: int = 100,
     run_pairs = k >= 2 and math.comb(k, 2) * math.comb(n - k, 2) <= pair_budget
     for _ in range(max_iter):
         best_swap, best_obj = None, objective
+        others = [i for i in range(n) if i not in chosen]
+        rows = full[others]
         for out in chosen:
             rest = [c for c in chosen if c != out]
-            for inc in range(n):
-                if inc in chosen:
-                    continue
-                obj = float(full[:, rest + [inc]].min(axis=1).mean())
-                if obj < best_obj:
-                    best_swap, best_obj = ([out], [inc]), obj
+            rest_min = full[:, rest].min(axis=1, initial=np.inf)
+            objs = np.minimum(rows, rest_min).mean(axis=1)
+            j = int(np.argmin(objs))
+            if objs[j] < best_obj:
+                best_swap, best_obj = ([out], [others[j]]), float(objs[j])
         if best_swap is None and run_pairs:
-            others = [i for i in range(n) if i not in chosen]
             for outs in itertools.combinations(chosen, 2):
                 rest = [c for c in chosen if c not in outs]
-                rest_min = (full[:, rest].min(axis=1) if rest
-                            else np.full(n, np.inf))
-                for incs in itertools.combinations(others, 2):
-                    obj = float(np.minimum(
-                        rest_min, full[:, incs].min(axis=1)).mean())
-                    if obj < best_obj:
-                        best_swap, best_obj = (list(outs), list(incs)), obj
+                rest_rows = np.minimum(
+                    rows, full[:, rest].min(axis=1, initial=np.inf))
+                # pairs (a, b) with b > a: one reduction per first index a
+                for ia, a in enumerate(others[:-1]):
+                    objs = np.minimum(rest_rows[ia + 1:], full[a]).mean(axis=1)
+                    j = int(np.argmin(objs))
+                    if objs[j] < best_obj:
+                        best_swap = (list(outs), [a, others[ia + 1 + j]])
+                        best_obj = float(objs[j])
         if best_swap is None:
             break
         outs, incs = best_swap
@@ -177,8 +201,7 @@ def kmedoids(d: DistanceMatrix, k: int, seed: int = 0, max_iter: int = 100,
         if trace is not None:
             trace.append(objective)
 
-    objective = medoids_objective(d, chosen)
-    return Selection("tmd-medoids", k, seed, chosen, cluster_sizes(d, chosen), objective)
+    return _selection("tmd-medoids", k, seed, full, chosen)
 
 
 def brute_force_medoids(d: DistanceMatrix, k: int) -> Selection:
@@ -197,9 +220,7 @@ def brute_force_medoids(d: DistanceMatrix, k: int) -> Selection:
         obj = float(full[:, combo].min(axis=1).mean())
         if obj < best_obj:
             best_set, best_obj = combo, obj
-    chosen = list(best_set)
-    return Selection("brute-medoids", k, 0, chosen, cluster_sizes(d, chosen),
-                     medoids_objective(d, chosen))
+    return _selection("brute-medoids", k, 0, full, list(best_set))
 
 
 def random_selection(n: int, k: int, seed: int,
@@ -217,8 +238,7 @@ def random_selection(n: int, k: int, seed: int,
     if d is not None:
         if d.n != n:
             raise ConfigError(f"distance matrix is over {d.n} items, not {n}")
-        return Selection("random", k, seed, indices, cluster_sizes(d, indices),
-                         medoids_objective(d, indices))
+        return _selection("random", k, seed, d.full(), indices)
     base, extra = divmod(n, k)
     tau = [base + (1 if j < extra else 0) for j in range(k)]
     return Selection("random", k, seed, indices, tau, None)

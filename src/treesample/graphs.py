@@ -60,29 +60,36 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted array of neighbors of ``v``."""
         if self._neighbors is None:
+            eu, ev = self.edge_arrays()
             adj = [[] for _ in range(self.node_count)]
-            for u, w in self.edges:
+            for u, w in zip(eu.tolist(), ev.tolist()):
                 adj[u].append(w)
                 adj[w].append(u)
             self._neighbors = [np.array(sorted(a), dtype=np.int64) for a in adj]
         return self._neighbors[v]
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.node_count, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        eu, ev = self.edge_arrays()
+        return np.bincount(np.concatenate([eu, ev]), minlength=self.node_count)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as two parallel int arrays (for vectorized traversal)."""
+        """Edge endpoints as two parallel int arrays (for vectorized traversal).
+
+        Each edge is stored as (min, max).  Every adjacency user goes through
+        here, so a self-loop or an endpoint outside ``0..node_count - 1``
+        raises :class:`DatasetError` instead of indexing out of range.
+        """
         if self._edge_u is None:
-            if self.edges:
-                arr = np.asarray(self.edges, dtype=np.int64)
-                self._edge_u, self._edge_v = arr[:, 0].copy(), arr[:, 1].copy()
-            else:
-                self._edge_u = np.zeros(0, dtype=np.int64)
-                self._edge_v = np.zeros(0, dtype=np.int64)
+            arr = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+            eu, ev = arr[:, 0].copy(), arr[:, 1].copy()
+            n = self.node_count
+            # edges are stored as (min, max), so u >= 0 and v < n bound both ends
+            if eu.size and (eu.min() < 0 or ev.max() >= n or (eu == ev).any()):
+                i = int(np.flatnonzero((eu < 0) | (ev >= n) | (eu == ev))[0])
+                raise DatasetError(
+                    f"edge ({eu[i]},{ev[i]}) is a self-loop or has an endpoint "
+                    f"outside 0..{n - 1}")
+            self._edge_u, self._edge_v = eu, ev
         return self._edge_u, self._edge_v
 
     def __eq__(self, other):

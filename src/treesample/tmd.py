@@ -92,13 +92,7 @@ class _Plan:
 
 def _build_plan(g: Graph, cfg: TmdConfig) -> _Plan:
     n = g.node_count
-    eu, ev = g.edge_arrays()  # each edge stored as (min, max)
-    bad = (eu < 0) | (ev >= n) | (eu == ev)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise DatasetError(
-            f"edge ({eu[i]},{ev[i]}) is a self-loop or has an endpoint "
-            f"outside 0..{n - 1}")
+    eu, ev = g.edge_arrays()
     src = np.concatenate([eu, ev])
     dst = np.concatenate([ev, eu])
     order = np.lexsort((dst, src))

@@ -61,7 +61,14 @@ def tree_norm_report(g: Graph, cfg: TmdConfig) -> TreeNormReport:
             "reduce the depth or the level weights")
     # entries are non-negative, so the l1 norm is a plain sum; fsum makes the
     # value independent of node ordering among mathematically equal layouts
-    return TreeNormReport(math.fsum(b), tuple(mass))
+    try:
+        value = math.fsum(b)
+    except OverflowError as exc:  # every entry is finite but the sum is not
+        raise NumericalOverflowError(
+            f"tree norm sum overflowed at depth {cfg.depth} (n={n}, "
+            f"m={g.edge_count}); reduce the depth, the level weights or the "
+            "feature scale") from exc
+    return TreeNormReport(value, tuple(mass))
 
 
 def tree_norm(g: Graph, cfg: TmdConfig) -> float:

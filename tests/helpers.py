@@ -1,11 +1,13 @@
 """Shared random generators and reference routines for the test suite."""
 
+import itertools
 import math
 
 import numpy as np
 
-from treesample import (Graph, TmdConfig, WeightFn, const_weights,
-                        feature_norms, tree_norm)
+from treesample import (ConfigError, Graph, Selection, TmdConfig, WeightFn,
+                        cluster_sizes, const_weights, feature_norms,
+                        medoids_objective, tree_norm)
 from treesample.tmd import _cross_distances, _padded_matching
 
 
@@ -70,3 +72,76 @@ def reference_tmd(ga, gb, cfg):
         return tree_norm(ga, cfg)
     td, bl_a, bl_b = reference_tmd_tables(ga, gb, cfg)
     return _padded_matching(td, bl_a, bl_b)
+
+
+def reference_kmedoids(d, k, seed=0, max_iter=100, trace=None):
+    """k-medoids scored one candidate swap at a time (the loop definition).
+
+    Same search and tie-breaking as :func:`treesample.kmedoids`: every
+    candidate is a separate gather, min and mean, in ascending scan order,
+    and only a strictly lower objective replaces the best so far.
+    """
+    n = d.n
+    if not (1 <= k <= n):
+        raise ConfigError(f"k must be in 1..{n}, got {k}")
+    full = d.full()
+    if k == n:
+        sel = list(range(n))
+        if trace is not None:
+            trace.append(0.0)
+        return Selection("tmd-medoids", k, seed, sel, [1] * n, 0.0)
+
+    # BUILD: repeatedly add the index that lowers the objective most
+    chosen: list[int] = []
+    best_dist = np.full(n, np.inf)
+    for _ in range(k):
+        best_idx, best_obj = -1, np.inf
+        for cand in range(n):
+            if cand in chosen:
+                continue
+            obj = float(np.minimum(best_dist, full[:, cand]).mean())
+            if obj < best_obj:
+                best_idx, best_obj = cand, obj
+        chosen.append(best_idx)
+        best_dist = np.minimum(best_dist, full[:, best_idx])
+    chosen.sort()
+    objective = medoids_objective(d, chosen)
+    if trace is not None:
+        trace.append(objective)
+
+    # exchange phase: accept the best strictly improving move until none
+    # exists, trying single swaps first and pair swaps only at single-swap
+    # local optima
+    pair_budget = 200_000
+    run_pairs = k >= 2 and math.comb(k, 2) * math.comb(n - k, 2) <= pair_budget
+    for _ in range(max_iter):
+        best_swap, best_obj = None, objective
+        for out in chosen:
+            rest = [c for c in chosen if c != out]
+            for inc in range(n):
+                if inc in chosen:
+                    continue
+                obj = float(full[:, rest + [inc]].min(axis=1).mean())
+                if obj < best_obj:
+                    best_swap, best_obj = ([out], [inc]), obj
+        if best_swap is None and run_pairs:
+            others = [i for i in range(n) if i not in chosen]
+            for outs in itertools.combinations(chosen, 2):
+                rest = [c for c in chosen if c not in outs]
+                rest_min = (full[:, rest].min(axis=1) if rest
+                            else np.full(n, np.inf))
+                for incs in itertools.combinations(others, 2):
+                    obj = float(np.minimum(
+                        rest_min, full[:, incs].min(axis=1)).mean())
+                    if obj < best_obj:
+                        best_swap, best_obj = (list(outs), list(incs)), obj
+        if best_swap is None:
+            break
+        outs, incs = best_swap
+        chosen = sorted([c for c in chosen if c not in outs] + incs)
+        objective = best_obj
+        if trace is not None:
+            trace.append(objective)
+
+    objective = medoids_objective(d, chosen)
+    return Selection("tmd-medoids", k, seed, chosen, cluster_sizes(d, chosen), objective)

@@ -167,6 +167,17 @@ def test_cli_dist_overflow_exits_2(tmp_path, capsys):
     assert "overflow" in err and "Traceback" not in err
 
 
+def test_cli_treenorm_overflow_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.jsonl"
+    save_jsonl(make_dataset([Graph(3, [(0, 1), (1, 2)], np.full((3, 1), 1.5e308))]),
+               path)
+    with np.errstate(over="ignore"):
+        code = main(["treenorm", "--dataset", str(path), "--depth", "1", "--norm", "l1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "overflow" in err and "Traceback" not in err
+
+
 def test_cli_treenorm_values_match_library(ds_path, capsys):
     assert main(["treenorm", "--dataset", ds_path, "--depth", "2", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
-from treesample import (ConfigError, DistanceMatrix, Graph, brute_force_medoids,
-                        cluster_sizes, feature_distance_matrix, kmedoids,
+from treesample import (ConfigError, DatasetError, DistanceMatrix, Graph,
+                        brute_force_medoids, cluster_sizes,
+                        feature_distance_matrix, kmedoids,
                         load_selection, make_dataset, medoids_objective,
                         nearest_medoid, random_selection, save_selection,
                         wl_distance, wl_counterexample_pair, wl_histograms,
                         wl_pseudometric_matrix)
 
-from helpers import cfg, random_graph
+from helpers import cfg, random_graph, reference_kmedoids
 
 
 def random_dm(rng, n, scale=10.0, metric="test"):
@@ -79,6 +81,55 @@ def test_kmedoids_is_deterministic():
     b = kmedoids(d, 3, seed=99)  # seed is provenance only
     assert a.indices == b.indices
     assert a.objective == b.objective
+
+
+def seeded_dm(rng, n, kind):
+    """Euclidean cloud, integer distances in 0..3 (heavy ties) or 2-decimal values."""
+    m = n * (n - 1) // 2
+    if kind == "euclid":
+        vals = pdist(rng.standard_normal((n, 2)))
+    elif kind == "ties":
+        vals = rng.integers(0, 4, size=m).astype(np.float64)
+    else:
+        vals = np.round(rng.uniform(0.0, 5.0, size=m), 2)
+    return DistanceMatrix(n, kind, 1, "const:1.0", vals)
+
+
+def assert_same_as_reference(d, k, max_iter=100):
+    got_trace, ref_trace = [], []
+    got = kmedoids(d, k, max_iter=max_iter, trace=got_trace)
+    ref = reference_kmedoids(d, k, max_iter=max_iter, trace=ref_trace)
+    assert got.to_json() == ref.to_json()
+    assert got_trace == ref_trace
+
+
+@pytest.mark.parametrize("kind", ["euclid", "ties", "rounded"])
+def test_kmedoids_bit_identical_to_one_swap_at_a_time(kind):
+    rng = np.random.default_rng(["euclid", "ties", "rounded"].index(kind))
+    # every instance here is small enough for pair sweeps to run
+    for n in (1, 2, 3, 5, 8, 13, 21):
+        for k in sorted({1, 2, n // 3, n - 1, n}):
+            if 1 <= k <= n:
+                assert_same_as_reference(seeded_dm(rng, n, kind), k)
+    for _ in range(25):
+        n = int(rng.integers(4, 26))
+        k = int(rng.integers(1, min(n, 7) + 1))
+        assert_same_as_reference(seeded_dm(rng, n, kind), k,
+                                 max_iter=int(rng.choice([1, 2, 100])))
+
+
+def test_kmedoids_bit_identical_above_pair_budget():
+    n, k = 110, 10  # C(10, 2) * C(100, 2) = 222,750 > 200,000: single swaps only
+    assert math.comb(k, 2) * math.comb(n - k, 2) > 200_000
+    assert_same_as_reference(seeded_dm(np.random.default_rng(7), n, "euclid"), k)
+
+
+def test_kmedoids_rejects_non_finite_distances():
+    for bad in (np.nan, np.inf):
+        vals = np.ones(6)
+        vals[2] = bad
+        with pytest.raises(DatasetError, match="non-finite"):
+            kmedoids(DistanceMatrix(4, "test", 1, "const:1.0", vals), 2)
 
 
 def test_brute_force_medoids_lexicographic_tie():

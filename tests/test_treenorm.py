@@ -75,6 +75,11 @@ def test_overflow_raises():
     g = Graph(2, [(0, 1)], np.full((2, 1), 1e308))
     with np.errstate(over="ignore"), pytest.raises(NumericalOverflowError):
         tree_norm(g, cfg(3, w=1e10))
+    # every entry is finite, but their exact sum is not
+    huge = Graph(3, [(0, 1), (1, 2)], np.full((3, 1), 1.5e308))
+    with np.errstate(over="ignore"), pytest.raises(NumericalOverflowError) as info:
+        tree_norm(huge, TmdConfig(depth=1, feature_norm="l1"))
+    assert isinstance(info.value.__cause__, OverflowError)
 
 
 def test_norm_choice_matters():
