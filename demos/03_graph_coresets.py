@@ -15,22 +15,23 @@ from pathlib import Path
 from treesample import (TmdConfig, cluster_sizes, clustered_dataset,
                         const_weights, finite_erm_check, kmedoids,
                         load_or_compute, nearest_medoid, pairwise_matrix,
-                        random_gin, read_sidecar, sidecar_path)
+                        random_gin)
 
 ds = clustered_dataset(n_graphs=40, families=5, seed=0)
 cfg = TmdConfig(depth=3, weights=const_weights(1.0))
 
 # Pairwise distances are the expensive part, so they go through a binary
-# cache keyed by dataset fingerprint, depth, and weight schedule.
-workdir = Path(tempfile.mkdtemp())
-cache = workdir / "clustered.tmdc"
-dm, recomputed = load_or_compute(cache, ds, "tmd", cfg,
-                                 lambda: pairwise_matrix(ds, cfg))
-print(f"distance matrix {dm.n}x{dm.n}, recomputed={recomputed}")
-dm, recomputed = load_or_compute(cache, ds, "tmd", cfg,
-                                 lambda: pairwise_matrix(ds, cfg))
-print(f"second call hits the cache,   recomputed={recomputed}")
-print("sidecar", Path(sidecar_path(cache)).name, "=", read_sidecar(cache))
+# cache file whose header holds the whole key: dataset fingerprint, depth,
+# weight schedule, feature norm, and a checksum of the values.
+with tempfile.TemporaryDirectory() as workdir:
+    cache = Path(workdir) / "clustered.tmdc"
+    dm, recomputed = load_or_compute(cache, ds, "tmd", cfg,
+                                     lambda: pairwise_matrix(ds, cfg))
+    print(f"distance matrix {dm.n}x{dm.n}, recomputed={recomputed}")
+    dm, recomputed = load_or_compute(cache, ds, "tmd", cfg,
+                                     lambda: pairwise_matrix(ds, cfg))
+    print(f"second call hits the cache,   recomputed={recomputed}")
+    print("cache directory holds", sorted(p.name for p in Path(workdir).iterdir()))
 
 # Five medoids for five planted families.  The trace shows the greedy
 # objective never increasing while the swap search runs.

@@ -18,10 +18,6 @@ from pathlib import Path
 
 from treesample import clustered_dataset, save_jsonl
 
-workdir = Path(tempfile.mkdtemp())
-data = workdir / "toy.jsonl"
-save_jsonl(clustered_dataset(n_graphs=20, families=4, seed=0), data)
-
 
 def run(*args):
     # the installed ``treesample`` script is this module's main(); running it
@@ -34,34 +30,40 @@ def run(*args):
     return proc
 
 
-# 1. Pairwise distances, written through a cache file.
-cache = workdir / "toy.tmdc"
-run("dist", "--dataset", data, "--depth", "3", "--cache", cache, "--json")
+# Everything is written to a temporary directory that is removed at the end.
+with tempfile.TemporaryDirectory() as tmp:
+    workdir = Path(tmp)
+    data = workdir / "toy.jsonl"
+    save_jsonl(clustered_dataset(n_graphs=20, families=4, seed=0), data)
 
-# 2. Running it again hits the cache: recomputed flips to false, checksum
-#    stays identical.
-run("dist", "--dataset", data, "--depth", "3", "--cache", cache, "--json")
+    # 1. Pairwise distances, written through a cache file.
+    cache = workdir / "toy.tmdc"
+    run("dist", "--dataset", data, "--depth", "3", "--cache", cache, "--json")
 
-# 3. Tree norms per graph.
-run("treenorm", "--dataset", data, "--depth", "3")
+    # 2. Running it again hits the cache: recomputed flips to false, checksum
+    #    stays identical.
+    run("dist", "--dataset", data, "--depth", "3", "--cache", cache, "--json")
 
-# 4. Four weighted medoids out of twenty graphs, reusing the cached matrix.
-run("subsample-graphs", "--dataset", data, "--depth", "3", "--k", "4",
-    "--cache", cache, "--out", workdir / "medoids.json")
+    # 3. Tree norms per graph.
+    run("treenorm", "--dataset", data, "--depth", "3")
 
-# 5. Cut every graph down to 60% of its nodes.
-run("subsample-nodes", "--dataset", data, "--depth", "3", "--frac", "0.6",
-    "--out", workdir / "nodes.jsonl")
+    # 4. Four weighted medoids out of twenty graphs, reusing the cached matrix.
+    run("subsample-graphs", "--dataset", data, "--depth", "3", "--k", "4",
+        "--cache", cache, "--out", workdir / "medoids.json")
 
-# The verification mode sweeps level weights and reports whether the
-# measured stability ratio stays within the guaranteed bound.
-proc = run("verify", "--mode", "stability", "--synthetic", "20", "--depth", "3",
-           "--pairs", "40", "--hidden", "8", "--eta", "1.0", "--json",
-           "--out", workdir / "stab.json")
-report = json.loads((workdir / "stab.json").read_text())
-for rep in report["reports"]:
-    print(f"  preset {rep['preset']}: max ratio {rep['max_ratio']:.4f},"
-          f" violations {rep['violations']}")
+    # 5. Cut every graph down to 60% of its nodes.
+    run("subsample-nodes", "--dataset", data, "--depth", "3", "--frac", "0.6",
+        "--out", workdir / "nodes.jsonl")
 
-# A deliberately stale cache (wrong depth for the cached matrix) exits 3.
-run("dist", "--dataset", data, "--depth", "2", "--cache", cache)
+    # The verification mode sweeps level weights and reports whether the
+    # measured stability ratio stays within the guaranteed bound.
+    proc = run("verify", "--mode", "stability", "--synthetic", "20", "--depth", "3",
+               "--pairs", "40", "--hidden", "8", "--eta", "1.0", "--json",
+               "--out", workdir / "stab.json")
+    report = json.loads((workdir / "stab.json").read_text())
+    for rep in report["reports"]:
+        print(f"  preset {rep['preset']}: max ratio {rep['max_ratio']:.4f},"
+              f" violations {rep['violations']}")
+
+    # A deliberately stale cache (wrong depth for the cached matrix) exits 3.
+    run("dist", "--dataset", data, "--depth", "2", "--cache", cache)

@@ -19,8 +19,7 @@ from .tmd import (DistanceMatrix, pairwise_matrix, tmd, tmd_cost_matrix,
                   tree_norm_naive)
 from .treenorm import (TreeNormReport, feature_norms, tree_norm,
                        tree_norm_batch, tree_norm_report)
-from .cache import (load_or_compute, read_matrix, read_sidecar, sidecar_path,
-                    write_matrix)
+from .cache import load_or_compute, read_matrix, write_matrix
 from .graph_select import (Selection, brute_force_medoids, cluster_sizes,
                            feature_distance_matrix, kmedoids, load_selection,
                            medoids_objective, nearest_medoid, random_selection,

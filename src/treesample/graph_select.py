@@ -255,12 +255,8 @@ def feature_distance_matrix(ds: Dataset, cfg: TmdConfig) -> DistanceMatrix:
     for i, g in enumerate(ds):
         if g.node_count:
             means[i, :g.feature_dim] = g.features.mean(axis=0)
-    vals = np.zeros(n * (n - 1) // 2)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            vals[k] = feature_norms((means[i] - means[j])[None, :], cfg.feature_norm)[0]
-            k += 1
+    i, j = np.triu_indices(n, 1)
+    vals = feature_norms(means[i] - means[j], cfg.feature_norm)
     return DistanceMatrix(n, "feature", 0, "", vals)
 
 

@@ -291,6 +291,7 @@ def load_jsonl(path) -> Dataset:
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
             try:
+                _require_int_pairs(rec["edges"])
                 g = Graph(rec["n"], rec["edges"], rec["features"], rec.get("label"))
             except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetError(f"{path}:{lineno}: bad record ({exc})") from exc
@@ -300,6 +301,13 @@ def load_jsonl(path) -> Dataset:
         return make_dataset(graphs, name=str(path))
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
+
+
+def _require_int_pairs(edges) -> None:
+    # JSON "0", 1.5 and true all pass through Graph() unchecked
+    for e in edges:
+        if len(e) != 2 or any(type(x) is not int for x in e):
+            raise ValueError(f"edge {e!r} is not a pair of integers")
 
 
 def save_jsonl(ds: Dataset, path) -> None:

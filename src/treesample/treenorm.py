@@ -43,18 +43,21 @@ def tree_norm_report(g: Graph, cfg: TmdConfig) -> TreeNormReport:
     n = g.node_count
     if n == 0:
         return TreeNormReport(0.0, tuple(0.0 for _ in range(cfg.depth)))
-    x = feature_norms(g.features, cfg.feature_norm)
     eu, ev = g.edge_arrays()
-    z = x.copy()
-    b = x.copy()
-    mass = [float(z.sum())]
-    coef = 1.0
-    for level in range(1, cfg.depth):
-        z = (np.bincount(eu, weights=z[ev], minlength=n)
-             + np.bincount(ev, weights=z[eu], minlength=n))
-        coef *= cfg.level_weight(cfg.depth - level)
-        b += coef * z
-        mass.append(float(z.sum()))
+    # overflow is caught by the checks below (a level mass past the float
+    # range reads inf), so numpy's overflow warnings would only add noise
+    with np.errstate(over="ignore"):
+        x = feature_norms(g.features, cfg.feature_norm)
+        z = x.copy()
+        b = x.copy()
+        mass = [float(z.sum())]
+        coef = 1.0
+        for level in range(1, cfg.depth):
+            z = (np.bincount(eu, weights=z[ev], minlength=n)
+                 + np.bincount(ev, weights=z[eu], minlength=n))
+            coef *= cfg.level_weight(cfg.depth - level)
+            b += coef * z
+            mass.append(float(z.sum()))
     if not np.isfinite(b).all():
         raise NumericalOverflowError(
             f"tree norm overflowed at depth {cfg.depth} (n={n}, m={g.edge_count}); "

@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 
-from treesample import (ConfigError, Graph, Selection, TmdConfig, WeightFn,
-                        cluster_sizes, const_weights, feature_norms,
+from treesample import (ConfigError, DistanceMatrix, Graph, Selection, TmdConfig,
+                        WeightFn, cluster_sizes, const_weights, feature_norms,
                         medoids_objective, tree_norm)
 from treesample.tmd import _cross_distances, _padded_matching
 
@@ -72,6 +72,22 @@ def reference_tmd(ga, gb, cfg):
         return tree_norm(ga, cfg)
     td, bl_a, bl_b = reference_tmd_tables(ga, gb, cfg)
     return _padded_matching(td, bl_a, bl_b)
+
+
+def reference_feature_distance_matrix(ds, cfg):
+    """Mean-feature distances, one pair at a time (the original double loop)."""
+    n = len(ds)
+    means = np.zeros((n, max(1, ds.feature_dim)))
+    for i, g in enumerate(ds):
+        if g.node_count:
+            means[i, :g.feature_dim] = g.features.mean(axis=0)
+    vals = np.zeros(n * (n - 1) // 2)
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            vals[k] = feature_norms((means[i] - means[j])[None, :], cfg.feature_norm)[0]
+            k += 1
+    return DistanceMatrix(n, "feature", 0, "", vals)
 
 
 def reference_kmedoids(d, k, seed=0, max_iter=100, trace=None):

@@ -1,13 +1,15 @@
 import json
 import os
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from treesample import (CacheMismatchError, Graph, StabilityReport, TmdConfig,
                         clustered_dataset, const_weights, load_or_compute,
-                        make_dataset, pairwise_matrix, read_matrix, read_sidecar,
-                        save_jsonl, sidecar_path, write_matrix)
+                        make_dataset, pairwise_matrix, read_matrix, save_jsonl,
+                        write_matrix)
 from treesample.cli import main
 
 from helpers import cfg, random_graph
@@ -24,13 +26,12 @@ def test_binary_round_trip_is_bit_exact(tmp_path, small_ds):
     dm = pairwise_matrix(small_ds, c)
     path = str(tmp_path / "d.tmdc")
     write_matrix(path, dm, norm="l2", dataset_hash="abc")
-    back = read_matrix(path)
+    back, norm, dataset_hash = read_matrix(path)
     assert (back.n, back.metric, back.depth, back.weight_preset) == \
         (dm.n, dm.metric, dm.depth, dm.weight_preset)
-    assert np.array_equal(back.values, dm.values)
-    meta = read_sidecar(path)
-    assert meta == {"norm": "l2", "dataset_sha256": "abc", "metric": "tmd",
-                    "depth": 2, "preset": "const:1.0"}
+    assert back.values.tobytes() == dm.values.tobytes()
+    assert (norm, dataset_hash) == ("l2", "abc")
+    assert os.listdir(tmp_path) == ["d.tmdc"]  # one file, no temp left behind
 
 
 def test_read_rejects_foreign_bytes(tmp_path):
@@ -43,13 +44,37 @@ def test_read_rejects_foreign_bytes(tmp_path):
 def test_read_rejects_truncated_files(tmp_path, small_ds):
     path = str(tmp_path / "d.tmdc")
     write_matrix(path, pairwise_matrix(small_ds, cfg(2)))
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     # inside the header, inside a string, inside the value block
     for cut in (10, 22, len(blob) - 3):
-        with open(path, "wb") as fh:
-            fh.write(blob[:cut])
+        Path(path).write_bytes(blob[:cut])
         with pytest.raises(CacheMismatchError, match="truncated"):
             read_matrix(path)
+
+
+def _refuse():
+    raise AssertionError("a rejected cache must not trigger a recompute")
+
+
+def test_every_corruption_of_a_cache_is_a_mismatch(tmp_path):
+    ds = make_dataset([random_graph(np.random.default_rng(s), n_max=4) for s in range(3)])
+    c = cfg(2)
+    path = tmp_path / "d.tmdc"
+    load_or_compute(str(path), ds, "tmd", c, lambda: pairwise_matrix(ds, c))
+    blob = path.read_bytes()
+    copies = [blob[:cut] for cut in range(len(blob))] + [blob + bytes(8)]
+    for i in range(len(blob)):
+        for bit in (0, 7):
+            copies.append(blob[:i] + bytes([blob[i] ^ (1 << bit)]) + blob[i + 1:])
+    for bad in copies:
+        path.write_bytes(bad)
+        with pytest.raises(CacheMismatchError):
+            load_or_compute(str(path), ds, "tmd", c, _refuse)
+    path.write_bytes(blob + bytes(8))  # caught by the length check itself
+    with pytest.raises(CacheMismatchError, match="bytes, expected"):
+        read_matrix(str(path))
+    path.write_bytes(blob)  # the intact file is still a hit
+    assert load_or_compute(str(path), ds, "tmd", c, _refuse)[1] is False
 
 
 def test_load_or_compute_hit_skips_work(tmp_path, small_ds):
@@ -108,12 +133,14 @@ def test_cli_dist_caches_and_hits(tmp_path, ds_path, capsys):
     assert main(args) == 0
     first = json.loads(capsys.readouterr().out)
     assert first["recomputed"] == 1
-    before = open(cache, "rb").read()
+    before = Path(cache).read_bytes()
     assert main(args) == 0
     second = json.loads(capsys.readouterr().out)
     assert second["recomputed"] == 0
     assert second["checksum"] == first["checksum"]
-    assert open(cache, "rb").read() == before
+    assert Path(cache).read_bytes() == before
+    # the whole key lives in the one file: no metadata file, no temp file
+    assert sorted(os.listdir(tmp_path)) == ["d.tmdc", "ds.jsonl"]
 
 
 def test_cli_dist_requires_cache(ds_path, capsys):
@@ -141,17 +168,30 @@ def test_cli_dist_truncated_or_corrupt_cache_is_a_mismatch(tmp_path, ds_path, ca
     cache = str(tmp_path / "d.tmdc")
     args = ["dist", "--dataset", ds_path, "--cache", cache]
     assert main(args) == 0
-    blob = open(cache, "rb").read()
-    with open(cache, "wb") as fh:
-        fh.write(blob[:-5])
+    blob = Path(cache).read_bytes()
+    Path(cache).write_bytes(blob[:-5])
     assert main(args) == 3
     assert "truncated" in capsys.readouterr().err
-    with open(cache, "wb") as fh:
-        fh.write(blob)
-    with open(sidecar_path(cache), "w", encoding="utf-8") as fh:
-        fh.write('{"norm": "l2", "data')
+    # one flipped bit in the last value fails the checksum
+    Path(cache).write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
     assert main(args) == 3
-    assert "corrupt sidecar" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "checksum" in err and "delete the file" in err
+
+
+def test_cli_dist_rejects_a_version_1_cache(tmp_path, ds_path, capsys):
+    ds = clustered_dataset(10, 5, seed=0)
+    dm = pairwise_matrix(ds, cfg(2))
+    cache = tmp_path / "d.tmdc"
+    # the version-1 layout: magic, version, n, depth, metric, preset, values
+    cache.write_bytes(b"TMDC" + struct.pack("<IQI", 1, dm.n, 2)
+                      + struct.pack("<I", 3) + b"tmd"
+                      + struct.pack("<I", 9) + b"const:1.0"
+                      + dm.values.astype("<f8").tobytes())
+    code = main(["dist", "--dataset", ds_path, "--cache", str(cache), "--depth", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "version 1" in err and "delete the file" in err and "Traceback" not in err
 
 
 def test_cli_dist_overflow_exits_2(tmp_path, capsys):
@@ -167,15 +207,26 @@ def test_cli_dist_overflow_exits_2(tmp_path, capsys):
     assert "overflow" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
 def test_cli_treenorm_overflow_exits_2(tmp_path, capsys):
     path = tmp_path / "huge.jsonl"
     save_jsonl(make_dataset([Graph(3, [(0, 1), (1, 2)], np.full((3, 1), 1.5e308))]),
                path)
-    with np.errstate(over="ignore"):
-        code = main(["treenorm", "--dataset", str(path), "--depth", "1", "--norm", "l1"])
+    # no np.errstate: a numpy overflow warning would be raised as an error
+    code = main(["treenorm", "--dataset", str(path), "--depth", "1", "--norm", "l1"])
     assert code == 2
     err = capsys.readouterr().err
     assert "overflow" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edges", ['[["0", "1"]]', "[[0, 1.5]]", "[[0, true]]"])
+def test_cli_rejects_non_integer_edge_endpoints(tmp_path, capsys, edges):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"n": 2, "edges": [[0, 1]], "features": [[1.0], [2.0]]}\n'
+                    f'{{"n": 2, "edges": {edges}, "features": [[1.0], [2.0]]}}\n')
+    assert main(["treenorm", "--dataset", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.jsonl:2" in err and "Traceback" not in err
 
 
 def test_cli_treenorm_values_match_library(ds_path, capsys):

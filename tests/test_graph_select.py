@@ -14,7 +14,8 @@ from treesample import (ConfigError, DatasetError, DistanceMatrix, Graph,
                         wl_distance, wl_counterexample_pair, wl_histograms,
                         wl_pseudometric_matrix)
 
-from helpers import cfg, random_graph, reference_kmedoids
+from helpers import (cfg, random_graph, reference_feature_distance_matrix,
+                     reference_kmedoids)
 
 
 def random_dm(rng, n, scale=10.0, metric="test"):
@@ -175,6 +176,22 @@ def test_feature_distance_matrix_hand_checked():
     # means are (1,0) and (4,3): euclidean distance 3-4-5 triangle
     assert dm.value(0, 1) == pytest.approx(math.hypot(3.0, 3.0))
     assert dm.metric == "feature"
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_feature_distance_matrix_bit_identical_to_pair_loop(norm):
+    rng = np.random.default_rng(11)
+    for p in range(1, 34):
+        n = int(rng.integers(1, 14))
+        graphs = [random_graph(rng, n_max=6, feature_dim=p) for _ in range(n)]
+        if p % 4 == 0:  # an empty graph keeps a zero mean row
+            graphs.append(Graph(0, [], np.zeros((0, p))))
+        ds = make_dataset(graphs)
+        got = feature_distance_matrix(ds, cfg(2, norm=norm))
+        want = reference_feature_distance_matrix(ds, cfg(2, norm=norm))
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.n, got.metric, got.depth, got.weight_preset) == \
+            (want.n, want.metric, want.depth, want.weight_preset)
 
 
 def test_wl_counterexample_distance_zero():

@@ -71,13 +71,15 @@ def test_batch_matches_scalar():
     assert list(batch) == [tree_norm(g, c) for g in graphs]
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflow_raises():
+    # no np.errstate: a numpy overflow warning would be raised as an error
     g = Graph(2, [(0, 1)], np.full((2, 1), 1e308))
-    with np.errstate(over="ignore"), pytest.raises(NumericalOverflowError):
+    with pytest.raises(NumericalOverflowError):
         tree_norm(g, cfg(3, w=1e10))
     # every entry is finite, but their exact sum is not
     huge = Graph(3, [(0, 1), (1, 2)], np.full((3, 1), 1.5e308))
-    with np.errstate(over="ignore"), pytest.raises(NumericalOverflowError) as info:
+    with pytest.raises(NumericalOverflowError) as info:
         tree_norm(huge, TmdConfig(depth=1, feature_norm="l1"))
     assert isinstance(info.value.__cause__, OverflowError)
 
