@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .config import TmdConfig
 from .errors import ConfigError, DatasetError
@@ -287,34 +288,22 @@ def wl_histograms(ds: Dataset, iterations: int) -> list[list[Counter]]:
     return [list(hists) for hists in zip(*out)] if len(ds) else []
 
 
-def _wl_kernel(ha: list[Counter], hb: list[Counter]) -> float:
-    total = 0.0
-    for ca, cb in zip(ha, hb):
-        small, large = (ca, cb) if len(ca) <= len(cb) else (cb, ca)
-        total += sum(cnt * large.get(lbl, 0) for lbl, cnt in small.items())
-    return total
-
-
 def wl_pseudometric_matrix(ds: Dataset, iterations: int) -> DistanceMatrix:
     """Kernel-induced distance from subtree-pattern histograms.
 
     ``D(G, G') = sqrt(k(G,G) + k(G',G') - 2 k(G,G'))`` with the histogram
-    inner-product kernel summed over refinement rounds 0..iterations.
-    Radicands in [-1e-9, 0) clamp to zero; anything lower is an error.
+    inner-product kernel summed over refinement rounds 0..iterations, i.e.
+    the euclidean distance between the graphs' label counts over all
+    (round, label) columns.  The counts are integers, so the squared
+    distance is exact.
     """
     n = len(ds)
-    hists = wl_histograms(ds, iterations)
-    self_k = [_wl_kernel(h, h) for h in hists]
-    vals = np.zeros(n * (n - 1) // 2)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            rad = self_k[i] + self_k[j] - 2.0 * _wl_kernel(hists[i], hists[j])
-            if rad < -1e-9:
-                raise ArithmeticError(
-                    f"kernel distance radicand {rad} below tolerance for pair ({i},{j})")
-            vals[k] = math.sqrt(max(rad, 0.0))
-            k += 1
+    rows = [{(r, label): count for r, hist in enumerate(hists)
+             for label, count in hist.items()}
+            for hists in wl_histograms(ds, iterations)]
+    columns = sorted(set().union(*rows))
+    counts = np.array([[row.get(col, 0) for col in columns] for row in rows])
+    vals = pdist(counts) if n > 1 else np.zeros(0)
     return DistanceMatrix(n, "wl", iterations, "", vals)
 
 

@@ -1,8 +1,8 @@
 """Attributed graphs, datasets, computation trees, and file I/O.
 
 Graphs are undirected, with a float feature vector per node.  Edges are kept
-as a sorted list of unordered pairs; adjacency structure is built lazily the
-first time a traversal needs it.
+as a sorted list of unordered pairs (for I/O, equality and fingerprints);
+traversals read one CSR adjacency built from them on first use.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class Graph:
     """
 
     __slots__ = ("node_count", "edges", "features", "label",
-                 "_neighbors", "_edge_u", "_edge_v", "_tmd_plan")
+                 "_csr", "_edge_u", "_edge_v", "_tmd_plan")
 
     def __init__(self, node_count, edges, features, label=None):
         self.node_count = int(node_count)
@@ -43,7 +43,7 @@ class Graph:
         self.features = feats
         self.features.setflags(write=False)
         self.label = None if label is None else int(label)
-        self._neighbors = None
+        self._csr = None
         self._edge_u = None
         self._edge_v = None
         # last (TmdConfig, plan) built by tmd for this graph
@@ -58,19 +58,28 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted array of neighbors of ``v``."""
-        if self._neighbors is None:
-            eu, ev = self.edge_arrays()
-            adj = [[] for _ in range(self.node_count)]
-            for u, w in zip(eu.tolist(), ev.tolist()):
-                adj[u].append(w)
-                adj[w].append(u)
-            self._neighbors = [np.array(sorted(a), dtype=np.int64) for a in adj]
-        return self._neighbors[v]
+        """Sorted read-only array of neighbors of ``v``."""
+        indptr, indices = self.csr()
+        return indices[indptr[v]:indptr[v + 1]]
 
     def degrees(self) -> np.ndarray:
-        eu, ev = self.edge_arrays()
-        return np.bincount(np.concatenate([eu, ev]), minlength=self.node_count)
+        return np.diff(self.csr()[0])
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only CSR adjacency ``(indptr, indices)``, built once from
+        :meth:`edge_arrays`: ``indices[indptr[v]:indptr[v + 1]]`` are the
+        neighbors of ``v`` in ascending order."""
+        if self._csr is None:
+            eu, ev = self.edge_arrays()
+            src = np.concatenate([eu, ev])
+            dst = np.concatenate([ev, eu])
+            indices = dst[np.lexsort((dst, src))]
+            indptr = np.zeros(self.node_count + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=self.node_count), out=indptr[1:])
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
+            self._csr = (indptr, indices)
+        return self._csr
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge endpoints as two parallel int arrays (for vectorized traversal).

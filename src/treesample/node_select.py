@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from .config import TmdConfig
 from .errors import ConfigError, ScaleLimitError
@@ -23,6 +24,8 @@ from .graphs import Dataset, Graph, induced_subgraph
 from .treenorm import tree_norm
 
 _BRUTE_SUBSET_LIMIT = 100_000
+# roots per shortest_path call in k_bfs_candidates, which bounds its memory
+_BFS_BLOCK = 512
 
 
 @dataclass
@@ -89,37 +92,28 @@ def load_subsamples(path) -> list[NodeSubsample]:
     return out
 
 
-def _bfs_distances(g: Graph, start: int) -> np.ndarray:
-    dist = np.full(g.node_count, -1, dtype=np.int64)
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(int(u))
-    return dist
-
-
 def k_bfs_candidates(g: Graph, k: int) -> CandidateSet:
     """One BFS ball per node: the deepest ball that still holds <= k nodes.
 
     Balls never cross connected components.  Identical balls from different
-    roots are deduplicated, keeping the first root's tag.
+    roots are deduplicated, keeping the first root's tag.  Hop counts come
+    from ``shortest_path`` over the graph's CSR, for at most 512 roots at a
+    time, so the hop table adds at most 8 * 512 * n bytes.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     cands = new_candidate_set()
-    for v in range(g.node_count):
-        dist = _bfs_distances(g, v)
-        reached = dist[dist >= 0]
-        radii = np.sort(np.unique(reached))
-        counts = np.array([(reached <= r).sum() for r in radii])
-        ok = radii[counts <= k]
-        radius = int(ok[-1]) if ok.size else 0
-        ball = tuple(int(u) for u in np.flatnonzero((dist >= 0) & (dist <= radius)))
-        cands.add(ball, f"bfs:{v}")
+    n = g.node_count
+    indptr, indices = g.csr()
+    adj = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    for lo in range(0, n, _BFS_BLOCK):
+        roots = np.arange(lo, min(lo + _BFS_BLOCK, n))
+        hops = shortest_path(adj, unweighted=True, indices=roots)
+        for v, row in zip(roots.tolist(), hops):
+            # the deepest ball within k nodes holds exactly the nodes closer
+            # than the (k + 1)-th nearest (inf when k or fewer are reachable)
+            limit = np.partition(row, k)[k] if k < n else np.inf
+            cands.add(np.flatnonzero(row < limit).tolist(), f"bfs:{v}")
     return cands
 
 

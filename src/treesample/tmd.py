@@ -13,6 +13,7 @@ deliberately restricted to small inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -90,17 +91,14 @@ class _Plan:
     blanks: tuple[np.ndarray, ...]
 
 
+# overflow shows up as a non-finite table, which _extended reports
+@np.errstate(over="ignore")
 def _build_plan(g: Graph, cfg: TmdConfig) -> _Plan:
     n = g.node_count
-    eu, ev = g.edge_arrays()
-    src = np.concatenate([eu, ev])
-    dst = np.concatenate([ev, eu])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    deg = np.bincount(src, minlength=n)
-    start = np.cumsum(deg) - deg
+    deg = g.degrees()
     nbr = np.full((n, int(deg.max(initial=0))), n, dtype=np.intp)
-    nbr[src, np.arange(src.size) - start[src]] = dst
+    # a boolean mask fills row by row, the order of the CSR indices
+    nbr[np.arange(nbr.shape[1]) < deg[:, None]] = g.csr()[1]
 
     x = feature_norms(g.features, cfg.feature_norm)
     blanks = [x]
@@ -171,6 +169,7 @@ def _solve_lsap(blocks: np.ndarray) -> np.ndarray:
                        count=count)
 
 
+@np.errstate(over="ignore")  # as in _build_plan, _extended reports overflow
 def _tmd_tables(ga: Graph, gb: Graph, cfg: TmdConfig) -> np.ndarray:
     """Extended depth-L table: ``ext[u, v]`` is the distance between the
     computation trees of u and v, row ``na`` / column ``nb`` the blank tree.
@@ -406,10 +405,7 @@ def pairwise_matrix(ds: Dataset, cfg: TmdConfig) -> DistanceMatrix:
     evaluation order.
     """
     n = len(ds)
-    vals = np.zeros(n * (n - 1) // 2)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            vals[k] = tmd(ds[i], ds[j], cfg)
-            k += 1
+    vals = np.fromiter((tmd(ds[i], ds[j], cfg)
+                        for i, j in itertools.combinations(range(n), 2)),
+                       dtype=np.float64, count=n * (n - 1) // 2)
     return DistanceMatrix(n, "tmd", cfg.depth, cfg.weights.spec_string(), vals)

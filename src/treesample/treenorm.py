@@ -27,7 +27,13 @@ def feature_norms(features: np.ndarray, norm: str) -> np.ndarray:
     """Per-row feature norms under the configured vector norm."""
     if norm == "l1":
         return np.abs(features).sum(axis=1)
-    return np.sqrt((features * features).sum(axis=1))
+    with np.errstate(over="ignore"):
+        out = np.sqrt((features * features).sum(axis=1))
+        # squares past ~1e154 overflow where the norm may fit; hypot scales
+        if np.isinf(out).any():
+            big = np.isinf(out) & np.isfinite(features).all(axis=1)
+            out[big] = np.hypot.reduce(features[big], axis=1)
+    return out
 
 
 @dataclass(frozen=True)

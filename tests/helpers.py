@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
 from treesample import (ConfigError, DistanceMatrix, Graph, Selection, TmdConfig,
                         WeightFn, cluster_sizes, const_weights, feature_norms,
-                        medoids_objective, tree_norm)
+                        medoids_objective, tree_norm, wl_histograms)
+from treesample.node_select import new_candidate_set
 from treesample.tmd import _cross_distances, _padded_matching
 
 
@@ -161,3 +163,59 @@ def reference_kmedoids(d, k, seed=0, max_iter=100, trace=None):
 
     objective = medoids_objective(d, chosen)
     return Selection("tmd-medoids", k, seed, chosen, cluster_sizes(d, chosen), objective)
+
+
+def _bfs_distances(g, start):
+    dist = np.full(g.node_count, -1, dtype=np.int64)
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for u in g.neighbors(v):
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                queue.append(int(u))
+    return dist
+
+
+def reference_k_bfs_candidates(g, k):
+    """BFS balls from one Python BFS per node (the original loop)."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    cands = new_candidate_set()
+    for v in range(g.node_count):
+        dist = _bfs_distances(g, v)
+        reached = dist[dist >= 0]
+        radii = np.sort(np.unique(reached))
+        counts = np.array([(reached <= r).sum() for r in radii])
+        ok = radii[counts <= k]
+        radius = int(ok[-1]) if ok.size else 0
+        ball = tuple(int(u) for u in np.flatnonzero((dist >= 0) & (dist <= radius)))
+        cands.add(ball, f"bfs:{v}")
+    return cands
+
+
+def _wl_kernel(ha, hb):
+    total = 0.0
+    for ca, cb in zip(ha, hb):
+        small, large = (ca, cb) if len(ca) <= len(cb) else (cb, ca)
+        total += sum(cnt * large.get(lbl, 0) for lbl, cnt in small.items())
+    return total
+
+
+def reference_wl_pseudometric_matrix(ds, iterations):
+    """WL distances from the kernel formula, one pair at a time (the original loop)."""
+    n = len(ds)
+    hists = wl_histograms(ds, iterations)
+    self_k = [_wl_kernel(h, h) for h in hists]
+    vals = np.zeros(n * (n - 1) // 2)
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            rad = self_k[i] + self_k[j] - 2.0 * _wl_kernel(hists[i], hists[j])
+            if rad < -1e-9:
+                raise ArithmeticError(
+                    f"kernel distance radicand {rad} below tolerance for pair ({i},{j})")
+            vals[k] = math.sqrt(max(rad, 0.0))
+            k += 1
+    return DistanceMatrix(n, "wl", iterations, "", vals)

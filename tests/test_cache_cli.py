@@ -194,14 +194,14 @@ def test_cli_dist_rejects_a_version_1_cache(tmp_path, ds_path, capsys):
     assert "version 1" in err and "delete the file" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
 def test_cli_dist_overflow_exits_2(tmp_path, capsys):
     ds = make_dataset([Graph(3, [(0, 1), (1, 2)], np.full((3, 2), 1e306)),
                        Graph(2, [(0, 1)], np.full((2, 2), -1e306))])
     path = tmp_path / "big.jsonl"
     save_jsonl(ds, path)
-    with np.errstate(over="ignore"):
-        code = main(["dist", "--dataset", str(path), "--weights", "const:1000",
-                     "--cache", str(tmp_path / "d.tmdc")])
+    code = main(["dist", "--dataset", str(path), "--weights", "const:1000",
+                 "--cache", str(tmp_path / "d.tmdc")])
     assert code == 2
     err = capsys.readouterr().err
     assert "overflow" in err and "Traceback" not in err

@@ -15,7 +15,7 @@ from treesample import (ConfigError, DatasetError, DistanceMatrix, Graph,
                         wl_pseudometric_matrix)
 
 from helpers import (cfg, random_graph, reference_feature_distance_matrix,
-                     reference_kmedoids)
+                     reference_kmedoids, reference_wl_pseudometric_matrix)
 
 
 def random_dm(rng, n, scale=10.0, metric="test"):
@@ -214,6 +214,16 @@ def test_wl_histogram_refinement_counts():
     assert sum(rounds[0].values()) == 3
     # after one round the middle node (degree 2) separates from the ends
     assert sorted(rounds[1].values()) == [1, 2]
+
+
+def test_wl_matrix_bit_identical_to_kernel_formula():
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 2, 7, 15):
+        ds = make_dataset([random_graph(rng, n_max=9, n_min=0) for _ in range(n)])
+        for iterations in range(4):
+            got = wl_pseudometric_matrix(ds, iterations)
+            want = reference_wl_pseudometric_matrix(ds, iterations)
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_wl_matrix_is_symmetric_pseudometric():

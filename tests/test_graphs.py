@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treesample import (DatasetError, Graph, computation_tree, blank_tree,
                         dataset_fingerprint, empty_graph, induced_subgraph,
@@ -45,6 +46,24 @@ def test_neighbors_and_degrees():
     assert list(g.degrees()) == [2, 1, 2, 1]
     eu, ev = g.edge_arrays()
     assert list(zip(eu, ev)) == [(0, 1), (0, 2), (2, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                        .filter(lambda e: e[0] != e[1]), max_size=30))))
+def test_csr_matches_edge_list(case):
+    n, pairs = case
+    g = Graph(n, pairs, np.ones((n, 1)))
+    indptr, indices = g.csr()
+    # a pair given in both orders is a duplicate edge, listed twice
+    implied = {v: sorted([b for a, b in g.edges if a == v]
+                         + [a for a, b in g.edges if b == v]) for v in range(n)}
+    for v in range(n):
+        assert list(g.neighbors(v)) == implied[v]
+    assert np.array_equal(g.degrees(), np.diff(indptr))
+    with pytest.raises(ValueError):
+        g.neighbors(0)[:] = 0
 
 
 def test_graph_equality_and_hash():

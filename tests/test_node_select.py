@@ -12,7 +12,7 @@ from treesample import (ConfigError, Graph, brute_force_select, build_candidates
                         select_subset, subsample_dataset, tree_norm,
                         tree_norm_decision)
 
-from helpers import cfg, random_graph
+from helpers import cfg, random_graph, reference_k_bfs_candidates
 
 STAR = Graph(4, [(0, 1), (0, 2), (0, 3)], np.ones((4, 1)))
 PATH5 = Graph(5, [(i, i + 1) for i in range(4)], np.ones((5, 1)))
@@ -40,6 +40,32 @@ def test_bfs_ball_respects_budget():
     for k in range(1, 6):
         for subset in k_bfs_candidates(PATH5, k).subsets:
             assert 1 <= len(subset) <= k
+
+
+def _sparse_graph(rng, n, p):
+    """G(n, p) with several components and isolated nodes at small p."""
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    return Graph(n, zip(*np.nonzero(upper)), np.ones((n, 1)))
+
+
+def test_bfs_balls_match_python_bfs():
+    rng = np.random.default_rng(5)
+    graphs = [Graph(0, [], np.zeros((0, 1))), Graph(1, [], np.ones((1, 1)))]
+    graphs += [_sparse_graph(rng, int(rng.integers(2, 16)), p)
+               for p in (0.05, 0.15, 0.3, 0.6) for _ in range(4)]
+    for g in graphs:
+        for k in range(1, max(g.node_count, 1) + 1):
+            got, want = k_bfs_candidates(g, k), reference_k_bfs_candidates(g, k)
+            assert (got.subsets, got.tags) == (want.subsets, want.tags)
+
+
+def test_bfs_balls_match_python_bfs_across_root_blocks():
+    # more than 512 nodes, so hop counts come from two shortest_path blocks
+    g = _sparse_graph(np.random.default_rng(6), 530, 1.2 / 530)
+    assert (g.degrees() == 0).any()
+    for k in (1, 3, 40, 530):
+        got, want = k_bfs_candidates(g, k), reference_k_bfs_candidates(g, k)
+        assert (got.subsets, got.tags) == (want.subsets, want.tags)
 
 
 def test_core_numbers_known_graphs():

@@ -200,10 +200,11 @@ def test_kernel_matches_per_block_reference_bit_for_bit():
         assert tmd(b, a, c) == reference_tmd(b, a, c)
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflow_raises_numerical_overflow_error():
     g = Graph(3, [(0, 1), (1, 2)], np.full((3, 1), 1e306))
     big = TmdConfig(depth=3, weights=const_weights(1000.0), feature_norm="l1")
-    with np.errstate(over="ignore"), pytest.raises(NumericalOverflowError):
+    with pytest.raises(NumericalOverflowError):
         tmd(g, P2, big)
     # every entry is finite, but the exact sum of two of them is not
     huge = Graph(3, [(0, 1), (1, 2)], np.full((3, 1), 1.5e308))

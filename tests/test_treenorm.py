@@ -84,6 +84,15 @@ def test_overflow_raises():
     assert isinstance(info.value.__cause__, OverflowError)
 
 
+@pytest.mark.filterwarnings("error")
+def test_l2_norm_of_huge_feature_does_not_overflow():
+    # squaring 1e200 overflows, but its norm fits in a float
+    g = Graph(1, [], [[1e200]])
+    assert tree_norm(g, TmdConfig(depth=1, feature_norm="l2")) == 1e200
+    rows = np.array([[3.0, 4.0], [-1e200, 1e200], [np.inf, 1.0]])
+    assert list(feature_norms(rows, "l2")) == [5.0, math.hypot(1e200, 1e200), np.inf]
+
+
 def test_norm_choice_matters():
     g = Graph(1, [], np.array([[3.0, 4.0]]))
     assert tree_norm(g, cfg(1, norm="l1")) == 7.0
