@@ -17,8 +17,8 @@ from .matching import MatchingResult, brute_force_matching, matching_value, min_
 from .tmd import (DistanceMatrix, pairwise_matrix, tmd, tmd_cost_matrix,
                   tmd_naive, tmd_subgraph, tree_blank_distance, tree_distance,
                   tree_norm_naive)
-from .treenorm import (TreeNormReport, feature_norms, tree_norm,
-                       tree_norm_batch, tree_norm_report)
+from .treenorm import (TreeNormReport, feature_norms, subset_tree_norms,
+                       tree_norm, tree_norm_batch, tree_norm_report)
 from .cache import load_or_compute, read_matrix, write_matrix
 from .graph_select import (Selection, brute_force_medoids, cluster_sizes,
                            feature_distance_matrix, kmedoids, load_selection,

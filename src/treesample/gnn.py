@@ -330,8 +330,8 @@ def finite_erm_check(ds: Dataset, labels, hypotheses, *,
         if len(subsamples) != n:
             raise ConfigError(f"{len(subsamples)} subsamples for {n} graphs")
         epsilon = math.fsum(s.tmd_to_full for s in subsamples) / n
-        preds_sub = [[gin_forward(h, induced_subgraph(ds[i], subsamples[i].kept))
-                      for i in range(n)] for h in hypotheses]
+        subgraphs = [induced_subgraph(g, s.kept) for g, s in zip(ds, subsamples)]
+        preds_sub = [[gin_forward(h, sg) for sg in subgraphs] for h in hypotheses]
         sub_losses, chain_rhs = [], []
         for p_full, p_sub in zip(preds_full, preds_sub):
             sub_losses.append(math.fsum(

@@ -8,6 +8,7 @@ traversals read one CSR adjacency built from them on first use.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -37,7 +38,9 @@ class Graph:
     def __init__(self, node_count, edges, features, label=None):
         self.node_count = int(node_count)
         self.edges = sorted((u, v) if u <= v else (v, u) for u, v in edges)
-        feats = np.asarray(features, dtype=np.float64)
+        # row-major, so a row's feature norm sums in the same order in every
+        # graph that holds the row (an induced subgraph copies rows row-major)
+        feats = np.ascontiguousarray(features, dtype=np.float64)
         if feats.ndim == 1 and feats.size == 0:
             feats = feats.reshape(0, 1)
         self.features = feats
@@ -291,25 +294,63 @@ def load_jsonl(path) -> Dataset:
     "features": [[...],...], "label": int|null}``.
     """
     graphs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            try:
-                _require_int_pairs(rec["edges"])
-                g = Graph(rec["n"], rec["edges"], rec["features"], rec.get("label"))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetError(f"{path}:{lineno}: bad record ({exc})") from exc
-            _require_valid(g, f"{path}:{lineno}")
-            graphs.append(g)
+    for lineno, line in _text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        try:
+            _require_int_pairs(rec["edges"])
+            g = Graph(rec["n"], rec["edges"], rec["features"], rec.get("label"))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: an "n" or "label" of Infinity
+            raise DatasetError(f"{path}:{lineno}: bad record ({exc})") from exc
+        _require_valid(g, f"{path}:{lineno}")
+        graphs.append(g)
     try:
         return make_dataset(graphs, name=str(path))
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
+
+
+def _text_lines(path):
+    """Numbered lines of a UTF-8 text file, split as ``open(path,
+    encoding="utf-8")`` splits them.  Bytes that are not UTF-8 raise
+    :class:`DatasetError` naming their line, not ``UnicodeDecodeError``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(
+            f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte "
+            f"{exc.start})") from exc
+    return enumerate(io.StringIO(text, newline=None), start=1)
+
+
+def _parse_lines(path, parse, what: str) -> list:
+    """``(lineno, parse(line))`` for every non-blank line of ``path``; a line
+    that ``parse`` rejects raises :class:`DatasetError`."""
+    out = []
+    for lineno, line in _text_lines(path):
+        if line.strip():
+            try:
+                out.append((lineno, parse(line)))
+            except (ValueError, OverflowError) as exc:
+                raise DatasetError(f"{path}:{lineno}: bad {what}") from exc
+    return out
+
+
+def _int_pair(line: str) -> tuple[int, int]:
+    a, b = (int(tok) for tok in line.replace(",", " ").split())
+    return a, b
+
+
+def _float_row(line: str) -> list[float]:
+    return [float(tok) for tok in line.replace(",", " ").split()]
 
 
 def _require_int_pairs(edges) -> None:
@@ -349,8 +390,7 @@ def load_tu(directory, name: str) -> Dataset:
         if not os.path.exists(p(required)):
             raise FileNotFoundError(f"missing mandatory TU file: {p(required)}")
 
-    with open(p("graph_indicator"), "r", encoding="utf-8") as fh:
-        indicator = [int(line.strip()) for line in fh if line.strip()]
+    indicator = [gid for _, gid in _parse_lines(p("graph_indicator"), int, "graph id")]
     total_nodes = len(indicator)
     if total_nodes == 0:
         return Dataset([], 0, name)
@@ -361,15 +401,7 @@ def load_tu(directory, name: str) -> Dataset:
 
     attr_path = p("node_attributes")
     if os.path.exists(attr_path):
-        rows = []
-        with open(attr_path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rows.append([float(tok) for tok in line.replace(",", " ").split()])
-                except ValueError as exc:
-                    raise DatasetError(f"{attr_path}:{lineno}: bad attribute row") from exc
+        rows = [row for _, row in _parse_lines(attr_path, _float_row, "attribute row")]
         if len(rows) != total_nodes:
             raise DatasetError(
                 f"{attr_path}: {len(rows)} attribute rows for {total_nodes} nodes")
@@ -383,8 +415,8 @@ def load_tu(directory, name: str) -> Dataset:
     labels_path = p("graph_labels")
     labels = None
     if os.path.exists(labels_path):
-        with open(labels_path, "r", encoding="utf-8") as fh:
-            labels = [int(float(line.strip())) for line in fh if line.strip()]
+        labels = [y for _, y in _parse_lines(
+            labels_path, lambda line: int(float(line)), "graph label")]
         if len(labels) != n_graphs:
             raise DatasetError(f"{labels_path}: {len(labels)} labels for {n_graphs} graphs")
 
@@ -396,21 +428,14 @@ def load_tu(directory, name: str) -> Dataset:
         counts[gid] += 1
 
     edge_sets = [set() for _ in range(n_graphs + 1)]
-    with open(p("A"), "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                a, b = (int(tok) for tok in line.replace(",", " ").split())
-            except ValueError as exc:
-                raise DatasetError(f"{p('A')}:{lineno}: bad edge row") from exc
-            if not (1 <= a <= total_nodes and 1 <= b <= total_nodes):
-                raise DatasetError(f"{p('A')}:{lineno}: node id outside 1..{total_nodes}")
-            ga, gb = indicator[a - 1], indicator[b - 1]
-            if ga != gb:
-                raise DatasetError(f"{p('A')}:{lineno}: edge ({a},{b}) crosses graphs {ga},{gb}")
-            u, v = int(local_index[a - 1]), int(local_index[b - 1])
-            edge_sets[ga].add((min(u, v), max(u, v)))
+    for lineno, (a, b) in _parse_lines(p("A"), _int_pair, "edge row"):
+        if not (1 <= a <= total_nodes and 1 <= b <= total_nodes):
+            raise DatasetError(f"{p('A')}:{lineno}: node id outside 1..{total_nodes}")
+        ga, gb = indicator[a - 1], indicator[b - 1]
+        if ga != gb:
+            raise DatasetError(f"{p('A')}:{lineno}: edge ({a},{b}) crosses graphs {ga},{gb}")
+        u, v = int(local_index[a - 1]), int(local_index[b - 1])
+        edge_sets[ga].add((min(u, v), max(u, v)))
 
     graphs = []
     node_rows = [[] for _ in range(n_graphs + 1)]

@@ -2,9 +2,10 @@
 
 Finding the k-node induced subgraph closest to the parent graph is the same
 problem as finding the k-node subgraph with the largest tree norm, so the
-selector evaluates cheap tree norms over a candidate pool instead of running
-any matching.  Candidates come from three heuristics: per-node BFS balls,
-a restarting random walk, and a k-core peel.
+selector evaluates cheap tree norms over a candidate pool, all candidates in
+one masked pass over the parent's edges, instead of running any matching.
+Candidates come from three heuristics: per-node BFS balls, a restarting
+random walk, and a k-core peel.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from scipy.sparse.csgraph import shortest_path
 
 from .config import TmdConfig
 from .errors import ConfigError, ScaleLimitError
-from .graphs import Dataset, Graph, induced_subgraph
-from .treenorm import tree_norm
+from .graphs import Dataset, Graph
+from .treenorm import subset_tree_norms, tree_norm
 
 _BRUTE_SUBSET_LIMIT = 100_000
 # roots per shortest_path call in k_bfs_candidates, which bounds its memory
@@ -191,18 +192,20 @@ def select_subset(g: Graph, candidates: CandidateSet, cfg: TmdConfig,
 
     Maximizing the subgraph tree norm minimizes the distance to the parent
     graph.  Exact ties resolve to the lexicographically smallest sorted
-    subset.
+    subset.  :func:`~treesample.treenorm.subset_tree_norms` scores all
+    candidates together in masked passes over the parent's edges (chunks of
+    at most 65,536 candidate-(nodes + edges) entries, < 3 MB each), so no
+    subgraph is built until a caller uses the winner's ``kept`` nodes.
     """
     if len(candidates) == 0:
         raise ConfigError("candidate set is empty")
     full = tree_norm(g, cfg)
-    best = None
-    for subset, tag in zip(candidates.subsets, candidates.tags):
-        val = tree_norm(induced_subgraph(g, subset), cfg)
-        if best is None or val > best[0] or (val == best[0] and subset < best[1]):
-            best = (val, subset, tag)
-    val, subset, tag = best
-    return NodeSubsample(graph_id, subset, full, val, full - val, tag)
+    vals = subset_tree_norms(g, candidates.subsets, cfg)
+    best = vals.max()
+    i = min(np.flatnonzero(vals == best), key=lambda j: candidates.subsets[j])
+    val = float(vals[i])
+    return NodeSubsample(graph_id, candidates.subsets[i], full, val, full - val,
+                         candidates.tags[i])
 
 
 def brute_force_select(g: Graph, k: int, cfg: TmdConfig,
@@ -210,7 +213,9 @@ def brute_force_select(g: Graph, k: int, cfg: TmdConfig,
     """Exact best k-subset by enumeration (C(n, k) <= 1e5).
 
     Ties resolve to the lexicographically smallest subset, matching
-    :func:`select_subset`.
+    :func:`select_subset`.  ``itertools.combinations`` streams through
+    :func:`~treesample.treenorm.subset_tree_norms` chunk by chunk, so no
+    subgraph is built and only the C(n, k) values are kept.
     """
     n = g.node_count
     if not (1 <= k <= n):
@@ -218,13 +223,13 @@ def brute_force_select(g: Graph, k: int, cfg: TmdConfig,
     if math.comb(n, k) > _BRUTE_SUBSET_LIMIT:
         raise ScaleLimitError(f"C({n},{k}) exceeds the enumeration limit")
     full = tree_norm(g, cfg)
-    best_val, best_set = -np.inf, None
-    for combo in itertools.combinations(range(n), k):
-        val = tree_norm(induced_subgraph(g, combo), cfg)
-        if val > best_val:
-            best_val, best_set = val, combo
-    return NodeSubsample(graph_id, best_set, full, best_val, full - best_val,
-                         "brute")
+    vals = subset_tree_norms(g, itertools.combinations(range(n), k), cfg)
+    # argmax keeps the first maximum, so ties go to the lexicographically
+    # first subset
+    i = int(np.argmax(vals))
+    best = next(itertools.islice(itertools.combinations(range(n), k), i, None))
+    val = float(vals[i])
+    return NodeSubsample(graph_id, best, full, val, full - val, "brute")
 
 
 def tree_norm_decision(g: Graph, k: int, tau: float, cfg: TmdConfig) -> bool:

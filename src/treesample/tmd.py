@@ -26,7 +26,7 @@ from .errors import (ConfigError, DatasetError, NumericalOverflowError,
                      ScaleLimitError)
 from .graphs import Dataset, Graph, RootedTree, computation_tree, empty_graph
 from .matching import _permutations, matching_value
-from .treenorm import feature_norms, tree_norm
+from .treenorm import feature_norms, subset_tree_norms, tree_norm
 
 _NAIVE_NODE_LIMIT = 12
 _NAIVE_DEPTH_LIMIT = 4
@@ -42,8 +42,17 @@ def _cross_distances(fa: np.ndarray, fb: np.ndarray, norm: str) -> np.ndarray:
     if fa.shape[1] != fb.shape[1]:
         raise DatasetError(
             f"feature dimensions differ: {fa.shape[1]} vs {fb.shape[1]}")
-    metric = "cityblock" if norm == "l1" else "euclidean"
-    return cdist(fa, fb, metric=metric)
+    if norm == "l1":
+        return cdist(fa, fb, metric="cityblock")
+    out = cdist(fa, fb, metric="euclidean")
+    # as in feature_norms: squares past ~1e154 overflow where the distance
+    # may fit, so recompute only those entries, with hypot, from finite rows
+    u, v = np.nonzero(np.isinf(out))
+    if u.size:
+        ok = np.isfinite(fa[u]).all(axis=1) & np.isfinite(fb[v]).all(axis=1)
+        u, v = u[ok], v[ok]
+        out[u, v] = np.hypot.reduce(fa[u] - fb[v], axis=1)
+    return out
 
 
 def _pair_distance(x: np.ndarray, y: np.ndarray, norm: str) -> float:
@@ -351,11 +360,9 @@ def tmd_subgraph(g: Graph, nodes, cfg: TmdConfig) -> float:
 
     Computed as the tree-norm difference (the identity transport plan is
     optimal for subgraph deletions), which costs two fast norm passes instead
-    of a full matching.
+    of a full matching; the subgraph's norm is scored on ``g``'s own edges.
     """
-    from .graphs import induced_subgraph
-
-    return tree_norm(g, cfg) - tree_norm(induced_subgraph(g, nodes), cfg)
+    return tree_norm(g, cfg) - float(subset_tree_norms(g, [nodes], cfg)[0])
 
 
 @dataclass

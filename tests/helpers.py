@@ -6,10 +6,12 @@ from collections import deque
 
 import numpy as np
 
-from treesample import (ConfigError, DistanceMatrix, Graph, Selection, TmdConfig,
-                        WeightFn, cluster_sizes, const_weights, feature_norms,
-                        medoids_objective, tree_norm, wl_histograms)
-from treesample.node_select import new_candidate_set
+from treesample import (ConfigError, DistanceMatrix, Graph, NodeSubsample,
+                        ScaleLimitError, Selection, TmdConfig, WeightFn,
+                        cluster_sizes, const_weights, feature_norms,
+                        induced_subgraph, medoids_objective, tree_norm,
+                        wl_histograms)
+from treesample.node_select import _BRUTE_SUBSET_LIMIT, new_candidate_set
 from treesample.tmd import _cross_distances, _padded_matching
 
 
@@ -219,3 +221,42 @@ def reference_wl_pseudometric_matrix(ds, iterations):
             vals[k] = math.sqrt(max(rad, 0.0))
             k += 1
     return DistanceMatrix(n, "wl", iterations, "", vals)
+
+
+def reference_subset_tree_norms(g, subsets, cfg):
+    """One induced subgraph and one tree norm per subset (the original loop)."""
+    return np.array([tree_norm(induced_subgraph(g, s), cfg) for s in subsets],
+                    dtype=np.float64)
+
+
+def reference_select_subset(g, candidates, cfg, graph_id=0):
+    """Candidate selection scored one induced subgraph at a time (the
+    original loop): largest norm, ties to the smallest sorted subset."""
+    if len(candidates) == 0:
+        raise ConfigError("candidate set is empty")
+    full = tree_norm(g, cfg)
+    best = None
+    for subset, tag in zip(candidates.subsets, candidates.tags):
+        val = tree_norm(induced_subgraph(g, subset), cfg)
+        if best is None or val > best[0] or (val == best[0] and subset < best[1]):
+            best = (val, subset, tag)
+    val, subset, tag = best
+    return NodeSubsample(graph_id, subset, full, val, full - val, tag)
+
+
+def reference_brute_force_select(g, k, cfg, graph_id=0):
+    """Exhaustive k-subset search, one induced subgraph at a time (the
+    original loop): the first subset in lexicographic order wins ties."""
+    n = g.node_count
+    if not (1 <= k <= n):
+        raise ConfigError(f"k must be in 1..{n}, got {k}")
+    if math.comb(n, k) > _BRUTE_SUBSET_LIMIT:
+        raise ScaleLimitError(f"C({n},{k}) exceeds the enumeration limit")
+    full = tree_norm(g, cfg)
+    best_val, best_set = -np.inf, None
+    for combo in itertools.combinations(range(n), k):
+        val = tree_norm(induced_subgraph(g, combo), cfg)
+        if val > best_val:
+            best_val, best_set = val, combo
+    return NodeSubsample(graph_id, best_set, full, best_val, full - best_val,
+                         "brute")

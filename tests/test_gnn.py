@@ -6,10 +6,11 @@ import pytest
 
 from treesample import (ConfigError, DatasetError, Graph, TmdConfig,
                         abs_clipped_loss, clustered_dataset, const_weights,
-                        finite_erm_check, gin_forward, identity_gin, kmedoids,
-                        layer_lipschitz, make_dataset, node_embeddings,
-                        pairwise_matrix, random_gin, stability_report,
-                        subsample_dataset, wl_counterexample_pair)
+                        finite_erm_check, gin_forward, identity_gin,
+                        induced_subgraph, kmedoids, layer_lipschitz,
+                        make_dataset, node_embeddings, pairwise_matrix,
+                        random_gin, stability_report, subsample_dataset,
+                        wl_counterexample_pair)
 
 from helpers import cfg, random_graph
 
@@ -158,6 +159,25 @@ def test_finite_erm_node_mode_full_fraction_is_exact():
     assert rep.epsilon == 0.0
     assert rep.loss_full_of_erm == rep.min_loss_full
     assert rep.chain_ok
+
+
+def test_finite_erm_node_mode_builds_each_subgraph_once(monkeypatch):
+    import treesample.gnn as gnn
+    rng = np.random.default_rng(12)
+    ds = make_dataset([random_graph(rng, n_max=6, n_min=2) for _ in range(5)])
+    subs = subsample_dataset(ds, 0.5, cfg(2), seed=0)
+    hyps = [random_gin(s, ds.feature_dim, 4, 2) for s in range(3)]
+    before = finite_erm_check(ds, [0.0] * 5, hyps, subsamples=subs)
+    built = []
+
+    def counting(g, nodes):
+        built.append(tuple(nodes))
+        return induced_subgraph(g, nodes)
+
+    monkeypatch.setattr(gnn, "induced_subgraph", counting)
+    after = finite_erm_check(ds, [0.0] * 5, hyps, subsamples=subs)
+    assert built == [s.kept for s in subs]
+    assert after.to_json() == before.to_json()
 
 
 def test_finite_erm_grows_no_worse_with_more_hypotheses():

@@ -191,6 +191,44 @@ def test_load_tu_missing_mandatory_file(tmp_path):
         load_tu(tmp_path, "NOPE")
 
 
+def test_load_jsonl_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "bin.jsonl"
+    path.write_bytes(b'{"n": 1, "edges": [], "features": [[1.0]]}\n'
+                     b'{"n": 1, "edges": [], "features": [[1.0]], "x": "\xff"}\n')
+    with pytest.raises(DatasetError, match="bin.jsonl:2: not UTF-8"):
+        load_jsonl(path)
+
+
+def test_load_jsonl_maps_infinite_counts_to_dataset_error(tmp_path):
+    path = tmp_path / "inf.jsonl"
+    path.write_text('{"n": 1e999, "edges": [], "features": [[1.0]]}\n')
+    with pytest.raises(DatasetError, match="inf.jsonl:1: bad record"):
+        load_jsonl(path)
+
+
+def test_load_jsonl_keeps_universal_newlines(tmp_path):
+    path = tmp_path / "cr.jsonl"
+    rec = '{"n": 1, "edges": [], "features": [[1.0]]}'
+    path.write_bytes(f"{rec}\r{rec}\r\n{rec}\n".encode())
+    assert len(load_jsonl(path)) == 3
+
+
+@pytest.mark.parametrize("suffix, text, match", [
+    ("graph_indicator", b"1\n1\nx\n", "graph_indicator.txt:3: bad graph id"),
+    ("graph_indicator", b"1\n\xc3\n1\n", "graph_indicator.txt:2: not UTF-8"),
+    ("graph_labels", b"0\ninf\n", "graph_labels.txt:2: bad graph label"),
+    ("graph_labels", b"nan\n1\n", "graph_labels.txt:1: bad graph label"),
+    ("node_attributes", b"0.1\n0.2\n\x80\n", "node_attributes.txt:3: not UTF-8"),
+    ("A", b"1, 2\n2 3 4\n", "A.txt:2: bad edge row"),
+])
+def test_load_tu_maps_unreadable_lines_to_dataset_error(tmp_path, suffix, text, match):
+    d = _write_tu(tmp_path, "T", [1, 1, 2], [(1, 2)], attrs=[[0.1], [0.2], [0.3]],
+                  labels=[0, 1])
+    (d / f"T_{suffix}.txt").write_bytes(text)
+    with pytest.raises(DatasetError, match=match):
+        load_tu(d, "T")
+
+
 def test_fingerprint_tracks_content():
     rng = np.random.default_rng(0)
     ds = make_dataset([random_graph(rng) for _ in range(4)])

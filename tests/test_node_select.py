@@ -12,7 +12,9 @@ from treesample import (ConfigError, Graph, brute_force_select, build_candidates
                         select_subset, subsample_dataset, tree_norm,
                         tree_norm_decision)
 
-from helpers import cfg, random_graph, reference_k_bfs_candidates
+from helpers import (cfg, random_graph, random_table_cfg,
+                     reference_brute_force_select, reference_k_bfs_candidates,
+                     reference_select_subset)
 
 STAR = Graph(4, [(0, 1), (0, 2), (0, 3)], np.ones((4, 1)))
 PATH5 = Graph(5, [(i, i + 1) for i in range(4)], np.ones((5, 1)))
@@ -190,3 +192,36 @@ def test_subsample_jsonl_round_trip(tmp_path):
     rec = json.loads(subs[0].to_json())
     assert set(rec) == {"id", "kept", "tree_norm_full", "tree_norm_sub",
                         "tmd", "provenance"}
+
+
+def test_select_subset_bit_identical_to_per_candidate_loop():
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        g = random_graph(rng, n_max=16, n_min=1, feature_dim=3,
+                         p=float(rng.uniform(0.05, 0.6)))
+        if trial % 4 == 0:  # unit features and few edges give exact ties
+            g = Graph(g.node_count, g.edges[:2], np.ones((g.node_count, 1)))
+        c = random_table_cfg(rng, int(rng.integers(1, 5)),
+                             norm=str(rng.choice(["l1", "l2"])))
+        k = int(rng.integers(1, g.node_count + 1))
+        cands = build_candidates(g, k, seed=trial)
+        got = select_subset(g, cands, c, graph_id=trial)
+        want = reference_select_subset(g, cands, c, graph_id=trial)
+        assert got == want and got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("block", [None, 40])
+def test_brute_force_select_bit_identical_to_per_candidate_loop(monkeypatch, block):
+    import treesample.treenorm as treenorm
+    if block is not None:  # a few subsets per pass, so ties straddle chunks
+        monkeypatch.setattr(treenorm, "_SUBSET_BLOCK", block)
+    rng = np.random.default_rng(18)
+    graphs = [random_graph(rng, n_max=9, n_min=1, p=float(rng.uniform(0.1, 0.6)))
+              for _ in range(12)]
+    graphs.append(Graph(7, [(0, 1), (5, 6)], np.ones((7, 1))))
+    for i, g in enumerate(graphs):
+        c = cfg(int(rng.integers(1, 5)), norm=str(rng.choice(["l1", "l2"])))
+        for k in {1, (g.node_count + 1) // 2, g.node_count}:
+            got = brute_force_select(g, k, c, graph_id=i)
+            want = reference_brute_force_select(g, k, c, graph_id=i)
+            assert got == want and got.to_json() == want.to_json()

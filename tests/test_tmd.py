@@ -213,6 +213,20 @@ def test_overflow_raises_numerical_overflow_error():
     assert isinstance(info.value.__cause__, OverflowError)
 
 
+@pytest.mark.filterwarnings("error")
+def test_l2_cross_distance_of_huge_feature_does_not_overflow():
+    # squaring 1e200 overflows, but the distance fits in a float
+    c = TmdConfig(depth=1, feature_norm="l2")
+    assert tmd(Graph(1, [], [[1e200]]), Graph(1, [], [[1.0]]), c) == 1e200
+    a = Graph(2, [(0, 1)], [[1e200, -1e200], [3.0, 4.0]])
+    b = Graph(2, [(0, 1)], [[0.0, 0.0], [0.0, 1e-3]])
+    cost = tmd_cost_matrix(a, b, c)
+    assert cost[0, 0] == math.hypot(1e200, 1e200)
+    # finite entries keep cdist's bits
+    assert cost[1, 1] == np.sqrt(3.0 ** 2 + (4.0 - 1e-3) ** 2)
+    assert 1e200 < tmd(a, b, cfg(3)) < np.inf
+
+
 @pytest.mark.parametrize("edge", [(-1, 1), (0, 5), (1, 1)])
 def test_bad_edge_raises_dataset_error(edge):
     g = Graph(3, [edge], np.ones((3, 1)))
