@@ -19,9 +19,9 @@ from .cache import load_or_compute
 from .config import TmdConfig, parse_weights
 from .errors import (CacheMismatchError, ConfigError, DatasetError,
                      NumericalOverflowError, ScaleLimitError)
-from .gnn import (abs_clipped_loss, finite_erm_check, gin_forward,
-                  identity_gin, random_gin, stability_report)
-from .graph_select import (Selection, kmedoids, feature_distance_matrix,
+from .gnn import (finite_erm_check, gin_forward, identity_gin, random_gin,
+                  stability_report)
+from .graph_select import (kmedoids, feature_distance_matrix,
                            random_selection, save_selection,
                            wl_distance, wl_pseudometric_matrix)
 from .graphs import load_jsonl, load_tu
@@ -167,25 +167,20 @@ def cmd_treenorm(args) -> int:
 def cmd_subsample_graphs(args) -> int:
     ds = _load(args)
     cfg = _config(args)
-    n = len(ds)
-    if args.method == "tmd":
-        dm, _ = load_or_compute(args.cache, ds, "tmd", cfg,
-                                lambda: pairwise_matrix(ds, cfg))
-        sel = kmedoids(dm, args.k, seed=args.seed)
-    elif args.method == "wl":
-        dm, _ = load_or_compute(args.cache, ds, "wl", cfg,
-                                lambda: wl_pseudometric_matrix(ds, cfg.depth))
-        sel = kmedoids(dm, args.k, seed=args.seed)
-    elif args.method == "feature":
-        dm, _ = load_or_compute(args.cache, ds, "feature", cfg,
-                                lambda: feature_distance_matrix(ds, cfg))
+    # each method's metric name and matrix builder; the lambdas look the
+    # builders up when called, so a wrapper set on this module applies
+    builders = {"tmd": lambda: pairwise_matrix(ds, cfg),
+                "wl": lambda: wl_pseudometric_matrix(ds, cfg.depth),
+                "feature": lambda: feature_distance_matrix(ds, cfg)}
+    if args.method in builders:
+        dm, _ = load_or_compute(args.cache, ds, args.method, cfg,
+                                builders[args.method])
         sel = kmedoids(dm, args.k, seed=args.seed)
     else:
         dm = None
         if args.cache and os.path.exists(args.cache):
-            dm, _ = load_or_compute(args.cache, ds, "tmd", cfg,
-                                    lambda: pairwise_matrix(ds, cfg))
-        sel = random_selection(n, args.k, args.seed, d=dm)
+            dm, _ = load_or_compute(args.cache, ds, "tmd", cfg, builders["tmd"])
+        sel = random_selection(len(ds), args.k, args.seed, d=dm)
     sel = dataclasses.replace(sel, method=args.method, seed=args.seed)
     if args.out:
         save_selection(sel, args.out)

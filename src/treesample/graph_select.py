@@ -205,25 +205,6 @@ def kmedoids(d: DistanceMatrix, k: int, seed: int = 0, max_iter: int = 100,
     return _selection("tmd-medoids", k, seed, full, chosen)
 
 
-def brute_force_medoids(d: DistanceMatrix, k: int) -> Selection:
-    """Exact medoid optimum by enumerating all k-subsets (C(n, k) <= 1e6).
-
-    Ties resolve to the lexicographically smallest index set.
-    """
-    n = d.n
-    if not (1 <= k <= n):
-        raise ConfigError(f"k must be in 1..{n}, got {k}")
-    if math.comb(n, k) > 1_000_000:
-        raise ConfigError(f"C({n},{k}) exceeds the enumeration limit")
-    full = d.full()
-    best_set, best_obj = None, np.inf
-    for combo in itertools.combinations(range(n), k):
-        obj = float(full[:, combo].min(axis=1).mean())
-        if obj < best_obj:
-            best_set, best_obj = combo, obj
-    return _selection("brute-medoids", k, 0, full, list(best_set))
-
-
 def random_selection(n: int, k: int, seed: int,
                      d: DistanceMatrix | None = None) -> Selection:
     """Uniformly random medoid set (baseline).

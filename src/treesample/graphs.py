@@ -1,4 +1,4 @@
-"""Attributed graphs, datasets, computation trees, and file I/O.
+"""Attributed graphs, datasets, and file I/O.
 
 Graphs are undirected, with a float feature vector per node.  Edges are kept
 as a sorted list of unordered pairs (for I/O, equality and fingerprints);
@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,9 @@ class Graph:
         self.node_count = int(node_count)
         self.edges = sorted((u, v) if u <= v else (v, u) for u, v in edges)
         # row-major, so a row's feature norm sums in the same order in every
-        # graph that holds the row (an induced subgraph copies rows row-major)
-        feats = np.ascontiguousarray(features, dtype=np.float64)
+        # graph that holds the row (an induced subgraph copies rows row-major);
+        # always a copy, so freezing it leaves the caller's array writable
+        feats = np.array(features, dtype=np.float64, order="C")
         if feats.ndim == 1 and feats.size == 0:
             feats = feats.reshape(0, 1)
         self.features = feats
@@ -174,81 +175,6 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
     else:
         feats = np.zeros((0, max(1, g.feature_dim)))
     return Graph(len(kept), edges, feats, label=g.label)
-
-
-@dataclass
-class RootedTree:
-    """Rooted tree with a feature vector per node.  Node 0 is the root.
-
-    ``parents[i]`` is the parent index of node ``i`` (-1 for the root).
-    ``depth`` counts levels: a single node has depth 1.
-    """
-
-    features: np.ndarray
-    parents: np.ndarray
-    depth: int
-    _children: list | None = field(default=None, repr=False, compare=False)
-    _sub_depth: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def node_count(self) -> int:
-        return int(self.parents.shape[0])
-
-    def children(self) -> list[list[int]]:
-        if self._children is None:
-            ch = [[] for _ in range(self.node_count)]
-            for i in range(1, self.node_count):
-                ch[int(self.parents[i])].append(i)
-            self._children = ch
-        return self._children
-
-    def subtree_depths(self) -> np.ndarray:
-        """Depth of the subtree rooted at each node (leaves have depth 1)."""
-        if self._sub_depth is None:
-            d = np.ones(self.node_count, dtype=np.int64)
-            # children always have larger indices, so one reverse sweep suffices
-            for i in range(self.node_count - 1, 0, -1):
-                p = int(self.parents[i])
-                if d[p] <= d[i]:
-                    d[p] = d[i] + 1
-            self._sub_depth = d
-        return self._sub_depth
-
-
-def blank_tree(feature_dim: int) -> RootedTree:
-    """Single-node tree with an all-zero feature vector (the padding element)."""
-    return RootedTree(np.zeros((1, feature_dim)), np.array([-1], dtype=np.int64), 1)
-
-
-def computation_tree(g: Graph, v: int, depth: int) -> RootedTree:
-    """Unroll the depth-``depth`` computation tree of node ``v``.
-
-    Level 1 is ``v`` itself; every node at level ``d < depth`` gets one child
-    per graph-neighbor (revisits allowed).  Children are attached in ascending
-    neighbor order.
-    """
-    if not (0 <= v < g.node_count):
-        raise DatasetError(f"computation_tree: node {v} outside 0..{g.node_count - 1}")
-    if depth < 1:
-        raise DatasetError(f"computation_tree: depth must be >= 1, got {depth}")
-    rows = [v]
-    parents = [-1]
-    frontier = [(0, v)]
-    reached = 1
-    for level in range(2, depth + 1):
-        nxt = []
-        for tnode, gnode in frontier:
-            for u in g.neighbors(gnode):
-                idx = len(parents)
-                parents.append(tnode)
-                rows.append(int(u))
-                nxt.append((idx, int(u)))
-        if not nxt:
-            break
-        reached = level
-        frontier = nxt
-    return RootedTree(np.asarray(g.features[rows], dtype=np.float64),
-                      np.asarray(parents, dtype=np.int64), reached)
 
 
 @dataclass
@@ -398,6 +324,10 @@ def load_tu(directory, name: str) -> Dataset:
     n_graphs = max(indicator)
     if min(indicator) < 1:
         raise DatasetError(f"{p('graph_indicator')}: graph ids must be >= 1")
+    # every graph id sizes the per-graph lists below, so bound it first
+    if n_graphs > total_nodes:
+        raise DatasetError(f"{p('graph_indicator')}: graph id {n_graphs} "
+                           f"exceeds the node count {total_nodes}")
 
     attr_path = p("node_attributes")
     if os.path.exists(attr_path):

@@ -1,4 +1,4 @@
-"""Min-cost perfect matching on square cost matrices.
+"""Min-cost perfect matching values of square cost matrices.
 
 The matching value used throughout is the plain sum of matched entries (the
 minimum over permutations), with no normalization factor.  Totals are
@@ -11,23 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ScaleLimitError
-
-_BRUTE_LIMIT = 9
 _perm_cache: dict[int, np.ndarray] = {}
-
-
-@dataclass(frozen=True)
-class MatchingResult:
-    """Optimal assignment ``assignment[row] = col`` and its total cost."""
-
-    total_cost: float
-    assignment: tuple[int, ...]
 
 
 def _check_square(cost: np.ndarray) -> np.ndarray:
@@ -49,71 +37,7 @@ def matching_value(cost: np.ndarray) -> float:
     return math.fsum(c[rows, cols])
 
 
-def min_cost_matching(cost: np.ndarray) -> MatchingResult:
-    """Solve the assignment problem on a square cost matrix.
-
-    Among all optimal permutations the lexicographically smallest assignment
-    vector is returned.  Optimality of a candidate prefix is tested by exact
-    comparison of ``fsum`` totals, which is tie-safe because ``fsum`` rounds
-    the true real sum once.
-    """
-    c = _check_square(cost)
-    q = c.shape[0]
-    if q == 0:
-        return MatchingResult(0.0, ())
-    rows, cols = linear_sum_assignment(c)
-    best = math.fsum(c[rows, cols])
-
-    assignment: list[int] = []
-    free_cols = list(range(q))
-    prefix: list[float] = []
-    for row in range(q):
-        chosen = None
-        for col in free_cols:
-            remaining = [x for x in free_cols if x != col]
-            tail_entries: list[float] = []
-            if remaining:
-                sub = c[np.ix_(range(row + 1, q), remaining)]
-                r, s = linear_sum_assignment(sub)
-                tail_entries = list(sub[r, s])
-            total = math.fsum(prefix + [c[row, col]] + tail_entries)
-            if total == best:
-                chosen = col
-                break
-        if chosen is None:  # cannot happen for finite inputs
-            raise RuntimeError("assignment refinement lost the optimum")
-        assignment.append(chosen)
-        prefix.append(c[row, chosen])
-        free_cols.remove(chosen)
-    return MatchingResult(best, tuple(assignment))
-
-
 def _permutations(q: int) -> np.ndarray:
     if q not in _perm_cache:
         _perm_cache[q] = np.array(list(itertools.permutations(range(q))), dtype=np.int64)
     return _perm_cache[q]
-
-
-def brute_force_matching(cost: np.ndarray) -> MatchingResult:
-    """Exhaustive assignment oracle for matrices up to 9 x 9.
-
-    Scans permutations in lexicographic order; ties on the exact optimal
-    value resolve to the first (smallest) permutation.
-    """
-    c = _check_square(cost)
-    q = c.shape[0]
-    if q == 0:
-        return MatchingResult(0.0, ())
-    if q > _BRUTE_LIMIT:
-        raise ScaleLimitError(f"brute_force_matching supports q <= {_BRUTE_LIMIT}, got {q}")
-    perms = _permutations(q)
-    totals = c[np.arange(q), perms].sum(axis=1)
-    # two-stage argmin: cheap vectorized sums locate near-optimal rows, then
-    # fsum re-evaluation makes the final comparison exact
-    near = np.flatnonzero(totals <= totals.min() + 1e-9)
-    exact = [math.fsum(c[np.arange(q), perms[i]]) for i in near]
-    best = min(exact)
-    for idx, val in zip(near, exact):
-        if val == best:
-            return MatchingResult(best, tuple(int(x) for x in perms[idx]))
-    raise RuntimeError("unreachable")

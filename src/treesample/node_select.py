@@ -10,7 +10,6 @@ random walk, and a k-core peel.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -20,11 +19,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .config import TmdConfig
-from .errors import ConfigError, ScaleLimitError
+from .errors import ConfigError
 from .graphs import Dataset, Graph
 from .treenorm import subset_tree_norms, tree_norm
 
-_BRUTE_SUBSET_LIMIT = 100_000
 # roots per shortest_path call in k_bfs_candidates, which bounds its memory
 _BFS_BLOCK = 512
 
@@ -206,35 +204,6 @@ def select_subset(g: Graph, candidates: CandidateSet, cfg: TmdConfig,
     val = float(vals[i])
     return NodeSubsample(graph_id, candidates.subsets[i], full, val, full - val,
                          candidates.tags[i])
-
-
-def brute_force_select(g: Graph, k: int, cfg: TmdConfig,
-                       graph_id: int = 0) -> NodeSubsample:
-    """Exact best k-subset by enumeration (C(n, k) <= 1e5).
-
-    Ties resolve to the lexicographically smallest subset, matching
-    :func:`select_subset`.  ``itertools.combinations`` streams through
-    :func:`~treesample.treenorm.subset_tree_norms` chunk by chunk, so no
-    subgraph is built and only the C(n, k) values are kept.
-    """
-    n = g.node_count
-    if not (1 <= k <= n):
-        raise ConfigError(f"k must be in 1..{n}, got {k}")
-    if math.comb(n, k) > _BRUTE_SUBSET_LIMIT:
-        raise ScaleLimitError(f"C({n},{k}) exceeds the enumeration limit")
-    full = tree_norm(g, cfg)
-    vals = subset_tree_norms(g, itertools.combinations(range(n), k), cfg)
-    # argmax keeps the first maximum, so ties go to the lexicographically
-    # first subset
-    i = int(np.argmax(vals))
-    best = next(itertools.islice(itertools.combinations(range(n), k), i, None))
-    val = float(vals[i])
-    return NodeSubsample(graph_id, best, full, val, full - val, "brute")
-
-
-def tree_norm_decision(g: Graph, k: int, tau: float, cfg: TmdConfig) -> bool:
-    """Does some k-node induced subgraph reach tree norm >= tau?  (Oracle.)"""
-    return brute_force_select(g, k, cfg).tree_norm_sub >= tau
 
 
 def build_candidates(g: Graph, k: int, seed: int,

@@ -5,10 +5,11 @@ graphs, using a recursive tree distance as the ground cost.  Mismatched
 multiset sizes are padded with blank trees (a single node with an all-zero
 feature vector), so graphs of different sizes compare directly.
 
-Two routes are provided: ``tmd`` runs a bottom-up dynamic program over node
-pairs (no trees are materialized), while ``tmd_naive`` unrolls the trees and
-recurses on them literally.  The naive route is the correctness oracle and is
-deliberately restricted to small inputs.
+``tmd`` runs a bottom-up dynamic program over node pairs, one depth level
+at a time, and materializes no tree: each level solves one padded matching
+per node pair, with the blocks of one size batched together.  The literal
+recursion on unrolled trees that it is checked against lives in
+:mod:`treesample.oracles`.
 """
 
 from __future__ import annotations
@@ -22,14 +23,11 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist, squareform
 
 from .config import TmdConfig
-from .errors import (ConfigError, DatasetError, NumericalOverflowError,
-                     ScaleLimitError)
-from .graphs import Dataset, Graph, RootedTree, computation_tree, empty_graph
+from .errors import DatasetError, NumericalOverflowError
+from .graphs import Dataset, Graph
 from .matching import _permutations, matching_value
 from .treenorm import feature_norms, subset_tree_norms, tree_norm
 
-_NAIVE_NODE_LIMIT = 12
-_NAIVE_DEPTH_LIMIT = 4
 # blocks up to this size are solved by enumerating permutations, larger ones
 # by linear_sum_assignment
 _ENUM_MAX_Q = 4
@@ -53,37 +51,6 @@ def _cross_distances(fa: np.ndarray, fb: np.ndarray, norm: str) -> np.ndarray:
         u, v = u[ok], v[ok]
         out[u, v] = np.hypot.reduce(fa[u] - fb[v], axis=1)
     return out
-
-
-def _pair_distance(x: np.ndarray, y: np.ndarray, norm: str) -> float:
-    d = x - y
-    if norm == "l1":
-        return float(np.abs(d).sum())
-    return float(np.sqrt((d * d).sum()))
-
-
-def _padded_matching(block: np.ndarray, row_blanks: np.ndarray,
-                     col_blanks: np.ndarray) -> float:
-    """Min-cost matching of two multisets after padding the smaller with blanks.
-
-    ``block[x, y]`` is the cost of matching row-item x to column-item y;
-    ``row_blanks[x]`` / ``col_blanks[y]`` are the costs against a blank.
-    """
-    ra, cb = block.shape
-    if ra == 0 and cb == 0:
-        return 0.0
-    if ra == 0:
-        return math.fsum(col_blanks)
-    if cb == 0:
-        return math.fsum(row_blanks)
-    q = max(ra, cb)
-    c = np.zeros((q, q))
-    c[:ra, :cb] = block
-    if cb < q:
-        c[:ra, cb:] = row_blanks[:, None]
-    if ra < q:
-        c[ra:, :cb] = col_blanks[None, :]
-    return matching_value(c)
 
 
 @dataclass(frozen=True)
@@ -252,103 +219,6 @@ def tmd(ga: Graph, gb: Graph, cfg: TmdConfig) -> float:
         raise NumericalOverflowError(
             f"tree mover's distance overflowed at depth {cfg.depth}; "
             "reduce the depth, the level weights or the feature scale") from exc
-
-
-# ---------------------------------------------------------------------------
-# naive oracle route: literal trees, literal recursion
-# ---------------------------------------------------------------------------
-
-def _subtree_blank_cost(t: RootedTree, i: int, cfg: TmdConfig,
-                        memo: dict[int, float]) -> float:
-    """TD between the subtree rooted at ``i`` and a blank tree."""
-    if i in memo:
-        return memo[i]
-    depth = int(t.subtree_depths()[i])
-    val = _pair_distance(t.features[i], np.zeros_like(t.features[i]), cfg.feature_norm)
-    kids = t.children()[i]
-    if depth > 1 and kids:
-        val += cfg.level_weight(depth - 1) * math.fsum(
-            _subtree_blank_cost(t, k, cfg, memo) for k in kids)
-    memo[i] = val
-    return val
-
-
-def _subtree_distance(ta: RootedTree, i: int, tb: RootedTree, j: int,
-                      cfg: TmdConfig, memo_a: dict, memo_b: dict) -> float:
-    da = int(ta.subtree_depths()[i])
-    db = int(tb.subtree_depths()[j])
-    base = _pair_distance(ta.features[i], tb.features[j], cfg.feature_norm)
-    d = max(da, db)
-    if d <= 1:
-        return base
-    ca = ta.children()[i]
-    cb = tb.children()[j]
-    block = np.zeros((len(ca), len(cb)))
-    for x, a in enumerate(ca):
-        for y, b in enumerate(cb):
-            block[x, y] = _subtree_distance(ta, a, tb, b, cfg, memo_a, memo_b)
-    row_blanks = np.array([_subtree_blank_cost(ta, a, cfg, memo_a) for a in ca])
-    col_blanks = np.array([_subtree_blank_cost(tb, b, cfg, memo_b) for b in cb])
-    return base + cfg.level_weight(d - 1) * _padded_matching(block, row_blanks, col_blanks)
-
-
-def tree_distance(ta: RootedTree, tb: RootedTree, cfg: TmdConfig) -> float:
-    """Recursive distance between two rooted trees.
-
-    Root feature distance plus, when the deeper tree has depth d > 1,
-    ``w(d - 1)`` times the min-cost matching between the child subtree
-    multisets after blank padding.
-    """
-    if max(ta.depth, tb.depth) > cfg.depth:
-        raise ConfigError(
-            f"tree depth {max(ta.depth, tb.depth)} exceeds configured depth {cfg.depth}")
-    if ta.features.shape[1] != tb.features.shape[1]:
-        raise DatasetError(
-            f"feature dimensions differ: {ta.features.shape[1]} vs {tb.features.shape[1]}")
-    return _subtree_distance(ta, 0, tb, 0, cfg, {}, {})
-
-
-def tree_blank_distance(t: RootedTree, cfg: TmdConfig) -> float:
-    """Distance between a rooted tree and the blank single-node tree."""
-    if t.depth > cfg.depth:
-        raise ConfigError(f"tree depth {t.depth} exceeds configured depth {cfg.depth}")
-    return _subtree_blank_cost(t, 0, cfg, {})
-
-
-def tmd_naive(ga: Graph, gb: Graph, cfg: TmdConfig) -> float:
-    """Oracle tree mover's distance via materialized computation trees.
-
-    Restricted to graphs of at most 12 nodes and depth at most 4.
-    """
-    if max(ga.node_count, gb.node_count) > _NAIVE_NODE_LIMIT:
-        raise ScaleLimitError(
-            f"tmd_naive supports at most {_NAIVE_NODE_LIMIT} nodes per graph")
-    if cfg.depth > _NAIVE_DEPTH_LIMIT:
-        raise ScaleLimitError(f"tmd_naive supports depth <= {_NAIVE_DEPTH_LIMIT}")
-    na, nb = ga.node_count, gb.node_count
-    if na == 0 and nb == 0:
-        return 0.0
-    if na and nb and ga.feature_dim != gb.feature_dim:
-        raise DatasetError(
-            f"feature dimensions differ: {ga.feature_dim} vs {gb.feature_dim}")
-    trees_a = [computation_tree(ga, v, cfg.depth) for v in range(na)]
-    trees_b = [computation_tree(gb, v, cfg.depth) for v in range(nb)]
-    memos_a = [{} for _ in trees_a]
-    memos_b = [{} for _ in trees_b]
-    block = np.zeros((na, nb))
-    for i, ta in enumerate(trees_a):
-        for j, tb in enumerate(trees_b):
-            block[i, j] = _subtree_distance(ta, 0, tb, 0, cfg, memos_a[i], memos_b[j])
-    row_blanks = np.array([_subtree_blank_cost(t, 0, cfg, m)
-                           for t, m in zip(trees_a, memos_a)])
-    col_blanks = np.array([_subtree_blank_cost(t, 0, cfg, m)
-                           for t, m in zip(trees_b, memos_b)])
-    return _padded_matching(block, row_blanks, col_blanks)
-
-
-def tree_norm_naive(g: Graph, cfg: TmdConfig) -> float:
-    """Oracle tree norm: naive distance to the empty graph."""
-    return tmd_naive(g, empty_graph(max(1, g.feature_dim)), cfg)
 
 
 # ---------------------------------------------------------------------------

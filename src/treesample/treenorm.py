@@ -166,7 +166,3 @@ def tree_norm(g: Graph, cfg: TmdConfig) -> float:
     """Tree norm of ``g`` (distance to the empty graph)."""
     return tree_norm_report(g, cfg).value
 
-
-def tree_norm_batch(graphs, cfg: TmdConfig) -> np.ndarray:
-    """Tree norms for a sequence of graphs."""
-    return np.array([tree_norm(g, cfg) for g in graphs], dtype=np.float64)

@@ -11,8 +11,9 @@ from treesample import (ConfigError, DistanceMatrix, Graph, NodeSubsample,
                         cluster_sizes, const_weights, feature_norms,
                         induced_subgraph, medoids_objective, tree_norm,
                         wl_histograms)
-from treesample.node_select import _BRUTE_SUBSET_LIMIT, new_candidate_set
-from treesample.tmd import _cross_distances, _padded_matching
+from treesample.node_select import new_candidate_set
+from treesample.oracles import _BRUTE_SUBSET_LIMIT, _padded_matching
+from treesample.tmd import _cross_distances
 
 
 def random_graph(rng, n_max=8, feature_dim=2, p=0.4, n_min=1):

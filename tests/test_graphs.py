@@ -23,6 +23,15 @@ def test_features_coerced_to_float64_readonly():
         g.features[0, 0] = 5.0
 
 
+def test_graph_copies_the_callers_features():
+    a = np.ones((2, 1))
+    g = Graph(2, [], a)
+    a[0, 0] = 5.0  # the caller's array stays writable
+    assert g.features[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        g.features[0, 0] = 5.0
+
+
 def test_empty_graph_is_valid():
     g = empty_graph(3)
     assert g.node_count == 0
@@ -184,6 +193,15 @@ def test_load_tu_rejects_cross_graph_edge(tmp_path):
     d = _write_tu(tmp_path, "XG", [1, 2], [(1, 2)])
     with pytest.raises(DatasetError, match="crosses graphs"):
         load_tu(d, "XG")
+
+
+def test_load_tu_rejects_graph_id_past_node_count(tmp_path):
+    from treesample.cli import main
+    # one id this large would otherwise build 200,000 empty graphs
+    d = _write_tu(tmp_path, "BIG", [1, 1, 200000], [(1, 2)])
+    with pytest.raises(DatasetError, match="graph id 200000 exceeds"):
+        load_tu(d, "BIG")
+    assert main(["treenorm", "--dataset", str(d), "--format", "tu"]) == 2
 
 
 def test_load_tu_missing_mandatory_file(tmp_path):

@@ -227,6 +227,14 @@ def test_l2_cross_distance_of_huge_feature_does_not_overflow():
     assert 1e200 < tmd(a, b, cfg(3)) < np.inf
 
 
+@pytest.mark.filterwarnings("error")
+def test_naive_l2_distance_of_huge_feature_agrees_with_tmd():
+    # squaring 1e200 overflows in the oracle's node distances too
+    c = TmdConfig(depth=1, feature_norm="l2")
+    a, b = Graph(1, [], [[1e200]]), Graph(1, [], [[1.0]])
+    assert tmd_naive(a, b, c) == tmd(a, b, c) == 1e200
+
+
 @pytest.mark.parametrize("edge", [(-1, 1), (0, 5), (1, 1)])
 def test_bad_edge_raises_dataset_error(edge):
     g = Graph(3, [edge], np.ones((3, 1)))
