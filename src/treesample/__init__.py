@@ -12,7 +12,7 @@ from .errors import (CacheMismatchError, ConfigError, DatasetError,
                      NumericalOverflowError, ScaleLimitError)
 from .graphs import (Dataset, Graph, dataset_fingerprint, empty_graph,
                      induced_subgraph, load_jsonl, load_tu, make_dataset,
-                     save_jsonl, validate)
+                     save_jsonl)
 from .matching import matching_value
 from .tmd import (DistanceMatrix, pairwise_matrix, tmd, tmd_cost_matrix,
                   tmd_subgraph)

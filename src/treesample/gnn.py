@@ -85,9 +85,7 @@ def node_embeddings(model: GinModel, g: Graph) -> np.ndarray:
     if g.node_count and g.feature_dim != model.feature_dim:
         raise ConfigError(
             f"model expects feature dim {model.feature_dim}, graph has {g.feature_dim}")
-    z = np.asarray(g.features, dtype=np.float64)
-    if g.node_count == 0:
-        z = np.zeros((0, model.feature_dim))
+    z = g.features if g.node_count else np.zeros((0, model.feature_dim))
     for layer in model.mp_layers:
         z = layer.apply(z + model.eta * _neighbor_sum(g, z))
     return z

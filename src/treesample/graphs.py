@@ -1,8 +1,9 @@
 """Attributed graphs, datasets, and file I/O.
 
-Graphs are undirected, with a float feature vector per node.  Edges are kept
-as a sorted list of unordered pairs (for I/O, equality and fingerprints);
-traversals read one CSR adjacency built from them on first use.
+Graphs are simple and undirected, with a finite float feature vector per
+node.  ``Graph()`` checks this once; the loaders only say where a rejected
+graph came from.  Edges are kept as a sorted list of unordered pairs (for I/O,
+equality and fingerprints); traversals read one CSR adjacency built from them.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +20,7 @@ from .errors import DatasetError
 
 
 class Graph:
-    """Undirected attributed graph.
+    """Undirected simple attributed graph, checked once on construction.
 
     Parameters
     ----------
@@ -27,35 +29,61 @@ class Graph:
     edges : iterable of (int, int)
         Undirected edges.  Stored sorted with each pair as (min, max).
     features : array-like, shape (node_count, p)
-        One feature row per node, float64.
+        One finite feature row per node, stored as a read-only float64 copy.
     label : int or None
         Optional graph-level label.
+
+    Raises
+    ------
+    DatasetError
+        Naming every broken rule: ``node_count``, the edge endpoints and the
+        label are integers (Python or numpy; not bool, float or str); the
+        endpoints lie in ``0 .. node_count - 1``, with no self-loop and no
+        edge twice in either order; the features are ``node_count`` finite
+        rows.
     """
 
     __slots__ = ("node_count", "edges", "features", "label",
                  "_csr", "_edge_u", "_edge_v", "_tmd_plan")
 
     def __init__(self, node_count, edges, features, label=None):
-        self.node_count = int(node_count)
-        self.edges = sorted((u, v) if u <= v else (v, u) for u, v in edges)
+        problems = []
+        n = int(node_count) if _is_int(node_count) and node_count >= 0 else None
+        if n is None:
+            problems.append(f"node_count must be an integer >= 0, got {node_count!r}")
+        self.edges = _simple_edges(edges, n, problems)
         # row-major, so a row's feature norm sums in the same order in every
         # graph that holds the row (an induced subgraph copies rows row-major);
         # always a copy, so freezing it leaves the caller's array writable
-        feats = np.array(features, dtype=np.float64, order="C")
-        if feats.ndim == 1 and feats.size == 0:
-            feats = feats.reshape(0, 1)
+        try:
+            feats = np.array(features, dtype=np.float64, order="C")
+        except (TypeError, ValueError, OverflowError) as exc:
+            problems.append(f"features are not a numeric array ({exc})")
+        else:
+            if feats.ndim == 1 and feats.size == 0:
+                feats = feats.reshape(0, 1)
+            if feats.ndim != 2:
+                problems.append(f"features must be 2-D, got ndim={feats.ndim}")
+            elif n is not None and feats.shape[0] != n:
+                problems.append(f"feature rows ({feats.shape[0]}) != node_count ({n})")
+            elif n and not feats.shape[1]:
+                problems.append("feature dimension must be >= 1")
+            if np.count_nonzero(np.isfinite(feats)) != feats.size:
+                problems.append("features contain non-finite values")
+        if label is not None and not _is_int(label):
+            problems.append(f"label {label!r} is not an integer")
+        if problems:
+            raise DatasetError("; ".join(problems))
+        self.node_count = n
         self.features = feats
         self.features.setflags(write=False)
         self.label = None if label is None else int(label)
-        self._csr = None
-        self._edge_u = None
-        self._edge_v = None
-        # last (TmdConfig, plan) built by tmd for this graph
-        self._tmd_plan = None
+        # _tmd_plan: the last (TmdConfig, plan) built by tmd for this graph
+        self._csr = self._edge_u = self._edge_v = self._tmd_plan = None
 
     @property
     def feature_dim(self) -> int:
-        return int(self.features.shape[1]) if self.features.ndim == 2 else 0
+        return self.features.shape[1]
 
     @property
     def edge_count(self) -> int:
@@ -86,23 +114,11 @@ class Graph:
         return self._csr
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as two parallel int arrays (for vectorized traversal).
-
-        Each edge is stored as (min, max).  Every adjacency user goes through
-        here, so a self-loop or an endpoint outside ``0..node_count - 1``
-        raises :class:`DatasetError` instead of indexing out of range.
-        """
+        """Edge endpoints as two parallel int arrays (for vectorized
+        traversal), each edge as (min, max), converted once."""
         if self._edge_u is None:
             arr = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-            eu, ev = arr[:, 0].copy(), arr[:, 1].copy()
-            n = self.node_count
-            # edges are stored as (min, max), so u >= 0 and v < n bound both ends
-            if eu.size and (eu.min() < 0 or ev.max() >= n or (eu == ev).any()):
-                i = int(np.flatnonzero((eu < 0) | (ev >= n) | (eu == ev))[0])
-                raise DatasetError(
-                    f"edge ({eu[i]},{ev[i]}) is a self-loop or has an endpoint "
-                    f"outside 0..{n - 1}")
-            self._edge_u, self._edge_v = eu, ev
+            self._edge_u, self._edge_v = arr[:, 0].copy(), arr[:, 1].copy()
         return self._edge_u, self._edge_v
 
     def __eq__(self, other):
@@ -110,7 +126,6 @@ class Graph:
             return NotImplemented
         return (self.node_count == other.node_count
                 and self.edges == other.edges
-                and self.features.shape == other.features.shape
                 and np.array_equal(self.features, other.features)
                 and self.label == other.label)
 
@@ -122,44 +137,57 @@ class Graph:
                 f"p={self.feature_dim}, label={self.label})")
 
 
+def _is_int(x) -> bool:
+    """A Python or numpy integer (``bool`` is neither)."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
+def _simple_edges(edges, n, problems: list) -> list[tuple[int, int]]:
+    """``edges`` as a sorted list of (min, max) pairs of Python ints.  Names
+    in ``problems`` each edge that is not a pair of integers, has an endpoint
+    outside ``0 .. n - 1`` (only the low end when ``n`` is None), is a
+    self-loop, or repeats an earlier edge."""
+    try:
+        edges = list(edges)
+        pairs = sorted((u, v) if u <= v else (v, u) for u, v in edges)
+    except (TypeError, ValueError):  # a non-pair, or values that do not compare
+        return _simple_edges(_int_pairs(edges, problems), n, problems)
+    top = math.inf if n is None else n
+    found = []
+    prev = None
+    for e in pairs:
+        u, v = e
+        if type(u) is not int or type(v) is not int:
+            return _simple_edges(_int_pairs(edges, problems), n, problems)
+        if u < 0 or v >= top:
+            found.append(f"edge ({u},{v}) has an endpoint outside 0..{top - 1}")
+        elif u == v:
+            found.append(f"edge ({u},{v}) is a self-loop")
+        elif e == prev:
+            found.append(f"duplicate edge ({u},{v})")
+        prev = e
+    problems += found
+    return pairs
+
+
+def _int_pairs(edges, problems: list) -> list[tuple[int, int]]:
+    """Pairs of integers in ``edges`` as Python ints; names the rest in ``problems``."""
+    out = []
+    for e in edges if isinstance(edges, list) else [edges]:  # list() refused it
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            u = v = None
+        if _is_int(u) and _is_int(v):
+            out.append((int(u), int(v)))
+        else:
+            problems.append(f"edge {e!r} is not a pair of integers")
+    return out
+
+
 def empty_graph(feature_dim: int = 1) -> Graph:
     """Graph with no nodes (used as the reference point for tree norms)."""
     return Graph(0, [], np.zeros((0, max(1, feature_dim))))
-
-
-def validate(g: Graph) -> list[str]:
-    """Return a list of invariant violations (empty list means valid)."""
-    problems = []
-    if g.node_count < 0:
-        problems.append(f"node_count is negative ({g.node_count})")
-    if g.features.ndim != 2:
-        problems.append(f"features must be 2-D, got ndim={g.features.ndim}")
-    else:
-        if g.features.shape[0] != g.node_count:
-            problems.append(
-                f"feature rows ({g.features.shape[0]}) != node_count ({g.node_count})")
-        if g.node_count > 0 and g.features.shape[1] < 1:
-            problems.append("feature dimension must be >= 1")
-        if not np.isfinite(g.features).all():
-            problems.append("features contain non-finite values")
-    seen = set()
-    for u, v in g.edges:
-        if not (0 <= u < g.node_count and 0 <= v < g.node_count):
-            problems.append(f"edge ({u},{v}) has an endpoint outside 0..{g.node_count - 1}")
-            continue
-        if u == v:
-            problems.append(f"self-loop at node {u}")
-        if (u, v) in seen:
-            problems.append(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
-    return problems
-
-
-def _require_valid(g: Graph, where: str) -> Graph:
-    problems = validate(g)
-    if problems:
-        raise DatasetError(f"{where}: " + "; ".join(problems))
-    return g
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:
@@ -170,11 +198,7 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
             raise DatasetError(f"induced_subgraph: node {v} outside 0..{g.node_count - 1}")
     pos = {v: i for i, v in enumerate(kept)}
     edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
-    if kept:
-        feats = g.features[kept]
-    else:
-        feats = np.zeros((0, max(1, g.feature_dim)))
-    return Graph(len(kept), edges, feats, label=g.label)
+    return Graph(len(kept), edges, g.features[kept], label=g.label)
 
 
 @dataclass
@@ -197,15 +221,10 @@ class Dataset:
     def labels(self) -> list[int | None]:
         return [g.label for g in self.graphs]
 
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (self.feature_dim == other.feature_dim and self.name == other.name
-                and self.graphs == other.graphs)
-
 
 def make_dataset(graphs: list[Graph], name: str = "") -> Dataset:
-    """Wrap validated graphs into a Dataset, checking the shared feature dim."""
+    """Wrap graphs (each checked when it was built) into a Dataset, checking
+    the one thing a graph cannot check alone: a shared feature dimension."""
     dims = {g.feature_dim for g in graphs}
     if len(dims) > 1:
         raise DatasetError(f"graphs disagree on feature dimension: {sorted(dims)}")
@@ -228,13 +247,10 @@ def load_jsonl(path) -> Dataset:
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
         try:
-            _require_int_pairs(rec["edges"])
-            g = Graph(rec["n"], rec["edges"], rec["features"], rec.get("label"))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            # OverflowError: an "n" or "label" of Infinity
+            graphs.append(Graph(rec["n"], rec["edges"], rec["features"],
+                                rec.get("label")))
+        except (KeyError, TypeError, DatasetError) as exc:  # TypeError: not a JSON object
             raise DatasetError(f"{path}:{lineno}: bad record ({exc})") from exc
-        _require_valid(g, f"{path}:{lineno}")
-        graphs.append(g)
     try:
         return make_dataset(graphs, name=str(path))
     except DatasetError as exc:
@@ -279,13 +295,6 @@ def _float_row(line: str) -> list[float]:
     return [float(tok) for tok in line.replace(",", " ").split()]
 
 
-def _require_int_pairs(edges) -> None:
-    # JSON "0", 1.5 and true all pass through Graph() unchecked
-    for e in edges:
-        if len(e) != 2 or any(type(x) is not int for x in e):
-            raise ValueError(f"edge {e!r} is not a pair of integers")
-
-
 def save_jsonl(ds: Dataset, path) -> None:
     """Serialize a dataset in the JSON-lines schema read by :func:`load_jsonl`."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -293,7 +302,7 @@ def save_jsonl(ds: Dataset, path) -> None:
             rec = {
                 "id": i,
                 "n": g.node_count,
-                "edges": [[u, v] for u, v in g.edges],
+                "edges": g.edges,
                 "features": g.features.tolist(),
                 "label": g.label,
             }
@@ -328,19 +337,25 @@ def load_tu(directory, name: str) -> Dataset:
     if n_graphs > total_nodes:
         raise DatasetError(f"{p('graph_indicator')}: graph id {n_graphs} "
                            f"exceeds the node count {total_nodes}")
+    # node ids are 1-based and grouped per graph by the indicator
+    node_rows = [[] for _ in range(n_graphs + 1)]
+    local_index = []
+    for node, gid in enumerate(indicator):
+        local_index.append(len(node_rows[gid]))
+        node_rows[gid].append(node)
+    if [] in node_rows[1:]:  # a gap would load as a graph no file describes
+        raise DatasetError(f"{p('graph_indicator')}: graph id "
+                           f"{node_rows.index([], 1)} owns no node")
 
     attr_path = p("node_attributes")
     if os.path.exists(attr_path):
-        rows = [row for _, row in _parse_lines(attr_path, _float_row, "attribute row")]
-        if len(rows) != total_nodes:
+        # Graph() checks the row widths within a graph, make_dataset across graphs
+        attrs = [row for _, row in _parse_lines(attr_path, _float_row, "attribute row")]
+        if len(attrs) != total_nodes:
             raise DatasetError(
-                f"{attr_path}: {len(rows)} attribute rows for {total_nodes} nodes")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise DatasetError(f"{attr_path}: ragged attribute rows (widths {sorted(widths)})")
-        attrs = np.asarray(rows, dtype=np.float64)
+                f"{attr_path}: {len(attrs)} attribute rows for {total_nodes} nodes")
     else:
-        attrs = np.ones((total_nodes, 1))
+        attrs = [[1.0]] * total_nodes
 
     labels_path = p("graph_labels")
     labels = None
@@ -350,13 +365,6 @@ def load_tu(directory, name: str) -> Dataset:
         if len(labels) != n_graphs:
             raise DatasetError(f"{labels_path}: {len(labels)} labels for {n_graphs} graphs")
 
-    # node ids are 1-based and grouped per graph by the indicator
-    local_index = np.zeros(total_nodes, dtype=np.int64)
-    counts = [0] * (n_graphs + 1)
-    for node, gid in enumerate(indicator):
-        local_index[node] = counts[gid]
-        counts[gid] += 1
-
     edge_sets = [set() for _ in range(n_graphs + 1)]
     for lineno, (a, b) in _parse_lines(p("A"), _int_pair, "edge row"):
         if not (1 <= a <= total_nodes and 1 <= b <= total_nodes):
@@ -364,21 +372,17 @@ def load_tu(directory, name: str) -> Dataset:
         ga, gb = indicator[a - 1], indicator[b - 1]
         if ga != gb:
             raise DatasetError(f"{p('A')}:{lineno}: edge ({a},{b}) crosses graphs {ga},{gb}")
-        u, v = int(local_index[a - 1]), int(local_index[b - 1])
+        u, v = local_index[a - 1], local_index[b - 1]
         edge_sets[ga].add((min(u, v), max(u, v)))
 
     graphs = []
-    node_rows = [[] for _ in range(n_graphs + 1)]
-    for node, gid in enumerate(indicator):
-        node_rows[gid].append(node)
-    for gid in range(1, n_graphs + 1):
-        rows = node_rows[gid]
-        g = Graph(len(rows), sorted(edge_sets[gid]), attrs[rows],
-                  label=None if labels is None else labels[gid - 1])
-        _require_valid(g, f"{name} graph {gid}")
-        graphs.append(g)
-    ds = make_dataset(graphs, name=name)
-    return ds
+    for gid, rows in enumerate(node_rows[1:], start=1):
+        try:
+            graphs.append(Graph(len(rows), edge_sets[gid], [attrs[i] for i in rows],
+                                label=None if labels is None else labels[gid - 1]))
+        except DatasetError as exc:
+            raise DatasetError(f"{name} graph {gid}: {exc}") from exc
+    return make_dataset(graphs, name=name)
 
 
 def dataset_fingerprint(ds: Dataset) -> str:

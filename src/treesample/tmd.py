@@ -43,12 +43,10 @@ def _cross_distances(fa: np.ndarray, fb: np.ndarray, norm: str) -> np.ndarray:
     if norm == "l1":
         return cdist(fa, fb, metric="cityblock")
     out = cdist(fa, fb, metric="euclidean")
-    # as in feature_norms: squares past ~1e154 overflow where the distance
-    # may fit, so recompute only those entries, with hypot, from finite rows
+    # as in feature_norms: squares past ~1e154 overflow where the distance of
+    # two finite rows (as all graph features are) may fit; redo those with hypot
     u, v = np.nonzero(np.isinf(out))
     if u.size:
-        ok = np.isfinite(fa[u]).all(axis=1) & np.isfinite(fb[v]).all(axis=1)
-        u, v = u[ok], v[ok]
         out[u, v] = np.hypot.reduce(fa[u] - fb[v], axis=1)
     return out
 
@@ -204,11 +202,11 @@ def tmd_cost_matrix(ga: Graph, gb: Graph, cfg: TmdConfig) -> np.ndarray:
 def tmd(ga: Graph, gb: Graph, cfg: TmdConfig) -> float:
     """Tree mover's distance at depth ``cfg.depth``.
 
-    Symmetric and non-negative; zero for identical graphs.  Values are exact
-    matching sums (no normalization by multiset size).
+    Non-negative, zero for identical graphs, and symmetric up to one ulp:
+    on the transposed costs ``linear_sum_assignment`` may pick another
+    near-tie assignment.  Values are exact matching sums (no normalization by
+    multiset size).
     """
-    if ga.node_count == 0 and gb.node_count == 0:
-        return 0.0
     if ga.node_count == 0:
         return tree_norm(gb, cfg)
     if gb.node_count == 0:

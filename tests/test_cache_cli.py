@@ -229,6 +229,24 @@ def test_cli_rejects_non_integer_edge_endpoints(tmp_path, capsys, edges):
     assert "bad.jsonl:2" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fields, problem", [
+    ('"n": 2.7, "edges": [], "features": [[1.0], [2.0]]', "node_count"),
+    ('"n": 2, "edges": [], "features": [[1.0], [2.0]], "label": 1.5', "label 1.5"),
+    ('"n": 2, "edges": [], "features": [[1.0], [2.0]], "label": true', "label True"),
+    ('"n": 2, "edges": [[0, 1], [1, 0]], "features": [[1.0], [2.0]]', "duplicate edge"),
+    ('"n": 2, "edges": [], "features": [[1.0], [NaN]]', "non-finite"),
+    ('"n": 3, "edges": [], "features": [[1.0], [2.0]]', "feature rows"),
+], ids=["float-n", "float-label", "bool-label", "duplicate-edge", "nan-feature",
+        "too-few-feature-rows"])
+def test_cli_rejects_records_that_are_no_valid_graph(tmp_path, capsys, fields, problem):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"n": 2, "edges": [[0, 1]], "features": [[1.0], [2.0]]}\n'
+                    f"{{{fields}}}\n")
+    assert main(["treenorm", "--dataset", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2: " in err and problem in err and "Traceback" not in err
+
+
 def test_cli_treenorm_values_match_library(ds_path, capsys):
     assert main(["treenorm", "--dataset", ds_path, "--depth", "2", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from treesample import (DatasetError, Graph, computation_tree, blank_tree,
                         dataset_fingerprint, empty_graph, induced_subgraph,
-                        load_jsonl, load_tu, make_dataset, save_jsonl, validate)
+                        load_jsonl, load_tu, make_dataset, save_jsonl)
 
 from helpers import random_graph
 
@@ -36,16 +36,45 @@ def test_empty_graph_is_valid():
     g = empty_graph(3)
     assert g.node_count == 0
     assert g.features.shape == (0, 3)
-    assert validate(g) == []
 
 
 def test_validate_flags_problems():
-    bad = Graph(2, [(0, 1), (1, 0), (1, 1), (0, 5)], np.ones((3, 1)))
-    problems = "; ".join(validate(bad))
+    with pytest.raises(DatasetError) as info:
+        Graph(2, [(0, 1), (1, 0), (1, 1), (0, 5)], np.ones((3, 1)))
+    problems = str(info.value)
     assert "duplicate edge" in problems
     assert "self-loop" in problems
     assert "outside" in problems
     assert "feature rows" in problems
+
+
+@pytest.mark.parametrize("args, problem", [
+    ((3, [(0, 1.5)], np.ones((3, 1))), r"edge \(0, 1.5\) is not a pair of integers"),
+    ((3, [(True, 2)], np.ones((3, 1))), r"edge \(True, 2\) is not a pair of integers"),
+    ((3, [(0, 1, 2)], np.ones((3, 1))), r"edge \(0, 1, 2\) is not a pair of integers"),
+    ((3, [(0, 1), (1, 0)], np.ones((3, 1))), r"duplicate edge \(0,1\)"),
+    ((3, [], np.ones((2, 1))), r"feature rows \(2\) != node_count \(3\)"),
+    ((2, [], [[1.0], [np.nan]]), "non-finite"),
+    ((3, [], np.ones(3)), "must be 2-D"),
+    ((-1, [], np.ones((0, 1))), "node_count must be an integer >= 0, got -1"),
+    ((2.7, [], np.ones((3, 1))), "node_count must be an integer >= 0, got 2.7"),
+    ((2, [], np.ones((2, 1)), 1.5), "label 1.5 is not an integer"),
+], ids=["float-endpoint", "bool-endpoint", "three-element-edge", "edge-in-both-orders",
+        "too-few-feature-rows", "nan-feature", "1d-features", "negative-n", "float-n",
+        "float-label"])
+def test_graph_rejects_invalid_input_on_construction(args, problem):
+    with pytest.raises(DatasetError, match=problem):
+        Graph(*args)
+
+
+def test_graph_names_every_problem_and_takes_numpy_integers():
+    with pytest.raises(DatasetError) as info:
+        Graph(2.5, [(0, "1"), (2, 2)], [[np.inf]], label=True)
+    assert str(info.value).count(";") == 4  # five problems in one message
+    g = Graph(np.int64(3), [(np.int64(2), np.int32(0))], np.ones((3, 1)),
+              label=np.int8(1))
+    assert g.edges == [(0, 2)] and g.node_count == 3 and g.label == 1
+    assert all(type(x) is int for x in (*g.edges[0], g.node_count, g.label))
 
 
 def test_neighbors_and_degrees():
@@ -59,13 +88,13 @@ def test_neighbors_and_degrees():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
-    st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                        .filter(lambda e: e[0] != e[1]), max_size=30))))
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] != e[1]), max_size=30,
+                         unique_by=frozenset))))
 def test_csr_matches_edge_list(case):
-    n, pairs = case
+    n, pairs = case  # distinct unordered pairs, each in either order
     g = Graph(n, pairs, np.ones((n, 1)))
     indptr, indices = g.csr()
-    # a pair given in both orders is a duplicate edge, listed twice
     implied = {v: sorted([b for a, b in g.edges if a == v]
                          + [a for a, b in g.edges if b == v]) for v in range(n)}
     for v in range(n):
@@ -204,6 +233,15 @@ def test_load_tu_rejects_graph_id_past_node_count(tmp_path):
     assert main(["treenorm", "--dataset", str(d), "--format", "tu"]) == 2
 
 
+def test_load_tu_rejects_graph_id_gap(tmp_path):
+    from treesample.cli import main
+    # graph 2 owns no node; it used to load as an empty graph of norm 0.0
+    d = _write_tu(tmp_path, "GAP", [1, 1, 3], [(1, 2)])
+    with pytest.raises(DatasetError, match="graph id 2 owns no node"):
+        load_tu(d, "GAP")
+    assert main(["treenorm", "--dataset", str(d), "--format", "tu"]) == 2
+
+
 def test_load_tu_missing_mandatory_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_tu(tmp_path, "NOPE")
@@ -238,6 +276,9 @@ def test_load_jsonl_keeps_universal_newlines(tmp_path):
     ("graph_labels", b"nan\n1\n", "graph_labels.txt:1: bad graph label"),
     ("node_attributes", b"0.1\n0.2\n\x80\n", "node_attributes.txt:3: not UTF-8"),
     ("A", b"1, 2\n2 3 4\n", "A.txt:2: bad edge row"),
+    ("node_attributes", b"0.1\n0.2, 0.3\n0.4\n", "T graph 1: features are not a numeric"),
+    ("node_attributes", b"0.1\n0.2\n0.3, 0.4\n", "disagree on feature dimension"),
+    ("node_attributes", b"0.1\nnan\n0.3\n", "T graph 1: features contain non-finite"),
 ])
 def test_load_tu_maps_unreadable_lines_to_dataset_error(tmp_path, suffix, text, match):
     d = _write_tu(tmp_path, "T", [1, 1, 2], [(1, 2)], attrs=[[0.1], [0.2], [0.3]],
