@@ -51,7 +51,8 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--tu-name", help="TU dataset name (default: directory basename)")
     p.add_argument("--depth", type=int, default=2, help="tree depth L (default 2)")
     p.add_argument("--weights", default="const:1.0",
-                   help="level weights: const:<x> or table:w1,w2,... (default const:1.0)")
+                   help="level weights: const:<x> or table:w1,w2,... (default "
+                   "const:1.0; verify sweeps its own and takes none)")
     p.add_argument("--norm", choices=("l1", "l2"), default="l2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output file path")
@@ -99,7 +100,7 @@ def build_parser() -> _Parser:
     p.add_argument("--frac", type=float, default=0.5, help="node fraction (erm-nodes)")
     p.add_argument("--hidden", type=int, default=8)
     p.add_argument("--eta", type=float, default=1.0)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, weights=None)  # None: --weights not given
     return parser
 
 
@@ -126,7 +127,7 @@ def _emit(args, payload: dict, summary: str) -> None:
             fh.write("\n")
     if args.json:
         print(json.dumps(payload, sort_keys=True))
-    else:
+    elif summary:  # an empty dataset's treenorm prints nothing
         print(summary)
 
 
@@ -156,11 +157,7 @@ def cmd_treenorm(args) -> int:
     ds = _load(args)
     cfg = _config(args)
     values = [tree_norm(g, cfg) for g in ds]
-    if args.out or args.json:
-        _emit(args, {"values": values}, "")
-    if not args.json:
-        for v in values:
-            print(repr(v))
+    _emit(args, {"values": values}, "\n".join(map(repr, values)))
     return EXIT_OK
 
 
@@ -291,6 +288,10 @@ def _verify_erm(args, ds, mode: str) -> tuple[dict, int, str]:
 
 
 def cmd_verify(args) -> int:
+    if args.weights is not None:  # a preset that would never run
+        sweep = ",".join(f"{lam:g}" for lam in LAMBDA_SWEEP)
+        raise ConfigError(f"verify takes no --weights: it sweeps the level "
+                          f"weights const:{{{sweep}}}*eta (scale them with --eta)")
     if args.mode == "wl-counterexample":
         payload, code, diagnostic = _verify_wl_counterexample(args)
     else:

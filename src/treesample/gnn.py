@@ -72,12 +72,14 @@ class GinModel:
 
 
 def _neighbor_sum(g: Graph, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
+    """Neighbour sums of the rows of ``z``, in the order a test pins: one
+    running sum per node over its higher, then its lower neighbours, where
+    ``treenorm._level_sums`` adds those two halves as separate sums."""
     eu, ev = g.edge_arrays()
-    if eu.size:
-        np.add.at(out, eu, z[ev])
-        np.add.at(out, ev, z[eu])
-    return out
+    d = z.shape[1]
+    bins = np.concatenate([eu, ev])[:, None] * d + np.arange(d)
+    return np.bincount(bins.ravel(), weights=z[np.concatenate([ev, eu])].ravel(),
+                       minlength=z.size).reshape(z.shape)
 
 
 def node_embeddings(model: GinModel, g: Graph) -> np.ndarray:

@@ -1,15 +1,16 @@
 """Attributed graphs, datasets, and file I/O.
 
 Graphs are simple and undirected, with a finite float feature vector per
-node.  ``Graph()`` checks this once; the loaders only say where a rejected
-graph came from.  Edges are kept as a sorted list of unordered pairs (for I/O,
-equality and fingerprints); traversals read one CSR adjacency built from them.
+node.  ``Graph()`` checks this once, a built graph cannot change, and the
+loaders only say where a rejected graph came from.  Edges are stored once, as
+one read-only array of sorted (min, max) rows; traversals read its CSR.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -20,14 +21,14 @@ from .errors import DatasetError
 
 
 class Graph:
-    """Undirected simple attributed graph, checked once on construction.
+    """Undirected simple attributed graph, checked once and then immutable.
 
     Parameters
     ----------
     node_count : int
         Number of nodes; nodes are the integers ``0 .. node_count - 1``.
     edges : iterable of (int, int)
-        Undirected edges.  Stored sorted with each pair as (min, max).
+        Undirected edges, stored as one read-only int64 array of (min, max) rows.
     features : array-like, shape (node_count, p)
         One finite feature row per node, stored as a read-only float64 copy.
     label : int or None
@@ -43,15 +44,14 @@ class Graph:
         rows.
     """
 
-    __slots__ = ("node_count", "edges", "features", "label",
-                 "_csr", "_edge_u", "_edge_v", "_tmd_plan")
+    __slots__ = ("_n", "_edges", "_features", "_label", "_csr", "_tmd_plan")
 
     def __init__(self, node_count, edges, features, label=None):
         problems = []
         n = int(node_count) if _is_int(node_count) and node_count >= 0 else None
         if n is None:
             problems.append(f"node_count must be an integer >= 0, got {node_count!r}")
-        self.edges = _simple_edges(edges, n, problems)
+        pairs = _simple_edges(edges, n, problems)
         # row-major, so a row's feature norm sums in the same order in every
         # graph that holds the row (an induced subgraph copies rows row-major);
         # always a copy, so freezing it leaves the caller's array writable
@@ -74,20 +74,28 @@ class Graph:
             problems.append(f"label {label!r} is not an integer")
         if problems:
             raise DatasetError("; ".join(problems))
-        self.node_count = n
-        self.features = feats
-        self.features.setflags(write=False)
-        self.label = None if label is None else int(label)
+        # endpoints are below n, the feature row count, so int64 holds them
+        self._edges = np.fromiter(itertools.chain.from_iterable(pairs),
+                                  dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
+        self._edges.setflags(write=False)
+        self._n = n
+        self._features = feats
+        self._features.setflags(write=False)
+        self._label = None if label is None else int(label)
         # _tmd_plan: the last (TmdConfig, plan) built by tmd for this graph
-        self._csr = self._edge_u = self._edge_v = self._tmd_plan = None
+        self._csr = self._tmd_plan = None
+
+    # read-only, so the cached CSR and tmd plan never go stale
+    node_count = property(lambda self: self._n)
+    features = property(lambda self: self._features)
+    label = property(lambda self: self._label)
+    feature_dim = property(lambda self: self._features.shape[1])
+    edge_count = property(lambda self: self._edges.shape[0])
 
     @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def edges(self) -> list[tuple[int, int]]:
+        """A fresh sorted list of the (min, max) edges as Python ints."""
+        return list(map(tuple, self._edges.tolist()))
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted read-only array of neighbors of ``v``."""
@@ -99,12 +107,10 @@ class Graph:
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only CSR adjacency ``(indptr, indices)``, built once from
-        :meth:`edge_arrays`: ``indices[indptr[v]:indptr[v + 1]]`` are the
+        the edge array: ``indices[indptr[v]:indptr[v + 1]]`` are the
         neighbors of ``v`` in ascending order."""
         if self._csr is None:
-            eu, ev = self.edge_arrays()
-            src = np.concatenate([eu, ev])
-            dst = np.concatenate([ev, eu])
+            src, dst = np.concatenate([self._edges, self._edges[:, ::-1]]).T
             indices = dst[np.lexsort((dst, src))]
             indptr = np.zeros(self.node_count + 1, dtype=np.int64)
             np.cumsum(np.bincount(src, minlength=self.node_count), out=indptr[1:])
@@ -114,23 +120,20 @@ class Graph:
         return self._csr
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as two parallel int arrays (for vectorized
-        traversal), each edge as (min, max), converted once."""
-        if self._edge_u is None:
-            arr = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-            self._edge_u, self._edge_v = arr[:, 0].copy(), arr[:, 1].copy()
-        return self._edge_u, self._edge_v
+        """Read-only views of the edge array's columns ``(u, v)``, ``u < v``."""
+        return self._edges[:, 0], self._edges[:, 1]
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.node_count == other.node_count
-                and self.edges == other.edges
+                and np.array_equal(self._edges, other._edges)
                 and np.array_equal(self.features, other.features)
                 and self.label == other.label)
 
     def __hash__(self):
-        return hash((self.node_count, tuple(self.edges), self.features.tobytes(), self.label))
+        return hash((self.node_count, self._edges.tobytes(),
+                     self.features.tobytes(), self.label))
 
     def __repr__(self):
         return (f"Graph(n={self.node_count}, m={self.edge_count}, "
@@ -143,46 +146,40 @@ def _is_int(x) -> bool:
 
 
 def _simple_edges(edges, n, problems: list) -> list[tuple[int, int]]:
-    """``edges`` as a sorted list of (min, max) pairs of Python ints.  Names
-    in ``problems`` each edge that is not a pair of integers, has an endpoint
-    outside ``0 .. n - 1`` (only the low end when ``n`` is None), is a
-    self-loop, or repeats an earlier edge."""
+    """The integer pairs in ``edges`` as a sorted list of (min, max) pairs of
+    Python ints.  Names in ``problems`` each edge that is not a pair of
+    integers (in input order), then each that has an endpoint outside ``0 ..
+    n - 1`` (only the low end when ``n`` is None), is a self-loop, or repeats
+    an earlier edge (in sorted order)."""
     try:
-        edges = list(edges)
-        pairs = sorted((u, v) if u <= v else (v, u) for u, v in edges)
-    except (TypeError, ValueError):  # a non-pair, or values that do not compare
-        return _simple_edges(_int_pairs(edges, problems), n, problems)
-    top = math.inf if n is None else n
-    found = []
-    prev = None
-    for e in pairs:
-        u, v = e
-        if type(u) is not int or type(v) is not int:
-            return _simple_edges(_int_pairs(edges, problems), n, problems)
-        if u < 0 or v >= top:
-            found.append(f"edge ({u},{v}) has an endpoint outside 0..{top - 1}")
-        elif u == v:
-            found.append(f"edge ({u},{v}) is a self-loop")
-        elif e == prev:
-            found.append(f"duplicate edge ({u},{v})")
-        prev = e
-    problems += found
-    return pairs
-
-
-def _int_pairs(edges, problems: list) -> list[tuple[int, int]]:
-    """Pairs of integers in ``edges`` as Python ints; names the rest in ``problems``."""
-    out = []
-    for e in edges if isinstance(edges, list) else [edges]:  # list() refused it
+        edges = iter(edges)
+    except TypeError:  # not iterable: one malformed edge
+        edges = [edges]
+    pairs = []
+    for e in edges:
         try:
             u, v = e
         except (TypeError, ValueError):
             u = v = None
-        if _is_int(u) and _is_int(v):
-            out.append((int(u), int(v)))
-        else:
-            problems.append(f"edge {e!r} is not a pair of integers")
-    return out
+        if type(u) is not int or type(v) is not int:
+            if not (_is_int(u) and _is_int(v)):
+                problems.append(f"edge {e!r} is not a pair of integers")
+                continue
+            u, v = int(u), int(v)
+        pairs.append((u, v) if u <= v else (v, u))
+    pairs.sort()
+    top = math.inf if n is None else n
+    prev = None
+    for e in pairs:
+        u, v = e
+        if u < 0 or v >= top:
+            problems.append(f"edge ({u},{v}) has an endpoint outside 0..{top - 1}")
+        elif u == v:
+            problems.append(f"edge ({u},{v}) is a self-loop")
+        elif e == prev:
+            problems.append(f"duplicate edge ({u},{v})")
+        prev = e
+    return pairs
 
 
 def empty_graph(feature_dim: int = 1) -> Graph:
@@ -224,8 +221,10 @@ class Dataset:
 
 def make_dataset(graphs: list[Graph], name: str = "") -> Dataset:
     """Wrap graphs (each checked when it was built) into a Dataset, checking
-    the one thing a graph cannot check alone: a shared feature dimension."""
-    dims = {g.feature_dim for g in graphs}
+    the one thing a graph cannot check alone: a shared feature dimension,
+    set by the graphs with nodes (a 0-node graph has no row to show one)."""
+    dims = ({g.feature_dim for g in graphs if g.node_count}
+            or {g.feature_dim for g in graphs})
     if len(dims) > 1:
         raise DatasetError(f"graphs disagree on feature dimension: {sorted(dims)}")
     dim = dims.pop() if dims else 0
@@ -302,7 +301,7 @@ def save_jsonl(ds: Dataset, path) -> None:
             rec = {
                 "id": i,
                 "n": g.node_count,
-                "edges": g.edges,
+                "edges": g._edges.tolist(),
                 "features": g.features.tolist(),
                 "label": g.label,
             }
@@ -391,7 +390,7 @@ def dataset_fingerprint(ds: Dataset) -> str:
     h.update(f"graphs={len(ds)};dim={ds.feature_dim}".encode())
     for g in ds:
         h.update(f"|n={g.node_count};label={g.label};edges=".encode())
-        h.update(np.asarray(g.edges, dtype=np.int64).tobytes())
+        h.update(g._edges.tobytes())  # the bytes of np.asarray(g.edges, np.int64)
         h.update(b";features=")
         h.update(np.ascontiguousarray(g.features, dtype="<f8").tobytes())
     return h.hexdigest()

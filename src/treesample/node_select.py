@@ -215,11 +215,7 @@ def build_candidates(g: Graph, k: int, seed: int,
         raise ConfigError(f"unknown heuristics {sorted(bad)}; choose from {sorted(known)}")
     if not heuristics:
         raise ConfigError("at least one heuristic must be enabled")
-    cands = new_candidate_set()
-    if "bfs" in heuristics:
-        bfs = k_bfs_candidates(g, k)
-        for subset, tag in zip(bfs.subsets, bfs.tags):
-            cands.add(subset, tag)
+    cands = k_bfs_candidates(g, k) if "bfs" in heuristics else new_candidate_set()
     if "rw" in heuristics:
         cands.add(rw_candidate(g, k, seed), "rw")
     if "kcore" in heuristics:

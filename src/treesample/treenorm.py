@@ -57,7 +57,9 @@ def _level_sums(x: np.ndarray, dst: np.ndarray, src: np.ndarray,
 
     Edge i joins bins ``dst[i]`` and ``src[i]``.  Each bin receives its
     neighbours' values in edge order, so a bin whose edges are a subsequence
-    of another graph's edges sums the same addends in the same order.  The
+    of another graph's edges sums the same addends in the same order, and
+    (higher neighbours) + (lower neighbours), the order the stored tree norms
+    have (``gnn._neighbor_sum`` keeps one running sum instead).  The
     unweighted mass of every level is appended to ``mass`` when given.
     """
     size = x.shape[0]

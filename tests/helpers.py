@@ -1,5 +1,6 @@
 """Shared random generators and reference routines for the test suite."""
 
+import hashlib
 import itertools
 import math
 from collections import deque
@@ -261,3 +262,70 @@ def reference_brute_force_select(g, k, cfg, graph_id=0):
             best_val, best_set = val, combo
     return NodeSubsample(graph_id, best_set, full, best_val, full - best_val,
                          "brute")
+
+
+def reference_simple_edges(edges, n, problems):
+    """Edge gate with a retry pass (the original two functions): sort first,
+    and on anything but Python-int pairs convert every edge and sort again."""
+    try:
+        edges = list(edges)
+        pairs = sorted((u, v) if u <= v else (v, u) for u, v in edges)
+    except (TypeError, ValueError):  # a non-pair, or values that do not compare
+        return reference_simple_edges(_reference_int_pairs(edges, problems), n, problems)
+    top = math.inf if n is None else n
+    found = []
+    prev = None
+    for e in pairs:
+        u, v = e
+        if type(u) is not int or type(v) is not int:
+            return reference_simple_edges(_reference_int_pairs(edges, problems), n,
+                                          problems)
+        if u < 0 or v >= top:
+            found.append(f"edge ({u},{v}) has an endpoint outside 0..{top - 1}")
+        elif u == v:
+            found.append(f"edge ({u},{v}) is a self-loop")
+        elif e == prev:
+            found.append(f"duplicate edge ({u},{v})")
+        prev = e
+    problems += found
+    return pairs
+
+
+def _reference_int_pairs(edges, problems):
+    out = []
+    for e in edges if isinstance(edges, list) else [edges]:  # list() refused it
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            u = v = None
+        if (type(u) is int or isinstance(u, np.integer)) and \
+                (type(v) is int or isinstance(v, np.integer)):
+            out.append((int(u), int(v)))
+        else:
+            problems.append(f"edge {e!r} is not a pair of integers")
+    return out
+
+
+def reference_dataset_fingerprint(ds):
+    """Dataset fingerprint over the edge list's int64 bytes (the original formula)."""
+    h = hashlib.sha256()
+    h.update(f"graphs={len(ds)};dim={ds.feature_dim}".encode())
+    for g in ds:
+        h.update(f"|n={g.node_count};label={g.label};edges=".encode())
+        h.update(np.asarray(g.edges, dtype=np.int64).tobytes())
+        h.update(b";features=")
+        h.update(np.ascontiguousarray(g.features, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def reference_node_embeddings(model, g):
+    """GIN node states with ``np.add.at`` neighbour sums (the original loop)."""
+    z = g.features if g.node_count else np.zeros((0, model.feature_dim))
+    eu, ev = g.edge_arrays()
+    for layer in model.mp_layers:
+        agg = np.zeros_like(z)
+        if eu.size:
+            np.add.at(agg, eu, z[ev])
+            np.add.at(agg, ev, z[eu])
+        z = layer.apply(z + model.eta * agg)
+    return z

@@ -255,6 +255,19 @@ def test_cli_treenorm_values_match_library(ds_path, capsys):
     assert out["values"] == [tree_norm(g, cfg(2)) for g in ds]
 
 
+def test_cli_treenorm_prints_one_value_per_line(tmp_path, capsys):
+    path = tmp_path / "one.jsonl"
+    save_jsonl(make_dataset([Graph(1, [], [[4.0]])]), path)
+    out_path = tmp_path / "norms.json"
+    assert main(["treenorm", "--dataset", str(path), "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == "4.0\n"
+    assert json.loads(out_path.read_text()) == {"values": [4.0]}
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["treenorm", "--dataset", str(empty)]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_subsample_graphs_methods(tmp_path, ds_path, capsys):
     for method in ("tmd", "wl", "feature", "random"):
         out_path = str(tmp_path / f"sel-{method}.json")
@@ -287,6 +300,13 @@ def test_cli_verify_wl_counterexample(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["wl_distance"] == 0.0
     assert payload["gin_gap"] > 1e-6
+
+
+@pytest.mark.parametrize("weights", ["table:9,9", "const:1.0"])
+def test_cli_verify_rejects_weights_it_would_not_use(capsys, weights):
+    assert main(["verify", "--mode", "wl-counterexample", "--weights", weights]) == 1
+    err = capsys.readouterr().err
+    assert "--weights" in err and "const:{0.5,1,2,4}*eta" in err
 
 
 def test_cli_verify_stability_smoke(tmp_path, capsys):

@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from treesample import (ConfigError, DatasetError, Graph, TmdConfig,
-                        abs_clipped_loss, clustered_dataset, const_weights,
+from treesample import (ConfigError, DatasetError, GinLayer, GinModel, Graph,
+                        TmdConfig, abs_clipped_loss, clustered_dataset, const_weights,
                         finite_erm_check, gin_forward, identity_gin,
                         induced_subgraph, kmedoids, layer_lipschitz,
                         make_dataset, node_embeddings, pairwise_matrix,
                         random_gin, stability_report, subsample_dataset,
                         wl_counterexample_pair)
 
-from helpers import cfg, random_graph
+from helpers import cfg, random_graph, reference_node_embeddings
 
 P2 = Graph(2, [(0, 1)], np.ones((2, 1)))
 
@@ -47,6 +47,22 @@ def test_forward_is_permutation_invariant():
                   g.features[perm])
         np.testing.assert_allclose(gin_forward(m, g), gin_forward(m, h),
                                    rtol=0, atol=1e-12)
+
+
+def test_node_embeddings_bit_identical_to_add_at_loop():
+    # bits, not a tolerance: (higher) + (lower) neighbour sums would pass
+    # every tolerance-based check yet change the outputs
+    rng = np.random.default_rng(23)
+    for trial in range(30):
+        n = int(rng.integers(40, 91)) if trial % 3 else int(rng.integers(0, 6))
+        g = random_graph(rng, n_max=n, n_min=n, feature_dim=3, p=4.0 / max(1, n - 1))
+        m = random_gin(trial, feature_dim=3, hidden=int(rng.integers(1, 9)),
+                       depth=int(rng.integers(1, 5)), eta=float(rng.uniform(0.2, 2.0)))
+        if trial % 2:  # no relu to hide the low bits of negative sums
+            m = GinModel(tuple(GinLayer(x.weight, x.bias, "identity") for x in m.layers),
+                         eta=m.eta)
+        got = node_embeddings(m, g)
+        assert got.tobytes() == reference_node_embeddings(m, g).tobytes()
 
 
 def test_random_gin_is_seeded_and_unit_norm():

@@ -8,7 +8,10 @@ from treesample import (DatasetError, Graph, computation_tree, blank_tree,
                         dataset_fingerprint, empty_graph, induced_subgraph,
                         load_jsonl, load_tu, make_dataset, save_jsonl)
 
-from helpers import random_graph
+from treesample.graphs import _simple_edges
+
+from helpers import (random_graph, reference_dataset_fingerprint,
+                     reference_simple_edges)
 
 
 def test_edges_canonicalized_and_sorted():
@@ -75,6 +78,42 @@ def test_graph_names_every_problem_and_takes_numpy_integers():
               label=np.int8(1))
     assert g.edges == [(0, 2)] and g.node_count == 3 and g.label == 1
     assert all(type(x) is int for x in (*g.edges[0], g.node_count, g.label))
+
+
+def test_built_graph_cannot_change():
+    g = Graph(2, [(0, 1)], np.ones((2, 1)))
+    g.edges.append((1, 1))  # a fresh list each time: the graph keeps its edge
+    assert g.edges == [(0, 1)] and g.edge_count == 1
+    for name, value in (("node_count", 7), ("edges", [(1, 1)]),
+                        ("features", np.ones((7, 1))), ("label", 1)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    assert g.node_count == 2 and g.label is None
+    for ends in g.edge_arrays():
+        assert not ends.flags.writeable
+        with pytest.raises(ValueError):
+            ends[0] = 1
+
+
+_EDGE_ITEMS = st.one_of(
+    st.tuples(st.integers(-2, 6), st.integers(-2, 6)),
+    st.tuples(st.integers(0, 5).map(np.int64), st.integers(0, 5)),
+    st.tuples(st.integers(0, 5), st.floats(0, 5)),
+    st.tuples(st.booleans(), st.integers(0, 5)),
+    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
+    st.lists(st.integers(0, 5), min_size=2, max_size=2),
+    st.just("01"), st.none(), st.integers(0, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_EDGE_ITEMS, max_size=12), st.integers(), st.none()),
+       st.one_of(st.none(), st.integers(0, 6)))
+def test_edge_gate_matches_the_original_two_pass_gate(edges, n):
+    # same pairs, same messages in the same order: non-pairs first in input
+    # order, then range, self-loop and duplicate problems in sorted order
+    got, want = [], []
+    assert _simple_edges(edges, n, got) == reference_simple_edges(edges, n, want)
+    assert got == want
 
 
 def test_neighbors_and_degrees():
@@ -163,6 +202,19 @@ def test_make_dataset_checks_feature_dim():
     b = Graph(1, [], np.ones((1, 3)))
     with pytest.raises(DatasetError):
         make_dataset([a, b])
+
+
+def test_jsonl_round_trip_of_a_dataset_with_empty_graphs(tmp_path):
+    # a 0-node graph saves its features as [] and loads 1 wide
+    ds = make_dataset([empty_graph(3), Graph(1, [], [[1.0, 2.0, 3.0]])])
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(ds, path)
+    back = load_jsonl(path)
+    assert back.feature_dim == ds.feature_dim == 3
+    assert [g.node_count for g in back] == [0, 1] and back[1] == ds[1]
+    assert dataset_fingerprint(back) == dataset_fingerprint(ds)
+    with pytest.raises(DatasetError, match=r"\[1, 3\]"):  # no node at all
+        make_dataset([empty_graph(3), empty_graph(1)])
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -298,3 +350,14 @@ def test_fingerprint_tracks_content():
     changed = make_dataset([Graph(ds[0].node_count, ds[0].edges, feats)]
                            + ds.graphs[1:])
     assert dataset_fingerprint(changed) != fp
+
+
+def test_fingerprint_hashes_the_edge_list_bytes():
+    # the .tmdc cache key: existing caches must keep hitting
+    rng = np.random.default_rng(21)
+    for trial in range(10):
+        graphs = [random_graph(rng, n_max=7, n_min=0, p=float(rng.uniform(0, 0.8)))
+                  for _ in range(5)]
+        graphs += [empty_graph(2), Graph(3, [], np.ones((3, 2)), label=trial)]
+        ds = make_dataset(graphs)
+        assert dataset_fingerprint(ds) == reference_dataset_fingerprint(ds)

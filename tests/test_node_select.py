@@ -104,6 +104,16 @@ def test_build_candidates_validates_heuristics():
         build_candidates(STAR, 2, 0, heuristics=())
 
 
+def test_bfs_only_candidates_are_the_bfs_set():
+    rng = np.random.default_rng(24)
+    for _ in range(12):
+        g = random_graph(rng, n_max=20, n_min=1, p=float(rng.uniform(0.05, 0.4)))
+        k = int(rng.integers(1, g.node_count + 1))
+        got = build_candidates(g, k, 0, ("bfs",))
+        want = k_bfs_candidates(g, k)
+        assert got.subsets == want.subsets and got.tags == want.tags
+
+
 def test_select_subset_takes_largest_norm():
     c = cfg(2)
     g = Graph(3, [(0, 1)], np.array([[5.0], [1.0], [1.0]]))
