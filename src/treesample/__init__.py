@@ -26,7 +26,8 @@ from .graph_select import (Selection, cluster_sizes, feature_distance_matrix,
 from .node_select import (CandidateSet, NodeSubsample, build_candidates,
                           core_numbers, k_bfs_candidates, kcore_candidate,
                           load_subsamples, new_candidate_set, rw_candidate,
-                          save_subsamples, select_subset, subsample_dataset)
+                          save_subsamples, select_subset, subsample_dataset,
+                          subsample_sweep)
 from .oracles import (MatchingResult, RootedTree, blank_tree,
                       brute_force_matching, brute_force_medoids,
                       brute_force_select, computation_tree, min_cost_matching,
@@ -34,8 +35,9 @@ from .oracles import (MatchingResult, RootedTree, blank_tree,
                       tree_norm_batch, tree_norm_decision, tree_norm_naive)
 from .gnn import (ErmReport, GinLayer, GinModel, LipschitzProfile,
                   StabilityReport, abs_clipped_loss, finite_erm_check,
-                  gin_forward, identity_gin, layer_lipschitz, node_embeddings,
-                  random_gin, stability_report)
+                  finite_erm_sweep, gin_forward, identity_gin,
+                  layer_lipschitz, node_embeddings, random_gin,
+                  stability_report)
 from .synth import (clustered_dataset, random_graph, random_pairs,
                     random_regular_graph, synthetic_dataset,
                     wl_counterexample_pair)

@@ -19,13 +19,13 @@ from .cache import load_or_compute
 from .config import TmdConfig, parse_weights
 from .errors import (CacheMismatchError, ConfigError, DatasetError,
                      NumericalOverflowError, ScaleLimitError)
-from .gnn import (finite_erm_check, gin_forward, identity_gin, random_gin,
+from .gnn import (finite_erm_sweep, gin_forward, identity_gin, random_gin,
                   stability_report)
 from .graph_select import (kmedoids, feature_distance_matrix,
                            random_selection, save_selection,
                            wl_distance, wl_pseudometric_matrix)
 from .graphs import load_jsonl, load_tu
-from .node_select import save_subsamples, subsample_dataset
+from .node_select import save_subsamples, subsample_dataset, subsample_sweep
 from .synth import random_pairs, synthetic_dataset, wl_counterexample_pair
 from .tmd import pairwise_matrix
 from .treenorm import tree_norm
@@ -248,17 +248,16 @@ def _verify_erm(args, ds, mode: str) -> tuple[dict, int, str]:
         raise ConfigError(f"{mode} needs labeled graphs")
     hypotheses = [random_gin(args.seed + t, ds.feature_dim, args.hidden, args.depth,
                              eta=args.eta) for t in range(args.hypotheses)]
-    reports = []
-    for cfg in _sweep_configs(args):
-        if mode == "erm-graphs":
-            dm = pairwise_matrix(ds, cfg)
-            sel = kmedoids(dm, args.k, seed=args.seed)
-            report = finite_erm_check(ds, labels, hypotheses, selection=sel,
-                                      distances=dm)
-        else:
-            subs = subsample_dataset(ds, args.frac, cfg, seed=args.seed)
-            report = finite_erm_check(ds, labels, hypotheses, subsamples=subs)
-        reports.append((cfg.weights.spec_string(), report))
+    cfgs = _sweep_configs(args)
+    if mode == "erm-graphs":
+        # lazy, so the sweep holds at most two presets' distance matrices
+        dms = (pairwise_matrix(ds, cfg) for cfg in cfgs)
+        found = finite_erm_sweep(ds, labels, hypotheses, selections=(
+            (kmedoids(dm, args.k, seed=args.seed), dm) for dm in dms))
+    else:
+        found = finite_erm_sweep(ds, labels, hypotheses, subsample_sets=subsample_sweep(
+            ds, args.frac, cfgs, seed=args.seed))
+    reports = [(cfg.weights.spec_string(), r) for cfg, r in zip(cfgs, found)]
     payload = {"mode": mode,
                "reports": [dict(json.loads(r.to_json()), preset=p) for p, r in reports],
                "chain_ok": all(r.chain_ok for _, r in reports),

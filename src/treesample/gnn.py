@@ -294,10 +294,24 @@ def finite_erm_check(ds: Dataset, labels, hypotheses, *,
     only when each graph's nearest medoid carries the same label, which holds
     for cluster-consistent labelings.
     """
+    return finite_erm_sweep(
+        ds, labels, hypotheses,
+        selections=None if selection is None else [(selection, distances)],
+        subsample_sets=None if subsamples is None else [subsamples],
+        clip=clip, tol=tol)[0]
+
+
+def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
+                     subsample_sets=None, clip: float = 10.0,
+                     tol: float = 1e-9) -> list[ErmReport]:
+    """:func:`finite_erm_check` for each ``(selection, distances)`` pair in
+    ``selections``, or each list in ``subsample_sets``, taken one at a time.
+    The full-data readouts, losses and ``c`` are computed once, and each
+    distinct ``(graph index, kept)`` subgraph is built and forwarded once."""
     n = len(ds)
     if n == 0:
         raise ConfigError("dataset is empty")
-    if (selection is None) == (subsamples is None):
+    if (selections is None) == (subsample_sets is None):
         raise ConfigError("provide exactly one of selection or subsamples")
     labels = [float(y) for y in labels]
     if len(labels) != n:
@@ -311,44 +325,41 @@ def finite_erm_check(ds: Dataset, labels, hypotheses, *,
     full_losses = [
         math.fsum(abs_clipped_loss(p[i], labels[i], clip) for i in range(n)) / n
         for p in preds_full]
+    min_loss_full = min(full_losses)
+    c = m_lip * max(layer_lipschitz(h).product for h in hypotheses)
 
-    if selection is not None:
+    def report(mode, epsilon, stand_ins, stand_in_labels):
+        # stand_ins[t][i]: hypothesis t's readout on the graph standing in for G_i
+        sub_losses = [math.fsum(abs_clipped_loss(q[i], stand_in_labels[i], clip)
+                                for i in range(n)) / n for q in stand_ins]
+        chain_rhs = [m_lip * math.fsum(float(np.linalg.norm(q[i] - p[i]))
+                                       for i in range(n)) / n
+                     for q, p in zip(stand_ins, preds_full)]
+        excess = max(abs(s - f) - r for s, f, r in zip(sub_losses, full_losses, chain_rhs))
+        erm = min(range(len(hypotheses)), key=lambda t: (sub_losses[t], t))
+        bound_rhs = 2.0 * c * epsilon
+        return ErmReport(mode, full_losses[erm], min_loss_full, bound_rhs, epsilon, m_lip,
+                         full_losses[erm] <= min_loss_full + bound_rhs + tol,
+                         excess <= tol, excess, erm)
+
+    reports, sub_preds = [], {}
+    for selection, distances in selections or ():
         if distances is None:
             raise ConfigError("graph mode needs the distance matrix used for selection")
         idx = list(selection.indices)
-        owners = nearest_medoid(distances, idx)
-        epsilon = medoids_objective(distances, idx)
-        sub_losses, chain_rhs = [], []
-        for p in preds_full:
-            sub_losses.append(math.fsum(
-                abs_clipped_loss(p[int(o)], labels[int(o)], clip) for o in owners) / n)
-            chain_rhs.append(m_lip * math.fsum(
-                float(np.linalg.norm(p[int(o)] - p[i])) for i, o in enumerate(owners)) / n)
-        mode = "graphs"
-    else:
+        owners = [int(o) for o in nearest_medoid(distances, idx)]
+        reports.append(report("graphs", medoids_objective(distances, idx),
+                              [[p[o] for o in owners] for p in preds_full],
+                              [labels[o] for o in owners]))
+    for subsamples in subsample_sets or ():
         subsamples = list(subsamples)
         if len(subsamples) != n:
             raise ConfigError(f"{len(subsamples)} subsamples for {n} graphs")
-        epsilon = math.fsum(s.tmd_to_full for s in subsamples) / n
-        subgraphs = [induced_subgraph(g, s.kept) for g, s in zip(ds, subsamples)]
-        preds_sub = [[gin_forward(h, sg) for sg in subgraphs] for h in hypotheses]
-        sub_losses, chain_rhs = [], []
-        for p_full, p_sub in zip(preds_full, preds_sub):
-            sub_losses.append(math.fsum(
-                abs_clipped_loss(p_sub[i], labels[i], clip) for i in range(n)) / n)
-            chain_rhs.append(m_lip * math.fsum(
-                float(np.linalg.norm(p_sub[i] - p_full[i])) for i in range(n)) / n)
-        mode = "nodes"
-
-    chain_excess = [abs(s - f) - r for s, f, r in zip(sub_losses, full_losses, chain_rhs)]
-    chain_max_excess = max(chain_excess)
-    chain_ok = chain_max_excess <= tol
-
-    erm_index = min(range(len(hypotheses)), key=lambda i: (sub_losses[i], i))
-    loss_full_of_erm = full_losses[erm_index]
-    min_loss_full = min(full_losses)
-    c = m_lip * max(layer_lipschitz(h).product for h in hypotheses)
-    bound_rhs = 2.0 * c * epsilon
-    satisfied = loss_full_of_erm <= min_loss_full + bound_rhs + tol
-    return ErmReport(mode, loss_full_of_erm, min_loss_full, bound_rhs, epsilon,
-                     m_lip, satisfied, chain_ok, chain_max_excess, erm_index)
+        keys = [(i, tuple(s.kept)) for i, s in enumerate(subsamples)]
+        for i, kept in keys:
+            if (i, kept) not in sub_preds:
+                sg = induced_subgraph(ds[i], kept)
+                sub_preds[i, kept] = [gin_forward(h, sg) for h in hypotheses]
+        reports.append(report("nodes", math.fsum(s.tmd_to_full for s in subsamples) / n,
+                              list(zip(*(sub_preds[key] for key in keys))), labels))
+    return reports

@@ -222,13 +222,15 @@ class Dataset:
 def make_dataset(graphs: list[Graph], name: str = "") -> Dataset:
     """Wrap graphs (each checked when it was built) into a Dataset, checking
     the one thing a graph cannot check alone: a shared feature dimension,
-    set by the graphs with nodes (a 0-node graph has no row to show one)."""
+    set by the graphs with nodes (a 0-node graph has no row to show one, so
+    it is rebuilt with ``(0, dim)`` features)."""
     dims = ({g.feature_dim for g in graphs if g.node_count}
             or {g.feature_dim for g in graphs})
     if len(dims) > 1:
         raise DatasetError(f"graphs disagree on feature dimension: {sorted(dims)}")
     dim = dims.pop() if dims else 0
-    return Dataset(list(graphs), dim, name)
+    return Dataset([g if g.feature_dim == dim else Graph(0, [], np.zeros((0, dim)), g.label)
+                    for g in graphs], dim, name)
 
 
 def load_jsonl(path) -> Dataset:

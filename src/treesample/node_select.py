@@ -35,7 +35,10 @@ class CandidateSet:
     tags: list[str]
 
     def add(self, subset, tag: str) -> None:
-        canon = tuple(sorted(int(v) for v in subset))
+        self._insert(tuple(sorted(int(v) for v in subset)), tag)
+
+    def _insert(self, canon: tuple[int, ...], tag: str) -> None:
+        """Add a subset already canonical: a sorted tuple of Python ints."""
         if canon not in self._seen:
             self._seen.add(canon)
             self.subsets.append(canon)
@@ -112,7 +115,7 @@ def k_bfs_candidates(g: Graph, k: int) -> CandidateSet:
             # the deepest ball within k nodes holds exactly the nodes closer
             # than the (k + 1)-th nearest (inf when k or fewer are reachable)
             limit = np.partition(row, k)[k] if k < n else np.inf
-            cands.add(np.flatnonzero(row < limit).tolist(), f"bfs:{v}")
+            cands._insert(tuple(np.flatnonzero(row < limit).tolist()), f"bfs:{v}")
     return cands
 
 
@@ -232,15 +235,26 @@ def subsample_dataset(ds: Dataset, frac: float, cfg: TmdConfig,
     n); the walk seed is derived per graph so results are independent of
     dataset order.
     """
+    return subsample_sweep(ds, frac, [cfg], heuristics, seed)[0]
+
+
+def subsample_sweep(ds: Dataset, frac: float, cfgs,
+                    heuristics=("bfs", "rw", "kcore"),
+                    seed: int = 0) -> list[list[NodeSubsample]]:
+    """:func:`subsample_dataset` under each config in ``cfgs``, one list per
+    config.  The candidates do not depend on the config, so each graph's
+    are built once and scored under every config."""
     if not (0.0 < frac <= 1.0):
         raise ConfigError(f"frac must be in (0, 1], got {frac}")
-    out = []
+    out = [[] for _ in cfgs]
     for i, g in enumerate(ds):
         n = g.node_count
         if n == 0:
-            out.append(NodeSubsample(i, (), 0.0, 0.0, 0.0, "empty"))
+            for subs in out:
+                subs.append(NodeSubsample(i, (), 0.0, 0.0, 0.0, "empty"))
             continue
         k = min(n, max(1, int(math.floor(frac * n + 0.5))))
         cands = build_candidates(g, k, seed + i, heuristics)
-        out.append(select_subset(g, cands, cfg, graph_id=i))
+        for subs, cfg in zip(out, cfgs):
+            subs.append(select_subset(g, cands, cfg, i))
     return out

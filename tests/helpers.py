@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 from collections import deque
 
@@ -10,8 +11,9 @@ import numpy as np
 from treesample import (ConfigError, DistanceMatrix, Graph, NodeSubsample,
                         ScaleLimitError, Selection, TmdConfig, WeightFn,
                         cluster_sizes, const_weights, feature_norms,
-                        induced_subgraph, medoids_objective, tree_norm,
-                        wl_histograms)
+                        finite_erm_check, induced_subgraph, kmedoids,
+                        medoids_objective, pairwise_matrix, random_gin,
+                        subsample_dataset, tree_norm, wl_histograms)
 from treesample.node_select import new_candidate_set
 from treesample.oracles import _BRUTE_SUBSET_LIMIT, _padded_matching
 from treesample.tmd import _cross_distances
@@ -183,7 +185,8 @@ def _bfs_distances(g, start):
 
 
 def reference_k_bfs_candidates(g, k):
-    """BFS balls from one Python BFS per node (the original loop)."""
+    """BFS balls from one Python BFS per node, each added through
+    :func:`reference_candidate_add` (the original loop)."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     cands = new_candidate_set()
@@ -195,8 +198,18 @@ def reference_k_bfs_candidates(g, k):
         ok = radii[counts <= k]
         radius = int(ok[-1]) if ok.size else 0
         ball = tuple(int(u) for u in np.flatnonzero((dist >= 0) & (dist <= radius)))
-        cands.add(ball, f"bfs:{v}")
+        reference_candidate_add(cands, ball, f"bfs:{v}")
     return cands
+
+
+def reference_candidate_add(cands, subset, tag):
+    """``CandidateSet.add`` as first written, for every subset: sort and
+    convert it, then keep it unless seen."""
+    canon = tuple(sorted(int(v) for v in subset))
+    if canon not in cands._seen:
+        cands._seen.add(canon)
+        cands.subsets.append(canon)
+        cands.tags.append(tag)
 
 
 def _wl_kernel(ha, hb):
@@ -329,3 +342,30 @@ def reference_node_embeddings(model, g):
             np.add.at(agg, ev, z[eu])
         z = layer.apply(z + model.eta * agg)
     return z
+
+
+def reference_verify_erm_payload(args, ds, mode):
+    """``verify --mode erm-*`` payload from one full pipeline per preset:
+    ``pairwise_matrix`` and ``kmedoids``, or ``subsample_dataset``, then
+    ``finite_erm_check`` (the original loop)."""
+    from treesample.cli import _sweep_configs
+
+    labels = ds.labels()
+    hypotheses = [random_gin(args.seed + t, ds.feature_dim, args.hidden, args.depth,
+                             eta=args.eta) for t in range(args.hypotheses)]
+    reports = []
+    for c in _sweep_configs(args):
+        if mode == "erm-graphs":
+            dm = pairwise_matrix(ds, c)
+            sel = kmedoids(dm, args.k, seed=args.seed)
+            report = finite_erm_check(ds, labels, hypotheses, selection=sel,
+                                      distances=dm)
+        else:
+            subs = subsample_dataset(ds, args.frac, c, seed=args.seed)
+            report = finite_erm_check(ds, labels, hypotheses, subsamples=subs)
+        reports.append((c.weights.spec_string(), report))
+    return {"mode": mode,
+            "reports": [dict(json.loads(r.to_json()), preset=p) for p, r in reports],
+            "chain_ok": all(r.chain_ok for _, r in reports),
+            "satisfied_any": any(r.satisfied for _, r in reports),
+            "passed_any": any(r.chain_ok and r.satisfied for _, r in reports)}

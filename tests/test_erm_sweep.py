@@ -1,0 +1,161 @@
+"""``verify --mode erm-*`` sweeps its presets sharing every preset-independent
+quantity, and reports exactly what one pipeline per preset reports."""
+
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import treesample.gnn as gnn
+import treesample.node_select as node_select
+from treesample import (ConfigError, finite_erm_check, finite_erm_sweep,
+                        kmedoids, make_dataset, pairwise_matrix, random_gin,
+                        subsample_dataset, subsample_sweep, synthetic_dataset)
+from treesample.cli import _sweep_configs, _verify_erm, build_parser
+from treesample.synth import random_graph
+
+from helpers import cfg, reference_verify_erm_payload
+
+
+def _nodes_dataset(seed, count=12):
+    """Labelled G(n, 4 / (n - 1)) graphs of 40-90 nodes with 3-d features,
+    drawn as the ``nodes`` benchmark workload draws them."""
+    rng = np.random.default_rng([seed, 40, 90])
+    sizes = [40 + (i * 51) // count for i in range(count)]
+    return make_dataset([random_graph(rng, n, 4.0 / (n - 1), feature_dim=3,
+                                      label=int(rng.integers(2))) for n in sizes])
+
+
+def _args(mode, *extra):
+    return build_parser().parse_args(["verify", "--mode", mode, "--depth", "3", *extra])
+
+
+def _distinct_kept(ds, args):
+    sweep = subsample_sweep(ds, args.frac, _sweep_configs(args), seed=args.seed)
+    return {(s.graph_id, s.kept) for subs in sweep for s in subs}
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_verify_erm_nodes_payload_matches_one_pipeline_per_preset(seed):
+    ds = _nodes_dataset(seed)
+    args = _args("erm-nodes", "--hypotheses", "20", "--frac", "0.5")
+    # seed 2 has graphs whose presets keep different nodes; seed 0 has none
+    assert (len(_distinct_kept(ds, args)) > len(ds)) == (seed == 2)
+    payload, _, _ = _verify_erm(args, ds, "erm-nodes")
+    want = reference_verify_erm_payload(args, ds, "erm-nodes")
+    assert json.dumps(payload, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_verify_erm_graphs_payload_matches_one_pipeline_per_preset():
+    args = _args("erm-graphs", "--synthetic", "12", "--hypotheses", "8", "--k", "4")
+    ds = synthetic_dataset(args.synthetic, args.seed)
+    payload, _, _ = _verify_erm(args, ds, "erm-graphs")
+    want = reference_verify_erm_payload(args, ds, "erm-graphs")
+    assert json.dumps(payload, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_subsample_sweep_matches_subsample_dataset_per_config():
+    ds = _nodes_dataset(4, count=5)
+    cfgs = [cfg(2, w) for w in (0.5, 2.0)] + [cfg(3, 1.0, "l1")]
+    got = subsample_sweep(ds, 0.4, cfgs, ("bfs", "kcore"), seed=7)
+    assert got == [subsample_dataset(ds, 0.4, c, ("bfs", "kcore"), seed=7) for c in cfgs]
+    assert subsample_sweep(ds, 0.4, [], seed=7) == []
+    with pytest.raises(ConfigError, match="frac must be in"):
+        subsample_sweep(ds, 1.5, cfgs)
+
+
+def test_verify_erm_nodes_does_preset_independent_work_once(monkeypatch):
+    ds = _nodes_dataset(2, count=6)
+    hyps = 5
+    args = _args("erm-nodes", "--hypotheses", str(hyps), "--frac", "0.5")
+    distinct = _distinct_kept(ds, args)
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*a, **k):
+            calls[name] += 1
+            return original(*a, **k)
+        monkeypatch.setattr(module, name, counting)
+
+    count(node_select, "build_candidates")
+    count(node_select, "select_subset")
+    count(gnn, "layer_lipschitz")
+    count(gnn, "gin_forward")
+    count(gnn, "induced_subgraph")
+    _verify_erm(args, ds, "erm-nodes")
+    n = len(ds)
+    assert n < len(distinct) < 4 * n
+    assert calls == {"build_candidates": n, "select_subset": 4 * n,
+                     "layer_lipschitz": hyps, "gin_forward": hyps * (n + len(distinct)),
+                     "induced_subgraph": len(distinct)}
+
+
+def test_finite_erm_sweep_entries_match_finite_erm_check():
+    ds = synthetic_dataset(10, 1)
+    labels = ds.labels()
+    hyps = [random_gin(s, ds.feature_dim, 4, 3) for s in range(4)]
+    dms = [pairwise_matrix(ds, cfg(3, w)) for w in (0.5, 2.0)]
+    selections = [(kmedoids(dm, 3), dm) for dm in dms]
+    got = finite_erm_sweep(ds, labels, hyps, selections=iter(selections))
+    assert [r.to_json() for r in got] == [
+        finite_erm_check(ds, labels, hyps, selection=s, distances=dm).to_json()
+        for s, dm in selections]
+    subsample_sets = [subsample_dataset(ds, f, cfg(3)) for f in (0.3, 0.6, 1.0)]
+    got = finite_erm_sweep(ds, labels, hyps, subsample_sets=subsample_sets)
+    assert [r.to_json() for r in got] == [
+        finite_erm_check(ds, labels, hyps, subsamples=s).to_json() for s in subsample_sets]
+
+
+def _erm_error_cases():
+    ds = synthetic_dataset(6, 0)
+    labels = ds.labels()
+    dm = pairwise_matrix(ds, cfg(2))
+    sel = kmedoids(dm, 2)
+    subs = subsample_dataset(ds, 0.5, cfg(2))
+    h = [random_gin(0, ds.feature_dim, 4, 2)]
+    inputs = dict(ds=ds, labels=labels, hypotheses=h)
+    return [
+        ("dataset is empty",
+         dict(inputs, ds=make_dataset([]), labels=[]), dict(subsamples=[])),
+        ("provide exactly one of selection or subsamples", inputs, {}),
+        ("provide exactly one of selection or subsamples",
+         inputs, dict(selection=sel, distances=dm, subsamples=subs)),
+        ("graph mode needs the distance matrix used for selection",
+         inputs, dict(selection=sel)),
+        ("5 labels for 6 graphs", dict(inputs, labels=labels[:-1]), dict(subsamples=subs)),
+        ("5 subsamples for 6 graphs", inputs, dict(subsamples=subs[:-1])),
+        ("hypothesis set is empty",
+         dict(inputs, hypotheses=[]), dict(selection=sel, distances=dm)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_finite_erm_check_and_sweep_keep_their_error_messages(case):
+    message, inputs, mode = _erm_error_cases()[case]
+    args = (inputs["ds"], inputs["labels"], inputs["hypotheses"])
+    with pytest.raises(ConfigError) as check_err:
+        finite_erm_check(*args, **mode)
+    selection = mode.get("selection")
+    subsamples = mode.get("subsamples")
+    with pytest.raises(ConfigError) as sweep_err:
+        finite_erm_sweep(
+            *args,
+            selections=None if selection is None else [(selection, mode.get("distances"))],
+            subsample_sets=None if subsamples is None else [subsamples])
+    assert str(check_err.value) == str(sweep_err.value) == message
+
+
+def test_finite_erm_sweep_checks_every_entry():
+    ds = synthetic_dataset(6, 0)
+    dm = pairwise_matrix(ds, cfg(2))
+    sel = kmedoids(dm, 2)
+    subs = subsample_dataset(ds, 0.5, cfg(2))
+    h = [random_gin(0, ds.feature_dim, 4, 2)]
+    with pytest.raises(ConfigError, match="graph mode needs the distance matrix"):
+        finite_erm_sweep(ds, ds.labels(), h, selections=[(sel, dm), (sel, None)])
+    with pytest.raises(ConfigError, match="^3 subsamples for 6 graphs$"):
+        finite_erm_sweep(ds, ds.labels(), h, subsample_sets=[subs, subs[:3]])
+    assert finite_erm_sweep(ds, ds.labels(), h, subsample_sets=[]) == []

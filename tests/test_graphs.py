@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treesample import (DatasetError, Graph, computation_tree, blank_tree,
+from treesample import (Dataset, DatasetError, Graph, computation_tree, blank_tree,
                         dataset_fingerprint, empty_graph, induced_subgraph,
                         load_jsonl, load_tu, make_dataset, save_jsonl)
 
@@ -215,6 +215,23 @@ def test_jsonl_round_trip_of_a_dataset_with_empty_graphs(tmp_path):
     assert dataset_fingerprint(back) == dataset_fingerprint(ds)
     with pytest.raises(DatasetError, match=r"\[1, 3\]"):  # no node at all
         make_dataset([empty_graph(3), empty_graph(1)])
+
+
+def test_jsonl_round_trip_keeps_empty_graphs_equal(tmp_path):
+    # make_dataset rebuilds each 0-node graph at the dataset's width, so the
+    # graphs it holds equal the graphs load_jsonl reads back
+    graphs = [empty_graph(3), Graph(1, [], [[1.0, 2.0, 3.0]]), Graph(0, [], [], label=4)]
+    ds = make_dataset(graphs)
+    assert [g.features.shape for g in ds] == [(0, 3), (1, 3), (0, 3)]
+    assert ds[2].label == 4 and ds[1] is graphs[1]
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(ds, path)
+    back = load_jsonl(path)
+    assert back.graphs == ds.graphs
+    assert back[0] == empty_graph(3)
+    # a 0-node graph hashes no feature bytes: the fingerprint is unchanged
+    assert (dataset_fingerprint(back) == dataset_fingerprint(ds)
+            == reference_dataset_fingerprint(Dataset(graphs, 3)))
 
 
 def test_jsonl_round_trip(tmp_path):

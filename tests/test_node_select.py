@@ -30,6 +30,27 @@ def test_candidate_set_deduplicates():
     assert cands.tags == ["a", "c"]
 
 
+def test_candidate_set_add_canonicalises_any_input():
+    cands = new_candidate_set()
+    cands.add(np.array([3, 1], dtype=np.int32), "a")
+    cands.add([1.0, 3.0], "b")  # the same set as floats
+    assert cands.subsets == [(1, 3)] and cands.tags == ["a"]
+    assert all(type(v) is int for v in cands.subsets[0])
+
+
+def test_bfs_balls_match_canonicalising_add_on_seeded_graphs():
+    # k_bfs_candidates inserts each ball as built; the original path sorted
+    # and converted every ball again through add
+    rng = np.random.default_rng(21)
+    for trial in range(24):
+        g = random_graph(rng, n_max=30, p=(0.05, 0.15, 0.4)[trial % 3])
+        for k in sorted({1, 2, g.node_count // 2 + 1, g.node_count}):
+            got, want = k_bfs_candidates(g, k), reference_k_bfs_candidates(g, k)
+            assert (got.subsets, got.tags) == (want.subsets, want.tags)
+            assert all(type(v) is int for s in got.subsets for v in s)
+            assert got._seen == set(want.subsets)
+
+
 def test_bfs_balls_on_star():
     cands = k_bfs_candidates(STAR, 1)
     assert cands.subsets == [(0,), (1,), (2,), (3,)]
