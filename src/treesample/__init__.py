@@ -16,8 +16,8 @@ from .graphs import (Dataset, Graph, dataset_fingerprint, empty_graph,
 from .matching import matching_value
 from .tmd import (DistanceMatrix, pairwise_matrix, tmd, tmd_cost_matrix,
                   tmd_subgraph)
-from .treenorm import (TreeNormReport, feature_norms, subset_tree_norms,
-                       tree_norm, tree_norm_report)
+from .treenorm import (TreeNormReport, feature_norms, subset_tree_norm_sweep,
+                       subset_tree_norms, tree_norm, tree_norm_report)
 from .cache import load_or_compute, read_matrix, write_matrix
 from .graph_select import (Selection, cluster_sizes, feature_distance_matrix,
                            kmedoids, load_selection, medoids_objective,
@@ -26,18 +26,17 @@ from .graph_select import (Selection, cluster_sizes, feature_distance_matrix,
 from .node_select import (CandidateSet, NodeSubsample, build_candidates,
                           core_numbers, k_bfs_candidates, kcore_candidate,
                           load_subsamples, new_candidate_set, rw_candidate,
-                          save_subsamples, select_subset, subsample_dataset,
-                          subsample_sweep)
-from .oracles import (MatchingResult, RootedTree, blank_tree,
+                          save_subsamples, select_subset, select_subsets,
+                          subsample_dataset, subsample_sweep)
+from .oracles import (MatchingResult, RootedTree, abs_clipped_loss, blank_tree,
                       brute_force_matching, brute_force_medoids,
                       brute_force_select, computation_tree, min_cost_matching,
                       tmd_naive, tree_blank_distance, tree_distance,
                       tree_norm_batch, tree_norm_decision, tree_norm_naive)
 from .gnn import (ErmReport, GinLayer, GinModel, LipschitzProfile,
-                  StabilityReport, abs_clipped_loss, finite_erm_check,
-                  finite_erm_sweep, gin_forward, identity_gin,
-                  layer_lipschitz, node_embeddings, random_gin,
-                  stability_report)
+                  StabilityReport, finite_erm_check, finite_erm_sweep,
+                  gin_forward, identity_gin, layer_lipschitz,
+                  node_embeddings, random_gin, stability_report)
 from .synth import (clustered_dataset, random_graph, random_pairs,
                     random_regular_graph, synthetic_dataset,
                     wl_counterexample_pair)

@@ -45,6 +45,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _int_from(low: int):
+    """argparse type for an int >= ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def _add_common(p: _Parser) -> None:
     p.add_argument("--dataset", help="path to a .jsonl file or a TU directory")
     p.add_argument("--format", choices=("jsonl", "tu"), default="jsonl")
@@ -54,7 +65,7 @@ def _add_common(p: _Parser) -> None:
                    help="level weights: const:<x> or table:w1,w2,... (default "
                    "const:1.0; verify sweeps its own and takes none)")
     p.add_argument("--norm", choices=("l1", "l2"), default="l2")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out", help="output file path")
     p.add_argument("--cache", help="binary distance-cache path")
     p.add_argument("--json", action="store_true", help="machine-readable stdout")
@@ -74,7 +85,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("subsample-graphs", help="select k weighted medoid graphs")
     _add_common(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_from(1), required=True)
     p.add_argument("--method", choices=("tmd", "wl", "feature", "random"),
                    default="tmd")
     p.set_defaults(func=cmd_subsample_graphs)
@@ -92,13 +103,13 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", required=True,
                    choices=("stability", "erm-graphs", "erm-nodes",
                             "wl-counterexample"))
-    p.add_argument("--synthetic", type=int, metavar="N",
+    p.add_argument("--synthetic", type=_int_from(1), metavar="N",
                    help="use the built-in generator with N graphs instead of --dataset")
-    p.add_argument("--pairs", type=int, default=100)
-    p.add_argument("--hypotheses", type=int, default=20)
-    p.add_argument("--k", type=int, default=5, help="medoid count (erm-graphs)")
+    p.add_argument("--pairs", type=_int_from(1), default=100)
+    p.add_argument("--hypotheses", type=_int_from(1), default=20)
+    p.add_argument("--k", type=_int_from(1), default=5, help="medoid count (erm-graphs)")
     p.add_argument("--frac", type=float, default=0.5, help="node fraction (erm-nodes)")
-    p.add_argument("--hidden", type=int, default=8)
+    p.add_argument("--hidden", type=_int_from(1), default=8)
     p.add_argument("--eta", type=float, default=1.0)
     p.set_defaults(func=cmd_verify, weights=None)  # None: --weights not given
     return parser

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TmdConfig
-from .errors import ConfigError
+from .errors import ConfigError, NumericalOverflowError
 from .graph_select import Selection, medoids_objective, nearest_medoid
 from .graphs import Dataset, Graph, induced_subgraph
 from .tmd import DistanceMatrix, tmd
@@ -163,6 +163,8 @@ def random_gin(seed: int, feature_dim: int, hidden: int, depth: int,
     """
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
+    if depth > 1 and hidden < 1:
+        raise ConfigError(f"hidden must be >= 1 when depth > 1, got {hidden}")
     rng = np.random.default_rng(seed)
     dims = [feature_dim] + [hidden] * (depth - 1) + [out_dim]
     layers = []
@@ -220,7 +222,8 @@ def stability_report(model: GinModel, pairs, cfg: TmdConfig) -> StabilityReport:
     violations = 0
     infinite = 0
     for ga, gb in pairs:
-        num = float(np.linalg.norm(gin_forward(model, ga) - gin_forward(model, gb)))
+        ra, rb = _readouts([model], [ga, gb])[0]
+        num = float(np.linalg.norm(ra - rb))
         den = tmd(ga, gb, cfg) * prod
         if num == 0.0 and den == 0.0:
             ratio = 0.0
@@ -240,14 +243,6 @@ def stability_report(model: GinModel, pairs, cfg: TmdConfig) -> StabilityReport:
 # ---------------------------------------------------------------------------
 # finite empirical risk minimization
 # ---------------------------------------------------------------------------
-
-def abs_clipped_loss(pred: np.ndarray, label: float, clip: float = 10.0) -> float:
-    """|prediction - label| clipped to [0, clip]; 1-Lipschitz in the prediction."""
-    pred = np.asarray(pred, dtype=np.float64).reshape(-1)
-    if pred.shape != (1,):
-        raise ConfigError(f"loss needs a scalar readout, got shape {pred.shape}")
-    return float(min(abs(float(pred[0]) - float(label)), clip))
-
 
 @dataclass
 class ErmReport:
@@ -272,6 +267,16 @@ class ErmReport:
             "satisfied": self.satisfied, "chain_ok": self.chain_ok,
             "chain_max_excess": self.chain_max_excess, "erm_index": self.erm_index,
         }, sort_keys=True)
+
+
+def _readouts(models, graphs) -> np.ndarray:
+    """(models x graphs x out_dim) readouts, all finite or an overflow error."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = np.array([[gin_forward(h, g) for g in graphs] for h in models])
+    if not np.isfinite(out).all():
+        raise NumericalOverflowError(
+            "a GIN readout is not finite; reduce eta, the depth or the feature scale")
+    return out
 
 
 def finite_erm_check(ds: Dataset, labels, hypotheses, *,
@@ -321,20 +326,28 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
         raise ConfigError("hypothesis set is empty")
     m_lip = 1.0
 
-    preds_full = [[gin_forward(h, g) for g in ds] for h in hypotheses]
-    full_losses = [
-        math.fsum(abs_clipped_loss(p[i], labels[i], clip) for i in range(n)) / n
-        for p in preds_full]
+    for h in hypotheses:  # as oracles.abs_clipped_loss, which takes one readout
+        if h.out_dim != 1:
+            raise ConfigError(f"loss needs a scalar readout, got shape {(h.out_dim,)}")
+    preds_full = _readouts(hypotheses, ds)[:, :, 0]
+    labels = np.array(labels, dtype=np.float64)
+
+    def mean_loss(preds, targets):  # oracles.abs_clipped_loss, entry by entry
+        with np.errstate(over="ignore"):  # inf, silently, as in Python floats
+            losses = np.minimum(np.abs(preds - targets), clip)
+        return [math.fsum(row) / n for row in losses.tolist()]
+
+    full_losses = mean_loss(preds_full, labels)
     min_loss_full = min(full_losses)
     c = m_lip * max(layer_lipschitz(h).product for h in hypotheses)
 
     def report(mode, epsilon, stand_ins, stand_in_labels):
-        # stand_ins[t][i]: hypothesis t's readout on the graph standing in for G_i
-        sub_losses = [math.fsum(abs_clipped_loss(q[i], stand_in_labels[i], clip)
-                                for i in range(n)) / n for q in stand_ins]
-        chain_rhs = [m_lip * math.fsum(float(np.linalg.norm(q[i] - p[i]))
-                                       for i in range(n)) / n
-                     for q, p in zip(stand_ins, preds_full)]
+        # stand_ins[t, i]: hypothesis t's readout on the graph standing in for G_i
+        sub_losses = mean_loss(stand_ins, stand_in_labels)
+        with np.errstate(over="ignore"):  # inf, silently, as in np.linalg.norm
+            d = stand_ins - preds_full
+            norms = np.sqrt(d * d)  # np.linalg.norm of each length-1 d, bit for bit
+        chain_rhs = [m_lip * math.fsum(row) / n for row in norms.tolist()]
         excess = max(abs(s - f) - r for s, f, r in zip(sub_losses, full_losses, chain_rhs))
         erm = min(range(len(hypotheses)), key=lambda t: (sub_losses[t], t))
         bound_rhs = 2.0 * c * epsilon
@@ -349,8 +362,7 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
         idx = list(selection.indices)
         owners = [int(o) for o in nearest_medoid(distances, idx)]
         reports.append(report("graphs", medoids_objective(distances, idx),
-                              [[p[o] for o in owners] for p in preds_full],
-                              [labels[o] for o in owners]))
+                              preds_full[:, owners], labels[owners]))
     for subsamples in subsample_sets or ():
         subsamples = list(subsamples)
         if len(subsamples) != n:
@@ -359,7 +371,7 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
         for i, kept in keys:
             if (i, kept) not in sub_preds:
                 sg = induced_subgraph(ds[i], kept)
-                sub_preds[i, kept] = [gin_forward(h, sg) for h in hypotheses]
+                sub_preds[i, kept] = _readouts(hypotheses, [sg])[:, 0, 0]
         reports.append(report("nodes", math.fsum(s.tmd_to_full for s in subsamples) / n,
-                              list(zip(*(sub_preds[key] for key in keys))), labels))
+                              np.column_stack([sub_preds[key] for key in keys]), labels))
     return reports

@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import shortest_path
 from .config import TmdConfig
 from .errors import ConfigError
 from .graphs import Dataset, Graph
-from .treenorm import subset_tree_norms, tree_norm
+from .treenorm import subset_tree_norm_sweep
 
 # roots per shortest_path call in k_bfs_candidates, which bounds its memory
 _BFS_BLOCK = 512
@@ -100,7 +100,8 @@ def k_bfs_candidates(g: Graph, k: int) -> CandidateSet:
     Balls never cross connected components.  Identical balls from different
     roots are deduplicated, keeping the first root's tag.  Hop counts come
     from ``shortest_path`` over the graph's CSR, for at most 512 roots at a
-    time, so the hop table adds at most 8 * 512 * n bytes.
+    time, so the hop table and its partitioned copy add at most
+    16 * 512 * n bytes.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -111,11 +112,14 @@ def k_bfs_candidates(g: Graph, k: int) -> CandidateSet:
     for lo in range(0, n, _BFS_BLOCK):
         roots = np.arange(lo, min(lo + _BFS_BLOCK, n))
         hops = shortest_path(adj, unweighted=True, indices=roots)
-        for v, row in zip(roots.tolist(), hops):
-            # the deepest ball within k nodes holds exactly the nodes closer
-            # than the (k + 1)-th nearest (inf when k or fewer are reachable)
-            limit = np.partition(row, k)[k] if k < n else np.inf
-            cands._insert(tuple(np.flatnonzero(row < limit).tolist()), f"bfs:{v}")
+        # the deepest ball within k nodes holds exactly the nodes closer
+        # than the (k + 1)-th nearest (inf when k or fewer are reachable)
+        limit = np.partition(hops, k, axis=1)[:, k:k + 1] if k < n else np.inf
+        inside = hops < limit
+        cols = np.nonzero(inside)[1].tolist()
+        ends = np.cumsum(inside.sum(axis=1)).tolist()
+        for v, a, b in zip(roots.tolist(), [0, *ends], ends):
+            cands._insert(tuple(cols[a:b]), f"bfs:{v}")
     return cands
 
 
@@ -154,24 +158,26 @@ def rw_candidate(g: Graph, k: int, seed: int) -> tuple[int, ...]:
 
 
 def core_numbers(g: Graph) -> np.ndarray:
-    """Core number of each node via min-degree peeling."""
-    n = g.node_count
-    core = np.zeros(n, dtype=np.int64)
-    degc = g.degrees().astype(np.int64)
-    alive = np.ones(n, dtype=bool)
-    peeled = 0
-    level = 0
-    while peeled < n:
-        candidates = np.flatnonzero(alive)
-        v = int(candidates[np.argmin(degc[candidates])])
-        level = max(level, int(degc[v]))
-        core[v] = level
-        alive[v] = False
-        peeled += 1
-        for u in g.neighbors(v):
-            if alive[u]:
-                degc[u] -= 1
-    return core
+    """Core numbers by the O(n + m) bucket-queue peel of Batagelj and Zaversnik
+    (2003): ``vert`` sorts nodes by degree, bucket d starts at ``start[d]``."""
+    indptr, indices = g.csr()
+    deg = np.diff(indptr)
+    vert = np.argsort(deg, kind="stable")
+    start = np.searchsorted(deg[vert], np.arange(deg.max(initial=0) + 1)).tolist()
+    pos = np.argsort(vert).tolist()
+    vert, deg, ptr, nbrs = vert.tolist(), deg.tolist(), indptr.tolist(), indices.tolist()
+    for v in vert:  # vert changes only past the current position
+        for u in nbrs[ptr[v]:ptr[v + 1]]:
+            du = deg[u]
+            if du > deg[v]:
+                # swap u with the first node w of its bucket, then shrink it
+                pu, pw = pos[u], start[du]
+                w = vert[pw]
+                vert[pu], vert[pw] = w, u
+                pos[u], pos[w] = pw, pu
+                start[du] += 1
+                deg[u] = du - 1
+    return np.array(deg, dtype=np.int64)
 
 
 def kcore_candidate(g: Graph, k: int) -> tuple[int, ...]:
@@ -189,24 +195,28 @@ def kcore_candidate(g: Graph, k: int) -> tuple[int, ...]:
 
 def select_subset(g: Graph, candidates: CandidateSet, cfg: TmdConfig,
                   graph_id: int = 0) -> NodeSubsample:
-    """Pick the candidate whose induced subgraph has the largest tree norm.
+    """:func:`select_subsets` under the single config ``cfg``."""
+    return select_subsets(g, candidates, [cfg], graph_id)[0]
 
-    Maximizing the subgraph tree norm minimizes the distance to the parent
-    graph.  Exact ties resolve to the lexicographically smallest sorted
-    subset.  :func:`~treesample.treenorm.subset_tree_norms` scores all
-    candidates together in masked passes over the parent's edges (chunks of
-    at most 65,536 candidate-(nodes + edges) entries, < 3 MB each), so no
-    subgraph is built until a caller uses the winner's ``kept`` nodes.
-    """
+
+def select_subsets(g: Graph, candidates: CandidateSet, cfgs,
+                   graph_id: int = 0) -> list[NodeSubsample]:
+    """Under each config in ``cfgs``, pick the candidate whose induced
+    subgraph has the largest tree norm, so the least distance to ``g``;
+    exact ties go to the lexicographically smallest sorted subset.  One
+    :func:`~treesample.treenorm.subset_tree_norm_sweep` scores ``g`` itself
+    and every candidate under every config, building no subgraph."""
     if len(candidates) == 0:
         raise ConfigError("candidate set is empty")
-    full = tree_norm(g, cfg)
-    vals = subset_tree_norms(g, candidates.subsets, cfg)
-    best = vals.max()
-    i = min(np.flatnonzero(vals == best), key=lambda j: candidates.subsets[j])
-    val = float(vals[i])
-    return NodeSubsample(graph_id, candidates.subsets[i], full, val, full - val,
-                         candidates.tags[i])
+    norms = subset_tree_norm_sweep(g, [range(g.node_count), *candidates.subsets], cfgs)
+    out = []
+    for full, vals in zip(norms[:, 0].tolist(), norms[:, 1:]):
+        best = vals.max()
+        i = min(np.flatnonzero(vals == best), key=lambda j: candidates.subsets[j])
+        val = float(vals[i])
+        out.append(NodeSubsample(graph_id, candidates.subsets[i], full, val,
+                                 full - val, candidates.tags[i]))
+    return out
 
 
 def build_candidates(g: Graph, k: int, seed: int,
@@ -243,7 +253,7 @@ def subsample_sweep(ds: Dataset, frac: float, cfgs,
                     seed: int = 0) -> list[list[NodeSubsample]]:
     """:func:`subsample_dataset` under each config in ``cfgs``, one list per
     config.  The candidates do not depend on the config, so each graph's
-    are built once and scored under every config."""
+    are built and scored once, by one :func:`select_subsets` call."""
     if not (0.0 < frac <= 1.0):
         raise ConfigError(f"frac must be in (0, 1], got {frac}")
     out = [[] for _ in cfgs]
@@ -255,6 +265,6 @@ def subsample_sweep(ds: Dataset, frac: float, cfgs,
             continue
         k = min(n, max(1, int(math.floor(frac * n + 0.5))))
         cands = build_candidates(g, k, seed + i, heuristics)
-        for subs, cfg in zip(out, cfgs):
-            subs.append(select_subset(g, cands, cfg, i))
+        for subs, pick in zip(out, select_subsets(g, cands, cfgs, i)):
+            subs.append(pick)
     return out

@@ -2,9 +2,9 @@
 
 Each one computes its quantity the literal way, for small inputs only: the
 tree mover's distance on materialized computation trees, matchings by
-lexicographic refinement or full enumeration, and medoid sets and node
-subsets by enumerating every candidate.  Tests and demos use them; no
-production module imports this one.
+lexicographic refinement or full enumeration, medoid sets and node
+subsets by enumerating every candidate, and the ERM loss one scalar at a
+time.  Tests and demos use them; no production module imports this one.
 """
 
 from __future__ import annotations
@@ -350,3 +350,13 @@ def brute_force_select(g: Graph, k: int, cfg: TmdConfig,
 def tree_norm_decision(g: Graph, k: int, tau: float, cfg: TmdConfig) -> bool:
     """Does some k-node induced subgraph reach tree norm >= tau?  (Oracle.)"""
     return brute_force_select(g, k, cfg).tree_norm_sub >= tau
+
+
+def abs_clipped_loss(pred: np.ndarray, label: float, clip: float = 10.0) -> float:
+    """|prediction - label| clipped to [0, clip]; 1-Lipschitz in the prediction.
+
+    ``gnn.finite_erm_sweep`` computes this loss for whole arrays at once."""
+    pred = np.asarray(pred, dtype=np.float64).reshape(-1)
+    if pred.shape != (1,):
+        raise ConfigError(f"loss needs a scalar readout, got shape {pred.shape}")
+    return float(min(abs(float(pred[0]) - float(label)), clip))

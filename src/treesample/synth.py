@@ -89,6 +89,8 @@ def random_pairs(ds: Dataset, count: int, seed: int) -> list[tuple[Graph, Graph]
     """Seeded random graph pairs (with replacement, distinct indices)."""
     if len(ds) < 2:
         raise ConfigError("need at least two graphs to form pairs")
+    if count < 1:
+        raise ConfigError(f"need at least one pair, got {count}")
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(count):

@@ -10,8 +10,9 @@ with L - 1 sparse mat-vec passes over the edge list:
 
 The empty product (L = 1) is 1, so a depth-1 norm is just ||x||_1.
 
-:func:`subset_tree_norms` scores many node subsets of one graph with the same
-recursion, one bin per (subset, node), without building induced subgraphs.
+:func:`subset_tree_norm_sweep` scores many node subsets of one graph under
+several configs with the same recursion, one bin per (subset, node), without
+building induced subgraphs.
 """
 
 from __future__ import annotations
@@ -52,30 +53,33 @@ class TreeNormReport:
 
 
 def _level_sums(x: np.ndarray, dst: np.ndarray, src: np.ndarray,
-                cfg: TmdConfig, mass: list | None = None) -> np.ndarray:
-    """The recursion above on flat node values ``x``: returns ``b``.
+                cfgs, mass: list | None = None) -> list[np.ndarray]:
+    """The recursion above on flat node values ``x``: ``b`` for each config
+    in ``cfgs``, all of ``x``'s feature norm.
 
     Edge i joins bins ``dst[i]`` and ``src[i]``.  Each bin receives its
     neighbours' values in edge order, so a bin whose edges are a subsequence
     of another graph's edges sums the same addends in the same order, and
     (higher neighbours) + (lower neighbours), the order the stored tree norms
-    have (``gnn._neighbor_sum`` keeps one running sum instead).  The
-    unweighted mass of every level is appended to ``mass`` when given.
+    have (``gnn._neighbor_sum`` keeps one running sum instead).  One walk to
+    the deepest config gives each ``b`` the addends of a walk of its own, as
+    ``z_l`` does not depend on the weights.  The unweighted mass of every
+    level is appended to ``mass`` when given.
     """
     size = x.shape[0]
-    z = x.copy()
-    b = x.copy()
+    z, bs, coefs = x, [x.copy() for _ in cfgs], [1.0] * len(cfgs)
     if mass is not None:
         mass.append(float(z.sum()))
-    coef = 1.0
-    for level in range(1, cfg.depth):
+    for level in range(1, max(cfg.depth for cfg in cfgs)):
         z = (np.bincount(dst, weights=z[src], minlength=size)
              + np.bincount(src, weights=z[dst], minlength=size))
-        coef *= cfg.level_weight(cfg.depth - level)
-        b += coef * z
+        for i, cfg in enumerate(cfgs):
+            if level < cfg.depth:
+                coefs[i] *= cfg.level_weight(cfg.depth - level)
+                bs[i] += coefs[i] * z
         if mass is not None:
             mass.append(float(z.sum()))
-    return b
+    return bs
 
 
 def _exact_sums(b: np.ndarray, ends, cfg: TmdConfig, what: str) -> list[float]:
@@ -104,40 +108,44 @@ def tree_norm_report(g: Graph, cfg: TmdConfig) -> TreeNormReport:
     eu, ev = g.edge_arrays()
     mass = []
     # overflow is caught by the checks in _exact_sums (a level mass past the
-    # float range reads inf), so numpy's overflow warnings would only add noise
-    with np.errstate(over="ignore"):
-        b = _level_sums(feature_norms(g.features, cfg.feature_norm), eu, ev,
-                        cfg, mass)
+    # float range reads inf, an infinite weight times an empty level NaN), so
+    # numpy's warnings would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        b, = _level_sums(feature_norms(g.features, cfg.feature_norm), eu, ev,
+                         [cfg], mass)
     value, = _exact_sums(b, [n], cfg, f"n={n}, m={g.edge_count}")
     return TreeNormReport(value, tuple(mass))
 
 
 def subset_tree_norms(g: Graph, subsets, cfg: TmdConfig) -> np.ndarray:
-    """Tree norm of the induced subgraph of ``g`` on each node subset.
+    """Tree norm of each induced subgraph: :func:`subset_tree_norm_sweep`'s row."""
+    return subset_tree_norm_sweep(g, subsets, [cfg])[0]
 
-    ``subsets`` is an iterable of node-index sequences; duplicates inside a
-    subset are ignored, as in :func:`~treesample.graphs.induced_subgraph`.
-    Entry c equals ``tree_norm(induced_subgraph(g, subsets[c]), cfg)`` bit
-    for bit, but no subgraph is built: candidates run the recursion together
-    on the parent's edge arrays, with every edge that leaves a candidate
-    dropped from that candidate's bins by index.  Candidates go through in
-    chunks of ``_SUBSET_BLOCK // (n + m)``, so ``chunk * (n + m)`` stays
-    within 65,536 and one pass peaks at about 45 bytes per entry (< 3 MB).
 
-    A node outside ``0 .. n - 1`` raises :class:`DatasetError`; a non-finite
-    norm raises :class:`NumericalOverflowError`.
+def subset_tree_norm_sweep(g: Graph, subsets, cfgs) -> np.ndarray:
+    """Entry (i, c) is ``tree_norm(induced_subgraph(g, subsets[c]), cfgs[i])``
+    bit for bit; ``subsets`` is an iterable of node-index sequences, and
+    duplicates inside one are ignored.
+
+    No subgraph is built: candidates run the recursion together on the
+    parent's edge arrays, every edge that leaves a candidate dropped from its
+    bins by index, and configs of one feature norm share one walk.  Chunks
+    of ``_SUBSET_BLOCK // (n + m)`` candidates keep ``chunk * (n + m)``
+    within 65,536, so a pass peaks at about 45 bytes per entry, plus 8 per
+    further config.  A node outside ``0 .. n - 1`` raises
+    :class:`DatasetError`; a non-finite norm :class:`NumericalOverflowError`.
     """
     subsets = iter(subsets)
     chunk = max(1, _SUBSET_BLOCK // max(1, g.node_count + g.edge_count))
-    out = []
+    out = [np.empty((len(cfgs), 0))]
     while True:
         block = [tuple(s) for s in itertools.islice(subsets, chunk)]
         if not block:
-            return np.array(out, dtype=np.float64)
-        out.extend(_score_block(g, block, cfg))
+            return np.concatenate(out, axis=1)
+        out.append(_score_block(g, block, cfgs))
 
 
-def _score_block(g: Graph, block: list, cfg: TmdConfig) -> list[float]:
+def _score_block(g: Graph, block: list, cfgs) -> np.ndarray:
     n, c = g.node_count, len(block)
     lengths = [len(s) for s in block]
     try:
@@ -155,13 +163,18 @@ def _score_block(g: Graph, block: list, cfg: TmdConfig) -> list[float]:
     eu, ev = g.edge_arrays()
     # one bin per (candidate, node); an edge stays only where both ends do
     cand, edge = np.nonzero(keep[:, eu] & keep[:, ev])
-    with np.errstate(over="ignore"):  # as in tree_norm_report
-        x = feature_norms(g.features, cfg.feature_norm)
-        b = _level_sums(np.tile(x, c), cand * n + eu[edge],
-                        cand * n + ev[edge], cfg).reshape(c, n)
-    # kept entries, candidate by candidate and in node order
-    return _exact_sums(b[keep], np.cumsum(keep.sum(axis=1)).tolist(), cfg,
-                       f"node subsets of n={n}, m={g.edge_count}")
+    dst, src = cand * n + eu[edge], cand * n + ev[edge]
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    rows = [None] * len(cfgs)
+    for norm in dict.fromkeys(cfg.feature_norm for cfg in cfgs):
+        group = [i for i, cfg in enumerate(cfgs) if cfg.feature_norm == norm]
+        with np.errstate(over="ignore", invalid="ignore"):  # as in tree_norm_report
+            bs = _level_sums(np.tile(feature_norms(g.features, norm), c), dst, src,
+                             [cfgs[i] for i in group])
+        for i, b in zip(group, bs):  # kept entries, candidate by candidate
+            rows[i] = _exact_sums(b.reshape(c, n)[keep], ends, cfgs[i],
+                                  f"node subsets of n={n}, m={g.edge_count}")
+    return np.array(rows, dtype=np.float64).reshape(len(cfgs), c)
 
 
 def tree_norm(g: Graph, cfg: TmdConfig) -> float:

@@ -8,12 +8,13 @@ from collections import deque
 
 import numpy as np
 
-from treesample import (ConfigError, DistanceMatrix, Graph, NodeSubsample,
-                        ScaleLimitError, Selection, TmdConfig, WeightFn,
+from treesample import (ConfigError, DistanceMatrix, ErmReport, Graph,
+                        NodeSubsample, ScaleLimitError, Selection, TmdConfig,
+                        WeightFn, abs_clipped_loss, build_candidates,
                         cluster_sizes, const_weights, feature_norms,
-                        finite_erm_check, induced_subgraph, kmedoids,
-                        medoids_objective, pairwise_matrix, random_gin,
-                        subsample_dataset, tree_norm, wl_histograms)
+                        gin_forward, induced_subgraph, kmedoids,
+                        layer_lipschitz, medoids_objective, nearest_medoid,
+                        pairwise_matrix, random_gin, tree_norm, wl_histograms)
 from treesample.node_select import new_candidate_set
 from treesample.oracles import _BRUTE_SUBSET_LIMIT, _padded_matching
 from treesample.tmd import _cross_distances
@@ -202,6 +203,26 @@ def reference_k_bfs_candidates(g, k):
     return cands
 
 
+def reference_core_numbers(g):
+    """Core numbers by peeling one minimum-degree node at a time, an
+    ``argmin`` over the live nodes per step (the original loop)."""
+    n = g.node_count
+    core = np.zeros(n, dtype=np.int64)
+    degc = g.degrees().astype(np.int64)
+    alive = np.ones(n, dtype=bool)
+    level = 0
+    for _ in range(n):
+        candidates = np.flatnonzero(alive)
+        v = int(candidates[np.argmin(degc[candidates])])
+        level = max(level, int(degc[v]))
+        core[v] = level
+        alive[v] = False
+        for u in g.neighbors(v):
+            if alive[u]:
+                degc[u] -= 1
+    return core
+
+
 def reference_candidate_add(cands, subset, tag):
     """``CandidateSet.add`` as first written, for every subset: sort and
     convert it, then keep it unless seen."""
@@ -344,10 +365,65 @@ def reference_node_embeddings(model, g):
     return z
 
 
+def reference_subsample_dataset(ds, frac, cfg, seed=0):
+    """``subsample_dataset`` with every candidate scored through
+    :func:`reference_select_subset` (one induced subgraph per candidate)."""
+    out = []
+    for i, g in enumerate(ds):
+        n = g.node_count
+        if n == 0:
+            out.append(NodeSubsample(i, (), 0.0, 0.0, 0.0, "empty"))
+            continue
+        k = min(n, max(1, int(math.floor(frac * n + 0.5))))
+        out.append(reference_select_subset(g, build_candidates(g, k, seed + i), cfg, i))
+    return out
+
+
+def reference_finite_erm_check(ds, labels, hypotheses, *, selection=None,
+                               subsamples=None, distances=None, clip=10.0,
+                               tol=1e-9):
+    """``finite_erm_check`` with one scalar loss and one chain norm per
+    (hypothesis, graph): ``abs_clipped_loss`` and ``np.linalg.norm`` in
+    Python loops (the original loop)."""
+    n = len(ds)
+    labels = [float(y) for y in labels]
+    m_lip = 1.0
+    preds_full = [[gin_forward(h, g) for g in ds] for h in hypotheses]
+    full_losses = [
+        math.fsum(abs_clipped_loss(p[i], labels[i], clip) for i in range(n)) / n
+        for p in preds_full]
+    min_loss_full = min(full_losses)
+    c = m_lip * max(layer_lipschitz(h).product for h in hypotheses)
+    if selection is not None:
+        idx = list(selection.indices)
+        owners = [int(o) for o in nearest_medoid(distances, idx)]
+        mode, epsilon = "graphs", medoids_objective(distances, idx)
+        stand_ins = [[p[o] for o in owners] for p in preds_full]
+        stand_in_labels = [labels[o] for o in owners]
+    else:
+        mode = "nodes"
+        epsilon = math.fsum(s.tmd_to_full for s in subsamples) / n
+        subgraphs = [induced_subgraph(g, s.kept) for g, s in zip(ds, subsamples)]
+        stand_ins = [[gin_forward(h, sg) for sg in subgraphs] for h in hypotheses]
+        stand_in_labels = labels
+    sub_losses = [math.fsum(abs_clipped_loss(q[i], stand_in_labels[i], clip)
+                            for i in range(n)) / n for q in stand_ins]
+    chain_rhs = [m_lip * math.fsum(float(np.linalg.norm(q[i] - p[i]))
+                                   for i in range(n)) / n
+                 for q, p in zip(stand_ins, preds_full)]
+    excess = max(abs(s - f) - r for s, f, r in zip(sub_losses, full_losses, chain_rhs))
+    erm = min(range(len(hypotheses)), key=lambda t: (sub_losses[t], t))
+    bound_rhs = 2.0 * c * epsilon
+    return ErmReport(mode, full_losses[erm], min_loss_full, bound_rhs, epsilon, m_lip,
+                     full_losses[erm] <= min_loss_full + bound_rhs + tol,
+                     excess <= tol, excess, erm)
+
+
 def reference_verify_erm_payload(args, ds, mode):
     """``verify --mode erm-*`` payload from one full pipeline per preset:
-    ``pairwise_matrix`` and ``kmedoids``, or ``subsample_dataset``, then
-    ``finite_erm_check`` (the original loop)."""
+    ``pairwise_matrix`` and ``kmedoids``, or
+    :func:`reference_subsample_dataset`, then
+    :func:`reference_finite_erm_check` (the original loop)."""
     from treesample.cli import _sweep_configs
 
     labels = ds.labels()
@@ -358,11 +434,12 @@ def reference_verify_erm_payload(args, ds, mode):
         if mode == "erm-graphs":
             dm = pairwise_matrix(ds, c)
             sel = kmedoids(dm, args.k, seed=args.seed)
-            report = finite_erm_check(ds, labels, hypotheses, selection=sel,
-                                      distances=dm)
+            report = reference_finite_erm_check(ds, labels, hypotheses,
+                                                selection=sel, distances=dm)
         else:
-            subs = subsample_dataset(ds, args.frac, c, seed=args.seed)
-            report = finite_erm_check(ds, labels, hypotheses, subsamples=subs)
+            subs = reference_subsample_dataset(ds, args.frac, c, seed=args.seed)
+            report = reference_finite_erm_check(ds, labels, hypotheses,
+                                                subsamples=subs)
         reports.append((c.weights.spec_string(), report))
     return {"mode": mode,
             "reports": [dict(json.loads(r.to_json()), preset=p) for p, r in reports],

@@ -1,0 +1,134 @@
+"""Every argv ends in a documented exit code, never a traceback.
+
+The fixed repros are flag values that once crashed or checked nothing;
+the Hypothesis test draws argv for every subcommand on a 3-graph dataset,
+with every size-like value capped so that no draw asks for real work.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from treesample import ConfigError, Graph, make_dataset, random_gin, save_jsonl
+from treesample.cli import main
+from treesample.synth import random_pairs, synthetic_dataset
+
+EXIT_CODES = {0, 1, 2, 3, 4, 70}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "erm-nodes", "--synthetic", "6", "--hidden", "0"],
+    ["verify", "--mode", "stability", "--synthetic", "6", "--hidden", "-1"],
+    ["verify", "--mode", "stability", "--synthetic", "6", "--pairs", "-3"],
+    ["verify", "--mode", "stability", "--synthetic", "6", "--pairs", "0"],
+], ids=["erm-hidden-0", "stability-hidden-minus-1", "pairs-minus-3", "pairs-0"])
+def test_cli_rejects_non_positive_sizes(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_library_rejects_non_positive_sizes():
+    with pytest.raises(ConfigError, match="hidden must be >= 1"):
+        random_gin(0, 3, 0, 2)
+    assert random_gin(0, 3, 0, 1).out_dim == 1  # a readout-only model has no hidden layer
+    ds = synthetic_dataset(3, 0)
+    for count in (0, -3):
+        with pytest.raises(ConfigError, match="at least one pair"):
+            random_pairs(ds, count, 0)
+
+
+def _dataset_path(directory):
+    rng = np.random.default_rng(5)
+    graphs = [Graph(n, [(u, u + 1) for u in range(n - 1)], rng.uniform(0, 2, (n, 2)),
+                    label=i % 2) for i, n in enumerate((3, 5, 4))]
+    path = directory / "ds.jsonl"
+    save_jsonl(make_dataset(graphs), path)
+    return path
+
+
+def _ints(low, top):
+    """Valid values ``low .. top`` and invalid ones from -3 up to ``low - 1``."""
+    return st.integers(low, top).map(str), st.integers(-3, low - 1).map(str)
+
+
+def _choices(valid, invalid):
+    return st.sampled_from(valid), st.sampled_from(invalid)
+
+
+JUNK = st.sampled_from(["", "x", "1.5", "-", "1e3", "0x10", "nan", "--json"])
+FRACS = _choices(["0.2", "0.5", "1"], ["nan", "inf", "-inf", "0", "-0.5", "1e-300", "1.5"])
+WEIGHTS = ("--weights", *_choices(
+    ["const:1.0", "const:0.5", "table:1,2,3", "const:1e200"],
+    ["const:inf", "const:0", "const:-1", "const:nan", "table:", "table:1,x",
+     "zipf:2", "pascal"]), False)
+
+# per subcommand: (flag, valid values, invalid values, required)
+COMMON = [("--depth", *_ints(1, 4), False),
+          ("--norm", *_choices(["l1", "l2"], ["l3"]), False),
+          ("--seed", *_ints(0, 3), False),
+          ("--format", *_choices(["jsonl"], ["tu"]), False)]
+FLAGS = {
+    "dist": [WEIGHTS],
+    "treenorm": [WEIGHTS],
+    "subsample-graphs": [
+        WEIGHTS, ("--k", *_ints(1, 4), True),
+        ("--method", *_choices(["tmd", "wl", "feature", "random"], ["x"]), False)],
+    "subsample-nodes": [
+        WEIGHTS, ("--frac", *FRACS, True),
+        ("--heuristics", *_choices(["bfs,rw,kcore", "bfs", "kcore,rw"], [",", "bfs,x"]),
+         False)],
+    "verify": [
+        ("--mode", *_choices(["stability", "erm-graphs", "erm-nodes",
+                              "wl-counterexample"], ["x"]), True),
+        ("--synthetic", *_ints(1, 12), False), ("--pairs", *_ints(1, 20), False),
+        ("--hypotheses", *_ints(1, 4), False), ("--k", *_ints(1, 4), False),
+        ("--frac", *FRACS, False), ("--hidden", *_ints(1, 8), False),
+        ("--eta", *_choices(["0.5", "1", "4", "1e200"],
+                            ["1e308", "inf", "nan", "0", "-1"]), False)],
+}
+
+
+@st.composite
+def argvs(draw):
+    """argv with each flag's value invalid in about one draw of six."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag, valid, invalid, required in FLAGS[command] + COMMON:
+        if required or draw(st.integers(0, 2)) == 0:
+            kind = draw(st.sampled_from(["valid"] * 10 + ["invalid", "junk"]))
+            argv += [flag, draw({"valid": valid, "invalid": invalid, "junk": JUNK}[kind])]
+    if draw(st.integers(0, 4)) < 4:  # without a dataset, only --synthetic loads
+        argv.append("--dataset")
+    if draw(st.integers(0, 3)) < 3:
+        argv += ["--cache", "--out", "--json"]
+    return argv
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(argvs())
+@example(["subsample-nodes", "--frac", "0.5", "--seed", "-1", "--dataset"])
+@example(["verify", "--mode", "stability", "--eta", "1e308", "--dataset"])
+@example(["verify", "--mode", "erm-nodes", "--eta", "1e308", "--dataset"])
+@example(["verify", "--mode", "erm-graphs", "--k", "2", "--eta", "1e154", "--depth", "3",
+          "--dataset"])
+def test_cli_argv_fuzz_exits_with_a_documented_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {"--dataset": str(_dataset_path(tmp)), "--cache": str(tmp / "d.tmdc"),
+                 "--out": str(tmp / "out.json")}
+        argv = [part for arg in argv
+                for part in ([arg, paths[arg]] if arg in paths else [arg])]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in EXIT_CODES, (argv, code, err)
+    assert "Traceback" not in err + out, argv
+    if code in (1, 2):
+        assert err.startswith("error: "), (argv, err)

@@ -36,12 +36,39 @@ def _distinct_kept(ds, args):
     return {(s.graph_id, s.kept) for subs in sweep for s in subs}
 
 
-@pytest.mark.parametrize("seed", [0, 2])
-def test_verify_erm_nodes_payload_matches_one_pipeline_per_preset(seed):
-    ds = _nodes_dataset(seed)
-    args = _args("erm-nodes", "--hypotheses", "20", "--frac", "0.5")
-    # seed 2 has graphs whose presets keep different nodes; seed 0 has none
-    assert (len(_distinct_kept(ds, args)) > len(ds)) == (seed == 2)
+def _one_node_dataset():
+    """Labelled graphs of 1-9 nodes, four of them single nodes: at --frac
+    0.2 most subgraphs are 1- or 2-node graphs, whose GIN forwards run
+    one-row matrix products."""
+    rng = np.random.default_rng(11)
+    return make_dataset([random_graph(rng, n, 0.5, feature_dim=3,
+                                      label=int(rng.integers(2)))
+                         for n in (1, 4, 1, 9, 2, 1, 6, 1, 3)])
+
+
+# case: (dataset, extra argv); "0" and "2" are nodes-workload seeds at the
+# default --hidden 8.  The other widths and the 1-node graphs give one-row
+# products and shapes at which a BLAS product row may depend on the rows
+# computed with it, so forwards batched across graphs cannot change these
+# bytes silently.
+PAYLOAD_CASES = {
+    "0": (lambda: _nodes_dataset(0), []),
+    "2": (lambda: _nodes_dataset(2), []),
+    "hidden-1": (lambda: _nodes_dataset(2), ["--hidden", "1"]),
+    "hidden-12": (lambda: _nodes_dataset(2), ["--hidden", "12"]),
+    "hidden-64": (lambda: _nodes_dataset(0), ["--hidden", "64"]),
+    "one-node-graphs": (_one_node_dataset, ["--frac", "0.2"]),
+}
+
+
+@pytest.mark.parametrize("case", list(PAYLOAD_CASES))
+def test_verify_erm_nodes_payload_matches_one_pipeline_per_preset(case):
+    make, extra = PAYLOAD_CASES[case]
+    ds = make()
+    args = _args("erm-nodes", "--hypotheses", "20", "--frac", "0.5", *extra)
+    if case in ("0", "2"):
+        # seed 2 has graphs whose presets keep different nodes; seed 0 has none
+        assert (len(_distinct_kept(ds, args)) > len(ds)) == (case == "2")
     payload, _, _ = _verify_erm(args, ds, "erm-nodes")
     want = reference_verify_erm_payload(args, ds, "erm-nodes")
     assert json.dumps(payload, sort_keys=True) == json.dumps(want, sort_keys=True)
@@ -81,14 +108,14 @@ def test_verify_erm_nodes_does_preset_independent_work_once(monkeypatch):
         monkeypatch.setattr(module, name, counting)
 
     count(node_select, "build_candidates")
-    count(node_select, "select_subset")
+    count(node_select, "select_subsets")
     count(gnn, "layer_lipschitz")
     count(gnn, "gin_forward")
     count(gnn, "induced_subgraph")
     _verify_erm(args, ds, "erm-nodes")
     n = len(ds)
     assert n < len(distinct) < 4 * n
-    assert calls == {"build_candidates": n, "select_subset": 4 * n,
+    assert calls == {"build_candidates": n, "select_subsets": n,
                      "layer_lipschitz": hyps, "gin_forward": hyps * (n + len(distinct)),
                      "induced_subgraph": len(distinct)}
 

@@ -9,12 +9,12 @@ from treesample import (ConfigError, Graph, brute_force_select, build_candidates
                         core_numbers, induced_subgraph, k_bfs_candidates,
                         kcore_candidate, load_subsamples, make_dataset,
                         new_candidate_set, rw_candidate, save_subsamples,
-                        select_subset, subsample_dataset, tree_norm,
-                        tree_norm_decision)
+                        select_subset, select_subsets, subsample_dataset,
+                        tree_norm, tree_norm_decision)
 
 from helpers import (cfg, random_graph, random_table_cfg,
-                     reference_brute_force_select, reference_k_bfs_candidates,
-                     reference_select_subset)
+                     reference_brute_force_select, reference_core_numbers,
+                     reference_k_bfs_candidates, reference_select_subset)
 
 STAR = Graph(4, [(0, 1), (0, 2), (0, 3)], np.ones((4, 1)))
 PATH5 = Graph(5, [(i, i + 1) for i in range(4)], np.ones((5, 1)))
@@ -82,6 +82,19 @@ def test_bfs_balls_match_python_bfs():
             assert (got.subsets, got.tags) == (want.subsets, want.tags)
 
 
+def test_bfs_balls_match_python_bfs_at_budget_edges():
+    # k = n - 1 and k > n take the no-partition branch of every block
+    rng = np.random.default_rng(31)
+    graphs = [Graph(0, [], np.zeros((0, 1))), Graph(1, [], np.ones((1, 1))),
+              Graph(5, [], np.ones((5, 1)))]
+    graphs += [random_graph(rng, n_max=25, p=p) for p in (0.05, 0.15, 0.4) for _ in range(6)]
+    for g in graphs:
+        n = g.node_count
+        for k in sorted({1, 2, n // 2, n - 1, n + 3} - {0, -1}):
+            got, want = k_bfs_candidates(g, k), reference_k_bfs_candidates(g, k)
+            assert (got.subsets, got.tags) == (want.subsets, want.tags)
+
+
 def test_bfs_balls_match_python_bfs_across_root_blocks():
     # more than 512 nodes, so hop counts come from two shortest_path blocks
     g = _sparse_graph(np.random.default_rng(6), 530, 1.2 / 530)
@@ -97,6 +110,19 @@ def test_core_numbers_known_graphs():
     assert list(core_numbers(PATH5)) == [1, 1, 1, 1, 1]
     tri_pendant = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], np.ones((4, 1)))
     assert list(core_numbers(tri_pendant)) == [2, 2, 2, 1]
+
+
+def test_core_numbers_match_argmin_peel_on_seeded_graphs():
+    rng = np.random.default_rng(30)
+    graphs = [Graph(0, [], np.zeros((0, 1))), Graph(1, [], np.ones((1, 1))),
+              Graph(6, [], np.ones((6, 1))),
+              Graph(7, list(itertools.combinations(range(7), 2)), np.ones((7, 1)))]
+    graphs += [random_graph(rng, n_max=30, n_min=0, p=float(rng.uniform(0.0, 0.8)))
+               for _ in range(500)]
+    for g in graphs:
+        got = core_numbers(g)
+        assert got.dtype == np.int64
+        assert got.tolist() == reference_core_numbers(g).tolist()
 
 
 def test_kcore_candidate_prefers_dense_part():
@@ -239,6 +265,31 @@ def test_select_subset_bit_identical_to_per_candidate_loop():
         got = select_subset(g, cands, c, graph_id=trial)
         want = reference_select_subset(g, cands, c, graph_id=trial)
         assert got == want and got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("block", [None, 40])
+def test_select_subsets_match_per_config_loop(monkeypatch, block):
+    import treesample.treenorm as treenorm
+    if block is not None:  # a few subsets per pass, so ties straddle chunks
+        monkeypatch.setattr(treenorm, "_SUBSET_BLOCK", block)
+    rng = np.random.default_rng(19)
+    for trial in range(30):
+        g = random_graph(rng, n_max=14, n_min=1, feature_dim=2,
+                         p=float(rng.uniform(0.05, 0.6)))
+        if trial % 4 == 0:  # unit features and few edges give exact ties
+            g = Graph(g.node_count, g.edges[:2], np.ones((g.node_count, 1)))
+        # mixed depths, norms and weight tables, a depth-1 config, a repeat
+        cfgs = [random_table_cfg(rng, int(rng.integers(1, 5)),
+                                 norm=str(rng.choice(["l1", "l2"])))
+                for _ in range(3)]
+        cfgs += [cfg(1, norm="l1"), cfg(4, 0.5), cfgs[0]]
+        cands = build_candidates(g, int(rng.integers(1, g.node_count + 1)), seed=trial)
+        got = select_subsets(g, cands, cfgs, graph_id=trial)
+        want = [reference_select_subset(g, cands, c, graph_id=trial) for c in cfgs]
+        assert got == want and [p.to_json() for p in got] == [w.to_json() for w in want]
+    assert select_subsets(g, cands, []) == []
+    with pytest.raises(ConfigError, match="candidate set is empty"):
+        select_subsets(g, new_candidate_set(), cfgs)
 
 
 @pytest.mark.parametrize("block", [None, 40])

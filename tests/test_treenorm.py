@@ -7,8 +7,8 @@ import pytest
 from treesample import (DatasetError, Graph, NumericalOverflowError, TmdConfig,
                         WeightFn, const_weights, empty_graph, feature_norms,
                         k_bfs_candidates, kcore_candidate, rw_candidate,
-                        subset_tree_norms, tree_norm, tree_norm_batch,
-                        tree_norm_naive, tree_norm_report)
+                        subset_tree_norm_sweep, subset_tree_norms, tree_norm,
+                        tree_norm_batch, tree_norm_naive, tree_norm_report)
 from treesample.treenorm import _SUBSET_BLOCK
 
 from helpers import (cfg, random_graph, random_table_cfg,
@@ -124,6 +124,20 @@ def test_subset_norms_bit_identical_to_induced_subgraphs(norm, depth):
         subsets += [rw_candidate(g, k, trial), kcore_candidate(g, k)]
         subsets += list(itertools.combinations(range(g.node_count), min(k, 3)))
         _assert_same_norms(g, subsets, c)
+
+
+def test_subset_norm_sweep_rows_match_subset_norms_per_config():
+    rng = np.random.default_rng(44)
+    g = random_graph(rng, n_max=14, n_min=8, feature_dim=3, p=0.4)
+    subsets = list(k_bfs_candidates(g, 5).subsets) + [tuple(range(g.node_count)), ()]
+    cfgs = [cfg(3, 2.0), cfg(1, norm="l1"), random_table_cfg(rng, 4, norm="l1"),
+            cfg(2, 0.5), random_table_cfg(rng, 3)]
+    got = subset_tree_norm_sweep(g, subsets, cfgs)
+    assert got.shape == (len(cfgs), len(subsets))
+    for row, c in zip(got, cfgs):
+        assert row.tobytes() == reference_subset_tree_norms(g, subsets, c).tobytes()
+    assert subset_tree_norm_sweep(g, subsets, []).shape == (0, len(subsets))
+    assert subset_tree_norm_sweep(g, [], cfgs).shape == (len(cfgs), 0)
 
 
 def test_subset_norms_span_several_chunks():
