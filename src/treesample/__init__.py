@@ -13,11 +13,10 @@ from .errors import (CacheMismatchError, ConfigError, DatasetError,
 from .graphs import (Dataset, Graph, dataset_fingerprint, empty_graph,
                      induced_subgraph, load_jsonl, load_tu, make_dataset,
                      save_jsonl)
-from .matching import matching_value
 from .tmd import (DistanceMatrix, pairwise_matrix, tmd, tmd_cost_matrix,
                   tmd_subgraph)
-from .treenorm import (TreeNormReport, feature_norms, subset_tree_norm_sweep,
-                       subset_tree_norms, tree_norm, tree_norm_report)
+from .treenorm import (feature_norms, subset_tree_norm_sweep, subset_tree_norms,
+                       tree_norm)
 from .cache import load_or_compute, read_matrix, write_matrix
 from .graph_select import (Selection, cluster_sizes, feature_distance_matrix,
                            kmedoids, load_selection, medoids_objective,
@@ -30,9 +29,9 @@ from .node_select import (CandidateSet, NodeSubsample, build_candidates,
                           subsample_dataset, subsample_sweep)
 from .oracles import (MatchingResult, RootedTree, abs_clipped_loss, blank_tree,
                       brute_force_matching, brute_force_medoids,
-                      brute_force_select, computation_tree, min_cost_matching,
-                      tmd_naive, tree_blank_distance, tree_distance,
-                      tree_norm_batch, tree_norm_decision, tree_norm_naive)
+                      brute_force_select, computation_tree, matching_value,
+                      min_cost_matching, tmd_naive, tree_blank_distance,
+                      tree_distance, tree_norm_decision, tree_norm_naive)
 from .gnn import (ErmReport, GinLayer, GinModel, LipschitzProfile,
                   StabilityReport, finite_erm_check, finite_erm_sweep,
                   gin_forward, identity_gin, layer_lipschitz,

@@ -8,6 +8,7 @@ ever evaluates ``w(1) .. w(L - 1)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -40,13 +41,13 @@ class WeightFn:
         if self.kind not in ("const", "table"):
             raise ConfigError(f"unknown weight kind {self.kind!r}")
         if self.kind == "const":
-            if not (self.value > 0.0):
-                raise ConfigError("constant weight must be positive")
+            if not (0.0 < self.value < math.inf):
+                raise ConfigError("constant weight must be positive and finite")
         else:
             if not self.table:
                 raise ConfigError("weight table must be non-empty")
-            if any(not (w > 0.0) for w in self.table):
-                raise ConfigError("weight table entries must be positive")
+            if any(not (0.0 < w < math.inf) for w in self.table):
+                raise ConfigError("weight table entries must be positive and finite")
 
     def weight(self, level: int) -> float:
         """Return w(level) for level >= 1."""

@@ -1,10 +1,11 @@
 """Reference routines ("oracles") that the fast paths are checked against.
 
 Each one computes its quantity the literal way, for small inputs only: the
-tree mover's distance on materialized computation trees, matchings by
-lexicographic refinement or full enumeration, medoid sets and node
-subsets by enumerating every candidate, and the ERM loss one scalar at a
-time.  Tests and demos use them; no production module imports this one.
+tree mover's distance on materialized computation trees, matching values
+on validated input, matchings by lexicographic refinement or full
+enumeration, medoid sets and node subsets by enumerating every candidate,
+and the ERM loss one scalar at a time.  Tests and demos use them; no
+production module imports this one.
 """
 
 from __future__ import annotations
@@ -20,15 +21,38 @@ from .config import TmdConfig
 from .errors import ConfigError, DatasetError, ScaleLimitError
 from .graph_select import Selection, cluster_sizes, medoids_objective
 from .graphs import Graph, empty_graph
-from .matching import _check_square, _permutations, matching_value
 from .node_select import NodeSubsample
-from .tmd import DistanceMatrix
+from .tmd import DistanceMatrix, _permutations
 from .treenorm import feature_norms, subset_tree_norms, tree_norm
 
 _BRUTE_LIMIT = 9
 _NAIVE_NODE_LIMIT = 12
 _NAIVE_DEPTH_LIMIT = 4
 _BRUTE_SUBSET_LIMIT = 100_000
+
+
+def _check_square(cost: np.ndarray) -> np.ndarray:
+    c = np.asarray(cost, dtype=np.float64)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError(f"cost matrix must be square, got shape {c.shape}")
+    if c.size and not np.isfinite(c).all():
+        raise ValueError("cost matrix contains non-finite entries")
+    return c
+
+
+def matching_value(cost: np.ndarray) -> float:
+    """Minimum total cost over perfect matchings of a square cost matrix.
+
+    The plain sum of matched entries, with no normalization factor, summed
+    with ``math.fsum``; a non-square or non-finite matrix raises
+    ``ValueError``.
+    """
+    c = _check_square(cost)
+    q = c.shape[0]
+    if q == 0:
+        return 0.0
+    rows, cols = linear_sum_assignment(c)
+    return math.fsum(c[rows, cols])
 
 
 @dataclass(frozen=True)
@@ -294,11 +318,6 @@ def tmd_naive(ga: Graph, gb: Graph, cfg: TmdConfig) -> float:
 def tree_norm_naive(g: Graph, cfg: TmdConfig) -> float:
     """Oracle tree norm: naive distance to the empty graph."""
     return tmd_naive(g, empty_graph(max(1, g.feature_dim)), cfg)
-
-
-def tree_norm_batch(graphs, cfg: TmdConfig) -> np.ndarray:
-    """Tree norms for a sequence of graphs."""
-    return np.array([tree_norm(g, cfg) for g in graphs], dtype=np.float64)
 
 
 def brute_force_medoids(d: DistanceMatrix, k: int) -> Selection:

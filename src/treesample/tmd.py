@@ -25,7 +25,6 @@ from scipy.spatial.distance import cdist, squareform
 from .config import TmdConfig
 from .errors import DatasetError, NumericalOverflowError
 from .graphs import Dataset, Graph
-from .matching import _permutations, matching_value
 from .treenorm import feature_norms, subset_tree_norms, tree_norm
 
 # blocks up to this size are solved by enumerating permutations, larger ones
@@ -34,6 +33,8 @@ _ENUM_MAX_Q = 4
 # permutations whose float sum is within this relative distance of the
 # smallest one are re-summed exactly
 _NEAR_RTOL = 1e-9
+
+_perm_cache: dict[int, np.ndarray] = {}
 
 
 def _cross_distances(fa: np.ndarray, fb: np.ndarray, norm: str) -> np.ndarray:
@@ -104,6 +105,12 @@ def _extended(td: np.ndarray, bl_a: np.ndarray, bl_b: np.ndarray) -> np.ndarray:
             f"tree distance table overflowed (n={na} vs n={nb}); "
             "reduce the depth, the level weights or the feature scale")
     return ext
+
+
+def _permutations(q: int) -> np.ndarray:
+    if q not in _perm_cache:
+        _perm_cache[q] = np.array(list(itertools.permutations(range(q))), dtype=np.int64)
+    return _perm_cache[q]
 
 
 def _solve_enumerated(blocks: np.ndarray) -> np.ndarray:
@@ -191,7 +198,7 @@ def tmd_cost_matrix(ga: Graph, gb: Graph, cfg: TmdConfig) -> np.ndarray:
 
     Rows 0..na-1 are ga's trees, columns 0..nb-1 are gb's; the remaining
     rows/columns (if any) are blank padding.  The tree mover's distance is
-    the min-cost matching value of this matrix.
+    the min-cost matching value of this matrix, one more padded block.
     """
     na, nb = ga.node_count, gb.node_count
     ext = _tmd_tables(ga, gb, cfg)
@@ -205,14 +212,15 @@ def tmd(ga: Graph, gb: Graph, cfg: TmdConfig) -> float:
     Non-negative, zero for identical graphs, and symmetric up to one ulp:
     on the transposed costs ``linear_sum_assignment`` may pick another
     near-tie assignment.  Values are exact matching sums (no normalization by
-    multiset size).
+    multiset size).  The top-level matching is one more LSAP block
+    (``_solve_lsap``), whatever its size.
     """
     if ga.node_count == 0:
         return tree_norm(gb, cfg)
     if gb.node_count == 0:
         return tree_norm(ga, cfg)
     try:
-        return matching_value(tmd_cost_matrix(ga, gb, cfg))
+        return float(_solve_lsap(tmd_cost_matrix(ga, gb, cfg)[None])[0])
     except OverflowError as exc:  # an exact fsum of finite entries overflowed
         raise NumericalOverflowError(
             f"tree mover's distance overflowed at depth {cfg.depth}; "

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,16 +43,8 @@ def feature_norms(features: np.ndarray, norm: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TreeNormReport:
-    """Tree norm plus the l1 mass of each unweighted walk level (diagnostics)."""
-
-    value: float
-    level_mass: tuple[float, ...]
-
-
 def _level_sums(x: np.ndarray, dst: np.ndarray, src: np.ndarray,
-                cfgs, mass: list | None = None) -> list[np.ndarray]:
+                cfgs) -> list[np.ndarray]:
     """The recursion above on flat node values ``x``: ``b`` for each config
     in ``cfgs``, all of ``x``'s feature norm.
 
@@ -63,13 +54,10 @@ def _level_sums(x: np.ndarray, dst: np.ndarray, src: np.ndarray,
     (higher neighbours) + (lower neighbours), the order the stored tree norms
     have (``gnn._neighbor_sum`` keeps one running sum instead).  One walk to
     the deepest config gives each ``b`` the addends of a walk of its own, as
-    ``z_l`` does not depend on the weights.  The unweighted mass of every
-    level is appended to ``mass`` when given.
+    ``z_l`` does not depend on the weights.
     """
     size = x.shape[0]
     z, bs, coefs = x, [x.copy() for _ in cfgs], [1.0] * len(cfgs)
-    if mass is not None:
-        mass.append(float(z.sum()))
     for level in range(1, max(cfg.depth for cfg in cfgs)):
         z = (np.bincount(dst, weights=z[src], minlength=size)
              + np.bincount(src, weights=z[dst], minlength=size))
@@ -77,8 +65,6 @@ def _level_sums(x: np.ndarray, dst: np.ndarray, src: np.ndarray,
             if level < cfg.depth:
                 coefs[i] *= cfg.level_weight(cfg.depth - level)
                 bs[i] += coefs[i] * z
-        if mass is not None:
-            mass.append(float(z.sum()))
     return bs
 
 
@@ -100,21 +86,19 @@ def _exact_sums(b: np.ndarray, ends, cfg: TmdConfig, what: str) -> list[float]:
             "the depth, the level weights or the feature scale") from exc
 
 
-def tree_norm_report(g: Graph, cfg: TmdConfig) -> TreeNormReport:
-    """Tree norm of ``g`` with per-level diagnostics."""
+def tree_norm(g: Graph, cfg: TmdConfig) -> float:
+    """Tree norm of ``g`` (distance to the empty graph)."""
     n = g.node_count
     if n == 0:
-        return TreeNormReport(0.0, tuple(0.0 for _ in range(cfg.depth)))
+        return 0.0
     eu, ev = g.edge_arrays()
-    mass = []
-    # overflow is caught by the checks in _exact_sums (a level mass past the
-    # float range reads inf, an infinite weight times an empty level NaN), so
-    # numpy's warnings would only add noise
+    # overflow is caught by the checks in _exact_sums (a level sum past the
+    # float range reads inf, a weight product past it times an empty level
+    # NaN), so numpy's warnings would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
-        b, = _level_sums(feature_norms(g.features, cfg.feature_norm), eu, ev,
-                         [cfg], mass)
+        b, = _level_sums(feature_norms(g.features, cfg.feature_norm), eu, ev, [cfg])
     value, = _exact_sums(b, [n], cfg, f"n={n}, m={g.edge_count}")
-    return TreeNormReport(value, tuple(mass))
+    return value
 
 
 def subset_tree_norms(g: Graph, subsets, cfg: TmdConfig) -> np.ndarray:
@@ -168,16 +152,10 @@ def _score_block(g: Graph, block: list, cfgs) -> np.ndarray:
     rows = [None] * len(cfgs)
     for norm in dict.fromkeys(cfg.feature_norm for cfg in cfgs):
         group = [i for i, cfg in enumerate(cfgs) if cfg.feature_norm == norm]
-        with np.errstate(over="ignore", invalid="ignore"):  # as in tree_norm_report
+        with np.errstate(over="ignore", invalid="ignore"):  # as in tree_norm
             bs = _level_sums(np.tile(feature_norms(g.features, norm), c), dst, src,
                              [cfgs[i] for i in group])
         for i, b in zip(group, bs):  # kept entries, candidate by candidate
             rows[i] = _exact_sums(b.reshape(c, n)[keep], ends, cfgs[i],
                                   f"node subsets of n={n}, m={g.edge_count}")
     return np.array(rows, dtype=np.float64).reshape(len(cfgs), c)
-
-
-def tree_norm(g: Graph, cfg: TmdConfig) -> float:
-    """Tree norm of ``g`` (distance to the empty graph)."""
-    return tree_norm_report(g, cfg).value
-

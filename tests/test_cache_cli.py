@@ -217,6 +217,13 @@ def test_cli_treenorm_overflow_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "overflow" in err and "Traceback" not in err
+    # a finite weight whose depth-3 product w(2) w(1) is not
+    save_jsonl(make_dataset([Graph(2, [(0, 1)], np.ones((2, 1)))]), path)
+    code = main(["treenorm", "--dataset", str(path), "--depth", "3",
+                 "--weights", "const:1e308"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "overflow" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("edges", ['[["0", "1"]]', "[[0, 1.5]]", "[[0, true]]"])

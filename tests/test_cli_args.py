@@ -26,8 +26,15 @@ EXIT_CODES = {0, 1, 2, 3, 4, 70}
     ["verify", "--mode", "stability", "--synthetic", "6", "--hidden", "-1"],
     ["verify", "--mode", "stability", "--synthetic", "6", "--pairs", "-3"],
     ["verify", "--mode", "stability", "--synthetic", "6", "--pairs", "0"],
-], ids=["erm-hidden-0", "stability-hidden-minus-1", "pairs-minus-3", "pairs-0"])
-def test_cli_rejects_non_positive_sizes(argv, capsys):
+    ["treenorm", "--weights", "const:inf", "--dataset"],
+    ["treenorm", "--depth", "3", "--weights", "table:1,inf", "--dataset"],
+    # the sweep's const:2*eta preset is infinite
+    ["verify", "--mode", "erm-nodes", "--synthetic", "6", "--eta", "1e308"],
+], ids=["erm-hidden-0", "stability-hidden-minus-1", "pairs-minus-3", "pairs-0",
+        "weight-const-inf", "weight-table-inf", "erm-eta-1e308"])
+def test_cli_rejects_non_positive_sizes(argv, tmp_path, capsys):
+    if argv[-1] == "--dataset":
+        argv = [*argv, str(_dataset_path(tmp_path))]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -38,7 +38,7 @@ def test_parse_round_trips_through_spec_string():
         assert parse_weights(w.spec_string()) == w
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("inf")])
 def test_nonpositive_weights_rejected(value):
     with pytest.raises(ConfigError):
         const_weights(value)

@@ -26,10 +26,11 @@ def test_empty_matrix():
 
 
 def test_rejects_nonsquare_and_nonfinite():
-    with pytest.raises(ValueError):
-        min_cost_matching(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        min_cost_matching(np.array([[np.nan, 1.0], [1.0, 1.0]]))
+    for solve in (min_cost_matching, matching_value):
+        with pytest.raises(ValueError, match="square"):
+            solve(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(np.array([[np.nan, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         brute_force_matching(np.array([[np.inf]]))
 

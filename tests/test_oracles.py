@@ -14,7 +14,8 @@ MOVED = ("MatchingResult", "min_cost_matching", "brute_force_matching",
          "tree_distance", "tree_blank_distance", "tmd_naive",
          "tree_norm_naive", "_NAIVE_NODE_LIMIT", "_NAIVE_DEPTH_LIMIT",
          "brute_force_medoids", "brute_force_select", "tree_norm_decision",
-         "_BRUTE_SUBSET_LIMIT", "tree_norm_batch", "abs_clipped_loss")
+         "_BRUTE_SUBSET_LIMIT", "abs_clipped_loss", "matching_value",
+         "_check_square")
 
 
 def _production_modules():

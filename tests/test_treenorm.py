@@ -8,7 +8,7 @@ from treesample import (DatasetError, Graph, NumericalOverflowError, TmdConfig,
                         WeightFn, const_weights, empty_graph, feature_norms,
                         k_bfs_candidates, kcore_candidate, rw_candidate,
                         subset_tree_norm_sweep, subset_tree_norms, tree_norm,
-                        tree_norm_batch, tree_norm_naive, tree_norm_report)
+                        tree_norm_naive)
 from treesample.treenorm import _SUBSET_BLOCK
 
 from helpers import (cfg, random_graph, random_table_cfg,
@@ -35,17 +35,7 @@ def test_weighted_features_example():
 
 
 def test_empty_graph_norm_is_zero():
-    report = tree_norm_report(empty_graph(2), cfg(3))
-    assert report.value == 0.0
-    assert report.level_mass == (0.0, 0.0, 0.0)
-
-
-def test_level_mass_tracks_walk_counts():
-    # path a-b: level-1 mass 2, level-2 neighbor sums are 1+1
-    p2 = Graph(2, [(0, 1)], np.ones((2, 1)))
-    report = tree_norm_report(p2, cfg(2))
-    assert report.level_mass == (2.0, 2.0)
-    assert report.value == 4.0
+    assert tree_norm(empty_graph(2), cfg(3)) == 0.0
 
 
 def test_level_weights_scale_deep_levels_only():
@@ -66,14 +56,6 @@ def test_matches_naive_oracle_on_random_graphs():
         fast = tree_norm(g, c)
         slow = tree_norm_naive(g, c)
         assert math.isclose(fast, slow, rel_tol=1e-9, abs_tol=1e-12)
-
-
-def test_batch_matches_scalar():
-    rng = np.random.default_rng(4)
-    graphs = [random_graph(rng) for _ in range(5)]
-    c = cfg(3)
-    batch = tree_norm_batch(graphs, c)
-    assert list(batch) == [tree_norm(g, c) for g in graphs]
 
 
 @pytest.mark.filterwarnings("error")
