@@ -12,7 +12,7 @@ import numpy as np
 
 from treesample import (TmdConfig, brute_force_select, build_candidates,
                         clustered_dataset, const_weights, induced_subgraph,
-                        select_subset, subsample_dataset, tmd, tmd_subgraph,
+                        select_subsets, subsample_dataset, tmd, tmd_subgraph,
                         tree_norm, tree_norm_decision)
 from treesample.synth import random_graph
 
@@ -41,7 +41,7 @@ print(f"best 4 nodes {best.kept}: distance {best.tmd_to_full:.3f}")
 # densest core.  Cheap, and the tree-norm ranking picks the best of them;
 # the exhaustive search above is only there to show how far off they land.
 cands = build_candidates(g, 4, seed=0)
-pick = select_subset(g, cands, cfg)
+pick, = select_subsets(g, cands, [cfg])
 print(f"heuristic pick {pick.kept} via {pick.provenance}: distance {pick.tmd_to_full:.3f}")
 
 # Decision form: does any 4-node subgraph retain at least 60% of the mass?

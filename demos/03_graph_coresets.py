@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 from treesample import (TmdConfig, cluster_sizes, clustered_dataset,
-                        const_weights, finite_erm_check, kmedoids,
+                        const_weights, finite_erm_sweep, kmedoids,
                         load_or_compute, nearest_medoid, pairwise_matrix,
                         random_gin)
 
@@ -54,7 +54,7 @@ print(f"cluster label purity: {purity:.0%}")
 hyps = [random_gin(seed, feature_dim=3, hidden=8, depth=3, eta=1.0)
         for seed in range(20)]
 labels = [float(g.label) for g in ds.graphs]
-report = finite_erm_check(ds, labels, hyps, selection=sel, distances=dm)
+report, = finite_erm_sweep(ds, labels, hyps, selections=[(sel, dm)])
 print(f"picked hypothesis {report.erm_index}:"
       f" full loss {report.loss_full_of_erm:.4f}"
       f" vs best possible {report.min_loss_full:.4f}"

@@ -15,17 +15,15 @@ from .graphs import (Dataset, Graph, dataset_fingerprint, empty_graph,
                      save_jsonl)
 from .tmd import (DistanceMatrix, pairwise_matrix, tmd, tmd_cost_matrix,
                   tmd_subgraph)
-from .treenorm import (feature_norms, subset_tree_norm_sweep, subset_tree_norms,
-                       tree_norm)
+from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
 from .cache import load_or_compute, read_matrix, write_matrix
 from .graph_select import (Selection, cluster_sizes, feature_distance_matrix,
                            kmedoids, load_selection, medoids_objective,
                            nearest_medoid, random_selection, save_selection,
                            wl_distance, wl_histograms, wl_pseudometric_matrix)
-from .node_select import (CandidateSet, NodeSubsample, build_candidates,
-                          core_numbers, k_bfs_candidates, kcore_candidate,
-                          load_subsamples, new_candidate_set, rw_candidate,
-                          save_subsamples, select_subset, select_subsets,
+from .node_select import (NodeSubsample, build_candidates, core_numbers,
+                          k_bfs_candidates, kcore_candidate, load_subsamples,
+                          rw_candidate, save_subsamples, select_subsets,
                           subsample_dataset, subsample_sweep)
 from .oracles import (MatchingResult, RootedTree, abs_clipped_loss, blank_tree,
                       brute_force_matching, brute_force_medoids,
@@ -33,9 +31,9 @@ from .oracles import (MatchingResult, RootedTree, abs_clipped_loss, blank_tree,
                       min_cost_matching, tmd_naive, tree_blank_distance,
                       tree_distance, tree_norm_decision, tree_norm_naive)
 from .gnn import (ErmReport, GinLayer, GinModel, LipschitzProfile,
-                  StabilityReport, finite_erm_check, finite_erm_sweep,
-                  gin_forward, identity_gin, layer_lipschitz,
-                  node_embeddings, random_gin, stability_report)
+                  StabilityReport, finite_erm_sweep, gin_forward,
+                  identity_gin, layer_lipschitz, node_embeddings, random_gin,
+                  stability_report)
 from .synth import (clustered_dataset, random_graph, random_pairs,
                     random_regular_graph, synthetic_dataset,
                     wl_counterexample_pair)

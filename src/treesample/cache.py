@@ -38,6 +38,8 @@ from .tmd import DistanceMatrix
 MAGIC = b"TMDC"
 VERSION = 2
 _HEAD = struct.Struct("<IQI")  # version, n, depth
+# the fields of a cache key, in the order load_or_compute compares them
+_KEY_NAMES = ("metric", "depth", "preset", "n", "norm", "dataset hash")
 
 
 def _pack_str(s: str) -> bytes:
@@ -115,30 +117,22 @@ def load_or_compute(path: str | None, ds: Dataset, metric: str, cfg: TmdConfig,
     """Return ``(matrix, recomputed)``, consulting the cache when ``path`` is set.
 
     ``compute`` is a zero-argument callable producing the DistanceMatrix.  On
-    a cache hit nothing is recomputed.  A cache keyed differently from the
-    request raises :class:`CacheMismatchError`.
+    a cache hit nothing is recomputed.  A computed matrix is stamped with the
+    request key before it is returned or written, so every metric's cache
+    hits on the same request.  A cache keyed differently from the request
+    raises :class:`CacheMismatchError`.
     """
-    preset = cfg.weights.spec_string()
-    ds_hash = dataset_fingerprint(ds)
+    preset, ds_hash = cfg.weights.spec_string(), dataset_fingerprint(ds)
+    key = (metric, cfg.depth, preset, len(ds), cfg.feature_norm, ds_hash)
     if path and os.path.exists(path):
         dm, norm, stored_hash = read_matrix(path)
-        mismatches = []
-        if dm.metric != metric:
-            mismatches.append(f"metric {dm.metric!r} != {metric!r}")
-        if dm.depth != cfg.depth:
-            mismatches.append(f"depth {dm.depth} != {cfg.depth}")
-        if dm.weight_preset != preset:
-            mismatches.append(f"preset {dm.weight_preset!r} != {preset!r}")
-        if dm.n != len(ds):
-            mismatches.append(f"n {dm.n} != {len(ds)}")
-        if norm != cfg.feature_norm:
-            mismatches.append(f"norm {norm!r} != {cfg.feature_norm!r}")
-        if stored_hash != ds_hash:
-            mismatches.append("dataset content hash differs")
-        if mismatches:
-            raise CacheMismatchError(f"{path}: stale cache: " + "; ".join(mismatches))
+        stored = (dm.metric, dm.depth, dm.weight_preset, dm.n, norm, stored_hash)
+        if stored != key:
+            raise CacheMismatchError(f"{path}: stale cache: " + "; ".join(
+                f"{name} {s!r} != {k!r}" for name, s, k in zip(_KEY_NAMES, stored, key)
+                if s != k))
         return dm, False
-    dm = compute()
+    dm = DistanceMatrix(len(ds), metric, cfg.depth, preset, compute().values)
     if path:
         write_matrix(path, dm, norm=cfg.feature_norm, dataset_hash=ds_hash)
     return dm, True

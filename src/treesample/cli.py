@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -19,7 +20,7 @@ from .cache import load_or_compute
 from .config import TmdConfig, parse_weights
 from .errors import (CacheMismatchError, ConfigError, DatasetError,
                      NumericalOverflowError, ScaleLimitError)
-from .gnn import (finite_erm_sweep, gin_forward, identity_gin, random_gin,
+from .gnn import (_readouts, finite_erm_sweep, identity_gin, random_gin,
                   stability_report)
 from .graph_select import (kmedoids, feature_distance_matrix,
                            random_selection, save_selection,
@@ -56,11 +57,22 @@ def _int_from(low: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a finite float > 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
+_positive_float.__name__ = "float"  # as in _int_from
+
+
 def _add_common(p: _Parser) -> None:
     p.add_argument("--dataset", help="path to a .jsonl file or a TU directory")
     p.add_argument("--format", choices=("jsonl", "tu"), default="jsonl")
     p.add_argument("--tu-name", help="TU dataset name (default: directory basename)")
-    p.add_argument("--depth", type=int, default=2, help="tree depth L (default 2)")
+    p.add_argument("--depth", type=_int_from(1), default=2, help="tree depth L (default 2)")
     p.add_argument("--weights", default="const:1.0",
                    help="level weights: const:<x> or table:w1,w2,... (default "
                    "const:1.0; verify sweeps its own and takes none)")
@@ -110,7 +122,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=_int_from(1), default=5, help="medoid count (erm-graphs)")
     p.add_argument("--frac", type=float, default=0.5, help="node fraction (erm-nodes)")
     p.add_argument("--hidden", type=_int_from(1), default=8)
-    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--eta", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_verify, weights=None)  # None: --weights not given
     return parser
 
@@ -227,7 +239,8 @@ def _verify_wl_counterexample(args) -> tuple[dict, int, str]:
     ga, gb = wl_counterexample_pair(5)
     dist = wl_distance(ga, gb, iterations=args.depth)
     probe = identity_gin(feature_dim=1, eta=args.eta, mp_layers=1)
-    gap = abs(float(gin_forward(probe, ga)[0]) - float(gin_forward(probe, gb)[0]))
+    ra, rb = _readouts([probe], [ga, gb])[0, :, 0]
+    gap = float(abs(ra - rb))
     payload = {"mode": "wl-counterexample", "wl_distance": dist, "gin_gap": gap}
     if dist != 0.0:
         return payload, EXIT_HARD_FAIL, (

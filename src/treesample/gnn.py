@@ -16,9 +16,9 @@ import numpy as np
 
 from .config import TmdConfig
 from .errors import ConfigError, NumericalOverflowError
-from .graph_select import Selection, medoids_objective, nearest_medoid
+from .graph_select import medoids_objective, nearest_medoid
 from .graphs import Dataset, Graph, induced_subgraph
-from .tmd import DistanceMatrix, tmd
+from .tmd import tmd
 
 _ACTIVATIONS = ("relu", "identity")
 
@@ -279,17 +279,17 @@ def _readouts(models, graphs) -> np.ndarray:
     return out
 
 
-def finite_erm_check(ds: Dataset, labels, hypotheses, *,
-                     selection: Selection | None = None,
-                     subsamples=None,
-                     distances: DistanceMatrix | None = None,
-                     clip: float = 10.0, tol: float = 1e-9) -> ErmReport:
+def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
+                     subsample_sets=None, clip: float = 10.0,
+                     tol: float = 1e-9) -> list[ErmReport]:
     """Minimize subsampled loss over a finite hypothesis set, then compare
-    the winner's full-data loss against the best achievable plus ``2 c eps``.
+    the winner's full-data loss against the best achievable plus ``2 c eps``;
+    one report for each ``(selection, distances)`` pair in ``selections``,
+    or each list in ``subsample_sets``, taken one at a time.
 
-    Graph mode (``selection`` + ``distances``): the subsampled loss weights
-    each medoid by its cluster size; ``eps`` is the selection objective.
-    Node mode (``subsamples``): the loss runs on induced subgraphs with the
+    Graph mode (``selections``): the subsampled loss weights each medoid by
+    its cluster size; ``eps`` is the selection objective.  Node mode
+    (``subsample_sets``): the loss runs on induced subgraphs with the
     original labels; ``eps`` is the mean per-graph distance to the subgraph.
 
     Every hypothesis is also checked against the transport-plan chain
@@ -298,21 +298,10 @@ def finite_erm_check(ds: Dataset, labels, hypotheses, *,
     or its subgraph).  In graph mode that chain is a pure Lipschitz argument
     only when each graph's nearest medoid carries the same label, which holds
     for cluster-consistent labelings.
-    """
-    return finite_erm_sweep(
-        ds, labels, hypotheses,
-        selections=None if selection is None else [(selection, distances)],
-        subsample_sets=None if subsamples is None else [subsamples],
-        clip=clip, tol=tol)[0]
 
-
-def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
-                     subsample_sets=None, clip: float = 10.0,
-                     tol: float = 1e-9) -> list[ErmReport]:
-    """:func:`finite_erm_check` for each ``(selection, distances)`` pair in
-    ``selections``, or each list in ``subsample_sets``, taken one at a time.
     The full-data readouts, losses and ``c`` are computed once, and each
-    distinct ``(graph index, kept)`` subgraph is built and forwarded once."""
+    distinct ``(graph index, kept)`` subgraph is built and forwarded once.
+    """
     n = len(ds)
     if n == 0:
         raise ConfigError("dataset is empty")

@@ -28,34 +28,6 @@ _BFS_BLOCK = 512
 
 
 @dataclass
-class CandidateSet:
-    """Deduplicated candidate subsets with the heuristic that produced each."""
-
-    subsets: list[tuple[int, ...]]
-    tags: list[str]
-
-    def add(self, subset, tag: str) -> None:
-        self._insert(tuple(sorted(int(v) for v in subset)), tag)
-
-    def _insert(self, canon: tuple[int, ...], tag: str) -> None:
-        """Add a subset already canonical: a sorted tuple of Python ints."""
-        if canon not in self._seen:
-            self._seen.add(canon)
-            self.subsets.append(canon)
-            self.tags.append(tag)
-
-    def __post_init__(self):
-        self._seen = set(self.subsets)
-
-    def __len__(self):
-        return len(self.subsets)
-
-
-def new_candidate_set() -> CandidateSet:
-    return CandidateSet([], [])
-
-
-@dataclass
 class NodeSubsample:
     """Result of subsampling one graph: kept nodes and the cost of the cut."""
 
@@ -94,18 +66,19 @@ def load_subsamples(path) -> list[NodeSubsample]:
     return out
 
 
-def k_bfs_candidates(g: Graph, k: int) -> CandidateSet:
+def k_bfs_candidates(g: Graph, k: int) -> dict[tuple[int, ...], str]:
     """One BFS ball per node: the deepest ball that still holds <= k nodes.
 
-    Balls never cross connected components.  Identical balls from different
-    roots are deduplicated, keeping the first root's tag.  Hop counts come
-    from ``shortest_path`` over the graph's CSR, for at most 512 roots at a
-    time, so the hop table and its partitioned copy add at most
+    Returns a dict from each ball, a sorted tuple of Python ints, to the tag
+    of the first root that produced it, so identical balls from different
+    roots are kept once.  Balls never cross connected components.  Hop
+    counts come from ``shortest_path`` over the graph's CSR, for at most 512
+    roots at a time, so the hop table and its partitioned copy add at most
     16 * 512 * n bytes.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    cands = new_candidate_set()
+    cands: dict[tuple[int, ...], str] = {}
     n = g.node_count
     indptr, indices = g.csr()
     adj = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
@@ -119,7 +92,7 @@ def k_bfs_candidates(g: Graph, k: int) -> CandidateSet:
         cols = np.nonzero(inside)[1].tolist()
         ends = np.cumsum(inside.sum(axis=1)).tolist()
         for v, a, b in zip(roots.tolist(), [0, *ends], ends):
-            cands._insert(tuple(cols[a:b]), f"bfs:{v}")
+            cands.setdefault(tuple(cols[a:b]), f"bfs:{v}")
     return cands
 
 
@@ -193,46 +166,43 @@ def kcore_candidate(g: Graph, k: int) -> tuple[int, ...]:
     return tuple(sorted(order[:min(k, n)]))
 
 
-def select_subset(g: Graph, candidates: CandidateSet, cfg: TmdConfig,
-                  graph_id: int = 0) -> NodeSubsample:
-    """:func:`select_subsets` under the single config ``cfg``."""
-    return select_subsets(g, candidates, [cfg], graph_id)[0]
-
-
-def select_subsets(g: Graph, candidates: CandidateSet, cfgs,
+def select_subsets(g: Graph, candidates: dict, cfgs,
                    graph_id: int = 0) -> list[NodeSubsample]:
     """Under each config in ``cfgs``, pick the candidate whose induced
     subgraph has the largest tree norm, so the least distance to ``g``;
-    exact ties go to the lexicographically smallest sorted subset.  One
+    exact ties go to the lexicographically smallest sorted subset.
+    ``candidates`` maps sorted node tuples to tags, as from
+    :func:`build_candidates`.  One
     :func:`~treesample.treenorm.subset_tree_norm_sweep` scores ``g`` itself
     and every candidate under every config, building no subgraph."""
-    if len(candidates) == 0:
+    if not candidates:
         raise ConfigError("candidate set is empty")
-    norms = subset_tree_norm_sweep(g, [range(g.node_count), *candidates.subsets], cfgs)
+    subsets, tags = list(candidates), list(candidates.values())
+    norms = subset_tree_norm_sweep(g, [range(g.node_count), *subsets], cfgs)
     out = []
     for full, vals in zip(norms[:, 0].tolist(), norms[:, 1:]):
         best = vals.max()
-        i = min(np.flatnonzero(vals == best), key=lambda j: candidates.subsets[j])
+        i = min(np.flatnonzero(vals == best), key=lambda j: subsets[j])
         val = float(vals[i])
-        out.append(NodeSubsample(graph_id, candidates.subsets[i], full, val,
-                                 full - val, candidates.tags[i]))
+        out.append(NodeSubsample(graph_id, subsets[i], full, val, full - val, tags[i]))
     return out
 
 
 def build_candidates(g: Graph, k: int, seed: int,
-                     heuristics=("bfs", "rw", "kcore")) -> CandidateSet:
-    """Union of candidate subsets from the enabled heuristics."""
+                     heuristics=("bfs", "rw", "kcore")) -> dict[tuple[int, ...], str]:
+    """Union of candidate subsets from the enabled heuristics, as a dict from
+    each sorted node tuple to the tag of the first heuristic that produced it."""
     known = {"bfs", "rw", "kcore"}
     bad = set(heuristics) - known
     if bad:
         raise ConfigError(f"unknown heuristics {sorted(bad)}; choose from {sorted(known)}")
     if not heuristics:
         raise ConfigError("at least one heuristic must be enabled")
-    cands = k_bfs_candidates(g, k) if "bfs" in heuristics else new_candidate_set()
+    cands = k_bfs_candidates(g, k) if "bfs" in heuristics else {}
     if "rw" in heuristics:
-        cands.add(rw_candidate(g, k, seed), "rw")
+        cands.setdefault(rw_candidate(g, k, seed), "rw")
     if "kcore" in heuristics:
-        cands.add(kcore_candidate(g, k), "kcore")
+        cands.setdefault(kcore_candidate(g, k), "kcore")
     return cands
 
 

@@ -23,7 +23,7 @@ from .graph_select import Selection, cluster_sizes, medoids_objective
 from .graphs import Graph, empty_graph
 from .node_select import NodeSubsample
 from .tmd import DistanceMatrix, _permutations
-from .treenorm import feature_norms, subset_tree_norms, tree_norm
+from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
 
 _BRUTE_LIMIT = 9
 _NAIVE_NODE_LIMIT = 12
@@ -346,9 +346,9 @@ def brute_force_select(g: Graph, k: int, cfg: TmdConfig,
     """Exact best k-subset by enumeration (C(n, k) <= 1e5).
 
     Ties resolve to the lexicographically smallest subset, matching
-    :func:`~treesample.node_select.select_subset`.
+    :func:`~treesample.node_select.select_subsets`.
     ``itertools.combinations`` streams through
-    :func:`~treesample.treenorm.subset_tree_norms` chunk by chunk, so no
+    :func:`~treesample.treenorm.subset_tree_norm_sweep` chunk by chunk, so no
     subgraph is built and only the C(n, k) values are kept.
     """
     n = g.node_count
@@ -357,7 +357,7 @@ def brute_force_select(g: Graph, k: int, cfg: TmdConfig,
     if math.comb(n, k) > _BRUTE_SUBSET_LIMIT:
         raise ScaleLimitError(f"C({n},{k}) exceeds the enumeration limit")
     full = tree_norm(g, cfg)
-    vals = subset_tree_norms(g, itertools.combinations(range(n), k), cfg)
+    vals = subset_tree_norm_sweep(g, itertools.combinations(range(n), k), [cfg])[0]
     # argmax keeps the first maximum, so ties go to the lexicographically
     # first subset
     i = int(np.argmax(vals))

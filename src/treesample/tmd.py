@@ -25,7 +25,7 @@ from scipy.spatial.distance import cdist, squareform
 from .config import TmdConfig
 from .errors import DatasetError, NumericalOverflowError
 from .graphs import Dataset, Graph
-from .treenorm import feature_norms, subset_tree_norms, tree_norm
+from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
 
 # blocks up to this size are solved by enumerating permutations, larger ones
 # by linear_sum_assignment
@@ -238,7 +238,7 @@ def tmd_subgraph(g: Graph, nodes, cfg: TmdConfig) -> float:
     optimal for subgraph deletions), which costs two fast norm passes instead
     of a full matching; the subgraph's norm is scored on ``g``'s own edges.
     """
-    return tree_norm(g, cfg) - float(subset_tree_norms(g, [nodes], cfg)[0])
+    return tree_norm(g, cfg) - float(subset_tree_norm_sweep(g, [nodes], [cfg])[0, 0])
 
 
 @dataclass

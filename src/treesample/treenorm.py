@@ -26,7 +26,7 @@ from .config import TmdConfig
 from .errors import DatasetError, NumericalOverflowError
 from .graphs import Graph
 
-# entries (candidates x (nodes + edges)) per masked pass of subset_tree_norms
+# entries (candidates x (nodes + edges)) per masked pass of subset_tree_norm_sweep
 _SUBSET_BLOCK = 1 << 16
 
 
@@ -101,11 +101,6 @@ def tree_norm(g: Graph, cfg: TmdConfig) -> float:
     return value
 
 
-def subset_tree_norms(g: Graph, subsets, cfg: TmdConfig) -> np.ndarray:
-    """Tree norm of each induced subgraph: :func:`subset_tree_norm_sweep`'s row."""
-    return subset_tree_norm_sweep(g, subsets, [cfg])[0]
-
-
 def subset_tree_norm_sweep(g: Graph, subsets, cfgs) -> np.ndarray:
     """Entry (i, c) is ``tree_norm(induced_subgraph(g, subsets[c]), cfgs[i])``
     bit for bit; ``subsets`` is an iterable of node-index sequences, and
@@ -137,11 +132,11 @@ def _score_block(g: Graph, block: list, cfgs) -> np.ndarray:
                             dtype=np.int64, count=sum(lengths))
     except OverflowError as exc:  # an index past the int64 range
         raise DatasetError(
-            f"subset_tree_norms: a node index is outside 0..{n - 1}") from exc
+            f"subset_tree_norm_sweep: a node index is outside 0..{n - 1}") from exc
     if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
         bad = int(nodes[(nodes < 0) | (nodes >= n)][0])
         raise DatasetError(
-            f"subset_tree_norms: node {bad} outside 0..{n - 1}")
+            f"subset_tree_norm_sweep: node {bad} outside 0..{n - 1}")
     keep = np.zeros((c, n), dtype=bool)
     keep[np.repeat(np.arange(c), lengths), nodes] = True
     eu, ev = g.edge_arrays()

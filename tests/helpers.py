@@ -15,7 +15,6 @@ from treesample import (ConfigError, DistanceMatrix, ErmReport, Graph,
                         gin_forward, induced_subgraph, kmedoids,
                         layer_lipschitz, medoids_objective, nearest_medoid,
                         pairwise_matrix, random_gin, tree_norm, wl_histograms)
-from treesample.node_select import new_candidate_set
 from treesample.oracles import _BRUTE_SUBSET_LIMIT, _padded_matching
 from treesample.tmd import _cross_distances
 
@@ -190,7 +189,7 @@ def reference_k_bfs_candidates(g, k):
     :func:`reference_candidate_add` (the original loop)."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    cands = new_candidate_set()
+    cands = {}
     for v in range(g.node_count):
         dist = _bfs_distances(g, v)
         reached = dist[dist >= 0]
@@ -224,13 +223,11 @@ def reference_core_numbers(g):
 
 
 def reference_candidate_add(cands, subset, tag):
-    """``CandidateSet.add`` as first written, for every subset: sort and
-    convert it, then keep it unless seen."""
+    """Candidate insertion as first written, for every subset: sort and
+    convert it, then keep it with its tag unless seen."""
     canon = tuple(sorted(int(v) for v in subset))
-    if canon not in cands._seen:
-        cands._seen.add(canon)
-        cands.subsets.append(canon)
-        cands.tags.append(tag)
+    if canon not in cands:
+        cands[canon] = tag
 
 
 def _wl_kernel(ha, hb):
@@ -268,11 +265,11 @@ def reference_subset_tree_norms(g, subsets, cfg):
 def reference_select_subset(g, candidates, cfg, graph_id=0):
     """Candidate selection scored one induced subgraph at a time (the
     original loop): largest norm, ties to the smallest sorted subset."""
-    if len(candidates) == 0:
+    if not candidates:
         raise ConfigError("candidate set is empty")
     full = tree_norm(g, cfg)
     best = None
-    for subset, tag in zip(candidates.subsets, candidates.tags):
+    for subset, tag in candidates.items():
         val = tree_norm(induced_subgraph(g, subset), cfg)
         if best is None or val > best[0] or (val == best[0] and subset < best[1]):
             best = (val, subset, tag)
@@ -382,9 +379,10 @@ def reference_subsample_dataset(ds, frac, cfg, seed=0):
 def reference_finite_erm_check(ds, labels, hypotheses, *, selection=None,
                                subsamples=None, distances=None, clip=10.0,
                                tol=1e-9):
-    """``finite_erm_check`` with one scalar loss and one chain norm per
-    (hypothesis, graph): ``abs_clipped_loss`` and ``np.linalg.norm`` in
-    Python loops (the original loop)."""
+    """The finite-ERM check of one selection or one subsample list, with one
+    scalar loss and one chain norm per (hypothesis, graph):
+    ``abs_clipped_loss`` and ``np.linalg.norm`` in Python loops (the
+    original loop)."""
     n = len(ds)
     labels = [float(y) for y in labels]
     m_lip = 1.0

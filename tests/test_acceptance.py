@@ -17,7 +17,7 @@ from scipy.spatial.distance import pdist
 from treesample import (DistanceMatrix, Graph, TmdConfig, brute_force_matching,
                         brute_force_medoids, clustered_dataset, const_weights,
                         computation_tree, feature_distance_matrix, feature_norms,
-                        finite_erm_check, gin_forward, identity_gin,
+                        finite_erm_sweep, gin_forward, identity_gin,
                         induced_subgraph, kmedoids, load_or_compute,
                         make_dataset, matching_value, min_cost_matching,
                         nearest_medoid, pairwise_matrix, random_gin,
@@ -322,7 +322,7 @@ def test_c10_subsample_loss_chain():
     n = len(ds)
     passes = 0
     worst = -math.inf
-    for h in hyps:  # direct re-derivation, independent of finite_erm_check
+    for h in hyps:  # direct re-derivation, independent of finite_erm_sweep
         preds = np.array([float(gin_forward(h, g)[0]) for g in ds])
         losses = np.minimum(np.abs(preds - np.asarray(labels)), 10.0)
         gap = abs(math.fsum(losses[kappa]) / n - math.fsum(losses) / n)
@@ -330,7 +330,7 @@ def test_c10_subsample_loss_chain():
         worst = max(worst, gap - rhs)
         passes += gap <= rhs + 1e-9
 
-    report = finite_erm_check(ds, labels, hyps, selection=sel, distances=dm)
+    report = finite_erm_sweep(ds, labels, hyps, selections=[(sel, dm)])[0]
     ok = passes == 20 and report.chain_ok
     _line(10, "weighted-vs-full loss gap within prediction drift", ok,
           f"{passes}/20 models, max excess {worst:.2e}, "

@@ -286,6 +286,20 @@ def test_cli_subsample_graphs_methods(tmp_path, ds_path, capsys):
         assert payload["method"] == method
         assert len(payload["indices"]) == 2
         assert os.path.exists(out_path)
+        # a second run with the same cache hits it and selects the same graphs
+        argv = ["subsample-graphs", "--dataset", ds_path, "--k", "2", "--method",
+                method, "--depth", "2", "--json", "--cache", str(tmp_path / method)]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append(json.loads(capsys.readouterr().out))
+        assert runs[0] == runs[1] == payload
+    # the key still tells requests apart: another depth, another norm
+    for method, flag, value in (("wl", "--depth", "3"), ("feature", "--norm", "l1")):
+        assert main(["subsample-graphs", "--dataset", ds_path, "--k", "2", "--method",
+                     method, "--depth", "2", "--cache", str(tmp_path / method),
+                     flag, value]) == 3
+        assert "stale cache" in capsys.readouterr().err
 
 
 def test_cli_subsample_nodes(tmp_path, ds_path, capsys):

@@ -7,6 +7,7 @@ with every size-like value capped so that no draw asks for real work.
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -30,14 +31,28 @@ EXIT_CODES = {0, 1, 2, 3, 4, 70}
     ["treenorm", "--depth", "3", "--weights", "table:1,inf", "--dataset"],
     # the sweep's const:2*eta preset is infinite
     ["verify", "--mode", "erm-nodes", "--synthetic", "6", "--eta", "1e308"],
+    ["verify", "--mode", "wl-counterexample", "--eta", "nan"],
+    ["verify", "--mode", "wl-counterexample", "--eta", "inf"],
+    ["verify", "--mode", "wl-counterexample", "--eta", "0"],
+    ["verify", "--mode", "wl-counterexample", "--depth", "0"],
+    ["verify", "--mode", "wl-counterexample", "--depth", "-3"],
 ], ids=["erm-hidden-0", "stability-hidden-minus-1", "pairs-minus-3", "pairs-0",
-        "weight-const-inf", "weight-table-inf", "erm-eta-1e308"])
+        "weight-const-inf", "weight-table-inf", "erm-eta-1e308", "wl-eta-nan",
+        "wl-eta-inf", "wl-eta-0", "wl-depth-0", "wl-depth-minus-3"])
 def test_cli_rejects_non_positive_sizes(argv, tmp_path, capsys):
     if argv[-1] == "--dataset":
         argv = [*argv, str(_dataset_path(tmp_path))]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("eta", ["1e306", "1e308"])
+def test_cli_wl_counterexample_probe_overflow_exits_2(eta, capsys):
+    assert main(["verify", "--mode", "wl-counterexample", "--eta", eta, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
 
 
 def test_library_rejects_non_positive_sizes():
@@ -124,6 +139,7 @@ def argvs(draw):
 @example(["verify", "--mode", "erm-nodes", "--eta", "1e308", "--dataset"])
 @example(["verify", "--mode", "erm-graphs", "--k", "2", "--eta", "1e154", "--depth", "3",
           "--dataset"])
+@example(["verify", "--mode", "wl-counterexample", "--eta", "1e308", "--json"])
 def test_cli_argv_fuzz_exits_with_a_documented_code(argv):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -139,3 +155,9 @@ def test_cli_argv_fuzz_exits_with_a_documented_code(argv):
     assert "Traceback" not in err + out, argv
     if code in (1, 2):
         assert err.startswith("error: "), (argv, err)
+    if "--json" in argv and code in (0, 4, 70):  # NaN and Infinity are no JSON
+        json.loads(out.splitlines()[-1], parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")

@@ -9,13 +9,13 @@ import pytest
 
 import treesample.gnn as gnn
 import treesample.node_select as node_select
-from treesample import (ConfigError, finite_erm_check, finite_erm_sweep,
+from treesample import (ConfigError, finite_erm_sweep,
                         kmedoids, make_dataset, pairwise_matrix, random_gin,
                         subsample_dataset, subsample_sweep, synthetic_dataset)
 from treesample.cli import _sweep_configs, _verify_erm, build_parser
 from treesample.synth import random_graph
 
-from helpers import cfg, reference_verify_erm_payload
+from helpers import cfg, reference_finite_erm_check, reference_verify_erm_payload
 
 
 def _nodes_dataset(seed, count=12):
@@ -128,12 +128,13 @@ def test_finite_erm_sweep_entries_match_finite_erm_check():
     selections = [(kmedoids(dm, 3), dm) for dm in dms]
     got = finite_erm_sweep(ds, labels, hyps, selections=iter(selections))
     assert [r.to_json() for r in got] == [
-        finite_erm_check(ds, labels, hyps, selection=s, distances=dm).to_json()
+        reference_finite_erm_check(ds, labels, hyps, selection=s, distances=dm).to_json()
         for s, dm in selections]
     subsample_sets = [subsample_dataset(ds, f, cfg(3)) for f in (0.3, 0.6, 1.0)]
     got = finite_erm_sweep(ds, labels, hyps, subsample_sets=subsample_sets)
     assert [r.to_json() for r in got] == [
-        finite_erm_check(ds, labels, hyps, subsamples=s).to_json() for s in subsample_sets]
+        reference_finite_erm_check(ds, labels, hyps, subsamples=s).to_json()
+        for s in subsample_sets]
 
 
 def _erm_error_cases():
@@ -163,8 +164,6 @@ def _erm_error_cases():
 def test_finite_erm_check_and_sweep_keep_their_error_messages(case):
     message, inputs, mode = _erm_error_cases()[case]
     args = (inputs["ds"], inputs["labels"], inputs["hypotheses"])
-    with pytest.raises(ConfigError) as check_err:
-        finite_erm_check(*args, **mode)
     selection = mode.get("selection")
     subsamples = mode.get("subsamples")
     with pytest.raises(ConfigError) as sweep_err:
@@ -172,7 +171,7 @@ def test_finite_erm_check_and_sweep_keep_their_error_messages(case):
             *args,
             selections=None if selection is None else [(selection, mode.get("distances"))],
             subsample_sets=None if subsamples is None else [subsamples])
-    assert str(check_err.value) == str(sweep_err.value) == message
+    assert str(sweep_err.value) == message
 
 
 def test_finite_erm_sweep_checks_every_entry():

@@ -6,7 +6,7 @@ import pytest
 
 from treesample import (ConfigError, DatasetError, GinLayer, GinModel, Graph,
                         TmdConfig, abs_clipped_loss, clustered_dataset, const_weights,
-                        finite_erm_check, gin_forward, identity_gin,
+                        finite_erm_sweep, gin_forward, identity_gin,
                         induced_subgraph, kmedoids, layer_lipschitz,
                         make_dataset, node_embeddings, pairwise_matrix,
                         random_gin, stability_report, subsample_dataset,
@@ -146,7 +146,7 @@ def test_finite_erm_single_hypothesis_is_trivially_satisfied():
     ds, labels, c, dm = _tiny_setup()
     sel = kmedoids(dm, 3)
     h = [random_gin(0, feature_dim=3, hidden=4, depth=3, eta=1.0)]
-    rep = finite_erm_check(ds, labels, h, selection=sel, distances=dm)
+    rep = finite_erm_sweep(ds, labels, h, selections=[(sel, dm)])[0]
     assert rep.erm_index == 0
     assert rep.loss_full_of_erm == rep.min_loss_full
     assert rep.satisfied
@@ -158,7 +158,7 @@ def test_finite_erm_epsilon_zero_collapses_bound():
     sel = kmedoids(dm, len(ds))  # every graph is its own medoid
     hyps = [random_gin(s, feature_dim=3, hidden=4, depth=3, eta=1.0)
             for s in range(4)]
-    rep = finite_erm_check(ds, labels, hyps, selection=sel, distances=dm)
+    rep = finite_erm_sweep(ds, labels, hyps, selections=[(sel, dm)])[0]
     assert rep.epsilon == 0.0
     assert rep.bound_rhs == 0.0
     assert rep.loss_full_of_erm == rep.min_loss_full
@@ -170,7 +170,7 @@ def test_finite_erm_node_mode_full_fraction_is_exact():
     subs = subsample_dataset(ds, 1.0, c)
     hyps = [random_gin(s, feature_dim=3, hidden=4, depth=3, eta=1.0)
             for s in range(3)]
-    rep = finite_erm_check(ds, labels, hyps, subsamples=subs)
+    rep = finite_erm_sweep(ds, labels, hyps, subsample_sets=[subs])[0]
     assert rep.mode == "nodes"
     assert rep.epsilon == 0.0
     assert rep.loss_full_of_erm == rep.min_loss_full
@@ -183,7 +183,7 @@ def test_finite_erm_node_mode_builds_each_subgraph_once(monkeypatch):
     ds = make_dataset([random_graph(rng, n_max=6, n_min=2) for _ in range(5)])
     subs = subsample_dataset(ds, 0.5, cfg(2), seed=0)
     hyps = [random_gin(s, ds.feature_dim, 4, 2) for s in range(3)]
-    before = finite_erm_check(ds, [0.0] * 5, hyps, subsamples=subs)
+    before = finite_erm_sweep(ds, [0.0] * 5, hyps, subsample_sets=[subs])[0]
     built = []
 
     def counting(g, nodes):
@@ -191,7 +191,7 @@ def test_finite_erm_node_mode_builds_each_subgraph_once(monkeypatch):
         return induced_subgraph(g, nodes)
 
     monkeypatch.setattr(gnn, "induced_subgraph", counting)
-    after = finite_erm_check(ds, [0.0] * 5, hyps, subsamples=subs)
+    after = finite_erm_sweep(ds, [0.0] * 5, hyps, subsample_sets=[subs])[0]
     assert built == [s.kept for s in subs]
     assert after.to_json() == before.to_json()
 
@@ -203,7 +203,7 @@ def test_finite_erm_grows_no_worse_with_more_hypotheses():
             for s in range(6)]
     prev = math.inf
     for m in range(1, 7):
-        rep = finite_erm_check(ds, labels, hyps[:m], selection=sel, distances=dm)
+        rep = finite_erm_sweep(ds, labels, hyps[:m], selections=[(sel, dm)])[0]
         assert rep.min_loss_full <= prev + 1e-15
         prev = rep.min_loss_full
 
@@ -212,19 +212,19 @@ def test_finite_erm_validates_inputs():
     ds, labels, c, dm = _tiny_setup()
     sel = kmedoids(dm, 3)
     with pytest.raises(ConfigError):
-        finite_erm_check(ds, labels, [], selection=sel, distances=dm)
+        finite_erm_sweep(ds, labels, [], selections=[(sel, dm)])
     with pytest.raises(ConfigError):
-        finite_erm_check(ds, labels[:-1],
+        finite_erm_sweep(ds, labels[:-1],
                          [random_gin(0, feature_dim=3, hidden=4, depth=3, eta=1.0)],
-                         selection=sel, distances=dm)
+                         selections=[(sel, dm)])
 
 
 def test_erm_report_json_fields():
     ds, labels, c, dm = _tiny_setup()
     sel = kmedoids(dm, 3)
-    rep = finite_erm_check(ds, labels,
-                           [random_gin(0, feature_dim=3, hidden=4, depth=3, eta=1.0)],
-                           selection=sel, distances=dm)
+    rep, = finite_erm_sweep(ds, labels,
+                            [random_gin(0, feature_dim=3, hidden=4, depth=3, eta=1.0)],
+                            selections=[(sel, dm)])
     payload = json.loads(rep.to_json())
     assert {"mode", "loss_full_of_erm", "min_loss_full", "bound_rhs", "epsilon",
             "M", "satisfied", "chain_ok", "chain_max_excess",

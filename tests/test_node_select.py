@@ -8,9 +8,8 @@ import pytest
 from treesample import (ConfigError, Graph, brute_force_select, build_candidates,
                         core_numbers, induced_subgraph, k_bfs_candidates,
                         kcore_candidate, load_subsamples, make_dataset,
-                        new_candidate_set, rw_candidate, save_subsamples,
-                        select_subset, select_subsets, subsample_dataset,
-                        tree_norm, tree_norm_decision)
+                        rw_candidate, save_subsamples, select_subsets,
+                        subsample_dataset, tree_norm, tree_norm_decision)
 
 from helpers import (cfg, random_graph, random_table_cfg,
                      reference_brute_force_select, reference_core_numbers,
@@ -21,47 +20,47 @@ PATH5 = Graph(5, [(i, i + 1) for i in range(4)], np.ones((5, 1)))
 
 
 def test_candidate_set_deduplicates():
-    cands = new_candidate_set()
-    cands.add((2, 0), "a")
-    cands.add((0, 2), "b")  # same set, different order
-    cands.add((0, 1), "c")
-    assert len(cands) == 2
-    assert cands.subsets[0] == (0, 2)
-    assert cands.tags == ["a", "c"]
+    # on the star every 4-node BFS ball, the walk and the core are one set
+    cands = build_candidates(STAR, 4, seed=0)
+    assert cands == {(0, 1, 2, 3): "bfs:0"}
+    cands = build_candidates(STAR, 1, seed=0, heuristics=("kcore", "bfs"))
+    assert list(cands) == [(0,), (1,), (2,), (3,)]
+    assert list(cands.values()) == ["bfs:0", "bfs:1", "bfs:2", "bfs:3"]
 
 
-def test_candidate_set_add_canonicalises_any_input():
-    cands = new_candidate_set()
-    cands.add(np.array([3, 1], dtype=np.int32), "a")
-    cands.add([1.0, 3.0], "b")  # the same set as floats
-    assert cands.subsets == [(1, 3)] and cands.tags == ["a"]
-    assert all(type(v) is int for v in cands.subsets[0])
+def test_candidate_keys_are_sorted_tuples_of_python_ints():
+    rng = np.random.default_rng(22)
+    for trial in range(12):
+        g = random_graph(rng, n_max=20, n_min=1, p=float(rng.uniform(0.05, 0.4)))
+        k = int(rng.integers(1, g.node_count + 1))
+        for subset in build_candidates(g, k, seed=trial):
+            assert subset == tuple(sorted(set(subset)))
+            assert all(type(v) is int for v in subset)
 
 
 def test_bfs_balls_match_canonicalising_add_on_seeded_graphs():
     # k_bfs_candidates inserts each ball as built; the original path sorted
-    # and converted every ball again through add
+    # and converted every ball again before inserting it
     rng = np.random.default_rng(21)
     for trial in range(24):
         g = random_graph(rng, n_max=30, p=(0.05, 0.15, 0.4)[trial % 3])
         for k in sorted({1, 2, g.node_count // 2 + 1, g.node_count}):
             got, want = k_bfs_candidates(g, k), reference_k_bfs_candidates(g, k)
-            assert (got.subsets, got.tags) == (want.subsets, want.tags)
-            assert all(type(v) is int for s in got.subsets for v in s)
-            assert got._seen == set(want.subsets)
+            assert list(got.items()) == list(want.items())
+            assert all(type(v) is int for s in got for v in s)
 
 
 def test_bfs_balls_on_star():
     cands = k_bfs_candidates(STAR, 1)
-    assert cands.subsets == [(0,), (1,), (2,), (3,)]
+    assert list(cands) == [(0,), (1,), (2,), (3,)]
     # k = 4 admits the full 1-ball around the hub and 2-balls around leaves
     full = k_bfs_candidates(STAR, 4)
-    assert (0, 1, 2, 3) in full.subsets
+    assert (0, 1, 2, 3) in full
 
 
 def test_bfs_ball_respects_budget():
     for k in range(1, 6):
-        for subset in k_bfs_candidates(PATH5, k).subsets:
+        for subset in k_bfs_candidates(PATH5, k):
             assert 1 <= len(subset) <= k
 
 
@@ -79,7 +78,7 @@ def test_bfs_balls_match_python_bfs():
     for g in graphs:
         for k in range(1, max(g.node_count, 1) + 1):
             got, want = k_bfs_candidates(g, k), reference_k_bfs_candidates(g, k)
-            assert (got.subsets, got.tags) == (want.subsets, want.tags)
+            assert list(got.items()) == list(want.items())
 
 
 def test_bfs_balls_match_python_bfs_at_budget_edges():
@@ -92,7 +91,7 @@ def test_bfs_balls_match_python_bfs_at_budget_edges():
         n = g.node_count
         for k in sorted({1, 2, n // 2, n - 1, n + 3} - {0, -1}):
             got, want = k_bfs_candidates(g, k), reference_k_bfs_candidates(g, k)
-            assert (got.subsets, got.tags) == (want.subsets, want.tags)
+            assert list(got.items()) == list(want.items())
 
 
 def test_bfs_balls_match_python_bfs_across_root_blocks():
@@ -101,7 +100,7 @@ def test_bfs_balls_match_python_bfs_across_root_blocks():
     assert (g.degrees() == 0).any()
     for k in (1, 3, 40, 530):
         got, want = k_bfs_candidates(g, k), reference_k_bfs_candidates(g, k)
-        assert (got.subsets, got.tags) == (want.subsets, want.tags)
+        assert list(got.items()) == list(want.items())
 
 
 def test_core_numbers_known_graphs():
@@ -158,16 +157,14 @@ def test_bfs_only_candidates_are_the_bfs_set():
         k = int(rng.integers(1, g.node_count + 1))
         got = build_candidates(g, k, 0, ("bfs",))
         want = k_bfs_candidates(g, k)
-        assert got.subsets == want.subsets and got.tags == want.tags
+        assert list(got.items()) == list(want.items())
 
 
 def test_select_subset_takes_largest_norm():
     c = cfg(2)
     g = Graph(3, [(0, 1)], np.array([[5.0], [1.0], [1.0]]))
-    cands = new_candidate_set()
-    cands.add((1, 2), "small")
-    cands.add((0, 1), "large")
-    pick = select_subset(g, cands, c, graph_id=3)
+    cands = {(1, 2): "small", (0, 1): "large"}
+    pick, = select_subsets(g, cands, [c], graph_id=3)
     assert pick.kept == (0, 1)
     assert pick.provenance == "large"
     assert pick.graph_id == 3
@@ -177,10 +174,8 @@ def test_select_subset_takes_largest_norm():
 
 def test_select_subset_tie_is_lexicographic():
     g = Graph(3, [], np.ones((3, 1)))  # no edges: every pair has norm 2
-    cands = new_candidate_set()
-    cands.add((1, 2), "x")
-    cands.add((0, 2), "y")
-    assert select_subset(g, cands, cfg(2)).kept == (0, 2)
+    cands = {(1, 2): "x", (0, 2): "y"}
+    assert select_subsets(g, cands, [cfg(2)])[0].kept == (0, 2)
 
 
 def test_brute_force_select_matches_exhaustive_max():
@@ -204,7 +199,7 @@ def test_heuristic_selection_never_beats_brute_force():
         g = random_graph(rng, n_max=7, n_min=2)
         k = int(rng.integers(1, g.node_count + 1))
         cands = build_candidates(g, k, seed=1)
-        pick = select_subset(g, cands, c)
+        pick, = select_subsets(g, cands, [c])
         assert pick.tree_norm_sub <= brute_force_select(g, k, c).tree_norm_sub + 1e-12
 
 
@@ -262,7 +257,7 @@ def test_select_subset_bit_identical_to_per_candidate_loop():
                              norm=str(rng.choice(["l1", "l2"])))
         k = int(rng.integers(1, g.node_count + 1))
         cands = build_candidates(g, k, seed=trial)
-        got = select_subset(g, cands, c, graph_id=trial)
+        got, = select_subsets(g, cands, [c], graph_id=trial)
         want = reference_select_subset(g, cands, c, graph_id=trial)
         assert got == want and got.to_json() == want.to_json()
 
@@ -289,7 +284,7 @@ def test_select_subsets_match_per_config_loop(monkeypatch, block):
         assert got == want and [p.to_json() for p in got] == [w.to_json() for w in want]
     assert select_subsets(g, cands, []) == []
     with pytest.raises(ConfigError, match="candidate set is empty"):
-        select_subsets(g, new_candidate_set(), cfgs)
+        select_subsets(g, {}, cfgs)
 
 
 @pytest.mark.parametrize("block", [None, 40])

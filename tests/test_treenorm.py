@@ -7,7 +7,7 @@ import pytest
 from treesample import (DatasetError, Graph, NumericalOverflowError, TmdConfig,
                         WeightFn, const_weights, empty_graph, feature_norms,
                         k_bfs_candidates, kcore_candidate, rw_candidate,
-                        subset_tree_norm_sweep, subset_tree_norms, tree_norm,
+                        subset_tree_norm_sweep, tree_norm,
                         tree_norm_naive)
 from treesample.treenorm import _SUBSET_BLOCK
 
@@ -87,7 +87,7 @@ def test_norm_choice_matters():
 
 
 def _assert_same_norms(g, subsets, c):
-    got = subset_tree_norms(g, subsets, c)
+    got = subset_tree_norm_sweep(g, subsets, [c])[0]
     want = reference_subset_tree_norms(g, subsets, c)
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
@@ -102,7 +102,7 @@ def test_subset_norms_bit_identical_to_induced_subgraphs(norm, depth):
         c = (random_table_cfg(rng, depth, norm=norm) if trial % 2
              else cfg(depth, w=float(rng.choice([0.5, 1.0, 2.0, 4.0])), norm=norm))
         k = int(rng.integers(1, g.node_count + 1))
-        subsets = list(k_bfs_candidates(g, k).subsets)
+        subsets = list(k_bfs_candidates(g, k))
         subsets += [rw_candidate(g, k, trial), kcore_candidate(g, k)]
         subsets += list(itertools.combinations(range(g.node_count), min(k, 3)))
         _assert_same_norms(g, subsets, c)
@@ -111,7 +111,7 @@ def test_subset_norms_bit_identical_to_induced_subgraphs(norm, depth):
 def test_subset_norm_sweep_rows_match_subset_norms_per_config():
     rng = np.random.default_rng(44)
     g = random_graph(rng, n_max=14, n_min=8, feature_dim=3, p=0.4)
-    subsets = list(k_bfs_candidates(g, 5).subsets) + [tuple(range(g.node_count)), ()]
+    subsets = list(k_bfs_candidates(g, 5)) + [tuple(range(g.node_count)), ()]
     cfgs = [cfg(3, 2.0), cfg(1, norm="l1"), random_table_cfg(rng, 4, norm="l1"),
             cfg(2, 0.5), random_table_cfg(rng, 3)]
     got = subset_tree_norm_sweep(g, subsets, cfgs)
@@ -127,26 +127,26 @@ def test_subset_norms_span_several_chunks():
     n = 530
     upper = np.triu(rng.random((n, n)) < 3.0 / n, 1)
     g = Graph(n, zip(*np.nonzero(upper)), rng.standard_normal((n, 3)))
-    subsets = k_bfs_candidates(g, 40).subsets
+    subsets = list(k_bfs_candidates(g, 40))
     assert len(subsets) > 3 * _SUBSET_BLOCK // (g.node_count + g.edge_count)
     _assert_same_norms(g, subsets, cfg(3))
 
 
 def test_subset_norms_of_empty_and_one_node_graphs():
     c = cfg(3)
-    assert subset_tree_norms(empty_graph(2), [()], c).tolist() == [0.0]
-    assert subset_tree_norms(empty_graph(2), [], c).shape == (0,)
+    assert subset_tree_norm_sweep(empty_graph(2), [()], [c])[0].tolist() == [0.0]
+    assert subset_tree_norm_sweep(empty_graph(2), [], [c])[0].shape == (0,)
     one = Graph(1, [], [[3.0, 4.0]])
     _assert_same_norms(one, [(), (0,)], c)
-    assert subset_tree_norms(one, [(0,)], c).tolist() == [5.0]
+    assert subset_tree_norm_sweep(one, [(0,)], [c])[0].tolist() == [5.0]
     g = Graph(4, [(0, 1), (1, 2), (2, 3)], np.arange(4.0)[:, None] + 1.0)
     # an empty candidate scores 0; repeated nodes count once
     _assert_same_norms(g, [(), (1, 1, 2), (3, 0, 2)], c)
-    assert subset_tree_norms(g, [(1, 1, 2)], c)[0] == tree_norm(
+    assert subset_tree_norm_sweep(g, [(1, 1, 2)], [c])[0, 0] == tree_norm(
         Graph(2, [(0, 1)], [[2.0], [3.0]]), c)
     # any iterable of node iterables, as induced_subgraph takes
-    assert (subset_tree_norms(g, (iter(s) for s in [{2, 1}, range(4)]), c).tolist()
-            == subset_tree_norms(g, [(1, 2), (0, 1, 2, 3)], c).tolist())
+    assert (subset_tree_norm_sweep(g, (iter(s) for s in [{2, 1}, range(4)]), [c]).tolist()
+            == subset_tree_norm_sweep(g, [(1, 2), (0, 1, 2, 3)], [c]).tolist())
 
 
 def test_subset_norms_with_column_major_features():
@@ -173,10 +173,10 @@ def test_subset_norms_ignore_overflow_on_dropped_nodes(norm):
         tree_norm(g, c)
     kept = [(1, 2, 3), (2, 3, 4, 5), (4, 5), (5,), (), (1, 2, 3, 4, 5)]
     _assert_same_norms(g, kept, c)
-    assert np.isfinite(subset_tree_norms(g, kept, c)).all()
+    assert np.isfinite(subset_tree_norm_sweep(g, kept, [c])[0]).all()
     for subset in [(0,), (0, 1, 2), (4, 5, 0)]:
         with pytest.raises(NumericalOverflowError):
-            subset_tree_norms(g, kept + [subset], c)
+            subset_tree_norm_sweep(g, kept + [subset], [c])
 
 
 @pytest.mark.parametrize("bad", [[(0, 3)], [(1,), (-1,)], [(2, 0), (-4, 1)],
@@ -184,6 +184,6 @@ def test_subset_norms_ignore_overflow_on_dropped_nodes(norm):
 def test_subset_norms_reject_nodes_outside_the_graph(bad):
     g = Graph(3, [(0, 1), (1, 2)], np.ones((3, 1)))
     with pytest.raises(DatasetError, match="outside 0..2"):
-        subset_tree_norms(g, bad, cfg(2))
+        subset_tree_norm_sweep(g, bad, [cfg(2)])
     with pytest.raises(DatasetError):
-        subset_tree_norms(empty_graph(1), [(0,)], cfg(2))
+        subset_tree_norm_sweep(empty_graph(1), [(0,)], [cfg(2)])
