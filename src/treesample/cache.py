@@ -47,8 +47,8 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def write_matrix(path: str, dm: DistanceMatrix, *, norm: str = "",
-                 dataset_hash: str = "") -> None:
+def write_matrix(path: str, dm: DistanceMatrix, *, norm: str,
+                 dataset_hash: str) -> None:
     """Write the matrix and its key atomically (temp file + rename)."""
     values = np.ascontiguousarray(dm.values, dtype="<f8").tobytes()
     fields = (dm.metric, dm.weight_preset, norm, dataset_hash,

@@ -19,7 +19,7 @@ import sys
 from .cache import load_or_compute
 from .config import TmdConfig, parse_weights
 from .errors import (CacheMismatchError, ConfigError, DatasetError,
-                     NumericalOverflowError, ScaleLimitError)
+                     NumericalOverflowError)
 from .gnn import (_readouts, finite_erm_sweep, identity_gin, random_gin,
                   stability_report)
 from .graph_select import (kmedoids, feature_distance_matrix,
@@ -77,9 +77,7 @@ def _add_common(p: _Parser) -> None:
                    help="level weights: const:<x> or table:w1,w2,... (default "
                    "const:1.0; verify sweeps its own and takes none)")
     p.add_argument("--norm", choices=("l1", "l2"), default="l2")
-    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out", help="output file path")
-    p.add_argument("--cache", help="binary distance-cache path")
     p.add_argument("--json", action="store_true", help="machine-readable stdout")
 
 
@@ -87,8 +85,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="treesample", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dist", parents=[], help="compute and cache pairwise distances")
+    p = sub.add_parser("dist", help="compute and cache pairwise distances")
     _add_common(p)
+    p.add_argument("--cache", help="binary distance-cache path")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("treenorm", help="print the tree norm of every graph")
@@ -97,6 +96,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("subsample-graphs", help="select k weighted medoid graphs")
     _add_common(p)
+    p.add_argument("--seed", type=_int_from(0), default=0)
+    p.add_argument("--cache", help="binary distance-cache path")
     p.add_argument("--k", type=_int_from(1), required=True)
     p.add_argument("--method", choices=("tmd", "wl", "feature", "random"),
                    default="tmd")
@@ -104,6 +105,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("subsample-nodes", help="shrink every graph to a node subset")
     _add_common(p)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--frac", type=float, required=True,
                    help="target fraction of nodes to keep, in (0, 1]")
     p.add_argument("--heuristics", default="bfs,rw,kcore",
@@ -112,6 +114,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run empirical guarantee checks")
     _add_common(p)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--mode", required=True,
                    choices=("stability", "erm-graphs", "erm-nodes",
                             "wl-counterexample"))
@@ -195,7 +198,7 @@ def cmd_subsample_graphs(args) -> int:
     if args.method in builders:
         dm, _ = load_or_compute(args.cache, ds, args.method, cfg,
                                 builders[args.method])
-        sel = kmedoids(dm, args.k, seed=args.seed)
+        sel = kmedoids(dm, args.k)
     else:
         dm = None
         if args.cache and os.path.exists(args.cache):
@@ -238,7 +241,7 @@ def _sweep_configs(args) -> list[TmdConfig]:
 def _verify_wl_counterexample(args) -> tuple[dict, int, str]:
     ga, gb = wl_counterexample_pair(5)
     dist = wl_distance(ga, gb, iterations=args.depth)
-    probe = identity_gin(feature_dim=1, eta=args.eta, mp_layers=1)
+    probe = identity_gin(feature_dim=1, eta=args.eta)
     ra, rb = _readouts([probe], [ga, gb])[0, :, 0]
     gap = float(abs(ra - rb))
     payload = {"mode": "wl-counterexample", "wl_distance": dist, "gin_gap": gap}
@@ -277,7 +280,7 @@ def _verify_erm(args, ds, mode: str) -> tuple[dict, int, str]:
         # lazy, so the sweep holds at most two presets' distance matrices
         dms = (pairwise_matrix(ds, cfg) for cfg in cfgs)
         found = finite_erm_sweep(ds, labels, hypotheses, selections=(
-            (kmedoids(dm, args.k, seed=args.seed), dm) for dm in dms))
+            (kmedoids(dm, args.k), dm) for dm in dms))
     else:
         found = finite_erm_sweep(ds, labels, hypotheses, subsample_sets=subsample_sweep(
             ds, args.frac, cfgs, seed=args.seed))
@@ -341,8 +344,8 @@ def main(argv=None) -> int:
     except CacheMismatchError as exc:
         print(f"cache mismatch: {exc}", file=sys.stderr)
         return EXIT_CACHE
-    except (DatasetError, ScaleLimitError, NumericalOverflowError,
-            OSError, json.JSONDecodeError) as exc:
+    except (DatasetError, NumericalOverflowError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

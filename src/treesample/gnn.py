@@ -21,6 +21,8 @@ from .graphs import Dataset, Graph, induced_subgraph
 from .tmd import tmd
 
 _ACTIVATIONS = ("relu", "identity")
+_LOSS_CLIP = 10.0  # the per-graph loss |prediction - label| is clipped here
+_ERM_TOL = 1e-9  # float slack on the ERM bound and the transport-plan chain
 
 
 @dataclass(frozen=True)
@@ -154,19 +156,19 @@ def layer_lipschitz(model: GinModel) -> LipschitzProfile:
 
 
 def random_gin(seed: int, feature_dim: int, hidden: int, depth: int,
-               eta: float = 1.0, out_dim: int = 1) -> GinModel:
+               eta: float = 1.0) -> GinModel:
     """Seeded Gaussian model with every layer scaled to unit spectral norm.
 
     ``depth`` counts all layers: ``depth - 1`` message-passing layers plus
-    the readout.  ``depth=1`` is a readout-only model.  Biases are zero and
-    all activations are relu.
+    the scalar readout.  ``depth=1`` is a readout-only model.  Biases are
+    zero and all activations are relu.
     """
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
     if depth > 1 and hidden < 1:
         raise ConfigError(f"hidden must be >= 1 when depth > 1, got {hidden}")
     rng = np.random.default_rng(seed)
-    dims = [feature_dim] + [hidden] * (depth - 1) + [out_dim]
+    dims = [feature_dim] + [hidden] * (depth - 1) + [1]
     layers = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         w = rng.standard_normal((d_in, d_out))
@@ -177,12 +179,12 @@ def random_gin(seed: int, feature_dim: int, hidden: int, depth: int,
     return GinModel(tuple(layers), eta=eta)
 
 
-def identity_gin(feature_dim: int = 1, eta: float = 1.0,
-                 mp_layers: int = 1) -> GinModel:
-    """Identity-weight, identity-activation model (used as a separator probe)."""
+def identity_gin(feature_dim: int = 1, eta: float = 1.0) -> GinModel:
+    """Identity-weight, identity-activation model with one message-passing
+    layer before the readout (used as a separator probe)."""
     eye = np.eye(feature_dim)
     layer = GinLayer(eye, np.zeros(feature_dim), "identity")
-    return GinModel(tuple([layer] * mp_layers + [layer]), eta=eta)
+    return GinModel((layer, layer), eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +282,7 @@ def _readouts(models, graphs) -> np.ndarray:
 
 
 def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
-                     subsample_sets=None, clip: float = 10.0,
-                     tol: float = 1e-9) -> list[ErmReport]:
+                     subsample_sets=None) -> list[ErmReport]:
     """Minimize subsampled loss over a finite hypothesis set, then compare
     the winner's full-data loss against the best achievable plus ``2 c eps``;
     one report for each ``(selection, distances)`` pair in ``selections``,
@@ -323,7 +324,7 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
 
     def mean_loss(preds, targets):  # oracles.abs_clipped_loss, entry by entry
         with np.errstate(over="ignore"):  # inf, silently, as in Python floats
-            losses = np.minimum(np.abs(preds - targets), clip)
+            losses = np.minimum(np.abs(preds - targets), _LOSS_CLIP)
         return [math.fsum(row) / n for row in losses.tolist()]
 
     full_losses = mean_loss(preds_full, labels)
@@ -341,8 +342,8 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
         erm = min(range(len(hypotheses)), key=lambda t: (sub_losses[t], t))
         bound_rhs = 2.0 * c * epsilon
         return ErmReport(mode, full_losses[erm], min_loss_full, bound_rhs, epsilon, m_lip,
-                         full_losses[erm] <= min_loss_full + bound_rhs + tol,
-                         excess <= tol, excess, erm)
+                         full_losses[erm] <= min_loss_full + bound_rhs + _ERM_TOL,
+                         excess <= _ERM_TOL, excess, erm)
 
     reports, sub_preds = [], {}
     for selection, distances in selections or ():

@@ -114,7 +114,7 @@ def _selection(method: str, k: int, seed: int, full: np.ndarray,
                      float(near.mean()))
 
 
-def kmedoids(d: DistanceMatrix, k: int, seed: int = 0, max_iter: int = 100,
+def kmedoids(d: DistanceMatrix, k: int, *, max_iter: int = 100,
              trace: list | None = None) -> Selection:
     """PAM-style k-medoids: greedy BUILD, then best-improvement exchanges.
 
@@ -133,8 +133,8 @@ def kmedoids(d: DistanceMatrix, k: int, seed: int = 0, max_iter: int = 100,
     one swap at a time in ascending scan order and keeping only strictly
     better moves (``np.argmin`` keeps the first of equal minima).
 
-    Fully deterministic; ``seed`` is recorded for provenance only.  The
-    objective never increases between exchange iterations.  Pass a list as
+    Fully deterministic, so the selection records seed 0.  The objective
+    never increases between exchange iterations.  Pass a list as
     ``trace`` to collect the objective after BUILD and after each accepted
     exchange.  A NaN or infinite distance raises :class:`DatasetError`.
     """
@@ -145,7 +145,7 @@ def kmedoids(d: DistanceMatrix, k: int, seed: int = 0, max_iter: int = 100,
         sel = list(range(n))
         if trace is not None:
             trace.append(0.0)
-        return Selection("tmd-medoids", k, seed, sel, [1] * n, 0.0)
+        return Selection("tmd-medoids", k, 0, sel, [1] * n, 0.0)
     # symmetric, so row i equals column i bit for bit; candidates are rows
     full = d.full()
     if not np.isfinite(full).all():
@@ -202,7 +202,7 @@ def kmedoids(d: DistanceMatrix, k: int, seed: int = 0, max_iter: int = 100,
         if trace is not None:
             trace.append(objective)
 
-    return _selection("tmd-medoids", k, seed, full, chosen)
+    return _selection("tmd-medoids", k, 0, full, chosen)
 
 
 def random_selection(n: int, k: int, seed: int,

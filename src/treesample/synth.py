@@ -18,17 +18,18 @@ import numpy as np
 from .errors import ConfigError
 from .graphs import Dataset, Graph, make_dataset
 
+_CLUSTER_DIM = 3  # feature width of clustered_dataset
+
 
 def random_graph(rng: np.random.Generator, n: int, p: float,
-                 feature_dim: int = 2, scale: float = 1.0,
-                 shift: float = 0.0, label=None) -> Graph:
-    """One G(n, p) draw with Gaussian features ``shift + scale * N(0, 1)``."""
+                 feature_dim: int = 2, label=None) -> Graph:
+    """One G(n, p) draw with standard normal features."""
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < p:
                 edges.append((i, j))
-    feats = shift + scale * rng.standard_normal((n, feature_dim))
+    feats = rng.standard_normal((n, feature_dim))
     return Graph(n, edges, feats, label=label)
 
 
@@ -55,9 +56,10 @@ def _family_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
-def clustered_dataset(n_graphs: int = 40, families: int = 5, seed: int = 0,
-                      feature_dim: int = 3) -> Dataset:
-    """Well-separated families; each graph's label is its family id.
+def clustered_dataset(n_graphs: int = 40, families: int = 5,
+                      seed: int = 0) -> Dataset:
+    """Well-separated families of 3-d graphs; each graph's label is its
+    family id.
 
     Family f fixes a backbone (ring of ``6 + f`` nodes plus ``f`` chords), a
     unit feature direction, and a feature magnitude ``2 (f + 1)``.  Members
@@ -69,13 +71,13 @@ def clustered_dataset(n_graphs: int = 40, families: int = 5, seed: int = 0,
         raise ConfigError(f"need n_graphs >= families >= 1, got {n_graphs}, {families}")
     rng = np.random.default_rng(seed)
     backbones = [_family_backbone(f) for f in range(families)]
-    directions = [_family_direction(rng, feature_dim) for _ in range(families)]
+    directions = [_family_direction(rng, _CLUSTER_DIM) for _ in range(families)]
     graphs = []
     for i in range(n_graphs):
         f = i % families
         n, edges = backbones[f]
         center = 2.0 * (f + 1) * directions[f]
-        feats = center + 0.03 * rng.standard_normal((n, feature_dim))
+        feats = center + 0.03 * rng.standard_normal((n, _CLUSTER_DIM))
         graphs.append(Graph(n, edges, feats, label=f))
     return make_dataset(graphs, name=f"clustered-{n_graphs}-{families}-{seed}")
 

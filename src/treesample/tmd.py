@@ -37,6 +37,18 @@ _NEAR_RTOL = 1e-9
 _perm_cache: dict[int, np.ndarray] = {}
 
 
+def _fsums(rows: np.ndarray) -> np.ndarray:
+    """Exact ``math.fsum`` of each row; every exact sum of the distance runs
+    here, so each overflow of one is a :class:`NumericalOverflowError`."""
+    try:
+        return np.fromiter(map(math.fsum, rows.tolist()), dtype=np.float64,
+                           count=rows.shape[0])
+    except OverflowError as exc:
+        raise NumericalOverflowError(
+            "an exact sum in the tree mover's distance overflowed; "
+            "reduce the depth, the level weights or the feature scale") from exc
+
+
 def _cross_distances(fa: np.ndarray, fb: np.ndarray, norm: str) -> np.ndarray:
     if fa.shape[1] != fb.shape[1]:
         raise DatasetError(
@@ -80,8 +92,7 @@ def _build_plan(g: Graph, cfg: TmdConfig) -> _Plan:
     for d in range(2, cfg.depth + 1):
         # padding slots read the trailing 0.0, which leaves each fsum unchanged
         kids = np.append(blanks[-1], 0.0)[nbr]
-        blanks.append(x + cfg.level_weight(d - 1) * np.fromiter(
-            map(math.fsum, kids.tolist()), dtype=np.float64, count=n))
+        blanks.append(x + cfg.level_weight(d - 1) * _fsums(kids))
     return _Plan(deg, nbr, tuple(blanks))
 
 
@@ -135,8 +146,7 @@ def _solve_enumerated(blocks: np.ndarray) -> np.ndarray:
         keep = np.ones(block.size, dtype=bool)
         keep[1:] = (block[1:] != block[:-1]) | (cand[1:] != cand[:-1]).any(axis=1)
         block, cand = block[keep], cand[keep]
-    exact = np.fromiter(map(math.fsum, cand.tolist()), dtype=np.float64,
-                        count=block.size)
+    exact = _fsums(cand)
     firsts = np.flatnonzero(np.r_[True, block[1:] != block[:-1]])
     return np.minimum.reduceat(exact, firsts)
 
@@ -145,9 +155,7 @@ def _solve_lsap(blocks: np.ndarray) -> np.ndarray:
     """Exact matching values of wide (P, q, q) blocks: LSAP, then ``fsum``."""
     count, q = blocks.shape[0], blocks.shape[1]
     cols = np.array([linear_sum_assignment(c)[1] for c in blocks])
-    chosen = blocks[np.arange(count)[:, None], np.arange(q), cols]
-    return np.fromiter(map(math.fsum, chosen.tolist()), dtype=np.float64,
-                       count=count)
+    return _fsums(blocks[np.arange(count)[:, None], np.arange(q), cols])
 
 
 @np.errstate(over="ignore")  # as in _build_plan, _extended reports overflow
@@ -206,25 +214,29 @@ def tmd_cost_matrix(ga: Graph, gb: Graph, cfg: TmdConfig) -> np.ndarray:
     return ext[np.minimum(idx, na)[:, None], np.minimum(idx, nb)[None, :]]
 
 
+def _order_key(g: Graph) -> tuple:
+    """Total order on graphs that :func:`tmd` puts its arguments in."""
+    return (g.node_count, g.edge_count, g._edges.tobytes(), g.features.tobytes())
+
+
 def tmd(ga: Graph, gb: Graph, cfg: TmdConfig) -> float:
     """Tree mover's distance at depth ``cfg.depth``.
 
-    Non-negative, zero for identical graphs, and symmetric up to one ulp:
-    on the transposed costs ``linear_sum_assignment`` may pick another
-    near-tie assignment.  Values are exact matching sums (no normalization by
-    multiset size).  The top-level matching is one more LSAP block
-    (``_solve_lsap``), whatever its size.
+    Non-negative, zero for identical graphs, and symmetric bit for bit: the
+    two graphs are put in :func:`_order_key` order first, because on tied
+    costs ``linear_sum_assignment`` may pick another near-tie assignment on
+    the transposed matrices, whose exact sum differs in the last bit.
+    Values are exact matching sums (no normalization by multiset size).  The
+    top-level matching is one more LSAP block (``_solve_lsap``), whatever
+    its size.
     """
     if ga.node_count == 0:
         return tree_norm(gb, cfg)
     if gb.node_count == 0:
         return tree_norm(ga, cfg)
-    try:
-        return float(_solve_lsap(tmd_cost_matrix(ga, gb, cfg)[None])[0])
-    except OverflowError as exc:  # an exact fsum of finite entries overflowed
-        raise NumericalOverflowError(
-            f"tree mover's distance overflowed at depth {cfg.depth}; "
-            "reduce the depth, the level weights or the feature scale") from exc
+    if _order_key(gb) < _order_key(ga):
+        ga, gb = gb, ga
+    return float(_solve_lsap(tmd_cost_matrix(ga, gb, cfg)[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def reference_feature_distance_matrix(ds, cfg):
     return DistanceMatrix(n, "feature", 0, "", vals)
 
 
-def reference_kmedoids(d, k, seed=0, max_iter=100, trace=None):
+def reference_kmedoids(d, k, max_iter=100, trace=None):
     """k-medoids scored one candidate swap at a time (the loop definition).
 
     Same search and tie-breaking as :func:`treesample.kmedoids`: every
@@ -113,7 +113,7 @@ def reference_kmedoids(d, k, seed=0, max_iter=100, trace=None):
         sel = list(range(n))
         if trace is not None:
             trace.append(0.0)
-        return Selection("tmd-medoids", k, seed, sel, [1] * n, 0.0)
+        return Selection("tmd-medoids", k, 0, sel, [1] * n, 0.0)
 
     # BUILD: repeatedly add the index that lowers the objective most
     chosen: list[int] = []
@@ -168,7 +168,7 @@ def reference_kmedoids(d, k, seed=0, max_iter=100, trace=None):
             trace.append(objective)
 
     objective = medoids_objective(d, chosen)
-    return Selection("tmd-medoids", k, seed, chosen, cluster_sizes(d, chosen), objective)
+    return Selection("tmd-medoids", k, 0, chosen, cluster_sizes(d, chosen), objective)
 
 
 def _bfs_distances(g, start):
@@ -431,7 +431,7 @@ def reference_verify_erm_payload(args, ds, mode):
     for c in _sweep_configs(args):
         if mode == "erm-graphs":
             dm = pairwise_matrix(ds, c)
-            sel = kmedoids(dm, args.k, seed=args.seed)
+            sel = kmedoids(dm, args.k)
             report = reference_finite_erm_check(ds, labels, hypotheses,
                                                 selection=sel, distances=dm)
         else:

@@ -43,7 +43,7 @@ def test_read_rejects_foreign_bytes(tmp_path):
 
 def test_read_rejects_truncated_files(tmp_path, small_ds):
     path = str(tmp_path / "d.tmdc")
-    write_matrix(path, pairwise_matrix(small_ds, cfg(2)))
+    write_matrix(path, pairwise_matrix(small_ds, cfg(2)), norm="l2", dataset_hash="abc")
     blob = Path(path).read_bytes()
     # inside the header, inside a string, inside the value block
     for cut in (10, 22, len(blob) - 3):

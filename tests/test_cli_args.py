@@ -47,6 +47,23 @@ def test_cli_rejects_non_positive_sizes(argv, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dist", "--cache", "@", "--seed", "3"],
+    ["treenorm", "--seed", "3"],
+    ["treenorm", "--cache", "@"],
+    ["subsample-nodes", "--frac", "0.5", "--cache", "@"],
+    ["verify", "--mode", "erm-graphs", "--synthetic", "6", "--cache", "@"],
+], ids=["dist-seed", "treenorm-seed", "treenorm-cache", "subsample-nodes-cache",
+        "verify-cache"])
+def test_cli_rejects_flags_the_command_does_not_read(argv, tmp_path, capsys):
+    cache = tmp_path / "d.tmdc"
+    argv = [str(cache) if arg == "@" else arg for arg in argv]
+    assert main([*argv, "--dataset", str(_dataset_path(tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments: ") and "Traceback" not in err
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize("eta", ["1e306", "1e308"])
 def test_cli_wl_counterexample_probe_overflow_exits_2(eta, capsys):
     assert main(["verify", "--mode", "wl-counterexample", "--eta", eta, "--json"]) == 2
@@ -90,24 +107,26 @@ WEIGHTS = ("--weights", *_choices(
     ["const:inf", "const:0", "const:-1", "const:nan", "table:", "table:1,x",
      "zipf:2", "pascal"]), False)
 
+SEED = ("--seed", *_ints(0, 3), False)
+CACHE = ("--cache", None, None, False)  # a path, which the test fills in
+
 # per subcommand: (flag, valid values, invalid values, required)
 COMMON = [("--depth", *_ints(1, 4), False),
           ("--norm", *_choices(["l1", "l2"], ["l3"]), False),
-          ("--seed", *_ints(0, 3), False),
           ("--format", *_choices(["jsonl"], ["tu"]), False)]
 FLAGS = {
-    "dist": [WEIGHTS],
+    "dist": [WEIGHTS, CACHE],
     "treenorm": [WEIGHTS],
     "subsample-graphs": [
-        WEIGHTS, ("--k", *_ints(1, 4), True),
+        WEIGHTS, SEED, CACHE, ("--k", *_ints(1, 4), True),
         ("--method", *_choices(["tmd", "wl", "feature", "random"], ["x"]), False)],
     "subsample-nodes": [
-        WEIGHTS, ("--frac", *FRACS, True),
+        WEIGHTS, SEED, ("--frac", *FRACS, True),
         ("--heuristics", *_choices(["bfs,rw,kcore", "bfs", "kcore,rw"], [",", "bfs,x"]),
          False)],
     "verify": [
-        ("--mode", *_choices(["stability", "erm-graphs", "erm-nodes",
-                              "wl-counterexample"], ["x"]), True),
+        SEED, ("--mode", *_choices(["stability", "erm-graphs", "erm-nodes",
+                                    "wl-counterexample"], ["x"]), True),
         ("--synthetic", *_ints(1, 12), False), ("--pairs", *_ints(1, 20), False),
         ("--hypotheses", *_ints(1, 4), False), ("--k", *_ints(1, 4), False),
         ("--frac", *FRACS, False), ("--hidden", *_ints(1, 8), False),
@@ -122,13 +141,16 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
     argv = [command]
     for flag, valid, invalid, required in FLAGS[command] + COMMON:
-        if required or draw(st.integers(0, 2)) == 0:
+        if valid is None:  # a path flag, in three draws of four
+            if draw(st.integers(0, 3)) < 3:
+                argv.append(flag)
+        elif required or draw(st.integers(0, 2)) == 0:
             kind = draw(st.sampled_from(["valid"] * 10 + ["invalid", "junk"]))
             argv += [flag, draw({"valid": valid, "invalid": invalid, "junk": JUNK}[kind])]
     if draw(st.integers(0, 4)) < 4:  # without a dataset, only --synthetic loads
         argv.append("--dataset")
     if draw(st.integers(0, 3)) < 3:
-        argv += ["--cache", "--out", "--json"]
+        argv += ["--out", "--json"]
     return argv
 
 

@@ -10,6 +10,7 @@ from treesample import (ConfigError, DatasetError, Graph, NumericalOverflowError
                         make_dataset, pairwise_matrix, tmd, tmd_cost_matrix,
                         tmd_naive, tmd_subgraph, tree_distance,
                         tree_blank_distance, tree_norm)
+from treesample.tmd import _order_key
 
 from helpers import cfg, random_graph, random_table_cfg, reference_tmd
 
@@ -44,12 +45,31 @@ def test_matches_naive_oracle():
         assert math.isclose(fast, slow, rel_tol=1e-9, abs_tol=1e-12)
 
 
+def _tied_graph(rng, kind):
+    """A G(n, p) draw with all-ones features (what ``load_tu`` gives a
+    dataset without attributes) or integer features in {0, 1, 2}."""
+    g = random_graph(rng, n_max=12, p=float(rng.uniform(0.1, 0.9)))
+    n = g.node_count
+    feats = (np.ones((n, 1)) if kind == "ones"
+             else rng.integers(0, 3, (n, 2)).astype(float))
+    return Graph(n, g.edges, feats)
+
+
 def test_symmetry_is_bit_exact():
     rng = np.random.default_rng(17)
     for _ in range(25):
         c = random_table_cfg(rng, int(rng.integers(1, 4)))
         a, b = random_graph(rng, n_max=7), random_graph(rng, n_max=7)
         assert tmd(a, b, c) == tmd(b, a, c)
+    # tied features, where the solver's pick among near-tie assignments
+    # depends on the argument order: unless tmd fixes that order, 19 of these
+    # 800 pairs differ in the last bit
+    for kind, seed in (("ones", 71), ("ints", 72)):
+        rng = np.random.default_rng(seed)
+        for i in range(400):
+            c = random_table_cfg(rng, int(rng.integers(1, 5)), ("l1", "l2")[i % 2])
+            a, b = _tied_graph(rng, kind), _tied_graph(rng, kind)
+            assert tmd(a, b, c) == tmd(b, a, c), (kind, i)
 
 
 def test_triangle_inequality_with_slack():
@@ -181,7 +201,8 @@ def test_pairwise_matrix_layout():
 
 def test_kernel_matches_per_block_reference_bit_for_bit():
     # the batched kernel against the one-matching-per-node-pair dynamic
-    # program, in both argument orders; the graph mix puts blocks on both
+    # program, in both argument orders, each against the reference in the
+    # order tmd puts its arguments in; the graph mix puts blocks on both
     # sides of the enumeration threshold and includes edgeless and one-node
     # graphs, and every fifth pair has integer features, so exact ties occur
     rng = np.random.default_rng(43)
@@ -196,8 +217,9 @@ def test_kernel_matches_per_block_reference_bit_for_bit():
         if i % 5 == 0:
             a = Graph(a.node_count, a.edges, np.round(a.features))
             b = Graph(b.node_count, b.edges, np.round(b.features))
-        assert tmd(a, b, c) == reference_tmd(a, b, c)
-        assert tmd(b, a, c) == reference_tmd(b, a, c)
+        first, second = sorted((a, b), key=_order_key)
+        assert tmd(a, b, c) == reference_tmd(first, second, c)
+        assert tmd(b, a, c) == reference_tmd(first, second, c)
 
 
 @pytest.mark.filterwarnings("error")
@@ -208,9 +230,10 @@ def test_overflow_raises_numerical_overflow_error():
         tmd(g, P2, big)
     # every entry is finite, but the exact sum of two of them is not
     huge = Graph(3, [(0, 1), (1, 2)], np.full((3, 1), 1.5e308))
-    with pytest.raises(NumericalOverflowError) as info:
-        tmd(huge, P2, cfg(2, norm="l1"))
-    assert isinstance(info.value.__cause__, OverflowError)
+    for distance in (tmd, tmd_cost_matrix):
+        with pytest.raises(NumericalOverflowError) as info:
+            distance(huge, P2, cfg(2, norm="l1"))
+        assert isinstance(info.value.__cause__, OverflowError)
 
 
 @pytest.mark.filterwarnings("error")
