@@ -68,15 +68,26 @@ def _positive_float(text: str) -> float:
 _positive_float.__name__ = "float"  # as in _int_from
 
 
+class _Noted(argparse.Action):
+    """Store the value, as the default action does, and note the flag in
+    ``args.given``, so that ``verify`` can refuse what its mode does not read."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.option_strings[0]}
+
+
 def _add_common(p: _Parser) -> None:
-    p.add_argument("--dataset", help="path to a .jsonl file or a TU directory")
-    p.add_argument("--format", choices=("jsonl", "tu"), default="jsonl")
-    p.add_argument("--tu-name", help="TU dataset name (default: directory basename)")
+    p.add_argument("--dataset", action=_Noted,
+                   help="path to a .jsonl file or a TU directory")
+    p.add_argument("--format", action=_Noted, choices=("jsonl", "tu"), default="jsonl")
+    p.add_argument("--tu-name", action=_Noted,
+                   help="TU dataset name (default: directory basename)")
     p.add_argument("--depth", type=_int_from(1), default=2, help="tree depth L (default 2)")
     p.add_argument("--weights", default="const:1.0",
                    help="level weights: const:<x> or table:w1,w2,... (default "
                    "const:1.0; verify sweeps its own and takes none)")
-    p.add_argument("--norm", choices=("l1", "l2"), default="l2")
+    p.add_argument("--norm", action=_Noted, choices=("l1", "l2"), default="l2")
     p.add_argument("--out", help="output file path")
     p.add_argument("--json", action="store_true", help="machine-readable stdout")
 
@@ -114,17 +125,21 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run empirical guarantee checks")
     _add_common(p)
-    p.add_argument("--seed", type=_int_from(0), default=0)
+    p.add_argument("--seed", action=_Noted, type=_int_from(0), default=0)
     p.add_argument("--mode", required=True,
                    choices=("stability", "erm-graphs", "erm-nodes",
                             "wl-counterexample"))
-    p.add_argument("--synthetic", type=_int_from(1), metavar="N",
+    p.add_argument("--synthetic", action=_Noted, type=_int_from(1), metavar="N",
                    help="use the built-in generator with N graphs instead of --dataset")
-    p.add_argument("--pairs", type=_int_from(1), default=100)
-    p.add_argument("--hypotheses", type=_int_from(1), default=20)
-    p.add_argument("--k", type=_int_from(1), default=5, help="medoid count (erm-graphs)")
-    p.add_argument("--frac", type=float, default=0.5, help="node fraction (erm-nodes)")
-    p.add_argument("--hidden", type=_int_from(1), default=8)
+    p.add_argument("--pairs", action=_Noted, type=_int_from(1), default=100,
+                   help="graph pairs (stability)")
+    p.add_argument("--hypotheses", action=_Noted, type=_int_from(1), default=20,
+                   help="GIN hypotheses (erm-*)")
+    p.add_argument("--k", action=_Noted, type=_int_from(1), default=5,
+                   help="medoid count (erm-graphs)")
+    p.add_argument("--frac", action=_Noted, type=float, default=0.5,
+                   help="node fraction (erm-nodes)")
+    p.add_argument("--hidden", action=_Noted, type=_int_from(1), default=8)
     p.add_argument("--eta", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_verify, weights=None)  # None: --weights not given
     return parser
@@ -200,9 +215,10 @@ def cmd_subsample_graphs(args) -> int:
                                 builders[args.method])
         sel = kmedoids(dm, args.k)
     else:
-        dm = None
-        if args.cache and os.path.exists(args.cache):
-            dm, _ = load_or_compute(args.cache, ds, "tmd", cfg, builders["tmd"])
+        # random needs no distances; with a cache it is scored on tmd's, as
+        # the other methods are on theirs
+        dm = (load_or_compute(args.cache, ds, "tmd", cfg, builders["tmd"])[0]
+              if args.cache else None)
         sel = random_selection(len(ds), args.k, args.seed, d=dm)
     sel = dataclasses.replace(sel, method=args.method, seed=args.seed)
     if args.out:
@@ -313,11 +329,26 @@ def _verify_erm(args, ds, mode: str) -> tuple[dict, int, str]:
         "try k at least the number of label groups")
 
 
+# verify flags that not every mode reads, and the modes that read them
+_VERIFY_READERS = {
+    **dict.fromkeys(("--dataset", "--format", "--tu-name", "--synthetic", "--norm",
+                     "--seed", "--hidden"), ("stability", "erm-graphs", "erm-nodes")),
+    "--pairs": ("stability",),
+    "--hypotheses": ("erm-graphs", "erm-nodes"),
+    "--k": ("erm-graphs",),
+    "--frac": ("erm-nodes",),
+}
+
+
 def cmd_verify(args) -> int:
     if args.weights is not None:  # a preset that would never run
         sweep = ",".join(f"{lam:g}" for lam in LAMBDA_SWEEP)
         raise ConfigError(f"verify takes no --weights: it sweeps the level "
                           f"weights const:{{{sweep}}}*eta (scale them with --eta)")
+    unread = [flag for flag in sorted(getattr(args, "given", ()))
+              if args.mode not in _VERIFY_READERS.get(flag, (args.mode,))]
+    if unread:
+        raise ConfigError(f"verify --mode {args.mode} does not read {', '.join(unread)}")
     if args.mode == "wl-counterexample":
         payload, code, diagnostic = _verify_wl_counterexample(args)
     else:

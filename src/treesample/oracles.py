@@ -22,13 +22,23 @@ from .errors import ConfigError, DatasetError, ScaleLimitError
 from .graph_select import Selection, cluster_sizes, medoids_objective
 from .graphs import Graph, empty_graph
 from .node_select import NodeSubsample
-from .tmd import DistanceMatrix, _permutations
+from .tmd import DistanceMatrix
 from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
 
 _BRUTE_LIMIT = 9
 _NAIVE_NODE_LIMIT = 12
 _NAIVE_DEPTH_LIMIT = 4
 _BRUTE_SUBSET_LIMIT = 100_000
+
+
+_perm_cache: dict[int, np.ndarray] = {}
+
+
+def _permutations(q: int) -> np.ndarray:
+    """All permutations of ``range(q)`` in lexicographic order, one per row."""
+    if q not in _perm_cache:
+        _perm_cache[q] = np.array(list(itertools.permutations(range(q))), dtype=np.int64)
+    return _perm_cache[q]
 
 
 def _check_square(cost: np.ndarray) -> np.ndarray:

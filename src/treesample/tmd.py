@@ -5,17 +5,20 @@ graphs, using a recursive tree distance as the ground cost.  Mismatched
 multiset sizes are padded with blank trees (a single node with an all-zero
 feature vector), so graphs of different sizes compare directly.
 
-``tmd`` runs a bottom-up dynamic program over node pairs, one depth level
-at a time, and materializes no tree: each level solves one padded matching
-per node pair, with the blocks of one size batched together.  The literal
-recursion on unrolled trees that it is checked against lives in
-:mod:`treesample.oracles`.
+One kernel computes every distance: a bottom-up dynamic program over node
+pairs, one depth level at a time, that materializes no tree.  It runs on a
+batch of graph pairs at once (``pairwise_matrix`` feeds it every pair of a
+dataset in consecutive chunks, ``tmd`` a batch of one); each level solves
+one padded matching per node pair, with the blocks of one shape across the
+whole batch solved together.  The literal recursion on unrolled trees that
+it is checked against lives in :mod:`treesample.oracles`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +30,17 @@ from .errors import DatasetError, NumericalOverflowError
 from .graphs import Dataset, Graph
 from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
 
-# blocks up to this size are solved by enumerating permutations, larger ones
-# by linear_sum_assignment
+# blocks up to this size are solved by enumerating injective maps, larger
+# ones by linear_sum_assignment
 _ENUM_MAX_Q = 4
-# permutations whose float sum is within this relative distance of the
-# smallest one are re-summed exactly
+# maps whose float sum is within this relative distance of the smallest one
+# are re-summed exactly
 _NEAR_RTOL = 1e-9
-
-_perm_cache: dict[int, np.ndarray] = {}
+# the kernel runs consecutive pairs whose extended tables hold about this
+# many entries together, and gathers at most _SOLVE_ENTRIES block entries per
+# solver call; a chunk's working set is ~90 bytes per table entry
+_CHUNK_ENTRIES = 1 << 13
+_SOLVE_ENTRIES = 1 << 13
 
 
 def _fsums(rows: np.ndarray) -> np.ndarray:
@@ -78,7 +84,7 @@ class _Plan:
     blanks: tuple[np.ndarray, ...]
 
 
-# overflow shows up as a non-finite table, which _extended reports
+# overflow shows up as a non-finite table, which _tables reports
 @np.errstate(over="ignore")
 def _build_plan(g: Graph, cfg: TmdConfig) -> _Plan:
     n = g.node_count
@@ -103,52 +109,45 @@ def _plan(g: Graph, cfg: TmdConfig) -> _Plan:
     return cached[1]
 
 
-def _extended(td: np.ndarray, bl_a: np.ndarray, bl_b: np.ndarray) -> np.ndarray:
-    """``td`` with a blank row and column appended (blank vs blank costs 0)."""
-    na, nb = td.shape
-    ext = np.empty((na + 1, nb + 1))
-    ext[:na, :nb] = td
-    ext[:na, nb] = bl_a
-    ext[na, :nb] = bl_b
-    ext[na, nb] = 0.0
-    if not np.isfinite(ext).all():
-        raise NumericalOverflowError(
-            f"tree distance table overflowed (n={na} vs n={nb}); "
-            "reduce the depth, the level weights or the feature scale")
-    return ext
+def _injective_maps(q: int, r: int) -> np.ndarray:
+    """Entries of a q x q block, as flat positions, that each injective map
+    of the real rows 0..r-1 into the q columns matches, ``(m, q)`` with
+    ``m = q! / (q - r)!``: its r chosen entries, then the blank row r (rows
+    r..q-1 are identical blank rows) at each column the map leaves over."""
+    maps = itertools.permutations(range(q), r)
+    return np.array([[i * q + c for i, c in enumerate(m)]
+                     + [r * q + c for c in range(q) if c not in m] for m in maps],
+                    dtype=np.intp)
 
 
-def _permutations(q: int) -> np.ndarray:
-    if q not in _perm_cache:
-        _perm_cache[q] = np.array(list(itertools.permutations(range(q))), dtype=np.int64)
-    return _perm_cache[q]
+_MAPS = {(q, r): _injective_maps(q, r)
+         for q in range(1, _ENUM_MAX_Q + 1) for r in range(q + 1)}
 
 
-def _solve_enumerated(blocks: np.ndarray) -> np.ndarray:
-    """Exact matching values of small (P, q, q) blocks by permutation scan.
+def _solve_injective(blocks: np.ndarray, r: int) -> np.ndarray:
+    """Exact matching values of small (P, q, q) blocks, by injective maps.
 
-    Vectorized sums locate every permutation within a relative hair of the
-    minimum; ``fsum`` then re-evaluates those candidates exactly, once per
-    distinct multiset of entries (permutations of identical blank rows repeat
-    the same multiset).
+    Rows 0..r-1 of each block are real; rows r..q-1 are identical blank
+    rows.  Every map of the real rows into the columns, the blank rows taking
+    the columns left over, is one distinct assignment of the block, so the
+    q!/(q - r)! maps cover every multiset of entries its q! permutations do.
+    Vectorized sums locate every map within a relative hair of the minimum
+    and ``fsum`` re-sums those exactly; the exact optimum is always among
+    them, so the value is the exact optimum rounded once.
     """
     count, q = blocks.shape[0], blocks.shape[1]
-    entries = blocks.reshape(count, q * q)[:, np.arange(q) * q + _permutations(q)]
+    maps = _MAPS[q, r]
+    entries = blocks.reshape(count, q * q)[:, maps]
+    if maps.shape[0] == 1:  # r = 0, or q = r = 1
+        return _fsums(entries[:, 0])
     totals = entries.sum(axis=2)
     # entries are non-negative, so the summation error is relative to the total
     near = totals <= totals.min(axis=1, keepdims=True) * (1.0 + _NEAR_RTOL)
-    block, perm = np.nonzero(near)
-    cand = entries[block, perm]
-    if block.size > count:
-        cand = np.sort(cand, axis=1)
-        order = np.lexsort((*cand.T[::-1], block))
-        block, cand = block[order], cand[order]
-        keep = np.ones(block.size, dtype=bool)
-        keep[1:] = (block[1:] != block[:-1]) | (cand[1:] != cand[:-1]).any(axis=1)
-        block, cand = block[keep], cand[keep]
-    exact = _fsums(cand)
-    firsts = np.flatnonzero(np.r_[True, block[1:] != block[:-1]])
-    return np.minimum.reduceat(exact, firsts)
+    block, which = np.nonzero(near)
+    exact = _fsums(entries[block, which])
+    if block.size == count:
+        return exact
+    return np.minimum.reduceat(exact, np.flatnonzero(np.diff(block, prepend=-1)))
 
 
 def _solve_lsap(blocks: np.ndarray) -> np.ndarray:
@@ -158,47 +157,155 @@ def _solve_lsap(blocks: np.ndarray) -> np.ndarray:
     return _fsums(blocks[np.arange(count)[:, None], np.arange(q), cols])
 
 
-@np.errstate(over="ignore")  # as in _build_plan, _extended reports overflow
-def _tmd_tables(ga: Graph, gb: Graph, cfg: TmdConfig) -> np.ndarray:
-    """Extended depth-L table: ``ext[u, v]`` is the distance between the
-    computation trees of u and v, row ``na`` / column ``nb`` the blank tree.
+def _cells(off: np.ndarray, na: np.ndarray, nb: np.ndarray, a0: np.ndarray,
+           b0: np.ndarray, deg: np.ndarray) -> tuple[tuple[np.ndarray, ...], list]:
+    """Every cell (pair k, u, v) of a batch whose block is not empty (q >= 1),
+    sorted by block shape: each cell's pair, the node-table rows of u and v
+    and the cell's position in the flat buffer, plus ``(lo, hi, q, r)`` for
+    each run of cells of one shape.  Blocks up to ``_ENUM_MAX_Q`` have one
+    shape per (q, r), wider ones one per q."""
+    cells = na * nb
+    pair = np.repeat(np.arange(na.size), cells)
+    u, v = np.divmod(np.arange(pair.size) - np.repeat(np.cumsum(cells) - cells, cells),
+                     nb[pair])
+    at = off[pair] + u * (nb[pair] + 1) + v
+    u += a0[pair]
+    v += b0[pair]
+    q, r = np.maximum(deg[u], deg[v]), np.minimum(deg[u], deg[v])
+    r[q > _ENUM_MAX_Q] = 0
+    key = q * (q + 1) + r
+    order = np.argsort(key, kind="stable")[np.count_nonzero(q == 0):]
+    bounds = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
+    groups = [(lo, hi, int(q[order[lo]]), int(r[order[lo]]))
+              for lo, hi in zip([0, *bounds], [*bounds, order.size]) if lo < hi]
+    return (pair[order], u[order], v[order], at[order]), groups
 
-    Each level solves one padded matching per node pair (u, v) over the
-    children of u and v.  Pairs are grouped by block size q = max(deg u,
-    deg v) and every block of one size is gathered from the previous level's
-    extended table in one indexing step.
+
+@np.errstate(over="ignore")  # as in _build_plan, a non-finite table is reported
+def _tables(pairs: list[tuple[Graph, Graph]], cfg: TmdConfig
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Extended depth-L tables of a batch of non-empty graph pairs.
+
+    Pair k's table is ``ext[off[k]:off[k + 1]]`` as an (na + 1) x (nb + 1)
+    array: entry (u, v) is the distance between the computation trees of u
+    in ga and v in gb, row na / column nb the blank tree.  All tables live in
+    one flat buffer.  Each level solves one padded matching per node pair
+    (u, v) over their children; the cells of every pair are grouped once by
+    block shape, and each group is gathered from the buffer and solved in
+    sub-batches of at most ``_SOLVE_ENTRIES`` entries: blocks with q = max(deg
+    u, deg v) <= ``_ENUM_MAX_Q`` by injective maps, wider ones padded to q x q
+    for ``linear_sum_assignment``.
     """
-    pa, pb = _plan(ga, cfg), _plan(gb, cfg)
-    na, nb = ga.node_count, gb.node_count
-    base = _cross_distances(ga.features, gb.features, cfg.feature_norm)
-    ext = _extended(base, pa.blanks[0], pb.blanks[0])
+    plans = [(_plan(ga, cfg), _plan(gb, cfg)) for ga, gb in pairs]
+    na = np.array([ga.node_count for ga, _ in pairs], dtype=np.intp)
+    nb = np.array([gb.node_count for _, gb in pairs], dtype=np.intp)
+    stride = nb + 1
+    off = np.zeros(len(pairs) + 1, dtype=np.intp)
+    np.cumsum((na + 1) * stride, out=off[1:])
+
+    # one row block per distinct graph: its neighbours padded with its blank
+    graphs = {id(g): (g, p) for pair, plan in zip(pairs, plans) for g, p in zip(pair, plan)}
+    starts = np.cumsum([0, *(g.node_count for g, _ in graphs.values())]).tolist()
+    slot = dict(zip(graphs, starts))
+    nbr = np.empty((starts[-1], max(p.nbr.shape[1] for _, p in graphs.values())),
+                   dtype=np.intp)
+    for at, (g, p) in zip(starts, graphs.values()):
+        nbr[at:at + g.node_count, :p.nbr.shape[1]] = p.nbr
+        nbr[at:at + g.node_count, p.nbr.shape[1]:] = g.node_count
+    deg = np.concatenate([p.deg for _, p in graphs.values()])
+    a0 = np.array([slot[id(ga)] for ga, _ in pairs], dtype=np.intp)
+    b0 = np.array([slot[id(gb)] for _, gb in pairs], dtype=np.intp)
+
+    ext = np.empty(off[-1])
+    blank_pos = []
+    for k, (ga, gb) in enumerate(pairs):
+        table = ext[off[k]:off[k + 1]].reshape(na[k] + 1, nb[k] + 1)
+        table[:-1, :-1] = _cross_distances(ga.features, gb.features, cfg.feature_norm)
+        rows = off[k] + np.arange(na[k] + 1) * stride[k]
+        blank_pos += [rows[:-1] + nb[k], rows[-1] + np.arange(nb[k] + 1)]
+    blank_pos = np.concatenate(blank_pos)
+    zero = np.zeros(1)
+
+    def with_blanks(table: np.ndarray, level: int) -> np.ndarray:
+        table[blank_pos] = np.concatenate(
+            [x for pa, pb in plans for x in (pa.blanks[level], pb.blanks[level], zero)])
+        bad = np.flatnonzero(~np.isfinite(table))
+        if bad.size:
+            k = int(np.searchsorted(off, bad[0], side="right")) - 1
+            raise NumericalOverflowError(
+                f"tree distance table overflowed (n={na[k]} vs n={nb[k]}); "
+                "reduce the depth, the level weights or the feature scale")
+        return table
+
+    base = with_blanks(ext, 0)
     if cfg.depth == 1:
-        return ext
+        return base, off
 
-    sizes = np.maximum(pa.deg[:, None], pb.deg[None, :]).ravel()
-    width = int(sizes.max())
-    nbr_a = np.full((na, width), na, dtype=np.intp)
-    nbr_a[:, :pa.nbr.shape[1]] = pa.nbr
-    nbr_b = np.full((nb, width), nb, dtype=np.intp)
-    nbr_b[:, :pb.nbr.shape[1]] = pb.nbr
-    order = np.argsort(sizes, kind="stable")
-    bounds = np.searchsorted(sizes[order], np.arange(1, width + 2))
-    groups = []
-    for q in range(1, width + 1):
-        pairs = order[bounds[q - 1]:bounds[q]]
-        if pairs.size:
-            u, v = np.divmod(pairs, nb)
-            groups.append((q, pairs, nbr_a[u, :q, None], nbr_b[v, None, :q]))
-
+    (pair, ra, rb, cell_at), groups = _cells(off, na, nb, a0, b0, deg)
     for d in range(2, cfg.depth + 1):
-        values = np.zeros(na * nb)
-        for q, pairs, rows, cols in groups:
-            blocks = ext[rows, cols]
-            values[pairs] = (_solve_enumerated(blocks) if q <= _ENUM_MAX_Q
-                             else _solve_lsap(blocks))
-        td = base + cfg.level_weight(d - 1) * values.reshape(na, nb)
-        ext = _extended(td, pa.blanks[d - 1], pb.blanks[d - 1])
-    return ext
+        values = np.zeros(off[-1])
+        for lo, hi, q, r in groups:
+            enum = q <= _ENUM_MAX_Q
+            step = max(1, _SOLVE_ENTRIES // (q * (q + math.perm(q, r)) if enum else q * q))
+            for s in range(lo, hi, step):
+                e = min(s + step, hi)
+                k, ia, ib = pair[s:e], ra[s:e], rb[s:e]
+                # u's children then blank rows (row na), v's children then
+                # blank columns (column nb)
+                rows = off[k, None] + nbr[ia, :q] * stride[k, None]
+                blocks = ext[rows[:, :, None] + nbr[ib, None, :q]]
+                if not enum:
+                    values[cell_at[s:e]] = _solve_lsap(blocks)
+                    continue
+                # the smaller side's children as the real rows, blanks last
+                flip = (deg[ia] > deg[ib])[:, None, None]
+                blocks = np.where(flip, blocks.transpose(0, 2, 1), blocks)
+                values[cell_at[s:e]] = _solve_injective(blocks, r)
+        values *= cfg.level_weight(d - 1)
+        values += base
+        ext = with_blanks(values, d - 1)
+    return ext, off
+
+
+def _top_level(table: np.ndarray) -> np.ndarray:
+    """Square top-level cost matrix of an extended (na + 1) x (nb + 1) table:
+    the smaller side is padded with blank trees, blank vs blank costs 0."""
+    na, nb = table.shape[0] - 1, table.shape[1] - 1
+    idx = np.arange(max(na, nb))
+    return table[np.minimum(idx, na)[:, None], np.minimum(idx, nb)[None, :]]
+
+
+def _chunk_distances(chunk: list[tuple[Graph, Graph]], cfg: TmdConfig
+                     ) -> Iterator[float]:
+    """Tree mover's distance of each pair of one chunk."""
+    full = [(ga, gb) for ga, gb in chunk if ga.node_count and gb.node_count]
+    if full:
+        ext, off = _tables(full, cfg)
+    k = 0
+    for ga, gb in chunk:
+        if not (ga.node_count and gb.node_count):
+            yield tree_norm(gb if ga.node_count == 0 else ga, cfg)
+            continue
+        table = ext[off[k]:off[k + 1]].reshape(ga.node_count + 1, gb.node_count + 1)
+        yield float(_solve_lsap(_top_level(table)[None])[0])
+        k += 1
+
+
+def _distances(pairs: Iterable[tuple[Graph, Graph]], cfg: TmdConfig
+               ) -> Iterator[float]:
+    """Tree mover's distance of each pair, the pairs taken in consecutive
+    chunks whose extended tables hold about ``_CHUNK_ENTRIES`` entries; a
+    pair with an empty graph is the other graph's tree norm.  The top-level
+    matching is one more ``_solve_lsap`` block per pair, whatever its size.
+    """
+    chunk, size = [], 0
+    for ga, gb in pairs:
+        chunk.append((ga, gb))
+        size += (ga.node_count + 1) * (gb.node_count + 1)
+        if size >= _CHUNK_ENTRIES:
+            yield from _chunk_distances(chunk, cfg)
+            chunk, size = [], 0
+    yield from _chunk_distances(chunk, cfg)
 
 
 def tmd_cost_matrix(ga: Graph, gb: Graph, cfg: TmdConfig) -> np.ndarray:
@@ -208,10 +315,8 @@ def tmd_cost_matrix(ga: Graph, gb: Graph, cfg: TmdConfig) -> np.ndarray:
     rows/columns (if any) are blank padding.  The tree mover's distance is
     the min-cost matching value of this matrix, one more padded block.
     """
-    na, nb = ga.node_count, gb.node_count
-    ext = _tmd_tables(ga, gb, cfg)
-    idx = np.arange(max(na, nb))
-    return ext[np.minimum(idx, na)[:, None], np.minimum(idx, nb)[None, :]]
+    ext, _ = _tables([(ga, gb)], cfg)
+    return _top_level(ext.reshape(ga.node_count + 1, gb.node_count + 1))
 
 
 def _order_key(g: Graph) -> tuple:
@@ -226,17 +331,11 @@ def tmd(ga: Graph, gb: Graph, cfg: TmdConfig) -> float:
     two graphs are put in :func:`_order_key` order first, because on tied
     costs ``linear_sum_assignment`` may pick another near-tie assignment on
     the transposed matrices, whose exact sum differs in the last bit.
-    Values are exact matching sums (no normalization by multiset size).  The
-    top-level matching is one more LSAP block (``_solve_lsap``), whatever
-    its size.
+    Values are exact matching sums (no normalization by multiset size).
     """
-    if ga.node_count == 0:
-        return tree_norm(gb, cfg)
-    if gb.node_count == 0:
-        return tree_norm(ga, cfg)
     if _order_key(gb) < _order_key(ga):
         ga, gb = gb, ga
-    return float(_solve_lsap(tmd_cost_matrix(ga, gb, cfg)[None])[0])
+    return next(_distances([(ga, gb)], cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +395,13 @@ class DistanceMatrix:
 def pairwise_matrix(ds: Dataset, cfg: TmdConfig) -> DistanceMatrix:
     """All-pairs tree mover's distances over a dataset.
 
-    Pairs are evaluated independently, so the result does not depend on
-    evaluation order.
+    Every pair is put in :func:`_order_key` order, as :func:`tmd` puts it,
+    and the pairs run through the level loop in consecutive chunks, so each
+    value is ``tmd`` of its pair bit for bit.
     """
     n = len(ds)
-    vals = np.fromiter((tmd(ds[i], ds[j], cfg)
-                        for i, j in itertools.combinations(range(n), 2)),
-                       dtype=np.float64, count=n * (n - 1) // 2)
+    keys = [_order_key(g) for g in ds]
+    pairs = ((ds[j], ds[i]) if keys[j] < keys[i] else (ds[i], ds[j])
+             for i, j in itertools.combinations(range(n), 2))
+    vals = np.fromiter(_distances(pairs, cfg), dtype=np.float64, count=n * (n - 1) // 2)
     return DistanceMatrix(n, "tmd", cfg.depth, cfg.weights.spec_string(), vals)

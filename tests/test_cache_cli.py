@@ -8,8 +8,8 @@ import pytest
 
 from treesample import (CacheMismatchError, Graph, StabilityReport, TmdConfig,
                         clustered_dataset, const_weights, load_or_compute,
-                        make_dataset, pairwise_matrix, read_matrix, save_jsonl,
-                        write_matrix)
+                        make_dataset, pairwise_matrix, random_selection,
+                        read_matrix, save_jsonl, write_matrix)
 from treesample.cli import main
 
 from helpers import cfg, random_graph
@@ -208,6 +208,23 @@ def test_cli_dist_overflow_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_cli_dist_overflow_in_the_middle_of_a_dataset_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(59)
+    chains = [Graph(n, [(u, u + 1) for u in range(n - 1)],
+                    np.full((n, 1), 1e306) if n == 5 else rng.uniform(0, 2, (n, 1)))
+              for n in (2, 3, 5, 4, 6)]
+    path = tmp_path / "big.jsonl"
+    save_jsonl(make_dataset(chains), path)
+    cache = tmp_path / "d.tmdc"
+    code = main(["dist", "--dataset", str(path), "--depth", "3", "--norm", "l1",
+                 "--weights", "const:1000", "--cache", str(cache)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflowed (n=2 vs n=5)" in err
+    assert "Traceback" not in err and not cache.exists()
+
+
+@pytest.mark.filterwarnings("error")
 def test_cli_treenorm_overflow_exits_2(tmp_path, capsys):
     path = tmp_path / "huge.jsonl"
     save_jsonl(make_dataset([Graph(3, [(0, 1), (1, 2)], np.full((3, 1), 1.5e308))]),
@@ -293,6 +310,10 @@ def test_cli_subsample_graphs_methods(tmp_path, ds_path, capsys):
         for _ in range(2):
             assert main(argv) == 0
             runs.append(json.loads(capsys.readouterr().out))
+        if method == "random":  # the cache adds tmd weights and an objective
+            assert runs[0]["indices"] == payload["indices"]
+            assert payload["objective"] is None and runs[0]["objective"] is not None
+            payload = runs[0]
         assert runs[0] == runs[1] == payload
     # the key still tells requests apart: another depth, another norm
     for method, flag, value in (("wl", "--depth", "3"), ("feature", "--norm", "l1")):
@@ -300,6 +321,29 @@ def test_cli_subsample_graphs_methods(tmp_path, ds_path, capsys):
                      method, "--depth", "2", "--cache", str(tmp_path / method),
                      flag, value]) == 3
         assert "stale cache" in capsys.readouterr().err
+
+
+def test_cli_subsample_graphs_random_writes_then_hits_its_cache(tmp_path, ds_path,
+                                                              capsys, monkeypatch):
+    cache = tmp_path / "d.tmdc"
+    argv = ["subsample-graphs", "--dataset", ds_path, "--k", "3", "--method", "random",
+            "--depth", "2", "--json", "--cache", str(cache)]
+    assert main(argv) == 0  # a miss: the matrix is computed and written
+    first = json.loads(capsys.readouterr().out)
+    dm, _ = load_or_compute(str(cache), clustered_dataset(10, 5, seed=0), "tmd", cfg(2),
+                            _refuse)
+    assert first["objective"] == random_selection(dm.n, 3, 0, d=dm).objective
+    monkeypatch.setattr("treesample.cli.pairwise_matrix", _refuse)
+    assert main(argv) == 0  # a hit: nothing is computed
+    assert json.loads(capsys.readouterr().out) == first
+    # without a cache, random stays matrix-free
+    assert main(argv[:-2]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert plain["indices"] == first["indices"] and plain["objective"] is None
+
+
+def _refuse(*args):
+    raise AssertionError("the cache was expected to hold this matrix")
 
 
 def test_cli_subsample_nodes(tmp_path, ds_path, capsys):

@@ -64,6 +64,30 @@ def test_cli_rejects_flags_the_command_does_not_read(argv, tmp_path, capsys):
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (["stability", "--k", "3"], "--k"),
+    (["stability", "--frac", "0.5", "--hypotheses", "2"], "--frac, --hypotheses"),
+    (["erm-graphs", "--pairs", "5"], "--pairs"),
+    (["erm-graphs", "--frac", "0.5"], "--frac"),
+    (["erm-nodes", "--k", "2", "--pairs", "5"], "--k, --pairs"),
+    (["wl-counterexample", "--dataset", "/nonexistent.jsonl"], "--dataset"),
+    (["wl-counterexample", "--synthetic", "6"], "--synthetic"),
+    (["wl-counterexample", "--format", "jsonl", "--tu-name", "X"], "--format, --tu-name"),
+    (["wl-counterexample", "--seed", "5", "--norm", "l1", "--hidden", "4"],
+     "--hidden, --norm, --seed"),
+], ids=["stability-k", "stability-frac-hypotheses", "erm-graphs-pairs", "erm-graphs-frac",
+        "erm-nodes-k-pairs", "wl-dataset", "wl-synthetic", "wl-format-tu-name",
+        "wl-seed-norm-hidden"])
+def test_cli_verify_rejects_flags_its_mode_does_not_read(argv, unread, tmp_path, capsys):
+    mode, *flags = argv
+    if mode != "wl-counterexample":
+        flags += ["--synthetic", "6"]
+    out = tmp_path / "report.json"
+    assert main(["verify", "--mode", mode, *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: verify --mode {mode} does not read {unread}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eta", ["1e306", "1e308"])
 def test_cli_wl_counterexample_probe_overflow_exits_2(eta, capsys):
     assert main(["verify", "--mode", "wl-counterexample", "--eta", eta, "--json"]) == 2

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -10,9 +11,13 @@ from treesample import (ConfigError, DatasetError, Graph, NumericalOverflowError
                         make_dataset, pairwise_matrix, tmd, tmd_cost_matrix,
                         tmd_naive, tmd_subgraph, tree_distance,
                         tree_blank_distance, tree_norm)
-from treesample.tmd import _order_key
+from treesample.tmd import _ENUM_MAX_Q, _order_key, _solve_injective
 
-from helpers import cfg, random_graph, random_table_cfg, reference_tmd
+from helpers import (cfg, random_graph, random_table_cfg, reference_solve_enumerated,
+                     reference_tmd)
+
+# the package __init__ rebinds ``treesample.tmd`` to the function
+TMD_MODULE = importlib.import_module("treesample.tmd")
 
 K3 = Graph(3, [(0, 1), (1, 2), (0, 2)], np.ones((3, 1)))
 P2 = Graph(2, [(0, 1)], np.ones((2, 1)))
@@ -220,6 +225,77 @@ def test_kernel_matches_per_block_reference_bit_for_bit():
         first, second = sorted((a, b), key=_order_key)
         assert tmd(a, b, c) == reference_tmd(first, second, c)
         assert tmd(b, a, c) == reference_tmd(first, second, c)
+
+
+def test_injective_maps_match_the_permutation_scan_bit_for_bit():
+    # every block shape the kernel enumerates: r real rows and q - r identical
+    # blank rows, solved by injective maps and by the old scan of all q!
+    # permutations of the padded block, in both orientations; integer entries
+    # tie exactly, and mixed magnitudes make float sums round
+    rng = np.random.default_rng(47)
+    for q in range(1, _ENUM_MAX_Q + 1):
+        for r in range(q + 1):
+            for kind in ("gauss", "ints", "scaled"):
+                if kind == "ints":
+                    real = rng.integers(0, 3, (150, r, q)).astype(float)
+                    blank = rng.integers(0, 3, (150, q)).astype(float)
+                else:
+                    real = np.abs(rng.standard_normal((150, r, q)))
+                    blank = np.abs(rng.standard_normal((150, q)))
+                    if kind == "scaled":
+                        real *= 10.0 ** rng.integers(-8, 9, real.shape)
+                        blank *= 10.0 ** rng.integers(-8, 9, blank.shape)
+                padded = np.concatenate(
+                    (real, np.repeat(blank[:, None, :], q - r, axis=1)), axis=1)
+                expected = reference_solve_enumerated(padded)
+                assert np.array_equal(_solve_injective(padded, r), expected), (q, r, kind)
+                assert np.array_equal(reference_solve_enumerated(padded.transpose(0, 2, 1)),
+                                      expected), (q, r, kind)
+
+
+def test_pairwise_matrix_across_chunks_matches_tmd_bit_for_bit(monkeypatch):
+    # one-pair batches against chunks of a few pairs whose block groups are
+    # split into small solver calls; the dataset holds a 0-node, a 1-node and
+    # an edgeless graph, and every fifth graph has integer features
+    rng = np.random.default_rng(53)
+    shapes = [dict(n_max=9, p=0.3), dict(n_max=7, p=0.8), dict(n_max=4, p=0.5)]
+    graphs = [empty_graph(2), Graph(1, [], rng.standard_normal((1, 2))),
+              Graph(4, [], rng.standard_normal((4, 2)))]
+    graphs += [random_graph(rng, **shapes[i % 3]) for i in range(13)]
+    graphs = [Graph(g.node_count, g.edges, np.round(g.features)) if i % 5 == 0 else g
+              for i, g in enumerate(graphs)]
+    ds = make_dataset(graphs)
+    pairs = list(itertools.combinations(range(len(ds)), 2))
+    for depth in range(1, 5):
+        c = random_table_cfg(rng, depth, ("l1", "l2")[depth % 2])
+        expected = np.array([tmd(ds[i], ds[j], c) for i, j in pairs])
+        with monkeypatch.context() as m:
+            m.setattr(TMD_MODULE, "_CHUNK_ENTRIES", 150)
+            m.setattr(TMD_MODULE, "_SOLVE_ENTRIES", 40)
+            values = pairwise_matrix(ds, c).values
+        assert values.tobytes() == expected.tobytes(), depth
+
+
+def _chain(n, features):
+    return Graph(n, [(u, u + 1) for u in range(n - 1)], features)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_in_a_batch_names_its_pair(monkeypatch):
+    # the overflowing graph sits in the middle of the dataset, so chunks
+    # before it finish; the first pair that holds it is (0, 2)
+    monkeypatch.setattr(TMD_MODULE, "_CHUNK_ENTRIES", 20)
+    rng = np.random.default_rng(59)
+    small = [_chain(n, rng.uniform(0, 2, (n, 1))) for n in (2, 3, 4, 6)]
+    big = TmdConfig(depth=3, weights=const_weights(1000.0), feature_norm="l1")
+    ds = make_dataset([*small[:2], _chain(5, np.full((5, 1), 1e306)), *small[2:]])
+    with pytest.raises(NumericalOverflowError, match=r"n=2 vs n=5\)"):
+        pairwise_matrix(ds, big)
+    # every entry is finite, but an exact sum of two of them is not
+    ds = make_dataset([*small[:2], _chain(5, np.full((5, 1), 1.5e308)), *small[2:]])
+    with pytest.raises(NumericalOverflowError) as info:
+        pairwise_matrix(ds, cfg(2, norm="l1"))
+    assert isinstance(info.value.__cause__, OverflowError)
 
 
 @pytest.mark.filterwarnings("error")
