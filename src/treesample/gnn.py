@@ -18,7 +18,7 @@ from .config import TmdConfig
 from .errors import ConfigError, NumericalOverflowError
 from .graph_select import medoids_objective, nearest_medoid
 from .graphs import Dataset, Graph, induced_subgraph
-from .tmd import tmd
+from .tmd import _distances
 
 _ACTIVATIONS = ("relu", "identity")
 _LOSS_CLIP = 10.0  # the per-graph loss |prediction - label| is clipped here
@@ -220,13 +220,15 @@ def stability_report(model: GinModel, pairs, cfg: TmdConfig) -> StabilityReport:
         raise ConfigError(
             f"cfg.depth must be {n_mp + 1} (message-passing layers + 1), got {cfg.depth}")
     prod = layer_lipschitz(model).product
+    graphs = [g for pair in pairs for g in pair]
+    out = _readouts([model], graphs)[0]
+    dists = _distances(graphs, zip(range(0, len(graphs), 2), range(1, len(graphs), 2)), cfg)
     ratios = []
     violations = 0
     infinite = 0
-    for ga, gb in pairs:
-        ra, rb = _readouts([model], [ga, gb])[0]
+    for ra, rb, dist in zip(out[0::2], out[1::2], dists):
         num = float(np.linalg.norm(ra - rb))
-        den = tmd(ga, gb, cfg) * prod
+        den = dist * prod
         if num == 0.0 and den == 0.0:
             ratio = 0.0
         elif den == 0.0:

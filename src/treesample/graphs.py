@@ -44,7 +44,7 @@ class Graph:
         rows.
     """
 
-    __slots__ = ("_n", "_edges", "_features", "_label", "_csr", "_tmd_plan")
+    __slots__ = ("_n", "_edges", "_features", "_label", "_csr")
 
     def __init__(self, node_count, edges, features, label=None):
         problems = []
@@ -82,10 +82,9 @@ class Graph:
         self._features = feats
         self._features.setflags(write=False)
         self._label = None if label is None else int(label)
-        # _tmd_plan: the last (TmdConfig, plan) built by tmd for this graph
-        self._csr = self._tmd_plan = None
+        self._csr = None
 
-    # read-only, so the cached CSR and tmd plan never go stale
+    # read-only, so the cached CSR never goes stale
     node_count = property(lambda self: self._n)
     features = property(lambda self: self._features)
     label = property(lambda self: self._label)

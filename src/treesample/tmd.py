@@ -102,13 +102,6 @@ def _build_plan(g: Graph, cfg: TmdConfig) -> _Plan:
     return _Plan(deg, nbr, tuple(blanks))
 
 
-def _plan(g: Graph, cfg: TmdConfig) -> _Plan:
-    cached = g._tmd_plan
-    if cached is None or cached[0] != cfg:
-        cached = g._tmd_plan = (cfg, _build_plan(g, cfg))
-    return cached[1]
-
-
 def _injective_maps(q: int, r: int) -> np.ndarray:
     """Entries of a q x q block, as flat positions, that each injective map
     of the real rows 0..r-1 into the q columns matches, ``(m, q)`` with
@@ -182,45 +175,47 @@ def _cells(off: np.ndarray, na: np.ndarray, nb: np.ndarray, a0: np.ndarray,
 
 
 @np.errstate(over="ignore")  # as in _build_plan, a non-finite table is reported
-def _tables(pairs: list[tuple[Graph, Graph]], cfg: TmdConfig
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Extended depth-L tables of a batch of non-empty graph pairs.
+def _tables(graphs: list[Graph], plans: list[_Plan], pairs: list[tuple[int, int]],
+            cfg: TmdConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Extended depth-L tables of a batch of pairs (i, j) of non-empty
+    graphs, ``plans[i]`` being the plan of ``graphs[i]``.
 
     Pair k's table is ``ext[off[k]:off[k + 1]]`` as an (na + 1) x (nb + 1)
     array: entry (u, v) is the distance between the computation trees of u
-    in ga and v in gb, row na / column nb the blank tree.  All tables live in
-    one flat buffer.  Each level solves one padded matching per node pair
-    (u, v) over their children; the cells of every pair are grouped once by
-    block shape, and each group is gathered from the buffer and solved in
-    sub-batches of at most ``_SOLVE_ENTRIES`` entries: blocks with q = max(deg
-    u, deg v) <= ``_ENUM_MAX_Q`` by injective maps, wider ones padded to q x q
-    for ``linear_sum_assignment``.
+    in graph i and v in graph j, row na / column nb the blank tree.  All
+    tables live in one flat buffer.  Each level solves one padded matching
+    per node pair (u, v) over their children; the cells of every pair are
+    grouped once by block shape, and each group is gathered from the buffer
+    and solved in sub-batches of at most ``_SOLVE_ENTRIES`` entries: blocks
+    with q = max(deg u, deg v) <= ``_ENUM_MAX_Q`` by injective maps, wider
+    ones padded to q x q for ``linear_sum_assignment``.
     """
-    plans = [(_plan(ga, cfg), _plan(gb, cfg)) for ga, gb in pairs]
-    na = np.array([ga.node_count for ga, _ in pairs], dtype=np.intp)
-    nb = np.array([gb.node_count for _, gb in pairs], dtype=np.intp)
+    na = np.array([graphs[i].node_count for i, _ in pairs], dtype=np.intp)
+    nb = np.array([graphs[j].node_count for _, j in pairs], dtype=np.intp)
     stride = nb + 1
     off = np.zeros(len(pairs) + 1, dtype=np.intp)
     np.cumsum((na + 1) * stride, out=off[1:])
 
-    # one row block per distinct graph: its neighbours padded with its blank
-    graphs = {id(g): (g, p) for pair, plan in zip(pairs, plans) for g, p in zip(pair, plan)}
-    starts = np.cumsum([0, *(g.node_count for g, _ in graphs.values())]).tolist()
-    slot = dict(zip(graphs, starts))
-    nbr = np.empty((starts[-1], max(p.nbr.shape[1] for _, p in graphs.values())),
-                   dtype=np.intp)
-    for at, (g, p) in zip(starts, graphs.values()):
-        nbr[at:at + g.node_count, :p.nbr.shape[1]] = p.nbr
-        nbr[at:at + g.node_count, p.nbr.shape[1]:] = g.node_count
-    deg = np.concatenate([p.deg for _, p in graphs.values()])
-    a0 = np.array([slot[id(ga)] for ga, _ in pairs], dtype=np.intp)
-    b0 = np.array([slot[id(gb)] for _, gb in pairs], dtype=np.intp)
+    # one row block per distinct graph, its neighbours padded with its blank
+    # index to the widest degree of this batch
+    used = list(dict.fromkeys(itertools.chain.from_iterable(pairs)))
+    starts = np.cumsum([0, *(graphs[i].node_count for i in used)]).tolist()
+    slot = dict(zip(used, starts))
+    nbr = np.empty((starts[-1], max(plans[i].nbr.shape[1] for i in used)), dtype=np.intp)
+    for at, i in zip(starts, used):
+        n, width = graphs[i].node_count, plans[i].nbr.shape[1]
+        nbr[at:at + n, :width] = plans[i].nbr
+        nbr[at:at + n, width:] = n
+    deg = np.concatenate([plans[i].deg for i in used])
+    a0 = np.array([slot[i] for i, _ in pairs], dtype=np.intp)
+    b0 = np.array([slot[j] for _, j in pairs], dtype=np.intp)
 
     ext = np.empty(off[-1])
     blank_pos = []
-    for k, (ga, gb) in enumerate(pairs):
+    for k, (i, j) in enumerate(pairs):
         table = ext[off[k]:off[k + 1]].reshape(na[k] + 1, nb[k] + 1)
-        table[:-1, :-1] = _cross_distances(ga.features, gb.features, cfg.feature_norm)
+        table[:-1, :-1] = _cross_distances(graphs[i].features, graphs[j].features,
+                                           cfg.feature_norm)
         rows = off[k] + np.arange(na[k] + 1) * stride[k]
         blank_pos += [rows[:-1] + nb[k], rows[-1] + np.arange(nb[k] + 1)]
     blank_pos = np.concatenate(blank_pos)
@@ -228,7 +223,8 @@ def _tables(pairs: list[tuple[Graph, Graph]], cfg: TmdConfig
 
     def with_blanks(table: np.ndarray, level: int) -> np.ndarray:
         table[blank_pos] = np.concatenate(
-            [x for pa, pb in plans for x in (pa.blanks[level], pb.blanks[level], zero)])
+            [x for i, j in pairs for x in (plans[i].blanks[level], plans[j].blanks[level],
+                                           zero)])
         bad = np.flatnonzero(~np.isfinite(table))
         if bad.size:
             k = int(np.searchsorted(off, bad[0], side="right")) - 1
@@ -275,37 +271,51 @@ def _top_level(table: np.ndarray) -> np.ndarray:
     return table[np.minimum(idx, na)[:, None], np.minimum(idx, nb)[None, :]]
 
 
-def _chunk_distances(chunk: list[tuple[Graph, Graph]], cfg: TmdConfig
-                     ) -> Iterator[float]:
-    """Tree mover's distance of each pair of one chunk."""
-    full = [(ga, gb) for ga, gb in chunk if ga.node_count and gb.node_count]
-    if full:
-        ext, off = _tables(full, cfg)
-    k = 0
-    for ga, gb in chunk:
-        if not (ga.node_count and gb.node_count):
-            yield tree_norm(gb if ga.node_count == 0 else ga, cfg)
-            continue
-        table = ext[off[k]:off[k + 1]].reshape(ga.node_count + 1, gb.node_count + 1)
-        yield float(_solve_lsap(_top_level(table)[None])[0])
-        k += 1
+def _order_key(g: Graph) -> tuple:
+    """Total order on graphs that :func:`_distances` puts each pair in."""
+    return (g.node_count, g.edge_count, g._edges.tobytes(), g.features.tobytes())
 
 
-def _distances(pairs: Iterable[tuple[Graph, Graph]], cfg: TmdConfig
-               ) -> Iterator[float]:
-    """Tree mover's distance of each pair, the pairs taken in consecutive
-    chunks whose extended tables hold about ``_CHUNK_ENTRIES`` entries; a
-    pair with an empty graph is the other graph's tree norm.  The top-level
-    matching is one more ``_solve_lsap`` block per pair, whatever its size.
+def _distances(graphs: list[Graph], index_pairs: Iterable[tuple[int, int]],
+               cfg: TmdConfig) -> Iterator[float]:
+    """Tree mover's distance of each pair (i, j) of ``graphs``; every distance
+    is computed here.
+
+    Each pair is put in :func:`_order_key` order first, because on tied costs
+    ``linear_sum_assignment`` may pick another near-tie assignment on the
+    transposed matrices, whose exact sum differs in the last bit.  The pairs
+    run in consecutive chunks whose extended tables hold about
+    ``_CHUNK_ENTRIES`` entries, with each graph's plan built once for the
+    call.  A pair with an empty graph is the other graph's tree norm; the
+    top-level matching is one more ``_solve_lsap`` block per pair, whatever
+    its size.
     """
-    chunk, size = [], 0
-    for ga, gb in pairs:
-        chunk.append((ga, gb))
-        size += (ga.node_count + 1) * (gb.node_count + 1)
-        if size >= _CHUNK_ENTRIES:
-            yield from _chunk_distances(chunk, cfg)
-            chunk, size = [], 0
-    yield from _chunk_distances(chunk, cfg)
+    keys = [_order_key(g) for g in graphs]
+    sizes = [g.node_count for g in graphs]
+    plans = [_build_plan(g, cfg) for g in graphs]
+
+    def chunks() -> Iterator[list[tuple[int, int]]]:
+        chunk, size = [], 0
+        for i, j in index_pairs:
+            chunk.append((j, i) if keys[j] < keys[i] else (i, j))
+            size += (sizes[i] + 1) * (sizes[j] + 1)
+            if size >= _CHUNK_ENTRIES:
+                yield chunk
+                chunk, size = [], 0
+        yield chunk
+
+    for chunk in chunks():
+        full = [(i, j) for i, j in chunk if sizes[i] and sizes[j]]
+        if full:
+            ext, off = _tables(graphs, plans, full, cfg)
+        k = 0
+        for i, j in chunk:
+            if not (sizes[i] and sizes[j]):
+                yield tree_norm(graphs[j] if sizes[i] == 0 else graphs[i], cfg)
+                continue
+            table = ext[off[k]:off[k + 1]].reshape(sizes[i] + 1, sizes[j] + 1)
+            yield float(_solve_lsap(_top_level(table)[None])[0])
+            k += 1
 
 
 def tmd_cost_matrix(ga: Graph, gb: Graph, cfg: TmdConfig) -> np.ndarray:
@@ -315,27 +325,20 @@ def tmd_cost_matrix(ga: Graph, gb: Graph, cfg: TmdConfig) -> np.ndarray:
     rows/columns (if any) are blank padding.  The tree mover's distance is
     the min-cost matching value of this matrix, one more padded block.
     """
-    ext, _ = _tables([(ga, gb)], cfg)
+    plans = [_build_plan(ga, cfg), _build_plan(gb, cfg)]
+    ext, _ = _tables([ga, gb], plans, [(0, 1)], cfg)
     return _top_level(ext.reshape(ga.node_count + 1, gb.node_count + 1))
-
-
-def _order_key(g: Graph) -> tuple:
-    """Total order on graphs that :func:`tmd` puts its arguments in."""
-    return (g.node_count, g.edge_count, g._edges.tobytes(), g.features.tobytes())
 
 
 def tmd(ga: Graph, gb: Graph, cfg: TmdConfig) -> float:
     """Tree mover's distance at depth ``cfg.depth``.
 
-    Non-negative, zero for identical graphs, and symmetric bit for bit: the
-    two graphs are put in :func:`_order_key` order first, because on tied
-    costs ``linear_sum_assignment`` may pick another near-tie assignment on
-    the transposed matrices, whose exact sum differs in the last bit.
-    Values are exact matching sums (no normalization by multiset size).
+    Non-negative, zero for identical graphs, and symmetric bit for bit (see
+    :func:`_distances`).  Values are exact matching sums (no normalization
+    by multiset size).  Each call builds both graphs' plans anew; callers
+    with many pairs should use :func:`pairwise_matrix`.
     """
-    if _order_key(gb) < _order_key(ga):
-        ga, gb = gb, ga
-    return next(_distances([(ga, gb)], cfg))
+    return next(_distances([ga, gb], [(0, 1)], cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +396,9 @@ class DistanceMatrix:
 
 
 def pairwise_matrix(ds: Dataset, cfg: TmdConfig) -> DistanceMatrix:
-    """All-pairs tree mover's distances over a dataset.
-
-    Every pair is put in :func:`_order_key` order, as :func:`tmd` puts it,
-    and the pairs run through the level loop in consecutive chunks, so each
-    value is ``tmd`` of its pair bit for bit.
-    """
+    """All-pairs tree mover's distances over a dataset, each value ``tmd``
+    of its pair bit for bit."""
     n = len(ds)
-    keys = [_order_key(g) for g in ds]
-    pairs = ((ds[j], ds[i]) if keys[j] < keys[i] else (ds[i], ds[j])
-             for i, j in itertools.combinations(range(n), 2))
-    vals = np.fromiter(_distances(pairs, cfg), dtype=np.float64, count=n * (n - 1) // 2)
+    vals = np.fromiter(_distances(list(ds), itertools.combinations(range(n), 2), cfg),
+                       dtype=np.float64, count=n * (n - 1) // 2)
     return DistanceMatrix(n, "tmd", cfg.depth, cfg.weights.spec_string(), vals)

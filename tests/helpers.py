@@ -9,12 +9,15 @@ from collections import deque
 import numpy as np
 
 from treesample import (ConfigError, DistanceMatrix, ErmReport, Graph,
-                        NodeSubsample, ScaleLimitError, Selection, TmdConfig,
+                        NodeSubsample, ScaleLimitError, Selection,
+                        StabilityReport, TmdConfig,
                         WeightFn, abs_clipped_loss, build_candidates,
                         cluster_sizes, const_weights, feature_norms,
                         gin_forward, induced_subgraph, kmedoids,
                         layer_lipschitz, medoids_objective, nearest_medoid,
-                        pairwise_matrix, random_gin, tree_norm, wl_histograms)
+                        pairwise_matrix, random_gin, tmd, tree_norm,
+                        wl_histograms)
+from treesample.gnn import _readouts
 from treesample.oracles import _BRUTE_SUBSET_LIMIT, _padded_matching, _permutations
 from treesample.tmd import _cross_distances
 
@@ -386,6 +389,28 @@ def reference_node_embeddings(model, g):
             np.add.at(agg, ev, z[eu])
         z = layer.apply(z + model.eta * agg)
     return z
+
+
+def reference_stability_report(model, pairs, cfg):
+    """``stability_report`` as a loop of one ``_readouts`` and one ``tmd``
+    call per pair."""
+    prod = layer_lipschitz(model).product
+    ratios, violations, infinite = [], 0, 0
+    for ga, gb in pairs:
+        ra, rb = _readouts([model], [ga, gb])[0]
+        num = float(np.linalg.norm(ra - rb))
+        den = tmd(ga, gb, cfg) * prod
+        if num == 0.0 and den == 0.0:
+            ratio = 0.0
+        elif den == 0.0:
+            ratio = float("inf")
+            infinite += 1
+        else:
+            ratio = num / den
+        ratios.append(ratio)
+        violations += ratio > 1.0
+    return StabilityReport(cfg.weights.spec_string(), len(ratios),
+                           max(ratios) if ratios else 0.0, violations, infinite, ratios)
 
 
 def reference_subsample_dataset(ds, frac, cfg, seed=0):

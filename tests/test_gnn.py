@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,13 +7,15 @@ import pytest
 
 from treesample import (ConfigError, DatasetError, GinLayer, GinModel, Graph,
                         TmdConfig, abs_clipped_loss, clustered_dataset, const_weights,
-                        finite_erm_sweep, gin_forward, identity_gin,
+                        empty_graph, finite_erm_sweep, gin_forward, identity_gin,
                         induced_subgraph, kmedoids, layer_lipschitz,
                         make_dataset, node_embeddings, pairwise_matrix,
-                        random_gin, stability_report, subsample_dataset,
-                        wl_counterexample_pair)
+                        random_gin, random_pairs, stability_report,
+                        subsample_dataset, wl_counterexample_pair)
+from treesample.cli import LAMBDA_SWEEP
 
-from helpers import cfg, random_graph, reference_node_embeddings
+from helpers import (cfg, random_graph, reference_node_embeddings,
+                     reference_stability_report)
 
 P2 = Graph(2, [(0, 1)], np.ones((2, 1)))
 
@@ -124,6 +127,32 @@ def test_stability_counterexample_pair_is_finite():
     assert 0.0 < rep.max_ratio < math.inf
     payload = json.loads(rep.to_json())
     assert set(payload) == {"max_ratio", "violations", "pairs", "preset"}
+
+
+def test_stability_report_matches_one_tmd_per_pair_bit_for_bit():
+    # one batched distance call against a tmd call per pair, under every
+    # preset the CLI sweeps; the pairs repeat graphs, pair graphs with
+    # themselves, hold 0-node graphs, and every other graph of the second
+    # dataset has integer features, so the solver meets exact ties
+    ds = clustered_dataset(12, 4, seed=3)
+    rng = np.random.default_rng(61)
+    tied = [Graph(g.node_count, g.edges, np.round(g.features) if i % 2 else g.features)
+            for i, g in enumerate(random_graph(rng, n_max=9, feature_dim=3, p=0.4)
+                                  for _ in range(6))]
+    empty = empty_graph(3)
+    pairs = [*random_pairs(ds, 40, 5), (ds[0], ds[0]), (ds[0], ds[1]), (ds[1], ds[0]),
+             (ds[2], empty), (empty, ds[3]), (empty, empty),
+             *itertools.combinations(tied, 2), (tied[1], tied[1])]
+    for seed, depth, norm in ((0, 3, "l2"), (1, 2, "l1"), (2, 4, "l2")):
+        model = random_gin(seed, 3, 8, depth, eta=0.7)
+        for lam in LAMBDA_SWEEP:
+            c = TmdConfig(depth=depth, weights=const_weights(lam * 0.7), feature_norm=norm)
+            got = stability_report(model, pairs, c)
+            want = reference_stability_report(model, pairs, c)
+            assert (got.preset, got.pairs) == (want.preset, want.pairs)
+            assert np.array(got.ratios).tobytes() == np.array(want.ratios).tobytes()
+            assert np.float64(got.max_ratio).tobytes() == np.float64(want.max_ratio).tobytes()
+            assert (got.violations, got.infinite) == (want.violations, want.infinite)
 
 
 def test_abs_clipped_loss():

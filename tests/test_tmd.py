@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from treesample import (ConfigError, DatasetError, Graph, NumericalOverflowError,
-                        ScaleLimitError, TmdConfig, blank_tree, computation_tree,
+                        ScaleLimitError, TmdConfig, blank_tree,
+                        brute_force_matching, computation_tree,
                         const_weights, empty_graph, induced_subgraph,
                         make_dataset, pairwise_matrix, tmd, tmd_cost_matrix,
                         tmd_naive, tmd_subgraph, tree_distance,
                         tree_blank_distance, tree_norm)
-from treesample.tmd import _ENUM_MAX_Q, _order_key, _solve_injective
+from treesample.tmd import _ENUM_MAX_Q, _order_key, _solve_injective, _solve_lsap
 
 from helpers import (cfg, random_graph, random_table_cfg, reference_solve_enumerated,
                      reference_tmd)
@@ -251,6 +252,37 @@ def test_injective_maps_match_the_permutation_scan_bit_for_bit():
                 assert np.array_equal(_solve_injective(padded, r), expected), (q, r, kind)
                 assert np.array_equal(reference_solve_enumerated(padded.transpose(0, 2, 1)),
                                       expected), (q, r, kind)
+
+
+def _block(rng, q, kind):
+    if kind == "ints":
+        return rng.integers(0, 4, (q, q)).astype(float)
+    return rng.uniform(0.0, 1.0, (q, q))
+
+
+def test_block_solvers_match_the_exhaustive_oracle():
+    # the production solvers against the exhaustive permutation scan: LSAP on
+    # q = 5..8 blocks, injective maps on q <= 4 blocks of r real rows then
+    # identical blank rows; integer entries in {0..3} tie exactly, uniform
+    # ones almost never, and a tail of identical blank rows ties by
+    # construction
+    rng = np.random.default_rng(67)
+    for q in range(5, 9):
+        for kind in ("ints", "uniform", "blank-tail"):
+            for _ in range(30):
+                c = _block(rng, q, kind)
+                if kind == "blank-tail":
+                    t = int(rng.integers(1, q))
+                    c[t:] = c[t]
+                assert _solve_lsap(c[None])[0] == brute_force_matching(c).total_cost, (q, kind)
+    for q in range(1, _ENUM_MAX_Q + 1):
+        for r in range(q + 1):
+            for kind in ("ints", "uniform"):
+                for _ in range(20):
+                    c = _block(rng, q, kind)
+                    c[r:] = c[min(r, q - 1)]
+                    value = _solve_injective(c[None], r)[0]
+                    assert value == brute_force_matching(c).total_cost, (q, r, kind)
 
 
 def test_pairwise_matrix_across_chunks_matches_tmd_bit_for_bit(monkeypatch):
