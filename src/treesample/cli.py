@@ -240,6 +240,8 @@ def cmd_subsample_nodes(args) -> int:
     if args.out:
         save_subsamples(subs, args.out)
     mean_eps = sum(s.tmd_to_full for s in subs) / len(subs) if subs else 0.0
+    if not math.isfinite(mean_eps):  # each distance is finite, so their sum overflowed
+        raise NumericalOverflowError("the mean distance to the subgraphs overflowed")
     if args.json:
         print(json.dumps({"graphs": len(subs), "mean_tmd": mean_eps}, sort_keys=True))
     else:

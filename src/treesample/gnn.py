@@ -227,7 +227,10 @@ def stability_report(model: GinModel, pairs, cfg: TmdConfig) -> StabilityReport:
     violations = 0
     infinite = 0
     for ra, rb, dist in zip(out[0::2], out[1::2], dists):
-        num = float(np.linalg.norm(ra - rb))
+        with np.errstate(over="ignore"):  # checked below
+            num = float(np.linalg.norm(ra - rb))
+        if not math.isfinite(num):  # both readouts are finite
+            raise NumericalOverflowError("the distance of two GIN readouts overflowed")
         den = dist * prod
         if num == 0.0 and den == 0.0:
             ratio = 0.0
@@ -271,6 +274,17 @@ class ErmReport:
             "satisfied": self.satisfied, "chain_ok": self.chain_ok,
             "chain_max_excess": self.chain_max_excess, "erm_index": self.erm_index,
         }, sort_keys=True)
+
+
+def _fsum(values) -> float:
+    """``math.fsum`` of a sum of the ERM check, which must be finite."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalOverflowError("a sum of the ERM check over the dataset overflowed")
+    return total
 
 
 def _readouts(models, graphs) -> np.ndarray:
@@ -336,10 +350,10 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
     def report(mode, epsilon, stand_ins, stand_in_labels):
         # stand_ins[t, i]: hypothesis t's readout on the graph standing in for G_i
         sub_losses = mean_loss(stand_ins, stand_in_labels)
-        with np.errstate(over="ignore"):  # inf, silently, as in np.linalg.norm
+        with np.errstate(over="ignore"):  # an inf norm makes the chain's _fsum raise
             d = stand_ins - preds_full
             norms = np.sqrt(d * d)  # np.linalg.norm of each length-1 d, bit for bit
-        chain_rhs = [m_lip * math.fsum(row) / n for row in norms.tolist()]
+        chain_rhs = [m_lip * _fsum(row) / n for row in norms.tolist()]
         excess = max(abs(s - f) - r for s, f, r in zip(sub_losses, full_losses, chain_rhs))
         erm = min(range(len(hypotheses)), key=lambda t: (sub_losses[t], t))
         bound_rhs = 2.0 * c * epsilon
@@ -364,6 +378,6 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
             if (i, kept) not in sub_preds:
                 sg = induced_subgraph(ds[i], kept)
                 sub_preds[i, kept] = _readouts(hypotheses, [sg])[:, 0, 0]
-        reports.append(report("nodes", math.fsum(s.tmd_to_full for s in subsamples) / n,
+        reports.append(report("nodes", _fsum(s.tmd_to_full for s in subsamples) / n,
                               np.column_stack([sub_preds[key] for key in keys]), labels))
     return reports

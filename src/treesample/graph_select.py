@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .config import TmdConfig
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, NumericalOverflowError
 from .graphs import Dataset, Graph
 from .tmd import DistanceMatrix
 from .treenorm import feature_norms
@@ -106,8 +106,20 @@ def cluster_sizes(d: DistanceMatrix, indices) -> list[int]:
     return np.bincount(choice, minlength=len(idx)).tolist()
 
 
+def _check_means(full: np.ndarray) -> None:
+    """Refuse non-finite row sums: entries are non-negative, so finite row
+    sums keep every mean of entry-wise row minima finite."""
+    with np.errstate(over="ignore"):  # reported below
+        if np.isfinite(full.sum(axis=1)).all():
+            return
+    if not np.isfinite(full).all():  # argmin would pick a NaN a strict-< scan skips
+        raise DatasetError("distance matrix has non-finite entries")
+    raise NumericalOverflowError("a row of the distance matrix sums past the float range")
+
+
 def _selection(method: str, k: int, seed: int, full: np.ndarray,
                idx: list[int]) -> Selection:
+    _check_means(full)
     choice, near = _assign(full, idx)
     return Selection(method, k, seed, idx,
                      np.bincount(choice, minlength=len(idx)).tolist(),
@@ -136,7 +148,8 @@ def kmedoids(d: DistanceMatrix, k: int, *, max_iter: int = 100,
     Fully deterministic, so the selection records seed 0.  The objective
     never increases between exchange iterations.  Pass a list as
     ``trace`` to collect the objective after BUILD and after each accepted
-    exchange.  A NaN or infinite distance raises :class:`DatasetError`.
+    exchange.  A NaN or infinite distance raises :class:`DatasetError`, a
+    row whose sum overflows :class:`NumericalOverflowError`.
     """
     n = d.n
     if not (1 <= k <= n):
@@ -148,9 +161,7 @@ def kmedoids(d: DistanceMatrix, k: int, *, max_iter: int = 100,
         return Selection("tmd-medoids", k, 0, sel, [1] * n, 0.0)
     # symmetric, so row i equals column i bit for bit; candidates are rows
     full = d.full()
-    if not np.isfinite(full).all():
-        # argmin would pick a NaN candidate that a strict-< scan skips
-        raise DatasetError("distance matrix has non-finite entries")
+    _check_means(full)
 
     # BUILD: repeatedly add the index that lowers the objective most
     taken = np.zeros(n, dtype=bool)
@@ -230,6 +241,7 @@ def random_selection(n: int, k: int, seed: int,
 # baseline distance matrices
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # checked below
 def feature_distance_matrix(ds: Dataset, cfg: TmdConfig) -> DistanceMatrix:
     """Distance between mean feature vectors (structure-blind baseline)."""
     n = len(ds)
@@ -239,6 +251,8 @@ def feature_distance_matrix(ds: Dataset, cfg: TmdConfig) -> DistanceMatrix:
             means[i, :g.feature_dim] = g.features.mean(axis=0)
     i, j = np.triu_indices(n, 1)
     vals = feature_norms(means[i] - means[j], cfg.feature_norm)
+    if not np.isfinite(vals).all():
+        raise NumericalOverflowError("a mean feature vector or their distance overflowed")
     return DistanceMatrix(n, "feature", 0, "", vals)
 
 

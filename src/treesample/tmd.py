@@ -70,38 +70,6 @@ def _cross_distances(fa: np.ndarray, fb: np.ndarray, norm: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """Everything the distance needs from one graph under one config.
-
-    ``nbr[u, :deg[u]]`` are u's neighbours in ascending order; the rest of the
-    row holds ``n``, the index of the blank tree in an extended table.
-    ``blanks[d - 1][u]`` is the distance of u's depth-d tree to a blank tree.
-    """
-
-    deg: np.ndarray
-    nbr: np.ndarray
-    blanks: tuple[np.ndarray, ...]
-
-
-# overflow shows up as a non-finite table, which _tables reports
-@np.errstate(over="ignore")
-def _build_plan(g: Graph, cfg: TmdConfig) -> _Plan:
-    n = g.node_count
-    deg = g.degrees()
-    nbr = np.full((n, int(deg.max(initial=0))), n, dtype=np.intp)
-    # a boolean mask fills row by row, the order of the CSR indices
-    nbr[np.arange(nbr.shape[1]) < deg[:, None]] = g.csr()[1]
-
-    x = feature_norms(g.features, cfg.feature_norm)
-    blanks = [x]
-    for d in range(2, cfg.depth + 1):
-        # padding slots read the trailing 0.0, which leaves each fsum unchanged
-        kids = np.append(blanks[-1], 0.0)[nbr]
-        blanks.append(x + cfg.level_weight(d - 1) * _fsums(kids))
-    return _Plan(deg, nbr, tuple(blanks))
-
-
 def _injective_maps(q: int, r: int) -> np.ndarray:
     """Entries of a q x q block, as flat positions, that each injective map
     of the real rows 0..r-1 into the q columns matches, ``(m, q)`` with
@@ -174,11 +142,10 @@ def _cells(off: np.ndarray, na: np.ndarray, nb: np.ndarray, a0: np.ndarray,
     return (pair[order], u[order], v[order], at[order]), groups
 
 
-@np.errstate(over="ignore")  # as in _build_plan, a non-finite table is reported
-def _tables(graphs: list[Graph], plans: list[_Plan], pairs: list[tuple[int, int]],
+@np.errstate(over="ignore")  # a non-finite table is reported by with_blanks
+def _tables(graphs: list[Graph], pairs: list[tuple[int, int]],
             cfg: TmdConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Extended depth-L tables of a batch of pairs (i, j) of non-empty
-    graphs, ``plans[i]`` being the plan of ``graphs[i]``.
+    """Extended depth-L tables of a batch of pairs (i, j) of non-empty graphs.
 
     Pair k's table is ``ext[off[k]:off[k + 1]]`` as an (na + 1) x (nb + 1)
     array: entry (u, v) is the distance between the computation trees of u
@@ -193,38 +160,42 @@ def _tables(graphs: list[Graph], plans: list[_Plan], pairs: list[tuple[int, int]
     na = np.array([graphs[i].node_count for i, _ in pairs], dtype=np.intp)
     nb = np.array([graphs[j].node_count for _, j in pairs], dtype=np.intp)
     stride = nb + 1
-    off = np.zeros(len(pairs) + 1, dtype=np.intp)
-    np.cumsum((na + 1) * stride, out=off[1:])
+    off = np.concatenate([[0], np.cumsum((na + 1) * stride)])
 
-    # one row block per distinct graph, its neighbours padded with its blank
-    # index to the widest degree of this batch
-    used = list(dict.fromkeys(itertools.chain.from_iterable(pairs)))
-    starts = np.cumsum([0, *(graphs[i].node_count for i in used)]).tolist()
-    slot = dict(zip(used, starts))
-    nbr = np.empty((starts[-1], max(plans[i].nbr.shape[1] for i in used)), dtype=np.intp)
-    for at, i in zip(starts, used):
-        n, width = graphs[i].node_count, plans[i].nbr.shape[1]
-        nbr[at:at + n, :width] = plans[i].nbr
-        nbr[at:at + n, width:] = n
-    deg = np.concatenate([plans[i].deg for i in used])
-    a0 = np.array([slot[i] for i, _ in pairs], dtype=np.intp)
-    b0 = np.array([slot[j] for _, j in pairs], dtype=np.intp)
+    # the batch's node table, one row block per distinct graph: degrees,
+    # neighbours from the graph's CSR padded with its blank index n to the
+    # widest degree of the batch, and blanks[d - 1][u], the distance of u's
+    # depth-d tree to a blank tree, with a trailing 0.0 that padding reads
+    used, inv = np.unique(pairs, return_inverse=True)
+    sizes = np.array([graphs[i].node_count for i in used], dtype=np.intp)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    deg = np.concatenate([graphs[i].degrees() for i in used])
+    real = np.arange(deg.max(initial=0)) < deg[:, None]
+    nbr = np.repeat(sizes, sizes)[:, None].repeat(real.shape[1], axis=1)
+    # a boolean mask fills row by row, the order of the CSR indices
+    nbr[real] = np.concatenate([graphs[i].csr()[1] for i in used])
+    kids = np.where(real, nbr + np.repeat(starts[:-1], sizes)[:, None], starts[-1])
+    x = np.concatenate([feature_norms(graphs[i].features, cfg.feature_norm) for i in used])
+    blanks = [np.append(x, 0.0)]
+    for d in range(2, cfg.depth + 1):
+        kid_sums = _fsums(blanks[-1][kids])
+        blanks.append(np.append(x + cfg.level_weight(d - 1) * kid_sums, 0.0))
+    a0, b0 = starts[inv.reshape(-1, 2).T]
 
+    # each table's blank column and row, and the node-table entries they take
     ext = np.empty(off[-1])
-    blank_pos = []
+    blank_pos, blank_src = [], []
     for k, (i, j) in enumerate(pairs):
         table = ext[off[k]:off[k + 1]].reshape(na[k] + 1, nb[k] + 1)
         table[:-1, :-1] = _cross_distances(graphs[i].features, graphs[j].features,
                                            cfg.feature_norm)
         rows = off[k] + np.arange(na[k] + 1) * stride[k]
         blank_pos += [rows[:-1] + nb[k], rows[-1] + np.arange(nb[k] + 1)]
-    blank_pos = np.concatenate(blank_pos)
-    zero = np.zeros(1)
+        blank_src += [a0[k] + np.arange(na[k]), b0[k] + np.arange(nb[k]), starts[-1:]]
+    blank_pos, blank_src = np.concatenate(blank_pos), np.concatenate(blank_src)
 
     def with_blanks(table: np.ndarray, level: int) -> np.ndarray:
-        table[blank_pos] = np.concatenate(
-            [x for i, j in pairs for x in (plans[i].blanks[level], plans[j].blanks[level],
-                                           zero)])
+        table[blank_pos] = blanks[level][blank_src]
         bad = np.flatnonzero(~np.isfinite(table))
         if bad.size:
             k = int(np.searchsorted(off, bad[0], side="right")) - 1
@@ -285,14 +256,13 @@ def _distances(graphs: list[Graph], index_pairs: Iterable[tuple[int, int]],
     ``linear_sum_assignment`` may pick another near-tie assignment on the
     transposed matrices, whose exact sum differs in the last bit.  The pairs
     run in consecutive chunks whose extended tables hold about
-    ``_CHUNK_ENTRIES`` entries, with each graph's plan built once for the
-    call.  A pair with an empty graph is the other graph's tree norm; the
+    ``_CHUNK_ENTRIES`` entries, each chunk building the node table of its
+    own graphs.  A pair with an empty graph is the other graph's tree norm; the
     top-level matching is one more ``_solve_lsap`` block per pair, whatever
     its size.
     """
     keys = [_order_key(g) for g in graphs]
     sizes = [g.node_count for g in graphs]
-    plans = [_build_plan(g, cfg) for g in graphs]
 
     def chunks() -> Iterator[list[tuple[int, int]]]:
         chunk, size = [], 0
@@ -307,7 +277,7 @@ def _distances(graphs: list[Graph], index_pairs: Iterable[tuple[int, int]],
     for chunk in chunks():
         full = [(i, j) for i, j in chunk if sizes[i] and sizes[j]]
         if full:
-            ext, off = _tables(graphs, plans, full, cfg)
+            ext, off = _tables(graphs, full, cfg)
         k = 0
         for i, j in chunk:
             if not (sizes[i] and sizes[j]):
@@ -325,8 +295,7 @@ def tmd_cost_matrix(ga: Graph, gb: Graph, cfg: TmdConfig) -> np.ndarray:
     rows/columns (if any) are blank padding.  The tree mover's distance is
     the min-cost matching value of this matrix, one more padded block.
     """
-    plans = [_build_plan(ga, cfg), _build_plan(gb, cfg)]
-    ext, _ = _tables([ga, gb], plans, [(0, 1)], cfg)
+    ext, _ = _tables([ga, gb], [(0, 1)], cfg)
     return _top_level(ext.reshape(ga.node_count + 1, gb.node_count + 1))
 
 
@@ -335,8 +304,8 @@ def tmd(ga: Graph, gb: Graph, cfg: TmdConfig) -> float:
 
     Non-negative, zero for identical graphs, and symmetric bit for bit (see
     :func:`_distances`).  Values are exact matching sums (no normalization
-    by multiset size).  Each call builds both graphs' plans anew; callers
-    with many pairs should use :func:`pairwise_matrix`.
+    by multiset size).  Callers with many pairs should use
+    :func:`pairwise_matrix`, which solves them in batches.
     """
     return next(_distances([ga, gb], [(0, 1)], cfg))
 

@@ -207,3 +207,51 @@ def test_cli_argv_fuzz_exits_with_a_documented_code(argv):
 
 def _reject_constant(name):
     raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
+# datasets whose distances are each finite while a sum of them is not: the
+# mean distance to the subgraphs, the k-medoids row sums, an exact sum inside
+# the distance kernel, and the ERM chain over readout gaps past 1e154 (their
+# squares overflow); each with the depth that shows it
+_OVERFLOWING = {
+    "subgraph-mean": ([Graph(2, [], [[0.85e308], [0.85e308]], label=i % 2)
+                       for i in range(3)], "1"),
+    "row-sums": ([Graph(1, [], [[f]], label=i % 2)
+                  for i, f in enumerate((-0.8e308, 0.8e308, 0.8e308, -0.8e308))], "1"),
+    "kernel-sum": ([Graph(3, [(0, 1), (1, 2)], np.full((3, 1), f), label=i % 2)
+                    for i, f in enumerate((1.0, 1.5e308, 2.0))], "2"),
+    "readout-gaps": ([Graph(4, [(0, 1), (1, 2), (2, 3)], np.full((4, 2), (i + 1) * 1e200),
+                            label=i % 2) for i in range(4)], "2"),
+}
+_JSON_COMMANDS = [
+    ["dist", "--cache", "@"],
+    ["treenorm"],
+    *(["subsample-graphs", "--k", "1", "--method", m] for m in ("tmd", "wl", "feature")),
+    ["subsample-graphs", "--k", "1", "--method", "random", "--cache", "@"],
+    ["subsample-nodes", "--frac", "0.5"],
+    ["verify", "--mode", "stability", "--pairs", "3"],
+    ["verify", "--mode", "erm-graphs", "--k", "1", "--hypotheses", "2"],
+    ["verify", "--mode", "erm-nodes", "--frac", "0.5", "--hypotheses", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _JSON_COMMANDS, ids=[
+    "dist", "treenorm", "graphs-tmd", "graphs-wl", "graphs-feature", "graphs-random",
+    "nodes", "stability", "erm-graphs", "erm-nodes"])
+@pytest.mark.parametrize("data", ["normal", *_OVERFLOWING])
+def test_cli_json_is_strict_or_the_command_exits_2(data, argv, tmp_path, capsys):
+    if data == "normal":
+        path, depth = _dataset_path(tmp_path), "2"
+    else:
+        graphs, depth = _OVERFLOWING[data]
+        path = tmp_path / "ds.jsonl"
+        save_jsonl(make_dataset(graphs), path)
+    argv = [str(tmp_path / "d.tmdc") if arg == "@" else arg for arg in argv]
+    code = main([*argv, "--dataset", str(path), "--depth", depth, "--json"])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err + out
+    if code == 2:
+        assert err.startswith("error: ") and out == "", err
+    else:
+        assert code in (0, 4, 70), (code, err)
+        json.loads(out.splitlines()[-1], parse_constant=_reject_constant)

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,12 +289,15 @@ def test_block_solvers_match_the_exhaustive_oracle():
 def test_pairwise_matrix_across_chunks_matches_tmd_bit_for_bit(monkeypatch):
     # one-pair batches against chunks of a few pairs whose block groups are
     # split into small solver calls; the dataset holds a 0-node, a 1-node and
-    # an edgeless graph, and every fifth graph has integer features
+    # an edgeless graph, and a star wider than any other graph, so chunks mix
+    # neighbour tables of different widths; every fifth graph has integer
+    # features
     rng = np.random.default_rng(53)
     shapes = [dict(n_max=9, p=0.3), dict(n_max=7, p=0.8), dict(n_max=4, p=0.5)]
     graphs = [empty_graph(2), Graph(1, [], rng.standard_normal((1, 2))),
               Graph(4, [], rng.standard_normal((4, 2)))]
     graphs += [random_graph(rng, **shapes[i % 3]) for i in range(13)]
+    graphs.append(Graph(12, [(0, v) for v in range(1, 12)], rng.standard_normal((12, 2))))
     graphs = [Graph(g.node_count, g.edges, np.round(g.features)) if i % 5 == 0 else g
               for i, g in enumerate(graphs)]
     ds = make_dataset(graphs)
@@ -306,6 +310,26 @@ def test_pairwise_matrix_across_chunks_matches_tmd_bit_for_bit(monkeypatch):
             m.setattr(TMD_MODULE, "_SOLVE_ENTRIES", 40)
             values = pairwise_matrix(ds, c).values
         assert values.tobytes() == expected.tobytes(), depth
+
+
+def test_distances_memory_does_not_grow_with_the_graph_count():
+    # each chunk builds the node table of its own graphs, so the peak up to
+    # the first distance is that of one pair of hubs, however many follow
+    rng = np.random.default_rng(61)
+
+    def peak(count):
+        hubs = [Graph(60, [(0, v) for v in range(1, 60)], rng.standard_normal((60, 2)))
+                for _ in range(count)]
+        tracemalloc.start()
+        try:
+            first = next(TMD_MODULE._distances(
+                hubs, itertools.combinations(range(count), 2), cfg(2)))
+            assert first == tmd(hubs[0], hubs[1], cfg(2))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200) < 2 * peak(20)
 
 
 def _chain(n, features):
