@@ -28,8 +28,8 @@ from .node_select import (NodeSubsample, build_candidates, core_numbers,
 from .oracles import (MatchingResult, RootedTree, abs_clipped_loss, blank_tree,
                       brute_force_matching, brute_force_medoids,
                       brute_force_select, computation_tree, matching_value,
-                      min_cost_matching, tmd_naive, tree_blank_distance,
-                      tree_distance, tree_norm_decision, tree_norm_naive)
+                      tmd_naive, tree_blank_distance, tree_distance,
+                      tree_norm_decision, tree_norm_naive)
 from .gnn import (ErmReport, GinLayer, GinModel, LipschitzProfile,
                   StabilityReport, finite_erm_sweep, gin_forward,
                   identity_gin, layer_lipschitz, node_embeddings, random_gin,

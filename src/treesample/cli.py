@@ -26,7 +26,7 @@ from .graph_select import (kmedoids, feature_distance_matrix,
                            random_selection, save_selection,
                            wl_distance, wl_pseudometric_matrix)
 from .graphs import load_jsonl, load_tu
-from .node_select import save_subsamples, subsample_dataset, subsample_sweep
+from .node_select import mean_tmd, save_subsamples, subsample_dataset, subsample_sweep
 from .synth import random_pairs, synthetic_dataset, wl_counterexample_pair
 from .tmd import pairwise_matrix
 from .treenorm import tree_norm
@@ -239,9 +239,7 @@ def cmd_subsample_nodes(args) -> int:
     subs = subsample_dataset(ds, args.frac, cfg, heuristics=heuristics, seed=args.seed)
     if args.out:
         save_subsamples(subs, args.out)
-    mean_eps = sum(s.tmd_to_full for s in subs) / len(subs) if subs else 0.0
-    if not math.isfinite(mean_eps):  # each distance is finite, so their sum overflowed
-        raise NumericalOverflowError("the mean distance to the subgraphs overflowed")
+    mean_eps = mean_tmd(subs)
     if args.json:
         print(json.dumps({"graphs": len(subs), "mean_tmd": mean_eps}, sort_keys=True))
     else:

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one overflow rule:
+every exact sum is taken by :func:`exact_sums`, and every value that must be
+finite is checked by :func:`require_finite`."""
+
+import math
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -19,3 +25,29 @@ class CacheMismatchError(RuntimeError):
 
 class NumericalOverflowError(ArithmeticError):
     """A computation overflowed to infinity instead of returning a finite value."""
+
+
+def _overflow(what: str) -> NumericalOverflowError:
+    return NumericalOverflowError(f"{what} overflowed: the value is not finite; reduce "
+                                  "the depth, the level weights, eta or the feature scale")
+
+
+def exact_sums(rows, what: str) -> np.ndarray:
+    """``math.fsum`` of each row of ``rows`` (a 2-D array or an iterable of
+    sequences), as a float64 array.  A sum of finite terms past the float
+    range raises :class:`NumericalOverflowError` naming ``what``, with the
+    ``OverflowError`` as its cause; a non-finite term only makes its sum
+    non-finite, for the caller to report."""
+    try:
+        return np.fromiter(map(math.fsum, rows.tolist() if isinstance(rows, np.ndarray)
+                               else rows), dtype=np.float64)
+    except OverflowError as exc:
+        raise _overflow(what) from exc
+
+
+def require_finite(values, what: str):
+    """``values``, a scalar or an array, if every entry is finite; otherwise
+    :class:`NumericalOverflowError` naming ``what``."""
+    if not np.isfinite(values).all():
+        raise _overflow(what)
+    return values

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TmdConfig
-from .errors import ConfigError, NumericalOverflowError
+from .errors import ConfigError, exact_sums, require_finite
 from .graph_select import medoids_objective, nearest_medoid
 from .graphs import Dataset, Graph, induced_subgraph
+from .node_select import mean_tmd
 from .tmd import _distances
 
 _ACTIVATIONS = ("relu", "identity")
@@ -227,10 +228,9 @@ def stability_report(model: GinModel, pairs, cfg: TmdConfig) -> StabilityReport:
     violations = 0
     infinite = 0
     for ra, rb, dist in zip(out[0::2], out[1::2], dists):
-        with np.errstate(over="ignore"):  # checked below
-            num = float(np.linalg.norm(ra - rb))
-        if not math.isfinite(num):  # both readouts are finite
-            raise NumericalOverflowError("the distance of two GIN readouts overflowed")
+        with np.errstate(over="ignore"):  # both readouts are finite: inf is an overflow
+            num = require_finite(float(np.linalg.norm(ra - rb)),
+                                 "the distance of two GIN readouts")
         den = dist * prod
         if num == 0.0 and den == 0.0:
             ratio = 0.0
@@ -276,25 +276,11 @@ class ErmReport:
         }, sort_keys=True)
 
 
-def _fsum(values) -> float:
-    """``math.fsum`` of a sum of the ERM check, which must be finite."""
-    try:
-        total = math.fsum(values)
-    except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
-        raise NumericalOverflowError("a sum of the ERM check over the dataset overflowed")
-    return total
-
-
 def _readouts(models, graphs) -> np.ndarray:
     """(models x graphs x out_dim) readouts, all finite or an overflow error."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         out = np.array([[gin_forward(h, g) for g in graphs] for h in models])
-    if not np.isfinite(out).all():
-        raise NumericalOverflowError(
-            "a GIN readout is not finite; reduce eta, the depth or the feature scale")
-    return out
+    return require_finite(out, "a GIN readout")
 
 
 def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
@@ -330,8 +316,6 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
     hypotheses = list(hypotheses)
     if not hypotheses:
         raise ConfigError("hypothesis set is empty")
-    m_lip = 1.0
-
     for h in hypotheses:  # as oracles.abs_clipped_loss, which takes one readout
         if h.out_dim != 1:
             raise ConfigError(f"loss needs a scalar readout, got shape {(h.out_dim,)}")
@@ -341,23 +325,25 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
     def mean_loss(preds, targets):  # oracles.abs_clipped_loss, entry by entry
         with np.errstate(over="ignore"):  # inf, silently, as in Python floats
             losses = np.minimum(np.abs(preds - targets), _LOSS_CLIP)
-        return [math.fsum(row) / n for row in losses.tolist()]
+        return (exact_sums(losses, "a mean loss") / n).tolist()
 
     full_losses = mean_loss(preds_full, labels)
     min_loss_full = min(full_losses)
-    c = m_lip * max(layer_lipschitz(h).product for h in hypotheses)
+    c = max(layer_lipschitz(h).product for h in hypotheses)
 
     def report(mode, epsilon, stand_ins, stand_in_labels):
         # stand_ins[t, i]: hypothesis t's readout on the graph standing in for G_i
         sub_losses = mean_loss(stand_ins, stand_in_labels)
-        with np.errstate(over="ignore"):  # an inf norm makes the chain's _fsum raise
+        with np.errstate(over="ignore"):  # an inf norm is refused below
             d = stand_ins - preds_full
             norms = np.sqrt(d * d)  # np.linalg.norm of each length-1 d, bit for bit
-        chain_rhs = [m_lip * _fsum(row) / n for row in norms.tolist()]
+        what = "a transport-plan chain sum"
+        chain_rhs = (require_finite(exact_sums(norms, what), what) / n).tolist()
         excess = max(abs(s - f) - r for s, f, r in zip(sub_losses, full_losses, chain_rhs))
         erm = min(range(len(hypotheses)), key=lambda t: (sub_losses[t], t))
-        bound_rhs = 2.0 * c * epsilon
-        return ErmReport(mode, full_losses[erm], min_loss_full, bound_rhs, epsilon, m_lip,
+        bound_rhs = require_finite(2.0 * c * epsilon, "the ERM bound 2 c eps")
+        # M = 1: the clipped absolute loss is 1-Lipschitz in the prediction
+        return ErmReport(mode, full_losses[erm], min_loss_full, bound_rhs, epsilon, 1.0,
                          full_losses[erm] <= min_loss_full + bound_rhs + _ERM_TOL,
                          excess <= _ERM_TOL, excess, erm)
 
@@ -378,6 +364,6 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
             if (i, kept) not in sub_preds:
                 sg = induced_subgraph(ds[i], kept)
                 sub_preds[i, kept] = _readouts(hypotheses, [sg])[:, 0, 0]
-        reports.append(report("nodes", _fsum(s.tmd_to_full for s in subsamples) / n,
+        reports.append(report("nodes", mean_tmd(subsamples),
                               np.column_stack([sub_preds[key] for key in keys]), labels))
     return reports

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .config import TmdConfig
-from .errors import ConfigError, DatasetError, NumericalOverflowError
-from .graphs import Dataset, Graph
+from .errors import ConfigError, DatasetError, require_finite
+from .graphs import Dataset, Graph, make_dataset
 from .tmd import DistanceMatrix
 from .treenorm import feature_norms
 
@@ -109,12 +109,10 @@ def cluster_sizes(d: DistanceMatrix, indices) -> list[int]:
 def _check_means(full: np.ndarray) -> None:
     """Refuse non-finite row sums: entries are non-negative, so finite row
     sums keep every mean of entry-wise row minima finite."""
-    with np.errstate(over="ignore"):  # reported below
-        if np.isfinite(full.sum(axis=1)).all():
-            return
     if not np.isfinite(full).all():  # argmin would pick a NaN a strict-< scan skips
         raise DatasetError("distance matrix has non-finite entries")
-    raise NumericalOverflowError("a row of the distance matrix sums past the float range")
+    with np.errstate(over="ignore"):  # refused below
+        require_finite(full.sum(axis=1), "a row sum of the distance matrix")
 
 
 def _selection(method: str, k: int, seed: int, full: np.ndarray,
@@ -250,9 +248,8 @@ def feature_distance_matrix(ds: Dataset, cfg: TmdConfig) -> DistanceMatrix:
         if g.node_count:
             means[i, :g.feature_dim] = g.features.mean(axis=0)
     i, j = np.triu_indices(n, 1)
-    vals = feature_norms(means[i] - means[j], cfg.feature_norm)
-    if not np.isfinite(vals).all():
-        raise NumericalOverflowError("a mean feature vector or their distance overflowed")
+    vals = require_finite(feature_norms(means[i] - means[j], cfg.feature_norm),
+                          "a mean feature vector or the distance of two")
     return DistanceMatrix(n, "feature", 0, "", vals)
 
 
@@ -304,5 +301,5 @@ def wl_pseudometric_matrix(ds: Dataset, iterations: int) -> DistanceMatrix:
 
 def wl_distance(ga: Graph, gb: Graph, iterations: int) -> float:
     """Pairwise convenience wrapper over :func:`wl_pseudometric_matrix`."""
-    ds = Dataset([ga, gb], ga.feature_dim, "pair")
+    ds = make_dataset([ga, gb], "pair")
     return wl_pseudometric_matrix(ds, iterations).value(0, 1)

@@ -328,7 +328,7 @@ def load_tu(directory, name: str) -> Dataset:
     indicator = [gid for _, gid in _parse_lines(p("graph_indicator"), int, "graph id")]
     total_nodes = len(indicator)
     if total_nodes == 0:
-        return Dataset([], 0, name)
+        return make_dataset([], name)
 
     n_graphs = max(indicator)
     if min(indicator) < 1:

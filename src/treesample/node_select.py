@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .config import TmdConfig
-from .errors import ConfigError
+from .errors import ConfigError, exact_sums, require_finite
 from .graphs import Dataset, Graph
 from .treenorm import subset_tree_norm_sweep
 
@@ -45,6 +45,13 @@ class NodeSubsample:
             "tree_norm_sub": self.tree_norm_sub,
             "tmd": self.tmd_to_full, "provenance": self.provenance,
         }, sort_keys=True)
+
+
+def mean_tmd(subs) -> float:
+    """Exact mean distance from each graph to its subgraph; 0.0 for none."""
+    what = "the mean distance to the subgraphs"
+    total, = require_finite(exact_sums([[s.tmd_to_full for s in subs]], what), what)
+    return float(total) / max(1, len(subs))
 
 
 def save_subsamples(subs, path) -> None:

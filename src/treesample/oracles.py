@@ -2,10 +2,9 @@
 
 Each one computes its quantity the literal way, for small inputs only: the
 tree mover's distance on materialized computation trees, matching values
-on validated input, matchings by lexicographic refinement or full
-enumeration, medoid sets and node subsets by enumerating every candidate,
-and the ERM loss one scalar at a time.  Tests and demos use them; no
-production module imports this one.
+on validated input, matchings by full enumeration, medoid sets and node
+subsets by enumerating every candidate, and the ERM loss one scalar at a
+time.  Tests and demos use them; no production module imports this one.
 """
 
 from __future__ import annotations
@@ -71,45 +70,6 @@ class MatchingResult:
 
     total_cost: float
     assignment: tuple[int, ...]
-
-
-def min_cost_matching(cost: np.ndarray) -> MatchingResult:
-    """Solve the assignment problem on a square cost matrix.
-
-    Among all optimal permutations the lexicographically smallest assignment
-    vector is returned.  Optimality of a candidate prefix is tested by exact
-    comparison of ``fsum`` totals, which is tie-safe because ``fsum`` rounds
-    the true real sum once.
-    """
-    c = _check_square(cost)
-    q = c.shape[0]
-    if q == 0:
-        return MatchingResult(0.0, ())
-    rows, cols = linear_sum_assignment(c)
-    best = math.fsum(c[rows, cols])
-
-    assignment: list[int] = []
-    free_cols = list(range(q))
-    prefix: list[float] = []
-    for row in range(q):
-        chosen = None
-        for col in free_cols:
-            remaining = [x for x in free_cols if x != col]
-            tail_entries: list[float] = []
-            if remaining:
-                sub = c[np.ix_(range(row + 1, q), remaining)]
-                r, s = linear_sum_assignment(sub)
-                tail_entries = list(sub[r, s])
-            total = math.fsum(prefix + [c[row, col]] + tail_entries)
-            if total == best:
-                chosen = col
-                break
-        if chosen is None:  # cannot happen for finite inputs
-            raise RuntimeError("assignment refinement lost the optimum")
-        assignment.append(chosen)
-        prefix.append(c[row, chosen])
-        free_cols.remove(chosen)
-    return MatchingResult(best, tuple(assignment))
 
 
 def brute_force_matching(cost: np.ndarray) -> MatchingResult:

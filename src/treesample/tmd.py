@@ -26,7 +26,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist, squareform
 
 from .config import TmdConfig
-from .errors import DatasetError, NumericalOverflowError
+from .errors import DatasetError, NumericalOverflowError, exact_sums
 from .graphs import Dataset, Graph
 from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
 
@@ -41,18 +41,6 @@ _NEAR_RTOL = 1e-9
 # solver call; a chunk's working set is ~90 bytes per table entry
 _CHUNK_ENTRIES = 1 << 13
 _SOLVE_ENTRIES = 1 << 13
-
-
-def _fsums(rows: np.ndarray) -> np.ndarray:
-    """Exact ``math.fsum`` of each row; every exact sum of the distance runs
-    here, so each overflow of one is a :class:`NumericalOverflowError`."""
-    try:
-        return np.fromiter(map(math.fsum, rows.tolist()), dtype=np.float64,
-                           count=rows.shape[0])
-    except OverflowError as exc:
-        raise NumericalOverflowError(
-            "an exact sum in the tree mover's distance overflowed; "
-            "reduce the depth, the level weights or the feature scale") from exc
 
 
 def _cross_distances(fa: np.ndarray, fb: np.ndarray, norm: str) -> np.ndarray:
@@ -100,12 +88,12 @@ def _solve_injective(blocks: np.ndarray, r: int) -> np.ndarray:
     maps = _MAPS[q, r]
     entries = blocks.reshape(count, q * q)[:, maps]
     if maps.shape[0] == 1:  # r = 0, or q = r = 1
-        return _fsums(entries[:, 0])
+        return exact_sums(entries[:, 0], "a matching total")
     totals = entries.sum(axis=2)
     # entries are non-negative, so the summation error is relative to the total
     near = totals <= totals.min(axis=1, keepdims=True) * (1.0 + _NEAR_RTOL)
     block, which = np.nonzero(near)
-    exact = _fsums(entries[block, which])
+    exact = exact_sums(entries[block, which], "a matching total")
     if block.size == count:
         return exact
     return np.minimum.reduceat(exact, np.flatnonzero(np.diff(block, prepend=-1)))
@@ -115,7 +103,8 @@ def _solve_lsap(blocks: np.ndarray) -> np.ndarray:
     """Exact matching values of wide (P, q, q) blocks: LSAP, then ``fsum``."""
     count, q = blocks.shape[0], blocks.shape[1]
     cols = np.array([linear_sum_assignment(c)[1] for c in blocks])
-    return _fsums(blocks[np.arange(count)[:, None], np.arange(q), cols])
+    return exact_sums(blocks[np.arange(count)[:, None], np.arange(q), cols],
+                      "a matching total")
 
 
 def _cells(off: np.ndarray, na: np.ndarray, nb: np.ndarray, a0: np.ndarray,
@@ -178,7 +167,7 @@ def _tables(graphs: list[Graph], pairs: list[tuple[int, int]],
     x = np.concatenate([feature_norms(graphs[i].features, cfg.feature_norm) for i in used])
     blanks = [np.append(x, 0.0)]
     for d in range(2, cfg.depth + 1):
-        kid_sums = _fsums(blanks[-1][kids])
+        kid_sums = exact_sums(blanks[-1][kids], "a distance to the blank tree")
         blanks.append(np.append(x + cfg.level_weight(d - 1) * kid_sums, 0.0))
     a0, b0 = starts[inv.reshape(-1, 2).T]
 
@@ -354,7 +343,7 @@ class DistanceMatrix:
         return i * self.n - i * (i + 1) // 2 + (j - i - 1)
 
     def value(self, i: int, j: int) -> float:
-        if i == j:
+        if i == j and 0 <= i < self.n:
             return 0.0
         return float(self.values[self.index(i, j)])
 

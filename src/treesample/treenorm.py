@@ -18,12 +18,11 @@ building induced subgraphs.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from .config import TmdConfig
-from .errors import DatasetError, NumericalOverflowError
+from .errors import DatasetError, exact_sums, require_finite
 from .graphs import Graph
 
 # entries (candidates x (nodes + edges)) per masked pass of subset_tree_norm_sweep
@@ -68,22 +67,14 @@ def _level_sums(x: np.ndarray, dst: np.ndarray, src: np.ndarray,
     return bs
 
 
-def _exact_sums(b: np.ndarray, ends, cfg: TmdConfig, what: str) -> list[float]:
+def _run_sums(b: np.ndarray, ends, cfg: TmdConfig, what: str) -> np.ndarray:
     """Exact sum of the non-negative level sums ``b`` over each run of
     entries that ends at an index in ``ends`` (one run per graph)."""
-    if not np.isfinite(b).all():
-        raise NumericalOverflowError(
-            f"tree norm overflowed at depth {cfg.depth} ({what}); "
-            "reduce the depth or the level weights")
+    what = f"a tree norm at depth {cfg.depth} ({what})"
     # entries are non-negative, so the l1 norm is a plain sum; fsum makes the
     # value independent of node ordering among mathematically equal layouts
-    flat = b.tolist()
-    try:
-        return [math.fsum(flat[lo:hi]) for lo, hi in zip([0, *ends[:-1]], ends)]
-    except OverflowError as exc:  # every entry is finite but the sum is not
-        raise NumericalOverflowError(
-            f"tree norm sum overflowed at depth {cfg.depth} ({what}); reduce "
-            "the depth, the level weights or the feature scale") from exc
+    flat = require_finite(b, what).tolist()
+    return exact_sums((flat[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)), what)
 
 
 def tree_norm(g: Graph, cfg: TmdConfig) -> float:
@@ -92,13 +83,12 @@ def tree_norm(g: Graph, cfg: TmdConfig) -> float:
     if n == 0:
         return 0.0
     eu, ev = g.edge_arrays()
-    # overflow is caught by the checks in _exact_sums (a level sum past the
+    # overflow is caught by the checks in _run_sums (a level sum past the
     # float range reads inf, a weight product past it times an empty level
     # NaN), so numpy's warnings would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
         b, = _level_sums(feature_norms(g.features, cfg.feature_norm), eu, ev, [cfg])
-    value, = _exact_sums(b, [n], cfg, f"n={n}, m={g.edge_count}")
-    return value
+    return float(_run_sums(b, [n], cfg, f"n={n}, m={g.edge_count}")[0])
 
 
 def subset_tree_norm_sweep(g: Graph, subsets, cfgs) -> np.ndarray:
@@ -151,6 +141,6 @@ def _score_block(g: Graph, block: list, cfgs) -> np.ndarray:
             bs = _level_sums(np.tile(feature_norms(g.features, norm), c), dst, src,
                              [cfgs[i] for i in group])
         for i, b in zip(group, bs):  # kept entries, candidate by candidate
-            rows[i] = _exact_sums(b.reshape(c, n)[keep], ends, cfgs[i],
-                                  f"node subsets of n={n}, m={g.edge_count}")
+            rows[i] = _run_sums(b.reshape(c, n)[keep], ends, cfgs[i],
+                                f"node subsets of n={n}, m={g.edge_count}")
     return np.array(rows, dtype=np.float64).reshape(len(cfgs), c)

@@ -19,12 +19,13 @@ from treesample import (DistanceMatrix, Graph, TmdConfig, brute_force_matching,
                         computation_tree, feature_distance_matrix, feature_norms,
                         finite_erm_sweep, gin_forward, identity_gin,
                         induced_subgraph, kmedoids, load_or_compute,
-                        make_dataset, matching_value, min_cost_matching,
-                        nearest_medoid, pairwise_matrix, random_gin,
-                        random_regular_graph, save_jsonl, tmd, tree_blank_distance,
-                        tree_distance, tree_norm, tree_norm_naive,
-                        wl_counterexample_pair, wl_distance)
+                        make_dataset, matching_value, nearest_medoid,
+                        pairwise_matrix, random_gin, random_regular_graph,
+                        save_jsonl, tmd, tree_blank_distance, tree_distance,
+                        tree_norm, tree_norm_naive, wl_counterexample_pair,
+                        wl_distance)
 from treesample.cli import main as cli_main
+from treesample.tmd import _solve_injective, _solve_lsap
 
 from helpers import cfg, random_graph, random_table_cfg
 
@@ -235,11 +236,15 @@ def test_c07_matching_solver_oracle():
             c = rng.uniform(0.0, 10.0, size=(q, q))
         else:  # integer entries: exact sums, plenty of genuine ties
             c = rng.integers(0, 6, size=(q, q)).astype(float)
-        if min_cost_matching(c).total_cost != brute_force_matching(c).total_cost:
-            mismatches += 1
+        best = brute_force_matching(c).total_cost
+        values = [_solve_lsap(c[None])[0]]
+        if q <= 4:
+            values.append(_solve_injective(c[None], q)[0])
+        mismatches += any(v != best for v in values)
     ok = mismatches == 0
-    _line(7, "matching solver vs exhaustive oracle", ok,
-          f"500 matrices up to 8x8, {mismatches} cost mismatches")
+    _line(7, "matching solvers vs exhaustive oracle", ok,
+          f"500 matrices up to 8x8, LSAP on all, injective maps up to 4x4, "
+          f"{mismatches} cost mismatches")
     assert ok
 
 

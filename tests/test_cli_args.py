@@ -255,3 +255,15 @@ def test_cli_json_is_strict_or_the_command_exits_2(data, argv, tmp_path, capsys)
     else:
         assert code in (0, 4, 70), (code, err)
         json.loads(out.splitlines()[-1], parse_constant=_reject_constant)
+
+
+def test_cli_erm_bound_past_the_float_range_exits_2(tmp_path, capsys):
+    # keeping 1 of 3 isolated nodes puts epsilon at 1.18e308, finite, but
+    # 2 c epsilon is not
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(make_dataset([Graph(3, [], np.full((3, 1), 5.9e307), label=0)]), path)
+    code = main(["verify", "--mode", "erm-nodes", "--dataset", str(path),
+                 "--frac", "0.1", "--hypotheses", "2", "--json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the ERM bound 2 c eps overflowed") and "not finite" in err

@@ -41,6 +41,14 @@ def test_nearest_medoid_tie_prefers_smaller_index():
     assert list(nearest_medoid(d, [2, 1])) == [1, 1, 1]
 
 
+def test_distance_matrix_value_range_checks_the_diagonal():
+    d = DistanceMatrix(2, "test", 1, "const:1.0", np.array([3.0]))
+    assert (d.value(0, 0), d.value(1, 1), d.value(1, 0)) == (0.0, 0.0, 3.0)
+    for i, j in ((5, 5), (-1, -1), (2, 2), (0, 2)):
+        with pytest.raises(IndexError, match=rf"bad pair \({i},{j}\) for n=2"):
+            d.value(i, j)
+
+
 def test_kmedoids_trivial_cases():
     rng = np.random.default_rng(0)
     d = random_dm(rng, 5)
@@ -203,6 +211,13 @@ def test_wl_separates_structures():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)], np.ones((4, 1)))
     assert wl_distance(path, star, iterations=2) > 0.1
     assert wl_distance(path, path, iterations=3) == 0.0
+
+
+def test_wl_distance_rejects_graphs_of_different_widths():
+    one = Graph(2, [(0, 1)], np.ones((2, 1)))
+    two = Graph(2, [(0, 1)], np.ones((2, 2)))
+    with pytest.raises(DatasetError, match=r"feature dimension: \[1, 2\]"):
+        wl_distance(one, two, iterations=1)
 
 
 def test_wl_histogram_refinement_counts():

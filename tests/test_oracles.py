@@ -8,7 +8,7 @@ import treesample.oracles
 
 PACKAGE = Path(treesample.__file__).parent
 
-MOVED = ("MatchingResult", "min_cost_matching", "brute_force_matching",
+MOVED = ("MatchingResult", "brute_force_matching",
          "_BRUTE_LIMIT", "RootedTree", "blank_tree", "computation_tree",
          "_padded_matching", "_subtree_blank_cost", "_subtree_distance",
          "tree_distance", "tree_blank_distance", "tmd_naive",
