@@ -33,7 +33,7 @@ from .oracles import (MatchingResult, RootedTree, abs_clipped_loss, blank_tree,
 from .gnn import (ErmReport, GinLayer, GinModel, LipschitzProfile,
                   StabilityReport, finite_erm_sweep, gin_forward,
                   identity_gin, layer_lipschitz, node_embeddings, random_gin,
-                  stability_report)
+                  stability_sweep)
 from .synth import (clustered_dataset, random_graph, random_pairs,
                     random_regular_graph, synthetic_dataset,
                     wl_counterexample_pair)

@@ -17,11 +17,11 @@ import os
 import sys
 
 from .cache import load_or_compute
-from .config import TmdConfig, parse_weights
+from .config import TmdConfig, const_weights, parse_weights
 from .errors import (CacheMismatchError, ConfigError, DatasetError,
                      NumericalOverflowError)
 from .gnn import (_readouts, finite_erm_sweep, identity_gin, random_gin,
-                  stability_report)
+                  stability_sweep)
 from .graph_select import (kmedoids, feature_distance_matrix,
                            random_selection, save_selection,
                            wl_distance, wl_pseudometric_matrix)
@@ -248,8 +248,6 @@ def cmd_subsample_nodes(args) -> int:
 
 
 def _sweep_configs(args) -> list[TmdConfig]:
-    from .config import const_weights
-
     return [TmdConfig(depth=args.depth, weights=const_weights(lam * args.eta),
                       feature_norm=args.norm) for lam in LAMBDA_SWEEP]
 
@@ -273,7 +271,7 @@ def _verify_stability(args, ds) -> tuple[dict, int, str]:
     pairs = random_pairs(ds, args.pairs, args.seed + 1)
     model = random_gin(args.seed, ds.feature_dim, args.hidden, args.depth,
                        eta=args.eta)
-    reports = [stability_report(model, pairs, cfg) for cfg in _sweep_configs(args)]
+    reports = stability_sweep(model, ds.graphs, pairs, _sweep_configs(args))
     payload = {"mode": "stability",
                "reports": [json.loads(r.to_json()) for r in reports],
                "passed_any": any(r.violations == 0 for r in reports)}

@@ -24,6 +24,8 @@ from .tmd import _distances
 _ACTIVATIONS = ("relu", "identity")
 _LOSS_CLIP = 10.0  # the per-graph loss |prediction - label| is clipped here
 _ERM_TOL = 1e-9  # float slack on the ERM bound and the transport-plan chain
+_POWER_ITERS = 200  # power-iteration steps before a spectral norm is flagged
+_POWER_TOL = 1e-10  # relative change at which a spectral norm has converged
 
 
 @dataclass(frozen=True)
@@ -116,14 +118,14 @@ class LipschitzProfile:
     converged: tuple[bool, ...]
 
 
-def _spectral_norm(w: np.ndarray, iters: int = 200, tol: float = 1e-10):
+def _spectral_norm(w: np.ndarray):
     if w.size == 0:
         return 0.0, True
     rng = np.random.default_rng(0)
     x = rng.standard_normal(w.shape[0])
     x /= np.linalg.norm(x)
     sigma = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         y = x @ w
         ny = float(np.linalg.norm(y))
         if ny == 0.0:
@@ -132,7 +134,7 @@ def _spectral_norm(w: np.ndarray, iters: int = 200, tol: float = 1e-10):
         nx = float(np.linalg.norm(x))
         new_sigma = math.sqrt(nx) if nx > 0 else ny
         x = x / nx if nx > 0 else x
-        if sigma > 0 and abs(new_sigma - sigma) <= tol * sigma:
+        if sigma > 0 and abs(new_sigma - sigma) <= _POWER_TOL * sigma:
             return new_sigma, True
         sigma = new_sigma
     return sigma, False
@@ -142,18 +144,11 @@ def layer_lipschitz(model: GinModel) -> LipschitzProfile:
     """Per-layer Lipschitz constants via power iteration.
 
     relu and identity activations are 1-Lipschitz, so each constant is the
-    layer's largest singular value.  Non-convergence within 200 iterations is
-    flagged, not raised.
+    layer's largest singular value.  Non-convergence within ``_POWER_ITERS``
+    steps is flagged, not raised.
     """
-    norms, flags = [], []
-    for layer in model.layers:
-        sigma, ok = _spectral_norm(layer.weight)
-        norms.append(sigma)
-        flags.append(ok)
-    prod = 1.0
-    for s in norms:
-        prod *= s
-    return LipschitzProfile(tuple(norms), prod, tuple(flags))
+    norms, flags = zip(*(_spectral_norm(layer.weight) for layer in model.layers))
+    return LipschitzProfile(norms, math.prod(norms), flags)
 
 
 def random_gin(seed: int, feature_dim: int, hidden: int, depth: int,
@@ -166,6 +161,8 @@ def random_gin(seed: int, feature_dim: int, hidden: int, depth: int,
     """
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
+    if feature_dim < 1:
+        raise ConfigError(f"feature_dim must be >= 1, got {feature_dim}")
     if depth > 1 and hidden < 1:
         raise ConfigError(f"hidden must be >= 1 when depth > 1, got {hidden}")
     rng = np.random.default_rng(seed)
@@ -208,43 +205,38 @@ class StabilityReport:
                            "pairs": self.pairs, "preset": self.preset}, sort_keys=True)
 
 
-def stability_report(model: GinModel, pairs, cfg: TmdConfig) -> StabilityReport:
-    """Empirical smoothness check over graph pairs.
-
-    For each pair the ratio ``||h(Ga) - h(Gb)||_2 / (tmd(Ga, Gb) * prod)`` is
-    recorded, where ``prod`` multiplies every layer's Lipschitz constant.
-    Requires ``cfg.depth`` = number of message-passing layers + 1 so the
-    distance unrolls exactly as far as the network propagates.
+def stability_sweep(model: GinModel, graphs: list[Graph], pairs,
+                    cfgs: list[TmdConfig]) -> list[StabilityReport]:
+    """Empirical smoothness check over index pairs of ``graphs``: one report
+    per config, each holding ``||h(G_i) - h(G_j)||_2 / (tmd(G_i, G_j) * prod)``
+    for each pair (i, j), where ``prod`` multiplies every layer's Lipschitz
+    constant.  Every config needs ``depth`` = message-passing layers + 1, so
+    the distance unrolls exactly as far as the network propagates.  The
+    product, the forward of each distinct graph and each pair's readout gap
+    are computed once; each config makes one distance-kernel call.
     """
+    cfgs, pairs = list(cfgs), list(pairs)
     n_mp = len(model.mp_layers)
-    if cfg.depth != n_mp + 1:
-        raise ConfigError(
-            f"cfg.depth must be {n_mp + 1} (message-passing layers + 1), got {cfg.depth}")
+    for cfg in cfgs:
+        if cfg.depth != n_mp + 1:
+            raise ConfigError(
+                f"cfg.depth must be {n_mp + 1} (message-passing layers + 1), got {cfg.depth}")
     prod = layer_lipschitz(model).product
-    graphs = [g for pair in pairs for g in pair]
-    out = _readouts([model], graphs)[0]
-    dists = _distances(graphs, zip(range(0, len(graphs), 2), range(1, len(graphs), 2)), cfg)
-    ratios = []
-    violations = 0
-    infinite = 0
-    for ra, rb, dist in zip(out[0::2], out[1::2], dists):
-        with np.errstate(over="ignore"):  # both readouts are finite: inf is an overflow
-            num = require_finite(float(np.linalg.norm(ra - rb)),
-                                 "the distance of two GIN readouts")
-        den = dist * prod
-        if num == 0.0 and den == 0.0:
-            ratio = 0.0
-        elif den == 0.0:
-            ratio = float("inf")
-            infinite += 1
-        else:
-            ratio = num / den
-        ratios.append(ratio)
-        if ratio > 1.0:
-            violations += 1
-    max_ratio = max(ratios) if ratios else 0.0
-    return StabilityReport(cfg.weights.spec_string(), len(ratios), max_ratio,
-                           violations, infinite, ratios)
+    used = sorted({i for pair in pairs for i in pair})
+    out = dict(zip(used, _readouts([model], [graphs[i] for i in used])[0]))
+    with np.errstate(over="ignore"):  # both readouts are finite: inf is an overflow
+        gaps = [require_finite(float(np.linalg.norm(out[i] - out[j])),
+                               "the distance of two GIN readouts") for i, j in pairs]
+    reports = []
+    for cfg in cfgs:
+        dens = [dist * prod for dist in _distances(graphs, pairs, cfg)]
+        ratios = [num / den if den else (0.0 if num == 0.0 else math.inf)
+                  for num, den in zip(gaps, dens)]
+        infinite = sum(den == 0.0 and num != 0.0 for num, den in zip(gaps, dens))
+        reports.append(StabilityReport(cfg.weights.spec_string(), len(ratios),
+                                       max(ratios, default=0.0),
+                                       sum(ratio > 1.0 for ratio in ratios), infinite, ratios))
+    return reports
 
 
 # ---------------------------------------------------------------------------

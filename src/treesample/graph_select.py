@@ -301,5 +301,5 @@ def wl_pseudometric_matrix(ds: Dataset, iterations: int) -> DistanceMatrix:
 
 def wl_distance(ga: Graph, gb: Graph, iterations: int) -> float:
     """Pairwise convenience wrapper over :func:`wl_pseudometric_matrix`."""
-    ds = make_dataset([ga, gb], "pair")
+    ds = make_dataset([ga, gb])
     return wl_pseudometric_matrix(ds, iterations).value(0, 1)

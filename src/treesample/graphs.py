@@ -203,7 +203,6 @@ class Dataset:
 
     graphs: list[Graph]
     feature_dim: int
-    name: str = ""
 
     def __len__(self):
         return len(self.graphs)
@@ -218,7 +217,7 @@ class Dataset:
         return [g.label for g in self.graphs]
 
 
-def make_dataset(graphs: list[Graph], name: str = "") -> Dataset:
+def make_dataset(graphs: list[Graph]) -> Dataset:
     """Wrap graphs (each checked when it was built) into a Dataset, checking
     the one thing a graph cannot check alone: a shared feature dimension,
     set by the graphs with nodes (a 0-node graph has no row to show one, so
@@ -229,7 +228,7 @@ def make_dataset(graphs: list[Graph], name: str = "") -> Dataset:
         raise DatasetError(f"graphs disagree on feature dimension: {sorted(dims)}")
     dim = dims.pop() if dims else 0
     return Dataset([g if g.feature_dim == dim else Graph(0, [], np.zeros((0, dim)), g.label)
-                    for g in graphs], dim, name)
+                    for g in graphs], dim)
 
 
 def load_jsonl(path) -> Dataset:
@@ -252,7 +251,7 @@ def load_jsonl(path) -> Dataset:
         except (KeyError, TypeError, DatasetError) as exc:  # TypeError: not a JSON object
             raise DatasetError(f"{path}:{lineno}: bad record ({exc})") from exc
     try:
-        return make_dataset(graphs, name=str(path))
+        return make_dataset(graphs)
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
 
@@ -289,6 +288,18 @@ def _parse_lines(path, parse, what: str) -> list:
 def _int_pair(line: str) -> tuple[int, int]:
     a, b = (int(tok) for tok in line.replace(",", " ").split())
     return a, b
+
+
+def _int_label(line: str) -> int:
+    """An integer graph label, also when written as a float such as ``1.0``;
+    any other value raises ``ValueError``."""
+    try:
+        return int(line)
+    except ValueError:
+        value = float(line)
+        if not value.is_integer():
+            raise
+        return int(value)
 
 
 def _float_row(line: str) -> list[float]:
@@ -328,7 +339,7 @@ def load_tu(directory, name: str) -> Dataset:
     indicator = [gid for _, gid in _parse_lines(p("graph_indicator"), int, "graph id")]
     total_nodes = len(indicator)
     if total_nodes == 0:
-        return make_dataset([], name)
+        return make_dataset([])
 
     n_graphs = max(indicator)
     if min(indicator) < 1:
@@ -360,8 +371,7 @@ def load_tu(directory, name: str) -> Dataset:
     labels_path = p("graph_labels")
     labels = None
     if os.path.exists(labels_path):
-        labels = [y for _, y in _parse_lines(
-            labels_path, lambda line: int(float(line)), "graph label")]
+        labels = [y for _, y in _parse_lines(labels_path, _int_label, "graph label")]
         if len(labels) != n_graphs:
             raise DatasetError(f"{labels_path}: {len(labels)} labels for {n_graphs} graphs")
 
@@ -382,7 +392,7 @@ def load_tu(directory, name: str) -> Dataset:
                                 label=None if labels is None else labels[gid - 1]))
         except DatasetError as exc:
             raise DatasetError(f"{name} graph {gid}: {exc}") from exc
-    return make_dataset(graphs, name=name)
+    return make_dataset(graphs)
 
 
 def dataset_fingerprint(ds: Dataset) -> str:

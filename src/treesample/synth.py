@@ -79,7 +79,7 @@ def clustered_dataset(n_graphs: int = 40, families: int = 5,
         center = 2.0 * (f + 1) * directions[f]
         feats = center + 0.03 * rng.standard_normal((n, _CLUSTER_DIM))
         graphs.append(Graph(n, edges, feats, label=f))
-    return make_dataset(graphs, name=f"clustered-{n_graphs}-{families}-{seed}")
+    return make_dataset(graphs)
 
 
 def synthetic_dataset(n_graphs: int, seed: int) -> Dataset:
@@ -87,18 +87,15 @@ def synthetic_dataset(n_graphs: int, seed: int) -> Dataset:
     return clustered_dataset(n_graphs=n_graphs, families=min(5, n_graphs), seed=seed)
 
 
-def random_pairs(ds: Dataset, count: int, seed: int) -> list[tuple[Graph, Graph]]:
-    """Seeded random graph pairs (with replacement, distinct indices)."""
+def random_pairs(ds: Dataset, count: int, seed: int) -> list[tuple[int, int]]:
+    """Seeded index pairs into ``ds`` (with replacement, distinct within a pair)."""
     if len(ds) < 2:
         raise ConfigError("need at least two graphs to form pairs")
     if count < 1:
         raise ConfigError(f"need at least one pair, got {count}")
     rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(count):
-        i, j = rng.choice(len(ds), size=2, replace=False)
-        pairs.append((ds[int(i)], ds[int(j)]))
-    return pairs
+    return [tuple(map(int, rng.choice(len(ds), size=2, replace=False)))
+            for _ in range(count)]
 
 
 def wl_counterexample_pair(n: int = 5) -> tuple[Graph, Graph]:

@@ -392,8 +392,8 @@ def reference_node_embeddings(model, g):
 
 
 def reference_stability_report(model, pairs, cfg):
-    """``stability_report`` as a loop of one ``_readouts`` and one ``tmd``
-    call per pair."""
+    """One config's ``stability_sweep`` report over graph pairs, as a loop
+    of one ``_readouts`` and one ``tmd`` call per pair."""
     prod = layer_lipschitz(model).product
     ratios, violations, infinite = [], 0, 0
     for ga, gb in pairs:

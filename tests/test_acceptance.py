@@ -260,7 +260,7 @@ def _random_distance_matrix(rng):
     style = rng.random()
     if style < 0.40:
         graphs = [random_graph(rng, n_max=6, feature_dim=2) for _ in range(n)]
-        ds = make_dataset(graphs, name="acc8")
+        ds = make_dataset(graphs)
         c = cfg(int(rng.integers(1, 4)))
         return (pairwise_matrix(ds, c) if style < 0.25
                 else feature_distance_matrix(ds, c))

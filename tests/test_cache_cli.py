@@ -388,13 +388,13 @@ def test_cli_verify_stability_smoke(tmp_path, capsys):
 def test_cli_verify_preset_failure_still_emits(monkeypatch, tmp_path, capsys):
     # force every sweep preset to report a violation: the report must still be
     # written and the documented preset-caveat code returned
-    def fake_report(model, pairs, c):
-        return StabilityReport(preset=c.weights.spec_string(), pairs=len(pairs),
-                               max_ratio=2.0, violations=1, infinite=0,
-                               ratios=[2.0])
+    def fake_sweep(model, graphs, pairs, cfgs):
+        return [StabilityReport(preset=c.weights.spec_string(), pairs=len(pairs),
+                                max_ratio=2.0, violations=1, infinite=0,
+                                ratios=[2.0]) for c in cfgs]
 
     import treesample.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "stability_report", fake_report)
+    monkeypatch.setattr(cli_mod, "stability_sweep", fake_sweep)
     out_path = str(tmp_path / "stab.json")
     code = main(["verify", "--mode", "stability", "--synthetic", "6",
                  "--pairs", "3", "--depth", "2", "--json", "--out", out_path])

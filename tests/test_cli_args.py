@@ -100,6 +100,8 @@ def test_library_rejects_non_positive_sizes():
     with pytest.raises(ConfigError, match="hidden must be >= 1"):
         random_gin(0, 3, 0, 2)
     assert random_gin(0, 3, 0, 1).out_dim == 1  # a readout-only model has no hidden layer
+    with pytest.raises(ConfigError, match="feature_dim must be >= 1"):
+        random_gin(0, 0, 8, 2)  # an empty dataset's width
     ds = synthetic_dataset(3, 0)
     for count in (0, -3):
         with pytest.raises(ConfigError, match="at least one pair"):
@@ -255,6 +257,29 @@ def test_cli_json_is_strict_or_the_command_exits_2(data, argv, tmp_path, capsys)
     else:
         assert code in (0, 4, 70), (code, err)
         json.loads(out.splitlines()[-1], parse_constant=_reject_constant)
+
+
+_DEGENERATE = {
+    "empty-file": [],
+    "two-0-node-graphs": [Graph(0, [], np.zeros((0, 2)), label=i) for i in range(2)],
+    "one-2-node-graph": [Graph(2, [(0, 1)], [[1.0], [2.0]], label=0)],
+    "isolated-nodes": [Graph(n, [], np.full((n, 2), n / 2), label=n % 2) for n in (1, 3, 2)],
+}
+
+
+@pytest.mark.parametrize("argv", _JSON_COMMANDS, ids=[
+    "dist", "treenorm", "graphs-tmd", "graphs-wl", "graphs-feature", "graphs-random",
+    "nodes", "stability", "erm-graphs", "erm-nodes"])
+@pytest.mark.parametrize("data", list(_DEGENERATE))
+def test_cli_degenerate_dataset_exits_with_a_documented_code(data, argv, tmp_path, capsys):
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(make_dataset(_DEGENERATE[data]), path)
+    argv = [str(tmp_path / "d.tmdc") if arg == "@" else arg for arg in argv]
+    code = main([*argv, "--dataset", str(path)])  # raises nothing
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3, 4), (code, err)
+    if code in (1, 2):
+        assert err.startswith("error: "), err
 
 
 def test_cli_erm_bound_past_the_float_range_exits_2(tmp_path, capsys):

@@ -1,16 +1,18 @@
 import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import treesample.gnn as gnn
 from treesample import (ConfigError, DatasetError, GinLayer, GinModel, Graph,
                         TmdConfig, abs_clipped_loss, clustered_dataset, const_weights,
                         empty_graph, finite_erm_sweep, gin_forward, identity_gin,
                         induced_subgraph, kmedoids, layer_lipschitz,
                         make_dataset, node_embeddings, pairwise_matrix,
-                        random_gin, random_pairs, stability_report,
+                        random_gin, random_pairs, stability_sweep,
                         subsample_dataset, wl_counterexample_pair)
 from treesample.cli import LAMBDA_SWEEP
 
@@ -110,19 +112,18 @@ def test_spectral_norm_matches_svd():
 
 def test_stability_report_zero_pair_and_depth_guard():
     m = random_gin(0, feature_dim=1, hidden=4, depth=2, eta=1.0)
-    g = P2
-    rep = stability_report(m, [(g, g)], cfg(2))
+    [rep] = stability_sweep(m, [P2], [(0, 0)], [cfg(2)])
     assert list(rep.ratios) == [0.0]
     assert rep.max_ratio == 0.0
     assert rep.violations == 0
-    with pytest.raises(ConfigError):
-        stability_report(m, [(g, g)], cfg(3))  # depth must be mp layers + 1
+    with pytest.raises(ConfigError):  # depth must be mp layers + 1 in every config
+        stability_sweep(m, [P2], [(0, 0)], [cfg(2), cfg(3)])
+    assert stability_sweep(m, [P2], [(0, 0)], []) == []
 
 
 def test_stability_counterexample_pair_is_finite():
-    g1, g2 = wl_counterexample_pair()
     m = identity_gin(feature_dim=1)
-    rep = stability_report(m, [(g1, g2)], cfg(2))
+    [rep] = stability_sweep(m, wl_counterexample_pair(), [(0, 1)], [cfg(2)])
     assert rep.infinite == 0
     assert 0.0 < rep.max_ratio < math.inf
     payload = json.loads(rep.to_json())
@@ -130,29 +131,55 @@ def test_stability_counterexample_pair_is_finite():
 
 
 def test_stability_report_matches_one_tmd_per_pair_bit_for_bit():
-    # one batched distance call against a tmd call per pair, under every
-    # preset the CLI sweeps; the pairs repeat graphs, pair graphs with
-    # themselves, hold 0-node graphs, and every other graph of the second
-    # dataset has integer features, so the solver meets exact ties
+    # one sweep (one distance-kernel call per preset) against a tmd call per
+    # pair, under every preset the CLI sweeps; the pairs repeat graphs, pair
+    # graphs with themselves, hold 0-node graphs, and every other graph of
+    # the second dataset has integer features, so the solver meets exact ties
     ds = clustered_dataset(12, 4, seed=3)
     rng = np.random.default_rng(61)
     tied = [Graph(g.node_count, g.edges, np.round(g.features) if i % 2 else g.features)
             for i, g in enumerate(random_graph(rng, n_max=9, feature_dim=3, p=0.4)
                                   for _ in range(6))]
-    empty = empty_graph(3)
-    pairs = [*random_pairs(ds, 40, 5), (ds[0], ds[0]), (ds[0], ds[1]), (ds[1], ds[0]),
-             (ds[2], empty), (empty, ds[3]), (empty, empty),
-             *itertools.combinations(tied, 2), (tied[1], tied[1])]
+    graphs = [*ds, empty_graph(3), *tied]
+    empty, t = len(ds), len(ds) + 1  # the index of the empty graph and of tied[0]
+    pairs = [*random_pairs(ds, 40, 5), (0, 0), (0, 1), (1, 0),
+             (2, empty), (empty, 3), (empty, empty),
+             *itertools.combinations(range(t, t + len(tied)), 2), (t + 1, t + 1)]
+    graph_pairs = [(graphs[i], graphs[j]) for i, j in pairs]
     for seed, depth, norm in ((0, 3, "l2"), (1, 2, "l1"), (2, 4, "l2")):
         model = random_gin(seed, 3, 8, depth, eta=0.7)
-        for lam in LAMBDA_SWEEP:
-            c = TmdConfig(depth=depth, weights=const_weights(lam * 0.7), feature_norm=norm)
-            got = stability_report(model, pairs, c)
-            want = reference_stability_report(model, pairs, c)
+        cfgs = [TmdConfig(depth=depth, weights=const_weights(lam * 0.7), feature_norm=norm)
+                for lam in LAMBDA_SWEEP]
+        for got, c in zip(stability_sweep(model, graphs, pairs, cfgs), cfgs, strict=True):
+            want = reference_stability_report(model, graph_pairs, c)
             assert (got.preset, got.pairs) == (want.preset, want.pairs)
             assert np.array(got.ratios).tobytes() == np.array(want.ratios).tobytes()
             assert np.float64(got.max_ratio).tobytes() == np.float64(want.max_ratio).tobytes()
             assert (got.violations, got.infinite) == (want.violations, want.infinite)
+
+
+def test_stability_sweep_does_preset_independent_work_once(monkeypatch):
+    ds = clustered_dataset(12, 4, seed=1)
+    pairs = [(0, 1), (1, 0), (2, 2), (3, 7), (7, 3), (0, 7)]
+    distinct = {i for pair in pairs for i in pair}
+    model = random_gin(0, 3, 8, 3)
+    cfgs = [cfg(3, lam) for lam in LAMBDA_SWEEP]
+    calls = Counter()
+
+    def count(name):
+        original = getattr(gnn, name)
+
+        def counting(*a, **k):
+            calls[name] += 1
+            return original(*a, **k)
+        monkeypatch.setattr(gnn, name, counting)
+
+    for name in ("layer_lipschitz", "_readouts", "gin_forward", "_distances"):
+        count(name)
+    reports = stability_sweep(model, ds.graphs, pairs, cfgs)
+    assert [r.pairs for r in reports] == [len(pairs)] * len(cfgs)
+    assert calls == {"layer_lipschitz": 1, "_readouts": 1, "gin_forward": len(distinct),
+                     "_distances": len(cfgs)}
 
 
 def test_abs_clipped_loss():

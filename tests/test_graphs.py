@@ -236,7 +236,7 @@ def test_jsonl_round_trip_keeps_empty_graphs_equal(tmp_path):
 
 def test_jsonl_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    ds = make_dataset([random_graph(rng) for _ in range(6)], name="x")
+    ds = make_dataset([random_graph(rng) for _ in range(6)])
     path = tmp_path / "ds.jsonl"
     save_jsonl(ds, path)
     back = load_jsonl(path)
@@ -311,6 +311,15 @@ def test_load_tu_rejects_graph_id_gap(tmp_path):
     assert main(["treenorm", "--dataset", str(d), "--format", "tu"]) == 2
 
 
+def test_load_tu_reads_integer_labels_and_refuses_fractions(tmp_path, capsys):
+    from treesample.cli import main
+    d = _write_tu(tmp_path, "LAB", [1, 2, 3], [], labels=["1", "-1", "1.0"])
+    assert load_tu(d, "LAB").labels() == [1, -1, 1]
+    (d / "LAB_graph_labels.txt").write_text("1\n1.5\n-0.7\n")
+    assert main(["treenorm", "--dataset", str(d), "--format", "tu"]) == 2
+    assert "LAB_graph_labels.txt:2: bad graph label" in capsys.readouterr().err
+
+
 def test_load_tu_missing_mandatory_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_tu(tmp_path, "NOPE")
@@ -343,6 +352,8 @@ def test_load_jsonl_keeps_universal_newlines(tmp_path):
     ("graph_indicator", b"1\n\xc3\n1\n", "graph_indicator.txt:2: not UTF-8"),
     ("graph_labels", b"0\ninf\n", "graph_labels.txt:2: bad graph label"),
     ("graph_labels", b"nan\n1\n", "graph_labels.txt:1: bad graph label"),
+    ("graph_labels", b"1.5\n1\n", "graph_labels.txt:1: bad graph label"),
+    ("graph_labels", b"0\n-0.7\n", "graph_labels.txt:2: bad graph label"),
     ("node_attributes", b"0.1\n0.2\n\x80\n", "node_attributes.txt:3: not UTF-8"),
     ("A", b"1, 2\n2 3 4\n", "A.txt:2: bad edge row"),
     ("node_attributes", b"0.1\n0.2, 0.3\n0.4\n", "T graph 1: features are not a numeric"),

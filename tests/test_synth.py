@@ -53,7 +53,7 @@ def test_random_pairs_distinct_and_seeded():
     pairs = random_pairs(ds, 20, seed=4)
     assert len(pairs) == 20
     assert pairs == random_pairs(ds, 20, seed=4)
-    assert all(a is not b for a, b in pairs)
+    assert all(a != b and 0 <= a < len(ds) and 0 <= b < len(ds) for a, b in pairs)
 
 
 def test_wl_counterexample_shape():
