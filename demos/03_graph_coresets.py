@@ -12,10 +12,9 @@ medoids, and checks the resulting guarantee for a bank of random networks.
 import tempfile
 from pathlib import Path
 
-from treesample import (TmdConfig, cluster_sizes, clustered_dataset,
-                        const_weights, finite_erm_sweep, kmedoids,
-                        load_or_compute, nearest_medoid, pairwise_matrix,
-                        random_gin)
+from treesample import (TmdConfig, clustered_dataset, const_weights,
+                        finite_erm_sweep, kmedoids, load_or_compute,
+                        nearest_medoid, pairwise_matrix, random_gin)
 
 ds = clustered_dataset(n_graphs=40, families=5, seed=0)
 cfg = TmdConfig(depth=3, weights=const_weights(1.0))
@@ -39,11 +38,12 @@ trace = []
 sel = kmedoids(dm, k=5, trace=trace)
 print(f"medoids {sel.indices}, weights {sel.tau}, objective {sel.objective:.4f}")
 print("objective trace:", [round(t, 4) for t in trace])
-print("cluster sizes:  ", cluster_sizes(dm, sel.indices))
 
 # Every graph's nearest medoid comes from its own family, so medoid labels
-# are trustworthy stand-ins for member labels.
-owners = nearest_medoid(dm, sel.indices)
+# are trustworthy stand-ins for member labels.  The mean distance to the
+# nearest medoid is the selection objective.
+owners, near = nearest_medoid(dm, sel.indices)
+print(f"mean distance to the nearest medoid: {near.mean():.4f}")
 purity = sum(ds.graphs[int(o)].label == g.label
              for o, g in zip(owners, ds.graphs)) / len(ds)
 print(f"cluster label purity: {purity:.0%}")

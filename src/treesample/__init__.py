@@ -17,10 +17,10 @@ from .tmd import (DistanceMatrix, pairwise_matrix, tmd, tmd_cost_matrix,
                   tmd_subgraph)
 from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
 from .cache import load_or_compute, read_matrix, write_matrix
-from .graph_select import (Selection, cluster_sizes, feature_distance_matrix,
-                           kmedoids, load_selection, medoids_objective,
-                           nearest_medoid, random_selection, save_selection,
-                           wl_distance, wl_histograms, wl_pseudometric_matrix)
+from .graph_select import (Selection, feature_distance_matrix, kmedoids,
+                           load_selection, nearest_medoid, random_selection,
+                           save_selection, wl_distance, wl_histograms,
+                           wl_pseudometric_matrix)
 from .node_select import (NodeSubsample, build_candidates, core_numbers,
                           k_bfs_candidates, kcore_candidate, load_subsamples,
                           rw_candidate, save_subsamples, select_subsets,

@@ -284,6 +284,8 @@ def _verify_stability(args, ds) -> tuple[dict, int, str]:
 
 
 def _verify_erm(args, ds, mode: str) -> tuple[dict, int, str]:
+    if len(ds) == 0:  # before random_gin, which would name the 0 feature width
+        raise ConfigError(f"{mode} needs graphs; the dataset is empty")
     labels = ds.labels()
     if any(y is None for y in labels):
         raise ConfigError(f"{mode} needs labeled graphs")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import TmdConfig
 from .errors import ConfigError, exact_sums, require_finite
-from .graph_select import medoids_objective, nearest_medoid
+from .graph_select import nearest_medoid
 from .graphs import Dataset, Graph, induced_subgraph
 from .node_select import mean_tmd
 from .tmd import _distances
@@ -343,9 +343,8 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
     for selection, distances in selections or ():
         if distances is None:
             raise ConfigError("graph mode needs the distance matrix used for selection")
-        idx = list(selection.indices)
-        owners = [int(o) for o in nearest_medoid(distances, idx)]
-        reports.append(report("graphs", medoids_objective(distances, idx),
+        owners, near = nearest_medoid(distances, selection.indices)
+        reports.append(report("graphs", float(near.mean()),
                               preds_full[:, owners], labels[owners]))
     for subsamples in subsample_sets or ():
         subsamples = list(subsamples)

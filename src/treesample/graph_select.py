@@ -19,7 +19,7 @@ from scipy.spatial.distance import pdist
 
 from .config import TmdConfig
 from .errors import ConfigError, DatasetError, require_finite
-from .graphs import Dataset, Graph, make_dataset
+from .graphs import Dataset, Graph, _is_int, make_dataset
 from .tmd import DistanceMatrix
 from .treenorm import feature_norms
 
@@ -62,7 +62,10 @@ def load_selection(path) -> Selection:
 
 
 def _check_indices(n: int, indices) -> list[int]:
-    idx = sorted(int(i) for i in indices)
+    idx = list(indices)
+    if not all(_is_int(i) for i in idx):
+        raise ConfigError(f"medoid indices must be integers: {idx}")
+    idx = sorted(map(int, idx))
     if len(idx) == 0:
         raise ConfigError("medoid index set must be non-empty")
     if len(set(idx)) != len(idx):
@@ -83,49 +86,39 @@ def _assign(full: np.ndarray, idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return choice, cols[np.arange(full.shape[0]), choice]
 
 
-def nearest_medoid(d: DistanceMatrix, indices) -> np.ndarray:
-    """Index (into the dataset) of each graph's nearest medoid.
+def nearest_medoid(d: DistanceMatrix, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Each graph's nearest medoid (a dataset index) and its distance to it.
 
-    Ties resolve to the smallest medoid index.
+    Ties resolve to the smallest medoid index.  The mean of the distances is
+    the selection objective, and counting the owners gives ``Selection.tau``.
     """
     idx = _check_indices(d.n, indices)
-    choice, _ = _assign(d.full(), idx)
-    return np.asarray(idx, dtype=np.int64)[choice]
+    choice, near = _assign(d.full(), idx)
+    return np.asarray(idx, dtype=np.int64)[choice], near
 
 
-def medoids_objective(d: DistanceMatrix, indices) -> float:
-    """Mean distance from every graph to its nearest medoid."""
-    idx = _check_indices(d.n, indices)
-    return float(_assign(d.full(), idx)[1].mean())
-
-
-def cluster_sizes(d: DistanceMatrix, indices) -> list[int]:
-    """Number of graphs assigned to each medoid, in medoid-index order."""
-    idx = _check_indices(d.n, indices)
-    choice, _ = _assign(d.full(), idx)
-    return np.bincount(choice, minlength=len(idx)).tolist()
-
-
-def _check_means(full: np.ndarray) -> None:
-    """Refuse non-finite row sums: entries are non-negative, so finite row
-    sums keep every mean of entry-wise row minima finite."""
+def _checked_full(d: DistanceMatrix) -> np.ndarray:
+    """``d.full()``, refusing non-finite entries and row sums: entries are
+    non-negative, so finite row sums keep every mean of entry-wise row
+    minima finite."""
+    full = d.full()
     if not np.isfinite(full).all():  # argmin would pick a NaN a strict-< scan skips
         raise DatasetError("distance matrix has non-finite entries")
     with np.errstate(over="ignore"):  # refused below
         require_finite(full.sum(axis=1), "a row sum of the distance matrix")
+    return full
 
 
 def _selection(method: str, k: int, seed: int, full: np.ndarray,
                idx: list[int]) -> Selection:
-    _check_means(full)
+    """The selection of sorted medoids ``idx`` on a :func:`_checked_full` matrix."""
     choice, near = _assign(full, idx)
     return Selection(method, k, seed, idx,
                      np.bincount(choice, minlength=len(idx)).tolist(),
                      float(near.mean()))
 
 
-def kmedoids(d: DistanceMatrix, k: int, *, max_iter: int = 100,
-             trace: list | None = None) -> Selection:
+def kmedoids(d: DistanceMatrix, k: int, *, trace: list | None = None) -> Selection:
     """PAM-style k-medoids: greedy BUILD, then best-improvement exchanges.
 
     The exchange phase alternates two neighborhoods: single medoid swaps
@@ -143,23 +136,25 @@ def kmedoids(d: DistanceMatrix, k: int, *, max_iter: int = 100,
     one swap at a time in ascending scan order and keeping only strictly
     better moves (``np.argmin`` keeps the first of equal minima).
 
-    Fully deterministic, so the selection records seed 0.  The objective
-    never increases between exchange iterations.  Pass a list as
-    ``trace`` to collect the objective after BUILD and after each accepted
-    exchange.  A NaN or infinite distance raises :class:`DatasetError`, a
-    row whose sum overflows :class:`NumericalOverflowError`.
+    Exchanges run until no swap is strictly better: each accepted swap
+    strictly lowers the objective of the medoid set, so no set repeats and
+    the search ends.  Fully deterministic, so the selection records seed 0.
+    Pass a list as ``trace`` to collect the objective after BUILD and after
+    each accepted exchange.  ``k = n`` takes every index, and ``tau``
+    follows the usual tie rule.  A NaN or infinite distance raises
+    :class:`DatasetError`, a row whose sum overflows
+    :class:`NumericalOverflowError`.
     """
     n = d.n
     if not (1 <= k <= n):
         raise ConfigError(f"k must be in 1..{n}, got {k}")
-    if k == n:
-        sel = list(range(n))
-        if trace is not None:
-            trace.append(0.0)
-        return Selection("tmd-medoids", k, 0, sel, [1] * n, 0.0)
     # symmetric, so row i equals column i bit for bit; candidates are rows
-    full = d.full()
-    _check_means(full)
+    full = _checked_full(d)
+    if k == n:  # no search: BUILD would take every index, leaving no swap
+        sel = _selection("tmd-medoids", k, 0, full, list(range(n)))
+        if trace is not None:
+            trace.append(sel.objective)
+        return sel
 
     # BUILD: repeatedly add the index that lowers the objective most
     taken = np.zeros(n, dtype=bool)
@@ -180,7 +175,7 @@ def kmedoids(d: DistanceMatrix, k: int, *, max_iter: int = 100,
     # local optima
     pair_budget = 200_000
     run_pairs = k >= 2 and math.comb(k, 2) * math.comb(n - k, 2) <= pair_budget
-    for _ in range(max_iter):
+    while True:
         best_swap, best_obj = None, objective
         others = [i for i in range(n) if i not in chosen]
         rows = full[others]
@@ -229,7 +224,7 @@ def random_selection(n: int, k: int, seed: int,
     if d is not None:
         if d.n != n:
             raise ConfigError(f"distance matrix is over {d.n} items, not {n}")
-        return _selection("random", k, seed, d.full(), indices)
+        return _selection("random", k, seed, _checked_full(d), indices)
     base, extra = divmod(n, k)
     tau = [base + (1 if j < extra else 0) for j in range(k)]
     return Selection("random", k, seed, indices, tau, None)

@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .config import TmdConfig
 from .errors import ConfigError, DatasetError, ScaleLimitError
-from .graph_select import Selection, cluster_sizes, medoids_objective
+from .graph_select import Selection
 from .graphs import Graph, empty_graph
 from .node_select import NodeSubsample
 from .tmd import DistanceMatrix
@@ -307,8 +307,8 @@ def brute_force_medoids(d: DistanceMatrix, k: int) -> Selection:
         if obj < best_obj:
             best_set, best_obj = combo, obj
     idx = list(best_set)
-    return Selection("brute-medoids", k, 0, idx, cluster_sizes(d, idx),
-                     medoids_objective(d, idx))
+    tau = np.bincount(np.argmin(full[:, idx], axis=1), minlength=k).tolist()
+    return Selection("brute-medoids", k, 0, idx, tau, best_obj)
 
 
 def brute_force_select(g: Graph, k: int, cfg: TmdConfig,

@@ -12,9 +12,8 @@ from treesample import (ConfigError, DistanceMatrix, ErmReport, Graph,
                         NodeSubsample, ScaleLimitError, Selection,
                         StabilityReport, TmdConfig,
                         WeightFn, abs_clipped_loss, build_candidates,
-                        cluster_sizes, const_weights, feature_norms,
-                        gin_forward, induced_subgraph, kmedoids,
-                        layer_lipschitz, medoids_objective, nearest_medoid,
+                        const_weights, feature_norms, gin_forward,
+                        induced_subgraph, kmedoids, layer_lipschitz,
                         pairwise_matrix, random_gin, tmd, tree_norm,
                         wl_histograms)
 from treesample.gnn import _readouts
@@ -127,22 +126,25 @@ def reference_feature_distance_matrix(ds, cfg):
     return DistanceMatrix(n, "feature", 0, "", vals)
 
 
-def reference_kmedoids(d, k, max_iter=100, trace=None):
+def medoid_objective(full, idx):
+    """Mean distance from each row of the square matrix ``full`` to its
+    nearest medoid in ``idx``."""
+    return float(full[:, idx].min(axis=1).mean())
+
+
+def reference_kmedoids(d, k, trace=None):
     """k-medoids scored one candidate swap at a time (the loop definition).
 
     Same search and tie-breaking as :func:`treesample.kmedoids`: every
     candidate is a separate gather, min and mean, in ascending scan order,
-    and only a strictly lower objective replaces the best so far.
+    and only a strictly lower objective replaces the best so far.  With
+    ``k = n`` BUILD takes every index and no swap exists; ``tau`` counts
+    each row's first nearest medoid, so ties go to the smallest index.
     """
     n = d.n
     if not (1 <= k <= n):
         raise ConfigError(f"k must be in 1..{n}, got {k}")
     full = d.full()
-    if k == n:
-        sel = list(range(n))
-        if trace is not None:
-            trace.append(0.0)
-        return Selection("tmd-medoids", k, 0, sel, [1] * n, 0.0)
 
     # BUILD: repeatedly add the index that lowers the objective most
     chosen: list[int] = []
@@ -158,7 +160,7 @@ def reference_kmedoids(d, k, max_iter=100, trace=None):
         chosen.append(best_idx)
         best_dist = np.minimum(best_dist, full[:, best_idx])
     chosen.sort()
-    objective = medoids_objective(d, chosen)
+    objective = medoid_objective(full, chosen)
     if trace is not None:
         trace.append(objective)
 
@@ -167,7 +169,7 @@ def reference_kmedoids(d, k, max_iter=100, trace=None):
     # local optima
     pair_budget = 200_000
     run_pairs = k >= 2 and math.comb(k, 2) * math.comb(n - k, 2) <= pair_budget
-    for _ in range(max_iter):
+    while True:
         best_swap, best_obj = None, objective
         for out in chosen:
             rest = [c for c in chosen if c != out]
@@ -196,8 +198,8 @@ def reference_kmedoids(d, k, max_iter=100, trace=None):
         if trace is not None:
             trace.append(objective)
 
-    objective = medoids_objective(d, chosen)
-    return Selection("tmd-medoids", k, 0, chosen, cluster_sizes(d, chosen), objective)
+    tau = np.bincount(np.argmin(full[:, chosen], axis=1), minlength=k).tolist()
+    return Selection("tmd-medoids", k, 0, chosen, tau, medoid_objective(full, chosen))
 
 
 def _bfs_distances(g, start):
@@ -444,9 +446,9 @@ def reference_finite_erm_check(ds, labels, hypotheses, *, selection=None,
     min_loss_full = min(full_losses)
     c = m_lip * max(layer_lipschitz(h).product for h in hypotheses)
     if selection is not None:
-        idx = list(selection.indices)
-        owners = [int(o) for o in nearest_medoid(distances, idx)]
-        mode, epsilon = "graphs", medoids_objective(distances, idx)
+        idx, full = sorted(selection.indices), distances.full()
+        owners = [idx[j] for j in np.argmin(full[:, idx], axis=1)]
+        mode, epsilon = "graphs", medoid_objective(full, idx)
         stand_ins = [[p[o] for o in owners] for p in preds_full]
         stand_in_labels = [labels[o] for o in owners]
     else:

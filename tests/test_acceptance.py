@@ -320,7 +320,7 @@ def test_c10_subsample_loss_chain():
     c = TmdConfig(depth=3, weights=const_weights(1.0))
     dm = pairwise_matrix(ds, c)
     sel = kmedoids(dm, 5)
-    kappa = nearest_medoid(dm, sel.indices)
+    kappa, _ = nearest_medoid(dm, sel.indices)
     hyps = [random_gin(s, feature_dim=3, hidden=8, depth=3, eta=1.0)
             for s in range(20)]
 

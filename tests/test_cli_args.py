@@ -282,6 +282,16 @@ def test_cli_degenerate_dataset_exits_with_a_documented_code(data, argv, tmp_pat
         assert err.startswith("error: "), err
 
 
+@pytest.mark.parametrize("mode", ["erm-graphs", "erm-nodes"])
+def test_cli_verify_erm_names_the_empty_dataset(mode, tmp_path, capsys):
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(make_dataset([]), path)
+    code = main(["verify", "--mode", mode, "--dataset", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"error: {mode} needs graphs; the dataset is empty\n"
+
+
 def test_cli_erm_bound_past_the_float_range_exits_2(tmp_path, capsys):
     # keeping 1 of 3 isolated nodes puts epsilon at 1.18e308, finite, but
     # 2 c epsilon is not

@@ -9,7 +9,7 @@ import pytest
 
 import treesample.gnn as gnn
 import treesample.node_select as node_select
-from treesample import (ConfigError, finite_erm_sweep,
+from treesample import (ConfigError, DistanceMatrix, finite_erm_sweep,
                         kmedoids, make_dataset, pairwise_matrix, random_gin,
                         subsample_dataset, subsample_sweep, synthetic_dataset)
 from treesample.cli import _sweep_configs, _verify_erm, build_parser
@@ -118,6 +118,27 @@ def test_verify_erm_nodes_does_preset_independent_work_once(monkeypatch):
     assert calls == {"build_candidates": n, "select_subsets": n,
                      "layer_lipschitz": hyps, "gin_forward": hyps * (n + len(distinct)),
                      "induced_subgraph": len(distinct)}
+
+
+def test_finite_erm_sweep_densifies_each_distance_matrix_once(monkeypatch):
+    ds = synthetic_dataset(10, 1)
+    hyps = [random_gin(s, ds.feature_dim, 4, 3) for s in range(3)]
+    dms = [pairwise_matrix(ds, cfg(3, w)) for w in (0.5, 1.0, 2.0)]
+    selections = [(kmedoids(dm, 3), dm) for dm in dms]
+    calls = Counter()
+    full = DistanceMatrix.full
+
+    def counting(self):
+        calls[self.weight_preset] += 1
+        return full(self)
+    monkeypatch.setattr(DistanceMatrix, "full", counting)
+    finite_erm_sweep(ds, ds.labels(), hyps, selections=selections)
+    assert calls == {dm.weight_preset: 1 for dm in dms}
+    # verify adds kmedoids' own densification: two per preset in all
+    calls.clear()
+    args = _args("erm-graphs", "--synthetic", "10", "--hypotheses", "3", "--k", "3")
+    _verify_erm(args, synthetic_dataset(args.synthetic, args.seed), "erm-graphs")
+    assert calls == {c.weights.spec_string(): 2 for c in _sweep_configs(args)}
 
 
 def test_finite_erm_sweep_entries_match_finite_erm_check():

@@ -7,9 +7,8 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from treesample import (ConfigError, DatasetError, DistanceMatrix, Graph,
-                        brute_force_medoids, cluster_sizes,
-                        feature_distance_matrix, kmedoids,
-                        load_selection, make_dataset, medoids_objective,
+                        brute_force_medoids, feature_distance_matrix,
+                        kmedoids, load_selection, make_dataset,
                         nearest_medoid, random_selection, save_selection,
                         wl_distance, wl_counterexample_pair, wl_histograms,
                         wl_pseudometric_matrix)
@@ -29,16 +28,28 @@ def test_nearest_medoid_and_sizes_hand_checked():
     pos = np.array([0.0, 1.0, 5.0, 6.0])
     vals = np.array([abs(pos[i] - pos[j]) for i in range(4) for j in range(i + 1, 4)])
     d = DistanceMatrix(4, "test", 1, "const:1.0", vals)
-    kap = nearest_medoid(d, [0, 3])
-    assert list(kap) == [0, 0, 3, 3]
-    assert cluster_sizes(d, [0, 3]) == [2, 2]
-    assert medoids_objective(d, [0, 3]) == pytest.approx((0 + 1 + 1 + 0) / 4)
+    owners, near = nearest_medoid(d, [0, 3])
+    assert owners.tolist() == [0, 0, 3, 3]
+    assert near.tolist() == [0.0, 1.0, 1.0, 0.0]
+    assert np.bincount(owners)[[0, 3]].tolist() == [2, 2]
+    assert near.mean() == (0 + 1 + 1 + 0) / 4
 
 
 def test_nearest_medoid_tie_prefers_smaller_index():
     vals = np.zeros(3)  # all distances zero, n = 3
     d = DistanceMatrix(3, "test", 1, "const:1.0", vals)
-    assert list(nearest_medoid(d, [2, 1])) == [1, 1, 1]
+    owners, near = nearest_medoid(d, [2, 1])
+    assert owners.tolist() == [1, 1, 1]
+    assert near.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_nearest_medoid_refuses_indices_that_are_not_integers():
+    d = DistanceMatrix(4, "test", 1, "const:1.0", np.arange(1.0, 7.0))
+    for bad in ([0.9, 3], [True, 3], [np.float64(1.0), 3], ["1", 3], [None]):
+        with pytest.raises(ConfigError, match="medoid indices must be integers"):
+            nearest_medoid(d, bad)
+    owners, _ = nearest_medoid(d, np.array([3, 1], dtype=np.int32))
+    assert owners.tolist() == [1, 1, 1, 3]
 
 
 def test_distance_matrix_value_range_checks_the_diagonal():
@@ -103,10 +114,10 @@ def seeded_dm(rng, n, kind):
     return DistanceMatrix(n, kind, 1, "const:1.0", vals)
 
 
-def assert_same_as_reference(d, k, max_iter=100):
+def assert_same_as_reference(d, k):
     got_trace, ref_trace = [], []
-    got = kmedoids(d, k, max_iter=max_iter, trace=got_trace)
-    ref = reference_kmedoids(d, k, max_iter=max_iter, trace=ref_trace)
+    got = kmedoids(d, k, trace=got_trace)
+    ref = reference_kmedoids(d, k, trace=ref_trace)
     assert got.to_json() == ref.to_json()
     assert got_trace == ref_trace
 
@@ -122,8 +133,7 @@ def test_kmedoids_bit_identical_to_one_swap_at_a_time(kind):
     for _ in range(25):
         n = int(rng.integers(4, 26))
         k = int(rng.integers(1, min(n, 7) + 1))
-        assert_same_as_reference(seeded_dm(rng, n, kind), k,
-                                 max_iter=int(rng.choice([1, 2, 100])))
+        assert_same_as_reference(seeded_dm(rng, n, kind), k)
 
 
 def test_kmedoids_bit_identical_above_pair_budget():
@@ -133,11 +143,25 @@ def test_kmedoids_bit_identical_above_pair_budget():
 
 
 def test_kmedoids_rejects_non_finite_distances():
-    for bad in (np.nan, np.inf):
+    for bad, k in itertools.product((np.nan, np.inf), (2, 4)):  # k = n searches nothing
         vals = np.ones(6)
         vals[2] = bad
         with pytest.raises(DatasetError, match="non-finite"):
-            kmedoids(DistanceMatrix(4, "test", 1, "const:1.0", vals), 2)
+            kmedoids(DistanceMatrix(4, "test", 1, "const:1.0", vals), k)
+
+
+def test_kmedoids_with_k_n_counts_duplicates_by_the_tie_rule():
+    # points at 0, 0, 1, 3: graphs 0 and 1 are duplicates, so graph 1's
+    # nearest medoid is 0 and medoid 1 owns nothing
+    pos = np.array([0.0, 0.0, 1.0, 3.0])
+    d = DistanceMatrix(4, "test", 1, "const:1.0", pdist(pos[:, None]))
+    trace = []
+    sel = kmedoids(d, 4, trace=trace)
+    assert (sel.indices, sel.tau, sel.objective, trace) == ([0, 1, 2, 3], [2, 0, 1, 1], 0.0, [0.0])
+    owners, _ = nearest_medoid(d, range(4))
+    assert np.bincount(owners, minlength=4).tolist() == sel.tau
+    assert random_selection(4, 4, seed=0, d=d).tau == sel.tau
+    assert sel == reference_kmedoids(d, 4)
 
 
 def test_brute_force_medoids_lexicographic_tie():
@@ -166,7 +190,7 @@ def test_random_selection_with_and_without_distances():
     sel = random_selection(7, 3, seed=5, d=d)
     assert sel.method == "random"
     assert sel.indices == sorted(sel.indices)
-    assert sel.objective == medoids_objective(d, sel.indices)
+    assert sel.objective == nearest_medoid(d, sel.indices)[1].mean()
     assert random_selection(7, 3, seed=5, d=d).indices == sel.indices
     bare = random_selection(7, 3, seed=5)
     assert bare.objective is None

@@ -37,7 +37,7 @@ def test_clusters_are_pure_under_medoid_assignment():
     cfg = TmdConfig(depth=3, weights=const_weights(1.0))
     dm = pairwise_matrix(ds, cfg)
     sel = kmedoids(dm, 5)
-    kappa = nearest_medoid(dm, sel.indices)
+    kappa, _ = nearest_medoid(dm, sel.indices)
     assert sorted(labels[list(sel.indices)]) == [0, 1, 2, 3, 4]
     assert (labels[kappa] == labels).all()
 
