@@ -13,18 +13,16 @@ from .errors import (CacheMismatchError, ConfigError, DatasetError,
 from .graphs import (Dataset, Graph, dataset_fingerprint, empty_graph,
                      induced_subgraph, load_jsonl, load_tu, make_dataset,
                      save_jsonl)
-from .tmd import (DistanceMatrix, pairwise_matrix, tmd, tmd_cost_matrix,
-                  tmd_subgraph)
+from .tmd import DistanceMatrix, pairwise_matrix, tmd, tmd_subgraph
 from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
 from .cache import load_or_compute, read_matrix, write_matrix
 from .graph_select import (Selection, feature_distance_matrix, kmedoids,
-                           load_selection, nearest_medoid, random_selection,
-                           save_selection, wl_distance, wl_histograms,
-                           wl_pseudometric_matrix)
+                           nearest_medoid, random_selection, save_selection,
+                           wl_distance, wl_histograms, wl_pseudometric_matrix)
 from .node_select import (NodeSubsample, build_candidates, core_numbers,
-                          k_bfs_candidates, kcore_candidate, load_subsamples,
-                          rw_candidate, save_subsamples, select_subsets,
-                          subsample_dataset, subsample_sweep)
+                          k_bfs_candidates, kcore_candidate, rw_candidate,
+                          save_subsamples, select_subsets, subsample_dataset,
+                          subsample_sweep)
 from .oracles import (MatchingResult, RootedTree, abs_clipped_loss, blank_tree,
                       brute_force_matching, brute_force_medoids,
                       brute_force_select, computation_tree, matching_value,
@@ -35,7 +33,6 @@ from .gnn import (ErmReport, GinLayer, GinModel, LipschitzProfile,
                   identity_gin, layer_lipschitz, node_embeddings, random_gin,
                   stability_sweep)
 from .synth import (clustered_dataset, random_graph, random_pairs,
-                    random_regular_graph, synthetic_dataset,
-                    wl_counterexample_pair)
+                    synthetic_dataset, wl_counterexample_pair)
 
 __version__ = "0.1.0"

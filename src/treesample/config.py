@@ -9,9 +9,11 @@ ever evaluates ``w(1) .. w(L - 1)``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .graphs import _is_int
 
 _NORMS = ("l1", "l2")
 
@@ -24,6 +26,11 @@ _PASCAL_MSG = (
     "its constants come from an external reference that does not pin them. "
     "Use 'const:<float>' or 'table:w1,w2,...' instead (see README, Weight presets)."
 )
+
+
+def _is_weight(w) -> bool:
+    """A positive, finite real number; a ``bool`` is not one."""
+    return isinstance(w, numbers.Real) and not isinstance(w, bool) and 0.0 < w < math.inf
 
 
 @dataclass(frozen=True)
@@ -41,13 +48,15 @@ class WeightFn:
         if self.kind not in ("const", "table"):
             raise ConfigError(f"unknown weight kind {self.kind!r}")
         if self.kind == "const":
-            if not (0.0 < self.value < math.inf):
-                raise ConfigError("constant weight must be positive and finite")
+            if not _is_weight(self.value):
+                raise ConfigError(
+                    f"constant weight must be a positive finite number, got {self.value!r}")
         else:
             if not self.table:
                 raise ConfigError("weight table must be non-empty")
-            if any(not (0.0 < w < math.inf) for w in self.table):
-                raise ConfigError("weight table entries must be positive and finite")
+            if not all(map(_is_weight, self.table)):
+                raise ConfigError(
+                    f"weight table entries must be positive finite numbers, got {self.table!r}")
 
     def weight(self, level: int) -> float:
         """Return w(level) for level >= 1."""
@@ -103,8 +112,9 @@ class TmdConfig:
     feature_norm: str = "l2"
 
     def __post_init__(self):
-        if not isinstance(self.depth, int) or self.depth < 1:
+        if not _is_int(self.depth) or self.depth < 1:
             raise ConfigError(f"depth must be an integer >= 1, got {self.depth!r}")
+        object.__setattr__(self, "depth", int(self.depth))
         if self.feature_norm not in _NORMS:
             raise ConfigError(f"feature_norm must be one of {_NORMS}, got {self.feature_norm!r}")
         # Fail at construction time, not mid-recursion, when a table is short.

@@ -54,13 +54,6 @@ def save_selection(sel: Selection, path) -> None:
         fh.write(sel.to_json() + "\n")
 
 
-def load_selection(path) -> Selection:
-    with open(path, "r", encoding="utf-8") as fh:
-        rec = json.load(fh)
-    return Selection(rec["method"], rec["k"], rec["seed"],
-                     list(rec["indices"]), list(rec["tau"]), rec["objective"])
-
-
 def _check_indices(n: int, indices) -> list[int]:
     idx = list(indices)
     if not all(_is_int(i) for i in idx):

@@ -60,19 +60,6 @@ def save_subsamples(subs, path) -> None:
             fh.write(s.to_json() + "\n")
 
 
-def load_subsamples(path) -> list[NodeSubsample]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append(NodeSubsample(rec["id"], tuple(rec["kept"]),
-                                     rec["tree_norm_full"], rec["tree_norm_sub"],
-                                     rec["tmd"], rec["provenance"]))
-    return out
-
-
 def k_bfs_candidates(g: Graph, k: int) -> dict[tuple[int, ...], str]:
     """One BFS ball per node: the deepest ball that still holds <= k nodes.
 
@@ -195,16 +182,20 @@ def select_subsets(g: Graph, candidates: dict, cfgs,
     return out
 
 
-def build_candidates(g: Graph, k: int, seed: int,
-                     heuristics=("bfs", "rw", "kcore")) -> dict[tuple[int, ...], str]:
-    """Union of candidate subsets from the enabled heuristics, as a dict from
-    each sorted node tuple to the tag of the first heuristic that produced it."""
+def _check_heuristics(heuristics) -> None:
     known = {"bfs", "rw", "kcore"}
     bad = set(heuristics) - known
     if bad:
         raise ConfigError(f"unknown heuristics {sorted(bad)}; choose from {sorted(known)}")
     if not heuristics:
         raise ConfigError("at least one heuristic must be enabled")
+
+
+def build_candidates(g: Graph, k: int, seed: int,
+                     heuristics=("bfs", "rw", "kcore")) -> dict[tuple[int, ...], str]:
+    """Union of candidate subsets from the enabled heuristics, as a dict from
+    each sorted node tuple to the tag of the first heuristic that produced it."""
+    _check_heuristics(heuristics)
     cands = k_bfs_candidates(g, k) if "bfs" in heuristics else {}
     if "rw" in heuristics:
         cands.setdefault(rw_candidate(g, k, seed), "rw")
@@ -233,6 +224,7 @@ def subsample_sweep(ds: Dataset, frac: float, cfgs,
     are built and scored once, by one :func:`select_subsets` call."""
     if not (0.0 < frac <= 1.0):
         raise ConfigError(f"frac must be in (0, 1], got {frac}")
+    _check_heuristics(heuristics)
     out = [[] for _ in cfgs]
     for i, g in enumerate(ds):
         n = g.node_count

@@ -111,33 +111,3 @@ def wl_counterexample_pair(n: int = 5) -> tuple[Graph, Graph]:
     f1 = [[float(i + 1)] for i in range(n)]
     f2 = [[10.0 * (i + 1)] for i in range(n)]
     return Graph(n, edges, f1), Graph(n, edges, f2)
-
-
-def random_regular_edges(n: int, degree: int, seed: int) -> list[tuple[int, int]]:
-    """Random ``degree``-regular simple graph via the pairing model.
-
-    Draws stub matchings until one is simple (no loops, no parallel edges);
-    for small constant degree this needs only a handful of attempts.
-    """
-    if n * degree % 2 != 0:
-        raise ConfigError("n * degree must be even")
-    if degree >= n:
-        raise ConfigError(f"degree {degree} needs more than {n} nodes")
-    rng = np.random.default_rng(seed)
-    for _ in range(10_000):
-        stubs = np.repeat(np.arange(n), degree)
-        rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        if (pairs[:, 0] == pairs[:, 1]).any():
-            continue
-        canon = {(min(int(a), int(b)), max(int(a), int(b))) for a, b in pairs}
-        if len(canon) == pairs.shape[0]:
-            return sorted(canon)
-    raise RuntimeError("pairing model failed to produce a simple graph")
-
-
-def random_regular_graph(n: int, degree: int, seed: int,
-                         feature_dim: int = 1) -> Graph:
-    """Regular graph with unit features (used for runtime scaling checks)."""
-    edges = random_regular_edges(n, degree, seed)
-    return Graph(n, edges, np.ones((n, feature_dim)))

@@ -277,17 +277,6 @@ def _distances(graphs: list[Graph], index_pairs: Iterable[tuple[int, int]],
             k += 1
 
 
-def tmd_cost_matrix(ga: Graph, gb: Graph, cfg: TmdConfig) -> np.ndarray:
-    """Padded top-level cost matrix over depth-L computation trees.
-
-    Rows 0..na-1 are ga's trees, columns 0..nb-1 are gb's; the remaining
-    rows/columns (if any) are blank padding.  The tree mover's distance is
-    the min-cost matching value of this matrix, one more padded block.
-    """
-    ext, _ = _tables([ga, gb], [(0, 1)], cfg)
-    return _top_level(ext.reshape(ga.node_count + 1, gb.node_count + 1))
-
-
 def tmd(ga: Graph, gb: Graph, cfg: TmdConfig) -> float:
     """Tree mover's distance at depth ``cfg.depth``.
 

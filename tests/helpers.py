@@ -29,6 +29,36 @@ def random_graph(rng, n_max=8, feature_dim=2, p=0.4, n_min=1):
     return Graph(n, edges, rng.standard_normal((n, feature_dim)))
 
 
+def random_regular_edges(n: int, degree: int, seed: int) -> list[tuple[int, int]]:
+    """Random ``degree``-regular simple graph via the pairing model.
+
+    Draws stub matchings until one is simple (no loops, no parallel edges);
+    for small constant degree this needs only a handful of attempts.
+    """
+    if n * degree % 2 != 0:
+        raise ConfigError("n * degree must be even")
+    if degree >= n:
+        raise ConfigError(f"degree {degree} needs more than {n} nodes")
+    rng = np.random.default_rng(seed)
+    for _ in range(10_000):
+        stubs = np.repeat(np.arange(n), degree)
+        rng.shuffle(stubs)
+        pairs = stubs.reshape(-1, 2)
+        if (pairs[:, 0] == pairs[:, 1]).any():
+            continue
+        canon = {(min(int(a), int(b)), max(int(a), int(b))) for a, b in pairs}
+        if len(canon) == pairs.shape[0]:
+            return sorted(canon)
+    raise RuntimeError("pairing model failed to produce a simple graph")
+
+
+def random_regular_graph(n: int, degree: int, seed: int,
+                         feature_dim: int = 1) -> Graph:
+    """Regular graph with unit features (used for runtime scaling checks)."""
+    edges = random_regular_edges(n, degree, seed)
+    return Graph(n, edges, np.ones((n, feature_dim)))
+
+
 def cfg(depth, w=1.0, norm="l2"):
     return TmdConfig(depth=depth, weights=const_weights(w), feature_norm=norm)
 

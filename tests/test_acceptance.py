@@ -20,14 +20,13 @@ from treesample import (DistanceMatrix, Graph, TmdConfig, brute_force_matching,
                         finite_erm_sweep, gin_forward, identity_gin,
                         induced_subgraph, kmedoids, load_or_compute,
                         make_dataset, matching_value, nearest_medoid,
-                        pairwise_matrix, random_gin, random_regular_graph,
-                        save_jsonl, tmd, tree_blank_distance, tree_distance,
-                        tree_norm, tree_norm_naive, wl_counterexample_pair,
-                        wl_distance)
+                        pairwise_matrix, random_gin, save_jsonl, tmd,
+                        tree_blank_distance, tree_distance, tree_norm,
+                        tree_norm_naive, wl_counterexample_pair, wl_distance)
 from treesample.cli import main as cli_main
 from treesample.tmd import _solve_injective, _solve_lsap
 
-from helpers import cfg, random_graph, random_table_cfg
+from helpers import cfg, random_graph, random_regular_graph, random_table_cfg
 
 
 def _line(num, name, ok, detail=""):
@@ -64,15 +63,17 @@ def test_c02_tree_norm_runtime_scaling():
     sizes = [10_000, 20_000, 40_000]
     graphs = [random_regular_graph(m // 2, 4, seed=i + 1)
               for i, m in enumerate(sizes)]
-    medians = []
     for g in graphs:
         tree_norm(g, c)  # warm up caches (edge arrays, allocator)
-        reps = []
-        for _ in range(5):
+    # the sizes take turns within each repetition, so a slow spell of the
+    # host slows every size instead of one
+    reps = [[] for _ in graphs]
+    for _ in range(5):
+        for g, times in zip(graphs, reps):
             t0 = time.perf_counter()
             tree_norm(g, c)
-            reps.append(time.perf_counter() - t0)
-        medians.append(sorted(reps)[2])
+            times.append(time.perf_counter() - t0)
+    medians = [sorted(times)[2] for times in reps]
     r1 = medians[1] / medians[0]
     r2 = medians[2] / medians[1]
     ok = r1 <= 2.5 and r2 <= 2.5

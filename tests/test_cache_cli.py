@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -354,8 +355,9 @@ def test_cli_subsample_nodes(tmp_path, ds_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["graphs"] == 10
     assert payload["mean_tmd"] > 0.0
-    from treesample import load_subsamples
-    assert len(load_subsamples(out_path)) == 10
+    records = [json.loads(line) for line in Path(out_path).read_text().splitlines()]
+    assert [r["id"] for r in records] == list(range(10))
+    assert math.fsum(r["tmd"] for r in records) / 10 == payload["mean_tmd"]
     assert main(["subsample-nodes", "--dataset", ds_path, "--frac", "1.5"]) == 1
     capsys.readouterr()
 

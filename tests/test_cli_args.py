@@ -282,6 +282,23 @@ def test_cli_degenerate_dataset_exits_with_a_documented_code(data, argv, tmp_pat
         assert err.startswith("error: "), err
 
 
+@pytest.mark.parametrize("heuristics, message", [
+    ("bogus", "unknown heuristics ['bogus']"),
+    (",", "at least one heuristic must be enabled"),
+], ids=["bogus", "comma"])
+@pytest.mark.parametrize("data", ["empty-file", "two-0-node-graphs"])
+def test_cli_subsample_nodes_checks_heuristics_without_a_graph(data, heuristics, message,
+                                                                tmp_path, capsys):
+    # no graph here has a node, so no candidate is ever built
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(make_dataset(_DEGENERATE[data]), path)
+    code = main(["subsample-nodes", "--dataset", str(path), "--frac", "0.5",
+                 "--heuristics", heuristics])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}"), err
+
+
 @pytest.mark.parametrize("mode", ["erm-graphs", "erm-nodes"])
 def test_cli_verify_erm_names_the_empty_dataset(mode, tmp_path, capsys):
     path = tmp_path / "ds.jsonl"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from treesample import ConfigError, TmdConfig, WeightFn, const_weights, parse_weights
@@ -38,7 +39,10 @@ def test_parse_round_trips_through_spec_string():
         assert parse_weights(w.spec_string()) == w
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, float("inf")])
+# a weight that is no real number, bool included, is refused like a
+# non-positive one
+@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), "2", True,
+                                   np.bool_(True), None, 1 + 0j])
 def test_nonpositive_weights_rejected(value):
     with pytest.raises(ConfigError):
         const_weights(value)
@@ -52,7 +56,16 @@ def test_config_validates_depth_and_norm():
     with pytest.raises(ConfigError):
         TmdConfig(depth=2.0)  # type: ignore[arg-type]
     with pytest.raises(ConfigError):
+        TmdConfig(depth=True)
+    with pytest.raises(ConfigError):
+        TmdConfig(depth=np.int64(0))
+    with pytest.raises(ConfigError):
         TmdConfig(depth=2, feature_norm="linf")
+
+
+def test_config_takes_numpy_integer_depth():
+    c = TmdConfig(depth=np.int64(3))
+    assert type(c.depth) is int and c == TmdConfig(depth=3)
 
 
 def test_config_probes_table_coverage_up_front():

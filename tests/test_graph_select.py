@@ -8,9 +8,9 @@ from scipy.spatial.distance import pdist
 
 from treesample import (ConfigError, DatasetError, DistanceMatrix, Graph,
                         brute_force_medoids, feature_distance_matrix,
-                        kmedoids, load_selection, make_dataset,
-                        nearest_medoid, random_selection, save_selection,
-                        wl_distance, wl_counterexample_pair, wl_histograms,
+                        kmedoids, make_dataset, nearest_medoid,
+                        random_selection, save_selection, wl_distance,
+                        wl_counterexample_pair, wl_histograms,
                         wl_pseudometric_matrix)
 
 from helpers import (cfg, random_graph, reference_feature_distance_matrix,
@@ -176,8 +176,7 @@ def test_selection_json_round_trip(tmp_path):
     sel = kmedoids(d, 2)
     path = tmp_path / "sel.json"
     save_selection(sel, path)
-    back = load_selection(path)
-    assert back == sel
+    assert path.read_text(encoding="utf-8").splitlines() == [sel.to_json()]
     payload = json.loads(sel.to_json())
     assert payload["method"] == "tmd-medoids"
     assert payload["k"] == 2

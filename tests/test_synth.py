@@ -3,8 +3,9 @@ import pytest
 
 from treesample import (ConfigError, TmdConfig, clustered_dataset, const_weights,
                         kmedoids, nearest_medoid, pairwise_matrix, random_pairs,
-                        random_regular_graph, synthetic_dataset,
-                        wl_counterexample_pair)
+                        synthetic_dataset, wl_counterexample_pair)
+
+from helpers import random_regular_graph
 
 
 def test_clustered_dataset_is_deterministic():

@@ -10,10 +10,11 @@ from treesample import (ConfigError, DatasetError, Graph, NumericalOverflowError
                         ScaleLimitError, TmdConfig, blank_tree,
                         brute_force_matching, computation_tree,
                         const_weights, empty_graph, induced_subgraph,
-                        make_dataset, pairwise_matrix, tmd, tmd_cost_matrix,
-                        tmd_naive, tmd_subgraph, tree_distance,
-                        tree_blank_distance, tree_norm)
-from treesample.tmd import _ENUM_MAX_Q, _order_key, _solve_injective, _solve_lsap
+                        make_dataset, pairwise_matrix, tmd, tmd_naive,
+                        tmd_subgraph, tree_distance, tree_blank_distance,
+                        tree_norm)
+from treesample.tmd import (_ENUM_MAX_Q, _cross_distances, _order_key,
+                            _solve_injective, _solve_lsap)
 
 from helpers import (cfg, random_graph, random_table_cfg, reference_solve_enumerated,
                      reference_tmd)
@@ -37,6 +38,7 @@ def test_distance_to_empty_is_tree_norm():
 
 
 def test_self_distance_is_exactly_zero():
+    assert tmd(K3, K3, cfg(2)) == 0.0
     rng = np.random.default_rng(7)
     for _ in range(10):
         g = random_graph(rng, n_max=6)
@@ -106,12 +108,6 @@ def test_feature_dim_mismatch_raises():
     b = Graph(1, [], np.ones((1, 3)))
     with pytest.raises(DatasetError):
         tmd(a, b, cfg(2))
-
-
-def test_cost_matrix_shape_and_diagonal():
-    c = tmd_cost_matrix(K3, K3, cfg(2))
-    assert c.shape == (3, 3)
-    assert np.allclose(np.diag(c), 0.0)
 
 
 def test_naive_scale_limits():
@@ -362,7 +358,7 @@ def test_overflow_raises_numerical_overflow_error():
         tmd(g, P2, big)
     # every entry is finite, but the exact sum of two of them is not
     huge = Graph(3, [(0, 1), (1, 2)], np.full((3, 1), 1.5e308))
-    for distance in (tmd, tmd_cost_matrix):
+    for distance in (tmd, lambda a, b, c: pairwise_matrix(make_dataset([a, b]), c)):
         with pytest.raises(NumericalOverflowError) as info:
             distance(huge, P2, cfg(2, norm="l1"))
         assert isinstance(info.value.__cause__, OverflowError)
@@ -375,7 +371,7 @@ def test_l2_cross_distance_of_huge_feature_does_not_overflow():
     assert tmd(Graph(1, [], [[1e200]]), Graph(1, [], [[1.0]]), c) == 1e200
     a = Graph(2, [(0, 1)], [[1e200, -1e200], [3.0, 4.0]])
     b = Graph(2, [(0, 1)], [[0.0, 0.0], [0.0, 1e-3]])
-    cost = tmd_cost_matrix(a, b, c)
+    cost = _cross_distances(a.features, b.features, "l2")
     assert cost[0, 0] == math.hypot(1e200, 1e200)
     # finite entries keep cdist's bits
     assert cost[1, 1] == np.sqrt(3.0 ** 2 + (4.0 - 1e-3) ** 2)
