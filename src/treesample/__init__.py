@@ -18,7 +18,7 @@ from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
 from .cache import load_or_compute, read_matrix, write_matrix
 from .graph_select import (Selection, feature_distance_matrix, kmedoids,
                            nearest_medoid, random_selection, save_selection,
-                           wl_distance, wl_histograms, wl_pseudometric_matrix)
+                           wl_distance, wl_pseudometric_matrix)
 from .node_select import (NodeSubsample, build_candidates, core_numbers,
                           k_bfs_candidates, kcore_candidate, rw_candidate,
                           save_subsamples, select_subsets, subsample_dataset,

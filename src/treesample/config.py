@@ -29,15 +29,19 @@ _PASCAL_MSG = (
 
 
 def _is_weight(w) -> bool:
-    """A positive, finite real number; a ``bool`` is not one."""
-    return isinstance(w, numbers.Real) and not isinstance(w, bool) and 0.0 < w < math.inf
+    """A real number whose float is positive and finite; a ``bool`` is not one."""
+    try:
+        return isinstance(w, numbers.Real) and not isinstance(w, bool) and 0.0 < float(w) < math.inf
+    except OverflowError:  # an int past the float range
+        return False
 
 
 @dataclass(frozen=True)
 class WeightFn:
     """Level-weight schedule, either a constant or an explicit table.
 
-    ``table`` entry ``i`` (0-based) is the weight of level ``i + 1``.
+    ``table`` entry ``i`` (0-based) is the weight of level ``i + 1``.  Weights
+    are stored as floats, so equal schedules share one reparseable spec string.
     """
 
     kind: str  # "const" | "table"
@@ -51,12 +55,14 @@ class WeightFn:
             if not _is_weight(self.value):
                 raise ConfigError(
                     f"constant weight must be a positive finite number, got {self.value!r}")
+            object.__setattr__(self, "value", float(self.value))
         else:
             if not self.table:
                 raise ConfigError("weight table must be non-empty")
             if not all(map(_is_weight, self.table)):
                 raise ConfigError(
                     f"weight table entries must be positive finite numbers, got {self.table!r}")
+            object.__setattr__(self, "table", tuple(map(float, self.table)))
 
     def weight(self, level: int) -> float:
         """Return w(level) for level >= 1."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,49 +240,37 @@ def feature_distance_matrix(ds: Dataset, cfg: TmdConfig) -> DistanceMatrix:
     return DistanceMatrix(n, "feature", 0, "", vals)
 
 
-def wl_histograms(ds: Dataset, iterations: int) -> list[list[Counter]]:
-    """Per-graph label histograms for refinement rounds 0..iterations.
-
-    Initial labels are constant (structural refinement; continuous features
-    are ignored).  The label dictionary is shared across the dataset so
-    histograms are comparable.
-    """
-    if iterations < 0:
-        raise ConfigError(f"iterations must be >= 0, got {iterations}")
-    labels = [np.zeros(g.node_count, dtype=np.int64) for g in ds]
-    out = [[Counter(map(int, lab)) for lab in labels]]
-    compress: dict = {}
-    for _ in range(iterations):
-        new_labels = []
-        for g, lab in zip(ds, labels):
-            cur = np.zeros(g.node_count, dtype=np.int64)
-            for v in range(g.node_count):
-                sig = (int(lab[v]), tuple(sorted(int(lab[u]) for u in g.neighbors(v))))
-                if sig not in compress:
-                    compress[sig] = len(compress)
-                cur[v] = compress[sig]
-            new_labels.append(cur)
-        labels = new_labels
-        out.append([Counter(map(int, lab)) for lab in labels])
-    return [list(hists) for hists in zip(*out)] if len(ds) else []
-
-
 def wl_pseudometric_matrix(ds: Dataset, iterations: int) -> DistanceMatrix:
     """Kernel-induced distance from subtree-pattern histograms.
 
     ``D(G, G') = sqrt(k(G,G) + k(G',G') - 2 k(G,G'))`` with the histogram
     inner-product kernel summed over refinement rounds 0..iterations, i.e.
     the euclidean distance between the graphs' label counts over all
-    (round, label) columns.  The counts are integers, so the squared
-    distance is exact.
+    (round, label) columns.  Every node starts with one label (features are
+    ignored); each round relabels it by its label and its neighbours' sorted
+    labels.  The counts are integers, so the distance is exact in any column order.
     """
+    if iterations < 0:
+        raise ConfigError(f"iterations must be >= 0, got {iterations}")
     n = len(ds)
-    rows = [{(r, label): count for r, hist in enumerate(hists)
-             for label, count in hist.items()}
-            for hists in wl_histograms(ds, iterations)]
-    columns = sorted(set().union(*rows))
-    counts = np.array([[row.get(col, 0) for col in columns] for row in rows])
-    vals = pdist(counts) if n > 1 else np.zeros(0)
+    sizes = [g.node_count for g in ds]
+    graph_of = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    nbrs = []  # neighbours of every node of the dataset, by flat node index
+    for g, offset in zip(ds, itertools.accumulate(sizes, initial=0)):
+        indptr, indices = g.csr()
+        flat, ptr = (indices + offset).tolist(), indptr.tolist()
+        nbrs.extend(flat[lo:hi] for lo, hi in zip(ptr, ptr[1:]))
+    labels = [0] * len(nbrs)
+    columns = [np.array(sizes, dtype=np.int64).reshape(n, 1)]
+    for _ in range(iterations):
+        compress: dict = {}
+        labels = [compress.setdefault((labels[v], tuple(sorted(labels[u] for u in nb))),
+                                      len(compress))
+                  for v, nb in enumerate(nbrs)]
+        k = len(compress)
+        columns.append(np.bincount(graph_of * k + np.asarray(labels, dtype=np.int64),
+                                   minlength=n * k).reshape(n, k))
+    vals = pdist(np.hstack(columns)) if n > 1 else np.zeros(0)
     return DistanceMatrix(n, "wl", iterations, "", vals)
 
 

@@ -144,6 +144,17 @@ def _is_int(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
 
+def _node_list(nodes, where: str) -> list:
+    """``nodes`` as a list; a float, str or bool, which ``int()`` or ``np.fromiter``
+    would truncate or parse, raises :class:`DatasetError` naming it and ``where``."""
+    nodes = list(nodes)
+    # the type set is the fast path: a list of Python ints has no bad entry
+    bad = [] if set(map(type, nodes)) <= {int} else [v for v in nodes if not _is_int(v)]
+    if bad:
+        raise DatasetError(f"{where}: node {bad[0]!r} is not an integer")
+    return nodes
+
+
 def _simple_edges(edges, n, problems: list) -> list[tuple[int, int]]:
     """The integer pairs in ``edges`` as a sorted list of (min, max) pairs of
     Python ints.  Names in ``problems`` each edge that is not a pair of
@@ -187,8 +198,9 @@ def empty_graph(feature_dim: int = 1) -> Graph:
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:
-    """Induced subgraph on ``nodes``, relabeled to 0.. in ascending original order."""
-    kept = sorted(set(int(v) for v in nodes))
+    """Induced subgraph on ``nodes``, relabeled to 0.. in ascending original order;
+    a node that is no integer or is outside the graph raises :class:`DatasetError`."""
+    kept = sorted(set(map(int, _node_list(nodes, "induced_subgraph"))))
     for v in kept:
         if not (0 <= v < g.node_count):
             raise DatasetError(f"induced_subgraph: node {v} outside 0..{g.node_count - 1}")

@@ -4,18 +4,17 @@ import hashlib
 import itertools
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
-from treesample import (ConfigError, DistanceMatrix, ErmReport, Graph,
+from treesample import (ConfigError, Dataset, DistanceMatrix, ErmReport, Graph,
                         NodeSubsample, ScaleLimitError, Selection,
                         StabilityReport, TmdConfig,
                         WeightFn, abs_clipped_loss, build_candidates,
                         const_weights, feature_norms, gin_forward,
                         induced_subgraph, kmedoids, layer_lipschitz,
-                        pairwise_matrix, random_gin, tmd, tree_norm,
-                        wl_histograms)
+                        pairwise_matrix, random_gin, tmd, tree_norm)
 from treesample.gnn import _readouts
 from treesample.oracles import _BRUTE_SUBSET_LIMIT, _padded_matching, _permutations
 from treesample.tmd import _cross_distances
@@ -289,6 +288,33 @@ def reference_candidate_add(cands, subset, tag):
     canon = tuple(sorted(int(v) for v in subset))
     if canon not in cands:
         cands[canon] = tag
+
+
+def wl_histograms(ds: Dataset, iterations: int) -> list[list[Counter]]:
+    """Per-graph label histograms for refinement rounds 0..iterations.
+
+    Initial labels are constant (structural refinement; continuous features
+    are ignored).  The label dictionary is shared across the dataset so
+    histograms are comparable.
+    """
+    if iterations < 0:
+        raise ConfigError(f"iterations must be >= 0, got {iterations}")
+    labels = [np.zeros(g.node_count, dtype=np.int64) for g in ds]
+    out = [[Counter(map(int, lab)) for lab in labels]]
+    compress: dict = {}
+    for _ in range(iterations):
+        new_labels = []
+        for g, lab in zip(ds, labels):
+            cur = np.zeros(g.node_count, dtype=np.int64)
+            for v in range(g.node_count):
+                sig = (int(lab[v]), tuple(sorted(int(lab[u]) for u in g.neighbors(v))))
+                if sig not in compress:
+                    compress[sig] = len(compress)
+                cur[v] = compress[sig]
+            new_labels.append(cur)
+        labels = new_labels
+        out.append([Counter(map(int, lab)) for lab in labels])
+    return [list(hists) for hists in zip(*out)] if len(ds) else []
 
 
 def _wl_kernel(ha, hb):

@@ -11,10 +11,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.spatial.distance import pdist
 
-from treesample import (DistanceMatrix, Graph, TmdConfig, brute_force_matching,
+from treesample import (DistanceMatrix, TmdConfig, brute_force_matching,
                         brute_force_medoids, clustered_dataset, const_weights,
                         computation_tree, feature_distance_matrix, feature_norms,
                         finite_erm_sweep, gin_forward, identity_gin,

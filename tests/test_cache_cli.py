@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treesample import (CacheMismatchError, Graph, StabilityReport, TmdConfig,
-                        clustered_dataset, const_weights, load_or_compute,
-                        make_dataset, pairwise_matrix, random_selection,
-                        read_matrix, save_jsonl, write_matrix)
+from treesample import (CacheMismatchError, ErmReport, Graph, StabilityReport,
+                        clustered_dataset, load_or_compute, make_dataset,
+                        pairwise_matrix, random_selection, read_matrix,
+                        save_jsonl, write_matrix)
 from treesample.cli import main
 
 from helpers import cfg, random_graph
@@ -416,6 +416,63 @@ def test_cli_verify_hard_failure_still_emits(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["wl_distance"] == 0.5
     assert "verification failed" in captured.err
+
+
+def test_cli_verify_readout_gap_too_small_is_a_hard_failure(monkeypatch, capsys):
+    import treesample.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "_readouts", lambda models, graphs: np.zeros((1, 2, 1)))
+    assert main(["verify", "--mode", "wl-counterexample", "--json"]) == 70
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["gin_gap"] == 0.0
+    assert captured.err == "verification failed: readout gap should exceed 1e-6, got 0.0\n"
+
+
+@pytest.mark.parametrize("mode", ["erm-graphs", "erm-nodes"])
+def test_cli_verify_erm_refuses_an_unlabelled_dataset(tmp_path, capsys, mode):
+    rng = np.random.default_rng(0)
+    path = tmp_path / "unlabelled.jsonl"
+    save_jsonl(make_dataset([random_graph(rng, n_max=5) for _ in range(4)]), path)
+    assert main(["verify", "--mode", mode, "--dataset", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {mode} needs labeled graphs\n"
+
+
+def _fake_erm_sweep(chain_ok: bool):
+    """A finite_erm_sweep stand-in: one unsatisfied report per preset, the
+    last preset the closest to the bound and the furthest over the chain."""
+    def sweep(ds, labels, hypotheses, **_):
+        return [ErmReport(mode="nodes", loss_full_of_erm=1.0, min_loss_full=0.25,
+                          bound_rhs=0.1 * (i + 1), epsilon=0.1, m_lipschitz=1.0,
+                          satisfied=False, chain_ok=chain_ok,
+                          chain_max_excess=0.0 if chain_ok else 0.5 * (i + 1),
+                          erm_index=0) for i in range(4)]
+    return sweep
+
+
+ERM_NODES = ["verify", "--mode", "erm-nodes", "--synthetic", "6", "--depth", "2",
+             "--hypotheses", "2", "--json"]
+
+
+def test_cli_verify_erm_nodes_broken_chain_is_a_hard_failure(monkeypatch, capsys):
+    import treesample.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "finite_erm_sweep", _fake_erm_sweep(chain_ok=False))
+    assert main(ERM_NODES) == 70
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["chain_ok"] is False
+    assert captured.err == ("verification failed: transport-plan chain violated "
+                            "by 2.000e+00 under preset const:4.0\n")
+
+
+def test_cli_verify_erm_unsatisfied_bound_is_a_preset_failure(monkeypatch, capsys):
+    import treesample.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "finite_erm_sweep", _fake_erm_sweep(chain_ok=True))
+    assert main(ERM_NODES) == 4
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["chain_ok"] is True and payload["satisfied_any"] is False
+    assert captured.err == ("preset-conditional failure: no preset satisfied the "
+                            "2*c*eps bound (closest: const:4.0, excess 0.35)\n")
 
 
 def test_cli_rejects_unknown_subcommand(capsys):

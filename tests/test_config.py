@@ -39,6 +39,26 @@ def test_parse_round_trips_through_spec_string():
         assert parse_weights(w.spec_string()) == w
 
 
+@pytest.mark.parametrize("make", [int, np.float32, np.float64])
+def test_spec_string_of_any_real_weight_reparses(make):
+    const = WeightFn("const", value=make(2))
+    table = WeightFn("table", table=[make(3), make(1)])
+    for w in (const, table):
+        assert parse_weights(w.spec_string()) == w
+    assert const.spec_string() == "const:2.0"  # one preset, so one cache key
+    assert table.spec_string() == "table:3.0,1.0"
+    assert type(const.value) is float and type(table.table) is tuple
+    assert all(type(x) is float for x in table.table)
+    assert isinstance(hash(TmdConfig(depth=3, weights=table)), int)  # the list became a tuple
+
+
+def test_weight_past_the_float_range_is_refused():
+    with pytest.raises(ConfigError):
+        const_weights(10 ** 400)
+    with pytest.raises(ConfigError):
+        WeightFn("table", table=[1.0, 10 ** 400])
+
+
 # a weight that is no real number, bool included, is refused like a
 # non-positive one
 @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), "2", True,

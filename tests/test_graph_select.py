@@ -10,11 +10,11 @@ from treesample import (ConfigError, DatasetError, DistanceMatrix, Graph,
                         brute_force_medoids, feature_distance_matrix,
                         kmedoids, make_dataset, nearest_medoid,
                         random_selection, save_selection, wl_distance,
-                        wl_counterexample_pair, wl_histograms,
-                        wl_pseudometric_matrix)
+                        wl_counterexample_pair, wl_pseudometric_matrix)
 
 from helpers import (cfg, random_graph, reference_feature_distance_matrix,
-                     reference_kmedoids, reference_wl_pseudometric_matrix)
+                     reference_kmedoids, reference_wl_pseudometric_matrix,
+                     wl_histograms)
 
 
 def random_dm(rng, n, scale=10.0, metric="test"):
@@ -255,9 +255,9 @@ def test_wl_histogram_refinement_counts():
 
 def test_wl_matrix_bit_identical_to_kernel_formula():
     rng = np.random.default_rng(11)
-    for n in (0, 1, 2, 7, 15):
+    for n in (0, 1, 2, 7, 15, 40):
         ds = make_dataset([random_graph(rng, n_max=9, n_min=0) for _ in range(n)])
-        for iterations in range(4):
+        for iterations in range(5):
             got = wl_pseudometric_matrix(ds, iterations)
             want = reference_wl_pseudometric_matrix(ds, iterations)
             assert got.values.tobytes() == want.values.tobytes()
@@ -271,3 +271,5 @@ def test_wl_matrix_is_symmetric_pseudometric():
     assert np.array_equal(full, full.T)
     assert (full >= 0).all()
     assert dm.metric == "wl"
+    with pytest.raises(ConfigError, match="iterations must be >= 0, got -1"):
+        wl_pseudometric_matrix(ds, iterations=-1)

@@ -1,4 +1,5 @@
-"""The reference routines live in one module that production code never imports."""
+"""The reference routines live in one module that production code never
+imports, and no module imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import treesample
 import treesample.oracles
 
 PACKAGE = Path(treesample.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 
 MOVED = ("MatchingResult", "brute_force_matching",
          "_BRUTE_LIMIT", "RootedTree", "blank_tree", "computation_tree",
@@ -55,3 +57,24 @@ def test_public_oracle_names_are_the_oracle_module_objects():
         assert hasattr(treesample.oracles, name), name
         if not name.startswith("_"):
             assert getattr(treesample, name) is getattr(treesample.oracles, name), name
+
+
+def _unused_imports(tree) -> list[str]:
+    """Names bound by an import in ``tree`` that no ``Name`` node reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a package __init__ imports names to export them
+    paths = [p for d in ("src/treesample", "tests", "demos")
+             for p in sorted((REPO / d).glob("*.py")) if p.name != "__init__.py"]
+    assert len(paths) >= 30
+    unused = {p.relative_to(REPO).as_posix(): names for p in paths
+              if (names := _unused_imports(ast.parse(p.read_text(encoding="utf-8"))))}
+    assert unused == {}

@@ -1,14 +1,15 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from treesample import (DatasetError, Graph, NumericalOverflowError, TmdConfig,
-                        WeightFn, const_weights, empty_graph, feature_norms,
-                        k_bfs_candidates, kcore_candidate, rw_candidate,
-                        subset_tree_norm_sweep, tree_norm,
-                        tree_norm_naive)
+                        WeightFn, empty_graph, feature_norms,
+                        induced_subgraph, k_bfs_candidates, kcore_candidate,
+                        rw_candidate, subset_tree_norm_sweep, tmd_subgraph,
+                        tree_norm, tree_norm_naive)
 from treesample.treenorm import _SUBSET_BLOCK
 
 from helpers import (cfg, random_graph, random_table_cfg,
@@ -187,3 +188,27 @@ def test_subset_norms_reject_nodes_outside_the_graph(bad):
         subset_tree_norm_sweep(g, bad, [cfg(2)])
     with pytest.raises(DatasetError):
         subset_tree_norm_sweep(empty_graph(1), [(0,)], [cfg(2)])
+
+
+# int() and np.fromiter would quietly read each of these as node 0 or 1
+@pytest.mark.parametrize("bad", [0.7, True, "1", np.float64(1.0), np.bool_(False)])
+def test_node_indices_that_are_not_integers_are_refused(bad):
+    g = Graph(3, [(0, 1), (1, 2)], np.ones((3, 1)))
+    c = cfg(2)
+    match = f"node {bad!r} is not an integer"
+    with pytest.raises(DatasetError, match=f"induced_subgraph: {re.escape(match)}"):
+        induced_subgraph(g, [bad, 2])
+    with pytest.raises(DatasetError, match=f"subset_tree_norm_sweep: {re.escape(match)}"):
+        subset_tree_norm_sweep(g, [(0, 1), (bad, 2)], [c])
+    with pytest.raises(DatasetError, match=re.escape(match)):
+        tmd_subgraph(g, [bad, 2], c)
+
+
+def test_numpy_integer_node_indices_are_kept():
+    g = Graph(3, [(0, 1), (1, 2)], np.ones((3, 1)))
+    c = cfg(2)
+    nodes = [np.int32(0), np.int64(1)]
+    assert induced_subgraph(g, nodes) == induced_subgraph(g, [0, 1])
+    assert (subset_tree_norm_sweep(g, [nodes], [c])
+            == subset_tree_norm_sweep(g, [[0, 1]], [c])).all()
+    assert tmd_subgraph(g, nodes, c) == tmd_subgraph(g, [0, 1], c)
