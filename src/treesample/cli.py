@@ -275,6 +275,11 @@ def _verify_stability(args, ds) -> tuple[dict, int, str]:
     payload = {"mode": "stability",
                "reports": [json.loads(r.to_json()) for r in reports],
                "passed_any": any(r.violations == 0 for r in reports)}
+    broken = next((r for r in reports if r.infinite), None)
+    if broken:  # an infinite ratio is a zero-distance pair whose readouts differ
+        return payload, EXIT_HARD_FAIL, (
+            f"{broken.infinite}/{broken.pairs} pairs at distance 0 have readouts "
+            f"further apart than rounding (preset {broken.preset})")
     if not payload["passed_any"]:
         best = min(reports, key=lambda r: r.violations)
         return payload, EXIT_PRESET, (

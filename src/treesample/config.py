@@ -42,6 +42,8 @@ class WeightFn:
 
     ``table`` entry ``i`` (0-based) is the weight of level ``i + 1``.  Weights
     are stored as floats, so equal schedules share one reparseable spec string.
+    A schedule refuses the field its kind does not read: a constant takes no
+    table, a table no value.
     """
 
     kind: str  # "const" | "table"
@@ -55,8 +57,12 @@ class WeightFn:
             if not _is_weight(self.value):
                 raise ConfigError(
                     f"constant weight must be a positive finite number, got {self.value!r}")
+            if self.table:
+                raise ConfigError(f"a constant weight takes no table, got {self.table!r}")
             object.__setattr__(self, "value", float(self.value))
         else:
+            if self.value != 1.0:
+                raise ConfigError(f"a weight table takes no value, got {self.value!r}")
             if not self.table:
                 raise ConfigError("weight table must be non-empty")
             if not all(map(_is_weight, self.table)):

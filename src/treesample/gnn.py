@@ -23,7 +23,7 @@ from .tmd import _distances
 
 _ACTIVATIONS = ("relu", "identity")
 _LOSS_CLIP = 10.0  # the per-graph loss |prediction - label| is clipped here
-_ERM_TOL = 1e-9  # float slack on the ERM bound and the transport-plan chain
+_ERM_TOL = 1e-9  # float slack on the ERM bound, the chain and zero-distance readouts
 _POWER_ITERS = 200  # power-iteration steps before a spectral norm is flagged
 _POWER_TOL = 1e-10  # relative change at which a spectral norm has converged
 
@@ -114,8 +114,8 @@ class LipschitzProfile:
     """Spectral norm of each layer's weight matrix, and their product."""
 
     per_layer: tuple[float, ...]
-    product: float
     converged: tuple[bool, ...]
+    product = property(lambda self: math.prod(self.per_layer))
 
 
 def _spectral_norm(w: np.ndarray):
@@ -148,7 +148,7 @@ def layer_lipschitz(model: GinModel) -> LipschitzProfile:
     steps is flagged, not raised.
     """
     norms, flags = zip(*(_spectral_norm(layer.weight) for layer in model.layers))
-    return LipschitzProfile(norms, math.prod(norms), flags)
+    return LipschitzProfile(norms, flags)
 
 
 def random_gin(seed: int, feature_dim: int, hidden: int, depth: int,
@@ -191,17 +191,18 @@ def identity_gin(feature_dim: int = 1, eta: float = 1.0) -> GinModel:
 
 @dataclass
 class StabilityReport:
-    """Max ratio of readout distance to (distance x Lipschitz product)."""
+    """Ratio of readout distance to (distance x Lipschitz product), per pair."""
 
     preset: str
-    pairs: int
-    max_ratio: float
-    violations: int
-    infinite: int
     ratios: list[float]
+    pairs = property(lambda self: len(self.ratios))
+    max_ratio = property(lambda self: max(self.ratios, default=0.0))
+    violations = property(lambda self: sum(ratio > 1.0 for ratio in self.ratios))
+    infinite = property(lambda self: sum(map(math.isinf, self.ratios)))
 
-    def to_json(self) -> str:
-        return json.dumps({"max_ratio": self.max_ratio, "violations": self.violations,
+    def to_json(self) -> str:  # JSON has no infinity: an infinite max prints null
+        return json.dumps({"max_ratio": None if self.infinite else self.max_ratio,
+                           "violations": self.violations,
                            "pairs": self.pairs, "preset": self.preset}, sort_keys=True)
 
 
@@ -214,6 +215,9 @@ def stability_sweep(model: GinModel, graphs: list[Graph], pairs,
     the distance unrolls exactly as far as the network propagates.  The
     product, the forward of each distinct graph and each pair's readout gap
     are computed once; each config makes one distance-kernel call.
+    A pair at distance 0 has equal computation trees, so its readouts differ
+    by rounding only: its ratio is 0.0 if the gap is at most ``_ERM_TOL``
+    times the larger readout norm, and infinite otherwise.
     """
     cfgs, pairs = list(cfgs), list(pairs)
     n_mp = len(model.mp_layers)
@@ -227,15 +231,14 @@ def stability_sweep(model: GinModel, graphs: list[Graph], pairs,
     with np.errstate(over="ignore"):  # both readouts are finite: inf is an overflow
         gaps = [require_finite(float(np.linalg.norm(out[i] - out[j])),
                                "the distance of two GIN readouts") for i, j in pairs]
+        norm = {i: float(np.linalg.norm(r)) for i, r in out.items()}
+    slack = [_ERM_TOL * max(norm[i], norm[j]) for i, j in pairs]
     reports = []
     for cfg in cfgs:
         dens = [dist * prod for dist in _distances(graphs, pairs, cfg)]
-        ratios = [num / den if den else (0.0 if num == 0.0 else math.inf)
-                  for num, den in zip(gaps, dens)]
-        infinite = sum(den == 0.0 and num != 0.0 for num, den in zip(gaps, dens))
-        reports.append(StabilityReport(cfg.weights.spec_string(), len(ratios),
-                                       max(ratios, default=0.0),
-                                       sum(ratio > 1.0 for ratio in ratios), infinite, ratios))
+        ratios = [num / den if den else (0.0 if num <= tol else math.inf)
+                  for num, den, tol in zip(gaps, dens, slack)]
+        reports.append(StabilityReport(cfg.weights.spec_string(), ratios))
     return reports
 
 
@@ -252,17 +255,18 @@ class ErmReport:
     min_loss_full: float
     bound_rhs: float
     epsilon: float
-    m_lipschitz: float
-    satisfied: bool
-    chain_ok: bool
     chain_max_excess: float
     erm_index: int
+    satisfied = property(lambda self: self.loss_full_of_erm
+                         <= self.min_loss_full + self.bound_rhs + _ERM_TOL)
+    chain_ok = property(lambda self: self.chain_max_excess <= _ERM_TOL)
 
     def to_json(self) -> str:
         return json.dumps({
             "mode": self.mode, "loss_full_of_erm": self.loss_full_of_erm,
             "min_loss_full": self.min_loss_full, "bound_rhs": self.bound_rhs,
-            "epsilon": self.epsilon, "M": self.m_lipschitz,
+            # M = 1: the clipped absolute loss is 1-Lipschitz in the prediction
+            "epsilon": self.epsilon, "M": 1.0,
             "satisfied": self.satisfied, "chain_ok": self.chain_ok,
             "chain_max_excess": self.chain_max_excess, "erm_index": self.erm_index,
         }, sort_keys=True)
@@ -334,10 +338,8 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
         excess = max(abs(s - f) - r for s, f, r in zip(sub_losses, full_losses, chain_rhs))
         erm = min(range(len(hypotheses)), key=lambda t: (sub_losses[t], t))
         bound_rhs = require_finite(2.0 * c * epsilon, "the ERM bound 2 c eps")
-        # M = 1: the clipped absolute loss is 1-Lipschitz in the prediction
-        return ErmReport(mode, full_losses[erm], min_loss_full, bound_rhs, epsilon, 1.0,
-                         full_losses[erm] <= min_loss_full + bound_rhs + _ERM_TOL,
-                         excess <= _ERM_TOL, excess, erm)
+        return ErmReport(mode, full_losses[erm], min_loss_full, bound_rhs, epsilon,
+                         excess, erm)
 
     reports, sub_preds = [], {}
     for selection, distances in selections or ():

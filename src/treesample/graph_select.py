@@ -34,11 +34,11 @@ class Selection:
     """
 
     method: str
-    k: int
     seed: int
     indices: list[int]
     tau: list[int]
     objective: float | None
+    k = property(lambda self: len(self.indices))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -101,11 +101,10 @@ def _checked_full(d: DistanceMatrix) -> np.ndarray:
     return full
 
 
-def _selection(method: str, k: int, seed: int, full: np.ndarray,
-               idx: list[int]) -> Selection:
+def _selection(method: str, seed: int, full: np.ndarray, idx: list[int]) -> Selection:
     """The selection of sorted medoids ``idx`` on a :func:`_checked_full` matrix."""
     choice, near = _assign(full, idx)
-    return Selection(method, k, seed, idx,
+    return Selection(method, seed, idx,
                      np.bincount(choice, minlength=len(idx)).tolist(),
                      float(near.mean()))
 
@@ -143,7 +142,7 @@ def kmedoids(d: DistanceMatrix, k: int, *, trace: list | None = None) -> Selecti
     # symmetric, so row i equals column i bit for bit; candidates are rows
     full = _checked_full(d)
     if k == n:  # no search: BUILD would take every index, leaving no swap
-        sel = _selection("tmd-medoids", k, 0, full, list(range(n)))
+        sel = _selection("tmd-medoids", 0, full, list(range(n)))
         if trace is not None:
             trace.append(sel.objective)
         return sel
@@ -198,7 +197,7 @@ def kmedoids(d: DistanceMatrix, k: int, *, trace: list | None = None) -> Selecti
         if trace is not None:
             trace.append(objective)
 
-    return _selection("tmd-medoids", k, 0, full, chosen)
+    return _selection("tmd-medoids", 0, full, chosen)
 
 
 def random_selection(n: int, k: int, seed: int,
@@ -216,10 +215,10 @@ def random_selection(n: int, k: int, seed: int,
     if d is not None:
         if d.n != n:
             raise ConfigError(f"distance matrix is over {d.n} items, not {n}")
-        return _selection("random", k, seed, _checked_full(d), indices)
+        return _selection("random", seed, _checked_full(d), indices)
     base, extra = divmod(n, k)
     tau = [base + (1 if j < extra else 0) for j in range(k)]
-    return Selection("random", k, seed, indices, tau, None)
+    return Selection("random", seed, indices, tau, None)
 
 
 # ---------------------------------------------------------------------------

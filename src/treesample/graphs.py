@@ -214,7 +214,7 @@ class Dataset:
     """Ordered collection of graphs sharing one feature dimension."""
 
     graphs: list[Graph]
-    feature_dim: int
+    feature_dim = property(lambda self: self.graphs[0].feature_dim if self.graphs else 0)
 
     def __len__(self):
         return len(self.graphs)
@@ -240,7 +240,7 @@ def make_dataset(graphs: list[Graph]) -> Dataset:
         raise DatasetError(f"graphs disagree on feature dimension: {sorted(dims)}")
     dim = dims.pop() if dims else 0
     return Dataset([g if g.feature_dim == dim else Graph(0, [], np.zeros((0, dim)), g.label)
-                    for g in graphs], dim)
+                    for g in graphs])
 
 
 def load_jsonl(path) -> Dataset:

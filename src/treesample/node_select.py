@@ -35,8 +35,8 @@ class NodeSubsample:
     kept: tuple[int, ...]
     tree_norm_full: float
     tree_norm_sub: float
-    tmd_to_full: float
     provenance: str
+    tmd_to_full = property(lambda self: self.tree_norm_full - self.tree_norm_sub)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -177,8 +177,7 @@ def select_subsets(g: Graph, candidates: dict, cfgs,
     for full, vals in zip(norms[:, 0].tolist(), norms[:, 1:]):
         best = vals.max()
         i = min(np.flatnonzero(vals == best), key=lambda j: subsets[j])
-        val = float(vals[i])
-        out.append(NodeSubsample(graph_id, subsets[i], full, val, full - val, tags[i]))
+        out.append(NodeSubsample(graph_id, subsets[i], full, float(vals[i]), tags[i]))
     return out
 
 
@@ -230,7 +229,7 @@ def subsample_sweep(ds: Dataset, frac: float, cfgs,
         n = g.node_count
         if n == 0:
             for subs in out:
-                subs.append(NodeSubsample(i, (), 0.0, 0.0, 0.0, "empty"))
+                subs.append(NodeSubsample(i, (), 0.0, 0.0, "empty"))
             continue
         k = min(n, max(1, int(math.floor(frac * n + 0.5))))
         cands = build_candidates(g, k, seed + i, heuristics)

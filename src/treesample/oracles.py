@@ -308,7 +308,7 @@ def brute_force_medoids(d: DistanceMatrix, k: int) -> Selection:
             best_set, best_obj = combo, obj
     idx = list(best_set)
     tau = np.bincount(np.argmin(full[:, idx], axis=1), minlength=k).tolist()
-    return Selection("brute-medoids", k, 0, idx, tau, best_obj)
+    return Selection("brute-medoids", 0, idx, tau, best_obj)
 
 
 def brute_force_select(g: Graph, k: int, cfg: TmdConfig,
@@ -332,8 +332,7 @@ def brute_force_select(g: Graph, k: int, cfg: TmdConfig,
     # first subset
     i = int(np.argmax(vals))
     best = next(itertools.islice(itertools.combinations(range(n), k), i, None))
-    val = float(vals[i])
-    return NodeSubsample(graph_id, best, full, val, full - val, "brute")
+    return NodeSubsample(graph_id, best, full, float(vals[i]), "brute")
 
 
 def tree_norm_decision(g: Graph, k: int, tau: float, cfg: TmdConfig) -> bool:

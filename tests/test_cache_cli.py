@@ -13,7 +13,7 @@ from treesample import (CacheMismatchError, ErmReport, Graph, StabilityReport,
                         save_jsonl, write_matrix)
 from treesample.cli import main
 
-from helpers import cfg, random_graph
+from helpers import cfg, random_graph, relabelled_pair
 
 
 @pytest.fixture
@@ -33,6 +33,21 @@ def test_binary_round_trip_is_bit_exact(tmp_path, small_ds):
     assert back.values.tobytes() == dm.values.tobytes()
     assert (norm, dataset_hash) == ("l2", "abc")
     assert os.listdir(tmp_path) == ["d.tmdc"]  # one file, no temp left behind
+
+
+def test_failed_rename_removes_the_temp_file_and_keeps_the_old_cache(
+        tmp_path, small_ds, monkeypatch):
+    path = str(tmp_path / "d.tmdc")
+    write_matrix(path, pairwise_matrix(small_ds, cfg(2)), norm="l2", dataset_hash="abc")
+    before = Path(path).read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write_matrix(path, pairwise_matrix(small_ds, cfg(3)), norm="l2", dataset_hash="abc")
+    assert os.listdir(tmp_path) == ["d.tmdc"]
+    assert Path(path).read_bytes() == before
 
 
 def test_read_rejects_foreign_bytes(tmp_path):
@@ -391,9 +406,8 @@ def test_cli_verify_preset_failure_still_emits(monkeypatch, tmp_path, capsys):
     # force every sweep preset to report a violation: the report must still be
     # written and the documented preset-caveat code returned
     def fake_sweep(model, graphs, pairs, cfgs):
-        return [StabilityReport(preset=c.weights.spec_string(), pairs=len(pairs),
-                                max_ratio=2.0, violations=1, infinite=0,
-                                ratios=[2.0]) for c in cfgs]
+        return [StabilityReport(preset=c.weights.spec_string(), ratios=[2.0] * len(pairs))
+                for c in cfgs]
 
     import treesample.cli as cli_mod
     monkeypatch.setattr(cli_mod, "stability_sweep", fake_sweep)
@@ -427,6 +441,34 @@ def test_cli_verify_readout_gap_too_small_is_a_hard_failure(monkeypatch, capsys)
     assert captured.err == "verification failed: readout gap should exceed 1e-6, got 0.0\n"
 
 
+STABILITY = ["verify", "--mode", "stability", "--pairs", "5", "--depth", "3", "--json"]
+
+
+def _no_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
+def test_cli_verify_stability_passes_a_relabelled_pair(tmp_path, capsys):
+    path = tmp_path / "pair.jsonl"
+    save_jsonl(make_dataset(relabelled_pair(1)), path)
+    assert main([*STABILITY, "--dataset", str(path)]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out, parse_constant=_no_constant)
+    assert [r["max_ratio"] for r in payload["reports"]] == [0.0] * 4
+    assert captured.err == ""
+
+
+def test_cli_verify_stability_zero_distance_gap_is_a_hard_failure(monkeypatch, capsys):
+    import treesample.gnn as gnn_mod
+    monkeypatch.setattr(gnn_mod, "_distances", lambda graphs, pairs, c: [0.0] * len(pairs))
+    assert main([*STABILITY, "--synthetic", "6"]) == 70
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out, parse_constant=_no_constant)
+    assert [r["max_ratio"] for r in payload["reports"]] == [None] * 4
+    assert captured.err == ("verification failed: 5/5 pairs at distance 0 have readouts "
+                            "further apart than rounding (preset const:0.5)\n")
+
+
 @pytest.mark.parametrize("mode", ["erm-graphs", "erm-nodes"])
 def test_cli_verify_erm_refuses_an_unlabelled_dataset(tmp_path, capsys, mode):
     rng = np.random.default_rng(0)
@@ -443,8 +485,7 @@ def _fake_erm_sweep(chain_ok: bool):
     last preset the closest to the bound and the furthest over the chain."""
     def sweep(ds, labels, hypotheses, **_):
         return [ErmReport(mode="nodes", loss_full_of_erm=1.0, min_loss_full=0.25,
-                          bound_rhs=0.1 * (i + 1), epsilon=0.1, m_lipschitz=1.0,
-                          satisfied=False, chain_ok=chain_ok,
+                          bound_rhs=0.1 * (i + 1), epsilon=0.1,
                           chain_max_excess=0.0 if chain_ok else 0.5 * (i + 1),
                           erm_index=0) for i in range(4)]
     return sweep

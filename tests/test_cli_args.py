@@ -19,6 +19,8 @@ from treesample import ConfigError, Graph, make_dataset, random_gin, save_jsonl
 from treesample.cli import main
 from treesample.synth import random_pairs, synthetic_dataset
 
+from helpers import relabelled_pair
+
 EXIT_CODES = {0, 1, 2, 3, 4, 70}
 
 
@@ -214,8 +216,10 @@ def _reject_constant(name):
 # datasets whose distances are each finite while a sum of them is not: the
 # mean distance to the subgraphs, the k-medoids row sums, an exact sum inside
 # the distance kernel, and the ERM chain over readout gaps past 1e154 (their
-# squares overflow); each with the depth that shows it
-_OVERFLOWING = {
+# squares overflow); and a zero-distance pair whose readouts differ in the
+# last bits (seed 1: at depth 3 every stability preset printed Infinity);
+# each with the depth that shows it
+_HARD_DATA = {
     "subgraph-mean": ([Graph(2, [], [[0.85e308], [0.85e308]], label=i % 2)
                        for i in range(3)], "1"),
     "row-sums": ([Graph(1, [], [[f]], label=i % 2)
@@ -224,6 +228,7 @@ _OVERFLOWING = {
                     for i, f in enumerate((1.0, 1.5e308, 2.0))], "2"),
     "readout-gaps": ([Graph(4, [(0, 1), (1, 2), (2, 3)], np.full((4, 2), (i + 1) * 1e200),
                             label=i % 2) for i in range(4)], "2"),
+    "relabelled-pair": (relabelled_pair(1), "3"),
 }
 _JSON_COMMANDS = [
     ["dist", "--cache", "@"],
@@ -240,12 +245,12 @@ _JSON_COMMANDS = [
 @pytest.mark.parametrize("argv", _JSON_COMMANDS, ids=[
     "dist", "treenorm", "graphs-tmd", "graphs-wl", "graphs-feature", "graphs-random",
     "nodes", "stability", "erm-graphs", "erm-nodes"])
-@pytest.mark.parametrize("data", ["normal", *_OVERFLOWING])
+@pytest.mark.parametrize("data", ["normal", *_HARD_DATA])
 def test_cli_json_is_strict_or_the_command_exits_2(data, argv, tmp_path, capsys):
     if data == "normal":
         path, depth = _dataset_path(tmp_path), "2"
     else:
-        graphs, depth = _OVERFLOWING[data]
+        graphs, depth = _HARD_DATA[data]
         path = tmp_path / "ds.jsonl"
         save_jsonl(make_dataset(graphs), path)
     argv = [str(tmp_path / "d.tmdc") if arg == "@" else arg for arg in argv]

@@ -52,6 +52,19 @@ def test_spec_string_of_any_real_weight_reparses(make):
     assert isinstance(hash(TmdConfig(depth=3, weights=table)), int)  # the list became a tuple
 
 
+@pytest.mark.parametrize("kind, fields, message", [
+    ("const", {"value": 1.0, "table": ("x", None)}, "a constant weight takes no table"),
+    ("const", {"table": (2.0,)}, "a constant weight takes no table"),
+    ("table", {"value": float("nan"), "table": (2.0,)}, "a weight table takes no value"),
+    ("table", {"value": 2.0, "table": (2.0,)}, "a weight table takes no value"),
+], ids=["const-junk-table", "const-table", "table-nan-value", "table-value"])
+def test_schedule_refuses_the_field_its_kind_never_reads(kind, fields, message):
+    # such a schedule would share its preset, so its cache key, with one
+    # that compares unequal to it
+    with pytest.raises(ConfigError, match=message):
+        WeightFn(kind, **fields)
+
+
 def test_weight_past_the_float_range_is_refused():
     with pytest.raises(ConfigError):
         const_weights(10 ** 400)

@@ -9,7 +9,7 @@ import pytest
 
 import treesample.gnn as gnn
 import treesample.node_select as node_select
-from treesample import (ConfigError, DistanceMatrix, finite_erm_sweep,
+from treesample import (ConfigError, DistanceMatrix, GinLayer, GinModel, finite_erm_sweep,
                         kmedoids, make_dataset, pairwise_matrix, random_gin,
                         subsample_dataset, subsample_sweep, synthetic_dataset)
 from treesample.cli import _sweep_configs, _verify_erm, build_parser
@@ -165,6 +165,7 @@ def _erm_error_cases():
     sel = kmedoids(dm, 2)
     subs = subsample_dataset(ds, 0.5, cfg(2))
     h = [random_gin(0, ds.feature_dim, 4, 2)]
+    wide = GinModel((*h[0].mp_layers, GinLayer(np.ones((4, 2)), np.zeros(2))))
     inputs = dict(ds=ds, labels=labels, hypotheses=h)
     return [
         ("dataset is empty",
@@ -178,10 +179,12 @@ def _erm_error_cases():
         ("5 subsamples for 6 graphs", inputs, dict(subsamples=subs[:-1])),
         ("hypothesis set is empty",
          dict(inputs, hypotheses=[]), dict(selection=sel, distances=dm)),
+        ("loss needs a scalar readout, got shape (2,)",
+         dict(inputs, hypotheses=[*h, wide]), dict(selection=sel, distances=dm)),
     ]
 
 
-@pytest.mark.parametrize("case", range(7))
+@pytest.mark.parametrize("case", range(8))
 def test_finite_erm_check_and_sweep_keep_their_error_messages(case):
     message, inputs, mode = _erm_error_cases()[case]
     args = (inputs["ds"], inputs["labels"], inputs["hypotheses"])

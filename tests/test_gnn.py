@@ -17,7 +17,7 @@ from treesample import (ConfigError, GinLayer, GinModel, Graph,
 from treesample.cli import LAMBDA_SWEEP
 
 from helpers import (cfg, random_graph, reference_node_embeddings,
-                     reference_stability_report)
+                     reference_stability_report, relabelled_pair)
 
 P2 = Graph(2, [(0, 1)], np.ones((2, 1)))
 
@@ -128,6 +128,27 @@ def test_stability_counterexample_pair_is_finite():
     assert 0.0 < rep.max_ratio < math.inf
     payload = json.loads(rep.to_json())
     assert set(payload) == {"max_ratio", "violations", "pairs", "preset"}
+
+
+def test_stability_zero_distance_gap_within_rounding_scores_zero(monkeypatch):
+    # the relabelled copy is at distance 0, and its readout differs from the
+    # original's in the last bits only: the node sums add in another order
+    pair = relabelled_pair(1)
+    model = random_gin(0, 2, 8, 3)
+    ra, rb = gnn._readouts([model], pair)[0]
+    assert 0.0 < np.linalg.norm(ra - rb) <= 1e-9 * max(np.linalg.norm(ra), np.linalg.norm(rb))
+    cfgs = [cfg(3, lam) for lam in LAMBDA_SWEEP]
+    for got, c in zip(stability_sweep(model, pair, [(0, 1), (1, 0)], cfgs), cfgs, strict=True):
+        want = reference_stability_report(model, [tuple(pair), tuple(pair[::-1])], c)
+        assert got.ratios == want.ratios == [0.0, 0.0]
+    # a gap past the rounding slack breaks the invariant: infinite, and null
+    # in JSON, which has no infinity
+    monkeypatch.setattr(gnn, "_distances", lambda graphs, pairs, c: [0.0] * len(pairs))
+    no_edges = Graph(8, [], pair[0].features)
+    [rep] = stability_sweep(model, [pair[0], no_edges], [(0, 1), (0, 0)], [cfg(3)])
+    assert rep.ratios == [math.inf, 0.0]
+    assert (rep.pairs, rep.infinite, rep.violations, rep.max_ratio) == (2, 1, 1, math.inf)
+    assert json.loads(rep.to_json())["max_ratio"] is None
 
 
 def test_stability_report_matches_one_tmd_per_pair_bit_for_bit():

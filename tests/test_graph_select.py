@@ -52,6 +52,18 @@ def test_nearest_medoid_refuses_indices_that_are_not_integers():
     assert owners.tolist() == [1, 1, 1, 3]
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([], "medoid index set must be non-empty"),
+    ([1, 3, 1], r"duplicate medoid indices: \[1, 1, 3\]"),
+    ([0, 4], r"medoid index outside 0..3: \[0, 4\]"),
+    ([-1, 2], r"medoid index outside 0..3: \[-1, 2\]"),
+], ids=["empty", "duplicate", "past-the-end", "negative"])
+def test_nearest_medoid_refuses_a_bad_index_set(bad, message):
+    d = DistanceMatrix(4, "test", 1, "const:1.0", np.arange(1.0, 7.0))
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        nearest_medoid(d, bad)
+
+
 def test_distance_matrix_value_range_checks_the_diagonal():
     d = DistanceMatrix(2, "test", 1, "const:1.0", np.array([3.0]))
     assert (d.value(0, 0), d.value(1, 1), d.value(1, 0)) == (0.0, 0.0, 3.0)
@@ -196,6 +208,8 @@ def test_random_selection_with_and_without_distances():
     assert sum(bare.tau) == 7
     with pytest.raises(ConfigError):
         random_selection(7, 0, seed=1)
+    with pytest.raises(ConfigError, match="^distance matrix is over 7 items, not 6$"):
+        random_selection(6, 3, seed=5, d=d)
 
 
 def test_feature_distance_matrix_hand_checked():

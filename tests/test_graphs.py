@@ -229,7 +229,7 @@ def test_jsonl_round_trip_keeps_empty_graphs_equal(tmp_path):
     assert back[0] == empty_graph(3)
     # a 0-node graph hashes no feature bytes: the fingerprint is unchanged
     assert (dataset_fingerprint(back) == dataset_fingerprint(ds)
-            == reference_dataset_fingerprint(Dataset(graphs, 3)))
+            == reference_dataset_fingerprint(Dataset(graphs)))
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -247,6 +247,15 @@ def test_load_jsonl_reports_line_numbers(tmp_path):
     path.write_text('{"n": 1, "edges": [], "features": [[1.0]]}\nnot json\n')
     with pytest.raises(DatasetError, match="bad.jsonl:2"):
         load_jsonl(path)
+
+
+def test_load_jsonl_names_the_file_when_widths_disagree(tmp_path):
+    path = tmp_path / "widths.jsonl"
+    path.write_text('{"n": 1, "edges": [], "features": [[1.0]]}\n'
+                    '{"n": 1, "edges": [], "features": [[1.0, 2.0]]}\n')
+    with pytest.raises(DatasetError) as err:
+        load_jsonl(path)
+    assert str(err.value) == f"{path}: graphs disagree on feature dimension: [1, 2]"
 
 
 def _write_tu(tmp_path, name, indicator, edges, attrs=None, labels=None):
