@@ -53,6 +53,10 @@ class WeightFn:
     def __post_init__(self):
         if self.kind not in ("const", "table"):
             raise ConfigError(f"unknown weight kind {self.kind!r}")
+        try:  # a tuple, as an array has no truth value
+            object.__setattr__(self, "table", tuple(self.table))
+        except TypeError as exc:
+            raise ConfigError(f"weight table must be iterable, got {self.table!r}") from exc
         if self.kind == "const":
             if not _is_weight(self.value):
                 raise ConfigError(

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .config import TmdConfig
 from .errors import ConfigError, exact_sums, require_finite
@@ -41,12 +42,6 @@ class GinLayer:
             raise ConfigError(
                 f"layer shapes inconsistent: W{self.weight.shape}, b{self.bias.shape}")
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        out = z @ self.weight + self.bias
-        if self.activation == "relu":
-            return np.maximum(out, 0.0)
-        return out
-
 
 @dataclass(frozen=True)
 class GinModel:
@@ -64,45 +59,54 @@ class GinModel:
         return self.layers[:-1]
 
     @property
-    def readout_layer(self) -> GinLayer:
-        return self.layers[-1]
-
-    @property
-    def feature_dim(self) -> int:
-        return int(self.layers[0].weight.shape[0])
-
-    @property
     def out_dim(self) -> int:
         return int(self.layers[-1].weight.shape[1])
 
 
-def _neighbor_sum(g: Graph, z: np.ndarray) -> np.ndarray:
-    """Neighbour sums of the rows of ``z``, in the order a test pins: one
-    running sum per node over its higher, then its lower neighbours, where
-    ``treenorm._level_sums`` adds those two halves as separate sums."""
+def _stack(models) -> tuple:
+    """Models that share layer shapes, activations and ``eta`` as one bank:
+    ``eta``, and per layer (H, d_in, d_out) weights, (H, 1, d_out) biases and the activation."""
+    return models[0].eta, [(np.stack([x.weight for x in col]),
+                            np.stack([x.bias for x in col])[:, None, :], col[0].activation)
+                           for col in zip(*(h.layers for h in models))]
+
+
+def _bank_forward(bank, g: Graph):
+    """Node states after the message-passing layers, (H, n, d), and readouts,
+    (H, out_dim), of ``g`` under each model of a :func:`_stack` bank: one
+    product per layer, each item of it shaped as in a one-model forward (the
+    readout a one-row product).  A neighbour sum runs over a node's higher,
+    then its lower neighbours, each ascending, the order a test pins
+    (``treenorm._level_sums`` adds those two halves as separate sums)."""
+    eta, layers = bank
+    n, feature_dim = g.node_count, layers[0][0].shape[1]
+    if n and g.feature_dim != feature_dim:
+        raise ConfigError(f"model expects feature dim {feature_dim}, graph has {g.feature_dim}")
     eu, ev = g.edge_arrays()
-    d = z.shape[1]
-    bins = np.concatenate([eu, ev])[:, None] * d + np.arange(d)
-    return np.bincount(bins.ravel(), weights=z[np.concatenate([ev, eu])].ravel(),
-                       minlength=z.size).reshape(z.shape)
+    src = np.concatenate([eu, ev])
+    adj = csr_matrix((np.ones(src.size), np.concatenate([ev, eu])[np.argsort(src, kind="stable")],
+                      np.r_[0, np.bincount(src, minlength=n).cumsum()]), shape=(n, n))
+    z = g.features[None] if n else np.zeros((1, 0, feature_dim))
+    for w, b, act in layers[:-1]:
+        h, _, d = z.shape
+        agg = (adj @ z.transpose(1, 0, 2).reshape(n, h * d)).reshape(n, h, d)
+        z = _apply(z + eta * agg.transpose(1, 0, 2), w, b, act)
+    return z, _apply(z.sum(axis=1)[:, None, :], *layers[-1])[:, 0]
+
+
+def _apply(z: np.ndarray, w: np.ndarray, b: np.ndarray, act: str) -> np.ndarray:
+    out = np.matmul(z, w) + b
+    return np.maximum(out, 0.0) if act == "relu" else out
 
 
 def node_embeddings(model: GinModel, g: Graph) -> np.ndarray:
     """Node states after the message-passing layers (before the readout)."""
-    if g.node_count and g.feature_dim != model.feature_dim:
-        raise ConfigError(
-            f"model expects feature dim {model.feature_dim}, graph has {g.feature_dim}")
-    z = g.features if g.node_count else np.zeros((0, model.feature_dim))
-    for layer in model.mp_layers:
-        z = layer.apply(z + model.eta * _neighbor_sum(g, z))
-    return z
+    return _bank_forward(_stack([model]), g)[0][0]
 
 
 def gin_forward(model: GinModel, g: Graph) -> np.ndarray:
     """Graph-level readout: the last layer applied to the node-sum."""
-    z = node_embeddings(model, g)
-    pooled = z.sum(axis=0) if z.shape[0] else np.zeros(z.shape[1])
-    return model.readout_layer.apply(pooled[None, :])[0]
+    return _bank_forward(_stack([model]), g)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +277,21 @@ class ErmReport:
 
 
 def _readouts(models, graphs) -> np.ndarray:
-    """(models x graphs x out_dim) readouts, all finite or an overflow error."""
+    """(models x graphs x out_dim) readouts, all finite or an overflow error:
+    one :func:`_bank_forward` per graph for each group of models that share
+    layer shapes, activations and ``eta``."""
+    if len({h.out_dim for h in models}) > 1:
+        raise ConfigError("models disagree on the readout width")
+    groups: dict = {}
+    for t, h in enumerate(models):
+        key = (h.eta, *((x.weight.shape, x.activation) for x in h.layers))
+        groups.setdefault(key, []).append(t)
+    out = np.empty((len(models), len(graphs), models[0].out_dim))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        out = np.array([[gin_forward(h, g) for g in graphs] for h in models])
+        for rows in groups.values():
+            bank = _stack([models[t] for t in rows])
+            for j, g in enumerate(graphs):
+                out[rows, j] = _bank_forward(bank, g)[1]
     return require_finite(out, "a GIN readout")
 
 
@@ -353,10 +369,9 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
         if len(subsamples) != n:
             raise ConfigError(f"{len(subsamples)} subsamples for {n} graphs")
         keys = [(i, tuple(s.kept)) for i, s in enumerate(subsamples)]
-        for i, kept in keys:
-            if (i, kept) not in sub_preds:
-                sg = induced_subgraph(ds[i], kept)
-                sub_preds[i, kept] = _readouts(hypotheses, [sg])[:, 0, 0]
+        new = [key for key in dict.fromkeys(keys) if key not in sub_preds]
+        subgraphs = [induced_subgraph(ds[i], kept) for i, kept in new]
+        sub_preds.update(zip(new, _readouts(hypotheses, subgraphs)[:, :, 0].T))
         reports.append(report("nodes", mean_tmd(subsamples),
                               np.column_stack([sub_preds[key] for key in keys]), labels))
     return reports

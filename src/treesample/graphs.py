@@ -211,10 +211,23 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
 
 @dataclass
 class Dataset:
-    """Ordered collection of graphs sharing one feature dimension."""
+    """Ordered collection of graphs (each checked when it was built) sharing
+    one feature dimension, set by the graphs with nodes: graphs of two widths
+    raise :class:`DatasetError`, and a 0-node graph, which has no row to show
+    one, is rebuilt with ``(0, dim)`` features."""
 
     graphs: list[Graph]
     feature_dim = property(lambda self: self.graphs[0].feature_dim if self.graphs else 0)
+
+    def __post_init__(self):
+        graphs = list(self.graphs)
+        dims = ({g.feature_dim for g in graphs if g.node_count}
+                or {g.feature_dim for g in graphs})
+        if len(dims) > 1:
+            raise DatasetError(f"graphs disagree on feature dimension: {sorted(dims)}")
+        dim = dims.pop() if dims else 0
+        self.graphs = [g if g.feature_dim == dim else Graph(0, [], np.zeros((0, dim)), g.label)
+                       for g in graphs]
 
     def __len__(self):
         return len(self.graphs)
@@ -230,17 +243,8 @@ class Dataset:
 
 
 def make_dataset(graphs: list[Graph]) -> Dataset:
-    """Wrap graphs (each checked when it was built) into a Dataset, checking
-    the one thing a graph cannot check alone: a shared feature dimension,
-    set by the graphs with nodes (a 0-node graph has no row to show one, so
-    it is rebuilt with ``(0, dim)`` features)."""
-    dims = ({g.feature_dim for g in graphs if g.node_count}
-            or {g.feature_dim for g in graphs})
-    if len(dims) > 1:
-        raise DatasetError(f"graphs disagree on feature dimension: {sorted(dims)}")
-    dim = dims.pop() if dims else 0
-    return Dataset([g if g.feature_dim == dim else Graph(0, [], np.zeros((0, dim)), g.label)
-                    for g in graphs])
+    """``Dataset(graphs)``, which checks their shared feature dimension."""
+    return Dataset(graphs)
 
 
 def load_jsonl(path) -> Dataset:

@@ -51,7 +51,7 @@ def _level_sums(x: np.ndarray, dst: np.ndarray, src: np.ndarray,
     neighbours' values in edge order, so a bin whose edges are a subsequence
     of another graph's edges sums the same addends in the same order, and
     (higher neighbours) + (lower neighbours), the order the stored tree norms
-    have (``gnn._neighbor_sum`` keeps one running sum instead).  One walk to
+    have (``gnn._bank_forward`` keeps one running sum instead).  One walk to
     the deepest config gives each ``b`` the addends of a walk of its own, as
     ``z_l`` does not depend on the weights.
     """

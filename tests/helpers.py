@@ -12,10 +12,9 @@ from treesample import (ConfigError, Dataset, DistanceMatrix, ErmReport, Graph,
                         NodeSubsample, ScaleLimitError, Selection,
                         StabilityReport, TmdConfig,
                         WeightFn, abs_clipped_loss, build_candidates,
-                        const_weights, feature_norms, gin_forward,
+                        const_weights, feature_norms,
                         induced_subgraph, kmedoids, layer_lipschitz,
                         pairwise_matrix, random_gin, tmd, tree_norm)
-from treesample.gnn import _readouts
 from treesample.oracles import _BRUTE_SUBSET_LIMIT, _padded_matching, _permutations
 from treesample.tmd import _cross_distances
 
@@ -447,27 +446,43 @@ def reference_dataset_fingerprint(ds):
     return h.hexdigest()
 
 
+def _reference_layer(layer, z):
+    """One GIN layer on the rows of ``z``: ``act(z @ W + b)``."""
+    out = z @ layer.weight + layer.bias
+    return np.maximum(out, 0.0) if layer.activation == "relu" else out
+
+
 def reference_node_embeddings(model, g):
     """GIN node states with ``np.add.at`` neighbour sums (the original loop)."""
-    z = g.features if g.node_count else np.zeros((0, model.feature_dim))
+    z = g.features if g.node_count else np.zeros((0, model.layers[0].weight.shape[0]))
     eu, ev = g.edge_arrays()
     for layer in model.mp_layers:
         agg = np.zeros_like(z)
         if eu.size:
             np.add.at(agg, eu, z[ev])
             np.add.at(agg, ev, z[eu])
-        z = layer.apply(z + model.eta * agg)
+        z = _reference_layer(layer, z + model.eta * agg)
     return z
+
+
+def reference_gin_forward(model, g):
+    """One model's readout of one graph: :func:`reference_node_embeddings`,
+    then the readout layer on the node sum as a one-row product (the
+    original per-model forward)."""
+    z = reference_node_embeddings(model, g)
+    pooled = z.sum(axis=0) if z.shape[0] else np.zeros(z.shape[1])
+    return _reference_layer(model.layers[-1], pooled[None, :])[0]
 
 
 def reference_stability_report(model, pairs, cfg):
     """One config's ``stability_sweep`` report over graph pairs, as a loop
-    of one ``_readouts`` and one ``tmd`` call per pair; a zero-distance pair
-    scores 0.0 if its gap is at most 1e-9 times the larger readout norm."""
+    of two :func:`reference_gin_forward` and one ``tmd`` call per pair; a
+    zero-distance pair scores 0.0 if its gap is at most 1e-9 times the
+    larger readout norm."""
     prod = layer_lipschitz(model).product
     ratios = []
     for ga, gb in pairs:
-        ra, rb = _readouts([model], [ga, gb])[0]
+        ra, rb = reference_gin_forward(model, ga), reference_gin_forward(model, gb)
         num = float(np.linalg.norm(ra - rb))
         den = tmd(ga, gb, cfg) * prod
         if den != 0.0:
@@ -502,7 +517,7 @@ def reference_finite_erm_check(ds, labels, hypotheses, *, selection=None,
     n = len(ds)
     labels = [float(y) for y in labels]
     m_lip = 1.0
-    preds_full = [[gin_forward(h, g) for g in ds] for h in hypotheses]
+    preds_full = [[reference_gin_forward(h, g) for g in ds] for h in hypotheses]
     full_losses = [
         math.fsum(abs_clipped_loss(p[i], labels[i], clip) for i in range(n)) / n
         for p in preds_full]
@@ -518,7 +533,7 @@ def reference_finite_erm_check(ds, labels, hypotheses, *, selection=None,
         mode = "nodes"
         epsilon = math.fsum(s.tmd_to_full for s in subsamples) / n
         subgraphs = [induced_subgraph(g, s.kept) for g, s in zip(ds, subsamples)]
-        stand_ins = [[gin_forward(h, sg) for sg in subgraphs] for h in hypotheses]
+        stand_ins = [[reference_gin_forward(h, sg) for sg in subgraphs] for h in hypotheses]
         stand_in_labels = labels
     sub_losses = [math.fsum(abs_clipped_loss(q[i], stand_in_labels[i], clip)
                             for i in range(n)) / n for q in stand_ins]

@@ -65,6 +65,16 @@ def test_schedule_refuses_the_field_its_kind_never_reads(kind, fields, message):
         WeightFn(kind, **fields)
 
 
+def test_array_table_is_read_as_a_tuple():
+    # an array has no truth value: the table is a tuple before any test
+    assert WeightFn("table", table=np.array([1.0, 2.0])) == WeightFn("table", table=(1.0, 2.0))
+    with pytest.raises(ConfigError, match="a constant weight takes no table"):
+        WeightFn("const", table=np.array([1.0, 2.0]))
+    for table in (2.0, np.array(2.0)):
+        with pytest.raises(ConfigError, match="weight table must be iterable"):
+            WeightFn("table", table=table)
+
+
 def test_weight_past_the_float_range_is_refused():
     with pytest.raises(ConfigError):
         const_weights(10 ** 400)

@@ -110,13 +110,14 @@ def test_verify_erm_nodes_does_preset_independent_work_once(monkeypatch):
     count(node_select, "build_candidates")
     count(node_select, "select_subsets")
     count(gnn, "layer_lipschitz")
-    count(gnn, "gin_forward")
+    count(gnn, "_bank_forward")
     count(gnn, "induced_subgraph")
     _verify_erm(args, ds, "erm-nodes")
     n = len(ds)
     assert n < len(distinct) < 4 * n
+    # one stacked forward per graph serves every hypothesis
     assert calls == {"build_candidates": n, "select_subsets": n,
-                     "layer_lipschitz": hyps, "gin_forward": hyps * (n + len(distinct)),
+                     "layer_lipschitz": hyps, "_bank_forward": n + len(distinct),
                      "induced_subgraph": len(distinct)}
 
 

@@ -16,7 +16,7 @@ from treesample import (ConfigError, GinLayer, GinModel, Graph,
                         subsample_dataset, wl_counterexample_pair)
 from treesample.cli import LAMBDA_SWEEP
 
-from helpers import (cfg, random_graph, reference_node_embeddings,
+from helpers import (cfg, random_graph, reference_gin_forward, reference_node_embeddings,
                      reference_stability_report, relabelled_pair)
 
 P2 = Graph(2, [(0, 1)], np.ones((2, 1)))
@@ -68,6 +68,51 @@ def test_node_embeddings_bit_identical_to_add_at_loop():
                          eta=m.eta)
         got = node_embeddings(m, g)
         assert got.tobytes() == reference_node_embeddings(m, g).tobytes()
+
+
+def _forward_grid_graphs():
+    """The ``nodes`` benchmark's graph shape (40-90 nodes, mean degree 4,
+    3 features) plus the edge cases of a forward."""
+    rng = np.random.default_rng(31)
+    graphs = [random_graph(rng, n_min=n, n_max=n, feature_dim=3, p=4.0 / (n - 1))
+              for n in (40, 65, 90)]
+    graphs += [random_graph(rng, n_min=n, n_max=n, feature_dim=3, p=p)
+               for n, p in ((1, 0.0), (6, 0.0), (7, 1.0), (30, 0.2), (60, 0.07))]
+    return graphs + [empty_graph(3)]
+
+
+def _with_activation(m, act, rng):
+    """``m`` with every layer's activation set to ``act`` and, for identity,
+    nonzero biases (random_gin's are zero)."""
+    if act == "relu":
+        return m
+    return GinModel(tuple(GinLayer(x.weight, rng.standard_normal(x.bias.shape), act)
+                          for x in m.layers), eta=m.eta)
+
+
+def test_readouts_bit_identical_to_one_model_forwards():
+    # one stacked forward per graph for the whole bank, byte for byte the
+    # per-model reference, on every shape a product can take
+    graphs = _forward_grid_graphs()
+    rng = np.random.default_rng(7)
+    grid = itertools.product((1, 2, 8, 12, 64), (1, 2, 3, 4), (1.0, 0.37), ("relu", "identity"))
+    for hidden, depth, eta, act in grid:
+        bank = [_with_activation(random_gin(s, 3, hidden, depth, eta=eta), act, rng)
+                for s in range(3)]
+        want = np.array([[reference_gin_forward(h, g) for g in graphs] for h in bank])
+        assert gnn._readouts(bank, graphs).tobytes() == want.tobytes(), (hidden, depth, eta, act)
+    # a bank of interleaved signatures is grouped, and its rows keep model order
+    signatures = [(1, 1, 1.0, "relu"), (8, 3, 0.37, "identity"), (64, 2, 1.0, "relu"),
+                  (12, 4, 1.0, "identity")]
+    mixed = [_with_activation(random_gin(s, 3, hidden, depth, eta=eta), act, rng)
+             for s, (hidden, depth, eta, act) in enumerate(signatures * 3)]
+    want = np.array([[reference_gin_forward(h, g) for g in graphs] for h in mixed])
+    assert gnn._readouts(mixed, graphs).tobytes() == want.tobytes()
+    assert [gin_forward(h, graphs[0]).tobytes() for h in mixed] == \
+        [w.tobytes() for w in want[:, 0]]
+    wide = GinModel((*mixed[1].mp_layers, GinLayer(np.ones((8, 2)), np.zeros(2))))
+    with pytest.raises(ConfigError, match="models disagree on the readout width"):
+        gnn._readouts([mixed[1], wide], graphs)
 
 
 def test_random_gin_is_seeded_and_unit_norm():
@@ -195,11 +240,11 @@ def test_stability_sweep_does_preset_independent_work_once(monkeypatch):
             return original(*a, **k)
         monkeypatch.setattr(gnn, name, counting)
 
-    for name in ("layer_lipschitz", "_readouts", "gin_forward", "_distances"):
+    for name in ("layer_lipschitz", "_readouts", "_bank_forward", "_distances"):
         count(name)
     reports = stability_sweep(model, ds.graphs, pairs, cfgs)
     assert [r.pairs for r in reports] == [len(pairs)] * len(cfgs)
-    assert calls == {"layer_lipschitz": 1, "_readouts": 1, "gin_forward": len(distinct),
+    assert calls == {"layer_lipschitz": 1, "_readouts": 1, "_bank_forward": len(distinct),
                      "_distances": len(cfgs)}
 
 

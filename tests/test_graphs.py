@@ -202,6 +202,13 @@ def test_make_dataset_checks_feature_dim():
         make_dataset([a, b])
 
 
+def test_dataset_built_directly_checks_feature_dim():
+    with pytest.raises(DatasetError, match=r"feature dimension: \[2, 3\]"):
+        Dataset([Graph(1, [], [[1.0, 2.0]]), Graph(1, [], [[1.0, 2.0, 3.0]])])
+    ds = Dataset([Graph(0, [], [], label=4), Graph(1, [], [[1.0, 2.0, 3.0]])])
+    assert [g.features.shape for g in ds] == [(0, 3), (1, 3)] and ds[0].label == 4
+
+
 def test_jsonl_round_trip_of_a_dataset_with_empty_graphs(tmp_path):
     # a 0-node graph saves its features as [] and loads 1 wide
     ds = make_dataset([empty_graph(3), Graph(1, [], [[1.0, 2.0, 3.0]])])
