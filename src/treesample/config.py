@@ -38,60 +38,48 @@ def _is_weight(w) -> bool:
 
 @dataclass(frozen=True)
 class WeightFn:
-    """Level-weight schedule, either a constant or an explicit table.
+    """Level-weight schedule: one constant weight, or a table of them.
 
-    ``table`` entry ``i`` (0-based) is the weight of level ``i + 1``.  Weights
-    are stored as floats, so equal schedules share one reparseable spec string.
-    A schedule refuses the field its kind does not read: a constant takes no
-    table, a table no value.
+    ``weights`` holds exactly one weight for ``const`` and one or more for
+    ``table``, where entry ``i`` (0-based) is the weight of level ``i + 1``.
+    Weights are stored as floats, so equal schedules share one reparseable
+    spec string, and equal spec strings mean equal schedules.
     """
 
     kind: str  # "const" | "table"
-    value: float = 1.0
-    table: tuple[float, ...] = ()
+    weights: tuple[float, ...]
 
     def __post_init__(self):
         if self.kind not in ("const", "table"):
             raise ConfigError(f"unknown weight kind {self.kind!r}")
         try:  # a tuple, as an array has no truth value
-            object.__setattr__(self, "table", tuple(self.table))
+            weights = tuple(self.weights)
         except TypeError as exc:
-            raise ConfigError(f"weight table must be iterable, got {self.table!r}") from exc
-        if self.kind == "const":
-            if not _is_weight(self.value):
-                raise ConfigError(
-                    f"constant weight must be a positive finite number, got {self.value!r}")
-            if self.table:
-                raise ConfigError(f"a constant weight takes no table, got {self.table!r}")
-            object.__setattr__(self, "value", float(self.value))
-        else:
-            if self.value != 1.0:
-                raise ConfigError(f"a weight table takes no value, got {self.value!r}")
-            if not self.table:
-                raise ConfigError("weight table must be non-empty")
-            if not all(map(_is_weight, self.table)):
-                raise ConfigError(
-                    f"weight table entries must be positive finite numbers, got {self.table!r}")
-            object.__setattr__(self, "table", tuple(map(float, self.table)))
+            raise ConfigError(f"weights must be iterable, got {self.weights!r}") from exc
+        if self.kind == "const" and len(weights) != 1:
+            raise ConfigError(f"a constant schedule holds exactly one weight, got {weights!r}")
+        if not weights:
+            raise ConfigError("weight table must be non-empty")
+        if not all(map(_is_weight, weights)):
+            raise ConfigError(f"weights must be positive finite numbers, got {weights!r}")
+        object.__setattr__(self, "weights", tuple(map(float, weights)))
 
     def weight(self, level: int) -> float:
         """Return w(level) for level >= 1."""
         if level < 1:
             raise ConfigError(f"weight level must be >= 1, got {level}")
         if self.kind == "const":
-            return self.value
-        if level > len(self.table):
+            return self.weights[0]
+        if level > len(self.weights):
             raise ConfigError(
-                f"weight table has {len(self.table)} entries but level "
+                f"weight table has {len(self.weights)} entries but level "
                 f"{level} was requested (depth exceeds the table)"
             )
-        return self.table[level - 1]
+        return self.weights[level - 1]
 
     def spec_string(self) -> str:
         """Canonical textual form, reparseable by :func:`parse_weights`."""
-        if self.kind == "const":
-            return f"const:{self.value!r}"
-        return "table:" + ",".join(repr(w) for w in self.table)
+        return f"{self.kind}:" + ",".join(map(repr, self.weights))
 
 
 def parse_weights(text: str) -> WeightFn:
@@ -102,21 +90,18 @@ def parse_weights(text: str) -> WeightFn:
     if not sep:
         raise ConfigError(f"malformed weight spec {text!r}; expected 'const:<x>' or 'table:...'")
     head = head.strip().lower()
+    if head not in ("const", "table"):
+        raise ConfigError(f"unknown weight preset {head!r}; expected 'const' or 'table'")
+    tokens = [rest] if head == "const" else [tok for tok in rest.split(",") if tok.strip()]
     try:
-        if head == "const":
-            return WeightFn("const", value=float(rest))
-        if head == "table":
-            entries = tuple(float(tok) for tok in rest.split(",") if tok.strip())
-            return WeightFn("table", table=entries)
-    except ConfigError:
-        raise
+        weights = tuple(map(float, tokens))
     except ValueError as exc:
         raise ConfigError(f"malformed weight spec {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown weight preset {head!r}; expected 'const' or 'table'")
+    return WeightFn(head, weights)
 
 
 def const_weights(value: float = 1.0) -> WeightFn:
-    return WeightFn("const", value=value)
+    return WeightFn("const", (value,))
 
 
 @dataclass(frozen=True)
@@ -133,6 +118,8 @@ class TmdConfig:
         object.__setattr__(self, "depth", int(self.depth))
         if self.feature_norm not in _NORMS:
             raise ConfigError(f"feature_norm must be one of {_NORMS}, got {self.feature_norm!r}")
+        if not isinstance(self.weights, WeightFn):
+            raise ConfigError(f"weights must be a WeightFn, got {self.weights!r}")
         # Fail at construction time, not mid-recursion, when a table is short.
         for level in range(1, self.depth):
             self.weights.weight(level)

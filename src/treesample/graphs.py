@@ -97,7 +97,11 @@ class Graph:
         return list(map(tuple, self._edges.tolist()))
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted read-only array of neighbors of ``v``."""
+        """Sorted read-only array of neighbors of ``v``; a ``v`` that is no
+        integer or is outside the graph raises :class:`DatasetError`."""
+        _node_list((v,), "neighbors")
+        if not 0 <= v < self.node_count:
+            raise DatasetError(f"neighbors: node {v} outside 0..{self.node_count - 1}")
         indptr, indices = self.csr()
         return indices[indptr[v]:indptr[v + 1]]
 

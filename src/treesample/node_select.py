@@ -105,13 +105,14 @@ def rw_candidate(g: Graph, k: int, seed: int) -> tuple[int, ...]:
         return ()
     target = min(k, n)
     start = int(np.argmax(g.degrees()))
+    indptr, indices = g.csr()
     rng = np.random.default_rng(seed)
     visited = {start}
     cur = start
     steps = 0
     while len(visited) < target and steps < 50 * k:
         steps += 1
-        nbrs = g.neighbors(cur)
+        nbrs = indices[indptr[cur]:indptr[cur + 1]]
         if rng.random() < 0.15 or nbrs.size == 0:
             cur = start
         else:

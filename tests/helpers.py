@@ -76,7 +76,7 @@ def cfg(depth, w=1.0, norm="l2"):
 def random_table_cfg(rng, depth, norm="l2"):
     """Config with a random positive weight table covering the depth."""
     table = tuple(float(x) for x in rng.uniform(0.2, 2.5, size=max(1, depth - 1)))
-    return TmdConfig(depth=depth, weights=WeightFn("table", table=table),
+    return TmdConfig(depth=depth, weights=WeightFn("table", table),
                      feature_norm=norm)
 
 

@@ -65,19 +65,20 @@ def test_c02_tree_norm_runtime_scaling():
     for g in graphs:
         tree_norm(g, c)  # warm up caches (edge arrays, allocator)
     # the sizes take turns within each repetition, so a slow spell of the
-    # host slows every size instead of one
+    # host slows every size instead of one; load from other processes only
+    # adds time, so the fastest repetition is the closest to the true cost
     reps = [[] for _ in graphs]
-    for _ in range(5):
+    for _ in range(9):
         for g, times in zip(graphs, reps):
             t0 = time.perf_counter()
             tree_norm(g, c)
             times.append(time.perf_counter() - t0)
-    medians = [sorted(times)[2] for times in reps]
-    r1 = medians[1] / medians[0]
-    r2 = medians[2] / medians[1]
+    fastest = [min(times) for times in reps]
+    r1 = fastest[1] / fastest[0]
+    r2 = fastest[2] / fastest[1]
     ok = r1 <= 2.5 and r2 <= 2.5
     _line(2, "tree norm runtime per |E| doubling", ok,
-          f"medians {[f'{t*1e3:.2f}ms' for t in medians]}, ratios {r1:.2f}, {r2:.2f}")
+          f"fastest {[f'{t*1e3:.2f}ms' for t in fastest]}, ratios {r1:.2f}, {r2:.2f}")
     assert ok
 
 

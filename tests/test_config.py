@@ -11,7 +11,7 @@ def test_const_weight_is_flat():
 
 
 def test_table_weight_indexing():
-    w = WeightFn("table", table=(1.0, 2.0, 3.0))
+    w = WeightFn("table", (1.0, 2.0, 3.0))
     assert [w.weight(i) for i in (1, 2, 3)] == [1.0, 2.0, 3.0]
     with pytest.raises(ConfigError):
         w.weight(4)
@@ -20,7 +20,7 @@ def test_table_weight_indexing():
 
 
 @pytest.mark.parametrize("bad", ["const", "const:", "const:x", "table:",
-                                 "gauss:1", "1.0"])
+                                 "gauss:1", "1.0", "const:1,2", "const:1.0,"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ConfigError):
         parse_weights(bad)
@@ -41,45 +41,43 @@ def test_parse_round_trips_through_spec_string():
 
 @pytest.mark.parametrize("make", [int, np.float32, np.float64])
 def test_spec_string_of_any_real_weight_reparses(make):
-    const = WeightFn("const", value=make(2))
-    table = WeightFn("table", table=[make(3), make(1)])
+    const = WeightFn("const", [make(2)])
+    table = WeightFn("table", [make(3), make(1)])
     for w in (const, table):
         assert parse_weights(w.spec_string()) == w
     assert const.spec_string() == "const:2.0"  # one preset, so one cache key
     assert table.spec_string() == "table:3.0,1.0"
-    assert type(const.value) is float and type(table.table) is tuple
-    assert all(type(x) is float for x in table.table)
+    for w in (const, table):
+        assert type(w.weights) is tuple and all(type(x) is float for x in w.weights)
     assert isinstance(hash(TmdConfig(depth=3, weights=table)), int)  # the list became a tuple
 
 
-@pytest.mark.parametrize("kind, fields, message", [
-    ("const", {"value": 1.0, "table": ("x", None)}, "a constant weight takes no table"),
-    ("const", {"table": (2.0,)}, "a constant weight takes no table"),
-    ("table", {"value": float("nan"), "table": (2.0,)}, "a weight table takes no value"),
-    ("table", {"value": 2.0, "table": (2.0,)}, "a weight table takes no value"),
-], ids=["const-junk-table", "const-table", "table-nan-value", "table-value"])
-def test_schedule_refuses_the_field_its_kind_never_reads(kind, fields, message):
-    # such a schedule would share its preset, so its cache key, with one
-    # that compares unequal to it
-    with pytest.raises(ConfigError, match=message):
-        WeightFn(kind, **fields)
+@pytest.mark.parametrize("weights", [(), (2.0, 2.0), (1.0, "x")],
+                         ids=["none", "two", "junk-second"])
+def test_const_holds_exactly_one_weight(weights):
+    # a second weight would never be read, so two unequal constants would
+    # share one preset, and so one cache key
+    with pytest.raises(ConfigError, match="exactly one weight"):
+        WeightFn("const", weights)
 
 
 def test_array_table_is_read_as_a_tuple():
-    # an array has no truth value: the table is a tuple before any test
-    assert WeightFn("table", table=np.array([1.0, 2.0])) == WeightFn("table", table=(1.0, 2.0))
-    with pytest.raises(ConfigError, match="a constant weight takes no table"):
-        WeightFn("const", table=np.array([1.0, 2.0]))
-    for table in (2.0, np.array(2.0)):
-        with pytest.raises(ConfigError, match="weight table must be iterable"):
-            WeightFn("table", table=table)
+    # an array has no truth value: the weights are a tuple before any test
+    assert WeightFn("table", np.array([1.0, 2.0])) == WeightFn("table", (1.0, 2.0))
+    assert WeightFn("const", np.array([2.0])) == const_weights(2.0)
+    with pytest.raises(ConfigError, match="exactly one weight"):
+        WeightFn("const", np.array([1.0, 2.0]))
+    for kind in ("const", "table"):
+        for weights in (2.0, np.array(2.0)):
+            with pytest.raises(ConfigError, match="weights must be iterable"):
+                WeightFn(kind, weights)
 
 
 def test_weight_past_the_float_range_is_refused():
     with pytest.raises(ConfigError):
         const_weights(10 ** 400)
     with pytest.raises(ConfigError):
-        WeightFn("table", table=[1.0, 10 ** 400])
+        WeightFn("table", [1.0, 10 ** 400])
 
 
 # a weight that is no real number, bool included, is refused like a
@@ -90,7 +88,7 @@ def test_nonpositive_weights_rejected(value):
     with pytest.raises(ConfigError):
         const_weights(value)
     with pytest.raises(ConfigError):
-        WeightFn("table", table=(1.0, value))
+        WeightFn("table", (1.0, value))
 
 
 def test_config_validates_depth_and_norm():
@@ -106,18 +104,27 @@ def test_config_validates_depth_and_norm():
         TmdConfig(depth=2, feature_norm="linf")
 
 
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("weights", ["const:1.0", 1.0, None])
+def test_config_refuses_weights_that_are_no_schedule(depth, weights):
+    # at depth 1 no level weight is probed, so only the type check stands
+    # between a spec string and a failure after the whole distance matrix
+    with pytest.raises(ConfigError, match="must be a WeightFn"):
+        TmdConfig(depth=depth, weights=weights)
+
+
 def test_config_takes_numpy_integer_depth():
     c = TmdConfig(depth=np.int64(3))
     assert type(c.depth) is int and c == TmdConfig(depth=3)
 
 
 def test_config_probes_table_coverage_up_front():
-    short = WeightFn("table", table=(1.0,))
+    short = WeightFn("table", (1.0,))
     TmdConfig(depth=2, weights=short)  # needs w(1) only
     with pytest.raises(ConfigError):
         TmdConfig(depth=3, weights=short)  # would need w(2) mid-recursion
 
 
 def test_level_weight_delegates():
-    c = TmdConfig(depth=3, weights=WeightFn("table", table=(2.0, 5.0)))
+    c = TmdConfig(depth=3, weights=WeightFn("table", (2.0, 5.0)))
     assert c.level_weight(2) == 5.0

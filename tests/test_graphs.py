@@ -123,6 +123,17 @@ def test_neighbors_and_degrees():
     assert list(zip(eu, ev)) == [(0, 1), (0, 2), (2, 3)]
 
 
+@pytest.mark.parametrize("v, message", [
+    (-1, "node -1 outside 0..2"), (3, "node 3 outside 0..2"),
+    (np.int64(-1), "node -1 outside 0..2"),
+    (True, "node True is not an integer"), (1.0, "node 1.0 is not an integer"),
+])
+def test_neighbors_refuses_a_node_outside_the_graph(v, message):
+    g = Graph(3, [(0, 1), (1, 2)], np.ones((3, 1)))
+    with pytest.raises(DatasetError, match=f"^neighbors: {message}$"):
+        g.neighbors(v)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))

@@ -43,7 +43,7 @@ def test_level_weights_scale_deep_levels_only():
     p2 = Graph(2, [(0, 1)], np.ones((2, 1)))
     # depth 2 with w(1) = 3: value = 2 + 3 * 2
     assert tree_norm(p2, cfg(2, w=3.0)) == 8.0
-    table = TmdConfig(depth=3, weights=WeightFn("table", table=(5.0, 2.0)))
+    table = TmdConfig(depth=3, weights=WeightFn("table", (5.0, 2.0)))
     # levels: own features + w(2) * first walk + w(2) w(1) * second walk
     assert tree_norm(p2, table) == 2.0 + 2.0 * 2.0 + 2.0 * 5.0 * 2.0
 
