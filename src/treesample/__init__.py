@@ -30,8 +30,7 @@ from .oracles import (MatchingResult, RootedTree, abs_clipped_loss, blank_tree,
                       tree_norm_decision, tree_norm_naive)
 from .gnn import (ErmReport, GinLayer, GinModel, LipschitzProfile,
                   StabilityReport, finite_erm_sweep, gin_forward,
-                  identity_gin, layer_lipschitz, node_embeddings, random_gin,
-                  stability_sweep)
+                  identity_gin, layer_lipschitz, random_gin, stability_sweep)
 from .synth import (clustered_dataset, random_graph, random_pairs,
                     synthetic_dataset, wl_counterexample_pair)
 

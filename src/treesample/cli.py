@@ -350,10 +350,15 @@ def cmd_verify(args) -> int:
         sweep = ",".join(f"{lam:g}" for lam in LAMBDA_SWEEP)
         raise ConfigError(f"verify takes no --weights: it sweeps the level "
                           f"weights const:{{{sweep}}}*eta (scale them with --eta)")
-    unread = [flag for flag in sorted(getattr(args, "given", ()))
+    given = getattr(args, "given", frozenset())
+    unread = [flag for flag in sorted(given)
               if args.mode not in _VERIFY_READERS.get(flag, (args.mode,))]
     if unread:
         raise ConfigError(f"verify --mode {args.mode} does not read {', '.join(unread)}")
+    # the generator stands in for the dataset, so its flags would go unread
+    clash = sorted(given & {"--dataset", "--format", "--tu-name"})
+    if "--synthetic" in given and clash:
+        raise ConfigError(f"verify --synthetic does not read {', '.join(clash)}")
     if args.mode == "wl-counterexample":
         payload, code, diagnostic = _verify_wl_counterexample(args)
     else:

@@ -72,12 +72,12 @@ def _stack(models) -> tuple:
 
 
 def _bank_forward(bank, g: Graph):
-    """Node states after the message-passing layers, (H, n, d), and readouts,
-    (H, out_dim), of ``g`` under each model of a :func:`_stack` bank: one
-    product per layer, each item of it shaped as in a one-model forward (the
-    readout a one-row product).  A neighbour sum runs over a node's higher,
-    then its lower neighbours, each ascending, the order a test pins
-    (``treenorm._level_sums`` adds those two halves as separate sums)."""
+    """Readouts, (H, out_dim), of ``g`` under each model of a :func:`_stack`
+    bank: one product per layer, each item of it shaped as in a one-model
+    forward (the readout a one-row product).  A neighbour sum runs over a
+    node's higher, then its lower neighbours, each ascending, the order a
+    test pins (``treenorm._level_sums`` adds those two halves as separate
+    sums)."""
     eta, layers = bank
     n, feature_dim = g.node_count, layers[0][0].shape[1]
     if n and g.feature_dim != feature_dim:
@@ -91,7 +91,7 @@ def _bank_forward(bank, g: Graph):
         h, _, d = z.shape
         agg = (adj @ z.transpose(1, 0, 2).reshape(n, h * d)).reshape(n, h, d)
         z = _apply(z + eta * agg.transpose(1, 0, 2), w, b, act)
-    return z, _apply(z.sum(axis=1)[:, None, :], *layers[-1])[:, 0]
+    return _apply(z.sum(axis=1)[:, None, :], *layers[-1])[:, 0]
 
 
 def _apply(z: np.ndarray, w: np.ndarray, b: np.ndarray, act: str) -> np.ndarray:
@@ -99,14 +99,9 @@ def _apply(z: np.ndarray, w: np.ndarray, b: np.ndarray, act: str) -> np.ndarray:
     return np.maximum(out, 0.0) if act == "relu" else out
 
 
-def node_embeddings(model: GinModel, g: Graph) -> np.ndarray:
-    """Node states after the message-passing layers (before the readout)."""
-    return _bank_forward(_stack([model]), g)[0][0]
-
-
 def gin_forward(model: GinModel, g: Graph) -> np.ndarray:
     """Graph-level readout: the last layer applied to the node-sum."""
-    return _bank_forward(_stack([model]), g)[1][0]
+    return _bank_forward(_stack([model]), g)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +286,7 @@ def _readouts(models, graphs) -> np.ndarray:
         for rows in groups.values():
             bank = _stack([models[t] for t in rows])
             for j, g in enumerate(graphs):
-                out[rows, j] = _bank_forward(bank, g)[1]
+                out[rows, j] = _bank_forward(bank, g)
     return require_finite(out, "a GIN readout")
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .config import TmdConfig
-from .errors import ConfigError, DatasetError, require_finite
+from .errors import ConfigError, require_finite
 from .graphs import Dataset, Graph, _is_int, make_dataset
 from .tmd import DistanceMatrix
 from .treenorm import feature_norms
@@ -90,12 +90,10 @@ def nearest_medoid(d: DistanceMatrix, indices) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_full(d: DistanceMatrix) -> np.ndarray:
-    """``d.full()``, refusing non-finite entries and row sums: entries are
-    non-negative, so finite row sums keep every mean of entry-wise row
-    minima finite."""
+    """``d.full()``, refusing row sums past the float range: entries are
+    finite and non-negative, so finite row sums keep every mean of
+    entry-wise row minima finite."""
     full = d.full()
-    if not np.isfinite(full).all():  # argmin would pick a NaN a strict-< scan skips
-        raise DatasetError("distance matrix has non-finite entries")
     with np.errstate(over="ignore"):  # refused below
         require_finite(full.sum(axis=1), "a row sum of the distance matrix")
     return full
@@ -132,8 +130,7 @@ def kmedoids(d: DistanceMatrix, k: int, *, trace: list | None = None) -> Selecti
     the search ends.  Fully deterministic, so the selection records seed 0.
     Pass a list as ``trace`` to collect the objective after BUILD and after
     each accepted exchange.  ``k = n`` takes every index, and ``tau``
-    follows the usual tie rule.  A NaN or infinite distance raises
-    :class:`DatasetError`, a row whose sum overflows
+    follows the usual tie rule.  A row whose sum overflows raises
     :class:`NumericalOverflowError`.
     """
     n = d.n

@@ -97,11 +97,9 @@ class Graph:
         return list(map(tuple, self._edges.tolist()))
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted read-only array of neighbors of ``v``; a ``v`` that is no
-        integer or is outside the graph raises :class:`DatasetError`."""
-        _node_list((v,), "neighbors")
-        if not 0 <= v < self.node_count:
-            raise DatasetError(f"neighbors: node {v} outside 0..{self.node_count - 1}")
+        """Sorted read-only array of neighbors of ``v``, checked by
+        :func:`_node_array`."""
+        v, = _node_array((v,), self.node_count, "neighbors")
         indptr, indices = self.csr()
         return indices[indptr[v]:indptr[v + 1]]
 
@@ -148,15 +146,23 @@ def _is_int(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
 
-def _node_list(nodes, where: str) -> list:
-    """``nodes`` as a list; a float, str or bool, which ``int()`` or ``np.fromiter``
-    would truncate or parse, raises :class:`DatasetError` naming it and ``where``."""
+def _node_array(nodes, n: int, where: str) -> np.ndarray:
+    """``nodes`` as an int64 array, the one check of node indices: the first
+    node that is not an integer (Python or numpy; not bool, float or str,
+    which ``int()`` or ``np.fromiter`` would truncate or parse) or lies
+    outside ``0 .. n - 1`` raises :class:`DatasetError` naming it and ``where``."""
     nodes = list(nodes)
-    # the type set is the fast path: a list of Python ints has no bad entry
-    bad = [] if set(map(type, nodes)) <= {int} else [v for v in nodes if not _is_int(v)]
-    if bad:
-        raise DatasetError(f"{where}: node {bad[0]!r} is not an integer")
-    return nodes
+    # the type set is the fast path: a list of Python ints has no bad type
+    if set(map(type, nodes)) <= {int} or all(map(_is_int, nodes)):
+        try:
+            arr = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+            if not arr.size or (arr.min() >= 0 and arr.max() < n):
+                return arr
+        except OverflowError:  # past the int64 range, so outside the graph
+            pass
+    bad = next(v for v in nodes if not (_is_int(v) and 0 <= v < n))
+    raise DatasetError(f"{where}: node {bad!r} is not an integer" if not _is_int(bad)
+                       else f"{where}: node {int(bad)} outside 0..{n - 1}")
 
 
 def _simple_edges(edges, n, problems: list) -> list[tuple[int, int]]:
@@ -202,12 +208,9 @@ def empty_graph(feature_dim: int = 1) -> Graph:
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:
-    """Induced subgraph on ``nodes``, relabeled to 0.. in ascending original order;
-    a node that is no integer or is outside the graph raises :class:`DatasetError`."""
-    kept = sorted(set(map(int, _node_list(nodes, "induced_subgraph"))))
-    for v in kept:
-        if not (0 <= v < g.node_count):
-            raise DatasetError(f"induced_subgraph: node {v} outside 0..{g.node_count - 1}")
+    """Induced subgraph on ``nodes`` (checked by :func:`_node_array`),
+    relabeled to 0.. in ascending original order."""
+    kept = np.unique(_node_array(nodes, g.node_count, "induced_subgraph")).tolist()
     pos = {v: i for i, v in enumerate(kept)}
     edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
     return Graph(len(kept), edges, g.features[kept], label=g.label)

@@ -19,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 from .config import TmdConfig
 from .errors import ConfigError, DatasetError, ScaleLimitError
 from .graph_select import Selection
-from .graphs import Graph, empty_graph
+from .graphs import Graph, _node_array, empty_graph
 from .node_select import NodeSubsample
 from .tmd import DistanceMatrix
 from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
@@ -172,8 +172,7 @@ def computation_tree(g: Graph, v: int, depth: int) -> RootedTree:
     per graph-neighbor (revisits allowed).  Children are attached in ascending
     neighbor order.
     """
-    if not (0 <= v < g.node_count):
-        raise DatasetError(f"computation_tree: node {v} outside 0..{g.node_count - 1}")
+    _node_array((v,), g.node_count, "computation_tree")
     if depth < 1:
         raise DatasetError(f"computation_tree: depth must be >= 1, got {depth}")
     rows = [v]

@@ -304,7 +304,9 @@ def tmd_subgraph(g: Graph, nodes, cfg: TmdConfig) -> float:
 
 @dataclass
 class DistanceMatrix:
-    """Condensed pairwise distance matrix over a dataset.
+    """Condensed pairwise distance matrix over a dataset, checked once when
+    built: values of the wrong length or with a NaN or infinite entry raise
+    :class:`DatasetError`, so every reader sees a finite matrix.
 
     ``values`` holds the strict upper triangle row-major: entry (i, j) with
     i < j lives at index ``i*n - i*(i+1)//2 + (j - i - 1)``.
@@ -320,9 +322,11 @@ class DistanceMatrix:
         expected = self.n * (self.n - 1) // 2
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (expected,):
-            raise ValueError(
+            raise DatasetError(
                 f"expected {expected} condensed entries for n={self.n}, "
                 f"got shape {self.values.shape}")
+        if not np.isfinite(self.values).all():  # argmin would pick a NaN a strict-< scan skips
+            raise DatasetError("distance matrix has non-finite entries")
 
     def index(self, i: int, j: int) -> int:
         if i == j or not (0 <= i < self.n and 0 <= j < self.n):

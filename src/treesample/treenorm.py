@@ -22,8 +22,8 @@ import itertools
 import numpy as np
 
 from .config import TmdConfig
-from .errors import DatasetError, exact_sums, require_finite
-from .graphs import Graph, _node_list
+from .errors import exact_sums, require_finite
+from .graphs import Graph, _node_array
 
 # entries (candidates x (nodes + edges)) per masked pass of subset_tree_norm_sweep
 _SUBSET_BLOCK = 1 << 16
@@ -101,9 +101,8 @@ def subset_tree_norm_sweep(g: Graph, subsets, cfgs) -> np.ndarray:
     bins by index, and configs of one feature norm share one walk.  Chunks
     of ``_SUBSET_BLOCK // (n + m)`` candidates keep ``chunk * (n + m)``
     within 65,536, so a pass peaks at about 45 bytes per entry, plus 8 per
-    further config.  A node that is not an integer (Python or numpy; not
-    bool, float or str) or lies outside ``0 .. n - 1`` raises
-    :class:`DatasetError`; a non-finite norm :class:`NumericalOverflowError`.
+    further config.  Nodes are checked by :func:`~treesample.graphs._node_array`;
+    a non-finite norm raises :class:`NumericalOverflowError`.
     """
     subsets = iter(subsets)
     chunk = max(1, _SUBSET_BLOCK // max(1, g.node_count + g.edge_count))
@@ -118,16 +117,7 @@ def subset_tree_norm_sweep(g: Graph, subsets, cfgs) -> np.ndarray:
 def _score_block(g: Graph, block: list, cfgs) -> np.ndarray:
     n, c = g.node_count, len(block)
     lengths = [len(s) for s in block]
-    flat = _node_list(itertools.chain.from_iterable(block), "subset_tree_norm_sweep")
-    try:
-        nodes = np.fromiter(flat, dtype=np.int64, count=len(flat))
-    except OverflowError as exc:  # an index past the int64 range
-        raise DatasetError(
-            f"subset_tree_norm_sweep: a node index is outside 0..{n - 1}") from exc
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
-        bad = int(nodes[(nodes < 0) | (nodes >= n)][0])
-        raise DatasetError(
-            f"subset_tree_norm_sweep: node {bad} outside 0..{n - 1}")
+    nodes = _node_array(itertools.chain.from_iterable(block), n, "subset_tree_norm_sweep")
     keep = np.zeros((c, n), dtype=bool)
     keep[np.repeat(np.arange(c), lengths), nodes] = True
     eu, ev = g.edge_arrays()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -193,6 +194,26 @@ def test_cli_dist_truncated_or_corrupt_cache_is_a_mismatch(tmp_path, ds_path, ca
     assert main(args) == 3
     err = capsys.readouterr().err
     assert "checksum" in err and "delete the file" in err
+
+
+@pytest.mark.parametrize("command", [["dist"], ["subsample-graphs", "--k", "2"]],
+                         ids=["dist", "subsample-graphs"])
+def test_cli_cache_holding_a_nan_is_a_mismatch(tmp_path, ds_path, capsys, command):
+    cache = tmp_path / "d.tmdc"
+    args = [*command, "--dataset", ds_path, "--cache", str(cache)]
+    assert main(args) == 0
+    # one value turned NaN under a checksum that matches it
+    blob = cache.read_bytes()
+    m = 10 * 9 // 2
+    head, values = blob[:-8 * m], blob[-8 * m:]
+    nan_values = struct.pack("<d", math.nan) + values[8:]
+    head = head.replace(hashlib.sha256(values).hexdigest().encode(),
+                        hashlib.sha256(nan_values).hexdigest().encode())
+    cache.write_bytes(head + nan_values)
+    capsys.readouterr()
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cache mismatch: ") and "non-finite" in err
 
 
 def test_cli_dist_rejects_a_version_1_cache(tmp_path, ds_path, capsys):

@@ -90,6 +90,19 @@ def test_cli_verify_rejects_flags_its_mode_does_not_read(argv, unread, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, flags, unread", [
+    ("stability", ["--dataset", "/nonexistent.jsonl"], "--dataset"),
+    ("erm-graphs", ["--format", "jsonl"], "--format"),
+    ("erm-nodes", ["--tu-name", "X", "--dataset", "/nonexistent"], "--dataset, --tu-name"),
+], ids=["stability-dataset", "erm-graphs-format", "erm-nodes-tu-name-dataset"])
+def test_cli_verify_synthetic_refuses_the_dataset_flags(mode, flags, unread, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--mode", mode, "--synthetic", "6", "--depth", "2", *flags,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: verify --synthetic does not read {unread}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eta", ["1e306", "1e308"])
 def test_cli_wl_counterexample_probe_overflow_exits_2(eta, capsys):
     assert main(["verify", "--mode", "wl-counterexample", "--eta", eta, "--json"]) == 2

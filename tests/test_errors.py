@@ -4,6 +4,7 @@ not finite goes through ``errors.exact_sums`` and ``errors.require_finite``."""
 import ast
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,22 @@ def test_overflow_raises_and_exact_sums_live_in_errors_only():
     assert {m for m, _ in raises} <= {"errors.py", "tmd.py"}
     assert [s for m, s in raises if m == "tmd.py"] == ["with_blanks"]
     assert fsums and {m for m, _ in fsums} == {"errors.py"}
+
+
+def test_node_indices_are_checked_in_graphs_only():
+    # a DatasetError whose message names a node outside the graph or one
+    # that is not an integer; oracles.py counts too
+    raises = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, scope in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                    and _name(node.exc.func) == "DatasetError":
+                text = " ".join(c.value for c in ast.walk(node.exc)
+                                if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                if re.search(r"\bnode\b.*\b(outside|integer)\b", text):
+                    raises.add((path.name, scope))
+    assert ("graphs.py", "_node_array") in raises
+    assert {m for m, _ in raises} == {"graphs.py"}, raises
 
 
 def test_exact_sums_is_fsum_bit_for_bit():

@@ -11,12 +11,12 @@ from treesample import (ConfigError, GinLayer, GinModel, Graph,
                         TmdConfig, abs_clipped_loss, clustered_dataset, const_weights,
                         empty_graph, finite_erm_sweep, gin_forward, identity_gin,
                         induced_subgraph, kmedoids, layer_lipschitz,
-                        make_dataset, node_embeddings, pairwise_matrix,
+                        make_dataset, pairwise_matrix,
                         random_gin, random_pairs, stability_sweep,
                         subsample_dataset, wl_counterexample_pair)
 from treesample.cli import LAMBDA_SWEEP
 
-from helpers import (cfg, random_graph, reference_gin_forward, reference_node_embeddings,
+from helpers import (cfg, random_graph, reference_gin_forward,
                      reference_stability_report, relabelled_pair)
 
 P2 = Graph(2, [(0, 1)], np.ones((2, 1)))
@@ -24,8 +24,7 @@ P2 = Graph(2, [(0, 1)], np.ones((2, 1)))
 
 def test_identity_gin_worked_example():
     m = identity_gin(feature_dim=1)
-    z = node_embeddings(m, P2)
-    assert np.array_equal(z, [[2.0], [2.0]])  # own feature + 1 * neighbor
+    # each node's state is its own feature + 1 * neighbor = 2; the readout sums them
     assert np.array_equal(gin_forward(m, P2), [4.0])
 
 
@@ -54,7 +53,7 @@ def test_forward_is_permutation_invariant():
                                    rtol=0, atol=1e-12)
 
 
-def test_node_embeddings_bit_identical_to_add_at_loop():
+def test_gin_forward_bit_identical_to_add_at_loop():
     # bits, not a tolerance: (higher) + (lower) neighbour sums would pass
     # every tolerance-based check yet change the outputs
     rng = np.random.default_rng(23)
@@ -66,8 +65,8 @@ def test_node_embeddings_bit_identical_to_add_at_loop():
         if trial % 2:  # no relu to hide the low bits of negative sums
             m = GinModel(tuple(GinLayer(x.weight, x.bias, "identity") for x in m.layers),
                          eta=m.eta)
-        got = node_embeddings(m, g)
-        assert got.tobytes() == reference_node_embeddings(m, g).tobytes()
+        got = gin_forward(m, g)
+        assert got.tobytes() == reference_gin_forward(m, g).tobytes()
 
 
 def _forward_grid_graphs():

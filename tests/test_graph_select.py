@@ -162,6 +162,15 @@ def test_kmedoids_rejects_non_finite_distances():
             kmedoids(DistanceMatrix(4, "test", 1, "const:1.0", vals), k)
 
 
+@pytest.mark.parametrize("values, match", [
+    ([1.0, np.nan, 2.0], "non-finite"), ([1.0, 2.0, np.inf], "non-finite"),
+    ([1.0, 2.0], r"expected 3 condensed entries for n=3, got shape \(2,\)"),
+], ids=["nan", "inf", "short"])
+def test_distance_matrix_refuses_bad_values_when_built(values, match):
+    with pytest.raises(DatasetError, match=match):
+        DistanceMatrix(3, "test", 1, "const:1.0", np.array(values))
+
+
 def test_kmedoids_with_k_n_counts_duplicates_by_the_tie_rule():
     # points at 0, 0, 1, 3: graphs 0 and 1 are duplicates, so graph 1's
     # nearest medoid is 0 and medoid 1 owns nothing

@@ -16,7 +16,7 @@ import pkgutil
 import treesample
 from treesample import cli
 
-SETTABLE_VALUES = 223
+SETTABLE_VALUES = 221
 
 
 def _modules():

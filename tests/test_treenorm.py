@@ -8,7 +8,7 @@ import pytest
 from treesample import (DatasetError, Graph, NumericalOverflowError, TmdConfig,
                         WeightFn, empty_graph, feature_norms,
                         induced_subgraph, k_bfs_candidates, kcore_candidate,
-                        rw_candidate, subset_tree_norm_sweep, tmd_subgraph,
+                        rw_candidate, select_subsets, subset_tree_norm_sweep, tmd_subgraph,
                         tree_norm, tree_norm_naive)
 from treesample.treenorm import _SUBSET_BLOCK
 
@@ -202,6 +202,41 @@ def test_node_indices_that_are_not_integers_are_refused(bad):
         subset_tree_norm_sweep(g, [(0, 1), (bad, 2)], [c])
     with pytest.raises(DatasetError, match=re.escape(match)):
         tmd_subgraph(g, [bad, 2], c)
+
+
+# each entry with the node list it is given and the name its message carries
+_NODE_ENTRIES = {
+    "neighbors": (lambda g, c, v: g.neighbors(v), "neighbors"),
+    "induced_subgraph": (lambda g, c, v: induced_subgraph(g, [0, v]), "induced_subgraph"),
+    "subset_tree_norm_sweep": (lambda g, c, v: subset_tree_norm_sweep(g, [(0, 1), (0, v)], [c]),
+                               "subset_tree_norm_sweep"),
+    "tmd_subgraph": (lambda g, c, v: tmd_subgraph(g, [0, v], c), "subset_tree_norm_sweep"),
+    "select_subsets": (lambda g, c, v: select_subsets(g, {(0,): "a", (0, v): "b"}, [c]),
+                       "subset_tree_norm_sweep"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_NODE_ENTRIES))
+@pytest.mark.parametrize("bad, message", [
+    (0.7, "node 0.7 is not an integer"), (True, "node True is not an integer"),
+    ("1", "node '1' is not an integer"), (-1, "node -1 outside 0..2"),
+    (3, "node 3 outside 0..2"), (2 ** 70, f"node {2 ** 70} outside 0..2"),
+    (np.uint64(2 ** 63 + 1), f"node {2 ** 63 + 1} outside 0..2"),
+], ids=["float", "bool", "str", "negative", "n", "int-past-int64", "uint64-past-int64"])
+def test_every_entry_refuses_a_bad_node_in_one_message(entry, bad, message):
+    g = Graph(3, [(0, 1), (1, 2)], np.ones((3, 1)))
+    call, name = _NODE_ENTRIES[entry]
+    with pytest.raises(DatasetError) as info:
+        call(g, cfg(2), bad)
+    assert str(info.value) == f"{name}: {message}"
+
+
+def test_the_node_gate_names_the_first_bad_node():
+    g = Graph(3, [(0, 1), (1, 2)], np.ones((3, 1)))
+    with pytest.raises(DatasetError, match=r"^induced_subgraph: node 5 outside 0..2$"):
+        induced_subgraph(g, [0, 5, 0.7, -1])
+    with pytest.raises(DatasetError, match=r"^induced_subgraph: node 0.7 is not an integer$"):
+        induced_subgraph(g, [0, 0.7, 5])
 
 
 def test_numpy_integer_node_indices_are_kept():
