@@ -19,10 +19,8 @@ from .cache import load_or_compute, read_matrix, write_matrix
 from .graph_select import (Selection, feature_distance_matrix, kmedoids,
                            nearest_medoid, random_selection, save_selection,
                            wl_distance, wl_pseudometric_matrix)
-from .node_select import (NodeSubsample, build_candidates, core_numbers,
-                          k_bfs_candidates, kcore_candidate, rw_candidate,
-                          save_subsamples, select_subsets, subsample_dataset,
-                          subsample_sweep)
+from .node_select import (NodeSubsample, build_candidates, save_subsamples,
+                          select_subsets, subsample_dataset, subsample_sweep)
 from .oracles import (MatchingResult, RootedTree, abs_clipped_loss, blank_tree,
                       brute_force_matching, brute_force_medoids,
                       brute_force_select, computation_tree, matching_value,

@@ -108,7 +108,7 @@ def _parse(blob: bytes, path: str) -> tuple[DistanceMatrix, str, str]:
         raise _corrupt(path, f"{len(blob)} bytes, expected {off + 8 * m} for n={n}")
     if hashlib.sha256(blob[off:]).hexdigest() != checksum:
         raise _corrupt(path, "value checksum mismatch")
-    values = np.frombuffer(blob, dtype="<f8", count=m, offset=off).copy()
+    values = np.frombuffer(blob, dtype="<f8", count=m, offset=off)  # DistanceMatrix copies it
     return DistanceMatrix(int(n), metric, int(depth), preset, values), norm, dataset_hash
 
 
@@ -122,9 +122,10 @@ def load_or_compute(path: str | None, ds: Dataset, metric: str, cfg: TmdConfig,
     hits on the same request.  A cache keyed differently from the request
     raises :class:`CacheMismatchError`.
     """
-    preset, ds_hash = cfg.weights.spec_string(), dataset_fingerprint(ds)
-    key = (metric, cfg.depth, preset, len(ds), cfg.feature_norm, ds_hash)
+    preset = cfg.weights.spec_string()
+    ds_hash = dataset_fingerprint(ds) if path else None  # only a cache needs the hash
     if path and os.path.exists(path):
+        key = (metric, cfg.depth, preset, len(ds), cfg.feature_norm, ds_hash)
         dm, norm, stored_hash = read_matrix(path)
         stored = (dm.metric, dm.depth, dm.weight_preset, dm.n, norm, stored_hash)
         if stored != key:

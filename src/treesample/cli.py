@@ -20,7 +20,7 @@ from .cache import load_or_compute
 from .config import TmdConfig, const_weights, parse_weights
 from .errors import (CacheMismatchError, ConfigError, DatasetError,
                      NumericalOverflowError)
-from .gnn import (_readouts, finite_erm_sweep, identity_gin, random_gin,
+from .gnn import (finite_erm_sweep, gin_forward, identity_gin, random_gin,
                   stability_sweep)
 from .graph_select import (kmedoids, feature_distance_matrix,
                            random_selection, save_selection,
@@ -256,8 +256,7 @@ def _verify_wl_counterexample(args) -> tuple[dict, int, str]:
     ga, gb = wl_counterexample_pair(5)
     dist = wl_distance(ga, gb, iterations=args.depth)
     probe = identity_gin(feature_dim=1, eta=args.eta)
-    ra, rb = _readouts([probe], [ga, gb])[0, :, 0]
-    gap = float(abs(ra - rb))
+    gap = float(abs(gin_forward(probe, ga)[0] - gin_forward(probe, gb)[0]))
     payload = {"mode": "wl-counterexample", "wl_distance": dist, "gin_gap": gap}
     if dist != 0.0:
         return payload, EXIT_HARD_FAIL, (

@@ -41,9 +41,10 @@ class WeightFn:
     """Level-weight schedule: one constant weight, or a table of them.
 
     ``weights`` holds exactly one weight for ``const`` and one or more for
-    ``table``, where entry ``i`` (0-based) is the weight of level ``i + 1``.
-    Weights are stored as floats, so equal schedules share one reparseable
-    spec string, and equal spec strings mean equal schedules.
+    ``table``, where entry ``i`` (0-based) is the weight of level ``i + 1``;
+    :meth:`TmdConfig.level_weight` reads them.  Weights are stored as floats,
+    so equal schedules share one reparseable spec string, and equal spec
+    strings mean equal schedules.
     """
 
     kind: str  # "const" | "table"
@@ -63,19 +64,6 @@ class WeightFn:
         if not all(map(_is_weight, weights)):
             raise ConfigError(f"weights must be positive finite numbers, got {weights!r}")
         object.__setattr__(self, "weights", tuple(map(float, weights)))
-
-    def weight(self, level: int) -> float:
-        """Return w(level) for level >= 1."""
-        if level < 1:
-            raise ConfigError(f"weight level must be >= 1, got {level}")
-        if self.kind == "const":
-            return self.weights[0]
-        if level > len(self.weights):
-            raise ConfigError(
-                f"weight table has {len(self.weights)} entries but level "
-                f"{level} was requested (depth exceeds the table)"
-            )
-        return self.weights[level - 1]
 
     def spec_string(self) -> str:
         """Canonical textual form, reparseable by :func:`parse_weights`."""
@@ -121,8 +109,14 @@ class TmdConfig:
         if not isinstance(self.weights, WeightFn):
             raise ConfigError(f"weights must be a WeightFn, got {self.weights!r}")
         # Fail at construction time, not mid-recursion, when a table is short.
-        for level in range(1, self.depth):
-            self.weights.weight(level)
+        if self.weights.kind == "table" and len(self.weights.weights) < self.depth - 1:
+            raise ConfigError(
+                f"weight table has {len(self.weights.weights)} entries but depth "
+                f"{self.depth} reads {self.depth - 1} (depth exceeds the table)")
 
     def level_weight(self, level: int) -> float:
-        return self.weights.weight(level)
+        """w(level), for the levels 1 .. depth - 1 that a depth-``depth``
+        computation reads; the one level lookup of the package."""
+        if not 1 <= level < self.depth:
+            raise ConfigError(f"weight level must be in 1..{self.depth - 1}, got {level}")
+        return self.weights.weights[0 if self.weights.kind == "const" else level - 1]

@@ -100,8 +100,9 @@ def _apply(z: np.ndarray, w: np.ndarray, b: np.ndarray, act: str) -> np.ndarray:
 
 
 def gin_forward(model: GinModel, g: Graph) -> np.ndarray:
-    """Graph-level readout: the last layer applied to the node-sum."""
-    return _bank_forward(_stack([model]), g)[0]
+    """Graph-level readout: the last layer applied to the node-sum, finite
+    or a :class:`NumericalOverflowError`, as every readout is."""
+    return _readouts([model], [g])[0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ from scipy.sparse.csgraph import shortest_path
 
 from .config import TmdConfig
 from .errors import ConfigError, exact_sums, require_finite
-from .graphs import Dataset, Graph
+from .graphs import Dataset, Graph, _is_int
 from .treenorm import subset_tree_norm_sweep
 
-# roots per shortest_path call in k_bfs_candidates, which bounds its memory
+# roots per shortest_path call in _k_bfs_candidates, which bounds its memory
 _BFS_BLOCK = 512
 
 
@@ -60,7 +60,7 @@ def save_subsamples(subs, path) -> None:
             fh.write(s.to_json() + "\n")
 
 
-def k_bfs_candidates(g: Graph, k: int) -> dict[tuple[int, ...], str]:
+def _k_bfs_candidates(g: Graph, k: int) -> dict[tuple[int, ...], str]:
     """One BFS ball per node: the deepest ball that still holds <= k nodes.
 
     Returns a dict from each ball, a sorted tuple of Python ints, to the tag
@@ -70,8 +70,6 @@ def k_bfs_candidates(g: Graph, k: int) -> dict[tuple[int, ...], str]:
     roots at a time, so the hop table and its partitioned copy add at most
     16 * 512 * n bytes.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
     cands: dict[tuple[int, ...], str] = {}
     n = g.node_count
     indptr, indices = g.csr()
@@ -90,7 +88,7 @@ def k_bfs_candidates(g: Graph, k: int) -> dict[tuple[int, ...], str]:
     return cands
 
 
-def rw_candidate(g: Graph, k: int, seed: int) -> tuple[int, ...]:
+def _rw_candidate(g: Graph, k: int, seed: int) -> tuple[int, ...]:
     """Distinct nodes visited by a restarting random walk.
 
     Starts at the highest-degree node (ties: smallest index), restarts with
@@ -98,8 +96,6 @@ def rw_candidate(g: Graph, k: int, seed: int) -> tuple[int, ...]:
     ``50 * k`` steps; any shortfall is padded with the smallest unvisited
     indices.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
     n = g.node_count
     if n == 0:
         return ()
@@ -125,7 +121,7 @@ def rw_candidate(g: Graph, k: int, seed: int) -> tuple[int, ...]:
     return tuple(sorted(visited))
 
 
-def core_numbers(g: Graph) -> np.ndarray:
+def _core_numbers(g: Graph) -> np.ndarray:
     """Core numbers by the O(n + m) bucket-queue peel of Batagelj and Zaversnik
     (2003): ``vert`` sorts nodes by degree, bucket d starts at ``start[d]``."""
     indptr, indices = g.csr()
@@ -148,14 +144,10 @@ def core_numbers(g: Graph) -> np.ndarray:
     return np.array(deg, dtype=np.int64)
 
 
-def kcore_candidate(g: Graph, k: int) -> tuple[int, ...]:
+def _kcore_candidate(g: Graph, k: int) -> tuple[int, ...]:
     """Top ``min(k, n)`` nodes by (core number desc, degree desc, index asc)."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
     n = g.node_count
-    if n == 0:
-        return ()
-    core = core_numbers(g)
+    core = _core_numbers(g)
     deg = g.degrees()
     order = sorted(range(n), key=lambda v: (-int(core[v]), -int(deg[v]), v))
     return tuple(sorted(order[:min(k, n)]))
@@ -194,13 +186,16 @@ def _check_heuristics(heuristics) -> None:
 def build_candidates(g: Graph, k: int, seed: int,
                      heuristics=("bfs", "rw", "kcore")) -> dict[tuple[int, ...], str]:
     """Union of candidate subsets from the enabled heuristics, as a dict from
-    each sorted node tuple to the tag of the first heuristic that produced it."""
+    each sorted node tuple to the tag of the first heuristic that produced it.
+    ``k`` and ``heuristics`` are checked here, for all three heuristics."""
+    if not (_is_int(k) and k >= 1):
+        raise ConfigError(f"k must be an integer >= 1, got {k!r}")
     _check_heuristics(heuristics)
-    cands = k_bfs_candidates(g, k) if "bfs" in heuristics else {}
+    cands = _k_bfs_candidates(g, k) if "bfs" in heuristics else {}
     if "rw" in heuristics:
-        cands.setdefault(rw_candidate(g, k, seed), "rw")
+        cands.setdefault(_rw_candidate(g, k, seed), "rw")
     if "kcore" in heuristics:
-        cands.setdefault(kcore_candidate(g, k), "kcore")
+        cands.setdefault(_kcore_candidate(g, k), "kcore")
     return cands
 
 

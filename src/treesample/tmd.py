@@ -27,7 +27,7 @@ from scipy.spatial.distance import cdist, squareform
 
 from .config import TmdConfig
 from .errors import DatasetError, NumericalOverflowError, exact_sums
-from .graphs import Dataset, Graph
+from .graphs import Dataset, Graph, _is_int
 from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
 
 # blocks up to this size are solved by enumerating injective maps, larger
@@ -302,14 +302,16 @@ def tmd_subgraph(g: Graph, nodes, cfg: TmdConfig) -> float:
     return tree_norm(g, cfg) - float(subset_tree_norm_sweep(g, [nodes], [cfg])[0, 0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistanceMatrix:
-    """Condensed pairwise distance matrix over a dataset, checked once when
-    built: values of the wrong length or with a NaN or infinite entry raise
-    :class:`DatasetError`, so every reader sees a finite matrix.
+    """Condensed pairwise distance matrix over a dataset, checked once and then
+    immutable: an ``n`` that is not an integer >= 0, values of the wrong
+    length or a NaN or infinite value raise :class:`DatasetError`, so every
+    reader sees a finite matrix.
 
-    ``values`` holds the strict upper triangle row-major: entry (i, j) with
-    i < j lives at index ``i*n - i*(i+1)//2 + (j - i - 1)``.
+    ``values`` holds the strict upper triangle row-major, as a read-only
+    float64 copy: entry (i, j) with i < j lives at index
+    ``i*n - i*(i+1)//2 + (j - i - 1)``.
     """
 
     n: int
@@ -319,26 +321,29 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        if not (_is_int(self.n) and self.n >= 0):
+            raise DatasetError(f"n must be an integer >= 0, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         expected = self.n * (self.n - 1) // 2
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (expected,):
+        # always a copy, so freezing it leaves the caller's array writable
+        values = np.array(self.values, dtype=np.float64)
+        if values.shape != (expected,):
             raise DatasetError(
                 f"expected {expected} condensed entries for n={self.n}, "
-                f"got shape {self.values.shape}")
-        if not np.isfinite(self.values).all():  # argmin would pick a NaN a strict-< scan skips
+                f"got shape {values.shape}")
+        if not np.isfinite(values).all():  # argmin would pick a NaN a strict-< scan skips
             raise DatasetError("distance matrix has non-finite entries")
-
-    def index(self, i: int, j: int) -> int:
-        if i == j or not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"bad pair ({i},{j}) for n={self.n}")
-        if i > j:
-            i, j = j, i
-        return i * self.n - i * (i + 1) // 2 + (j - i - 1)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     def value(self, i: int, j: int) -> float:
-        if i == j and 0 <= i < self.n:
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"bad pair ({i},{j}) for n={self.n}")
+        if i == j:
             return 0.0
-        return float(self.values[self.index(i, j)])
+        if i > j:
+            i, j = j, i
+        return float(self.values[i * self.n - i * (i + 1) // 2 + (j - i - 1)])
 
     def full(self) -> np.ndarray:
         if self.n == 0:

@@ -12,6 +12,7 @@ from treesample import (CacheMismatchError, ErmReport, Graph, StabilityReport,
                         clustered_dataset, load_or_compute, make_dataset,
                         pairwise_matrix, random_selection, read_matrix,
                         save_jsonl, write_matrix)
+import treesample.cache as cache
 from treesample.cli import main
 
 from helpers import cfg, random_graph, relabelled_pair
@@ -125,11 +126,16 @@ def test_load_or_compute_flags_stale_keys(tmp_path, small_ds):
         load_or_compute(path, other, "tmd", c, lambda: pairwise_matrix(other, c))
 
 
-def test_load_or_compute_without_path_always_computes(small_ds):
+def test_load_or_compute_without_path_always_computes(small_ds, monkeypatch):
+    def no_hash(ds):  # the fingerprint keys a cache file, and there is none
+        raise AssertionError("hashed the dataset without a cache path")
+
+    monkeypatch.setattr(cache, "dataset_fingerprint", no_hash)
     c = cfg(2)
     dm, recomputed = load_or_compute(None, small_ds, "tmd", c,
                                      lambda: pairwise_matrix(small_ds, c))
     assert recomputed
+    assert dm.values.tobytes() == pairwise_matrix(small_ds, c).values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +461,7 @@ def test_cli_verify_hard_failure_still_emits(monkeypatch, capsys):
 
 def test_cli_verify_readout_gap_too_small_is_a_hard_failure(monkeypatch, capsys):
     import treesample.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "_readouts", lambda models, graphs: np.zeros((1, 2, 1)))
+    monkeypatch.setattr(cli_mod, "gin_forward", lambda model, g: np.zeros(1))
     assert main(["verify", "--mode", "wl-counterexample", "--json"]) == 70
     captured = capsys.readouterr()
     assert json.loads(captured.out)["gin_gap"] == 0.0

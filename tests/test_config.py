@@ -5,18 +5,20 @@ from treesample import ConfigError, TmdConfig, WeightFn, const_weights, parse_we
 
 
 def test_const_weight_is_flat():
-    w = const_weights(0.5)
-    assert w.weight(1) == 0.5
-    assert w.weight(17) == 0.5
+    c = TmdConfig(depth=18, weights=const_weights(0.5))
+    assert c.level_weight(1) == 0.5
+    assert c.level_weight(17) == 0.5
 
 
 def test_table_weight_indexing():
-    w = WeightFn("table", (1.0, 2.0, 3.0))
-    assert [w.weight(i) for i in (1, 2, 3)] == [1.0, 2.0, 3.0]
-    with pytest.raises(ConfigError):
-        w.weight(4)
-    with pytest.raises(ConfigError):
-        w.weight(0)
+    c = TmdConfig(depth=4, weights=WeightFn("table", (1.0, 2.0, 3.0)))
+    assert [c.level_weight(i) for i in (1, 2, 3)] == [1.0, 2.0, 3.0]
+    # a depth-d computation reads levels 1 .. d - 1 only
+    for level in (0, 4, 5):
+        with pytest.raises(ConfigError, match=r"weight level must be in 1\.\.3"):
+            c.level_weight(level)
+    with pytest.raises(ConfigError, match=r"in 1\.\.17, got 18"):
+        TmdConfig(depth=18, weights=const_weights(0.5)).level_weight(18)
 
 
 @pytest.mark.parametrize("bad", ["const", "const:", "const:x", "table:",
@@ -121,7 +123,7 @@ def test_config_takes_numpy_integer_depth():
 def test_config_probes_table_coverage_up_front():
     short = WeightFn("table", (1.0,))
     TmdConfig(depth=2, weights=short)  # needs w(1) only
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="1 entries but depth 3 reads 2"):
         TmdConfig(depth=3, weights=short)  # would need w(2) mid-recursion
 
 

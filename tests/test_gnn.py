@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import treesample.gnn as gnn
-from treesample import (ConfigError, GinLayer, GinModel, Graph,
+from treesample import (ConfigError, GinLayer, GinModel, Graph, NumericalOverflowError,
                         TmdConfig, abs_clipped_loss, clustered_dataset, const_weights,
                         empty_graph, finite_erm_sweep, gin_forward, identity_gin,
                         induced_subgraph, kmedoids, layer_lipschitz,
@@ -38,6 +38,14 @@ def test_forward_rejects_wrong_feature_dim():
     m = identity_gin(feature_dim=2)
     with pytest.raises(ConfigError):
         gin_forward(m, P2)
+
+
+def test_forward_overflow_is_a_numerical_overflow_error():
+    # the readout of three nodes at 1e308 passes the float range: the
+    # package's overflow rule, not a RuntimeWarning and [inf]
+    g = Graph(3, [(0, 1), (1, 2)], np.full((3, 1), 1e308))
+    with pytest.raises(NumericalOverflowError, match="a GIN readout"):
+        gin_forward(identity_gin(1), g)
 
 
 def test_forward_is_permutation_invariant():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -169,6 +170,32 @@ def test_kmedoids_rejects_non_finite_distances():
 def test_distance_matrix_refuses_bad_values_when_built(values, match):
     with pytest.raises(DatasetError, match=match):
         DistanceMatrix(3, "test", 1, "const:1.0", np.array(values))
+
+
+@pytest.mark.parametrize("n", [2.0, True, -1], ids=["float", "bool", "negative"])
+def test_distance_matrix_refuses_an_n_that_is_no_count(n):
+    # -1 would pass the length check: -1 * -2 // 2 is one entry
+    with pytest.raises(DatasetError, match=rf"n must be an integer >= 0, got {n!r}"):
+        DistanceMatrix(n, "tmd", 1, "", [1.0])
+
+
+def test_distance_matrix_is_frozen_after_its_check():
+    vals = np.ones(6)
+    d = DistanceMatrix(np.int64(4), "test", 1, "const:1.0", vals)
+    assert type(d.n) is int
+    # the stored values are a copy: the caller's array stays writable, and
+    # writing into it does not reach the checked matrix
+    vals[2] = np.nan
+    assert vals.flags.writeable and not np.shares_memory(vals, d.values)
+    # the write that made nearest_medoid(d, [0, 3]) assign graph 0 to medoid
+    # 3 at distance NaN now fails where it is made
+    with pytest.raises(ValueError, match="read-only"):
+        d.values[2] = np.nan
+    owners, dists = nearest_medoid(d, [0, 3])
+    assert (owners.tolist(), dists.tolist()) == ([0, 0, 0, 3], [0.0, 1.0, 1.0, 0.0])
+    for name, value in (("values", vals), ("n", 5), ("metric", "tmd")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, name, value)
 
 
 def test_kmedoids_with_k_n_counts_duplicates_by_the_tie_rule():

@@ -1,15 +1,19 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from treesample import (ConfigError, Graph, brute_force_select, build_candidates,
-                        core_numbers, induced_subgraph, k_bfs_candidates,
-                        kcore_candidate, make_dataset, rw_candidate,
-                        save_subsamples, select_subsets, subsample_dataset,
-                        tree_norm, tree_norm_decision)
+                        induced_subgraph, make_dataset, save_subsamples,
+                        select_subsets, subsample_dataset, tree_norm,
+                        tree_norm_decision)
+from treesample.node_select import (_core_numbers as core_numbers,
+                                    _k_bfs_candidates as k_bfs_candidates,
+                                    _kcore_candidate as kcore_candidate,
+                                    _rw_candidate as rw_candidate)
 
 from helpers import (cfg, random_graph, random_table_cfg,
                      reference_brute_force_select, reference_core_numbers,
@@ -148,6 +152,15 @@ def test_build_candidates_validates_heuristics():
         build_candidates(STAR, 2, 0, heuristics=("bfs", "magic"))
     with pytest.raises(ConfigError):
         build_candidates(STAR, 2, 0, heuristics=())
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, np.float64(2.0), True, "2"])
+def test_build_candidates_checks_k_for_every_heuristic(k):
+    # the only k check: the three heuristics trust it
+    for heuristics in (("bfs", "rw", "kcore"), ("bfs",), ("rw",), ("kcore",)):
+        message = re.escape(f"k must be an integer >= 1, got {k!r}")
+        with pytest.raises(ConfigError, match=message):
+            build_candidates(STAR, k, 0, heuristics)
 
 
 def test_bfs_only_candidates_are_the_bfs_set():

@@ -16,7 +16,7 @@ import pkgutil
 import treesample
 from treesample import cli
 
-SETTABLE_VALUES = 221
+SETTABLE_VALUES = 213
 
 
 def _modules():

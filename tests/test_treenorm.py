@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from treesample import (DatasetError, Graph, NumericalOverflowError, TmdConfig,
-                        WeightFn, empty_graph, feature_norms,
-                        induced_subgraph, k_bfs_candidates, kcore_candidate,
-                        rw_candidate, select_subsets, subset_tree_norm_sweep, tmd_subgraph,
+                        WeightFn, empty_graph, feature_norms, induced_subgraph,
+                        select_subsets, subset_tree_norm_sweep, tmd_subgraph,
                         tree_norm, tree_norm_naive)
+from treesample.node_select import (_k_bfs_candidates as k_bfs_candidates,
+                                    _kcore_candidate as kcore_candidate,
+                                    _rw_candidate as rw_candidate)
 from treesample.treenorm import _SUBSET_BLOCK
 
 from helpers import (cfg, random_graph, random_table_cfg,
