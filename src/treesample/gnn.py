@@ -29,7 +29,8 @@ _POWER_ITERS = 200  # power-iteration steps before a spectral norm is flagged
 _POWER_TOL = 1e-10  # relative change at which a spectral norm has converged
 
 
-@dataclass(frozen=True)
+# layers and models compare and hash by identity: == of array fields is ambiguous
+@dataclass(frozen=True, eq=False)
 class GinLayer:
     weight: np.ndarray  # (d_in, d_out)
     bias: np.ndarray  # (d_out,)
@@ -43,7 +44,7 @@ class GinLayer:
                 f"layer shapes inconsistent: W{self.weight.shape}, b{self.bias.shape}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GinModel:
     """Message-passing layers followed by a readout layer (the last entry)."""
 

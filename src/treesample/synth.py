@@ -13,6 +13,8 @@ on both sides.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ConfigError
@@ -24,11 +26,8 @@ _CLUSTER_DIM = 3  # feature width of clustered_dataset
 def random_graph(rng: np.random.Generator, n: int, p: float,
                  feature_dim: int = 2, label=None) -> Graph:
     """One G(n, p) draw with standard normal features."""
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
+    drawn = rng.random(n * (n - 1) // 2) < p
+    edges = list(itertools.compress(itertools.combinations(range(n), 2), drawn))
     feats = rng.standard_normal((n, feature_dim))
     return Graph(n, edges, feats, label=label)
 

@@ -38,7 +38,7 @@ _ENUM_MAX_Q = 4
 _NEAR_RTOL = 1e-9
 # the kernel runs consecutive pairs whose extended tables hold about this
 # many entries together, and gathers at most _SOLVE_ENTRIES block entries per
-# solver call; a chunk's working set is ~90 bytes per table entry
+# solver call; a chunk's working set is ~125 bytes per table entry
 _CHUNK_ENTRIES = 1 << 13
 _SOLVE_ENTRIES = 1 << 13
 
@@ -107,20 +107,15 @@ def _solve_lsap(blocks: np.ndarray) -> np.ndarray:
                       "a matching total")
 
 
-def _cells(off: np.ndarray, na: np.ndarray, nb: np.ndarray, a0: np.ndarray,
-           b0: np.ndarray, deg: np.ndarray) -> tuple[tuple[np.ndarray, ...], list]:
-    """Every cell (pair k, u, v) of a batch whose block is not empty (q >= 1),
-    sorted by block shape: each cell's pair, the node-table rows of u and v
-    and the cell's position in the flat buffer, plus ``(lo, hi, q, r)`` for
-    each run of cells of one shape.  Blocks up to ``_ENUM_MAX_Q`` have one
-    shape per (q, r), wider ones one per q."""
-    cells = na * nb
-    pair = np.repeat(np.arange(na.size), cells)
-    u, v = np.divmod(np.arange(pair.size) - np.repeat(np.cumsum(cells) - cells, cells),
-                     nb[pair])
-    at = off[pair] + u * (nb[pair] + 1) + v
-    u += a0[pair]
-    v += b0[pair]
+def _cells(owner: np.ndarray, ua: np.ndarray, vb: np.ndarray, deg: np.ndarray,
+           blank: int) -> tuple[tuple[np.ndarray, ...], list]:
+    """The map's entries (``owner``, ``ua``, ``vb``) with two real rows (not
+    ``blank``) and a block that is not empty (q >= 1), sorted by block shape:
+    each cell's pair, rows and position in the flat buffer, plus ``(lo, hi,
+    q, r)`` per run of one shape.  Blocks up to ``_ENUM_MAX_Q`` have one shape
+    per (q, r), wider ones one per q."""
+    at = np.flatnonzero((ua != blank) & (vb != blank))
+    u, v = ua[at], vb[at]
     q, r = np.maximum(deg[u], deg[v]), np.minimum(deg[u], deg[v])
     r[q > _ENUM_MAX_Q] = 0
     key = q * (q + 1) + r
@@ -128,7 +123,7 @@ def _cells(off: np.ndarray, na: np.ndarray, nb: np.ndarray, a0: np.ndarray,
     bounds = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
     groups = [(lo, hi, int(q[order[lo]]), int(r[order[lo]]))
               for lo, hi in zip([0, *bounds], [*bounds, order.size]) if lo < hi]
-    return (pair[order], u[order], v[order], at[order]), groups
+    return (owner[at[order]], u[order], v[order], at[order]), groups
 
 
 @np.errstate(over="ignore")  # a non-finite table is reported by with_blanks
@@ -171,33 +166,34 @@ def _tables(graphs: list[Graph], pairs: list[tuple[int, int]],
         blanks.append(np.append(x + cfg.level_weight(d - 1) * kid_sums, 0.0))
     a0, b0 = starts[inv.reshape(-1, 2).T]
 
-    # each table's blank column and row, and the node-table entries they take
+    # the map of every table entry: its pair, and the node-table rows of its
+    # u and v, where row ``blank`` (past every real row) is the blank tree
+    blank = starts[-1]
+    owner = np.repeat(np.arange(len(pairs)), np.diff(off))
+    ua, vb = np.divmod(np.arange(off[-1]) - off[owner], stride[owner])
+    ua = np.where(ua < na[owner], ua + a0[owner], blank)
+    vb = np.where(vb < nb[owner], vb + b0[owner], blank)
+    # a blank row or column reads the other side's distance to the blank tree
+    blank_pos = np.flatnonzero((ua == blank) | (vb == blank))
+    blank_src = np.minimum(ua, vb)[blank_pos]
     ext = np.empty(off[-1])
-    blank_pos, blank_src = [], []
     for k, (i, j) in enumerate(pairs):
         table = ext[off[k]:off[k + 1]].reshape(na[k] + 1, nb[k] + 1)
         table[:-1, :-1] = _cross_distances(graphs[i].features, graphs[j].features,
                                            cfg.feature_norm)
-        rows = off[k] + np.arange(na[k] + 1) * stride[k]
-        blank_pos += [rows[:-1] + nb[k], rows[-1] + np.arange(nb[k] + 1)]
-        blank_src += [a0[k] + np.arange(na[k]), b0[k] + np.arange(nb[k]), starts[-1:]]
-    blank_pos, blank_src = np.concatenate(blank_pos), np.concatenate(blank_src)
 
     def with_blanks(table: np.ndarray, level: int) -> np.ndarray:
         table[blank_pos] = blanks[level][blank_src]
         bad = np.flatnonzero(~np.isfinite(table))
         if bad.size:
-            k = int(np.searchsorted(off, bad[0], side="right")) - 1
+            k = owner[bad[0]]
             raise NumericalOverflowError(
                 f"tree distance table overflowed (n={na[k]} vs n={nb[k]}); "
                 "reduce the depth, the level weights or the feature scale")
         return table
 
     base = with_blanks(ext, 0)
-    if cfg.depth == 1:
-        return base, off
-
-    (pair, ra, rb, cell_at), groups = _cells(off, na, nb, a0, b0, deg)
+    (pair, ra, rb, cell_at), groups = _cells(owner, ua, vb, deg, blank)
     for d in range(2, cfg.depth + 1):
         values = np.zeros(off[-1])
         for lo, hi, q, r in groups:
@@ -302,7 +298,7 @@ def tmd_subgraph(g: Graph, nodes, cfg: TmdConfig) -> float:
     return tree_norm(g, cfg) - float(subset_tree_norm_sweep(g, [nodes], [cfg])[0, 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Condensed pairwise distance matrix over a dataset, checked once and then
     immutable: an ``n`` that is not an integer >= 0, values of the wrong
@@ -311,7 +307,8 @@ class DistanceMatrix:
 
     ``values`` holds the strict upper triangle row-major, as a read-only
     float64 copy: entry (i, j) with i < j lives at index
-    ``i*n - i*(i+1)//2 + (j - i - 1)``.
+    ``i*n - i*(i+1)//2 + (j - i - 1)``.  Matrices compare and hash by
+    identity, as a field-wise ``==`` of arrays has no single truth value.
     """
 
     n: int

@@ -35,6 +35,12 @@ def test_parse_rejects_pascal_alias():
         parse_weights("  PASCAL ")
 
 
+def test_weight_fn_refuses_an_unknown_kind():
+    # the parser refuses "pascal" by name; a record built directly is refused too
+    with pytest.raises(ConfigError, match="unknown weight kind 'pascal'"):
+        WeightFn("pascal", (1.0,))
+
+
 def test_parse_round_trips_through_spec_string():
     for text in ("const:1.0", "const:0.25", "table:1.0,0.5,2.0"):
         w = parse_weights(text)

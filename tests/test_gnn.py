@@ -140,6 +140,36 @@ def test_random_gin_depth_one_is_readout_only():
     assert m.out_dim == 1
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: GinLayer(np.ones((2, 3)), np.zeros(3), "tanh"), "activation must be one of"),
+    (lambda: GinLayer(np.ones((2, 3)), np.zeros(2)), r"W\(2, 3\), b\(2,\)"),
+    (lambda: GinLayer(np.ones(3), np.zeros(3)), r"W\(3,\), b\(3,\)"),
+    (lambda: GinModel(()), "at least a readout layer"),
+    (lambda: random_gin(0, feature_dim=2, hidden=4, depth=0), "depth must be >= 1, got 0"),
+], ids=["activation", "bias-width", "1d-weight", "no-layers", "depth-0"])
+def test_models_refuse_bad_layers_when_built(make, match):
+    with pytest.raises(ConfigError, match=match):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GinLayer(np.ones((2, 3)), np.zeros(3)),
+    lambda: GinModel((GinLayer(np.ones((2, 1)), np.zeros(1)),), eta=0.5),
+], ids=["layer", "model"])
+def test_layers_and_models_compare_and_hash_by_identity(make):
+    # array fields make field-wise == ambiguous, and unhashable
+    a, twin = make(), make()
+    assert a == a
+    assert (a == twin) is False
+    assert len({a, twin}) == 2
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (3, 2)], ids=["empty", "zero"])
+def test_layer_lipschitz_of_a_null_weight_is_zero_and_converged(shape):
+    prof = layer_lipschitz(GinModel((GinLayer(np.zeros(shape), np.zeros(2)),)))
+    assert (prof.per_layer, prof.converged) == ((0.0,), (True,))
+
+
 def test_layer_lipschitz_known_spectra():
     ident = identity_gin(feature_dim=3)
     prof = layer_lipschitz(ident)

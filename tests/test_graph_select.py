@@ -198,6 +198,21 @@ def test_distance_matrix_is_frozen_after_its_check():
             setattr(d, name, value)
 
 
+def test_distance_matrix_of_no_graphs_is_empty():
+    d = DistanceMatrix(0, "tmd", 1, "", [])
+    # squareform alone would make a 1 x 1 matrix of an empty condensed one
+    assert d.full().shape == (0, 0)
+
+
+def test_distance_matrix_compares_and_hashes_by_identity():
+    # an array field makes field-wise == ambiguous, and unhashable
+    a = DistanceMatrix(3, "test", 1, "", [1.0, 2.0, 3.0])
+    twin = DistanceMatrix(3, "test", 1, "", [1.0, 2.0, 3.0])
+    assert a == a
+    assert (a == twin) is False
+    assert len({a, twin}) == 2
+
+
 def test_kmedoids_with_k_n_counts_duplicates_by_the_tie_rule():
     # points at 0, 0, 1, 3: graphs 0 and 1 are duplicates, so graph 1's
     # nearest medoid is 0 and medoid 1 owns nothing

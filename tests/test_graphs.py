@@ -60,9 +60,10 @@ def test_validate_flags_problems():
     ((-1, [], np.ones((0, 1))), "node_count must be an integer >= 0, got -1"),
     ((2.7, [], np.ones((3, 1))), "node_count must be an integer >= 0, got 2.7"),
     ((2, [], np.ones((2, 1)), 1.5), "label 1.5 is not an integer"),
+    ((2, [], np.zeros((2, 0))), "feature dimension must be >= 1"),
 ], ids=["float-endpoint", "bool-endpoint", "three-element-edge", "edge-in-both-orders",
         "too-few-feature-rows", "nan-feature", "1d-features", "negative-n", "float-n",
-        "float-label"])
+        "float-label", "zero-width-features"])
 def test_graph_rejects_invalid_input_on_construction(args, problem):
     with pytest.raises(DatasetError, match=problem):
         Graph(*args)
@@ -158,6 +159,13 @@ def test_graph_equality_and_hash():
     c = Graph(2, [(0, 1)], [[1.0], [2.5]], label=1)
     assert a == b and hash(a) == hash(b)
     assert a != c
+
+
+def test_graph_is_unequal_to_other_types_and_reprs_its_sizes():
+    g = Graph(3, [(0, 1)], np.ones((3, 2)), label=4)
+    assert g.__eq__(3) is NotImplemented
+    assert (g == 3) is False and g != "g"
+    assert repr(g) == "Graph(n=3, m=1, p=2, label=4)"
 
 
 def test_induced_subgraph_relabels_ascending():
@@ -363,6 +371,19 @@ def test_load_jsonl_maps_infinite_counts_to_dataset_error(tmp_path):
     path.write_text('{"n": 1e999, "edges": [], "features": [[1.0]]}\n')
     with pytest.raises(DatasetError, match="inf.jsonl:1: bad record"):
         load_jsonl(path)
+
+
+def test_load_jsonl_skips_blank_lines(tmp_path):
+    path = tmp_path / "gaps.jsonl"
+    rec = '{"n": 1, "edges": [], "features": [[1.0]]}'
+    path.write_text(f"\n{rec}\n  \n\t\n{rec}\n\n")
+    assert load_jsonl(path).graphs == [Graph(1, [], [[1.0]])] * 2
+
+
+def test_load_tu_of_an_empty_indicator_is_an_empty_dataset(tmp_path):
+    d = _write_tu(tmp_path, "NONE", [], [])
+    ds = load_tu(d, "NONE")
+    assert len(ds) == 0 and ds.graphs == []
 
 
 def test_load_jsonl_keeps_universal_newlines(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from treesample import (ConfigError, Graph, brute_force_select, build_candidates,
-                        induced_subgraph, make_dataset, save_subsamples,
+                        empty_graph, induced_subgraph, make_dataset, save_subsamples,
                         select_subsets, subsample_dataset, tree_norm,
                         tree_norm_decision)
 from treesample.node_select import (_core_numbers as core_numbers,
@@ -161,6 +161,11 @@ def test_build_candidates_checks_k_for_every_heuristic(k):
         message = re.escape(f"k must be an integer >= 1, got {k!r}")
         with pytest.raises(ConfigError, match=message):
             build_candidates(STAR, k, 0, heuristics)
+
+
+def test_build_candidates_of_a_graph_without_nodes_is_the_empty_walk():
+    # no BFS root and no core: only the walk yields a set, the empty one
+    assert build_candidates(empty_graph(2), 1, 0) == {(): "rw"}
 
 
 def test_bfs_only_candidates_are_the_bfs_set():

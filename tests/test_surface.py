@@ -1,4 +1,5 @@
-"""The package's settable values, counted so that a new knob shows in review.
+"""The package's settable values and exported names, counted so that a new
+knob or a new public name shows in review.
 
 A settable value is anything a caller can set (ROADMAP, "settable values"):
 a (subcommand, flag) pair of the command line, a parameter of a public
@@ -17,6 +18,7 @@ import treesample
 from treesample import cli
 
 SETTABLE_VALUES = 213
+EXPORTED_NAMES = 72
 
 
 def _modules():
@@ -58,6 +60,12 @@ def count_fields() -> int:
                for _, cls in _own(module, inspect.isclass) if dataclasses.is_dataclass(cls))
 
 
+def count_exports() -> int:
+    """Public names ``treesample`` exports, modules not counted."""
+    return sum(not name.startswith("_") and not inspect.ismodule(obj)
+               for name, obj in vars(treesample).items())
+
+
 def test_settable_values_are_counted():
     flags, (params, private) = count_flags(), count_parameters()
     fields = count_fields()
@@ -67,3 +75,11 @@ def test_settable_values_are_counted():
         f"{fields} fields + {private} defaulted private parameters, expected "
         f"{SETTABLE_VALUES}. If the change is meant, update SETTABLE_VALUES here "
         f"and ROADMAP's settable-values line together.")
+
+
+def test_exported_names_are_counted():
+    exported = count_exports()
+    assert exported == EXPORTED_NAMES, (
+        f"treesample exports {exported} public names, expected {EXPORTED_NAMES}. "
+        f"If the change is meant, update EXPORTED_NAMES here and ROADMAP's size "
+        f"line together.")

@@ -1,11 +1,28 @@
 import numpy as np
 import pytest
 
-from treesample import (ConfigError, TmdConfig, clustered_dataset, const_weights,
-                        kmedoids, nearest_medoid, pairwise_matrix, random_pairs,
-                        synthetic_dataset, wl_counterexample_pair)
+from treesample import (ConfigError, Graph, TmdConfig, clustered_dataset, const_weights,
+                        kmedoids, nearest_medoid, pairwise_matrix, random_graph,
+                        random_pairs, synthetic_dataset, wl_counterexample_pair)
 
 from helpers import random_regular_graph
+
+
+def _pair_loop_graph(rng, n, p, feature_dim, label):
+    """G(n, p) by one scalar draw per node pair, i ascending, then j."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return Graph(n, edges, rng.standard_normal((n, feature_dim)), label=label)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 18, 41])
+def test_random_graph_takes_the_draws_of_a_pair_loop(n):
+    # one vector draw over the node pairs takes the values a scalar draw per
+    # pair takes: the same graph, and the generator left at the same draw
+    for p in (0.0, 0.2, 0.5, 1.0):
+        ours, loop = np.random.default_rng([n, 7]), np.random.default_rng([n, 7])
+        g = random_graph(ours, n, p, feature_dim=3, label=2)
+        assert g == _pair_loop_graph(loop, n, p, 3, label=2)
+        assert ours.random() == loop.random()
 
 
 def test_clustered_dataset_is_deterministic():

@@ -351,6 +351,19 @@ def test_overflow_in_a_batch_names_its_pair(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("depth", [2, 3])
+def test_overflow_in_a_chunk_of_pairs_names_its_own_pair(depth):
+    # every pair runs in one chunk, and the first to overflow is the third,
+    # (0, 3): the message names its node counts, not those of the chunk's first
+    rng = np.random.default_rng(67)
+    small = [_chain(n, rng.uniform(0, 2, (n, 1))) for n in (2, 3, 3)]
+    ds = make_dataset([*small, _chain(4, np.full((4, 1), 1e306))])
+    big = TmdConfig(depth=depth, weights=const_weights(1000.0), feature_norm="l1")
+    with pytest.raises(NumericalOverflowError, match=r"\(n=2 vs n=4\)"):
+        pairwise_matrix(ds, big)
+
+
+@pytest.mark.filterwarnings("error")
 def test_overflow_raises_numerical_overflow_error():
     g = Graph(3, [(0, 1), (1, 2)], np.full((3, 1), 1e306))
     big = TmdConfig(depth=3, weights=const_weights(1000.0), feature_norm="l1")
