@@ -17,10 +17,10 @@ from .tmd import DistanceMatrix, pairwise_matrix, tmd, tmd_subgraph
 from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
 from .cache import load_or_compute, read_matrix, write_matrix
 from .graph_select import (Selection, feature_distance_matrix, kmedoids,
-                           nearest_medoid, random_selection, save_selection,
-                           wl_distance, wl_pseudometric_matrix)
-from .node_select import (NodeSubsample, build_candidates, save_subsamples,
-                          select_subsets, subsample_dataset, subsample_sweep)
+                           nearest_medoid, random_selection, wl_distance,
+                           wl_pseudometric_matrix)
+from .node_select import (NodeSubsample, build_candidates, select_subsets,
+                          subsample_dataset, subsample_sweep)
 from .oracles import (MatchingResult, RootedTree, abs_clipped_loss, blank_tree,
                       brute_force_matching, brute_force_medoids,
                       brute_force_select, computation_tree, matching_value,

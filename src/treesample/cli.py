@@ -9,7 +9,6 @@ error, 3 distance-cache mismatch, 4 preset-conditional verification failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -22,11 +21,10 @@ from .errors import (CacheMismatchError, ConfigError, DatasetError,
                      NumericalOverflowError)
 from .gnn import (finite_erm_sweep, gin_forward, identity_gin, random_gin,
                   stability_sweep)
-from .graph_select import (kmedoids, feature_distance_matrix,
-                           random_selection, save_selection,
+from .graph_select import (kmedoids, feature_distance_matrix, random_selection,
                            wl_distance, wl_pseudometric_matrix)
 from .graphs import load_jsonl, load_tu
-from .node_select import mean_tmd, save_subsamples, subsample_dataset, subsample_sweep
+from .node_select import mean_tmd, subsample_dataset, subsample_sweep
 from .synth import random_pairs, synthetic_dataset, wl_counterexample_pair
 from .tmd import pairwise_matrix
 from .treenorm import tree_norm
@@ -172,6 +170,17 @@ def _emit(args, payload: dict, summary: str) -> None:
         print(summary)
 
 
+def _labelled(record, **labels) -> dict:
+    """A result record's JSON fields plus the labels this command chose for it."""
+    return dict(json.loads(record.to_json()), **labels)
+
+
+def _write_lines(path: str, lines) -> None:
+    """An ``--out`` file of one JSON line per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def _file_sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -220,15 +229,14 @@ def cmd_subsample_graphs(args) -> int:
         dm = (load_or_compute(args.cache, ds, "tmd", cfg, builders["tmd"])[0]
               if args.cache else None)
         sel = random_selection(len(ds), args.k, args.seed, d=dm)
-    sel = dataclasses.replace(sel, method=args.method, seed=args.seed)
+    text = json.dumps(_labelled(sel, method=args.method, seed=args.seed), sort_keys=True)
     if args.out:
-        save_selection(sel, args.out)
-    line = (f"method={sel.method} k={sel.k} indices={sel.indices} "
-            f"tau={sel.tau} objective={sel.objective}")
+        _write_lines(args.out, [text])
     if args.json:
-        print(sel.to_json())
+        print(text)
     else:
-        print(line)
+        print(f"method={args.method} k={sel.k} indices={sel.indices} "
+              f"tau={sel.tau} objective={sel.objective}")
     return EXIT_OK
 
 
@@ -238,7 +246,7 @@ def cmd_subsample_nodes(args) -> int:
     heuristics = tuple(tok.strip() for tok in args.heuristics.split(",") if tok.strip())
     subs = subsample_dataset(ds, args.frac, cfg, heuristics=heuristics, seed=args.seed)
     if args.out:
-        save_subsamples(subs, args.out)
+        _write_lines(args.out, (s.to_json() for s in subs))
     mean_eps = mean_tmd(subs)
     if args.json:
         print(json.dumps({"graphs": len(subs), "mean_tmd": mean_eps}, sort_keys=True))
@@ -268,21 +276,23 @@ def _verify_wl_counterexample(args) -> tuple[dict, int, str]:
 
 def _verify_stability(args, ds) -> tuple[dict, int, str]:
     pairs = random_pairs(ds, args.pairs, args.seed + 1)
-    model = random_gin(args.seed, ds.feature_dim, args.hidden, args.depth,
-                       eta=args.eta)
-    reports = stability_sweep(model, ds.graphs, pairs, _sweep_configs(args))
+    model = random_gin(args.seed, ds.feature_dim, args.hidden, args.depth, eta=args.eta)
+    cfgs = _sweep_configs(args)
+    reports = [(cfg.weights.spec_string(), r)
+               for cfg, r in zip(cfgs, stability_sweep(model, ds.graphs, pairs, cfgs))]
     payload = {"mode": "stability",
-               "reports": [json.loads(r.to_json()) for r in reports],
-               "passed_any": any(r.violations == 0 for r in reports)}
-    broken = next((r for r in reports if r.infinite), None)
+               "reports": [_labelled(r, preset=p) for p, r in reports],
+               "passed_any": any(r.violations == 0 for _, r in reports)}
+    broken = [(p, r) for p, r in reports if r.infinite]
     if broken:  # an infinite ratio is a zero-distance pair whose readouts differ
+        preset, r = broken[0]
         return payload, EXIT_HARD_FAIL, (
-            f"{broken.infinite}/{broken.pairs} pairs at distance 0 have readouts "
-            f"further apart than rounding (preset {broken.preset})")
+            f"{r.infinite}/{r.pairs} pairs at distance 0 have readouts "
+            f"further apart than rounding (preset {preset})")
     if not payload["passed_any"]:
-        best = min(reports, key=lambda r: r.violations)
+        preset, best = min(reports, key=lambda pr: pr[1].violations)
         return payload, EXIT_PRESET, (
-            f"all presets saw ratio > 1 (best preset {best.preset} still had "
+            f"all presets saw ratio > 1 (best preset {preset} still had "
             f"{best.violations}/{best.pairs} violations, max ratio {best.max_ratio:.4g})")
     return payload, EXIT_OK, ""
 
@@ -306,7 +316,8 @@ def _verify_erm(args, ds, mode: str) -> tuple[dict, int, str]:
             ds, args.frac, cfgs, seed=args.seed))
     reports = [(cfg.weights.spec_string(), r) for cfg, r in zip(cfgs, found)]
     payload = {"mode": mode,
-               "reports": [dict(json.loads(r.to_json()), preset=p) for p, r in reports],
+               "reports": [_labelled(r, preset=p, mode=mode.removeprefix("erm-"))
+                           for p, r in reports],
                "chain_ok": all(r.chain_ok for _, r in reports),
                "satisfied_any": any(r.satisfied for _, r in reports),
                "passed_any": any(r.chain_ok and r.satisfied for _, r in reports)}

@@ -18,7 +18,7 @@ from scipy.sparse import csr_matrix
 from .config import TmdConfig
 from .errors import ConfigError, exact_sums, require_finite
 from .graph_select import nearest_medoid
-from .graphs import Dataset, Graph, induced_subgraph
+from .graphs import Dataset, Graph, _is_int, induced_subgraph
 from .node_select import mean_tmd
 from .tmd import _distances
 
@@ -194,7 +194,6 @@ def identity_gin(feature_dim: int = 1, eta: float = 1.0) -> GinModel:
 class StabilityReport:
     """Ratio of readout distance to (distance x Lipschitz product), per pair."""
 
-    preset: str
     ratios: list[float]
     pairs = property(lambda self: len(self.ratios))
     max_ratio = property(lambda self: max(self.ratios, default=0.0))
@@ -204,7 +203,7 @@ class StabilityReport:
     def to_json(self) -> str:  # JSON has no infinity: an infinite max prints null
         return json.dumps({"max_ratio": None if self.infinite else self.max_ratio,
                            "violations": self.violations,
-                           "pairs": self.pairs, "preset": self.preset}, sort_keys=True)
+                           "pairs": self.pairs}, sort_keys=True)
 
 
 def stability_sweep(model: GinModel, graphs: list[Graph], pairs,
@@ -218,7 +217,8 @@ def stability_sweep(model: GinModel, graphs: list[Graph], pairs,
     are computed once; each config makes one distance-kernel call.
     A pair at distance 0 has equal computation trees, so its readouts differ
     by rounding only: its ratio is 0.0 if the gap is at most ``_ERM_TOL``
-    times the larger readout norm, and infinite otherwise.
+    times the larger readout norm, and infinite otherwise.  Every pair index
+    must be an integer in ``0..len(graphs) - 1`` (a negative one is refused).
     """
     cfgs, pairs = list(cfgs), list(pairs)
     n_mp = len(model.mp_layers)
@@ -226,6 +226,9 @@ def stability_sweep(model: GinModel, graphs: list[Graph], pairs,
         if cfg.depth != n_mp + 1:
             raise ConfigError(
                 f"cfg.depth must be {n_mp + 1} (message-passing layers + 1), got {cfg.depth}")
+    bad = [i for pair in pairs for i in pair if not (_is_int(i) and 0 <= i < len(graphs))]
+    if bad:
+        raise ConfigError(f"pair indices must be integers in 0..{len(graphs) - 1}, got {bad[0]!r}")
     prod = layer_lipschitz(model).product
     used = sorted({i for pair in pairs for i in pair})
     out = dict(zip(used, _readouts([model], [graphs[i] for i in used])[0]))
@@ -239,7 +242,7 @@ def stability_sweep(model: GinModel, graphs: list[Graph], pairs,
         dens = [dist * prod for dist in _distances(graphs, pairs, cfg)]
         ratios = [num / den if den else (0.0 if num <= tol else math.inf)
                   for num, den, tol in zip(gaps, dens, slack)]
-        reports.append(StabilityReport(cfg.weights.spec_string(), ratios))
+        reports.append(StabilityReport(ratios))
     return reports
 
 
@@ -251,7 +254,6 @@ def stability_sweep(model: GinModel, graphs: list[Graph], pairs,
 class ErmReport:
     """Outcome of exact risk minimization over a finite hypothesis set."""
 
-    mode: str
     loss_full_of_erm: float
     min_loss_full: float
     bound_rhs: float
@@ -264,7 +266,7 @@ class ErmReport:
 
     def to_json(self) -> str:
         return json.dumps({
-            "mode": self.mode, "loss_full_of_erm": self.loss_full_of_erm,
+            "loss_full_of_erm": self.loss_full_of_erm,
             "min_loss_full": self.min_loss_full, "bound_rhs": self.bound_rhs,
             # M = 1: the clipped absolute loss is 1-Lipschitz in the prediction
             "epsilon": self.epsilon, "M": 1.0,
@@ -340,7 +342,7 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
     min_loss_full = min(full_losses)
     c = max(layer_lipschitz(h).product for h in hypotheses)
 
-    def report(mode, epsilon, stand_ins, stand_in_labels):
+    def report(epsilon, stand_ins, stand_in_labels):
         # stand_ins[t, i]: hypothesis t's readout on the graph standing in for G_i
         sub_losses = mean_loss(stand_ins, stand_in_labels)
         with np.errstate(over="ignore"):  # an inf norm is refused below
@@ -351,16 +353,14 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
         excess = max(abs(s - f) - r for s, f, r in zip(sub_losses, full_losses, chain_rhs))
         erm = min(range(len(hypotheses)), key=lambda t: (sub_losses[t], t))
         bound_rhs = require_finite(2.0 * c * epsilon, "the ERM bound 2 c eps")
-        return ErmReport(mode, full_losses[erm], min_loss_full, bound_rhs, epsilon,
-                         excess, erm)
+        return ErmReport(full_losses[erm], min_loss_full, bound_rhs, epsilon, excess, erm)
 
     reports, sub_preds = [], {}
     for selection, distances in selections or ():
         if distances is None:
             raise ConfigError("graph mode needs the distance matrix used for selection")
         owners, near = nearest_medoid(distances, selection.indices)
-        reports.append(report("graphs", float(near.mean()),
-                              preds_full[:, owners], labels[owners]))
+        reports.append(report(float(near.mean()), preds_full[:, owners], labels[owners]))
     for subsamples in subsample_sets or ():
         subsamples = list(subsamples)
         if len(subsamples) != n:
@@ -369,6 +369,6 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
         new = [key for key in dict.fromkeys(keys) if key not in sub_preds]
         subgraphs = [induced_subgraph(ds[i], kept) for i, kept in new]
         sub_preds.update(zip(new, _readouts(hypotheses, subgraphs)[:, :, 0].T))
-        reports.append(report("nodes", mean_tmd(subsamples),
+        reports.append(report(mean_tmd(subsamples),
                               np.column_stack([sub_preds[key] for key in keys]), labels))
     return reports

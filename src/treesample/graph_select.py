@@ -33,24 +33,21 @@ class Selection:
     distance matrix was available (pure random selection).
     """
 
-    method: str
-    seed: int
     indices: list[int]
     tau: list[int]
     objective: float | None
     k = property(lambda self: len(self.indices))
 
     def to_json(self) -> str:
-        return json.dumps({
-            "method": self.method, "k": self.k, "seed": self.seed,
-            "indices": list(self.indices), "tau": list(self.tau),
-            "objective": self.objective,
-        }, sort_keys=True)
+        return json.dumps({"k": self.k, "indices": list(self.indices), "tau": list(self.tau),
+                           "objective": self.objective}, sort_keys=True)
 
 
-def save_selection(sel: Selection, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(sel.to_json() + "\n")
+def _check_k(k, n: int) -> None:
+    if not _is_int(k):
+        raise ConfigError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= n:
+        raise ConfigError(f"k must be in 1..{n}, got {k}")
 
 
 def _check_indices(n: int, indices) -> list[int]:
@@ -99,12 +96,10 @@ def _checked_full(d: DistanceMatrix) -> np.ndarray:
     return full
 
 
-def _selection(method: str, seed: int, full: np.ndarray, idx: list[int]) -> Selection:
+def _selection(full: np.ndarray, idx: list[int]) -> Selection:
     """The selection of sorted medoids ``idx`` on a :func:`_checked_full` matrix."""
     choice, near = _assign(full, idx)
-    return Selection(method, seed, idx,
-                     np.bincount(choice, minlength=len(idx)).tolist(),
-                     float(near.mean()))
+    return Selection(idx, np.bincount(choice, minlength=len(idx)).tolist(), float(near.mean()))
 
 
 def kmedoids(d: DistanceMatrix, k: int, *, trace: list | None = None) -> Selection:
@@ -127,19 +122,17 @@ def kmedoids(d: DistanceMatrix, k: int, *, trace: list | None = None) -> Selecti
 
     Exchanges run until no swap is strictly better: each accepted swap
     strictly lowers the objective of the medoid set, so no set repeats and
-    the search ends.  Fully deterministic, so the selection records seed 0.
-    Pass a list as ``trace`` to collect the objective after BUILD and after
-    each accepted exchange.  ``k = n`` takes every index, and ``tau``
-    follows the usual tie rule.  A row whose sum overflows raises
-    :class:`NumericalOverflowError`.
+    the search ends.  Pass a list as ``trace`` to collect the objective
+    after BUILD and after each accepted exchange.  ``k = n`` takes every
+    index, and ``tau`` follows the usual tie rule.  A row whose sum
+    overflows raises :class:`NumericalOverflowError`.
     """
     n = d.n
-    if not (1 <= k <= n):
-        raise ConfigError(f"k must be in 1..{n}, got {k}")
+    _check_k(k, n)
     # symmetric, so row i equals column i bit for bit; candidates are rows
     full = _checked_full(d)
     if k == n:  # no search: BUILD would take every index, leaving no swap
-        sel = _selection("tmd-medoids", 0, full, list(range(n)))
+        sel = _selection(full, list(range(n)))
         if trace is not None:
             trace.append(sel.objective)
         return sel
@@ -194,7 +187,7 @@ def kmedoids(d: DistanceMatrix, k: int, *, trace: list | None = None) -> Selecti
         if trace is not None:
             trace.append(objective)
 
-    return _selection("tmd-medoids", 0, full, chosen)
+    return _selection(full, chosen)
 
 
 def random_selection(n: int, k: int, seed: int,
@@ -205,17 +198,16 @@ def random_selection(n: int, k: int, seed: int,
     without one the weights are uniform (n // k each, remainder spread over
     the first medoids) and the objective is None.
     """
-    if not (1 <= k <= n):
-        raise ConfigError(f"k must be in 1..{n}, got {k}")
+    _check_k(k, n)
     rng = np.random.default_rng(seed)
     indices = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
     if d is not None:
         if d.n != n:
             raise ConfigError(f"distance matrix is over {d.n} items, not {n}")
-        return _selection("random", seed, _checked_full(d), indices)
+        return _selection(_checked_full(d), indices)
     base, extra = divmod(n, k)
     tau = [base + (1 if j < extra else 0) for j in range(k)]
-    return Selection("random", seed, indices, tau, None)
+    return Selection(indices, tau, None)
 
 
 # ---------------------------------------------------------------------------

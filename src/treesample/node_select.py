@@ -54,12 +54,6 @@ def mean_tmd(subs) -> float:
     return float(total) / max(1, len(subs))
 
 
-def save_subsamples(subs, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in subs:
-            fh.write(s.to_json() + "\n")
-
-
 def _k_bfs_candidates(g: Graph, k: int) -> dict[tuple[int, ...], str]:
     """One BFS ball per node: the deepest ball that still holds <= k nodes.
 

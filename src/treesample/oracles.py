@@ -307,7 +307,7 @@ def brute_force_medoids(d: DistanceMatrix, k: int) -> Selection:
             best_set, best_obj = combo, obj
     idx = list(best_set)
     tau = np.bincount(np.argmin(full[:, idx], axis=1), minlength=k).tolist()
-    return Selection("brute-medoids", 0, idx, tau, best_obj)
+    return Selection(idx, tau, best_obj)
 
 
 def brute_force_select(g: Graph, k: int, cfg: TmdConfig,

@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import Dataset, Graph, make_dataset
+from .graphs import Dataset, Graph, _is_int, make_dataset
 
 _CLUSTER_DIM = 3  # feature width of clustered_dataset
 
@@ -90,6 +90,8 @@ def random_pairs(ds: Dataset, count: int, seed: int) -> list[tuple[int, int]]:
     """Seeded index pairs into ``ds`` (with replacement, distinct within a pair)."""
     if len(ds) < 2:
         raise ConfigError("need at least two graphs to form pairs")
+    if not _is_int(count):
+        raise ConfigError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ConfigError(f"need at least one pair, got {count}")
     rng = np.random.default_rng(seed)

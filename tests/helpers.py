@@ -239,7 +239,7 @@ def reference_kmedoids(d, k, trace=None):
             trace.append(objective)
 
     tau = np.bincount(np.argmin(full[:, chosen], axis=1), minlength=k).tolist()
-    return Selection("tmd-medoids", 0, chosen, tau, medoid_objective(full, chosen))
+    return Selection(chosen, tau, medoid_objective(full, chosen))
 
 
 def _bfs_distances(g, start):
@@ -491,7 +491,7 @@ def reference_stability_report(model, pairs, cfg):
             ratios.append(0.0)
         else:
             ratios.append(float("inf"))
-    return StabilityReport(cfg.weights.spec_string(), ratios)
+    return StabilityReport(ratios)
 
 
 def reference_subsample_dataset(ds, frac, cfg, seed=0):
@@ -526,11 +526,10 @@ def reference_finite_erm_check(ds, labels, hypotheses, *, selection=None,
     if selection is not None:
         idx, full = sorted(selection.indices), distances.full()
         owners = [idx[j] for j in np.argmin(full[:, idx], axis=1)]
-        mode, epsilon = "graphs", medoid_objective(full, idx)
+        epsilon = medoid_objective(full, idx)
         stand_ins = [[p[o] for o in owners] for p in preds_full]
         stand_in_labels = [labels[o] for o in owners]
     else:
-        mode = "nodes"
         epsilon = math.fsum(s.tmd_to_full for s in subsamples) / n
         subgraphs = [induced_subgraph(g, s.kept) for g, s in zip(ds, subsamples)]
         stand_ins = [[reference_gin_forward(h, sg) for sg in subgraphs] for h in hypotheses]
@@ -543,7 +542,7 @@ def reference_finite_erm_check(ds, labels, hypotheses, *, selection=None,
     excess = max(abs(s - f) - r for s, f, r in zip(sub_losses, full_losses, chain_rhs))
     erm = min(range(len(hypotheses)), key=lambda t: (sub_losses[t], t))
     bound_rhs = 2.0 * c * epsilon
-    return ErmReport(mode, full_losses[erm], min_loss_full, bound_rhs, epsilon, excess, erm)
+    return ErmReport(full_losses[erm], min_loss_full, bound_rhs, epsilon, excess, erm)
 
 
 def reference_verify_erm_payload(args, ds, mode):
@@ -569,7 +568,8 @@ def reference_verify_erm_payload(args, ds, mode):
                                                 subsamples=subs)
         reports.append((c.weights.spec_string(), report))
     return {"mode": mode,
-            "reports": [dict(json.loads(r.to_json()), preset=p) for p, r in reports],
+            "reports": [dict(json.loads(r.to_json()), preset=p, mode=mode.removeprefix("erm-"))
+                        for p, r in reports],
             "chain_ok": all(r.chain_ok for _, r in reports),
             "satisfied_any": any(r.satisfied for _, r in reports),
             "passed_any": any(r.chain_ok and r.satisfied for _, r in reports)}

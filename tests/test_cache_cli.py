@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 
 from treesample import (CacheMismatchError, ErmReport, Graph, StabilityReport,
-                        clustered_dataset, load_or_compute, make_dataset,
-                        pairwise_matrix, random_selection, read_matrix,
-                        save_jsonl, write_matrix)
+                        clustered_dataset, const_weights, feature_distance_matrix,
+                        kmedoids, load_or_compute, make_dataset, pairwise_matrix,
+                        random_gin, random_pairs, random_selection, read_matrix,
+                        save_jsonl, stability_sweep, subsample_dataset, synthetic_dataset,
+                        wl_pseudometric_matrix, write_matrix)
 import treesample.cache as cache
-from treesample.cli import main
+from treesample.cli import LAMBDA_SWEEP, main
 
 from helpers import cfg, random_graph, relabelled_pair
 
@@ -389,6 +392,59 @@ def _refuse(*args):
     raise AssertionError("the cache was expected to hold this matrix")
 
 
+def _selection_of(method, ds, k, seed, cached):
+    """The selection ``subsample-graphs --method`` makes at depth 2, from library calls."""
+    if method == "random":
+        dm = pairwise_matrix(ds, cfg(2)) if cached else None
+        return random_selection(len(ds), k, seed, d=dm)
+    dm = {"tmd": lambda: pairwise_matrix(ds, cfg(2)),
+          "wl": lambda: wl_pseudometric_matrix(ds, 2),
+          "feature": lambda: feature_distance_matrix(ds, cfg(2))}[method]()
+    return kmedoids(dm, k)
+
+
+@pytest.mark.parametrize("method, cached", [("tmd", False), ("wl", False), ("feature", False),
+                                            ("random", False), ("random", True)])
+def test_cli_subsample_graphs_labels_the_selection_with_its_flags(tmp_path, ds_path, capsys,
+                                                                 method, cached):
+    sel = _selection_of(method, clustered_dataset(10, 5, seed=0), 3, 7, cached)
+    want = json.dumps({**dataclasses.asdict(sel), "k": sel.k, "method": method, "seed": 7},
+                      sort_keys=True) + "\n"
+    argv = ["subsample-graphs", "--dataset", ds_path, "--k", "3", "--method", method,
+            "--seed", "7", "--depth", "2"]
+    if cached:
+        argv += ["--cache", str(tmp_path / "d.tmdc")]
+    out_path = tmp_path / "sel.json"
+    assert main([*argv, "--json", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == want
+    assert out_path.read_text(encoding="utf-8") == want
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (f"method={method} k=3 indices={sel.indices} "
+                                       f"tau={sel.tau} objective={sel.objective}\n")
+
+
+def test_cli_verify_stability_labels_each_report_with_its_preset(capsys):
+    assert main(["verify", "--mode", "stability", "--synthetic", "8", "--pairs", "6",
+                 "--depth", "2", "--seed", "2", "--json"]) in (0, 4)
+    ds = synthetic_dataset(8, 2)
+    cfgs = [cfg(2, lam) for lam in LAMBDA_SWEEP]
+    found = stability_sweep(random_gin(2, ds.feature_dim, 8, 2), ds.graphs,
+                            random_pairs(ds, 6, 3), cfgs)
+    assert json.loads(capsys.readouterr().out)["reports"] == [
+        dict(json.loads(r.to_json()), preset=c.weights.spec_string())
+        for c, r in zip(cfgs, found)]
+
+
+@pytest.mark.parametrize("mode, flags", [("erm-graphs", ["--k", "5"]), ("erm-nodes", [])])
+def test_cli_verify_erm_labels_each_report_with_its_preset_and_mode(capsys, mode, flags):
+    assert main(["verify", "--mode", mode, "--synthetic", "6", "--depth", "2",
+                 "--hypotheses", "2", *flags, "--json"]) in (0, 4)
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["preset"] for r in reports] == [const_weights(lam).spec_string()
+                                              for lam in LAMBDA_SWEEP]
+    assert [r["mode"] for r in reports] == [mode.removeprefix("erm-")] * len(LAMBDA_SWEEP)
+
+
 def test_cli_subsample_nodes(tmp_path, ds_path, capsys):
     out_path = str(tmp_path / "subs.jsonl")
     code = main(["subsample-nodes", "--dataset", ds_path, "--frac", "0.5",
@@ -397,6 +453,9 @@ def test_cli_subsample_nodes(tmp_path, ds_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["graphs"] == 10
     assert payload["mean_tmd"] > 0.0
+    subs = subsample_dataset(clustered_dataset(10, 5, seed=0), 0.5, cfg(2))
+    assert Path(out_path).read_text(encoding="utf-8") == "".join(
+        s.to_json() + "\n" for s in subs)
     records = [json.loads(line) for line in Path(out_path).read_text().splitlines()]
     assert [r["id"] for r in records] == list(range(10))
     assert math.fsum(r["tmd"] for r in records) / 10 == payload["mean_tmd"]
@@ -431,10 +490,12 @@ def test_cli_verify_stability_smoke(tmp_path, capsys):
 
 def test_cli_verify_preset_failure_still_emits(monkeypatch, tmp_path, capsys):
     # force every sweep preset to report a violation: the report must still be
-    # written and the documented preset-caveat code returned
+    # written and the documented preset-caveat code returned; the third preset
+    # sees the fewest, and the diagnostic names it
     def fake_sweep(model, graphs, pairs, cfgs):
-        return [StabilityReport(preset=c.weights.spec_string(), ratios=[2.0] * len(pairs))
-                for c in cfgs]
+        return [StabilityReport(ratios=[0.5 if (i, j) == (2, 0) else 2.0
+                                        for j in range(len(pairs))])
+                for i, _ in enumerate(cfgs)]
 
     import treesample.cli as cli_mod
     monkeypatch.setattr(cli_mod, "stability_sweep", fake_sweep)
@@ -445,7 +506,10 @@ def test_cli_verify_preset_failure_still_emits(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
     assert payload["passed_any"] is False
-    assert "preset" in captured.err
+    assert [r["preset"] for r in payload["reports"]] == [
+        const_weights(lam).spec_string() for lam in LAMBDA_SWEEP]
+    assert captured.err == ("preset-conditional failure: all presets saw ratio > 1 (best "
+                            "preset const:2.0 still had 2/3 violations, max ratio 2)\n")
     assert os.path.exists(out_path)
 
 
@@ -511,7 +575,7 @@ def _fake_erm_sweep(chain_ok: bool):
     """A finite_erm_sweep stand-in: one unsatisfied report per preset, the
     last preset the closest to the bound and the furthest over the chain."""
     def sweep(ds, labels, hypotheses, **_):
-        return [ErmReport(mode="nodes", loss_full_of_erm=1.0, min_loss_full=0.25,
+        return [ErmReport(loss_full_of_erm=1.0, min_loss_full=0.25,
                           bound_rhs=0.1 * (i + 1), epsilon=0.1,
                           chain_max_excess=0.0 if chain_ok else 0.5 * (i + 1),
                           erm_index=0) for i in range(4)]

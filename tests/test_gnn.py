@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -7,13 +8,13 @@ import numpy as np
 import pytest
 
 import treesample.gnn as gnn
-from treesample import (ConfigError, GinLayer, GinModel, Graph, NumericalOverflowError,
-                        TmdConfig, abs_clipped_loss, clustered_dataset, const_weights,
-                        empty_graph, finite_erm_sweep, gin_forward, identity_gin,
-                        induced_subgraph, kmedoids, layer_lipschitz,
-                        make_dataset, pairwise_matrix,
-                        random_gin, random_pairs, stability_sweep,
-                        subsample_dataset, wl_counterexample_pair)
+from treesample import (ConfigError, ErmReport, GinLayer, GinModel, Graph,
+                        NumericalOverflowError, StabilityReport, TmdConfig, abs_clipped_loss,
+                        clustered_dataset, const_weights, empty_graph, finite_erm_sweep,
+                        gin_forward, identity_gin, induced_subgraph, kmedoids,
+                        layer_lipschitz, make_dataset, pairwise_matrix, random_gin,
+                        random_pairs, stability_sweep, subsample_dataset,
+                        synthetic_dataset, wl_counterexample_pair)
 from treesample.cli import LAMBDA_SWEEP
 
 from helpers import (cfg, random_graph, reference_gin_forward,
@@ -203,13 +204,35 @@ def test_stability_report_zero_pair_and_depth_guard():
     assert stability_sweep(m, [P2], [(0, 0)], []) == []
 
 
+@pytest.mark.parametrize("pair", [(-1, 0), (6, 0), (1.0, 0)])
+def test_stability_sweep_refuses_a_pair_index_outside_the_graphs(monkeypatch, pair):
+    # refused before any forward or distance runs; -1 would wrap to the last graph
+    def unreachable(*args):
+        raise AssertionError("ran before the pair indices were checked")
+
+    monkeypatch.setattr(gnn, "_readouts", unreachable)
+    monkeypatch.setattr(gnn, "_distances", unreachable)
+    ds = synthetic_dataset(6, 0)
+    model = random_gin(0, ds.feature_dim, 4, 2)
+    with pytest.raises(ConfigError, match=rf"^pair indices must be integers in 0\.\.5, "
+                                          rf"got {pair[0]!r}$"):
+        stability_sweep(model, ds.graphs, [(1, 2), pair], [cfg(2)])
+
+
+def test_records_hold_only_what_they_measure():
+    assert [f.name for f in dataclasses.fields(StabilityReport)] == ["ratios"]
+    assert [f.name for f in dataclasses.fields(ErmReport)] == [
+        "loss_full_of_erm", "min_loss_full", "bound_rhs", "epsilon", "chain_max_excess",
+        "erm_index"]
+
+
 def test_stability_counterexample_pair_is_finite():
     m = identity_gin(feature_dim=1)
     [rep] = stability_sweep(m, wl_counterexample_pair(), [(0, 1)], [cfg(2)])
     assert rep.infinite == 0
     assert 0.0 < rep.max_ratio < math.inf
     payload = json.loads(rep.to_json())
-    assert set(payload) == {"max_ratio", "violations", "pairs", "preset"}
+    assert set(payload) == {"max_ratio", "violations", "pairs"}
 
 
 def test_stability_zero_distance_gap_within_rounding_scores_zero(monkeypatch):
@@ -255,7 +278,7 @@ def test_stability_report_matches_one_tmd_per_pair_bit_for_bit():
                 for lam in LAMBDA_SWEEP]
         for got, c in zip(stability_sweep(model, graphs, pairs, cfgs), cfgs, strict=True):
             want = reference_stability_report(model, graph_pairs, c)
-            assert (got.preset, got.pairs) == (want.preset, want.pairs)
+            assert got.pairs == want.pairs
             assert np.array(got.ratios).tobytes() == np.array(want.ratios).tobytes()
             assert np.float64(got.max_ratio).tobytes() == np.float64(want.max_ratio).tobytes()
             assert (got.violations, got.infinite) == (want.violations, want.infinite)
@@ -330,7 +353,6 @@ def test_finite_erm_node_mode_full_fraction_is_exact():
     hyps = [random_gin(s, feature_dim=3, hidden=4, depth=3, eta=1.0)
             for s in range(3)]
     rep = finite_erm_sweep(ds, labels, hyps, subsample_sets=[subs])[0]
-    assert rep.mode == "nodes"
     assert rep.epsilon == 0.0
     assert rep.loss_full_of_erm == rep.min_loss_full
     assert rep.chain_ok
@@ -385,6 +407,5 @@ def test_erm_report_json_fields():
                             [random_gin(0, feature_dim=3, hidden=4, depth=3, eta=1.0)],
                             selections=[(sel, dm)])
     payload = json.loads(rep.to_json())
-    assert {"mode", "loss_full_of_erm", "min_loss_full", "bound_rhs", "epsilon",
-            "M", "satisfied", "chain_ok", "chain_max_excess",
-            "erm_index"} <= set(payload)
+    assert set(payload) == {"loss_full_of_erm", "min_loss_full", "bound_rhs", "epsilon",
+                            "M", "satisfied", "chain_ok", "chain_max_excess", "erm_index"}

@@ -2,15 +2,16 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from treesample import (ConfigError, DatasetError, DistanceMatrix, Graph,
+from treesample import (ConfigError, DatasetError, DistanceMatrix, Graph, Selection,
                         brute_force_medoids, feature_distance_matrix,
                         kmedoids, make_dataset, nearest_medoid,
-                        random_selection, save_selection, wl_distance,
+                        random_selection, wl_distance,
                         wl_counterexample_pair, wl_pseudometric_matrix)
 
 from helpers import (cfg, random_graph, reference_feature_distance_matrix,
@@ -112,7 +113,6 @@ def test_kmedoids_is_deterministic():
     d = random_dm(rng, 8)
     a, b = kmedoids(d, 3), kmedoids(d, 3)
     assert a == b
-    assert a.seed == 0  # nothing is drawn, so the selection records seed 0
 
 
 def seeded_dm(rng, n, kind):
@@ -233,24 +233,22 @@ def test_brute_force_medoids_lexicographic_tie():
     assert brute_force_medoids(d, 2).indices == [0, 1]
 
 
-def test_selection_json_round_trip(tmp_path):
+def test_selection_json_round_trip():
+    # the record holds what it measures; the command line adds its labels
+    assert [f.name for f in dataclasses.fields(Selection)] == ["indices", "tau", "objective"]
     rng = np.random.default_rng(1)
     d = random_dm(rng, 6)
     sel = kmedoids(d, 2)
-    path = tmp_path / "sel.json"
-    save_selection(sel, path)
-    assert path.read_text(encoding="utf-8").splitlines() == [sel.to_json()]
     payload = json.loads(sel.to_json())
-    assert payload["method"] == "tmd-medoids"
-    assert payload["k"] == 2
-    assert len(payload["tau"]) == 2
+    assert payload == {"k": 2, "indices": sel.indices, "tau": sel.tau,
+                       "objective": sel.objective}
+    assert Selection(payload["indices"], payload["tau"], payload["objective"]) == sel
 
 
 def test_random_selection_with_and_without_distances():
     rng = np.random.default_rng(2)
     d = random_dm(rng, 7)
     sel = random_selection(7, 3, seed=5, d=d)
-    assert sel.method == "random"
     assert sel.indices == sorted(sel.indices)
     assert sel.objective == nearest_medoid(d, sel.indices)[1].mean()
     assert random_selection(7, 3, seed=5, d=d).indices == sel.indices
@@ -261,6 +259,27 @@ def test_random_selection_with_and_without_distances():
         random_selection(7, 0, seed=1)
     with pytest.raises(ConfigError, match="^distance matrix is over 7 items, not 6$"):
         random_selection(6, 3, seed=5, d=d)
+
+
+@pytest.mark.parametrize("k", [2.5, True, "2", None])
+def test_a_medoid_count_that_is_not_an_integer_is_refused(k):
+    # 2.5 once raised a bare TypeError, and True ran as k = 1
+    d = random_dm(np.random.default_rng(3), 5)
+    message = rf"^k must be an integer, got {re.escape(repr(k))}$"
+    with pytest.raises(ConfigError, match=message):
+        kmedoids(d, k)
+    with pytest.raises(ConfigError, match=message):
+        random_selection(5, k, 0)
+    with pytest.raises(ConfigError, match=message):
+        random_selection(5, k, 0, d=d)
+
+
+def test_a_numpy_medoid_count_is_an_integer():
+    d = random_dm(np.random.default_rng(3), 5)
+    assert kmedoids(d, np.int64(2)) == kmedoids(d, 2)
+    assert random_selection(5, np.int64(2), 0, d=d) == random_selection(5, 2, 0, d=d)
+    with pytest.raises(ConfigError, match=r"^k must be in 1\.\.5, got 6$"):
+        kmedoids(d, np.int64(6))
 
 
 def test_feature_distance_matrix_hand_checked():

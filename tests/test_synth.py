@@ -72,6 +72,14 @@ def test_random_pairs_distinct_and_seeded():
     assert len(pairs) == 20
     assert pairs == random_pairs(ds, 20, seed=4)
     assert all(a != b and 0 <= a < len(ds) and 0 <= b < len(ds) for a, b in pairs)
+    assert random_pairs(ds, np.int64(20), seed=4) == pairs
+
+
+@pytest.mark.parametrize("count", [2.5, True, "3", None])
+def test_random_pairs_refuses_a_count_that_is_not_an_integer(count):
+    # 2.5 once raised a bare TypeError, and True drew one pair
+    with pytest.raises(ConfigError, match=rf"^count must be an integer, got {count!r}$"):
+        random_pairs(synthetic_dataset(10, seed=0), count, 0)
 
 
 def test_wl_counterexample_shape():
