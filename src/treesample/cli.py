@@ -9,6 +9,7 @@ error, 3 distance-cache mismatch, 4 preset-conditional verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -21,9 +22,9 @@ from .errors import (CacheMismatchError, ConfigError, DatasetError,
                      NumericalOverflowError)
 from .gnn import (finite_erm_sweep, gin_forward, identity_gin, random_gin,
                   stability_sweep)
-from .graph_select import (kmedoids, feature_distance_matrix, random_selection,
-                           wl_distance, wl_pseudometric_matrix)
-from .graphs import load_jsonl, load_tu
+from .graph_select import (kmedoids, feature_distance_matrix, nearest_medoid,
+                           random_selection, wl_distance, wl_pseudometric_matrix)
+from .graphs import induced_subgraph, load_jsonl, load_tu
 from .node_select import mean_tmd, subsample_dataset, subsample_sweep
 from .synth import random_pairs, synthetic_dataset, wl_counterexample_pair
 from .tmd import pairwise_matrix
@@ -300,20 +301,21 @@ def _verify_stability(args, ds) -> tuple[dict, int, str]:
 def _verify_erm(args, ds, mode: str) -> tuple[dict, int, str]:
     if len(ds) == 0:  # before random_gin, which would name the 0 feature width
         raise ConfigError(f"{mode} needs graphs; the dataset is empty")
-    labels = ds.labels()
-    if any(y is None for y in labels):
+    if any(g.label is None for g in ds):
         raise ConfigError(f"{mode} needs labeled graphs")
     hypotheses = [random_gin(args.seed + t, ds.feature_dim, args.hidden, args.depth,
                              eta=args.eta) for t in range(args.hypotheses)]
     cfgs = _sweep_configs(args)
-    if mode == "erm-graphs":
-        # lazy, so the sweep holds at most two presets' distance matrices
-        dms = (pairwise_matrix(ds, cfg) for cfg in cfgs)
-        found = finite_erm_sweep(ds, labels, hypotheses, selections=(
-            (kmedoids(dm, args.k), dm) for dm in dms))
-    else:
-        found = finite_erm_sweep(ds, labels, hypotheses, subsample_sets=subsample_sweep(
-            ds, args.frac, cfgs, seed=args.seed))
+    # one transport plan per preset: epsilon, and each graph's stand-in
+    if mode == "erm-graphs":  # lazy, so the sweep holds at most two presets' matrices
+        plans = ((sel.objective, [ds[j] for j in nearest_medoid(dm, sel.indices)[0]])
+                 for dm in (pairwise_matrix(ds, cfg) for cfg in cfgs)
+                 for sel in [kmedoids(dm, args.k)])
+    else:  # presets that keep the same nodes of a graph share its subgraph
+        subgraph = functools.cache(lambda i, kept: induced_subgraph(ds[i], kept))
+        plans = ((mean_tmd(subs), [subgraph(s.graph_id, s.kept) for s in subs])
+                 for subs in subsample_sweep(ds, args.frac, cfgs, seed=args.seed))
+    found = finite_erm_sweep(ds, hypotheses, plans)
     reports = [(cfg.weights.spec_string(), r) for cfg, r in zip(cfgs, found)]
     payload = {"mode": mode,
                "reports": [_labelled(r, preset=p, mode=mode.removeprefix("erm-"))

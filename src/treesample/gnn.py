@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections.abc import Sized
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +19,7 @@ from scipy.sparse import csr_matrix
 
 from .config import TmdConfig
 from .errors import ConfigError, exact_sums, require_finite
-from .graph_select import nearest_medoid
-from .graphs import Dataset, Graph, _is_int, induced_subgraph
-from .node_select import mean_tmd
+from .graphs import Dataset, Graph, _is_int
 from .tmd import _distances
 
 _ACTIVATIONS = ("relu", "identity")
@@ -160,6 +160,9 @@ def random_gin(seed: int, feature_dim: int, hidden: int, depth: int,
     the scalar readout.  ``depth=1`` is a readout-only model.  Biases are
     zero and all activations are relu.
     """
+    for name, size in (("feature_dim", feature_dim), ("hidden", hidden), ("depth", depth)):
+        if not _is_int(size):
+            raise ConfigError(f"{name} must be an integer, got {size!r}")
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
     if feature_dim < 1:
@@ -217,8 +220,8 @@ def stability_sweep(model: GinModel, graphs: list[Graph], pairs,
     are computed once; each config makes one distance-kernel call.
     A pair at distance 0 has equal computation trees, so its readouts differ
     by rounding only: its ratio is 0.0 if the gap is at most ``_ERM_TOL``
-    times the larger readout norm, and infinite otherwise.  Every pair index
-    must be an integer in ``0..len(graphs) - 1`` (a negative one is refused).
+    times the larger readout norm, and infinite otherwise.  Every pair must be
+    two integers in ``0..len(graphs) - 1`` (a negative one is refused).
     """
     cfgs, pairs = list(cfgs), list(pairs)
     n_mp = len(model.mp_layers)
@@ -226,9 +229,13 @@ def stability_sweep(model: GinModel, graphs: list[Graph], pairs,
         if cfg.depth != n_mp + 1:
             raise ConfigError(
                 f"cfg.depth must be {n_mp + 1} (message-passing layers + 1), got {cfg.depth}")
-    bad = [i for pair in pairs for i in pair if not (_is_int(i) and 0 <= i < len(graphs))]
-    if bad:
-        raise ConfigError(f"pair indices must be integers in 0..{len(graphs) - 1}, got {bad[0]!r}")
+    for pair in pairs:
+        if not (isinstance(pair, Sized) and len(pair) == 2):
+            raise ConfigError(f"a pair must be two graph indices, got {pair!r}")
+        for i in pair:
+            if not (_is_int(i) and 0 <= i < len(graphs)):
+                raise ConfigError(
+                    f"pair indices must be integers in 0..{len(graphs) - 1}, got {i!r}")
     prod = layer_lipschitz(model).product
     used = sorted({i for pair in pairs for i in pair})
     out = dict(zip(used, _readouts([model], [graphs[i] for i in used])[0]))
@@ -294,44 +301,43 @@ def _readouts(models, graphs) -> np.ndarray:
     return require_finite(out, "a GIN readout")
 
 
-def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
-                     subsample_sets=None) -> list[ErmReport]:
+def _labels(graphs, what: str) -> np.ndarray:
+    """The graphs' labels as floats; a graph without one is refused."""
+    for i, g in enumerate(graphs):
+        if g.label is None:
+            raise ConfigError(f"{what} {i} has no label")
+    return np.array([float(g.label) for g in graphs])
+
+
+def finite_erm_sweep(ds: Dataset, hypotheses, plans) -> list[ErmReport]:
     """Minimize subsampled loss over a finite hypothesis set, then compare
     the winner's full-data loss against the best achievable plus ``2 c eps``;
-    one report for each ``(selection, distances)`` pair in ``selections``,
-    or each list in ``subsample_sets``, taken one at a time.
-
-    Graph mode (``selections``): the subsampled loss weights each medoid by
-    its cluster size; ``eps`` is the selection objective.  Node mode
-    (``subsample_sets``): the loss runs on induced subgraphs with the
-    original labels; ``eps`` is the mean per-graph distance to the subgraph.
+    one report for each transport plan ``(eps, stand_ins)``, taken one at a
+    time.  ``stand_ins[i]`` is the graph standing in for ``ds[i]`` (its
+    nearest medoid, or its subgraph), ``eps`` the mean distance between them,
+    and the subsampled loss reads each stand-in's own label.
 
     Every hypothesis is also checked against the transport-plan chain
     ``|subsampled loss - full loss| <= (M / n) * sum_i ||h(G'_i) - h(G_i)||``
-    where ``G'_i`` is the graph standing in for ``G_i`` (its nearest medoid,
-    or its subgraph).  In graph mode that chain is a pure Lipschitz argument
-    only when each graph's nearest medoid carries the same label, which holds
-    for cluster-consistent labelings.
+    where ``G'_i`` is ``stand_ins[i]``.  That chain is a pure Lipschitz
+    argument only when each stand-in carries its graph's label, as a subgraph
+    does, and a nearest medoid does for cluster-consistent labelings.
 
     The full-data readouts, losses and ``c`` are computed once, and each
-    distinct ``(graph index, kept)`` subgraph is built and forwarded once.
+    distinct stand-in is forwarded once: graphs compare by content, so one
+    equal to a dataset graph reads that graph's readout.
     """
     n = len(ds)
     if n == 0:
         raise ConfigError("dataset is empty")
-    if (selections is None) == (subsample_sets is None):
-        raise ConfigError("provide exactly one of selection or subsamples")
-    labels = [float(y) for y in labels]
-    if len(labels) != n:
-        raise ConfigError(f"{len(labels)} labels for {n} graphs")
     hypotheses = list(hypotheses)
     if not hypotheses:
         raise ConfigError("hypothesis set is empty")
     for h in hypotheses:  # as oracles.abs_clipped_loss, which takes one readout
         if h.out_dim != 1:
             raise ConfigError(f"loss needs a scalar readout, got shape {(h.out_dim,)}")
+    labels = _labels(ds, "graph")
     preds_full = _readouts(hypotheses, ds)[:, :, 0]
-    labels = np.array(labels, dtype=np.float64)
 
     def mean_loss(preds, targets):  # oracles.abs_clipped_loss, entry by entry
         with np.errstate(over="ignore"):  # inf, silently, as in Python floats
@@ -355,20 +361,20 @@ def finite_erm_sweep(ds: Dataset, labels, hypotheses, *, selections=None,
         bound_rhs = require_finite(2.0 * c * epsilon, "the ERM bound 2 c eps")
         return ErmReport(full_losses[erm], min_loss_full, bound_rhs, epsilon, excess, erm)
 
-    reports, sub_preds = [], {}
-    for selection, distances in selections or ():
-        if distances is None:
-            raise ConfigError("graph mode needs the distance matrix used for selection")
-        owners, near = nearest_medoid(distances, selection.indices)
-        reports.append(report(float(near.mean()), preds_full[:, owners], labels[owners]))
-    for subsamples in subsample_sets or ():
-        subsamples = list(subsamples)
-        if len(subsamples) != n:
-            raise ConfigError(f"{len(subsamples)} subsamples for {n} graphs")
-        keys = [(i, tuple(s.kept)) for i, s in enumerate(subsamples)]
-        new = [key for key in dict.fromkeys(keys) if key not in sub_preds]
-        subgraphs = [induced_subgraph(ds[i], kept) for i, kept in new]
-        sub_preds.update(zip(new, _readouts(hypotheses, subgraphs)[:, :, 0].T))
-        reports.append(report(mean_tmd(subsamples),
-                              np.column_stack([sub_preds[key] for key in keys]), labels))
+    # graph -> its column of preds; equal dataset graphs share an entry, hence offset
+    column = {g: j for j, g in enumerate(ds)}
+    preds, offset, reports = preds_full, n - len(column), []
+    for epsilon, stand_ins in plans:
+        stand_ins = list(stand_ins)
+        if len(stand_ins) != n:
+            raise ConfigError(f"{len(stand_ins)} stand-ins for {n} graphs")
+        if isinstance(epsilon, bool) or not (isinstance(epsilon, numbers.Real)
+                                             and 0 <= epsilon < math.inf):
+            raise ConfigError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
+        stand_in_labels = _labels(stand_ins, "stand-in")
+        known = len(column)
+        cols = [column.setdefault(g, len(column) + offset) for g in stand_ins]  # one hash each
+        if len(column) > known:  # forward each new distinct stand-in once
+            preds = np.hstack([preds, _readouts(hypotheses, list(column)[known:])[:, :, 0]])
+        reports.append(report(float(epsilon), preds[:, cols], stand_in_labels))
     return reports

@@ -238,6 +238,8 @@ def wl_pseudometric_matrix(ds: Dataset, iterations: int) -> DistanceMatrix:
     ignored); each round relabels it by its label and its neighbours' sorted
     labels.  The counts are integers, so the distance is exact in any column order.
     """
+    if not _is_int(iterations):
+        raise ConfigError(f"iterations must be an integer, got {iterations!r}")
     if iterations < 0:
         raise ConfigError(f"iterations must be >= 0, got {iterations}")
     n = len(ds)

@@ -245,9 +245,6 @@ class Dataset:
     def __iter__(self):
         return iter(self.graphs)
 
-    def labels(self) -> list[int | None]:
-        return [g.label for g in self.graphs]
-
 
 def make_dataset(graphs: list[Graph]) -> Dataset:
     """``Dataset(graphs)``, which checks their shared feature dimension."""

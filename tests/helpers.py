@@ -14,7 +14,8 @@ from treesample import (ConfigError, Dataset, DistanceMatrix, ErmReport, Graph,
                         WeightFn, abs_clipped_loss, build_candidates,
                         const_weights, feature_norms,
                         induced_subgraph, kmedoids, layer_lipschitz,
-                        pairwise_matrix, random_gin, tmd, tree_norm)
+                        nearest_medoid, pairwise_matrix, random_gin, tmd, tree_norm)
+from treesample.node_select import mean_tmd
 from treesample.oracles import _BRUTE_SUBSET_LIMIT, _padded_matching, _permutations
 from treesample.tmd import _cross_distances
 
@@ -508,6 +509,19 @@ def reference_subsample_dataset(ds, frac, cfg, seed=0):
     return out
 
 
+def medoid_plan(ds, selection, distances):
+    """The transport plan ``verify --mode erm-graphs`` builds for a medoid
+    selection: its objective, and each graph's nearest medoid."""
+    owners, _ = nearest_medoid(distances, selection.indices)
+    return selection.objective, [ds[j] for j in owners]
+
+
+def subgraph_plan(ds, subsamples):
+    """The transport plan ``verify --mode erm-nodes`` builds for one
+    subsample list: the mean distance to the subgraphs, and each subgraph."""
+    return mean_tmd(subsamples), [induced_subgraph(ds[s.graph_id], s.kept) for s in subsamples]
+
+
 def reference_finite_erm_check(ds, labels, hypotheses, *, selection=None,
                                subsamples=None, distances=None, clip=10.0):
     """The finite-ERM check of one selection or one subsample list, with one
@@ -552,7 +566,7 @@ def reference_verify_erm_payload(args, ds, mode):
     :func:`reference_finite_erm_check` (the original loop)."""
     from treesample.cli import _sweep_configs
 
-    labels = ds.labels()
+    labels = [g.label for g in ds]
     hypotheses = [random_gin(args.seed + t, ds.feature_dim, args.hidden, args.depth,
                              eta=args.eta) for t in range(args.hypotheses)]
     reports = []

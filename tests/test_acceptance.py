@@ -336,7 +336,7 @@ def test_c10_subsample_loss_chain():
         worst = max(worst, gap - rhs)
         passes += gap <= rhs + 1e-9
 
-    report = finite_erm_sweep(ds, labels, hyps, selections=[(sel, dm)])[0]
+    report = finite_erm_sweep(ds, hyps, [(sel.objective, [ds[j] for j in kappa])])[0]
     ok = passes == 20 and report.chain_ok
     _line(10, "weighted-vs-full loss gap within prediction drift", ok,
           f"{passes}/20 models, max excess {worst:.2e}, "

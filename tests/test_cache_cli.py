@@ -574,7 +574,7 @@ def test_cli_verify_erm_refuses_an_unlabelled_dataset(tmp_path, capsys, mode):
 def _fake_erm_sweep(chain_ok: bool):
     """A finite_erm_sweep stand-in: one unsatisfied report per preset, the
     last preset the closest to the bound and the furthest over the chain."""
-    def sweep(ds, labels, hypotheses, **_):
+    def sweep(ds, hypotheses, plans):
         return [ErmReport(loss_full_of_erm=1.0, min_loss_full=0.25,
                           bound_rhs=0.1 * (i + 1), epsilon=0.1,
                           chain_max_excess=0.0 if chain_ok else 0.5 * (i + 1),

@@ -2,20 +2,24 @@
 quantity, and reports exactly what one pipeline per preset reports."""
 
 import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import treesample.cli as cli
 import treesample.gnn as gnn
 import treesample.node_select as node_select
-from treesample import (ConfigError, DistanceMatrix, GinLayer, GinModel, finite_erm_sweep,
-                        kmedoids, make_dataset, pairwise_matrix, random_gin,
-                        subsample_dataset, subsample_sweep, synthetic_dataset)
+from treesample import (ConfigError, DistanceMatrix, GinLayer, GinModel, Graph,
+                        finite_erm_sweep, induced_subgraph, kmedoids, make_dataset,
+                        pairwise_matrix, random_gin, subsample_dataset, subsample_sweep,
+                        synthetic_dataset)
 from treesample.cli import _sweep_configs, _verify_erm, build_parser
 from treesample.synth import random_graph
 
-from helpers import cfg, reference_finite_erm_check, reference_verify_erm_payload
+from helpers import (cfg, medoid_plan, reference_finite_erm_check,
+                     reference_verify_erm_payload, subgraph_plan)
 
 
 def _nodes_dataset(seed, count=12):
@@ -97,7 +101,8 @@ def test_verify_erm_nodes_does_preset_independent_work_once(monkeypatch):
     hyps = 5
     args = _args("erm-nodes", "--hypotheses", str(hyps), "--frac", "0.5")
     distinct = _distinct_kept(ds, args)
-    calls = Counter()
+    subgraphs = {induced_subgraph(ds[i], kept) for i, kept in distinct}
+    calls, built = Counter(), []
 
     def count(module, name):
         original = getattr(module, name)
@@ -111,14 +116,21 @@ def test_verify_erm_nodes_does_preset_independent_work_once(monkeypatch):
     count(node_select, "select_subsets")
     count(gnn, "layer_lipschitz")
     count(gnn, "_bank_forward")
-    count(gnn, "induced_subgraph")
+    build = cli.induced_subgraph
+
+    def building(g, kept):
+        built.append((ds.graphs.index(g), kept))
+        return build(g, kept)
+    monkeypatch.setattr(cli, "induced_subgraph", building)
     _verify_erm(args, ds, "erm-nodes")
     n = len(ds)
     assert n < len(distinct) < 4 * n
-    # one stacked forward per graph serves every hypothesis
-    assert calls == {"build_candidates": n, "select_subsets": n,
-                     "layer_lipschitz": hyps, "_bank_forward": n + len(distinct),
-                     "induced_subgraph": len(distinct)}
+    assert sorted(built) == sorted(distinct)  # each distinct subgraph built once
+    # one stacked forward per graph serves every hypothesis, and each distinct
+    # stand-in that is no dataset graph is forwarded once
+    assert calls == {"build_candidates": n, "select_subsets": n, "layer_lipschitz": hyps,
+                     "_bank_forward": n + len(subgraphs - set(ds))}
+    assert calls["_bank_forward"] <= n + len(distinct)
 
 
 def test_finite_erm_sweep_densifies_each_distance_matrix_once(monkeypatch):
@@ -133,7 +145,8 @@ def test_finite_erm_sweep_densifies_each_distance_matrix_once(monkeypatch):
         calls[self.weight_preset] += 1
         return full(self)
     monkeypatch.setattr(DistanceMatrix, "full", counting)
-    finite_erm_sweep(ds, ds.labels(), hyps, selections=selections)
+    # the plans' nearest medoids densify each matrix once; the sweep reads none
+    finite_erm_sweep(ds, hyps, (medoid_plan(ds, sel, dm) for sel, dm in selections))
     assert calls == {dm.weight_preset: 1 for dm in dms}
     # verify adds kmedoids' own densification: two per preset in all
     calls.clear()
@@ -144,69 +157,62 @@ def test_finite_erm_sweep_densifies_each_distance_matrix_once(monkeypatch):
 
 def test_finite_erm_sweep_entries_match_finite_erm_check():
     ds = synthetic_dataset(10, 1)
-    labels = ds.labels()
+    labels = [g.label for g in ds]
     hyps = [random_gin(s, ds.feature_dim, 4, 3) for s in range(4)]
     dms = [pairwise_matrix(ds, cfg(3, w)) for w in (0.5, 2.0)]
     selections = [(kmedoids(dm, 3), dm) for dm in dms]
-    got = finite_erm_sweep(ds, labels, hyps, selections=iter(selections))
+    got = finite_erm_sweep(ds, hyps, (medoid_plan(ds, s, dm) for s, dm in selections))
     assert [r.to_json() for r in got] == [
         reference_finite_erm_check(ds, labels, hyps, selection=s, distances=dm).to_json()
         for s, dm in selections]
     subsample_sets = [subsample_dataset(ds, f, cfg(3)) for f in (0.3, 0.6, 1.0)]
-    got = finite_erm_sweep(ds, labels, hyps, subsample_sets=subsample_sets)
+    got = finite_erm_sweep(ds, hyps, [subgraph_plan(ds, s) for s in subsample_sets])
     assert [r.to_json() for r in got] == [
         reference_finite_erm_check(ds, labels, hyps, subsamples=s).to_json()
         for s in subsample_sets]
 
 
 def _erm_error_cases():
+    """(message, ds, hypotheses, plan) for each refusal."""
     ds = synthetic_dataset(6, 0)
-    labels = ds.labels()
-    dm = pairwise_matrix(ds, cfg(2))
-    sel = kmedoids(dm, 2)
-    subs = subsample_dataset(ds, 0.5, cfg(2))
+    epsilon, stand_ins = subgraph_plan(ds, subsample_dataset(ds, 0.5, cfg(2)))
     h = [random_gin(0, ds.feature_dim, 4, 2)]
     wide = GinModel((*h[0].mp_layers, GinLayer(np.ones((4, 2)), np.zeros(2))))
-    inputs = dict(ds=ds, labels=labels, hypotheses=h)
+    unlabeled = [Graph(g.node_count, g.edges, g.features) for g in ds]
+    half = [*stand_ins[:2], unlabeled[2], *stand_ins[3:]]
+    refused = "epsilon must be a finite number >= 0, got "
     return [
-        ("dataset is empty",
-         dict(inputs, ds=make_dataset([]), labels=[]), dict(subsamples=[])),
-        ("provide exactly one of selection or subsamples", inputs, {}),
-        ("provide exactly one of selection or subsamples",
-         inputs, dict(selection=sel, distances=dm, subsamples=subs)),
-        ("graph mode needs the distance matrix used for selection",
-         inputs, dict(selection=sel)),
-        ("5 labels for 6 graphs", dict(inputs, labels=labels[:-1]), dict(subsamples=subs)),
-        ("5 subsamples for 6 graphs", inputs, dict(subsamples=subs[:-1])),
-        ("hypothesis set is empty",
-         dict(inputs, hypotheses=[]), dict(selection=sel, distances=dm)),
-        ("loss needs a scalar readout, got shape (2,)",
-         dict(inputs, hypotheses=[*h, wide]), dict(selection=sel, distances=dm)),
+        ("dataset is empty", make_dataset([]), h, (0.0, [])),
+        ("hypothesis set is empty", ds, [], (epsilon, stand_ins)),
+        ("loss needs a scalar readout, got shape (2,)", ds, [*h, wide], (epsilon, stand_ins)),
+        ("5 stand-ins for 6 graphs", ds, h, (epsilon, stand_ins[:-1])),
+        ("graph 0 has no label", make_dataset(unlabeled), h, (epsilon, unlabeled)),
+        ("stand-in 2 has no label", ds, h, (epsilon, half)),
+        (refused + "-0.5", ds, h, (-0.5, stand_ins)),
+        (refused + "nan", ds, h, (math.nan, stand_ins)),
+        (refused + "inf", ds, h, (math.inf, stand_ins)),
+        (refused + "True", ds, h, (True, stand_ins)),
+        (refused + "'0.1'", ds, h, ("0.1", stand_ins)),
+        (refused + "None", ds, h, (None, stand_ins)),
     ]
 
 
-@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("case", range(12))
 def test_finite_erm_check_and_sweep_keep_their_error_messages(case):
-    message, inputs, mode = _erm_error_cases()[case]
-    args = (inputs["ds"], inputs["labels"], inputs["hypotheses"])
-    selection = mode.get("selection")
-    subsamples = mode.get("subsamples")
+    message, ds, hypotheses, plan = _erm_error_cases()[case]
     with pytest.raises(ConfigError) as sweep_err:
-        finite_erm_sweep(
-            *args,
-            selections=None if selection is None else [(selection, mode.get("distances"))],
-            subsample_sets=None if subsamples is None else [subsamples])
+        finite_erm_sweep(ds, hypotheses, [plan])
     assert str(sweep_err.value) == message
 
 
 def test_finite_erm_sweep_checks_every_entry():
     ds = synthetic_dataset(6, 0)
     dm = pairwise_matrix(ds, cfg(2))
-    sel = kmedoids(dm, 2)
+    plan = medoid_plan(ds, kmedoids(dm, 2), dm)
     subs = subsample_dataset(ds, 0.5, cfg(2))
     h = [random_gin(0, ds.feature_dim, 4, 2)]
-    with pytest.raises(ConfigError, match="graph mode needs the distance matrix"):
-        finite_erm_sweep(ds, ds.labels(), h, selections=[(sel, dm), (sel, None)])
-    with pytest.raises(ConfigError, match="^3 subsamples for 6 graphs$"):
-        finite_erm_sweep(ds, ds.labels(), h, subsample_sets=[subs, subs[:3]])
-    assert finite_erm_sweep(ds, ds.labels(), h, subsample_sets=[]) == []
+    with pytest.raises(ConfigError, match="^epsilon must be a finite number >= 0, got -1.0$"):
+        finite_erm_sweep(ds, h, [plan, (-1.0, plan[1])])
+    with pytest.raises(ConfigError, match="^3 stand-ins for 6 graphs$"):
+        finite_erm_sweep(ds, h, [subgraph_plan(ds, subs), subgraph_plan(ds, subs[:3])])
+    assert finite_erm_sweep(ds, h, []) == []

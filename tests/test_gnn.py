@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -11,14 +12,14 @@ import treesample.gnn as gnn
 from treesample import (ConfigError, ErmReport, GinLayer, GinModel, Graph,
                         NumericalOverflowError, StabilityReport, TmdConfig, abs_clipped_loss,
                         clustered_dataset, const_weights, empty_graph, finite_erm_sweep,
-                        gin_forward, identity_gin, induced_subgraph, kmedoids,
+                        gin_forward, identity_gin, kmedoids,
                         layer_lipschitz, make_dataset, pairwise_matrix, random_gin,
                         random_pairs, stability_sweep, subsample_dataset,
                         synthetic_dataset, wl_counterexample_pair)
 from treesample.cli import LAMBDA_SWEEP
 
-from helpers import (cfg, random_graph, reference_gin_forward,
-                     reference_stability_report, relabelled_pair)
+from helpers import (cfg, medoid_plan, random_graph, reference_gin_forward,
+                     reference_stability_report, relabelled_pair, subgraph_plan)
 
 P2 = Graph(2, [(0, 1)], np.ones((2, 1)))
 
@@ -141,6 +142,20 @@ def test_random_gin_depth_one_is_readout_only():
     assert m.out_dim == 1
 
 
+@pytest.mark.parametrize("sizes, match", [
+    ((3, 8, True), "depth must be an integer, got True"),
+    ((3, 8, 2.5), "depth must be an integer, got 2.5"),
+    ((3, 2.0, 2), "hidden must be an integer, got 2.0"),
+    ((3, None, 1), "hidden must be an integer, got None"),
+    (("3", 8, 2), "feature_dim must be an integer, got '3'"),
+])
+def test_random_gin_refuses_a_size_that_is_not_an_integer(sizes, match):
+    # depth=True built a readout-only model; 2.5 and 2.0 raised a bare TypeError
+    with pytest.raises(ConfigError, match=f"^{re.escape(match)}$"):
+        random_gin(0, *sizes)
+    assert random_gin(0, np.int64(3), np.int64(8), np.int64(2)).out_dim == 1
+
+
 @pytest.mark.parametrize("make, match", [
     (lambda: GinLayer(np.ones((2, 3)), np.zeros(3), "tanh"), "activation must be one of"),
     (lambda: GinLayer(np.ones((2, 3)), np.zeros(2)), r"W\(2, 3\), b\(2,\)"),
@@ -216,6 +231,20 @@ def test_stability_sweep_refuses_a_pair_index_outside_the_graphs(monkeypatch, pa
     model = random_gin(0, ds.feature_dim, 4, 2)
     with pytest.raises(ConfigError, match=rf"^pair indices must be integers in 0\.\.5, "
                                           rf"got {pair[0]!r}$"):
+        stability_sweep(model, ds.graphs, [(1, 2), pair], [cfg(2)])
+
+
+@pytest.mark.parametrize("pair", [(1, 2, 3), (1,), 5])
+def test_stability_sweep_refuses_a_pair_that_is_not_two_indices(monkeypatch, pair):
+    def unreachable(*args):
+        raise AssertionError("ran before the pairs were checked")
+
+    monkeypatch.setattr(gnn, "_readouts", unreachable)
+    monkeypatch.setattr(gnn, "_distances", unreachable)
+    ds = synthetic_dataset(6, 0)
+    model = random_gin(0, ds.feature_dim, 4, 2)
+    with pytest.raises(ConfigError, match=rf"^a pair must be two graph indices, "
+                                          rf"got {re.escape(repr(pair))}$"):
         stability_sweep(model, ds.graphs, [(1, 2), pair], [cfg(2)])
 
 
@@ -318,17 +347,16 @@ def test_abs_clipped_loss():
 
 def _tiny_setup(seed=0, n=12):
     ds = clustered_dataset(n, 3, seed=seed)
-    labels = [float(g.label) for g in ds.graphs]
     c = TmdConfig(depth=3, weights=const_weights(1.0))
     dm = pairwise_matrix(ds, c)
-    return ds, labels, c, dm
+    return ds, c, dm
 
 
 def test_finite_erm_single_hypothesis_is_trivially_satisfied():
-    ds, labels, c, dm = _tiny_setup()
+    ds, c, dm = _tiny_setup()
     sel = kmedoids(dm, 3)
     h = [random_gin(0, feature_dim=3, hidden=4, depth=3, eta=1.0)]
-    rep = finite_erm_sweep(ds, labels, h, selections=[(sel, dm)])[0]
+    rep = finite_erm_sweep(ds, h, [medoid_plan(ds, sel, dm)])[0]
     assert rep.erm_index == 0
     assert rep.loss_full_of_erm == rep.min_loss_full
     assert rep.satisfied
@@ -336,76 +364,93 @@ def test_finite_erm_single_hypothesis_is_trivially_satisfied():
 
 
 def test_finite_erm_epsilon_zero_collapses_bound():
-    ds, labels, c, dm = _tiny_setup()
+    ds, c, dm = _tiny_setup()
     sel = kmedoids(dm, len(ds))  # every graph is its own medoid
     hyps = [random_gin(s, feature_dim=3, hidden=4, depth=3, eta=1.0)
             for s in range(4)]
-    rep = finite_erm_sweep(ds, labels, hyps, selections=[(sel, dm)])[0]
+    rep = finite_erm_sweep(ds, hyps, [medoid_plan(ds, sel, dm)])[0]
     assert rep.epsilon == 0.0
     assert rep.bound_rhs == 0.0
     assert rep.loss_full_of_erm == rep.min_loss_full
     assert rep.chain_max_excess <= 1e-9
 
 
+def test_finite_erm_identity_plan_reproduces_the_full_loss():
+    # each graph stands in for itself: the subsampled loss is the full loss
+    ds, c, dm = _tiny_setup()
+    hyps = [random_gin(s, feature_dim=3, hidden=4, depth=3, eta=1.0) for s in range(5)]
+    copies = [Graph(g.node_count, g.edges, g.features, g.label) for g in ds]
+    for stand_ins in (ds.graphs, copies):
+        rep, = finite_erm_sweep(ds, hyps, [(0, stand_ins)])
+        assert rep.loss_full_of_erm == rep.min_loss_full
+        assert rep.epsilon == 0.0 and rep.bound_rhs == 0.0
+        assert rep.chain_max_excess <= 0.0
+        assert rep.satisfied and rep.chain_ok
+
+
 def test_finite_erm_node_mode_full_fraction_is_exact():
-    ds, labels, c, dm = _tiny_setup()
+    ds, c, dm = _tiny_setup()
     subs = subsample_dataset(ds, 1.0, c)
     hyps = [random_gin(s, feature_dim=3, hidden=4, depth=3, eta=1.0)
             for s in range(3)]
-    rep = finite_erm_sweep(ds, labels, hyps, subsample_sets=[subs])[0]
+    rep = finite_erm_sweep(ds, hyps, [subgraph_plan(ds, subs)])[0]
     assert rep.epsilon == 0.0
     assert rep.loss_full_of_erm == rep.min_loss_full
     assert rep.chain_ok
 
 
-def test_finite_erm_node_mode_builds_each_subgraph_once(monkeypatch):
-    import treesample.gnn as gnn
+def test_finite_erm_forwards_each_distinct_stand_in_once(monkeypatch):
     rng = np.random.default_rng(12)
-    ds = make_dataset([random_graph(rng, n_max=6, n_min=2) for _ in range(5)])
+    ds = make_dataset([Graph(g.node_count, g.edges, g.features, label=i % 2)
+                       for i, g in enumerate(random_graph(rng, n_max=6, n_min=2)
+                                             for _ in range(5))])
     subs = subsample_dataset(ds, 0.5, cfg(2), seed=0)
     hyps = [random_gin(s, ds.feature_dim, 4, 2) for s in range(3)]
-    before = finite_erm_sweep(ds, [0.0] * 5, hyps, subsample_sets=[subs])[0]
-    built = []
+    # a repeated plan, copies of the subgraphs, and the dataset itself
+    plan = subgraph_plan(ds, subs)
+    plans = [plan, subgraph_plan(ds, subs), (0.0, ds.graphs), plan]
+    before = finite_erm_sweep(ds, hyps, plans)
+    forwarded, forward = [], gnn._bank_forward
 
-    def counting(g, nodes):
-        built.append(tuple(nodes))
-        return induced_subgraph(g, nodes)
+    def counting(bank, g):
+        forwarded.append(g)
+        return forward(bank, g)
 
-    monkeypatch.setattr(gnn, "induced_subgraph", counting)
-    after = finite_erm_sweep(ds, [0.0] * 5, hyps, subsample_sets=[subs])[0]
-    assert built == [s.kept for s in subs]
-    assert after.to_json() == before.to_json()
+    monkeypatch.setattr(gnn, "_bank_forward", counting)
+    after = finite_erm_sweep(ds, hyps, plans)
+    new = [g for g in dict.fromkeys(plan[1]) if g not in set(ds)]
+    assert new and forwarded == [*ds, *new]
+    assert [r.to_json() for r in after] == [r.to_json() for r in before]
+    assert after[0].to_json() == after[1].to_json() == after[3].to_json()
 
 
 def test_finite_erm_grows_no_worse_with_more_hypotheses():
-    ds, labels, c, dm = _tiny_setup()
+    ds, c, dm = _tiny_setup()
     sel = kmedoids(dm, 3)
     hyps = [random_gin(s, feature_dim=3, hidden=4, depth=3, eta=1.0)
             for s in range(6)]
     prev = math.inf
     for m in range(1, 7):
-        rep = finite_erm_sweep(ds, labels, hyps[:m], selections=[(sel, dm)])[0]
+        rep = finite_erm_sweep(ds, hyps[:m], [medoid_plan(ds, sel, dm)])[0]
         assert rep.min_loss_full <= prev + 1e-15
         prev = rep.min_loss_full
 
 
 def test_finite_erm_validates_inputs():
-    ds, labels, c, dm = _tiny_setup()
-    sel = kmedoids(dm, 3)
+    ds, c, dm = _tiny_setup()
+    epsilon, stand_ins = medoid_plan(ds, kmedoids(dm, 3), dm)
     with pytest.raises(ConfigError):
-        finite_erm_sweep(ds, labels, [], selections=[(sel, dm)])
+        finite_erm_sweep(ds, [], [(epsilon, stand_ins)])
     with pytest.raises(ConfigError):
-        finite_erm_sweep(ds, labels[:-1],
-                         [random_gin(0, feature_dim=3, hidden=4, depth=3, eta=1.0)],
-                         selections=[(sel, dm)])
+        finite_erm_sweep(ds, [random_gin(0, feature_dim=3, hidden=4, depth=3, eta=1.0)],
+                         [(epsilon, stand_ins[:-1])])
 
 
 def test_erm_report_json_fields():
-    ds, labels, c, dm = _tiny_setup()
+    ds, c, dm = _tiny_setup()
     sel = kmedoids(dm, 3)
-    rep, = finite_erm_sweep(ds, labels,
-                            [random_gin(0, feature_dim=3, hidden=4, depth=3, eta=1.0)],
-                            selections=[(sel, dm)])
+    rep, = finite_erm_sweep(ds, [random_gin(0, feature_dim=3, hidden=4, depth=3, eta=1.0)],
+                            [medoid_plan(ds, sel, dm)])
     payload = json.loads(rep.to_json())
     assert set(payload) == {"loss_full_of_erm", "min_loss_full", "bound_rhs", "epsilon",
                             "M", "satisfied", "chain_ok", "chain_max_excess", "erm_index"}

@@ -357,3 +357,13 @@ def test_wl_matrix_is_symmetric_pseudometric():
     assert dm.metric == "wl"
     with pytest.raises(ConfigError, match="iterations must be >= 0, got -1"):
         wl_pseudometric_matrix(ds, iterations=-1)
+
+
+@pytest.mark.parametrize("iterations", [True, 1.0, 2.5, "2", None])
+def test_wl_matrix_refuses_iterations_that_are_not_an_integer(iterations):
+    # True ran one round and stamped depth=True on the matrix
+    ds = make_dataset([Graph(2, [(0, 1)], np.ones((2, 1))), Graph(1, [], np.ones((1, 1)))])
+    with pytest.raises(ConfigError, match=f"^iterations must be an integer, got "
+                                          f"{re.escape(repr(iterations))}$"):
+        wl_pseudometric_matrix(ds, iterations)
+    assert wl_pseudometric_matrix(ds, np.int64(1)).depth == 1

@@ -347,7 +347,7 @@ def test_load_tu_rejects_graph_id_gap(tmp_path):
 def test_load_tu_reads_integer_labels_and_refuses_fractions(tmp_path, capsys):
     from treesample.cli import main
     d = _write_tu(tmp_path, "LAB", [1, 2, 3], [], labels=["1", "-1", "1.0"])
-    assert load_tu(d, "LAB").labels() == [1, -1, 1]
+    assert [g.label for g in load_tu(d, "LAB")] == [1, -1, 1]
     (d / "LAB_graph_labels.txt").write_text("1\n1.5\n-0.7\n")
     assert main(["treenorm", "--dataset", str(d), "--format", "tu"]) == 2
     assert "LAB_graph_labels.txt:2: bad graph label" in capsys.readouterr().err
