@@ -324,8 +324,8 @@ def finite_erm_sweep(ds: Dataset, hypotheses, plans) -> list[ErmReport]:
     does, and a nearest medoid does for cluster-consistent labelings.
 
     The full-data readouts, losses and ``c`` are computed once, and each
-    distinct stand-in is forwarded once: graphs compare by content, so one
-    equal to a dataset graph reads that graph's readout.
+    distinct stand-in is forwarded once: ``==`` and ``hash`` read one content
+    key, where -0.0 is 0.0, so one equal to a dataset graph reads its readout.
     """
     n = len(ds)
     if n == 0:

@@ -44,7 +44,7 @@ class Graph:
         rows.
     """
 
-    __slots__ = ("_n", "_edges", "_features", "_label", "_csr")
+    __slots__ = ("_n", "_edges", "_features", "_label", "_csr", "_key")
 
     def __init__(self, node_count, edges, features, label=None):
         problems = []
@@ -83,6 +83,9 @@ class Graph:
         self._features.setflags(write=False)
         self._label = None if label is None else int(label)
         self._csr = None
+        # the content key that ==, hash and tmd's pair order read; + 0.0 makes
+        # -0.0 the 0.0 it equals, and the width keeps 0-node graphs apart
+        self._key = (n, len(pairs), self._edges.tobytes(), (feats + 0.0).tobytes(), feats.shape[1])
 
     # read-only, so the cached CSR never goes stale
     node_count = property(lambda self: self._n)
@@ -127,14 +130,10 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.node_count == other.node_count
-                and np.array_equal(self._edges, other._edges)
-                and np.array_equal(self.features, other.features)
-                and self.label == other.label)
+        return self._key == other._key and self.label == other.label
 
     def __hash__(self):
-        return hash((self.node_count, self._edges.tobytes(),
-                     self.features.tobytes(), self.label))
+        return hash((self._key, self.label))
 
     def __repr__(self):
         return (f"Graph(n={self.node_count}, m={self.edge_count}, "
@@ -416,7 +415,9 @@ def load_tu(directory, name: str) -> Dataset:
 
 
 def dataset_fingerprint(ds: Dataset) -> str:
-    """SHA-256 over a canonical byte serialization of the dataset contents."""
+    """SHA-256 over a canonical byte serialization of the dataset contents;
+    raw float64 bytes, not ``Graph._key`` (so -0.0 stays apart from 0.0), so
+    that the caches already written keep hitting."""
     h = hashlib.sha256()
     h.update(f"graphs={len(ds)};dim={ds.feature_dim}".encode())
     for g in ds:

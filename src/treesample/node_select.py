@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,8 +212,8 @@ def subsample_sweep(ds: Dataset, frac: float, cfgs,
     """:func:`subsample_dataset` under each config in ``cfgs``, one list per
     config.  The candidates do not depend on the config, so each graph's
     are built and scored once, by one :func:`select_subsets` call."""
-    if not (0.0 < frac <= 1.0):
-        raise ConfigError(f"frac must be in (0, 1], got {frac}")
+    if isinstance(frac, bool) or not (isinstance(frac, numbers.Real) and 0.0 < frac <= 1.0):
+        raise ConfigError(f"frac must be in (0, 1], got {frac!r}")
     _check_heuristics(heuristics)
     out = [[] for _ in cfgs]
     for i, g in enumerate(ds):

@@ -66,8 +66,8 @@ def clustered_dataset(n_graphs: int = 40, families: int = 5,
     largest within-family distance sits well below the smallest cross-family
     distance at any positive depth weights.
     """
-    if n_graphs < families or families < 1:
-        raise ConfigError(f"need n_graphs >= families >= 1, got {n_graphs}, {families}")
+    if not (_is_int(n_graphs) and _is_int(families) and n_graphs >= families >= 1):
+        raise ConfigError(f"need n_graphs >= families >= 1, got {n_graphs!r}, {families!r}")
     rng = np.random.default_rng(seed)
     backbones = [_family_backbone(f) for f in range(families)]
     directions = [_family_direction(rng, _CLUSTER_DIM) for _ in range(families)]

@@ -227,17 +227,13 @@ def _top_level(table: np.ndarray) -> np.ndarray:
     return table[np.minimum(idx, na)[:, None], np.minimum(idx, nb)[None, :]]
 
 
-def _order_key(g: Graph) -> tuple:
-    """Total order on graphs that :func:`_distances` puts each pair in."""
-    return (g.node_count, g.edge_count, g._edges.tobytes(), g.features.tobytes())
-
-
 def _distances(graphs: list[Graph], index_pairs: Iterable[tuple[int, int]],
                cfg: TmdConfig) -> Iterator[float]:
     """Tree mover's distance of each pair (i, j) of ``graphs``; every distance
     is computed here.
 
-    Each pair is put in :func:`_order_key` order first, because on tied costs
+    Each pair is put in the order of its graphs' content keys (``Graph._key``,
+    which ``==`` and ``hash`` read) first, because on tied costs
     ``linear_sum_assignment`` may pick another near-tie assignment on the
     transposed matrices, whose exact sum differs in the last bit.  The pairs
     run in consecutive chunks whose extended tables hold about
@@ -246,7 +242,7 @@ def _distances(graphs: list[Graph], index_pairs: Iterable[tuple[int, int]],
     top-level matching is one more ``_solve_lsap`` block per pair, whatever
     its size.
     """
-    keys = [_order_key(g) for g in graphs]
+    keys = [g._key for g in graphs]
     sizes = [g.node_count for g in graphs]
 
     def chunks() -> Iterator[list[tuple[int, int]]]:

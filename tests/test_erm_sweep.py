@@ -3,6 +3,7 @@ quantity, and reports exactly what one pipeline per preset reports."""
 
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -94,6 +95,11 @@ def test_subsample_sweep_matches_subsample_dataset_per_config():
     assert subsample_sweep(ds, 0.4, [], seed=7) == []
     with pytest.raises(ConfigError, match="frac must be in"):
         subsample_sweep(ds, 1.5, cfgs)
+    # True ran as 1.0, and a string or None raised a bare TypeError
+    for frac in (True, "0.5", None):
+        with pytest.raises(ConfigError, match=re.escape(f"frac must be in (0, 1], got {frac!r}")):
+            subsample_sweep(ds, frac, cfgs)
+    assert subsample_sweep(ds, np.float64(0.4), cfgs, ("bfs", "kcore"), seed=7) == got
 
 
 def test_verify_erm_nodes_does_preset_independent_work_once(monkeypatch):
@@ -216,3 +222,25 @@ def test_finite_erm_sweep_checks_every_entry():
     with pytest.raises(ConfigError, match="^3 stand-ins for 6 graphs$"):
         finite_erm_sweep(ds, h, [subgraph_plan(ds, subs), subgraph_plan(ds, subs[:3])])
     assert finite_erm_sweep(ds, h, []) == []
+
+
+def test_finite_erm_sweep_forwards_no_signed_zero_twin_of_a_dataset_graph(monkeypatch):
+    # the twin equals ds[0] (0.0 == -0.0), so it hashes equal and reads
+    # ds[0]'s full-data readout
+    ds = make_dataset([Graph(3, [(0, 1), (1, 2)], [[0.0, 1.0, 0.0], [1.0, 2.0, 0.5],
+                                                   [0.0, 0.0, 0.0]], label=0),
+                       Graph(2, [(0, 1)], [[1.0, 0.0, 2.0], [0.5, 1.5, 1.0]], label=1)])
+    f = ds[0].features
+    twin = Graph(3, ds[0].edges, np.where(f == 0.0, -0.0, f), label=0)
+    assert twin == ds[0] and twin is not ds[0]
+    hyps = [random_gin(s, ds.feature_dim, 4, 2) for s in range(2)]
+    calls = Counter()
+    forward = gnn._bank_forward
+
+    def counting(bank, g):
+        calls[g is twin] += 1
+        return forward(bank, g)
+    monkeypatch.setattr(gnn, "_bank_forward", counting)
+    [got] = finite_erm_sweep(ds, hyps, [(0.1, [twin, ds[1]])])
+    assert calls == {False: len(ds)}  # one stacked forward per dataset graph
+    assert got == finite_erm_sweep(ds, hyps, [(0.1, list(ds))])[0]

@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from treesample import (Dataset, DatasetError, Graph, computation_tree, blank_tree,
                         dataset_fingerprint, empty_graph, induced_subgraph,
-                        load_jsonl, load_tu, make_dataset, save_jsonl)
+                        load_jsonl, load_tu, make_dataset, save_jsonl, tmd)
 
 from treesample.graphs import _simple_edges
 
-from helpers import (random_graph, reference_dataset_fingerprint,
+from helpers import (cfg, random_graph, reference_dataset_fingerprint,
                      reference_simple_edges)
 
 
@@ -159,6 +159,49 @@ def test_graph_equality_and_hash():
     c = Graph(2, [(0, 1)], [[1.0], [2.5]], label=1)
     assert a == b and hash(a) == hash(b)
     assert a != c
+    # signed zeros are one value, as np.array_equal reads them
+    zero, negative_zero = Graph(1, [], [[0.0]]), Graph(1, [], [[-0.0]])
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+    assert len({zero, negative_zero}) == 1
+    # a 0-node graph has no row, so only its width tells two of them apart
+    assert empty_graph(1) != empty_graph(2)
+    assert Graph(1, [], [[0.0]], label=0) != zero
+
+
+def _signed_zero_twin(g):
+    """``g`` with the sign of every zero feature flipped."""
+    f = g.features
+    return Graph(g.node_count, g.edges, np.where(f == 0.0, -f, f), g.label)
+
+
+@st.composite
+def _small_graphs(draw):
+    """Graphs of 0-2 nodes and widths 1-2 over the features 0.0, -0.0 and
+    1.0, labelled None, 0 or 1, so that two draws are often equal."""
+    n, width = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    feats = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0]),
+                          min_size=n * width, max_size=n * width))
+    edges = [(0, 1)] if n == 2 and draw(st.booleans()) else []
+    return Graph(n, edges, np.reshape(feats, (n, width)),
+                 draw(st.sampled_from([None, 0, 1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_graphs(), _small_graphs())
+def test_equality_hash_and_pair_order_read_one_content_key(a, b):
+    same = a._key == b._key and a.label == b.label
+    assert (a == b) == same and (a != b) == (not same)
+    # the key's equality is content equality: np.array_equal takes 0.0 for
+    # -0.0, and the width separates graphs without nodes
+    assert same == (a.node_count == b.node_count and a.edges == b.edges
+                    and a.feature_dim == b.feature_dim
+                    and np.array_equal(a.features, b.features) and a.label == b.label)
+    if a == b:
+        assert hash(a) == hash(b) and len({a, b}) == 1
+    twin = _signed_zero_twin(a)
+    assert twin == a and hash(twin) == hash(a) and len({a, twin}) == 1
+    c = cfg(2)
+    assert tmd(a, twin, c) == tmd(twin, a, c) == 0.0
 
 
 def test_graph_is_unequal_to_other_types_and_reprs_its_sizes():
@@ -432,6 +475,16 @@ def test_fingerprint_hashes_the_edge_list_bytes():
     for trial in range(10):
         graphs = [random_graph(rng, n_max=7, n_min=0, p=float(rng.uniform(0, 0.8)))
                   for _ in range(5)]
-        graphs += [empty_graph(2), Graph(3, [], np.ones((3, 2)), label=trial)]
+        graphs += [empty_graph(2), Graph(3, [], np.ones((3, 2)), label=trial),
+                   Graph(2, [(0, 1)], [[-0.0, 1.0], [0.0, -0.0]])]
         ds = make_dataset(graphs)
         assert dataset_fingerprint(ds) == reference_dataset_fingerprint(ds)
+    # the raw float64 bytes, not the Graph content key: a -0.0 feature keeps
+    # its own fingerprint although its graph equals its +0.0 twin
+    ds = make_dataset([Graph(2, [(0, 1)], [[-0.0, 1.5], [0.0, -2.0]], label=1),
+                       empty_graph(2)])
+    twin = make_dataset([_signed_zero_twin(g) for g in ds])
+    assert ds.graphs == twin.graphs
+    assert dataset_fingerprint(ds) == (
+        "0935a3ca3c93ca8cfbbd16f2c843fc39551266661b672d0581f2173ebd651077")
+    assert dataset_fingerprint(twin) != dataset_fingerprint(ds)

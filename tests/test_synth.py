@@ -47,6 +47,12 @@ def test_clustered_dataset_validates_args():
         clustered_dataset(3, 5, seed=0)
     with pytest.raises(ConfigError):
         clustered_dataset(10, 0, seed=0)
+    # True ran as 1 (a 1-graph dataset), and 2.5 raised a bare TypeError
+    for make, args in ((synthetic_dataset, (True, 0)), (clustered_dataset, (2.5, 1)),
+                       (clustered_dataset, (4, True)), (clustered_dataset, ("4", 2))):
+        with pytest.raises(ConfigError, match="^need n_graphs >= families >= 1, got "):
+            make(*args)
+    assert len(clustered_dataset(np.int64(4), np.int64(2))) == 4
 
 
 def test_clusters_are_pure_under_medoid_assignment():
