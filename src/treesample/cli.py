@@ -19,7 +19,7 @@ import sys
 from .cache import load_or_compute
 from .config import TmdConfig, const_weights, parse_weights
 from .errors import (CacheMismatchError, ConfigError, DatasetError,
-                     NumericalOverflowError)
+                     NumericalOverflowError, _require_int)
 from .gnn import (finite_erm_sweep, gin_forward, identity_gin, random_gin,
                   stability_sweep)
 from .graph_select import (kmedoids, feature_distance_matrix, nearest_medoid,
@@ -46,12 +46,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_from(low: int):
-    """argparse type for an int >= ``low``."""
+    """argparse type for an int >= ``low``; the gate gets no name, argparse names the flag."""
     def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
+        try:
+            return _require_int(int(text), "", low, None)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
     parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
     return parse
 

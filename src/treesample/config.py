@@ -12,8 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
-from .graphs import _is_int
+from .errors import ConfigError, _require_int
 
 _NORMS = ("l1", "l2")
 
@@ -101,9 +100,7 @@ class TmdConfig:
     feature_norm: str = "l2"
 
     def __post_init__(self):
-        if not _is_int(self.depth) or self.depth < 1:
-            raise ConfigError(f"depth must be an integer >= 1, got {self.depth!r}")
-        object.__setattr__(self, "depth", int(self.depth))
+        object.__setattr__(self, "depth", _require_int(self.depth, "depth", 1, None))
         if self.feature_norm not in _NORMS:
             raise ConfigError(f"feature_norm must be one of {_NORMS}, got {self.feature_norm!r}")
         if not isinstance(self.weights, WeightFn):

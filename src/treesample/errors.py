@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the one overflow rule:
-every exact sum is taken by :func:`exact_sums`, and every value that must be
-finite is checked by :func:`require_finite`."""
+"""Exception types shared across the package, and one rule each for overflow
+and integers: :func:`exact_sums` takes every exact sum, :func:`require_finite`
+and :func:`_require_int` check every value that must be finite or an integer."""
 
 import math
 
@@ -51,3 +51,25 @@ def require_finite(values, what: str):
     if not np.isfinite(values).all():
         raise _overflow(what)
     return values
+
+
+def _is_int(x) -> bool:
+    """A Python or numpy integer (``bool`` is neither)."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
+def _require_int(value, name: str, low: int, high: int | None) -> int:
+    """``value`` as an ``int`` if it is an integer in ``low..high`` (no upper
+    end for ``None``); otherwise :class:`ConfigError` naming ``name``."""
+    if not _is_int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if high is None and value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ConfigError(f"{name} must be in {low}..{high}, got {value}")
+    return int(value)
+
+
+def _seeded_rng(seed) -> np.random.Generator:
+    """The package's one way to make a generator: ``seed`` is an integer >= 0."""
+    return np.random.default_rng(_require_int(seed, "seed", 0, None))

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .config import TmdConfig
-from .errors import ConfigError, exact_sums, require_finite
-from .graphs import Dataset, Graph, _is_int
+from .errors import ConfigError, _require_int, _seeded_rng, exact_sums, require_finite
+from .graphs import Dataset, Graph
 from .tmd import _distances
 
 _ACTIVATIONS = ("relu", "identity")
@@ -54,6 +54,9 @@ class GinModel:
     def __post_init__(self):
         if len(self.layers) < 1:
             raise ConfigError("a model needs at least a readout layer")
+        if isinstance(self.eta, bool) or not (isinstance(self.eta, numbers.Real)
+                                              and -math.inf < self.eta < math.inf):
+            raise ConfigError(f"eta must be a finite real number, got {self.eta!r}")
 
     @property
     def mp_layers(self) -> tuple[GinLayer, ...]:
@@ -122,8 +125,7 @@ class LipschitzProfile:
 def _spectral_norm(w: np.ndarray):
     if w.size == 0:
         return 0.0, True
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(w.shape[0])
+    x = _seeded_rng(0).standard_normal(w.shape[0])
     x /= np.linalg.norm(x)
     sigma = 0.0
     for _ in range(_POWER_ITERS):
@@ -157,19 +159,13 @@ def random_gin(seed: int, feature_dim: int, hidden: int, depth: int,
     """Seeded Gaussian model with every layer scaled to unit spectral norm.
 
     ``depth`` counts all layers: ``depth - 1`` message-passing layers plus
-    the scalar readout.  ``depth=1`` is a readout-only model.  Biases are
-    zero and all activations are relu.
+    the scalar readout.  ``depth=1`` is a readout-only model (``hidden`` may
+    be 0).  ``seed`` is an integer >= 0.  Biases are zero, activations relu.
     """
-    for name, size in (("feature_dim", feature_dim), ("hidden", hidden), ("depth", depth)):
-        if not _is_int(size):
-            raise ConfigError(f"{name} must be an integer, got {size!r}")
-    if depth < 1:
-        raise ConfigError(f"depth must be >= 1, got {depth}")
-    if feature_dim < 1:
-        raise ConfigError(f"feature_dim must be >= 1, got {feature_dim}")
-    if depth > 1 and hidden < 1:
-        raise ConfigError(f"hidden must be >= 1 when depth > 1, got {hidden}")
-    rng = np.random.default_rng(seed)
+    feature_dim = _require_int(feature_dim, "feature_dim", 1, None)
+    depth = _require_int(depth, "depth", 1, None)
+    hidden = _require_int(hidden, "hidden", 1 if depth > 1 else 0, None)
+    rng = _seeded_rng(seed)
     dims = [feature_dim] + [hidden] * (depth - 1) + [1]
     layers = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
@@ -184,8 +180,8 @@ def random_gin(seed: int, feature_dim: int, hidden: int, depth: int,
 def identity_gin(feature_dim: int = 1, eta: float = 1.0) -> GinModel:
     """Identity-weight, identity-activation model with one message-passing
     layer before the readout (used as a separator probe)."""
-    eye = np.eye(feature_dim)
-    layer = GinLayer(eye, np.zeros(feature_dim), "identity")
+    eye = np.eye(_require_int(feature_dim, "feature_dim", 1, None))
+    layer = GinLayer(eye, np.zeros(len(eye)), "identity")
     return GinModel((layer, layer), eta=eta)
 
 
@@ -233,9 +229,7 @@ def stability_sweep(model: GinModel, graphs: list[Graph], pairs,
         if not (isinstance(pair, Sized) and len(pair) == 2):
             raise ConfigError(f"a pair must be two graph indices, got {pair!r}")
         for i in pair:
-            if not (_is_int(i) and 0 <= i < len(graphs)):
-                raise ConfigError(
-                    f"pair indices must be integers in 0..{len(graphs) - 1}, got {i!r}")
+            _require_int(i, "pair index", 0, len(graphs) - 1)
     prod = layer_lipschitz(model).product
     used = sorted({i for pair in pairs for i in pair})
     out = dict(zip(used, _readouts([model], [graphs[i] for i in used])[0]))

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .config import TmdConfig
-from .errors import ConfigError, require_finite
-from .graphs import Dataset, Graph, _is_int, make_dataset
+from .errors import ConfigError, _require_int, _seeded_rng, require_finite
+from .graphs import Dataset, Graph, make_dataset
 from .tmd import DistanceMatrix
 from .treenorm import feature_norms
 
@@ -43,27 +43,6 @@ class Selection:
                            "objective": self.objective}, sort_keys=True)
 
 
-def _check_k(k, n: int) -> None:
-    if not _is_int(k):
-        raise ConfigError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= n:
-        raise ConfigError(f"k must be in 1..{n}, got {k}")
-
-
-def _check_indices(n: int, indices) -> list[int]:
-    idx = list(indices)
-    if not all(_is_int(i) for i in idx):
-        raise ConfigError(f"medoid indices must be integers: {idx}")
-    idx = sorted(map(int, idx))
-    if len(idx) == 0:
-        raise ConfigError("medoid index set must be non-empty")
-    if len(set(idx)) != len(idx):
-        raise ConfigError(f"duplicate medoid indices: {idx}")
-    if idx[0] < 0 or idx[-1] >= n:
-        raise ConfigError(f"medoid index outside 0..{n - 1}: {idx}")
-    return idx
-
-
 def _assign(full: np.ndarray, idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Position in ``idx`` of each graph's nearest medoid, and its distance.
 
@@ -81,7 +60,11 @@ def nearest_medoid(d: DistanceMatrix, indices) -> tuple[np.ndarray, np.ndarray]:
     Ties resolve to the smallest medoid index.  The mean of the distances is
     the selection objective, and counting the owners gives ``Selection.tau``.
     """
-    idx = _check_indices(d.n, indices)
+    idx = sorted(_require_int(i, "medoid index", 0, d.n - 1) for i in indices)
+    if not idx:
+        raise ConfigError("medoid index set must be non-empty")
+    if len(set(idx)) != len(idx):
+        raise ConfigError(f"duplicate medoid indices: {idx}")
     choice, near = _assign(d.full(), idx)
     return np.asarray(idx, dtype=np.int64)[choice], near
 
@@ -128,7 +111,7 @@ def kmedoids(d: DistanceMatrix, k: int, *, trace: list | None = None) -> Selecti
     overflows raises :class:`NumericalOverflowError`.
     """
     n = d.n
-    _check_k(k, n)
+    k = _require_int(k, "k", 1, n)
     # symmetric, so row i equals column i bit for bit; candidates are rows
     full = _checked_full(d)
     if k == n:  # no search: BUILD would take every index, leaving no swap
@@ -196,10 +179,11 @@ def random_selection(n: int, k: int, seed: int,
 
     With a distance matrix the weights and objective are computed against it;
     without one the weights are uniform (n // k each, remainder spread over
-    the first medoids) and the objective is None.
+    the first medoids) and the objective is None.  ``seed`` is an integer >= 0.
     """
-    _check_k(k, n)
-    rng = np.random.default_rng(seed)
+    n = _require_int(n, "n", 0, None)
+    k = _require_int(k, "k", 1, n)
+    rng = _seeded_rng(seed)
     indices = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
     if d is not None:
         if d.n != n:
@@ -238,10 +222,7 @@ def wl_pseudometric_matrix(ds: Dataset, iterations: int) -> DistanceMatrix:
     ignored); each round relabels it by its label and its neighbours' sorted
     labels.  The counts are integers, so the distance is exact in any column order.
     """
-    if not _is_int(iterations):
-        raise ConfigError(f"iterations must be an integer, got {iterations!r}")
-    if iterations < 0:
-        raise ConfigError(f"iterations must be >= 0, got {iterations}")
+    iterations = _require_int(iterations, "iterations", 0, None)
     n = len(ds)
     sizes = [g.node_count for g in ds]
     graph_of = np.repeat(np.arange(n, dtype=np.int64), sizes)

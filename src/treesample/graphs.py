@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, _is_int, _require_int
 
 
 class Graph:
@@ -140,11 +140,6 @@ class Graph:
                 f"p={self.feature_dim}, label={self.label})")
 
 
-def _is_int(x) -> bool:
-    """A Python or numpy integer (``bool`` is neither)."""
-    return type(x) is int or isinstance(x, np.integer)
-
-
 def _node_array(nodes, n: int, where: str) -> np.ndarray:
     """``nodes`` as an int64 array, the one check of node indices: the first
     node that is not an integer (Python or numpy; not bool, float or str,
@@ -203,7 +198,7 @@ def _simple_edges(edges, n, problems: list) -> list[tuple[int, int]]:
 
 def empty_graph(feature_dim: int = 1) -> Graph:
     """Graph with no nodes (used as the reference point for tree norms)."""
-    return Graph(0, [], np.zeros((0, max(1, feature_dim))))
+    return Graph(0, [], np.zeros((0, _require_int(feature_dim, "feature_dim", 1, None))))
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:

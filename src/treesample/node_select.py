@@ -20,8 +20,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .config import TmdConfig
-from .errors import ConfigError, exact_sums, require_finite
-from .graphs import Dataset, Graph, _is_int
+from .errors import ConfigError, _require_int, _seeded_rng, exact_sums, require_finite
+from .graphs import Dataset, Graph
 from .treenorm import subset_tree_norm_sweep
 
 # roots per shortest_path call in _k_bfs_candidates, which bounds its memory
@@ -83,8 +83,8 @@ def _k_bfs_candidates(g: Graph, k: int) -> dict[tuple[int, ...], str]:
     return cands
 
 
-def _rw_candidate(g: Graph, k: int, seed: int) -> tuple[int, ...]:
-    """Distinct nodes visited by a restarting random walk.
+def _rw_candidate(g: Graph, k: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Distinct nodes visited by a restarting random walk drawn from ``rng``.
 
     Starts at the highest-degree node (ties: smallest index), restarts with
     probability 0.15, and stops after ``min(k, n)`` distinct nodes or
@@ -97,7 +97,6 @@ def _rw_candidate(g: Graph, k: int, seed: int) -> tuple[int, ...]:
     target = min(k, n)
     start = int(np.argmax(g.degrees()))
     indptr, indices = g.csr()
-    rng = np.random.default_rng(seed)
     visited = {start}
     cur = start
     steps = 0
@@ -157,6 +156,7 @@ def select_subsets(g: Graph, candidates: dict, cfgs,
     :func:`build_candidates`.  One
     :func:`~treesample.treenorm.subset_tree_norm_sweep` scores ``g`` itself
     and every candidate under every config, building no subgraph."""
+    graph_id = _require_int(graph_id, "graph_id", 0, None)
     if not candidates:
         raise ConfigError("candidate set is empty")
     subsets, tags = list(candidates), list(candidates.values())
@@ -182,13 +182,14 @@ def build_candidates(g: Graph, k: int, seed: int,
                      heuristics=("bfs", "rw", "kcore")) -> dict[tuple[int, ...], str]:
     """Union of candidate subsets from the enabled heuristics, as a dict from
     each sorted node tuple to the tag of the first heuristic that produced it.
-    ``k`` and ``heuristics`` are checked here, for all three heuristics."""
-    if not (_is_int(k) and k >= 1):
-        raise ConfigError(f"k must be an integer >= 1, got {k!r}")
+    ``k``, ``seed`` (an integer >= 0, which seeds the random walk) and
+    ``heuristics`` are checked here, for all three heuristics."""
+    k = _require_int(k, "k", 1, None)
+    rng = _seeded_rng(seed)
     _check_heuristics(heuristics)
     cands = _k_bfs_candidates(g, k) if "bfs" in heuristics else {}
     if "rw" in heuristics:
-        cands.setdefault(_rw_candidate(g, k, seed), "rw")
+        cands.setdefault(_rw_candidate(g, k, rng), "rw")
     if "kcore" in heuristics:
         cands.setdefault(_kcore_candidate(g, k), "kcore")
     return cands
@@ -201,7 +202,7 @@ def subsample_dataset(ds: Dataset, frac: float, cfg: TmdConfig,
 
     Per graph, ``k = max(1, round(frac * n))`` (half-up rounding, capped at
     n); the walk seed is derived per graph so results are independent of
-    dataset order.
+    dataset order.  ``seed`` is an integer >= 0.
     """
     return subsample_sweep(ds, frac, [cfg], heuristics, seed)[0]
 
@@ -214,6 +215,7 @@ def subsample_sweep(ds: Dataset, frac: float, cfgs,
     are built and scored once, by one :func:`select_subsets` call."""
     if isinstance(frac, bool) or not (isinstance(frac, numbers.Real) and 0.0 < frac <= 1.0):
         raise ConfigError(f"frac must be in (0, 1], got {frac!r}")
+    seed = _require_int(seed, "seed", 0, None)
     _check_heuristics(heuristics)
     out = [[] for _ in cfgs]
     for i, g in enumerate(ds):

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .config import TmdConfig
-from .errors import ConfigError, DatasetError, ScaleLimitError
+from .errors import ConfigError, DatasetError, ScaleLimitError, _require_int
 from .graph_select import Selection
 from .graphs import Graph, _node_array, empty_graph
 from .node_select import NodeSubsample
@@ -173,8 +173,7 @@ def computation_tree(g: Graph, v: int, depth: int) -> RootedTree:
     neighbor order.
     """
     _node_array((v,), g.node_count, "computation_tree")
-    if depth < 1:
-        raise DatasetError(f"computation_tree: depth must be >= 1, got {depth}")
+    depth = _require_int(depth, "depth", 1, None)
     rows = [v]
     parents = [-1]
     frontier = [(0, v)]
@@ -295,8 +294,7 @@ def brute_force_medoids(d: DistanceMatrix, k: int) -> Selection:
     Ties resolve to the lexicographically smallest index set.
     """
     n = d.n
-    if not (1 <= k <= n):
-        raise ConfigError(f"k must be in 1..{n}, got {k}")
+    k = _require_int(k, "k", 1, n)
     if math.comb(n, k) > 1_000_000:
         raise ConfigError(f"C({n},{k}) exceeds the enumeration limit")
     full = d.full()
@@ -321,8 +319,8 @@ def brute_force_select(g: Graph, k: int, cfg: TmdConfig,
     subgraph is built and only the C(n, k) values are kept.
     """
     n = g.node_count
-    if not (1 <= k <= n):
-        raise ConfigError(f"k must be in 1..{n}, got {k}")
+    k = _require_int(k, "k", 1, n)
+    graph_id = _require_int(graph_id, "graph_id", 0, None)
     if math.comb(n, k) > _BRUTE_SUBSET_LIMIT:
         raise ScaleLimitError(f"C({n},{k}) exceeds the enumeration limit")
     full = tree_norm(g, cfg)

@@ -17,8 +17,8 @@ import itertools
 
 import numpy as np
 
-from .errors import ConfigError
-from .graphs import Dataset, Graph, _is_int, make_dataset
+from .errors import ConfigError, _require_int, _seeded_rng
+from .graphs import Dataset, Graph, make_dataset
 
 _CLUSTER_DIM = 3  # feature width of clustered_dataset
 
@@ -26,9 +26,10 @@ _CLUSTER_DIM = 3  # feature width of clustered_dataset
 def random_graph(rng: np.random.Generator, n: int, p: float,
                  feature_dim: int = 2, label=None) -> Graph:
     """One G(n, p) draw with standard normal features."""
+    n = _require_int(n, "n", 0, None)
     drawn = rng.random(n * (n - 1) // 2) < p
     edges = list(itertools.compress(itertools.combinations(range(n), 2), drawn))
-    feats = rng.standard_normal((n, feature_dim))
+    feats = rng.standard_normal((n, _require_int(feature_dim, "feature_dim", 1, None)))
     return Graph(n, edges, feats, label=label)
 
 
@@ -64,11 +65,11 @@ def clustered_dataset(n_graphs: int = 40, families: int = 5,
     unit feature direction, and a feature magnitude ``2 (f + 1)``.  Members
     differ only by absolute noise of scale 0.03 on the node features, so the
     largest within-family distance sits well below the smallest cross-family
-    distance at any positive depth weights.
+    distance at any positive depth weights.  ``seed`` is an integer >= 0.
     """
-    if not (_is_int(n_graphs) and _is_int(families) and n_graphs >= families >= 1):
-        raise ConfigError(f"need n_graphs >= families >= 1, got {n_graphs!r}, {families!r}")
-    rng = np.random.default_rng(seed)
+    families = _require_int(families, "families", 1, None)
+    n_graphs = _require_int(n_graphs, "n_graphs", families, None)
+    rng = _seeded_rng(seed)
     backbones = [_family_backbone(f) for f in range(families)]
     directions = [_family_direction(rng, _CLUSTER_DIM) for _ in range(families)]
     graphs = []
@@ -82,19 +83,19 @@ def clustered_dataset(n_graphs: int = 40, families: int = 5,
 
 
 def synthetic_dataset(n_graphs: int, seed: int) -> Dataset:
-    """Default generator behind ``verify --synthetic``."""
+    """Default generator behind ``verify --synthetic``; ``seed`` is an
+    integer >= 0."""
+    n_graphs = _require_int(n_graphs, "n_graphs", 1, None)
     return clustered_dataset(n_graphs=n_graphs, families=min(5, n_graphs), seed=seed)
 
 
 def random_pairs(ds: Dataset, count: int, seed: int) -> list[tuple[int, int]]:
-    """Seeded index pairs into ``ds`` (with replacement, distinct within a pair)."""
+    """Seeded index pairs into ``ds`` (with replacement, distinct within a
+    pair); ``seed`` is an integer >= 0."""
     if len(ds) < 2:
         raise ConfigError("need at least two graphs to form pairs")
-    if not _is_int(count):
-        raise ConfigError(f"count must be an integer, got {count!r}")
-    if count < 1:
-        raise ConfigError(f"need at least one pair, got {count}")
-    rng = np.random.default_rng(seed)
+    count = _require_int(count, "count", 1, None)
+    rng = _seeded_rng(seed)
     return [tuple(map(int, rng.choice(len(ds), size=2, replace=False)))
             for _ in range(count)]
 
@@ -106,8 +107,7 @@ def wl_counterexample_pair(n: int = 5) -> tuple[Graph, Graph]:
     Label refinement sees the same structure (distance 0); any feature-aware
     readout separates them.
     """
-    if n < 2:
-        raise ConfigError(f"need n >= 2, got {n}")
+    n = _require_int(n, "n", 2, None)
     edges = [(i, i + 1) for i in range(n - 1)]
     f1 = [[float(i + 1)] for i in range(n)]
     f2 = [[10.0 * (i + 1)] for i in range(n)]

@@ -26,8 +26,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist, squareform
 
 from .config import TmdConfig
-from .errors import DatasetError, NumericalOverflowError, exact_sums
-from .graphs import Dataset, Graph, _is_int
+from .errors import DatasetError, NumericalOverflowError, _is_int, exact_sums
+from .graphs import Dataset, Graph
 from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
 
 # blocks up to this size are solved by enumerating injective maps, larger

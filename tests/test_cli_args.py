@@ -119,7 +119,7 @@ def test_library_rejects_non_positive_sizes():
         random_gin(0, 0, 8, 2)  # an empty dataset's width
     ds = synthetic_dataset(3, 0)
     for count in (0, -3):
-        with pytest.raises(ConfigError, match="at least one pair"):
+        with pytest.raises(ConfigError, match=f"^count must be >= 1, got {count}$"):
             random_pairs(ds, count, 0)
 
 

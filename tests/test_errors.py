@@ -1,9 +1,13 @@
-"""One overflow rule: every exact sum and every refusal of a value that is
-not finite goes through ``errors.exact_sums`` and ``errors.require_finite``."""
+"""The rules of ``errors.py``.  One overflow rule: every exact sum and every
+refusal of a value that is not finite goes through ``errors.exact_sums`` and
+``errors.require_finite``.  One integer rule: every integer argument, seeds
+included, goes through ``errors._require_int``, and every generator is made
+by ``errors._seeded_rng``."""
 
 import ast
 import json
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -11,7 +15,13 @@ import numpy as np
 import pytest
 
 import treesample
-from treesample import NumericalOverflowError, save_jsonl
+from treesample import (ConfigError, DistanceMatrix, Graph, NumericalOverflowError,
+                        TmdConfig, brute_force_medoids, brute_force_select, build_candidates,
+                        clustered_dataset, computation_tree, empty_graph, identity_gin,
+                        kmedoids, nearest_medoid, random_gin, random_graph, random_pairs,
+                        random_selection, save_jsonl, select_subsets, stability_sweep,
+                        subsample_dataset, subsample_sweep, wl_counterexample_pair,
+                        wl_distance, wl_pseudometric_matrix)
 from treesample.cli import main
 from treesample.errors import exact_sums, require_finite
 from treesample.synth import synthetic_dataset
@@ -72,6 +82,84 @@ def test_node_indices_are_checked_in_graphs_only():
                     raises.add((path.name, scope))
     assert ("graphs.py", "_node_array") in raises
     assert {m for m, _ in raises} == {"graphs.py"}, raises
+
+
+def test_integer_messages_and_generators_live_in_the_gates():
+    # one spelling of the integer rule: its messages appear only in the gate
+    # and in the data gates that raise DatasetError; oracles.py counts too
+    messages, generators = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, scope in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and re.search(r"must be (an integer|>= )", node.value):
+                messages.add((path.name, scope))
+            elif isinstance(node, ast.Attribute) and node.attr == "default_rng":
+                generators.add((path.name, scope))
+    assert generators == {("errors.py", "_seeded_rng")}
+    assert messages == {("errors.py", "_require_int"), ("graphs.py", "__init__"),
+                        ("graphs.py", "load_tu"), ("tmd.py", "__post_init__")}
+
+
+_DS = synthetic_dataset(6, 0)
+_DM = DistanceMatrix(6, "test", 1, "", np.arange(1.0, 16.0))
+_PATH = Graph(5, [(i, i + 1) for i in range(4)], np.ones((5, 1)))
+_CFG = TmdConfig(2)
+
+# (entry point, a call passing the value under test, the argument's name, a good value)
+_INT_ARGS = [
+    ("TmdConfig-depth", lambda v: TmdConfig(v), "depth", 2),
+    ("random_gin-seed", lambda v: random_gin(v, 3, 4, 2), "seed", 1),
+    ("random_gin-feature_dim", lambda v: random_gin(0, v, 4, 2), "feature_dim", 3),
+    ("random_gin-hidden", lambda v: random_gin(0, 3, v, 2), "hidden", 4),
+    ("random_gin-depth", lambda v: random_gin(0, 3, 4, v), "depth", 2),
+    ("identity_gin", lambda v: identity_gin(v), "feature_dim", 2),
+    ("stability_sweep", lambda v: stability_sweep(random_gin(0, 3, 4, 2), _DS.graphs,
+                                                  [(0, v)], [_CFG]), "pair index", 1),
+    ("kmedoids", lambda v: kmedoids(_DM, v), "k", 2),
+    ("random_selection-n", lambda v: random_selection(v, 2, 0), "n", 6),
+    ("random_selection-k", lambda v: random_selection(6, v, 0, d=_DM), "k", 2),
+    ("random_selection-seed", lambda v: random_selection(6, 2, v), "seed", 1),
+    ("nearest_medoid", lambda v: nearest_medoid(_DM, [0, v]), "medoid index", 3),
+    ("wl_pseudometric_matrix", lambda v: wl_pseudometric_matrix(_DS, v), "iterations", 1),
+    ("wl_distance", lambda v: wl_distance(_DS[0], _DS[1], v), "iterations", 2),
+    ("build_candidates-k", lambda v: build_candidates(_PATH, v, 0), "k", 2),
+    ("build_candidates-seed", lambda v: build_candidates(_PATH, 2, v), "seed", 1),
+    ("subsample_dataset-seed", lambda v: subsample_dataset(_DS, 0.5, _CFG, seed=v),
+     "seed", 1),
+    ("subsample_sweep-seed", lambda v: subsample_sweep(_DS, 0.5, [_CFG], seed=v), "seed", 1),
+    ("clustered_dataset-n_graphs", lambda v: clustered_dataset(v, 2, 0), "n_graphs", 4),
+    ("clustered_dataset-families", lambda v: clustered_dataset(4, v, 0), "families", 2),
+    ("clustered_dataset-seed", lambda v: clustered_dataset(4, 2, v), "seed", 1),
+    ("synthetic_dataset-n_graphs", lambda v: synthetic_dataset(v, 0), "n_graphs", 4),
+    ("synthetic_dataset-seed", lambda v: synthetic_dataset(4, v), "seed", 1),
+    ("random_pairs-count", lambda v: random_pairs(_DS, v, 0), "count", 3),
+    ("random_pairs-seed", lambda v: random_pairs(_DS, 3, v), "seed", 1),
+    ("wl_counterexample_pair", lambda v: wl_counterexample_pair(v), "n", 3),
+    ("empty_graph", lambda v: empty_graph(v), "feature_dim", 2),
+    ("random_graph-n", lambda v: random_graph(np.random.default_rng(0), v, 0.5), "n", 4),
+    ("random_graph-feature_dim",
+     lambda v: random_graph(np.random.default_rng(0), 4, 0.5, feature_dim=v), "feature_dim", 3),
+    ("brute_force_medoids", lambda v: brute_force_medoids(_DM, v), "k", 2),
+    ("select_subsets-graph_id", lambda v: select_subsets(_PATH, {(0, 1): "x"}, [_CFG], v),
+     "graph_id", 2),
+    ("brute_force_select-k", lambda v: brute_force_select(_PATH, v, _CFG), "k", 2),
+    ("brute_force_select-graph_id", lambda v: brute_force_select(_PATH, 2, _CFG, v),
+     "graph_id", 2),
+    ("computation_tree-depth", lambda v: computation_tree(_PATH, 0, v), "depth", 3),
+]
+
+
+@pytest.mark.parametrize("call, name, good", [case[1:] for case in _INT_ARGS],
+                         ids=[case[0] for case in _INT_ARGS])
+def test_every_integer_argument_goes_through_one_gate(call, name, good):
+    # each of these raised a bare TypeError or ValueError, or ran with True as 1
+    for bad in (True, 2.5, "3", None, -1):
+        with pytest.raises(ConfigError) as info:
+            call(bad)
+        assert re.fullmatch(rf"{re.escape(name)} must be .*, got {re.escape(repr(bad))}",
+                            str(info.value)), str(info.value)
+    # a numpy integer is an integer, and gives what the Python int gives
+    assert pickle.dumps(call(np.int64(good))) == pickle.dumps(call(good))
 
 
 def test_exact_sums_is_fsum_bit_for_bit():

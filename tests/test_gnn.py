@@ -168,6 +168,21 @@ def test_models_refuse_bad_layers_when_built(make, match):
         make()
 
 
+@pytest.mark.parametrize("eta", [True, math.inf, -math.inf, math.nan, np.float64(math.nan),
+                                 "1.0", None])
+def test_gin_model_refuses_an_eta_that_is_not_a_finite_real_number(eta):
+    # True ran as 1.0; inf and NaN surfaced later as a readout overflow
+    layer = GinLayer(np.ones((2, 1)), np.zeros(1))
+    with pytest.raises(ConfigError, match=f"^eta must be a finite real number, "
+                                          f"got {re.escape(repr(eta))}$"):
+        GinModel((layer,), eta=eta)
+    for make in (lambda: random_gin(0, 2, 4, 2, eta=eta), lambda: identity_gin(1, eta)):
+        with pytest.raises(ConfigError, match="^eta must be a finite real number"):
+            make()
+    for good in (0.0, -0.5, 2, np.float64(1e300), np.int64(3)):
+        assert GinModel((layer,), eta=good).eta == good
+
+
 @pytest.mark.parametrize("make", [
     lambda: GinLayer(np.ones((2, 3)), np.zeros(3)),
     lambda: GinModel((GinLayer(np.ones((2, 1)), np.zeros(1)),), eta=0.5),
@@ -229,8 +244,9 @@ def test_stability_sweep_refuses_a_pair_index_outside_the_graphs(monkeypatch, pa
     monkeypatch.setattr(gnn, "_distances", unreachable)
     ds = synthetic_dataset(6, 0)
     model = random_gin(0, ds.feature_dim, 4, 2)
-    with pytest.raises(ConfigError, match=rf"^pair indices must be integers in 0\.\.5, "
-                                          rf"got {pair[0]!r}$"):
+    message = (f"pair index must be in 0..5, got {pair[0]}" if type(pair[0]) is int
+               else f"pair index must be an integer, got {pair[0]!r}")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         stability_sweep(model, ds.graphs, [(1, 2), pair], [cfg(2)])
 
 

@@ -48,7 +48,8 @@ def test_nearest_medoid_tie_prefers_smaller_index():
 def test_nearest_medoid_refuses_indices_that_are_not_integers():
     d = DistanceMatrix(4, "test", 1, "const:1.0", np.arange(1.0, 7.0))
     for bad in ([0.9, 3], [True, 3], [np.float64(1.0), 3], ["1", 3], [None]):
-        with pytest.raises(ConfigError, match="medoid indices must be integers"):
+        with pytest.raises(ConfigError, match=f"^medoid index must be an integer, "
+                                              f"got {re.escape(repr(bad[0]))}$"):
             nearest_medoid(d, bad)
     owners, _ = nearest_medoid(d, np.array([3, 1], dtype=np.int32))
     assert owners.tolist() == [1, 1, 1, 3]
@@ -57,8 +58,8 @@ def test_nearest_medoid_refuses_indices_that_are_not_integers():
 @pytest.mark.parametrize("bad, message", [
     ([], "medoid index set must be non-empty"),
     ([1, 3, 1], r"duplicate medoid indices: \[1, 1, 3\]"),
-    ([0, 4], r"medoid index outside 0..3: \[0, 4\]"),
-    ([-1, 2], r"medoid index outside 0..3: \[-1, 2\]"),
+    ([0, 4], r"medoid index must be in 0\.\.3, got 4"),
+    ([-1, 2], r"medoid index must be in 0\.\.3, got -1"),
 ], ids=["empty", "duplicate", "past-the-end", "negative"])
 def test_nearest_medoid_refuses_a_bad_index_set(bad, message):
     d = DistanceMatrix(4, "test", 1, "const:1.0", np.arange(1.0, 7.0))

@@ -135,15 +135,15 @@ def test_kcore_candidate_prefers_dense_part():
 
 def test_rw_candidate_is_seeded_and_sized():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)], np.ones((6, 1)))
-    a = rw_candidate(g, 3, seed=7)
-    assert a == rw_candidate(g, 3, seed=7)
+    a = rw_candidate(g, 3, np.random.default_rng(7))
+    assert a == rw_candidate(g, 3, np.random.default_rng(7))
     assert len(a) == 3
     assert all(0 <= v < 6 for v in a)
 
 
 def test_rw_candidate_pads_disconnected_graph():
     g = Graph(4, [(0, 1)], np.ones((4, 1)))
-    assert len(rw_candidate(g, 4, seed=0)) == 4
+    assert len(rw_candidate(g, 4, np.random.default_rng(0))) == 4
 
 
 def test_build_candidates_validates_heuristics():
@@ -157,7 +157,8 @@ def test_build_candidates_validates_heuristics():
 def test_build_candidates_checks_k_for_every_heuristic(k):
     # the only k check: the three heuristics trust it
     for heuristics in (("bfs", "rw", "kcore"), ("bfs",), ("rw",), ("kcore",)):
-        message = re.escape(f"k must be an integer >= 1, got {k!r}")
+        message = re.escape(f"k must be >= 1, got {k}" if type(k) is int
+                            else f"k must be an integer, got {k!r}")
         with pytest.raises(ConfigError, match=message):
             build_candidates(STAR, k, 0, heuristics)
 

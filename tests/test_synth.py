@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -43,14 +45,15 @@ def test_clustered_dataset_labels_cycle_families():
 
 
 def test_clustered_dataset_validates_args():
-    with pytest.raises(ConfigError):
-        clustered_dataset(3, 5, seed=0)
-    with pytest.raises(ConfigError):
-        clustered_dataset(10, 0, seed=0)
     # True ran as 1 (a 1-graph dataset), and 2.5 raised a bare TypeError
-    for make, args in ((synthetic_dataset, (True, 0)), (clustered_dataset, (2.5, 1)),
-                       (clustered_dataset, (4, True)), (clustered_dataset, ("4", 2))):
-        with pytest.raises(ConfigError, match="^need n_graphs >= families >= 1, got "):
+    for make, args, message in (
+            (synthetic_dataset, (True, 0), "n_graphs must be an integer, got True"),
+            (clustered_dataset, (2.5, 1), "n_graphs must be an integer, got 2.5"),
+            (clustered_dataset, (4, True), "families must be an integer, got True"),
+            (clustered_dataset, ("4", 2), "n_graphs must be an integer, got '4'"),
+            (clustered_dataset, (3, 5), "n_graphs must be >= 5, got 3"),
+            (clustered_dataset, (10, 0), "families must be >= 1, got 0")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             make(*args)
     assert len(clustered_dataset(np.int64(4), np.int64(2))) == 4
 
@@ -79,13 +82,6 @@ def test_random_pairs_distinct_and_seeded():
     assert pairs == random_pairs(ds, 20, seed=4)
     assert all(a != b and 0 <= a < len(ds) and 0 <= b < len(ds) for a, b in pairs)
     assert random_pairs(ds, np.int64(20), seed=4) == pairs
-
-
-@pytest.mark.parametrize("count", [2.5, True, "3", None])
-def test_random_pairs_refuses_a_count_that_is_not_an_integer(count):
-    # 2.5 once raised a bare TypeError, and True drew one pair
-    with pytest.raises(ConfigError, match=rf"^count must be an integer, got {count!r}$"):
-        random_pairs(synthetic_dataset(10, seed=0), count, 0)
 
 
 def test_wl_counterexample_shape():

@@ -106,7 +106,7 @@ def test_subset_norms_bit_identical_to_induced_subgraphs(norm, depth):
              else cfg(depth, w=float(rng.choice([0.5, 1.0, 2.0, 4.0])), norm=norm))
         k = int(rng.integers(1, g.node_count + 1))
         subsets = list(k_bfs_candidates(g, k))
-        subsets += [rw_candidate(g, k, trial), kcore_candidate(g, k)]
+        subsets += [rw_candidate(g, k, np.random.default_rng(trial)), kcore_candidate(g, k)]
         subsets += list(itertools.combinations(range(g.node_count), min(k, 3)))
         _assert_same_norms(g, subsets, c)
 
