@@ -160,11 +160,15 @@ def _load(args):
     return load_jsonl(args.dataset)
 
 
-def _emit(args, payload: dict, summary: str) -> None:
+def _emit(args, payload: dict, summary: str, out_lines) -> None:
+    """Print ``payload`` as one JSON line with ``--json``, else ``summary``;
+    write ``--out`` as ``out_lines``, one to a line, or as the indented
+    payload for ``None``."""
     if args.out:
+        if out_lines is None:
+            out_lines = [json.dumps(payload, sort_keys=True, indent=2)]
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.writelines(line + "\n" for line in out_lines)
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     elif summary:  # an empty dataset's treenorm prints nothing
@@ -174,12 +178,6 @@ def _emit(args, payload: dict, summary: str) -> None:
 def _labelled(record, **labels) -> dict:
     """A result record's JSON fields plus the labels this command chose for it."""
     return dict(json.loads(record.to_json()), **labels)
-
-
-def _write_lines(path: str, lines) -> None:
-    """An ``--out`` file of one JSON line per record."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
 
 
 def _file_sha256(path: str) -> str:
@@ -200,7 +198,7 @@ def cmd_dist(args) -> int:
     payload = {"n": dm.n, "checksum": digest, "recomputed": int(recomputed),
                "metric": dm.metric, "depth": dm.depth, "preset": dm.weight_preset}
     _emit(args, payload,
-          f"n={dm.n} checksum={digest} recomputed={int(recomputed)}")
+          f"n={dm.n} checksum={digest} recomputed={int(recomputed)}", None)
     return EXIT_OK
 
 
@@ -208,7 +206,7 @@ def cmd_treenorm(args) -> int:
     ds = _load(args)
     cfg = _config(args)
     values = [tree_norm(g, cfg) for g in ds]
-    _emit(args, {"values": values}, "\n".join(map(repr, values)))
+    _emit(args, {"values": values}, "\n".join(map(repr, values)), None)
     return EXIT_OK
 
 
@@ -230,14 +228,9 @@ def cmd_subsample_graphs(args) -> int:
         dm = (load_or_compute(args.cache, ds, "tmd", cfg, builders["tmd"])[0]
               if args.cache else None)
         sel = random_selection(len(ds), args.k, args.seed, d=dm)
-    text = json.dumps(_labelled(sel, method=args.method, seed=args.seed), sort_keys=True)
-    if args.out:
-        _write_lines(args.out, [text])
-    if args.json:
-        print(text)
-    else:
-        print(f"method={args.method} k={sel.k} indices={sel.indices} "
-              f"tau={sel.tau} objective={sel.objective}")
+    payload = _labelled(sel, method=args.method, seed=args.seed)
+    _emit(args, payload, f"method={args.method} k={sel.k} indices={sel.indices} "
+          f"tau={sel.tau} objective={sel.objective}", [json.dumps(payload, sort_keys=True)])
     return EXIT_OK
 
 
@@ -246,13 +239,9 @@ def cmd_subsample_nodes(args) -> int:
     cfg = _config(args)
     heuristics = tuple(tok.strip() for tok in args.heuristics.split(",") if tok.strip())
     subs = subsample_dataset(ds, args.frac, cfg, heuristics=heuristics, seed=args.seed)
-    if args.out:
-        _write_lines(args.out, (s.to_json() for s in subs))
     mean_eps = mean_tmd(subs)
-    if args.json:
-        print(json.dumps({"graphs": len(subs), "mean_tmd": mean_eps}, sort_keys=True))
-    else:
-        print(f"graphs={len(subs)} mean_tmd={mean_eps}")
+    _emit(args, {"graphs": len(subs), "mean_tmd": mean_eps},
+          f"graphs={len(subs)} mean_tmd={mean_eps}", (s.to_json() for s in subs))
     return EXIT_OK
 
 
@@ -380,7 +369,7 @@ def cmd_verify(args) -> int:
         else:
             payload, code, diagnostic = _verify_erm(args, ds, args.mode)
     status = "ok" if code == EXIT_OK else f"FAILED exit={code}"
-    _emit(args, payload, f"mode={args.mode} {status}")
+    _emit(args, payload, f"mode={args.mode} {status}", None)
     if diagnostic:
         kind = "preset-conditional failure" if code == EXIT_PRESET else "verification failed"
         print(f"{kind}: {diagnostic}", file=sys.stderr)

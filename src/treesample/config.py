@@ -8,11 +8,9 @@ ever evaluates ``w(1) .. w(L - 1)``.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, _require_int
+from .errors import ConfigError, _require_int, _require_real
 
 _NORMS = ("l1", "l2")
 
@@ -25,14 +23,6 @@ _PASCAL_MSG = (
     "its constants come from an external reference that does not pin them. "
     "Use 'const:<float>' or 'table:w1,w2,...' instead (see README, Weight presets)."
 )
-
-
-def _is_weight(w) -> bool:
-    """A real number whose float is positive and finite; a ``bool`` is not one."""
-    try:
-        return isinstance(w, numbers.Real) and not isinstance(w, bool) and 0.0 < float(w) < math.inf
-    except OverflowError:  # an int past the float range
-        return False
 
 
 @dataclass(frozen=True)
@@ -60,9 +50,10 @@ class WeightFn:
             raise ConfigError(f"a constant schedule holds exactly one weight, got {weights!r}")
         if not weights:
             raise ConfigError("weight table must be non-empty")
-        if not all(map(_is_weight, weights)):
-            raise ConfigError(f"weights must be positive finite numbers, got {weights!r}")
-        object.__setattr__(self, "weights", tuple(map(float, weights)))
+        weights = tuple(_require_real(w, "weight") for w in weights)
+        if min(weights) <= 0.0:
+            raise ConfigError(f"weight must be > 0, got {min(weights)}")
+        object.__setattr__(self, "weights", weights)
 
     def spec_string(self) -> str:
         """Canonical textual form, reparseable by :func:`parse_weights`."""
@@ -114,6 +105,5 @@ class TmdConfig:
     def level_weight(self, level: int) -> float:
         """w(level), for the levels 1 .. depth - 1 that a depth-``depth``
         computation reads; the one level lookup of the package."""
-        if not 1 <= level < self.depth:
-            raise ConfigError(f"weight level must be in 1..{self.depth - 1}, got {level}")
+        level = _require_int(level, "weight level", 1, self.depth - 1)
         return self.weights.weights[0 if self.weights.kind == "const" else level - 1]

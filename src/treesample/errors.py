@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and one rule each for overflow
-and integers: :func:`exact_sums` takes every exact sum, :func:`require_finite`
-and :func:`_require_int` check every value that must be finite or an integer."""
+"""Exception types shared across the package, and one rule each for overflow,
+integers and real numbers: :func:`exact_sums` takes every exact sum,
+:func:`require_finite`, :func:`_require_int` and :func:`_require_real` check
+every value that must be finite, an integer or a real number."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -68,6 +70,20 @@ def _require_int(value, name: str, low: int, high: int | None) -> int:
     if high is not None and not low <= value <= high:
         raise ConfigError(f"{name} must be in {low}..{high}, got {value}")
     return int(value)
+
+
+def _require_real(value, name: str) -> float:
+    """``value`` as a finite ``float`` if it is a Python or numpy real number
+    (a ``Fraction`` too, a ``bool`` not); otherwise :class:`ConfigError`
+    naming ``name``.  The caller checks the range."""
+    is_real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        real = float(value) if is_real else math.nan
+    except OverflowError:  # an int or a Fraction past the float range
+        real = math.nan
+    if not math.isfinite(real):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+    return real
 
 
 def _seeded_rng(seed) -> np.random.Generator:

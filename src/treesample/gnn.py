@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections.abc import Sized
 from dataclasses import dataclass
 
@@ -18,7 +17,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .config import TmdConfig
-from .errors import ConfigError, _require_int, _seeded_rng, exact_sums, require_finite
+from .errors import (ConfigError, _require_int, _require_real, _seeded_rng, exact_sums,
+                     require_finite)
 from .graphs import Dataset, Graph
 from .tmd import _distances
 
@@ -39,6 +39,15 @@ class GinLayer:
     def __post_init__(self):
         if self.activation not in _ACTIVATIONS:
             raise ConfigError(f"activation must be one of {_ACTIVATIONS}")
+        for name in ("weight", "bias"):  # read-only float64 copies, as Graph keeps its features
+            try:
+                array = np.array(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"layer {name} is not a numeric array ({exc})") from exc
+            if not np.isfinite(array).all():
+                raise ConfigError(f"layer {name} holds a non-finite value")
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[1],):
             raise ConfigError(
                 f"layer shapes inconsistent: W{self.weight.shape}, b{self.bias.shape}")
@@ -54,9 +63,7 @@ class GinModel:
     def __post_init__(self):
         if len(self.layers) < 1:
             raise ConfigError("a model needs at least a readout layer")
-        if isinstance(self.eta, bool) or not (isinstance(self.eta, numbers.Real)
-                                              and -math.inf < self.eta < math.inf):
-            raise ConfigError(f"eta must be a finite real number, got {self.eta!r}")
+        object.__setattr__(self, "eta", _require_real(self.eta, "eta"))
 
     @property
     def mp_layers(self) -> tuple[GinLayer, ...]:
@@ -362,13 +369,13 @@ def finite_erm_sweep(ds: Dataset, hypotheses, plans) -> list[ErmReport]:
         stand_ins = list(stand_ins)
         if len(stand_ins) != n:
             raise ConfigError(f"{len(stand_ins)} stand-ins for {n} graphs")
-        if isinstance(epsilon, bool) or not (isinstance(epsilon, numbers.Real)
-                                             and 0 <= epsilon < math.inf):
-            raise ConfigError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
+        epsilon = _require_real(epsilon, "epsilon")
+        if epsilon < 0.0:
+            raise ConfigError(f"epsilon must not be negative, got {epsilon}")
         stand_in_labels = _labels(stand_ins, "stand-in")
         known = len(column)
         cols = [column.setdefault(g, len(column) + offset) for g in stand_ins]  # one hash each
         if len(column) > known:  # forward each new distinct stand-in once
             preds = np.hstack([preds, _readouts(hypotheses, list(column)[known:])[:, :, 0]])
-        reports.append(report(float(epsilon), preds[:, cols], stand_in_labels))
+        reports.append(report(epsilon, preds[:, cols], stand_in_labels))
     return reports

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .config import TmdConfig
-from .errors import ConfigError, _require_int, _seeded_rng, exact_sums, require_finite
+from .errors import (ConfigError, _require_int, _require_real, _seeded_rng, exact_sums,
+                     require_finite)
 from .graphs import Dataset, Graph
 from .treenorm import subset_tree_norm_sweep
 
@@ -201,8 +201,9 @@ def subsample_dataset(ds: Dataset, frac: float, cfg: TmdConfig,
     """Subsample every graph to roughly ``frac`` of its nodes.
 
     Per graph, ``k = max(1, round(frac * n))`` (half-up rounding, capped at
-    n); the walk seed is derived per graph so results are independent of
-    dataset order.  ``seed`` is an integer >= 0.
+    n).  ``seed`` is an integer >= 0; graph ``i`` walks with seed
+    ``seed + i``, so its random-walk candidate follows its position in the
+    dataset.
     """
     return subsample_sweep(ds, frac, [cfg], heuristics, seed)[0]
 
@@ -213,8 +214,9 @@ def subsample_sweep(ds: Dataset, frac: float, cfgs,
     """:func:`subsample_dataset` under each config in ``cfgs``, one list per
     config.  The candidates do not depend on the config, so each graph's
     are built and scored once, by one :func:`select_subsets` call."""
-    if isinstance(frac, bool) or not (isinstance(frac, numbers.Real) and 0.0 < frac <= 1.0):
-        raise ConfigError(f"frac must be in (0, 1], got {frac!r}")
+    frac = _require_real(frac, "frac")
+    if not 0.0 < frac <= 1.0:
+        raise ConfigError(f"frac must be in (0, 1], got {frac}")
     seed = _require_int(seed, "seed", 0, None)
     _check_heuristics(heuristics)
     out = [[] for _ in cfgs]

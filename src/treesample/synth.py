@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ConfigError, _require_int, _seeded_rng
+from .errors import ConfigError, _require_int, _require_real, _seeded_rng
 from .graphs import Dataset, Graph, make_dataset
 
 _CLUSTER_DIM = 3  # feature width of clustered_dataset
@@ -27,6 +27,9 @@ def random_graph(rng: np.random.Generator, n: int, p: float,
                  feature_dim: int = 2, label=None) -> Graph:
     """One G(n, p) draw with standard normal features."""
     n = _require_int(n, "n", 0, None)
+    p = _require_real(p, "p")
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError(f"p must be in [0, 1], got {p}")
     drawn = rng.random(n * (n - 1) // 2) < p
     edges = list(itertools.compress(itertools.combinations(range(n), 2), drawn))
     feats = rng.standard_normal((n, _require_int(feature_dim, "feature_dim", 1, None)))

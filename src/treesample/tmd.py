@@ -26,7 +26,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist, squareform
 
 from .config import TmdConfig
-from .errors import DatasetError, NumericalOverflowError, _is_int, exact_sums
+from .errors import DatasetError, NumericalOverflowError, _is_int, _require_int, exact_sums
 from .graphs import Dataset, Graph
 from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
 
@@ -330,8 +330,7 @@ class DistanceMatrix:
         object.__setattr__(self, "values", values)
 
     def value(self, i: int, j: int) -> float:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"bad pair ({i},{j}) for n={self.n}")
+        i, j = (_require_int(x, "pair index", 0, self.n - 1) for x in (i, j))
         if i == j:
             return 0.0
         if i > j:

@@ -99,6 +99,15 @@ def test_nonpositive_weights_rejected(value):
         WeightFn("table", (1.0, value))
 
 
+def test_weight_refusals_name_the_weight():
+    with pytest.raises(ConfigError, match=r"^weight must be > 0, got -1\.0$"):
+        const_weights(-1)
+    with pytest.raises(ConfigError, match=r"^weight must be > 0, got -3\.0$"):  # the least
+        WeightFn("table", (2.0, 0.0, -3.0))
+    with pytest.raises(ConfigError, match=r"^weight must be a finite real number, got nan$"):
+        parse_weights("table:1,nan")
+
+
 def test_config_validates_depth_and_norm():
     with pytest.raises(ConfigError):
         TmdConfig(depth=0)

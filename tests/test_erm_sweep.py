@@ -97,7 +97,8 @@ def test_subsample_sweep_matches_subsample_dataset_per_config():
         subsample_sweep(ds, 1.5, cfgs)
     # True ran as 1.0, and a string or None raised a bare TypeError
     for frac in (True, "0.5", None):
-        with pytest.raises(ConfigError, match=re.escape(f"frac must be in (0, 1], got {frac!r}")):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"frac must be a finite real number, got {frac!r}")):
             subsample_sweep(ds, frac, cfgs)
     assert subsample_sweep(ds, np.float64(0.4), cfgs, ("bfs", "kcore"), seed=7) == got
 
@@ -186,7 +187,7 @@ def _erm_error_cases():
     wide = GinModel((*h[0].mp_layers, GinLayer(np.ones((4, 2)), np.zeros(2))))
     unlabeled = [Graph(g.node_count, g.edges, g.features) for g in ds]
     half = [*stand_ins[:2], unlabeled[2], *stand_ins[3:]]
-    refused = "epsilon must be a finite number >= 0, got "
+    refused = "epsilon must be a finite real number, got "
     return [
         ("dataset is empty", make_dataset([]), h, (0.0, [])),
         ("hypothesis set is empty", ds, [], (epsilon, stand_ins)),
@@ -194,7 +195,7 @@ def _erm_error_cases():
         ("5 stand-ins for 6 graphs", ds, h, (epsilon, stand_ins[:-1])),
         ("graph 0 has no label", make_dataset(unlabeled), h, (epsilon, unlabeled)),
         ("stand-in 2 has no label", ds, h, (epsilon, half)),
-        (refused + "-0.5", ds, h, (-0.5, stand_ins)),
+        ("epsilon must not be negative, got -0.5", ds, h, (-0.5, stand_ins)),
         (refused + "nan", ds, h, (math.nan, stand_ins)),
         (refused + "inf", ds, h, (math.inf, stand_ins)),
         (refused + "True", ds, h, (True, stand_ins)),
@@ -217,7 +218,7 @@ def test_finite_erm_sweep_checks_every_entry():
     plan = medoid_plan(ds, kmedoids(dm, 2), dm)
     subs = subsample_dataset(ds, 0.5, cfg(2))
     h = [random_gin(0, ds.feature_dim, 4, 2)]
-    with pytest.raises(ConfigError, match="^epsilon must be a finite number >= 0, got -1.0$"):
+    with pytest.raises(ConfigError, match="^epsilon must not be negative, got -1.0$"):
         finite_erm_sweep(ds, h, [plan, (-1.0, plan[1])])
     with pytest.raises(ConfigError, match="^3 stand-ins for 6 graphs$"):
         finite_erm_sweep(ds, h, [subgraph_plan(ds, subs), subgraph_plan(ds, subs[:3])])

@@ -2,13 +2,15 @@
 refusal of a value that is not finite goes through ``errors.exact_sums`` and
 ``errors.require_finite``.  One integer rule: every integer argument, seeds
 included, goes through ``errors._require_int``, and every generator is made
-by ``errors._seeded_rng``."""
+by ``errors._seeded_rng``.  One real rule: every real argument goes through
+``errors._require_real``."""
 
 import ast
 import json
 import math
 import pickle
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +18,12 @@ import pytest
 
 import treesample
 from treesample import (ConfigError, DistanceMatrix, Graph, NumericalOverflowError,
-                        TmdConfig, brute_force_medoids, brute_force_select, build_candidates,
-                        clustered_dataset, computation_tree, empty_graph, identity_gin,
-                        kmedoids, nearest_medoid, random_gin, random_graph, random_pairs,
-                        random_selection, save_jsonl, select_subsets, stability_sweep,
-                        subsample_dataset, subsample_sweep, wl_counterexample_pair,
-                        wl_distance, wl_pseudometric_matrix)
+                        TmdConfig, WeightFn, brute_force_medoids, brute_force_select,
+                        build_candidates, clustered_dataset, computation_tree, const_weights,
+                        empty_graph, finite_erm_sweep, identity_gin, kmedoids, nearest_medoid,
+                        random_gin, random_graph, random_pairs, random_selection, save_jsonl,
+                        select_subsets, stability_sweep, subsample_dataset, subsample_sweep,
+                        wl_counterexample_pair, wl_distance, wl_pseudometric_matrix)
 from treesample.cli import main
 from treesample.errors import exact_sums, require_finite
 from treesample.synth import synthetic_dataset
@@ -100,6 +102,22 @@ def test_integer_messages_and_generators_live_in_the_gates():
                         ("graphs.py", "load_tu"), ("tmd.py", "__post_init__")}
 
 
+def test_real_messages_and_numbers_live_in_the_gate():
+    # one spelling of the real rule, and one module that reads numbers.Real;
+    # oracles.py counts too
+    messages, imports = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, scope in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and "must be a finite real number" in node.value:
+                messages.add((path.name, scope))
+            elif isinstance(node, ast.Import) and "numbers" in [a.name for a in node.names] \
+                    or isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                imports.add(path.name)
+    assert messages == {("errors.py", "_require_real")}
+    assert imports == {"errors.py"}
+
+
 _DS = synthetic_dataset(6, 0)
 _DM = DistanceMatrix(6, "test", 1, "", np.arange(1.0, 16.0))
 _PATH = Graph(5, [(i, i + 1) for i in range(4)], np.ones((5, 1)))
@@ -146,6 +164,8 @@ _INT_ARGS = [
     ("brute_force_select-graph_id", lambda v: brute_force_select(_PATH, 2, _CFG, v),
      "graph_id", 2),
     ("computation_tree-depth", lambda v: computation_tree(_PATH, 0, v), "depth", 3),
+    ("DistanceMatrix.value", lambda v: _DM.value(0, v), "pair index", 2),
+    ("TmdConfig.level_weight", lambda v: TmdConfig(3).level_weight(v), "weight level", 1),
 ]
 
 
@@ -160,6 +180,35 @@ def test_every_integer_argument_goes_through_one_gate(call, name, good):
                             str(info.value)), str(info.value)
     # a numpy integer is an integer, and gives what the Python int gives
     assert pickle.dumps(call(np.int64(good))) == pickle.dumps(call(good))
+
+
+# (entry point, a call passing the value under test, the argument's name, a good value)
+_REAL_ARGS = [
+    ("const_weights", lambda v: const_weights(v), "weight", 0.5),
+    ("WeightFn-table", lambda v: WeightFn("table", (1.0, v)), "weight", 0.5),
+    ("random_gin-eta", lambda v: random_gin(0, 3, 4, 2, eta=v), "eta", 0.5),
+    ("identity_gin-eta", lambda v: identity_gin(2, v), "eta", 0.5),
+    ("finite_erm_sweep-epsilon",
+     lambda v: finite_erm_sweep(_DS, [random_gin(0, 3, 4, 2)], [(v, list(_DS))]),
+     "epsilon", 0.25),
+    ("subsample_dataset-frac", lambda v: subsample_dataset(_DS, v, _CFG), "frac", 0.5),
+    ("subsample_sweep-frac", lambda v: subsample_sweep(_DS, v, [_CFG]), "frac", 0.5),
+    ("random_graph-p", lambda v: random_graph(np.random.default_rng(0), 5, v), "p", 0.5),
+]
+
+
+@pytest.mark.parametrize("call, name, good", [case[1:] for case in _REAL_ARGS],
+                         ids=[case[0] for case in _REAL_ARGS])
+def test_every_real_argument_goes_through_one_gate(call, name, good):
+    # eta, epsilon and p took some of these, or raised a bare OverflowError
+    # or TypeError; p=nan drew an edgeless graph
+    for bad in (True, "0.5", None, math.nan, math.inf, 10 ** 400):
+        with pytest.raises(ConfigError) as info:
+            call(bad)
+        assert str(info.value) == f"{name} must be a finite real number, got {bad!r}"
+    # a numpy float or a Fraction is a real number, and gives what the float gives
+    for same in (np.float64(good), Fraction(good)):
+        assert pickle.dumps(call(same)) == pickle.dumps(call(good))
 
 
 def test_exact_sums_is_fsum_bit_for_bit():

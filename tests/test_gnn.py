@@ -4,6 +4,7 @@ import json
 import math
 import re
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,7 +163,12 @@ def test_random_gin_refuses_a_size_that_is_not_an_integer(sizes, match):
     (lambda: GinLayer(np.ones(3), np.zeros(3)), r"W\(3,\), b\(3,\)"),
     (lambda: GinModel(()), "at least a readout layer"),
     (lambda: random_gin(0, feature_dim=2, hidden=4, depth=0), "depth must be >= 1, got 0"),
-], ids=["activation", "bias-width", "1d-weight", "no-layers", "depth-0"])
+    # a NaN weight surfaced later as a readout overflow
+    (lambda: GinLayer([[math.nan]], [0.0]), "^layer weight holds a non-finite value$"),
+    (lambda: GinLayer([[1.0]], [math.inf]), "^layer bias holds a non-finite value$"),
+    (lambda: GinLayer([["x"]], [0.0]), "^layer weight is not a numeric array"),
+], ids=["activation", "bias-width", "1d-weight", "no-layers", "depth-0", "nan-weight",
+        "inf-bias", "str-weight"])
 def test_models_refuse_bad_layers_when_built(make, match):
     with pytest.raises(ConfigError, match=match):
         make()
@@ -179,8 +185,21 @@ def test_gin_model_refuses_an_eta_that_is_not_a_finite_real_number(eta):
     for make in (lambda: random_gin(0, 2, 4, 2, eta=eta), lambda: identity_gin(1, eta)):
         with pytest.raises(ConfigError, match="^eta must be a finite real number"):
             make()
-    for good in (0.0, -0.5, 2, np.float64(1e300), np.int64(3)):
-        assert GinModel((layer,), eta=good).eta == good
+    for good in (0.0, -0.5, 2, np.float64(1e300), np.int64(3), Fraction(1, 4)):
+        stored = GinModel((layer,), eta=good).eta
+        assert type(stored) is float and stored == good
+
+
+def test_gin_layer_keeps_read_only_float64_copies():
+    # a list raised AttributeError, and writing to the caller's array
+    # changed the checked layer
+    w, b = np.ones((2, 1)), np.zeros(1)
+    layer = GinLayer(w, b)
+    w[0, 0] = 5.0
+    assert layer.weight.tolist() == [[1.0], [1.0]]
+    listed = GinLayer([[1]], [0])
+    for got in (layer.weight, layer.bias, listed.weight, listed.bias):
+        assert got.dtype == np.float64 and not got.flags.writeable
 
 
 @pytest.mark.parametrize("make", [

@@ -71,7 +71,8 @@ def test_distance_matrix_value_range_checks_the_diagonal():
     d = DistanceMatrix(2, "test", 1, "const:1.0", np.array([3.0]))
     assert (d.value(0, 0), d.value(1, 1), d.value(1, 0)) == (0.0, 0.0, 3.0)
     for i, j in ((5, 5), (-1, -1), (2, 2), (0, 2)):
-        with pytest.raises(IndexError, match=rf"bad pair \({i},{j}\) for n=2"):
+        bad = j if 0 <= i < 2 else i
+        with pytest.raises(ConfigError, match=rf"^pair index must be in 0\.\.1, got {bad}$"):
             d.value(i, j)
 
 

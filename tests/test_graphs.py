@@ -104,7 +104,7 @@ _EDGE_ITEMS = st.one_of(
     st.just("01"), st.none(), st.integers(0, 5))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(st.lists(_EDGE_ITEMS, max_size=12), st.integers(), st.none()),
        st.one_of(st.none(), st.integers(0, 6)))
 def test_edge_gate_matches_the_original_two_pass_gate(edges, n):
@@ -135,7 +135,7 @@ def test_neighbors_refuses_a_node_outside_the_graph(v, message):
         g.neighbors(v)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                          .filter(lambda e: e[0] != e[1]), max_size=30,
@@ -186,7 +186,7 @@ def _small_graphs(draw):
                  draw(st.sampled_from([None, 0, 1])))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(_small_graphs(), _small_graphs())
 def test_equality_hash_and_pair_order_read_one_content_key(a, b):
     same = a._key == b._key and a.label == b.label

@@ -69,7 +69,7 @@ def test_matches_brute_on_tied_integer_matrices():
         assert slow.assignment == first
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
 def test_assignment_is_a_permutation(q, seed):
     c = np.random.default_rng(seed).uniform(0, 5, size=(q, q))
@@ -77,7 +77,7 @@ def test_assignment_is_a_permutation(q, seed):
     assert sorted(r.assignment) == list(range(q))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(2, 6), st.integers(0, 2**31 - 1))
 def test_total_cost_invariant_under_row_permutation(q, seed):
     rng = np.random.default_rng(seed)

@@ -27,6 +27,13 @@ def test_random_graph_takes_the_draws_of_a_pair_loop(n):
         assert ours.random() == loop.random()
 
 
+@pytest.mark.parametrize("p", [-0.1, 7, 1.5, -1e-300])
+def test_random_graph_refuses_a_p_outside_0_to_1(p):
+    # p=7 drew a complete graph and a negative p an edgeless one
+    with pytest.raises(ConfigError, match=re.escape(f"p must be in [0, 1], got {float(p)}")):
+        random_graph(np.random.default_rng(0), 4, p)
+
+
 def test_clustered_dataset_is_deterministic():
     a = clustered_dataset(20, 4, seed=5)
     b = clustered_dataset(20, 4, seed=5)
