@@ -19,7 +19,7 @@ import sys
 from .cache import load_or_compute
 from .config import TmdConfig, const_weights, parse_weights
 from .errors import (CacheMismatchError, ConfigError, DatasetError,
-                     NumericalOverflowError, _require_int)
+                     NumericalOverflowError, _require_int, _require_real)
 from .gnn import (finite_erm_sweep, gin_forward, identity_gin, random_gin,
                   stability_sweep)
 from .graph_select import (kmedoids, feature_distance_matrix, nearest_medoid,
@@ -57,10 +57,13 @@ def _int_from(low: int):
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for a finite float > 0."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    """argparse type for a finite float > 0; as in _int_from, argparse names the flag."""
+    try:
+        value = _require_real(float(text), "")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
 
 
@@ -246,6 +249,10 @@ def cmd_subsample_nodes(args) -> int:
 
 
 def _sweep_configs(args) -> list[TmdConfig]:
+    top = max(LAMBDA_SWEEP)
+    if not math.isfinite(top * args.eta):
+        raise ConfigError(f"--eta {args.eta!r} puts the preset const:{top:g}*eta "
+                          "past the float range")
     return [TmdConfig(depth=args.depth, weights=const_weights(lam * args.eta),
                       feature_norm=args.norm) for lam in LAMBDA_SWEEP]
 
@@ -290,8 +297,6 @@ def _verify_stability(args, ds) -> tuple[dict, int, str]:
 def _verify_erm(args, ds, mode: str) -> tuple[dict, int, str]:
     if len(ds) == 0:  # before random_gin, which would name the 0 feature width
         raise ConfigError(f"{mode} needs graphs; the dataset is empty")
-    if any(g.label is None for g in ds):
-        raise ConfigError(f"{mode} needs labeled graphs")
     hypotheses = [random_gin(args.seed + t, ds.feature_dim, args.hidden, args.depth,
                              eta=args.eta) for t in range(args.hypotheses)]
     cfgs = _sweep_configs(args)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, _require_int, _require_real
+from .errors import ConfigError, _require_choice, _require_int, _require_real
 
 _NORMS = ("l1", "l2")
+_KINDS = ("const", "table")
 
 # Reserved preset name: the binomial-coefficient schedule sketched in
 # Chuang & Jegelka (2022) is not pinned to concrete constants here, so the
@@ -40,8 +41,7 @@ class WeightFn:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in ("const", "table"):
-            raise ConfigError(f"unknown weight kind {self.kind!r}")
+        object.__setattr__(self, "kind", _require_choice(self.kind, "weight kind", _KINDS))
         try:  # a tuple, as an array has no truth value
             weights = tuple(self.weights)
         except TypeError as exc:
@@ -67,9 +67,7 @@ def parse_weights(text: str) -> WeightFn:
     head, sep, rest = text.partition(":")
     if not sep:
         raise ConfigError(f"malformed weight spec {text!r}; expected 'const:<x>' or 'table:...'")
-    head = head.strip().lower()
-    if head not in ("const", "table"):
-        raise ConfigError(f"unknown weight preset {head!r}; expected 'const' or 'table'")
+    head = _require_choice(head.strip().lower(), "weight preset", _KINDS)
     tokens = [rest] if head == "const" else [tok for tok in rest.split(",") if tok.strip()]
     try:
         weights = tuple(map(float, tokens))
@@ -92,8 +90,8 @@ class TmdConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "depth", _require_int(self.depth, "depth", 1, None))
-        if self.feature_norm not in _NORMS:
-            raise ConfigError(f"feature_norm must be one of {_NORMS}, got {self.feature_norm!r}")
+        object.__setattr__(self, "feature_norm",
+                           _require_choice(self.feature_norm, "feature_norm", _NORMS))
         if not isinstance(self.weights, WeightFn):
             raise ConfigError(f"weights must be a WeightFn, got {self.weights!r}")
         # Fail at construction time, not mid-recursion, when a table is short.

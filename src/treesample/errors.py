@@ -1,7 +1,7 @@
 """Exception types shared across the package, and one rule each for overflow,
-integers and real numbers: :func:`exact_sums` takes every exact sum,
-:func:`require_finite`, :func:`_require_int` and :func:`_require_real` check
-every value that must be finite, an integer or a real number."""
+integers, real numbers and choices: :func:`exact_sums` takes every exact sum,
+:func:`require_finite`, :func:`_require_int`, :func:`_require_real` and
+:func:`_require_choice` check every value that must be finite or of that kind."""
 
 import math
 import numbers
@@ -67,6 +67,8 @@ def _require_int(value, name: str, low: int, high: int | None) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if high is None and value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if high is not None and high < low:
+        raise ConfigError(f"no {name} is valid, got {value}")
     if high is not None and not low <= value <= high:
         raise ConfigError(f"{name} must be in {low}..{high}, got {value}")
     return int(value)
@@ -84,6 +86,14 @@ def _require_real(value, name: str) -> float:
     if not math.isfinite(real):
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
     return real
+
+
+def _require_choice(value, name: str, choices: tuple[str, ...]) -> str:
+    """``value`` as a ``str`` if it is one (a numpy string too, a list or an
+    array not) in ``choices``; otherwise :class:`ConfigError` naming ``name``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
+    return str(value)
 
 
 def _seeded_rng(seed) -> np.random.Generator:

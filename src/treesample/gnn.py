@@ -17,8 +17,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .config import TmdConfig
-from .errors import (ConfigError, _require_int, _require_real, _seeded_rng, exact_sums,
-                     require_finite)
+from .errors import (ConfigError, _require_choice, _require_int, _require_real,
+                     _seeded_rng, exact_sums, require_finite)
 from .graphs import Dataset, Graph
 from .tmd import _distances
 
@@ -37,8 +37,8 @@ class GinLayer:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {_ACTIVATIONS}")
+        object.__setattr__(self, "activation",
+                           _require_choice(self.activation, "activation", _ACTIVATIONS))
         for name in ("weight", "bias"):  # read-only float64 copies, as Graph keeps its features
             try:
                 array = np.array(getattr(self, name), dtype=np.float64)

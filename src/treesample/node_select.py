@@ -19,11 +19,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .config import TmdConfig
-from .errors import (ConfigError, _require_int, _require_real, _seeded_rng, exact_sums,
-                     require_finite)
+from .errors import (ConfigError, _require_choice, _require_int, _require_real,
+                     _seeded_rng, exact_sums, require_finite)
 from .graphs import Dataset, Graph
 from .treenorm import subset_tree_norm_sweep
 
+_HEURISTICS = ("bfs", "rw", "kcore")
 # roots per shortest_path call in _k_bfs_candidates, which bounds its memory
 _BFS_BLOCK = 512
 
@@ -169,24 +170,25 @@ def select_subsets(g: Graph, candidates: dict, cfgs,
     return out
 
 
-def _check_heuristics(heuristics) -> None:
-    known = {"bfs", "rw", "kcore"}
-    bad = set(heuristics) - known
-    if bad:
-        raise ConfigError(f"unknown heuristics {sorted(bad)}; choose from {sorted(known)}")
-    if not heuristics:
+def _check_heuristics(heuristics) -> tuple[str, ...]:
+    """The checked names, as a tuple: an iterator could be read only once."""
+    if isinstance(heuristics, str):  # it would be read letter by letter
+        raise ConfigError(f"heuristics must be a collection of names, got {heuristics!r}")
+    names = tuple(_require_choice(name, "heuristic", _HEURISTICS) for name in heuristics)
+    if not names:
         raise ConfigError("at least one heuristic must be enabled")
+    return names
 
 
 def build_candidates(g: Graph, k: int, seed: int,
-                     heuristics=("bfs", "rw", "kcore")) -> dict[tuple[int, ...], str]:
+                     heuristics=_HEURISTICS) -> dict[tuple[int, ...], str]:
     """Union of candidate subsets from the enabled heuristics, as a dict from
     each sorted node tuple to the tag of the first heuristic that produced it.
     ``k``, ``seed`` (an integer >= 0, which seeds the random walk) and
     ``heuristics`` are checked here, for all three heuristics."""
     k = _require_int(k, "k", 1, None)
     rng = _seeded_rng(seed)
-    _check_heuristics(heuristics)
+    heuristics = _check_heuristics(heuristics)
     cands = _k_bfs_candidates(g, k) if "bfs" in heuristics else {}
     if "rw" in heuristics:
         cands.setdefault(_rw_candidate(g, k, rng), "rw")
@@ -196,7 +198,7 @@ def build_candidates(g: Graph, k: int, seed: int,
 
 
 def subsample_dataset(ds: Dataset, frac: float, cfg: TmdConfig,
-                      heuristics=("bfs", "rw", "kcore"),
+                      heuristics=_HEURISTICS,
                       seed: int = 0) -> list[NodeSubsample]:
     """Subsample every graph to roughly ``frac`` of its nodes.
 
@@ -209,7 +211,7 @@ def subsample_dataset(ds: Dataset, frac: float, cfg: TmdConfig,
 
 
 def subsample_sweep(ds: Dataset, frac: float, cfgs,
-                    heuristics=("bfs", "rw", "kcore"),
+                    heuristics=_HEURISTICS,
                     seed: int = 0) -> list[list[NodeSubsample]]:
     """:func:`subsample_dataset` under each config in ``cfgs``, one list per
     config.  The candidates do not depend on the config, so each graph's
@@ -218,7 +220,7 @@ def subsample_sweep(ds: Dataset, frac: float, cfgs,
     if not 0.0 < frac <= 1.0:
         raise ConfigError(f"frac must be in (0, 1], got {frac}")
     seed = _require_int(seed, "seed", 0, None)
-    _check_heuristics(heuristics)
+    heuristics = _check_heuristics(heuristics)
     out = [[] for _ in cfgs]
     for i, g in enumerate(ds):
         n = g.node_count

@@ -21,8 +21,8 @@ import itertools
 
 import numpy as np
 
-from .config import TmdConfig
-from .errors import exact_sums, require_finite
+from .config import _NORMS, TmdConfig
+from .errors import _require_choice, exact_sums, require_finite
 from .graphs import Graph, _node_array
 
 # entries (candidates x (nodes + edges)) per masked pass of subset_tree_norm_sweep
@@ -30,8 +30,8 @@ _SUBSET_BLOCK = 1 << 16
 
 
 def feature_norms(features: np.ndarray, norm: str) -> np.ndarray:
-    """Per-row feature norms under the configured vector norm."""
-    if norm == "l1":
+    """Per-row feature norms under the vector norm ``norm``, ``"l1"`` or ``"l2"``."""
+    if _require_choice(norm, "norm", _NORMS) == "l1":
         return np.abs(features).sum(axis=1)
     with np.errstate(over="ignore"):
         out = np.sqrt((features * features).sum(axis=1))

@@ -562,13 +562,16 @@ def test_cli_verify_stability_zero_distance_gap_is_a_hard_failure(monkeypatch, c
 
 @pytest.mark.parametrize("mode", ["erm-graphs", "erm-nodes"])
 def test_cli_verify_erm_refuses_an_unlabelled_dataset(tmp_path, capsys, mode):
+    # finite_erm_sweep refuses it and names the first graph without a label
     rng = np.random.default_rng(0)
+    graphs = [random_graph(rng, n_max=5) for _ in range(4)]
+    labelled = [Graph(g.node_count, g.edges, g.features, label=1) for g in graphs[:2]]
     path = tmp_path / "unlabelled.jsonl"
-    save_jsonl(make_dataset([random_graph(rng, n_max=5) for _ in range(4)]), path)
+    save_jsonl(make_dataset([*labelled, *graphs[2:]]), path)
     assert main(["verify", "--mode", mode, "--dataset", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {mode} needs labeled graphs\n"
+    assert captured.err == "error: graph 2 has no label\n"
 
 
 def _fake_erm_sweep(chain_ok: bool):

@@ -31,7 +31,7 @@ EXIT_CODES = {0, 1, 2, 3, 4, 70}
     ["verify", "--mode", "stability", "--synthetic", "6", "--pairs", "0"],
     ["treenorm", "--weights", "const:inf", "--dataset"],
     ["treenorm", "--depth", "3", "--weights", "table:1,inf", "--dataset"],
-    # the sweep's const:2*eta preset is infinite
+    # the sweep's largest preset, const:4*eta, is infinite
     ["verify", "--mode", "erm-nodes", "--synthetic", "6", "--eta", "1e308"],
     ["verify", "--mode", "wl-counterexample", "--eta", "nan"],
     ["verify", "--mode", "wl-counterexample", "--eta", "inf"],
@@ -109,6 +109,26 @@ def test_cli_wl_counterexample_probe_overflow_exits_2(eta, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "not finite" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["stability", "erm-graphs", "erm-nodes"])
+def test_cli_verify_names_the_eta_whose_largest_preset_overflows(mode, capsys):
+    # this said "weight must be a finite real number, got inf"
+    assert main(["verify", "--mode", mode, "--synthetic", "6", "--eta", "1e308"]) == 1
+    assert capsys.readouterr().err == ("error: --eta 1e+308 puts the preset const:4*eta "
+                                       "past the float range\n")
+
+
+@pytest.mark.parametrize("eta, message", [
+    ("inf", "must be a finite real number, got inf"),
+    ("nan", "must be a finite real number, got nan"),
+    ("0", "must be > 0, got 0.0"),
+    ("-1", "must be > 0, got -1.0"),
+    ("x", "invalid float value: 'x'"),
+])
+def test_cli_eta_goes_through_the_real_gate(eta, message, capsys):
+    assert main(["verify", "--mode", "wl-counterexample", f"--eta={eta}"]) == 1
+    assert capsys.readouterr().err == f"error: argument --eta: {message}\n"
 
 
 def test_library_rejects_non_positive_sizes():
@@ -301,7 +321,7 @@ def test_cli_degenerate_dataset_exits_with_a_documented_code(data, argv, tmp_pat
 
 
 @pytest.mark.parametrize("heuristics, message", [
-    ("bogus", "unknown heuristics ['bogus']"),
+    ("bogus", "heuristic must be one of ('bfs', 'rw', 'kcore'), got 'bogus'"),
     (",", "at least one heuristic must be enabled"),
 ], ids=["bogus", "comma"])
 @pytest.mark.parametrize("data", ["empty-file", "two-0-node-graphs"])

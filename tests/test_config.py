@@ -37,8 +37,16 @@ def test_parse_rejects_pascal_alias():
 
 def test_weight_fn_refuses_an_unknown_kind():
     # the parser refuses "pascal" by name; a record built directly is refused too
-    with pytest.raises(ConfigError, match="unknown weight kind 'pascal'"):
+    with pytest.raises(ConfigError) as info:
         WeightFn("pascal", (1.0,))
+    assert str(info.value) == "weight kind must be one of ('const', 'table'), got 'pascal'"
+
+
+@pytest.mark.parametrize("text, head", [("tab:1", "tab"), (" GAUSS :1", "gauss")])
+def test_parse_weights_refuses_an_unknown_preset_through_the_choice_gate(text, head):
+    with pytest.raises(ConfigError) as info:
+        parse_weights(text)
+    assert str(info.value) == f"weight preset must be one of ('const', 'table'), got {head!r}"
 
 
 def test_parse_round_trips_through_spec_string():

@@ -3,7 +3,8 @@ refusal of a value that is not finite goes through ``errors.exact_sums`` and
 ``errors.require_finite``.  One integer rule: every integer argument, seeds
 included, goes through ``errors._require_int``, and every generator is made
 by ``errors._seeded_rng``.  One real rule: every real argument goes through
-``errors._require_real``."""
+``errors._require_real``.  One choice rule: every argument that names one of
+a fixed set of strings goes through ``errors._require_choice``."""
 
 import ast
 import json
@@ -20,12 +21,14 @@ import treesample
 from treesample import (ConfigError, DistanceMatrix, Graph, NumericalOverflowError,
                         TmdConfig, WeightFn, brute_force_medoids, brute_force_select,
                         build_candidates, clustered_dataset, computation_tree, const_weights,
-                        empty_graph, finite_erm_sweep, identity_gin, kmedoids, nearest_medoid,
-                        random_gin, random_graph, random_pairs, random_selection, save_jsonl,
-                        select_subsets, stability_sweep, subsample_dataset, subsample_sweep,
-                        wl_counterexample_pair, wl_distance, wl_pseudometric_matrix)
+                        empty_graph, feature_norms, finite_erm_sweep, identity_gin, kmedoids,
+                        nearest_medoid, random_gin, random_graph, random_pairs,
+                        random_selection, save_jsonl, select_subsets, stability_sweep,
+                        subsample_dataset, subsample_sweep, wl_counterexample_pair,
+                        wl_distance, wl_pseudometric_matrix)
 from treesample.cli import main
 from treesample.errors import exact_sums, require_finite
+from treesample.gnn import GinLayer
 from treesample.synth import synthetic_dataset
 
 PACKAGE = Path(treesample.__file__).parent
@@ -118,6 +121,18 @@ def test_real_messages_and_numbers_live_in_the_gate():
     assert imports == {"errors.py"}
 
 
+def test_choice_messages_live_in_the_gate():
+    # one spelling of the choice rule; oracles.py counts too, and argparse's
+    # choices= writes its own message
+    messages = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, scope in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and "must be one of" in node.value:
+                messages.add((path.name, scope))
+    assert messages == {("errors.py", "_require_choice")}
+
+
 _DS = synthetic_dataset(6, 0)
 _DM = DistanceMatrix(6, "test", 1, "", np.arange(1.0, 16.0))
 _PATH = Graph(5, [(i, i + 1) for i in range(4)], np.ones((5, 1)))
@@ -182,6 +197,18 @@ def test_every_integer_argument_goes_through_one_gate(call, name, good):
     assert pickle.dumps(call(np.int64(good))) == pickle.dumps(call(good))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: DistanceMatrix(0, "t", 1, "", []).value(0, 0), "no pair index is valid, got 0"),
+    (lambda: TmdConfig(1).level_weight(1), "no weight level is valid, got 1"),
+    (lambda: random_selection(0, 1, 0), "no k is valid, got 1"),
+], ids=["DistanceMatrix.value", "TmdConfig.level_weight", "random_selection"])
+def test_an_empty_integer_range_says_no_value_is_valid(call, message):
+    # these printed the empty range as 0..-1 or 1..0
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # (entry point, a call passing the value under test, the argument's name, a good value)
 _REAL_ARGS = [
     ("const_weights", lambda v: const_weights(v), "weight", 0.5),
@@ -209,6 +236,37 @@ def test_every_real_argument_goes_through_one_gate(call, name, good):
     # a numpy float or a Fraction is a real number, and gives what the float gives
     for same in (np.float64(good), Fraction(good)):
         assert pickle.dumps(call(same)) == pickle.dumps(call(good))
+
+
+# (entry point, a call passing the value under test, the argument's name, its
+# choices, a good value)
+_CHOICE_ARGS = [
+    ("TmdConfig-feature_norm", lambda v: TmdConfig(2, feature_norm=v), "feature_norm",
+     ("l1", "l2"), "l1"),
+    ("feature_norms", lambda v: feature_norms(np.array([[3.0, -4.0]]), v), "norm",
+     ("l1", "l2"), "l1"),
+    ("WeightFn-kind", lambda v: WeightFn(v, (0.5,)), "weight kind", ("const", "table"),
+     "table"),
+    ("GinLayer-activation", lambda v: GinLayer(np.eye(2), np.zeros(2), v), "activation",
+     ("relu", "identity"), "identity"),
+    ("build_candidates-heuristics", lambda v: build_candidates(_PATH, 2, 0, heuristics=(v,)),
+     "heuristic", ("bfs", "rw", "kcore"), "kcore"),
+    ("subsample_sweep-heuristics", lambda v: subsample_sweep(_DS, 0.5, [_CFG], (v, "bfs")),
+     "heuristic", ("bfs", "rw", "kcore"), "rw"),
+]
+
+
+@pytest.mark.parametrize("call, name, choices, good", [case[1:] for case in _CHOICE_ARGS],
+                         ids=[case[0] for case in _CHOICE_ARGS])
+def test_every_choice_argument_goes_through_one_gate(call, name, choices, good):
+    # feature_norms computed l2 for each of these, and the others named
+    # them in four spellings, one of which left the value out
+    for bad in ("L1", None, ["l1"], "tanh"):
+        with pytest.raises(ConfigError) as info:
+            call(bad)
+        assert str(info.value) == f"{name} must be one of {choices}, got {bad!r}"
+    # a numpy string is a string, and gives what the str gives
+    assert pickle.dumps(call(np.str_(good))) == pickle.dumps(call(good))
 
 
 def test_exact_sums_is_fsum_bit_for_bit():

@@ -151,6 +151,19 @@ def test_build_candidates_validates_heuristics():
         build_candidates(STAR, 2, 0, heuristics=("bfs", "magic"))
     with pytest.raises(ConfigError):
         build_candidates(STAR, 2, 0, heuristics=())
+    # a bare string is refused whole; this said "unknown heuristics ['b', 'f', 's']"
+    with pytest.raises(ConfigError) as info:
+        build_candidates(STAR, 2, 0, heuristics="bfs")
+    assert str(info.value) == "heuristics must be a collection of names, got 'bfs'"
+
+
+def test_heuristics_may_be_an_iterator():
+    # the check read an iterator to its end, so no heuristic ran after it
+    want = build_candidates(PATH5, 2, 0, heuristics=("bfs", "kcore"))
+    assert build_candidates(PATH5, 2, 0, heuristics=iter(["bfs", "kcore"])) == want
+    ds = make_dataset([STAR, PATH5])
+    assert (subsample_dataset(ds, 0.5, cfg(2), heuristics=iter(["rw"]))
+            == subsample_dataset(ds, 0.5, cfg(2), heuristics=("rw",)))
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.5, np.float64(2.0), True, "2"])
