@@ -249,10 +249,13 @@ def cmd_subsample_nodes(args) -> int:
 
 
 def _sweep_configs(args) -> list[TmdConfig]:
-    top = max(LAMBDA_SWEEP)
+    low, top = min(LAMBDA_SWEEP), max(LAMBDA_SWEEP)
     if not math.isfinite(top * args.eta):
         raise ConfigError(f"--eta {args.eta!r} puts the preset const:{top:g}*eta "
                           "past the float range")
+    if not low * args.eta > 0:
+        raise ConfigError(f"--eta {args.eta!r} puts the preset const:{low:g}*eta "
+                          "below the smallest positive float")
     return [TmdConfig(depth=args.depth, weights=const_weights(lam * args.eta),
                       feature_norm=args.norm) for lam in LAMBDA_SWEEP]
 

@@ -62,6 +62,8 @@ class WeightFn:
 
 def parse_weights(text: str) -> WeightFn:
     """Parse a weight spec of the form ``const:<x>`` or ``table:w1,w2,...``."""
+    if not isinstance(text, str):
+        raise ConfigError(f"weight spec must be a string, got {text!r}")
     if text.strip().lower() == "pascal":
         raise ConfigError(_PASCAL_MSG)
     head, sep, rest = text.partition(":")

@@ -85,6 +85,112 @@ def _selection(full: np.ndarray, idx: list[int]) -> Selection:
     return Selection(idx, np.bincount(choice, minlength=len(idx)).tolist(), float(near.mean()))
 
 
+# pair sweeps run while C(k, 2) * C(n - k, 2) candidate pairs stay within this
+_PAIR_BUDGET = 200_000
+# float64 entries (256 KiB) in one block of BUILD's or a sweep's batched reduction
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _single_swap(full: np.ndarray, chosen: list[int], others: np.ndarray,
+                 objective: float) -> tuple[tuple | None, float]:
+    """The first best single swap ``([out], [inc])`` whose objective is below
+    ``objective``, and that objective; ``(None, objective)`` if none is.
+
+    One pass over the non-medoid rows estimates every swap from each point's
+    owner (its first nearest medoid), ``near`` and ``sec`` (its nearest and
+    second-nearest medoid distance, ``inf`` when k = 1), as FasterPAM does:
+    swapping ``out`` for ``j`` is estimated as ``(sum_i min(f_ji, near_i) +
+    sum_{i owned by out} [min(f_ji, sec_i) - min(f_ji, near_i)]) / n``.  Only
+    the swaps whose estimate is at most ``min(best estimate, objective) *
+    (1 + 1e-9)`` are scored exactly, by the row mean of ``min(f_j,
+    where(owner == out, sec, near))``, whose second operand equals the
+    remaining medoids' column minimum bit for bit.  The scan keeps the
+    earliest ``out``, then the smallest ``j``, with a strict ``<``.
+
+    The pruning never drops the best swap.  The estimate and the exact mean
+    each add at most n + 2 non-negative float terms, and such a sum is
+    monotone and within (n + 2) * 2**-53 (relative) of the real sum.  So the
+    two differ by at most ~2 (n + 2) * 2**-53 relative, far below ``1e-9``
+    for any n whose matrix fits in memory, and every exact minimiser below
+    ``objective`` is among the swaps scored exactly.
+    """
+    n, k = full.shape[0], len(chosen)
+    cols = full[:, chosen]
+    at = np.arange(n)
+    owner = np.argmin(cols, axis=1)
+    near = cols[at, owner]
+    cols[at, owner] = np.inf
+    sec = cols.min(axis=1)
+    # columns grouped by owner, so that each owner's points are one segment
+    order = np.argsort(owner, kind="stable")
+    sizes = np.bincount(owner, minlength=k)
+    owners = np.flatnonzero(sizes)  # a medoid that ties an earlier one owns none
+    starts = (np.cumsum(sizes) - sizes)[owners]
+    near_seg, sec_seg = near[order], sec[order]
+    m = len(others)
+    est = np.empty((m, k))
+    step = max(1, _BLOCK_ENTRIES // n)
+    rows_buf, low_buf = np.empty((2, min(step, m), n))  # reused by every block
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        rows, low = rows_buf[:hi - lo], low_buf[:hi - lo]
+        np.take(np.take(full, others[lo:hi], axis=0, out=rows), order, axis=1, out=low)
+        np.minimum(low, sec_seg, out=rows)
+        np.minimum(low, near_seg, out=low)
+        rows -= low  # what each point adds when its owner leaves
+        est[lo:hi] = low.sum(axis=1)[:, None]
+        est[lo:hi, owners] += np.add.reduceat(rows, starts, axis=1)
+    est /= n
+    bound = min(est.min(), objective) * (1 + 1e-9)
+    best, best_obj = None, objective
+    rescore = est <= bound
+    for out in np.flatnonzero(rescore.any(axis=0)).tolist():
+        js = np.flatnonzero(rescore[:, out])
+        objs = np.minimum(full[others[js]], np.where(owner == out, sec, near)).mean(axis=1)
+        j = int(np.argmin(objs))
+        if objs[j] < best_obj:
+            best, best_obj = ([chosen[out]], [int(others[js[j]])]), float(objs[j])
+    return best, best_obj
+
+
+def _pair_swap(full: np.ndarray, chosen: list[int], others: np.ndarray,
+               objective: float) -> tuple[tuple | None, float]:
+    """The first best pair swap ``(outs, [a, b])`` whose objective is below
+    ``objective``, and that objective; ``(None, objective)`` if none is.
+
+    Candidates run in the scan order ``outs``, then ``a``, then ``b > a``.
+    For each ``outs`` one block of first indices ``a`` is scored at a time,
+    as one reduction over (a, b, n) of at most ``_BLOCK_ENTRIES`` entries (one
+    ``a`` when its pairs alone are more), and the block's first minimum in
+    row-major order is the scan's.  A block also scores ``b <= a`` where its
+    rows overlap, but none of those wins: ``b < a`` repeats the value of the
+    pair ``(b, a)``, scanned earlier, and ``b = a`` is no better than the
+    single swap of one of ``outs`` for ``a``, which is not below
+    ``objective`` because :func:`kmedoids` calls this only at a single-swap
+    local optimum.
+    """
+    n, m = full.shape[0], len(others)
+    buf = np.empty(max(_BLOCK_ENTRIES, (m - 1) * n))  # reused by every block
+    best, best_obj = None, objective
+    for outs in itertools.combinations(chosen, 2):
+        rest = [c for c in chosen if c not in outs]
+        rows = full[others]  # row b holds min(f_b, rest's min)
+        np.minimum(rows, full[:, rest].min(axis=1, initial=np.inf), out=rows)
+        lo = 0
+        while lo < m - 1:  # first indices lo..hi-1, second lo+1..m-1
+            width = m - 1 - lo
+            hi = min(m - 1, lo + max(1, _BLOCK_ENTRIES // (width * n)))
+            block = buf[:(hi - lo) * width * n].reshape(hi - lo, width, n)
+            objs = np.minimum(rows[lo + 1:], rows[lo:hi, None], out=block).mean(axis=2)
+            f = int(np.argmin(objs))
+            if objs.flat[f] < best_obj:
+                a, b = divmod(f, width)
+                best = (list(outs), [int(others[lo + a]), int(others[lo + 1 + b])])
+                best_obj = float(objs.flat[f])
+            lo = hi
+    return best, best_obj
+
+
 def kmedoids(d: DistanceMatrix, k: int, *, trace: list | None = None) -> Selection:
     """PAM-style k-medoids: greedy BUILD, then best-improvement exchanges.
 
@@ -93,15 +199,18 @@ def kmedoids(d: DistanceMatrix, k: int, *, trace: list | None = None) -> Selecti
     swaps of two medoids at a time.  The pair moves matter: a single-swap
     local optimum can park two medoids inside one cluster and leave another
     cluster uncovered, and no one-at-a-time move escapes that.  Pair sweeps
-    are skipped on instances large enough that the sweep would dominate the
-    runtime; single swaps always run.
+    run only while C(k, 2) * C(n - k, 2) <= 200,000 (the pair-sweep budget),
+    where they stay cheap; single swaps always run.
 
-    Each sweep scores whole candidate sets at once: every candidate's
-    objective is the mean of one contiguous row of length n in a batched
-    reduction, which numpy sums in the same order as a 1-D mean.  The
-    selections, objectives and trace are therefore bit-identical to scoring
-    one swap at a time in ascending scan order and keeping only strictly
-    better moves (``np.argmin`` keeps the first of equal minima).
+    Every exactly scored candidate is the mean of one contiguous row of
+    length n in a batched reduction, which numpy sums in the same order as a
+    1-D mean, so the selections, objectives and trace are bit-identical to
+    scoring one swap at a time in ascending scan order and keeping only
+    strictly better moves (``np.argmin`` keeps the first of equal minima).
+    :func:`_single_swap` scores exactly only the swaps that an estimate
+    cannot rule out; :func:`_pair_swap` scores blocks of first indices.
+    BUILD and both sweeps reduce at most 32,768 entries (256 KiB) at a time
+    where one row fits.
 
     Exchanges run until no swap is strictly better: each accepted swap
     strictly lowers the objective of the medoid set, so no set repeats and
@@ -123,9 +232,11 @@ def kmedoids(d: DistanceMatrix, k: int, *, trace: list | None = None) -> Selecti
     # BUILD: repeatedly add the index that lowers the objective most
     taken = np.zeros(n, dtype=bool)
     best_dist = np.full(n, np.inf)
+    step = max(1, _BLOCK_ENTRIES // n)
     for _ in range(k):
         cands = np.flatnonzero(~taken)
-        objs = np.minimum(full[cands], best_dist).mean(axis=1)
+        objs = np.concatenate([np.minimum(full[cands[lo:lo + step]], best_dist).mean(axis=1)
+                               for lo in range(0, len(cands), step)])
         best_idx = int(cands[np.argmin(objs)])
         taken[best_idx] = True
         best_dist = np.minimum(best_dist, full[best_idx])
@@ -137,31 +248,12 @@ def kmedoids(d: DistanceMatrix, k: int, *, trace: list | None = None) -> Selecti
     # exchange phase: accept the best strictly improving move until none
     # exists, trying single swaps first and pair swaps only at single-swap
     # local optima
-    pair_budget = 200_000
-    run_pairs = k >= 2 and math.comb(k, 2) * math.comb(n - k, 2) <= pair_budget
+    run_pairs = k >= 2 and math.comb(k, 2) * math.comb(n - k, 2) <= _PAIR_BUDGET
     while True:
-        best_swap, best_obj = None, objective
-        others = [i for i in range(n) if i not in chosen]
-        rows = full[others]
-        for out in chosen:
-            rest = [c for c in chosen if c != out]
-            rest_min = full[:, rest].min(axis=1, initial=np.inf)
-            objs = np.minimum(rows, rest_min).mean(axis=1)
-            j = int(np.argmin(objs))
-            if objs[j] < best_obj:
-                best_swap, best_obj = ([out], [others[j]]), float(objs[j])
+        others = np.delete(np.arange(n), chosen)
+        best_swap, best_obj = _single_swap(full, chosen, others, objective)
         if best_swap is None and run_pairs:
-            for outs in itertools.combinations(chosen, 2):
-                rest = [c for c in chosen if c not in outs]
-                rest_rows = np.minimum(
-                    rows, full[:, rest].min(axis=1, initial=np.inf))
-                # pairs (a, b) with b > a: one reduction per first index a
-                for ia, a in enumerate(others[:-1]):
-                    objs = np.minimum(rest_rows[ia + 1:], full[a]).mean(axis=1)
-                    j = int(np.argmin(objs))
-                    if objs[j] < best_obj:
-                        best_swap = (list(outs), [a, others[ia + 1 + j]])
-                        best_obj = float(objs[j])
+            best_swap, best_obj = _pair_swap(full, chosen, others, objective)
         if best_swap is None:
             break
         outs, incs = best_swap

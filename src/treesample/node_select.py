@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,7 +173,8 @@ def select_subsets(g: Graph, candidates: dict, cfgs,
 
 def _check_heuristics(heuristics) -> tuple[str, ...]:
     """The checked names, as a tuple: an iterator could be read only once."""
-    if isinstance(heuristics, str):  # it would be read letter by letter
+    # a str would be read letter by letter
+    if isinstance(heuristics, str) or not isinstance(heuristics, Iterable):
         raise ConfigError(f"heuristics must be a collection of names, got {heuristics!r}")
     names = tuple(_require_choice(name, "heuristic", _HEURISTICS) for name in heuristics)
     if not names:

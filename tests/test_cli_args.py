@@ -119,6 +119,14 @@ def test_cli_verify_names_the_eta_whose_largest_preset_overflows(mode, capsys):
                                        "past the float range\n")
 
 
+@pytest.mark.parametrize("mode", ["stability", "erm-graphs", "erm-nodes"])
+def test_cli_verify_names_the_eta_whose_smallest_preset_underflows(mode, capsys):
+    # this said "weight must be > 0, got 0.0"
+    assert main(["verify", "--mode", mode, "--synthetic", "6", "--eta", "5e-324"]) == 1
+    assert capsys.readouterr().err == ("error: --eta 5e-324 puts the preset const:0.5*eta "
+                                       "below the smallest positive float\n")
+
+
 @pytest.mark.parametrize("eta, message", [
     ("inf", "must be a finite real number, got inf"),
     ("nan", "must be a finite real number, got nan"),

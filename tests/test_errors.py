@@ -22,7 +22,7 @@ from treesample import (ConfigError, DistanceMatrix, Graph, NumericalOverflowErr
                         TmdConfig, WeightFn, brute_force_medoids, brute_force_select,
                         build_candidates, clustered_dataset, computation_tree, const_weights,
                         empty_graph, feature_norms, finite_erm_sweep, identity_gin, kmedoids,
-                        nearest_medoid, random_gin, random_graph, random_pairs,
+                        nearest_medoid, parse_weights, random_gin, random_graph, random_pairs,
                         random_selection, save_jsonl, select_subsets, stability_sweep,
                         subsample_dataset, subsample_sweep, wl_counterexample_pair,
                         wl_distance, wl_pseudometric_matrix)
@@ -267,6 +267,31 @@ def test_every_choice_argument_goes_through_one_gate(call, name, choices, good):
         assert str(info.value) == f"{name} must be one of {choices}, got {bad!r}"
     # a numpy string is a string, and gives what the str gives
     assert pickle.dumps(call(np.str_(good))) == pickle.dumps(call(good))
+
+
+# (entry point, a call passing the value under test, the refusal before the
+# value, a good value)
+_KIND_ARGS = [
+    ("build_candidates-heuristics", lambda v: build_candidates(_PATH, 2, 0, heuristics=v),
+     "heuristics must be a collection of names", ("bfs",)),
+    ("subsample_sweep-heuristics", lambda v: subsample_sweep(_DS, 0.5, [_CFG], v),
+     "heuristics must be a collection of names", ["rw", "bfs"]),
+    ("subsample_dataset-heuristics", lambda v: subsample_dataset(_DS, 0.5, _CFG, v),
+     "heuristics must be a collection of names", {"kcore"}),
+    ("parse_weights", lambda v: parse_weights(v), "weight spec must be a string",
+     "const:0.5"),
+]
+
+
+@pytest.mark.parametrize("call, refusal, good", [case[1:] for case in _KIND_ARGS],
+                         ids=[case[0] for case in _KIND_ARGS])
+def test_an_argument_of_the_wrong_kind_is_refused_by_name(call, refusal, good):
+    # these raised a bare TypeError or AttributeError
+    for bad in (None, 3, 2.5):
+        with pytest.raises(ConfigError) as info:
+            call(bad)
+        assert str(info.value) == f"{refusal}, got {bad!r}"
+    call(good)
 
 
 def test_exact_sums_is_fsum_bit_for_bit():

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from treesample import (ConfigError, DatasetError, DistanceMatrix, Graph, Select
                         kmedoids, make_dataset, nearest_medoid,
                         random_selection, wl_distance,
                         wl_counterexample_pair, wl_pseudometric_matrix)
+from treesample import graph_select
 
 from helpers import (cfg, random_graph, reference_feature_distance_matrix,
                      reference_kmedoids, reference_wl_pseudometric_matrix,
@@ -155,6 +157,67 @@ def test_kmedoids_bit_identical_above_pair_budget():
     n, k = 110, 10  # C(10, 2) * C(100, 2) = 222,750 > 200,000: single swaps only
     assert math.comb(k, 2) * math.comb(n - k, 2) > 200_000
     assert_same_as_reference(seeded_dm(np.random.default_rng(7), n, "euclid"), k)
+
+
+@pytest.mark.parametrize("kind", ["euclid", "ties", "rounded"])
+def test_kmedoids_bit_identical_with_one_medoid(kind):
+    # k = 1: no second-nearest medoid, so every point's sec is inf
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 7, 30, 64):
+        assert_same_as_reference(seeded_dm(rng, n, kind), 1)
+
+
+def test_kmedoids_bit_identical_when_medoids_tie_for_nearest():
+    # duplicate points: a point can sit at equal distance from two medoids,
+    # and a medoid that duplicates an earlier one owns no point
+    rng = np.random.default_rng(12)
+    for n in (6, 12, 25, 40):
+        points = rng.integers(0, 3, size=(n, 2)).astype(np.float64)
+        d = DistanceMatrix(n, "dup", 1, "const:1.0", pdist(points))
+        for k in (1, 2, 3, 5, 9):
+            if k <= n:
+                assert_same_as_reference(d, k)
+
+
+@pytest.mark.parametrize("kind", ["ties", "rounded"])
+def test_kmedoids_bit_identical_when_a_pair_sweep_spans_blocks(kind):
+    n, k = 60, 3
+    # the first block of first indices stops short of the last one
+    assert graph_select._BLOCK_ENTRIES // ((n - k - 1) * n) < n - k - 1
+    assert math.comb(k, 2) * math.comb(n - k, 2) <= 200_000
+    assert_same_as_reference(seeded_dm(np.random.default_rng(13), n, kind), k)
+
+
+@pytest.mark.parametrize("kind", ["euclid", "ties", "rounded"])
+def test_kmedoids_bit_identical_with_tiny_blocks(kind, monkeypatch):
+    # blocks of 64 entries: BUILD and single swaps take a few rows per
+    # block, and every pair sweep runs one first index per block
+    monkeypatch.setattr(graph_select, "_BLOCK_ENTRIES", 64)
+    rng = np.random.default_rng(14)
+    for _ in range(12):
+        n = int(rng.integers(4, 22))
+        k = int(rng.integers(1, min(n, 5) + 1))
+        assert_same_as_reference(seeded_dm(rng, n, kind), k)
+
+
+def test_kmedoids_pair_sweep_memory_stays_bounded():
+    # C(2, 2) * C(598, 2) = 178,503 pairs: the pair sweep runs.  Scoring them
+    # all at once would trace ~1.6 GiB; the selection is the one the
+    # per-first-index loop returned
+    n, k = 600, 2
+    assert math.comb(k, 2) * math.comb(n - k, 2) <= 200_000
+    d = DistanceMatrix(n, "euclid", 1, "const:1.0",
+                       pdist(np.random.default_rng(600).standard_normal((n, 2))))
+    tracemalloc.start()
+    try:
+        trace = []
+        sel = kmedoids(d, k, trace=trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+    assert (sel.indices, sel.tau) == ([140, 365], [295, 305])
+    assert sel.objective == 1.0255307202062374 and len(trace) == 6
 
 
 def test_kmedoids_rejects_non_finite_distances():
