@@ -8,6 +8,7 @@ seeded models, and "learning" is exact minimization over that set.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Sized
@@ -129,19 +130,28 @@ class LipschitzProfile:
     product = property(lambda self: math.prod(self.per_layer))
 
 
+@functools.cache
+def _power_start(size: int) -> np.ndarray:
+    """The seeded unit start vector of :func:`_spectral_norm`, read-only."""
+    x = _seeded_rng(0).standard_normal(size)
+    x /= math.sqrt(x.dot(x))
+    x.flags.writeable = False
+    return x
+
+
 def _spectral_norm(w: np.ndarray):
+    # math.sqrt(v.dot(v)) is how np.linalg.norm computes a vector's norm
     if w.size == 0:
         return 0.0, True
-    x = _seeded_rng(0).standard_normal(w.shape[0])
-    x /= np.linalg.norm(x)
+    x = _power_start(w.shape[0])
     sigma = 0.0
     for _ in range(_POWER_ITERS):
         y = x @ w
-        ny = float(np.linalg.norm(y))
+        ny = math.sqrt(y.dot(y))
         if ny == 0.0:
             return 0.0, True
         x = y @ w.T
-        nx = float(np.linalg.norm(x))
+        nx = math.sqrt(x.dot(x))
         new_sigma = math.sqrt(nx) if nx > 0 else ny
         x = x / nx if nx > 0 else x
         if sigma > 0 and abs(new_sigma - sigma) <= _POWER_TOL * sigma:

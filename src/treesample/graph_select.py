@@ -153,41 +153,95 @@ def _single_swap(full: np.ndarray, chosen: list[int], others: np.ndarray,
     return best, best_obj
 
 
+def _pair_survivors(rows: np.ndarray, best_obj: float) -> tuple | None:
+    """The pairs ``(a, b)``, ``b > a``, that a lower bound cannot rule out
+    against ``best_obj``, as two index arrays in scan order; None when more
+    than half of the pairs survive.
+
+    Row ``c`` of ``rows`` holds ``g_c(i) = min(f_ci, r_i)``, with ``r`` the
+    remaining medoids' column minimum.  Since ``min(x, y) = x + y - max(x,
+    y)`` and ``max(g_a(i), g_b(i)) <= C_i = max_c g_c(i)``, the objective of
+    the pair is at least ``S_a + S_b - C``, with ``S_a`` the mean of row
+    ``a`` and ``C`` the mean of the ``C_i``.  A pair survives when that
+    bound is at most ``best_obj + 1e-9 * C``.
+
+    No pair whose exact objective is below ``best_obj`` is ruled out.  Each
+    mean adds at most n non-negative float terms, so it is within ~n *
+    2**-53 (relative) of its real value.  ``S_a``, ``S_b`` and the
+    objective are at most ``C``, so the computed bound and objective are
+    within ~4 n * 2**-53 * ``C`` of their real values together, far below
+    the slack for any n whose matrix fits in memory.  If the sum of the
+    ``C_i`` overflows, ``C`` is ``inf`` and every pair survives.
+    """
+    m = len(rows)
+    means = rows.mean(axis=1)
+    with np.errstate(over="ignore"):  # an infinite C keeps every pair
+        cbar = rows.max(axis=0).mean()
+        bound = np.add.outer(means, means)
+        bound -= cbar
+        keep = bound <= best_obj + 1e-9 * cbar
+    # keep is symmetric: the pairs b > a are its upper triangle
+    if 2 * (np.count_nonzero(keep) - np.count_nonzero(keep.diagonal())) > m * (m - 1):
+        return None
+    firsts, seconds = np.nonzero(keep)  # row-major: the scan order
+    upper = firsts < seconds
+    return firsts[upper], seconds[upper]
+
+
 def _pair_swap(full: np.ndarray, chosen: list[int], others: np.ndarray,
                objective: float) -> tuple[tuple | None, float]:
     """The first best pair swap ``(outs, [a, b])`` whose objective is below
     ``objective``, and that objective; ``(None, objective)`` if none is.
 
     Candidates run in the scan order ``outs``, then ``a``, then ``b > a``.
-    For each ``outs`` one block of first indices ``a`` is scored at a time,
-    as one reduction over (a, b, n) of at most ``_BLOCK_ENTRIES`` entries (one
-    ``a`` when its pairs alone are more), and the block's first minimum in
-    row-major order is the scan's.  A block also scores ``b <= a`` where its
-    rows overlap, but none of those wins: ``b < a`` repeats the value of the
-    pair ``(b, a)``, scanned earlier, and ``b = a`` is no better than the
-    single swap of one of ``outs`` for ``a``, which is not below
-    ``objective`` because :func:`kmedoids` calls this only at a single-swap
-    local optimum.
+    For each ``outs``, :func:`_pair_survivors` rules out the pairs whose
+    lower bound exceeds the running best; none of them could replace it.
+    The survivors are scored exactly, in scan order, in chunks of at most
+    ``_BLOCK_ENTRIES`` entries, and a chunk's first minimum is the scan's.
+
+    When more than half of the pairs survive (as at k = 2, where no medoid
+    remains and nearly every pair does), gathering them costs more than the
+    dense scan, which scores one block of first indices ``a`` at a
+    time as one reduction over (a, b, n) of at most ``_BLOCK_ENTRIES``
+    entries (one ``a`` when its pairs alone are more).  A block also scores
+    ``b <= a`` where its rows overlap, but none of those wins: ``b < a``
+    repeats the value of the pair ``(b, a)``, scanned earlier, and ``b = a``
+    is no better than the single swap of one of ``outs`` for ``a``, which is
+    not below ``objective`` because :func:`kmedoids` calls this only at a
+    single-swap local optimum.
     """
     n, m = full.shape[0], len(others)
-    buf = np.empty(max(_BLOCK_ENTRIES, (m - 1) * n))  # reused by every block
+    step = max(1, _BLOCK_ENTRIES // n)
+    buf = np.empty(max(_BLOCK_ENTRIES, (m - 1) * n))  # reused by every dense block
     best, best_obj = None, objective
     for outs in itertools.combinations(chosen, 2):
         rest = [c for c in chosen if c not in outs]
         rows = full[others]  # row b holds min(f_b, rest's min)
         np.minimum(rows, full[:, rest].min(axis=1, initial=np.inf), out=rows)
-        lo = 0
-        while lo < m - 1:  # first indices lo..hi-1, second lo+1..m-1
-            width = m - 1 - lo
-            hi = min(m - 1, lo + max(1, _BLOCK_ENTRIES // (width * n)))
-            block = buf[:(hi - lo) * width * n].reshape(hi - lo, width, n)
-            objs = np.minimum(rows[lo + 1:], rows[lo:hi, None], out=block).mean(axis=2)
-            f = int(np.argmin(objs))
-            if objs.flat[f] < best_obj:
-                a, b = divmod(f, width)
-                best = (list(outs), [int(others[lo + a]), int(others[lo + 1 + b])])
-                best_obj = float(objs.flat[f])
-            lo = hi
+        survivors = _pair_survivors(rows, best_obj)
+        if survivors is not None:
+            firsts, seconds = survivors
+            for lo in range(0, len(firsts), step):
+                objs = np.minimum(rows[seconds[lo:lo + step]],
+                                  rows[firsts[lo:lo + step]]).mean(axis=1)
+                f = int(np.argmin(objs))
+                if objs[f] < best_obj:
+                    best = (list(outs), [int(others[firsts[lo + f]]),
+                                         int(others[seconds[lo + f]])])
+                    best_obj = float(objs[f])
+        else:
+            lo = 0
+            while lo < m - 1:  # first indices lo..hi-1, second lo+1..m-1
+                width = m - 1 - lo
+                hi = min(m - 1, lo + max(1, _BLOCK_ENTRIES // (width * n)))
+                block = buf[:(hi - lo) * width * n].reshape(hi - lo, width, n)
+                objs = np.minimum(rows[lo + 1:], rows[lo:hi, None], out=block).mean(axis=2)
+                f = int(np.argmin(objs))
+                if objs.flat[f] < best_obj:
+                    a, b = divmod(f, width)
+                    best = (list(outs), [int(others[lo + a]), int(others[lo + 1 + b])])
+                    best_obj = float(objs.flat[f])
+                lo = hi
     return best, best_obj
 
 
@@ -208,7 +262,8 @@ def kmedoids(d: DistanceMatrix, k: int, *, trace: list | None = None) -> Selecti
     scoring one swap at a time in ascending scan order and keeping only
     strictly better moves (``np.argmin`` keeps the first of equal minima).
     :func:`_single_swap` scores exactly only the swaps that an estimate
-    cannot rule out; :func:`_pair_swap` scores blocks of first indices.
+    cannot rule out, and :func:`_pair_swap` only the pairs that a lower
+    bound cannot, or blocks of first indices when most pairs survive.
     BUILD and both sweeps reduce at most 32,768 entries (256 KiB) at a time
     where one row fits.
 

@@ -254,6 +254,156 @@ def _reject_constant(name):
     raise AssertionError(f"stdout holds {name}, which is not JSON")
 
 
+def _set(key, value):
+    return lambda rec: {**rec, key: value}
+
+
+def _drop(key):
+    return lambda rec: {k: v for k, v in rec.items() if k != key}
+
+
+def _more_edges(*edges):
+    return lambda rec: {**rec, "edges": rec["edges"] + [list(e) for e in edges]}
+
+
+def _map_rows(fn):
+    return lambda rec: {**rec, "features": [fn(row) for row in rec["features"]]}
+
+
+# one fault of a dataset record each: bad edges, a bad n, a missing key, an
+# odd label, huge, non-finite or mixed-width features, or a line that is no
+# record; "label-null" and "extra-key" are valid records
+RECORD_FAULTS = {
+    "self-loop": _more_edges((0, 0)),
+    "duplicate-edge": _more_edges((1, 0)),
+    "endpoint-past-n": _more_edges((0, 9)),
+    "negative-endpoint": _more_edges((-1, 0)),
+    "float-endpoint": _more_edges((0, 1.5)),
+    "string-endpoint": _more_edges(("0", 1)),
+    "edge-triple": _more_edges((0, 1, 2)),
+    "edges-not-a-list": _set("edges", 3),
+    "n-float": lambda rec: {**rec, "n": rec["n"] + 0.5},
+    "n-string": lambda rec: {**rec, "n": str(rec["n"])},
+    "n-negative": _set("n", -1),
+    "n-bool": _set("n", True),
+    "n-huge": _set("n", 10 ** 20),
+    "no-n": _drop("n"),
+    "no-edges": _drop("edges"),
+    "no-features": _drop("features"),
+    "label-float": _set("label", 1.5),
+    "label-string": _set("label", "x"),
+    "label-bool": _set("label", True),
+    "label-huge": _set("label", 10 ** 30),
+    "label-null": _set("label", None),
+    "extra-key": _set("note", "kept"),
+    "features-1e308": _map_rows(lambda row: [1e308] * len(row)),
+    "features-nan": _map_rows(lambda row: [float("nan")] * len(row)),
+    "features-inf": _map_rows(lambda row: [float("-inf")] * len(row)),
+    "features-wider": _map_rows(lambda row: row + [0.5]),
+    "features-ragged": lambda rec: {**rec, "features": rec["features"][:-1]
+                                    + [rec["features"][-1][:1]]},
+    "features-one-row-short": lambda rec: {**rec, "features": rec["features"][:-1]},
+    "features-strings": _map_rows(lambda row: ["a"] * len(row)),
+    "record-a-list": lambda rec: [rec["n"]],
+    "record-empty": lambda rec: {},
+    "not-json": lambda rec: "{",
+}
+
+
+# valid commands, each a few milliseconds on the three-graph dataset; "@c"
+# is a cache path that the requests share
+_BASE_ARGVS = [
+    ["dist", "--cache", "@c"],
+    ["treenorm"],
+    ["subsample-graphs", "--k", "2", "--cache", "@c"],
+    ["subsample-graphs", "--k", "1", "--method", "wl"],
+    ["subsample-nodes", "--frac", "0.5"],
+    ["verify", "--mode", "stability", "--pairs", "3"],
+    ["verify", "--mode", "erm-graphs", "--k", "2", "--hypotheses", "2"],
+    ["verify", "--mode", "erm-nodes", "--frac", "0.5", "--hypotheses", "2"],
+    ["verify", "--mode", "wl-counterexample"],
+]
+# what a request adds: flag values, valid or not, flags the command may not
+# read, both spellings of a negative infinity, and stray tokens
+_EXTRAS = [
+    ["--depth", "1"], ["--depth", "3"], ["--depth", "0"], ["--depth", "x"],
+    ["--weights", "const:2"], ["--weights", "table:1,2,3"], ["--weights", "const:inf"],
+    ["--weights", "zipf:2"], ["--norm", "l1"], ["--norm", "l3"], ["--format", "tu"],
+    ["--seed", "2"], ["--seed", "-1"], ["--k", "9"], ["--k", "0"], ["--method", "feature"],
+    ["--method", "random"], ["--frac", "1e-300"], ["--frac", "1.5"], ["--frac", "nan"],
+    ["--frac", "-inf"], ["--frac=-inf"], ["--heuristics", "bfs"], ["--heuristics", ","],
+    ["--synthetic", "6"], ["--synthetic", "0"], ["--pairs", "2"], ["--hypotheses", "1"],
+    ["--hidden", "2"], ["--eta", "1e308"], ["--eta", "-inf"], ["--eta=-inf"],
+    ["--eta", "5e-324"], ["--cache", "@c"], ["--json"], ["--out", "@out"], ["--dataset"],
+    ["junk"],
+]
+_STDERR_LINE = {1: "error: ", 2: "error: ", 3: "cache mismatch: ",
+                4: "preset-conditional failure: ", 70: "verification failed: "}
+
+
+def test_cli_exit_code_contract_holds_on_faulty_records_and_reused_caches(tmp_path):
+    # 640 seeded requests, 20 per record fault: a valid command plus up to
+    # three extras (none in three requests of seven), on the clean file, the
+    # faulty one or none.  Every call ends in a documented code; a failing
+    # one writes one stderr line of its code's kind, and only verify fails
+    # with 4 or 70.  Two cache paths persist across requests, and one is
+    # deleted after a mismatch, as its message asks
+    rng = np.random.default_rng(19)
+    clean = _dataset_path(tmp_path)
+    clean_records = [json.loads(line) for line in clean.read_text().splitlines()]
+    caches = [tmp_path / "a.tmdc", tmp_path / "b.tmdc"]
+    seen = set()
+    for case, fault in enumerate(sorted(RECORD_FAULTS) * 20):
+        records = list(clean_records)  # a fault builds a new record
+        line = int(rng.integers(3))
+        records[line] = RECORD_FAULTS[fault](records[line])
+        faulty = tmp_path / "faulty.jsonl"
+        faulty.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        argv = list(_BASE_ARGVS[rng.integers(len(_BASE_ARGVS))])
+        for pick in rng.integers(len(_EXTRAS), size=rng.choice([0, 0, 0, 1, 1, 2, 3])):
+            argv += _EXTRAS[pick]
+        dataset = rng.choice(["clean", "faulty", "faulty", "faulty", "none"])
+        if dataset != "none":
+            argv += ["--dataset", str(clean if dataset == "clean" else faulty)]
+        cache = caches[rng.integers(2)]
+        paths = {"@c": str(cache), "@out": str(tmp_path / "out.json")}
+        argv = [paths.get(arg, arg) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in EXIT_CODES, (case, argv, code, err)
+        if code == 0:
+            assert err == "", (case, argv, err)
+        else:
+            assert err.count("\n") == 1 and err.endswith("\n"), (case, argv, err)
+            assert err.startswith(_STDERR_LINE[code]), (case, argv, code, err)
+            assert code in (1, 2, 3) or argv[0] == "verify", (case, argv, code)
+        if code == 3:
+            cache.unlink()
+        seen.add(code)
+    assert {0, 1, 2, 3} <= seen
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["subsample-nodes", "--frac", "-inf"], "argument --frac: expected one argument"),
+    (["subsample-nodes", "--frac=-inf"], "frac must be a finite real number, got -inf"),
+    (["verify", "--mode", "wl-counterexample", "--eta", "-inf"],
+     "argument --eta: expected one argument"),
+    (["verify", "--mode", "wl-counterexample", "--eta=-inf"],
+     "argument --eta: must be a finite real number, got -inf"),
+], ids=["frac-space", "frac-equals", "eta-space", "eta-equals"])
+def test_cli_negative_infinity_reaches_the_gate_only_after_an_equals_sign(argv, message,
+                                                                          tmp_path, capsys):
+    # argparse reads "-inf" after a space as a flag, so the value never
+    # reaches the flag's check; README documents the --frac=-inf spelling
+    if argv[0] == "subsample-nodes":
+        argv = [*argv, "--dataset", str(_dataset_path(tmp_path))]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 # datasets whose distances are each finite while a sum of them is not: the
 # mean distance to the subgraphs, the k-medoids row sums, an exact sum inside
 # the distance kernel, and the ERM chain over readout gaps past 1e154 (their

@@ -242,6 +242,36 @@ def test_spectral_norm_matches_svd():
         assert abs(phi - np.linalg.svd(w, compute_uv=False)[0]) < 1e-6
 
 
+def reference_spectral_norm(w):
+    """Power iteration with a fresh seeded start and ``np.linalg.norm``."""
+    if w.size == 0:
+        return 0.0, True
+    x = np.random.default_rng(0).standard_normal(w.shape[0])
+    x /= np.linalg.norm(x)
+    sigma = 0.0
+    for _ in range(gnn._POWER_ITERS):
+        y = x @ w
+        ny = float(np.linalg.norm(y))
+        if ny == 0.0:
+            return 0.0, True
+        x = y @ w.T
+        nx = float(np.linalg.norm(x))
+        new_sigma = math.sqrt(nx) if nx > 0 else ny
+        x = x / nx if nx > 0 else x
+        if sigma > 0 and abs(new_sigma - sigma) <= gnn._POWER_TOL * sigma:
+            return new_sigma, True
+        sigma = new_sigma
+    return sigma, False
+
+
+def test_spectral_norm_bit_identical_to_reference():
+    for seed, hidden, depth in itertools.product(range(50), (1, 5, 8, 12, 64), range(1, 5)):
+        model = random_gin(seed, feature_dim=3, hidden=hidden, depth=depth)
+        prof = layer_lipschitz(model)
+        ref = [reference_spectral_norm(layer.weight) for layer in model.layers]
+        assert list(zip(prof.per_layer, prof.converged)) == ref
+
+
 def test_stability_report_zero_pair_and_depth_guard():
     m = random_gin(0, feature_dim=1, hidden=4, depth=2, eta=1.0)
     [rep] = stability_sweep(m, [P2], [(0, 0)], [cfg(2)])

@@ -220,6 +220,97 @@ def test_kmedoids_pair_sweep_memory_stays_bounded():
     assert sel.objective == 1.0255307202062374 and len(trace) == 6
 
 
+def cloud_dm(rng, n, kind):
+    """Points in the unit square, or around 3-8 centres in a 10 x 10 square."""
+    if kind == "uniform":
+        points = rng.random((n, 2))
+    else:
+        centres = 10 * rng.random((int(rng.integers(3, 9)), 2))
+        points = centres[rng.integers(0, len(centres), n)] + 0.3 * rng.standard_normal((n, 2))
+    return DistanceMatrix(n, kind, 1, "const:1.0", pdist(points))
+
+
+def pair_sweep_paths(monkeypatch):
+    """Per pair-sweep ``outs``: the pairs scored exactly and all pairs, or
+    None for the dense scan."""
+    paths = []
+    survivors = graph_select._pair_survivors
+
+    def spy(rows, best_obj):
+        got = survivors(rows, best_obj)
+        m = len(rows)
+        paths.append(None if got is None else (len(got[0]), math.comb(m, 2)))
+        return got
+
+    monkeypatch.setattr(graph_select, "_pair_survivors", spy)
+    return paths
+
+
+@pytest.mark.parametrize("kind", ["uniform", "clustered"])
+def test_kmedoids_bit_identical_when_pair_sweeps_score_survivors(kind, monkeypatch):
+    paths = pair_sweep_paths(monkeypatch)
+    rng = np.random.default_rng(["uniform", "clustered"].index(kind) + 40)
+    for _ in range(4):
+        n, k = int(rng.integers(40, 81)), int(rng.integers(3, 9))
+        assert_same_as_reference(cloud_dm(rng, n, kind), k)
+    gathered = [p for p in paths if p is not None]
+    assert sum(scored for scored, _ in gathered) < sum(pairs for _, pairs in gathered) / 4
+
+
+@pytest.mark.parametrize("kind", ["uniform", "clustered"])
+def test_kmedoids_bit_identical_when_pair_sweeps_are_dense(kind, monkeypatch):
+    # k = 2: no medoid remains, so the bound rules out almost nothing
+    paths = pair_sweep_paths(monkeypatch)
+    rng = np.random.default_rng(["uniform", "clustered"].index(kind) + 42)
+    for n in (30, 45, 60):
+        assert_same_as_reference(cloud_dm(rng, n, kind), 2)
+    assert paths and set(paths) == {None}
+
+
+def test_kmedoids_bit_identical_when_many_pairs_tie_the_best(monkeypatch):
+    # integer distances in 0..3: many pairs equal the running best, and a
+    # tie never replaces it
+    paths = pair_sweep_paths(monkeypatch)
+    rng = np.random.default_rng(44)
+    for _ in range(6):
+        n, k = int(rng.integers(40, 61)), int(rng.integers(3, 7))
+        assert_same_as_reference(seeded_dm(rng, n, "ties"), k)
+    assert None in paths and any(p is not None for p in paths)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "clustered"])
+def test_kmedoids_bit_identical_when_survivors_span_chunks(kind, monkeypatch):
+    # blocks of 64 entries: every chunk of survivors holds one pair
+    monkeypatch.setattr(graph_select, "_BLOCK_ENTRIES", 64)
+    paths = pair_sweep_paths(monkeypatch)
+    rng = np.random.default_rng(["uniform", "clustered"].index(kind) + 45)
+    for _ in range(3):
+        n, k = int(rng.integers(40, 61)), int(rng.integers(3, 6))
+        assert_same_as_reference(cloud_dm(rng, n, kind), k)
+    assert any(p is not None and p[0] > 1 for p in paths)
+
+
+def test_kmedoids_pair_sweep_scores_few_pairs_exactly(monkeypatch):
+    # the n = 60, k = 5 geometry of the medoids benchmark: uniform points
+    paths = pair_sweep_paths(monkeypatch)
+    for idx in range(1, 5):
+        points = np.random.default_rng([20250216, idx]).random((60, 2))
+        kmedoids(DistanceMatrix(60, "tmd", 3, "const:1.0", pdist(points)), 5)
+    assert paths and None not in paths
+    assert sum(scored for scored, _ in paths) < 0.15 * sum(pairs for _, pairs in paths)
+
+
+def test_kmedoids_pair_bound_survives_an_overflowing_mean():
+    # row sums stay finite, but the sum of the C_i overflows: every pair survives
+    n = 4
+    vals = np.full(n * (n - 1) // 2, 5.9e307)
+    vals[0] = 5.0e307
+    d = DistanceMatrix(n, "big", 1, "const:1.0", vals)
+    rows = d.full()[[1, 2]]
+    assert graph_select._pair_survivors(rows, 0.0) is None
+    assert_same_as_reference(d, 2)
+
+
 def test_kmedoids_rejects_non_finite_distances():
     for bad, k in itertools.product((np.nan, np.inf), (2, 4)):  # k = n searches nothing
         vals = np.ones(6)

@@ -21,7 +21,7 @@ from treesample import cli
 
 SETTABLE_VALUES = 203
 EXPORTED_NAMES = 70
-SRC_LINES = 2778
+SRC_LINES = 2843
 
 
 def _modules():
