@@ -10,8 +10,8 @@ graphs of different sizes compare directly.
 
 import numpy as np
 
-from treesample import (TmdConfig, Graph, computation_tree, const_weights,
-                        parse_weights, tmd, tmd_naive, tree_norm)
+from treesample import TmdConfig, Graph, const_weights, parse_weights, tmd, tree_norm
+from treesample.oracles import computation_tree, tmd_naive
 
 # A triangle and a 2-path, each carrying 1-d unit features.  These are the
 # classic smallest pair where structure, not features, drives the distance.

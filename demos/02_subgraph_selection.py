@@ -10,10 +10,10 @@ the largest tree norm, and the search never has to solve a matching problem.
 
 import numpy as np
 
-from treesample import (TmdConfig, brute_force_select, build_candidates,
-                        clustered_dataset, const_weights, induced_subgraph,
-                        select_subsets, subsample_dataset, tmd, tmd_subgraph,
-                        tree_norm, tree_norm_decision)
+from treesample import (TmdConfig, build_candidates, clustered_dataset, const_weights,
+                        induced_subgraph, select_subsets, subsample_dataset, tmd, tmd_subgraph,
+                        tree_norm)
+from treesample.oracles import brute_force_select, tree_norm_decision
 from treesample.synth import random_graph
 
 rng = np.random.default_rng(7)

@@ -9,7 +9,7 @@ and subsample-training bounds that make those selections trustworthy.
 
 from .config import TmdConfig, WeightFn, const_weights, parse_weights
 from .errors import (CacheMismatchError, ConfigError, DatasetError,
-                     NumericalOverflowError, ScaleLimitError)
+                     NumericalOverflowError)
 from .graphs import (Dataset, Graph, dataset_fingerprint, empty_graph,
                      induced_subgraph, load_jsonl, load_tu, make_dataset,
                      save_jsonl)
@@ -21,11 +21,8 @@ from .graph_select import (Selection, feature_distance_matrix, kmedoids,
                            wl_pseudometric_matrix)
 from .node_select import (NodeSubsample, build_candidates, select_subsets,
                           subsample_dataset, subsample_sweep)
-from .oracles import (MatchingResult, RootedTree, abs_clipped_loss, blank_tree,
-                      brute_force_matching, brute_force_medoids,
-                      brute_force_select, computation_tree, matching_value,
-                      tmd_naive, tree_blank_distance, tree_distance,
-                      tree_norm_decision, tree_norm_naive)
+# perfbench/workloads.py imports it from here; ROADMAP item 14 drops it after item 11
+from .oracles import tmd_naive
 from .gnn import (ErmReport, GinLayer, GinModel, LipschitzProfile,
                   StabilityReport, finite_erm_sweep, gin_forward,
                   identity_gin, layer_lipschitz, random_gin, stability_sweep)

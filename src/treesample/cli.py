@@ -101,11 +101,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dist", help="compute and cache pairwise distances")
     _add_common(p)
     p.add_argument("--cache", help="binary distance-cache path")
-    p.set_defaults(func=cmd_dist)
+    p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("treenorm", help="print the tree norm of every graph")
     _add_common(p)
-    p.set_defaults(func=cmd_treenorm)
+    p.set_defaults(func=_cmd_treenorm)
 
     p = sub.add_parser("subsample-graphs", help="select k weighted medoid graphs")
     _add_common(p)
@@ -114,7 +114,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=_int_from(1), required=True)
     p.add_argument("--method", choices=("tmd", "wl", "feature", "random"),
                    default="tmd")
-    p.set_defaults(func=cmd_subsample_graphs)
+    p.set_defaults(func=_cmd_subsample_graphs)
 
     p = sub.add_parser("subsample-nodes", help="shrink every graph to a node subset")
     _add_common(p)
@@ -123,7 +123,7 @@ def build_parser() -> _Parser:
                    help="target fraction of nodes to keep, in (0, 1]")
     p.add_argument("--heuristics", default="bfs,rw,kcore",
                    help="comma list from {bfs, rw, kcore}")
-    p.set_defaults(func=cmd_subsample_nodes)
+    p.set_defaults(func=_cmd_subsample_nodes)
 
     p = sub.add_parser("verify", help="run empirical guarantee checks")
     _add_common(p)
@@ -143,7 +143,7 @@ def build_parser() -> _Parser:
                    help="node fraction (erm-nodes)")
     p.add_argument("--hidden", action=_Noted, type=_int_from(1), default=8)
     p.add_argument("--eta", type=_positive_float, default=1.0)
-    p.set_defaults(func=cmd_verify, weights=None)  # None: --weights not given
+    p.set_defaults(func=_cmd_verify, weights=None)  # None: --weights not given
     return parser
 
 
@@ -190,7 +190,7 @@ def _file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def cmd_dist(args) -> int:
+def _cmd_dist(args) -> int:
     if not args.cache:
         raise ConfigError("dist needs --cache to store the matrix")
     ds = _load(args)
@@ -205,7 +205,7 @@ def cmd_dist(args) -> int:
     return EXIT_OK
 
 
-def cmd_treenorm(args) -> int:
+def _cmd_treenorm(args) -> int:
     ds = _load(args)
     cfg = _config(args)
     values = [tree_norm(g, cfg) for g in ds]
@@ -213,7 +213,7 @@ def cmd_treenorm(args) -> int:
     return EXIT_OK
 
 
-def cmd_subsample_graphs(args) -> int:
+def _cmd_subsample_graphs(args) -> int:
     ds = _load(args)
     cfg = _config(args)
     # each method's metric name and matrix builder; the lambdas look the
@@ -237,7 +237,7 @@ def cmd_subsample_graphs(args) -> int:
     return EXIT_OK
 
 
-def cmd_subsample_nodes(args) -> int:
+def _cmd_subsample_nodes(args) -> int:
     ds = _load(args)
     cfg = _config(args)
     heuristics = tuple(tok.strip() for tok in args.heuristics.split(",") if tok.strip())
@@ -354,7 +354,7 @@ _VERIFY_READERS = {
 }
 
 
-def cmd_verify(args) -> int:
+def _cmd_verify(args) -> int:
     if args.weights is not None:  # a preset that would never run
         sweep = ",".join(f"{lam:g}" for lam in LAMBDA_SWEEP)
         raise ConfigError(f"verify takes no --weights: it sweeps the level "

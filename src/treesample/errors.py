@@ -17,10 +17,6 @@ class DatasetError(ValueError):
     """Malformed graph data: parse failures, shape mismatches, invariant violations."""
 
 
-class ScaleLimitError(ValueError):
-    """An oracle-scale routine was called on an input beyond its documented limits."""
-
-
 class CacheMismatchError(RuntimeError):
     """A distance cache exists but was built under different parameters or data."""
 

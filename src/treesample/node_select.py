@@ -53,8 +53,9 @@ class NodeSubsample:
 def mean_tmd(subs) -> float:
     """Exact mean distance from each graph to its subgraph; 0.0 for none."""
     what = "the mean distance to the subgraphs"
-    total, = require_finite(exact_sums([[s.tmd_to_full for s in subs]], what), what)
-    return float(total) / max(1, len(subs))
+    values = [s.tmd_to_full for s in subs]
+    total, = require_finite(exact_sums([values], what), what)
+    return float(total) / max(1, len(values))
 
 
 def _k_bfs_candidates(g: Graph, k: int) -> dict[tuple[int, ...], str]:

@@ -5,6 +5,7 @@ tree mover's distance on materialized computation trees, matching values
 on validated input, matchings by full enumeration, medoid sets and node
 subsets by enumerating every candidate, and the ERM loss one scalar at a
 time.  Tests and demos use them; no production module imports this one.
+Three of them raise :class:`ScaleLimitError` past their documented limits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .config import TmdConfig
-from .errors import ConfigError, DatasetError, ScaleLimitError, _require_int
+from .errors import ConfigError, DatasetError, _require_int
 from .graph_select import Selection
 from .graphs import Graph, _node_array, empty_graph
 from .node_select import NodeSubsample
@@ -28,6 +29,10 @@ _BRUTE_LIMIT = 9
 _NAIVE_NODE_LIMIT = 12
 _NAIVE_DEPTH_LIMIT = 4
 _BRUTE_SUBSET_LIMIT = 100_000
+
+
+class ScaleLimitError(ValueError):
+    """An oracle-scale routine was called on an input beyond its documented limits."""
 
 
 _perm_cache: dict[int, np.ndarray] = {}

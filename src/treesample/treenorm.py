@@ -80,8 +80,6 @@ def _run_sums(b: np.ndarray, ends, cfg: TmdConfig, what: str) -> np.ndarray:
 def tree_norm(g: Graph, cfg: TmdConfig) -> float:
     """Tree norm of ``g`` (distance to the empty graph)."""
     n = g.node_count
-    if n == 0:
-        return 0.0
     eu, ev = g.edge_arrays()
     # overflow is caught by the checks in _run_sums (a level sum past the
     # float range reads inf, a weight product past it times an empty level

@@ -8,15 +8,14 @@ from collections import Counter, deque
 
 import numpy as np
 
-from treesample import (ConfigError, Dataset, DistanceMatrix, ErmReport, Graph,
-                        NodeSubsample, ScaleLimitError, Selection,
-                        StabilityReport, TmdConfig,
-                        WeightFn, abs_clipped_loss, build_candidates,
-                        const_weights, feature_norms,
-                        induced_subgraph, kmedoids, layer_lipschitz,
-                        nearest_medoid, pairwise_matrix, random_gin, tmd, tree_norm)
+from treesample import (ConfigError, Dataset, DistanceMatrix, ErmReport, Graph, NodeSubsample,
+                        Selection, StabilityReport, TmdConfig, WeightFn, build_candidates,
+                        const_weights, feature_norms, induced_subgraph, kmedoids,
+                        layer_lipschitz, nearest_medoid, pairwise_matrix, random_gin, tmd,
+                        tree_norm)
 from treesample.node_select import mean_tmd
-from treesample.oracles import _BRUTE_SUBSET_LIMIT, _padded_matching, _permutations
+from treesample.oracles import (ScaleLimitError, _BRUTE_SUBSET_LIMIT, _padded_matching,
+                                _permutations, abs_clipped_loss)
 from treesample.tmd import _cross_distances
 
 

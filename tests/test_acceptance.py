@@ -13,15 +13,14 @@ import time
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from treesample import (DistanceMatrix, TmdConfig, brute_force_matching,
-                        brute_force_medoids, clustered_dataset, const_weights,
-                        computation_tree, feature_distance_matrix, feature_norms,
-                        finite_erm_sweep, gin_forward, identity_gin,
-                        induced_subgraph, kmedoids, load_or_compute,
-                        make_dataset, matching_value, nearest_medoid,
-                        pairwise_matrix, random_gin, save_jsonl, tmd,
-                        tree_blank_distance, tree_distance, tree_norm,
-                        tree_norm_naive, wl_counterexample_pair, wl_distance)
+from treesample import (DistanceMatrix, TmdConfig, clustered_dataset, const_weights,
+                        feature_distance_matrix, feature_norms, finite_erm_sweep, gin_forward,
+                        identity_gin, induced_subgraph, kmedoids, load_or_compute,
+                        make_dataset, nearest_medoid, pairwise_matrix, random_gin, save_jsonl,
+                        tmd, tree_norm, wl_counterexample_pair, wl_distance)
+from treesample.oracles import (brute_force_matching, brute_force_medoids, computation_tree,
+                                matching_value, tree_blank_distance, tree_distance,
+                                tree_norm_naive)
 from treesample.cli import main as cli_main
 from treesample.tmd import _solve_injective, _solve_lsap
 

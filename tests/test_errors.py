@@ -18,14 +18,14 @@ import numpy as np
 import pytest
 
 import treesample
-from treesample import (ConfigError, DistanceMatrix, Graph, NumericalOverflowError,
-                        TmdConfig, WeightFn, brute_force_medoids, brute_force_select,
-                        build_candidates, clustered_dataset, computation_tree, const_weights,
+from treesample import (ConfigError, DistanceMatrix, Graph, NumericalOverflowError, TmdConfig,
+                        WeightFn, build_candidates, clustered_dataset, const_weights,
                         empty_graph, feature_norms, finite_erm_sweep, identity_gin, kmedoids,
                         nearest_medoid, parse_weights, random_gin, random_graph, random_pairs,
                         random_selection, save_jsonl, select_subsets, stability_sweep,
                         subsample_dataset, subsample_sweep, wl_counterexample_pair,
                         wl_distance, wl_pseudometric_matrix)
+from treesample.oracles import brute_force_medoids, brute_force_select, computation_tree
 from treesample.cli import main
 from treesample.errors import exact_sums, require_finite
 from treesample.gnn import GinLayer

@@ -11,12 +11,12 @@ import pytest
 
 import treesample.gnn as gnn
 from treesample import (ConfigError, ErmReport, GinLayer, GinModel, Graph,
-                        NumericalOverflowError, StabilityReport, TmdConfig, abs_clipped_loss,
-                        clustered_dataset, const_weights, empty_graph, finite_erm_sweep,
-                        gin_forward, identity_gin, kmedoids,
-                        layer_lipschitz, make_dataset, pairwise_matrix, random_gin,
-                        random_pairs, stability_sweep, subsample_dataset,
+                        NumericalOverflowError, StabilityReport, TmdConfig, clustered_dataset,
+                        const_weights, empty_graph, finite_erm_sweep, gin_forward,
+                        identity_gin, kmedoids, layer_lipschitz, make_dataset, pairwise_matrix,
+                        random_gin, random_pairs, stability_sweep, subsample_dataset,
                         synthetic_dataset, wl_counterexample_pair)
+from treesample.oracles import abs_clipped_loss
 from treesample.cli import LAMBDA_SWEEP
 
 from helpers import (cfg, medoid_plan, random_graph, reference_gin_forward,

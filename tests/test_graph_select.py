@@ -10,10 +10,10 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from treesample import (ConfigError, DatasetError, DistanceMatrix, Graph, Selection,
-                        brute_force_medoids, feature_distance_matrix,
-                        kmedoids, make_dataset, nearest_medoid,
-                        random_selection, wl_distance,
-                        wl_counterexample_pair, wl_pseudometric_matrix)
+                        feature_distance_matrix, kmedoids, make_dataset, nearest_medoid,
+                        random_selection, wl_distance, wl_counterexample_pair,
+                        wl_pseudometric_matrix)
+from treesample.oracles import brute_force_medoids
 from treesample import graph_select
 
 from helpers import (cfg, random_graph, reference_feature_distance_matrix,

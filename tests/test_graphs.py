@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treesample import (Dataset, DatasetError, Graph, computation_tree, blank_tree,
-                        dataset_fingerprint, empty_graph, induced_subgraph,
-                        load_jsonl, load_tu, make_dataset, save_jsonl, tmd)
+from treesample import (Dataset, DatasetError, Graph, dataset_fingerprint, empty_graph,
+                        induced_subgraph, load_jsonl, load_tu, make_dataset, save_jsonl, tmd)
+from treesample.oracles import blank_tree, computation_tree
 
 from treesample.graphs import _simple_edges
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treesample import ScaleLimitError, brute_force_matching, matching_value
+from treesample.oracles import ScaleLimitError, brute_force_matching, matching_value
 from treesample.tmd import _solve_lsap
 
 

@@ -6,13 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from treesample import (ConfigError, Graph, brute_force_select, build_candidates,
-                        empty_graph, induced_subgraph, make_dataset, select_subsets,
-                        subsample_dataset, tree_norm, tree_norm_decision)
+from treesample import (ConfigError, Graph, build_candidates, empty_graph, induced_subgraph,
+                        make_dataset, select_subsets, subsample_dataset, tree_norm)
+from treesample.oracles import brute_force_select, tree_norm_decision
 from treesample.node_select import (_core_numbers as core_numbers,
                                     _k_bfs_candidates as k_bfs_candidates,
                                     _kcore_candidate as kcore_candidate,
-                                    _rw_candidate as rw_candidate)
+                                    _rw_candidate as rw_candidate, mean_tmd)
 
 from helpers import (cfg, random_graph, random_table_cfg,
                      reference_brute_force_select, reference_core_numbers,
@@ -253,6 +253,17 @@ def test_subsample_dataset_fraction_rounding():
     assert all(s.tmd_to_full == 0.0 for s in full)
     with pytest.raises(ConfigError):
         subsample_dataset(ds, 0.0, c)
+
+
+def test_mean_tmd_takes_a_one_pass_iterable():
+    rng = np.random.default_rng(8)
+    ds = make_dataset([random_graph(rng, n_max=7, n_min=2) for _ in range(8)])
+    subs = subsample_dataset(ds, 0.5, cfg(2), seed=0)
+    mean = math.fsum(s.tmd_to_full for s in subs) / len(subs)
+    assert mean > 0.0
+    assert mean_tmd(iter(subs)) == mean_tmd(subs) == mean
+    assert mean_tmd(s for s in subs) == mean
+    assert mean_tmd(iter([])) == mean_tmd([]) == 0.0
 
 
 def test_subsample_dataset_handles_empty_graph():

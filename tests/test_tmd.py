@@ -6,13 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from treesample import (ConfigError, DatasetError, Graph, NumericalOverflowError,
-                        ScaleLimitError, TmdConfig, blank_tree,
-                        brute_force_matching, computation_tree,
-                        const_weights, empty_graph, induced_subgraph,
-                        make_dataset, pairwise_matrix, tmd, tmd_naive,
-                        tmd_subgraph, tree_distance, tree_blank_distance,
-                        tree_norm)
+from treesample import (ConfigError, DatasetError, Graph, NumericalOverflowError, TmdConfig,
+                        const_weights, empty_graph, induced_subgraph, make_dataset,
+                        pairwise_matrix, tmd, tmd_subgraph, tree_norm)
+from treesample.oracles import (ScaleLimitError, blank_tree, brute_force_matching,
+                                computation_tree, tmd_naive, tree_blank_distance,
+                                tree_distance)
 from treesample.tmd import (_ENUM_MAX_Q, _cross_distances,
                             _solve_injective, _solve_lsap)
 

@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from treesample import (DatasetError, Graph, NumericalOverflowError, TmdConfig,
-                        WeightFn, empty_graph, feature_norms, induced_subgraph,
-                        select_subsets, subset_tree_norm_sweep, tmd_subgraph,
-                        tree_norm, tree_norm_naive)
+from treesample import (DatasetError, Graph, NumericalOverflowError, TmdConfig, WeightFn,
+                        empty_graph, feature_norms, induced_subgraph, select_subsets,
+                        subset_tree_norm_sweep, tmd_subgraph, tree_norm)
+from treesample.oracles import tree_norm_naive
 from treesample.node_select import (_k_bfs_candidates as k_bfs_candidates,
                                     _kcore_candidate as kcore_candidate,
                                     _rw_candidate as rw_candidate)
