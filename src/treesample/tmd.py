@@ -10,8 +10,10 @@ pairs, one depth level at a time, that materializes no tree.  It runs on a
 batch of graph pairs at once (``pairwise_matrix`` feeds it every pair of a
 dataset in consecutive chunks, ``tmd`` a batch of one); each level solves
 one padded matching per node pair, with the blocks of one shape across the
-whole batch solved together.  The literal recursion on unrolled trees that
-it is checked against lives in :mod:`treesample.oracles`.
+whole batch solved together.  The smaller side's padding is one blank row
+however many blank trees it stands for, so a hub against a leaf costs one
+column choice, not a q x q solve.  The literal recursion on unrolled trees
+that it is checked against lives in :mod:`treesample.oracles`.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ def _cross_distances(fa: np.ndarray, fb: np.ndarray, norm: str) -> np.ndarray:
 
 
 def _injective_maps(q: int, r: int) -> np.ndarray:
-    """Entries of a q x q block, as flat positions, that each injective map
-    of the real rows 0..r-1 into the q columns matches, ``(m, q)`` with
-    ``m = q! / (q - r)!``: its r chosen entries, then the blank row r (rows
-    r..q-1 are identical blank rows) at each column the map leaves over."""
+    """Entries of a block with q columns, as flat positions, that each
+    injective map of the real rows 0..r-1 into the columns matches, ``(m,
+    q)`` with ``m = q! / (q - r)!``: its r chosen entries, then the blank row
+    r at each column the map leaves over."""
     maps = itertools.permutations(range(q), r)
     return np.array([[i * q + c for i, c in enumerate(m)]
                      + [r * q + c for c in range(q) if c not in m] for m in maps],
@@ -74,19 +76,20 @@ _MAPS = {(q, r): _injective_maps(q, r)
 
 
 def _solve_injective(blocks: np.ndarray, r: int) -> np.ndarray:
-    """Exact matching values of small (P, q, q) blocks, by injective maps.
+    """Exact matching values of small (P, m, q) blocks, by injective maps.
 
-    Rows 0..r-1 of each block are real; rows r..q-1 are identical blank
-    rows.  Every map of the real rows into the columns, the blank rows taking
-    the columns left over, is one distinct assignment of the block, so the
-    q!/(q - r)! maps cover every multiset of entries its q! permutations do.
+    Rows 0..r-1 of each block are real; if r < q, row r is the one blank row
+    that stands for q - r identical ones.  Every map of the real rows into
+    the columns, the blank rows taking the columns left over, is one distinct
+    assignment of the padded q x q block, so the q!/(q - r)! maps cover every
+    multiset of entries its q! permutations do.
     Vectorized sums locate every map within a relative hair of the minimum
     and ``fsum`` re-sums those exactly; the exact optimum is always among
     them, so the value is the exact optimum rounded once.
     """
-    count, q = blocks.shape[0], blocks.shape[1]
+    count, q = blocks.shape[0], blocks.shape[2]
     maps = _MAPS[q, r]
-    entries = blocks.reshape(count, q * q)[:, maps]
+    entries = blocks.reshape(count, -1)[:, maps]
     if maps.shape[0] == 1:  # r = 0, or q = r = 1
         return exact_sums(entries[:, 0], "a matching total")
     totals = entries.sum(axis=2)
@@ -99,12 +102,31 @@ def _solve_injective(blocks: np.ndarray, r: int) -> np.ndarray:
     return np.minimum.reduceat(exact, np.flatnonzero(np.diff(block, prepend=-1)))
 
 
-def _solve_lsap(blocks: np.ndarray) -> np.ndarray:
-    """Exact matching values of wide (P, q, q) blocks: LSAP, then ``fsum``."""
-    count, q = blocks.shape[0], blocks.shape[1]
-    cols = np.array([linear_sum_assignment(c)[1] for c in blocks])
-    return exact_sums(blocks[np.arange(count)[:, None], np.arange(q), cols],
-                      "a matching total")
+def _solve_lsap(blocks: np.ndarray, r: int) -> np.ndarray:
+    """Exact matching values of wide (P, m, q) blocks: LSAP, then ``fsum``.
+
+    Rows 0..r-1 of each block are real.  If r = q the block is square; if
+    r < q, row r is the one blank row that stands for q - r identical ones.
+    Any assignment then costs ``sum(b) + sum(c[i, s(i)] - b[s(i)])`` over
+    the real rows i, with b the blank row, so one r x q solve on
+    ``c[:r] - b`` picks the real rows' columns and the blank rows take the
+    rest; r <= 1 needs no solver call.  The value is the exact sum of the
+    picked entries.
+    """
+    count, q = blocks.shape[0], blocks.shape[2]
+    real = blocks[:, :r]
+    costs = real if r == q else real - blocks[:, r:r + 1]
+    if r > 1:
+        cols = np.array([linear_sum_assignment(c)[1] for c in costs])
+    else:  # no row, or one row's first cheapest column, as the solver picks it
+        cols = costs.argmin(axis=2)
+    at = np.arange(count)[:, None]
+    picked = real[at, np.arange(r), cols]
+    if r < q:  # the blank row at every column but the picked ones, which add 0
+        rest = blocks[:, r].copy()
+        rest[at, cols] = 0.0
+        picked = np.concatenate((picked, rest), axis=1)
+    return exact_sums(picked, "a matching total")
 
 
 def _cells(owner: np.ndarray, ua: np.ndarray, vb: np.ndarray, deg: np.ndarray,
@@ -112,12 +134,10 @@ def _cells(owner: np.ndarray, ua: np.ndarray, vb: np.ndarray, deg: np.ndarray,
     """The map's entries (``owner``, ``ua``, ``vb``) with two real rows (not
     ``blank``) and a block that is not empty (q >= 1), sorted by block shape:
     each cell's pair, rows and position in the flat buffer, plus ``(lo, hi,
-    q, r)`` per run of one shape.  Blocks up to ``_ENUM_MAX_Q`` have one shape
-    per (q, r), wider ones one per q."""
+    q, r)`` per run of one shape (q the larger degree, r the smaller)."""
     at = np.flatnonzero((ua != blank) & (vb != blank))
     u, v = ua[at], vb[at]
     q, r = np.maximum(deg[u], deg[v]), np.minimum(deg[u], deg[v])
-    r[q > _ENUM_MAX_Q] = 0
     key = q * (q + 1) + r
     order = np.argsort(key, kind="stable")[np.count_nonzero(q == 0):]
     bounds = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
@@ -136,10 +156,12 @@ def _tables(graphs: list[Graph], pairs: list[tuple[int, int]],
     in graph i and v in graph j, row na / column nb the blank tree.  All
     tables live in one flat buffer.  Each level solves one padded matching
     per node pair (u, v) over their children; the cells of every pair are
-    grouped once by block shape, and each group is gathered from the buffer
-    and solved in sub-batches of at most ``_SOLVE_ENTRIES`` entries: blocks
-    with q = max(deg u, deg v) <= ``_ENUM_MAX_Q`` by injective maps, wider
-    ones padded to q x q for ``linear_sum_assignment``.
+    grouped once by block shape (q, r), the larger and the smaller degree,
+    and each group is gathered from the buffer and solved in sub-batches of
+    at most ``_SOLVE_ENTRIES`` entries.  A block holds the smaller side's r
+    children as rows and, if r < q, one blank row for the q - r blank trees
+    that pad it; q <= ``_ENUM_MAX_Q`` blocks are solved by injective maps,
+    wider ones by an r x q ``linear_sum_assignment``.
     """
     na = np.array([graphs[i].node_count for i, _ in pairs], dtype=np.intp)
     nb = np.array([graphs[j].node_count for _, j in pairs], dtype=np.intp)
@@ -194,25 +216,26 @@ def _tables(graphs: list[Graph], pairs: list[tuple[int, int]],
 
     base = with_blanks(ext, 0)
     (pair, ra, rb, cell_at), groups = _cells(owner, ua, vb, deg, blank)
+    # a block's rows are the smaller side's children, then its blank; its
+    # columns the other side's children, then blanks.  A table row steps by
+    # the pair's stride, a column by 1
+    flip = deg[ra] > deg[rb]
+    small, large = np.where(flip, rb, ra), np.where(flip, ra, rb)
+    row_step, col_step = np.where(flip, 1, stride[pair]), np.where(flip, stride[pair], 1)
+    pair_off = off[pair]
     for d in range(2, cfg.depth + 1):
         values = np.zeros(off[-1])
         for lo, hi, q, r in groups:
             enum = q <= _ENUM_MAX_Q
-            step = max(1, _SOLVE_ENTRIES // (q * (q + math.perm(q, r)) if enum else q * q))
+            m = r + (r < q)  # the real rows, then one blank row
+            step = max(1, _SOLVE_ENTRIES // (q * (m + math.perm(q, r)) if enum else q * m))
             for s in range(lo, hi, step):
-                e = min(s + step, hi)
-                k, ia, ib = pair[s:e], ra[s:e], rb[s:e]
-                # u's children then blank rows (row na), v's children then
-                # blank columns (column nb)
-                rows = off[k, None] + nbr[ia, :q] * stride[k, None]
-                blocks = ext[rows[:, :, None] + nbr[ib, None, :q]]
-                if not enum:
-                    values[cell_at[s:e]] = _solve_lsap(blocks)
-                    continue
-                # the smaller side's children as the real rows, blanks last
-                flip = (deg[ia] > deg[ib])[:, None, None]
-                blocks = np.where(flip, blocks.transpose(0, 2, 1), blocks)
-                values[cell_at[s:e]] = _solve_injective(blocks, r)
+                at = slice(s, min(s + step, hi))
+                rows = nbr[small[at], :m] * row_step[at, None] + pair_off[at, None]
+                cols = nbr[large[at], :q] * col_step[at, None]
+                blocks = ext[rows[:, :, None] + cols[:, None, :]]
+                values[cell_at[at]] = (_solve_injective(blocks, r) if enum else
+                                       _solve_lsap(blocks, r))
         values *= cfg.level_weight(d - 1)
         values += base
         ext = with_blanks(values, d - 1)
@@ -265,7 +288,8 @@ def _distances(graphs: list[Graph], index_pairs: Iterable[tuple[int, int]],
                 yield tree_norm(graphs[j] if sizes[i] == 0 else graphs[i], cfg)
                 continue
             table = ext[off[k]:off[k + 1]].reshape(sizes[i] + 1, sizes[j] + 1)
-            yield float(_solve_lsap(_top_level(table)[None])[0])
+            top = _top_level(table)
+            yield float(_solve_lsap(top[None], len(top))[0])
             k += 1
 
 

@@ -237,7 +237,7 @@ def test_c07_matching_solver_oracle():
         else:  # integer entries: exact sums, plenty of genuine ties
             c = rng.integers(0, 6, size=(q, q)).astype(float)
         best = brute_force_matching(c).total_cost
-        values = [_solve_lsap(c[None])[0]]
+        values = [_solve_lsap(c[None], q)[0]]
         if q <= 4:
             values.append(_solve_injective(c[None], q)[0])
         mismatches += any(v != best for v in values)

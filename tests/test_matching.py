@@ -50,7 +50,7 @@ def test_matches_brute_on_random_continuous():
         c = rng.uniform(0.0, 10.0, size=(q, q))
         slow = brute_force_matching(c)
         assert matching_value(c) == slow.total_cost
-        assert _solve_lsap(c[None])[0] == slow.total_cost
+        assert _solve_lsap(c[None], q)[0] == slow.total_cost
         assert math.fsum(c[np.arange(q), slow.assignment]) == slow.total_cost
 
 
@@ -62,7 +62,7 @@ def test_matches_brute_on_tied_integer_matrices():
         c = rng.integers(0, 4, size=(q, q)).astype(float)
         slow = brute_force_matching(c)
         assert matching_value(c) == slow.total_cost
-        assert _solve_lsap(c[None])[0] == slow.total_cost
+        assert _solve_lsap(c[None], q)[0] == slow.total_cost
         # ties go to the lexicographically first optimal assignment
         perms = itertools.permutations(range(q))
         first = next(p for p in perms if math.fsum(c[np.arange(q), p]) == slow.total_cost)
@@ -93,7 +93,7 @@ def test_large_matrix_against_value_only_path():
     # too wide to enumerate: both solvers against each other, and the
     # optimum at most every other assignment tried
     value = matching_value(c)
-    assert value == _solve_lsap(c[None])[0]
+    assert value == _solve_lsap(c[None], 40)[0]
     rows = np.arange(40)
     for _ in range(200):
         assert value <= math.fsum(c[rows, rng.permutation(40)])

@@ -258,10 +258,11 @@ def _block(rng, q, kind):
 
 def test_block_solvers_match_the_exhaustive_oracle():
     # the production solvers against the exhaustive permutation scan: LSAP on
-    # q = 5..8 blocks, injective maps on q <= 4 blocks of r real rows then
-    # identical blank rows; integer entries in {0..3} tie exactly, uniform
-    # ones almost never, and a tail of identical blank rows ties by
-    # construction
+    # square q = 5..8 blocks and on r < q real rows given with one blank row,
+    # as the kernel passes them, the oracle seeing the q - r blank rows;
+    # injective maps on q <= 4 blocks of r real rows then identical blank
+    # rows; integer entries in {0..3} tie exactly, uniform ones almost never,
+    # and a tail of identical blank rows ties by construction
     rng = np.random.default_rng(67)
     for q in range(5, 9):
         for kind in ("ints", "uniform", "blank-tail"):
@@ -270,7 +271,14 @@ def test_block_solvers_match_the_exhaustive_oracle():
                 if kind == "blank-tail":
                     t = int(rng.integers(1, q))
                     c[t:] = c[t]
-                assert _solve_lsap(c[None])[0] == brute_force_matching(c).total_cost, (q, kind)
+                assert _solve_lsap(c[None], q)[0] == brute_force_matching(c).total_cost, (q, kind)
+        for r in range(q):
+            for kind in ("ints", "uniform"):
+                for _ in range(15):
+                    c = _block(rng, q, kind)
+                    c[r:] = c[r]
+                    value = _solve_lsap(c[None, :r + 1], r)[0]
+                    assert value == brute_force_matching(c).total_cost, (q, r, kind)
     for q in range(1, _ENUM_MAX_Q + 1):
         for r in range(q + 1):
             for kind in ("ints", "uniform"):
@@ -279,6 +287,62 @@ def test_block_solvers_match_the_exhaustive_oracle():
                     c[r:] = c[min(r, q - 1)]
                     value = _solve_injective(c[None], r)[0]
                     assert value == brute_force_matching(c).total_cost, (q, r, kind)
+
+
+def test_hub_blocks_solve_only_the_smaller_sides_children(monkeypatch):
+    # two 40-node stars at depth 2: the centres' 39 x 39 block and the
+    # 40 x 40 top level are the only solver calls, so no cost matrix has
+    # more rows than the smaller side has children (or nodes, at the top
+    # level); a centre against a leaf (one child against 39) and a leaf
+    # against a leaf need no call
+    shapes, solver = [], TMD_MODULE.linear_sum_assignment
+
+    def spy(cost):
+        shapes.append(cost.shape)
+        return solver(cost)
+
+    monkeypatch.setattr(TMD_MODULE, "linear_sum_assignment", spy)
+    rng = np.random.default_rng(71)
+    a, b = (Graph(40, [(0, v) for v in range(1, 40)], rng.standard_normal((40, 2)))
+            for _ in range(2))
+    value = tmd(a, b, cfg(2))
+    assert sorted(shapes) == [(39, 39), (40, 40)]
+    first, second = sorted((a, b), key=lambda g: g._key)
+    assert value == reference_tmd(first, second, cfg(2))
+
+
+def _tie_graph(rng, kind):
+    g = random_graph(rng, n_max=12, p=float(rng.uniform(0.1, 0.9)))
+    if kind == "gauss":
+        return g
+    shape = g.features.shape
+    features = np.ones(shape) if kind == "ones" else rng.integers(0, 3, shape).astype(float)
+    return Graph(g.node_count, g.edges, features)
+
+
+# generator: how many of its 660 pair values differ from the per-block reference
+TIED_LAST_BITS = {"ones": 7, "ints": 2, "gauss": 0}
+
+
+@pytest.mark.parametrize("kind", sorted(TIED_LAST_BITS))
+def test_tied_features_move_only_pinned_last_bits(kind):
+    # ten datasets of 12 graphs (n <= 12, depth 1-4) against the square
+    # per-block dynamic program; on tied costs the kernel's rectangular
+    # solves and the reference's padded ones may pick different tied
+    # assignments, whose exact sums differ in the last bits
+    rng = np.random.default_rng(83)
+    moved = []
+    for s in range(10):
+        graphs = [_tie_graph(rng, kind) for _ in range(12)]
+        c = cfg(1 + s % 4)
+        values = pairwise_matrix(make_dataset(graphs), c).values
+        for value, (i, j) in zip(values, itertools.combinations(range(12), 2)):
+            first, second = sorted((graphs[i], graphs[j]), key=lambda g: g._key)
+            expected = reference_tmd(first, second, c)
+            if value != expected:
+                moved.append(abs(value - expected) / np.spacing(max(value, expected)))
+    assert len(moved) == TIED_LAST_BITS[kind]
+    assert max(moved, default=0.0) <= 2.0
 
 
 def test_pairwise_matrix_across_chunks_matches_tmd_bit_for_bit(monkeypatch):
