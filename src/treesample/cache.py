@@ -15,7 +15,8 @@ followed by that many UTF-8 bytes):
     checksum string    SHA-256 of the value bytes (hex)
     values   n*(n-1)/2 float64, strict upper triangle, row-major
 
-The file is written to a temp file and renamed into place once.  A file of
+The file is written to a temp file and renamed into place once; it gets
+the mode a plain ``open(path, "w")`` gives, 0o666 less the umask.  A file of
 another version, of the wrong length, or whose values fail the checksum is
 rejected, and so is a cache whose key disagrees with the request: each is a
 :class:`CacheMismatchError`, never a silent recompute.
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import secrets
 import struct
-import tempfile
 
 import numpy as np
 
@@ -56,7 +57,10 @@ def write_matrix(path: str, dm: DistanceMatrix, *, norm: str,
     payload = (MAGIC + _HEAD.pack(VERSION, dm.n, dm.depth)
                + b"".join(map(_pack_str, fields)) + values)
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmdc-")
+    # mode 0o666 less the umask, as open(path, "w") gives, where mkstemp's 0o600
+    # would lock out other accounts that share the cache directory
+    tmp = os.path.join(directory, f".tmdc-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)

@@ -146,10 +146,12 @@ def _single_swap(full: np.ndarray, chosen: list[int], others: np.ndarray,
     rescore = est <= bound
     for out in np.flatnonzero(rescore.any(axis=0)).tolist():
         js = np.flatnonzero(rescore[:, out])
-        objs = np.minimum(full[others[js]], np.where(owner == out, sec, near)).mean(axis=1)
-        j = int(np.argmin(objs))
-        if objs[j] < best_obj:
-            best, best_obj = ([chosen[out]], [int(others[js[j]])]), float(objs[j])
+        rest = np.where(owner == out, sec, near)
+        for lo in range(0, len(js), step):  # on tied distances every swap is rescored
+            objs = np.minimum(full[others[js[lo:lo + step]]], rest).mean(axis=1)
+            j = int(np.argmin(objs))
+            if objs[j] < best_obj:
+                best, best_obj = ([chosen[out]], [int(others[js[lo + j]])]), float(objs[j])
     return best, best_obj
 
 

@@ -90,16 +90,24 @@ def brute_force_matching(cost: np.ndarray) -> MatchingResult:
     if q > _BRUTE_LIMIT:
         raise ScaleLimitError(f"brute_force_matching supports q <= {_BRUTE_LIMIT}, got {q}")
     perms = _permutations(q)
-    totals = c[np.arange(q), perms].sum(axis=1)
+    picked = c[np.arange(q), perms]
     # two-stage argmin: cheap vectorized sums locate near-optimal rows, then
-    # fsum re-evaluation makes the final comparison exact
+    # fsum re-evaluation makes the final comparison exact.  fsum is correctly
+    # rounded in any order, so each distinct multiset of picked entries (the
+    # bits of its sorted row) is summed once: q - r identical blank rows
+    # repeat one multiset (q - r)! times
+    totals = picked.sum(axis=1)
     near = np.flatnonzero(totals <= totals.min() + 1e-9)
-    exact = [math.fsum(c[np.arange(q), perms[i]]) for i in near]
-    best = min(exact)
-    for idx, val in zip(near, exact):
-        if val == best:
-            return MatchingResult(best, tuple(int(x) for x in perms[idx]))
-    raise RuntimeError("unreachable")
+    keys = np.sort(picked[near], axis=1).view(np.int64)
+    order = np.lexsort(keys.T)
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    sums = [math.fsum(row) for row in keys[new].view(np.float64)]
+    exact = np.empty(len(near))
+    exact[order] = np.asarray(sums)[np.cumsum(new) - 1]
+    first = int(np.argmax(exact == exact.min()))  # the first in lexicographic order
+    return MatchingResult(float(exact[first]), tuple(int(x) for x in perms[near[first]]))
 
 
 def _padded_matching(block: np.ndarray, row_blanks: np.ndarray,

@@ -6,14 +6,14 @@ multiset sizes are padded with blank trees (a single node with an all-zero
 feature vector), so graphs of different sizes compare directly.
 
 One kernel computes every distance: a bottom-up dynamic program over node
-pairs, one depth level at a time, that materializes no tree.  It runs on a
-batch of graph pairs at once (``pairwise_matrix`` feeds it every pair of a
-dataset in consecutive chunks, ``tmd`` a batch of one); each level solves
-one padded matching per node pair, with the blocks of one shape across the
-whole batch solved together.  The smaller side's padding is one blank row
-however many blank trees it stands for, so a hub against a leaf costs one
-column choice, not a q x q solve.  The literal recursion on unrolled trees
-that it is checked against lives in :mod:`treesample.oracles`.
+pairs, one depth level at a time, that materializes no tree and ends in the
+top-level matching.  It runs on a batch of graph pairs at once
+(``pairwise_matrix`` feeds it every pair of a dataset in consecutive chunks,
+``tmd`` a batch of one), and every matching of one shape across the batch
+is solved together.  The smaller side's padding is one blank row however
+many blank trees it stands for, so a hub against a leaf costs one column
+choice, not a q x q solve.  The literal recursion on unrolled trees that it
+is checked against lives in :mod:`treesample.oracles`.
 """
 
 from __future__ import annotations
@@ -148,20 +148,22 @@ def _cells(owner: np.ndarray, ua: np.ndarray, vb: np.ndarray, deg: np.ndarray,
 
 @np.errstate(over="ignore")  # a non-finite table is reported by with_blanks
 def _tables(graphs: list[Graph], pairs: list[tuple[int, int]],
-            cfg: TmdConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Extended depth-L tables of a batch of pairs (i, j) of non-empty graphs.
+            cfg: TmdConfig) -> np.ndarray:
+    """Tree mover's distances of a batch of pairs (i, j) of non-empty graphs.
 
-    Pair k's table is ``ext[off[k]:off[k + 1]]`` as an (na + 1) x (nb + 1)
-    array: entry (u, v) is the distance between the computation trees of u
-    in graph i and v in graph j, row na / column nb the blank tree.  All
-    tables live in one flat buffer.  Each level solves one padded matching
-    per node pair (u, v) over their children; the cells of every pair are
-    grouped once by block shape (q, r), the larger and the smaller degree,
-    and each group is gathered from the buffer and solved in sub-batches of
-    at most ``_SOLVE_ENTRIES`` entries.  A block holds the smaller side's r
-    children as rows and, if r < q, one blank row for the q - r blank trees
-    that pad it; q <= ``_ENUM_MAX_Q`` blocks are solved by injective maps,
-    wider ones by an r x q ``linear_sum_assignment``.
+    Pair k's extended table is ``ext[off[k]:off[k + 1]]`` as an (na + 1) x
+    (nb + 1) array: entry (u, v) is the distance between the computation
+    trees of u in graph i and v in graph j, row na / column nb the blank
+    tree.  All tables live in one flat buffer.  Each level solves one padded
+    matching per node pair (u, v) over their children; the cells of every
+    pair are grouped once by block shape (q, r), the larger and the smaller
+    degree, and each group is gathered from the buffer and solved in
+    sub-batches of at most ``_SOLVE_ENTRIES`` entries.  A block holds the
+    smaller side's r children as rows and, if r < q, one blank row for the
+    q - r blank trees that pad it; q <= ``_ENUM_MAX_Q`` blocks are solved by
+    injective maps, wider ones by an r x q ``linear_sum_assignment``.  The
+    top level is one square q x q block per pair, q = max(na, nb), solved
+    in the same way with the pairs grouped by q.
     """
     na = np.array([graphs[i].node_count for i, _ in pairs], dtype=np.intp)
     nb = np.array([graphs[j].node_count for _, j in pairs], dtype=np.intp)
@@ -239,15 +241,21 @@ def _tables(graphs: list[Graph], pairs: list[tuple[int, int]],
         values *= cfg.level_weight(d - 1)
         values += base
         ext = with_blanks(values, d - 1)
-    return ext, off
 
-
-def _top_level(table: np.ndarray) -> np.ndarray:
-    """Square top-level cost matrix of an extended (na + 1) x (nb + 1) table:
-    the smaller side is padded with blank trees, blank vs blank costs 0."""
-    na, nb = table.shape[0] - 1, table.shape[1] - 1
-    idx = np.arange(max(na, nb))
-    return table[np.minimum(idx, na)[:, None], np.minimum(idx, nb)[None, :]]
+    # the top level: pair k's q x q matrix, q = max(na, nb), reads table
+    # entry (min(i, na), min(j, nb)) at (i, j), so the smaller side's padding
+    # reads the blank row or column and blank against blank the corner's 0.0
+    top_q = np.maximum(na, nb)
+    dist = np.empty(len(pairs))
+    for q in np.unique(top_q).tolist():
+        group, idx = np.flatnonzero(top_q == q), np.arange(q)
+        step = max(1, _SOLVE_ENTRIES // (q * q))
+        for s in range(0, group.size, step):
+            at = group[s:s + step]
+            rows = np.minimum(idx, na[at, None]) * stride[at, None] + off[at, None]
+            cols = np.minimum(idx, nb[at, None])
+            dist[at] = _solve_lsap(ext[rows[:, :, None] + cols[:, None, :]], q)
+    return dist
 
 
 def _distances(graphs: list[Graph], index_pairs: Iterable[tuple[int, int]],
@@ -260,10 +268,8 @@ def _distances(graphs: list[Graph], index_pairs: Iterable[tuple[int, int]],
     ``linear_sum_assignment`` may pick another near-tie assignment on the
     transposed matrices, whose exact sum differs in the last bit.  The pairs
     run in consecutive chunks whose extended tables hold about
-    ``_CHUNK_ENTRIES`` entries, each chunk building the node table of its
-    own graphs.  A pair with an empty graph is the other graph's tree norm; the
-    top-level matching is one more ``_solve_lsap`` block per pair, whatever
-    its size.
+    ``_CHUNK_ENTRIES`` entries, each chunk solved by one :func:`_tables` call.
+    A pair with an empty graph is the other graph's tree norm.
     """
     keys = [g._key for g in graphs]
     sizes = [g.node_count for g in graphs]
@@ -280,17 +286,10 @@ def _distances(graphs: list[Graph], index_pairs: Iterable[tuple[int, int]],
 
     for chunk in chunks():
         full = [(i, j) for i, j in chunk if sizes[i] and sizes[j]]
-        if full:
-            ext, off = _tables(graphs, full, cfg)
-        k = 0
+        dists = iter(_tables(graphs, full, cfg).tolist() if full else [])
         for i, j in chunk:
-            if not (sizes[i] and sizes[j]):
-                yield tree_norm(graphs[j] if sizes[i] == 0 else graphs[i], cfg)
-                continue
-            table = ext[off[k]:off[k + 1]].reshape(sizes[i] + 1, sizes[j] + 1)
-            top = _top_level(table)
-            yield float(_solve_lsap(top[None], len(top))[0])
-            k += 1
+            yield (next(dists) if sizes[i] and sizes[j] else
+                   tree_norm(graphs[j] if sizes[i] == 0 else graphs[i], cfg))
 
 
 def tmd(ga: Graph, gb: Graph, cfg: TmdConfig) -> float:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -38,6 +39,22 @@ def test_binary_round_trip_is_bit_exact(tmp_path, small_ds):
     assert back.values.tobytes() == dm.values.tobytes()
     assert (norm, dataset_hash) == ("l2", "abc")
     assert os.listdir(tmp_path) == ["d.tmdc"]  # one file, no temp left behind
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_cache_file_mode_follows_the_umask(tmp_path, small_ds, umask):
+    # as an --out file: 0o644 under umask 022, so another account that shares
+    # the cache directory can read it
+    dm = pairwise_matrix(small_ds, cfg(2))
+    old = os.umask(umask)
+    try:
+        write_matrix(str(tmp_path / "d.tmdc"), dm, norm="l2", dataset_hash="abc")
+        (tmp_path / "plain.txt").write_text("")
+    finally:
+        os.umask(old)
+    modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+             for name in ("d.tmdc", "plain.txt")}
+    assert modes == {"d.tmdc": 0o666 & ~umask, "plain.txt": 0o666 & ~umask}
 
 
 def test_failed_rename_removes_the_temp_file_and_keeps_the_old_cache(

@@ -220,6 +220,38 @@ def test_kmedoids_pair_sweep_memory_stays_bounded():
     assert sel.objective == 1.0255307202062374 and len(trace) == 6
 
 
+@pytest.mark.parametrize("kind", ["zero", "duplicates"])
+def test_kmedoids_single_swap_rescore_memory_stays_bounded(kind):
+    # objective 0 (all distances 0, or 600 points on 9 grid sites and 20
+    # medoids): every estimate meets the bound, so all 11,600 single swaps
+    # are rescored; scoring them at once traced ~8.9 MiB beside the 2.7 MiB
+    # dense matrix, in blocks ~4.1 MiB
+    n, k = 600, 20
+    points = np.random.default_rng(600).integers(0, 3, (n, 2)).astype(np.float64)
+    vals = np.zeros(n * (n - 1) // 2) if kind == "zero" else pdist(points, "cityblock")
+    d = DistanceMatrix(n, kind, 1, "const:1.0", vals)
+    tracemalloc.start()
+    try:
+        trace = []
+        sel = kmedoids(d, k, trace=trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+    assert sel.indices == list(range(k)) and trace == [0.0]
+    assert_same_as_reference(d, k)
+
+
+def test_kmedoids_single_swap_rescore_keeps_a_later_blocks_winner(monkeypatch):
+    # distances in {0.1, 0.2, 0.3, 0.7}: swaps that tie on the estimate can
+    # differ in the last bits of their exact means, and with one-row blocks
+    # the first exact minimum is often rescored in a later block
+    monkeypatch.setattr(graph_select, "_BLOCK_ENTRIES", 1)
+    for seed in range(10, 30):
+        vals = np.random.default_rng(seed).choice([0.1, 0.2, 0.3, 0.7], size=190)
+        assert_same_as_reference(DistanceMatrix(20, "decimals", 1, "const:1.0", vals), 4)
+
+
 def cloud_dm(rng, n, kind):
     """Points in the unit square, or around 3-8 centres in a 10 x 10 square."""
     if kind == "uniform":

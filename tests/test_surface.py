@@ -21,7 +21,7 @@ from treesample import cli
 
 SETTABLE_VALUES = 198
 EXPORTED_NAMES = 56
-SRC_LINES = 2859
+SRC_LINES = 2864
 
 
 def _modules():

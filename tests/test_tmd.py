@@ -36,6 +36,19 @@ def test_distance_to_empty_is_tree_norm():
     assert tmd(empty_graph(1), empty_graph(1), cfg(3)) == 0.0
 
 
+def test_graphs_of_different_widths_are_refused_in_either_order():
+    # the pair runs in content-key order, the 1-node graph first, so the
+    # message reads the same both ways
+    narrow = Graph(2, [(0, 1)], [[1.0], [2.0]])
+    wide = Graph(1, [], [[1.0, 2.0]])
+    for ga, gb in ((narrow, wide), (wide, narrow)):
+        with pytest.raises(DatasetError, match=r"^feature dimensions differ: 2 vs 1$"):
+            tmd(ga, gb, cfg(2))
+    # a graph with no nodes has no feature to compare, whatever its width
+    for ga, gb in ((narrow, empty_graph(3)), (empty_graph(3), narrow)):
+        assert tmd(ga, gb, cfg(2)) == tree_norm(narrow, cfg(2))
+
+
 def test_self_distance_is_exactly_zero():
     assert tmd(K3, K3, cfg(2)) == 0.0
     rng = np.random.default_rng(7)
