@@ -81,10 +81,8 @@ class _Noted(argparse.Action):
 
 def _add_common(p: _Parser) -> None:
     p.add_argument("--dataset", action=_Noted,
-                   help="path to a .jsonl file or a TU directory")
-    p.add_argument("--format", action=_Noted, choices=("jsonl", "tu"), default="jsonl")
-    p.add_argument("--tu-name", action=_Noted,
-                   help="TU dataset name (default: directory basename)")
+                   help="a .jsonl file, a TU directory DIR (read as DIR/<basename "
+                   "DIR>_*.txt), or DIR/NAME (read as DIR/NAME_*.txt)")
     p.add_argument("--depth", type=_int_from(1), default=2, help="tree depth L (default 2)")
     p.add_argument("--weights", default="const:1.0",
                    help="level weights: const:<x> or table:w1,w2,... (default "
@@ -157,10 +155,12 @@ def _load(args):
         return synthetic_dataset(args.synthetic, args.seed)
     if not args.dataset:
         raise ConfigError("--dataset is required (or --synthetic for verify)")
-    if args.format == "tu":
-        name = args.tu_name or os.path.basename(os.path.normpath(args.dataset))
-        return load_tu(args.dataset, name)
-    return load_jsonl(args.dataset)
+    path = args.dataset
+    if os.path.isdir(path):  # a TU directory named after its dataset
+        return load_tu(path, os.path.basename(os.path.normpath(path)))
+    if not os.path.exists(path) and os.path.exists(f"{path}_A.txt"):  # DIR/NAME
+        return load_tu(*os.path.split(path))
+    return load_jsonl(path)  # a file, or a missing path that it names
 
 
 def _emit(args, payload: dict, summary: str, out_lines) -> None:
@@ -345,8 +345,8 @@ def _verify_erm(args, ds, mode: str) -> tuple[dict, int, str]:
 
 # verify flags that not every mode reads, and the modes that read them
 _VERIFY_READERS = {
-    **dict.fromkeys(("--dataset", "--format", "--tu-name", "--synthetic", "--norm",
-                     "--seed", "--hidden"), ("stability", "erm-graphs", "erm-nodes")),
+    **dict.fromkeys(("--dataset", "--synthetic", "--norm", "--seed", "--hidden"),
+                    ("stability", "erm-graphs", "erm-nodes")),
     "--pairs": ("stability",),
     "--hypotheses": ("erm-graphs", "erm-nodes"),
     "--k": ("erm-graphs",),
@@ -364,10 +364,9 @@ def _cmd_verify(args) -> int:
               if args.mode not in _VERIFY_READERS.get(flag, (args.mode,))]
     if unread:
         raise ConfigError(f"verify --mode {args.mode} does not read {', '.join(unread)}")
-    # the generator stands in for the dataset, so its flags would go unread
-    clash = sorted(given & {"--dataset", "--format", "--tu-name"})
-    if "--synthetic" in given and clash:
-        raise ConfigError(f"verify --synthetic does not read {', '.join(clash)}")
+    # the generator stands in for the dataset, so --dataset would go unread
+    if {"--synthetic", "--dataset"} <= given:
+        raise ConfigError("verify --synthetic does not read --dataset")
     if args.mode == "wl-counterexample":
         payload, code, diagnostic = _verify_wl_counterexample(args)
     else:

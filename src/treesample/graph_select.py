@@ -182,12 +182,10 @@ def _pair_survivors(rows: np.ndarray, best_obj: float) -> tuple | None:
         bound = np.add.outer(means, means)
         bound -= cbar
         keep = bound <= best_obj + 1e-9 * cbar
-    # keep is symmetric: the pairs b > a are its upper triangle
-    if 2 * (np.count_nonzero(keep) - np.count_nonzero(keep.diagonal())) > m * (m - 1):
+    upper = np.triu(keep, 1)  # the pairs b > a
+    if 4 * np.count_nonzero(upper) > m * (m - 1):
         return None
-    firsts, seconds = np.nonzero(keep)  # row-major: the scan order
-    upper = firsts < seconds
-    return firsts[upper], seconds[upper]
+    return np.nonzero(upper)  # row-major: the scan order
 
 
 def _pair_swap(full: np.ndarray, chosen: list[int], others: np.ndarray,

@@ -90,14 +90,12 @@ def _solve_injective(blocks: np.ndarray, r: int) -> np.ndarray:
     count, q = blocks.shape[0], blocks.shape[2]
     maps = _MAPS[q, r]
     entries = blocks.reshape(count, -1)[:, maps]
-    if maps.shape[0] == 1:  # r = 0, or q = r = 1
-        return exact_sums(entries[:, 0], "a matching total")
     totals = entries.sum(axis=2)
     # entries are non-negative, so the summation error is relative to the total
     near = totals <= totals.min(axis=1, keepdims=True) * (1.0 + _NEAR_RTOL)
     block, which = np.nonzero(near)
     exact = exact_sums(entries[block, which], "a matching total")
-    if block.size == count:
+    if block.size == count:  # one near map per block, as is common: no reduceat
         return exact
     return np.minimum.reduceat(exact, np.flatnonzero(np.diff(block, prepend=-1)))
 
@@ -241,6 +239,9 @@ def _tables(graphs: list[Graph], pairs: list[tuple[int, int]],
         values *= cfg.level_weight(d - 1)
         values += base
         ext = with_blanks(values, d - 1)
+    # the entry map and the cells are not read again: free them for the top level
+    del owner, ua, vb, blank_pos, blank_src, base
+    del pair, ra, rb, cell_at, flip, small, large, row_step, col_step, pair_off
 
     # the top level: pair k's q x q matrix, q = max(na, nb), reads table
     # entry (min(i, na), min(j, nb)) at (i, j), so the smaller side's padding

@@ -74,12 +74,10 @@ def test_cli_rejects_flags_the_command_does_not_read(argv, tmp_path, capsys):
     (["erm-nodes", "--k", "2", "--pairs", "5"], "--k, --pairs"),
     (["wl-counterexample", "--dataset", "/nonexistent.jsonl"], "--dataset"),
     (["wl-counterexample", "--synthetic", "6"], "--synthetic"),
-    (["wl-counterexample", "--format", "jsonl", "--tu-name", "X"], "--format, --tu-name"),
     (["wl-counterexample", "--seed", "5", "--norm", "l1", "--hidden", "4"],
      "--hidden, --norm, --seed"),
 ], ids=["stability-k", "stability-frac-hypotheses", "erm-graphs-pairs", "erm-graphs-frac",
-        "erm-nodes-k-pairs", "wl-dataset", "wl-synthetic", "wl-format-tu-name",
-        "wl-seed-norm-hidden"])
+        "erm-nodes-k-pairs", "wl-dataset", "wl-synthetic", "wl-seed-norm-hidden"])
 def test_cli_verify_rejects_flags_its_mode_does_not_read(argv, unread, tmp_path, capsys):
     mode, *flags = argv
     if mode != "wl-counterexample":
@@ -90,16 +88,18 @@ def test_cli_verify_rejects_flags_its_mode_does_not_read(argv, unread, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode, flags, unread", [
-    ("stability", ["--dataset", "/nonexistent.jsonl"], "--dataset"),
-    ("erm-graphs", ["--format", "jsonl"], "--format"),
-    ("erm-nodes", ["--tu-name", "X", "--dataset", "/nonexistent"], "--dataset, --tu-name"),
-], ids=["stability-dataset", "erm-graphs-format", "erm-nodes-tu-name-dataset"])
-def test_cli_verify_synthetic_refuses_the_dataset_flags(mode, flags, unread, tmp_path, capsys):
+@pytest.mark.parametrize("mode, dataset", [
+    ("stability", "/nonexistent.jsonl"),
+    ("erm-graphs", "@"),
+    ("erm-nodes", "/nonexistent"),
+], ids=["stability-dataset", "erm-graphs-dataset", "erm-nodes-dataset"])
+def test_cli_verify_synthetic_refuses_the_dataset_flags(mode, dataset, tmp_path, capsys):
+    if dataset == "@":  # a dataset that would load
+        dataset = str(_dataset_path(tmp_path))
     out = tmp_path / "report.json"
-    assert main(["verify", "--mode", mode, "--synthetic", "6", "--depth", "2", *flags,
-                 "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: verify --synthetic does not read {unread}\n"
+    assert main(["verify", "--mode", mode, "--synthetic", "6", "--depth", "2",
+                 "--dataset", dataset, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: verify --synthetic does not read --dataset\n"
     assert not out.exists()
 
 
@@ -181,8 +181,7 @@ CACHE = ("--cache", None, None, False)  # a path, which the test fills in
 
 # per subcommand: (flag, valid values, invalid values, required)
 COMMON = [("--depth", *_ints(1, 4), False),
-          ("--norm", *_choices(["l1", "l2"], ["l3"]), False),
-          ("--format", *_choices(["jsonl"], ["tu"]), False)]
+          ("--norm", *_choices(["l1", "l2"], ["l3"]), False)]
 FLAGS = {
     "dist": [WEIGHTS, CACHE],
     "treenorm": [WEIGHTS],

@@ -93,8 +93,7 @@ def test_unmutated_datasets_load():
         for suffix, data in TU.items():
             (Path(tmp) / f"T_{suffix}.txt").write_bytes(data)
         for command in COMMANDS:
-            assert main(command + ["--dataset", tmp, "--format", "tu",
-                                   "--tu-name", "T"]) == 0
+            assert main(command + ["--dataset", str(Path(tmp) / "T")]) == 0
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -118,4 +117,4 @@ def test_corrupt_tu_dataset_exits_cleanly(suffix, op):
         for name, data in TU.items():
             (Path(tmp) / f"T_{name}.txt").write_bytes(
                 mutate(data, op) if name == suffix else data)
-        _run_all(["--dataset", tmp, "--format", "tu", "--tu-name", "T"])
+        _run_all(["--dataset", str(Path(tmp) / "T")])

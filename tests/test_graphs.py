@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -375,7 +377,7 @@ def test_load_tu_rejects_graph_id_past_node_count(tmp_path):
     d = _write_tu(tmp_path, "BIG", [1, 1, 200000], [(1, 2)])
     with pytest.raises(DatasetError, match="graph id 200000 exceeds"):
         load_tu(d, "BIG")
-    assert main(["treenorm", "--dataset", str(d), "--format", "tu"]) == 2
+    assert main(["treenorm", "--dataset", str(d)]) == 2
 
 
 def test_load_tu_rejects_graph_id_gap(tmp_path):
@@ -384,7 +386,7 @@ def test_load_tu_rejects_graph_id_gap(tmp_path):
     d = _write_tu(tmp_path, "GAP", [1, 1, 3], [(1, 2)])
     with pytest.raises(DatasetError, match="graph id 2 owns no node"):
         load_tu(d, "GAP")
-    assert main(["treenorm", "--dataset", str(d), "--format", "tu"]) == 2
+    assert main(["treenorm", "--dataset", str(d)]) == 2
 
 
 def test_load_tu_reads_integer_labels_and_refuses_fractions(tmp_path, capsys):
@@ -392,13 +394,71 @@ def test_load_tu_reads_integer_labels_and_refuses_fractions(tmp_path, capsys):
     d = _write_tu(tmp_path, "LAB", [1, 2, 3], [], labels=["1", "-1", "1.0"])
     assert [g.label for g in load_tu(d, "LAB")] == [1, -1, 1]
     (d / "LAB_graph_labels.txt").write_text("1\n1.5\n-0.7\n")
-    assert main(["treenorm", "--dataset", str(d), "--format", "tu"]) == 2
+    assert main(["treenorm", "--dataset", str(d)]) == 2
     assert "LAB_graph_labels.txt:2: bad graph label" in capsys.readouterr().err
 
 
 def test_load_tu_missing_mandatory_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_tu(tmp_path, "NOPE")
+
+
+# the command line's --dataset P: a file is jsonl, a directory the TU dataset
+# P/<basename P>, and any other P with a P_A.txt the TU dataset of prefix P
+PATH_COMMANDS = {"dist": ["--cache", "@"], "treenorm": [],
+                 "subsample-graphs": ["--k", "1", "--cache", "@"],
+                 "subsample-nodes": ["--frac", "0.5"],
+                 "verify": ["--mode", "stability", "--pairs", "2"]}
+
+
+def _toy_tu(tmp_path, name="TOY"):
+    return _write_tu(tmp_path, name, [1, 1, 1, 2, 2], [(1, 2), (2, 1), (2, 3), (4, 5)],
+                     attrs=[[0.5], [1.0], [2.0], [0.25], [3.0]], labels=[0, 1])
+
+
+def _run_cli(command, dataset, tmp_path, capsys):
+    from treesample.cli import main
+    cache = tmp_path / f"{len(list(tmp_path.glob('*.tmdc')))}.tmdc"  # a new one per run
+    argv = [str(cache) if arg == "@" else arg for arg in PATH_COMMANDS[command]]
+    assert main([command, *argv, "--dataset", str(dataset), "--json"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(PATH_COMMANDS))
+def test_every_command_reads_a_tu_directory_from_the_dataset_path(command, tmp_path, capsys):
+    d = _toy_tu(tmp_path)
+    jsonl = tmp_path / "toy.jsonl"
+    save_jsonl(load_tu(d, "TOY"), jsonl)
+    out = _run_cli(command, d, tmp_path, capsys)
+    assert out and _run_cli(command, d / "TOY", tmp_path, capsys) == out
+    assert _run_cli(command, jsonl, tmp_path, capsys) == out
+
+
+def test_dataset_dir_slash_name_picks_one_of_two_tu_datasets(tmp_path, capsys):
+    one = _toy_tu(tmp_path, "ONE")
+    for f in _write_tu(tmp_path, "TWO", [1, 2, 3], []).iterdir():
+        f.rename(one / f.name)
+    norms = {name: len(json.loads(_run_cli("treenorm", path, tmp_path, capsys))["values"])
+             for name, path in [("dir", one), ("ONE", one / "ONE"), ("TWO", one / "TWO")]}
+    assert norms == {"dir": 2, "ONE": 2, "TWO": 3}
+
+
+def test_dataset_directory_without_tu_files_exits_2_naming_the_a_file(tmp_path, capsys):
+    from treesample.cli import main
+    d = tmp_path / "EMPTY"
+    d.mkdir()
+    assert main(["treenorm", "--dataset", str(d)]) == 2
+    assert capsys.readouterr().err == f"error: missing mandatory TU file: {d}/EMPTY_A.txt\n"
+    assert main(["treenorm", "--dataset", str(d / "NOPE")]) == 2
+    assert "No such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--format", "tu"], ["--tu-name", "TOY"]])
+def test_the_dataset_path_is_the_only_dataset_flag(flag, tmp_path, capsys):
+    from treesample.cli import main
+    d = _toy_tu(tmp_path)
+    assert main(["treenorm", "--dataset", str(d), *flag]) == 1
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
 
 
 def test_load_jsonl_rejects_bytes_that_are_not_utf8(tmp_path):

@@ -19,9 +19,9 @@ from pathlib import Path
 import treesample
 from treesample import cli
 
-SETTABLE_VALUES = 198
+SETTABLE_VALUES = 188
 EXPORTED_NAMES = 56
-SRC_LINES = 2864
+SRC_LINES = 2862
 
 
 def _modules():
