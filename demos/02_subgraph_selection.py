@@ -11,8 +11,7 @@ the largest tree norm, and the search never has to solve a matching problem.
 import numpy as np
 
 from treesample import (TmdConfig, build_candidates, clustered_dataset, const_weights,
-                        induced_subgraph, select_subsets, subsample_dataset, tmd, tmd_subgraph,
-                        tree_norm)
+                        induced_subgraph, select_subsets, subsample_dataset, tmd, tree_norm)
 from treesample.oracles import brute_force_select, tree_norm_decision
 from treesample.synth import random_graph
 
@@ -30,8 +29,10 @@ d = tmd(g, sub, cfg)
 print(f"keep {subset}: distance {d:.3f} + norm {tree_norm(sub, cfg):.3f}"
       f" = {d + tree_norm(sub, cfg):.3f}")
 
-# tmd_subgraph exploits the identity and skips the matching solver entirely.
-print("tmd_subgraph shortcut:", f"{tmd_subgraph(g, subset, cfg):.3f}")
+# The identity transport plan is optimal for deletions, so the package reports
+# a subgraph's distance as that norm difference and skips the matching solver.
+kept, = select_subsets(g, {subset: "keep"}, [cfg])
+print("norm-difference shortcut:", f"{kept.tmd_to_full:.3f}")
 
 # Exact best 4-node subgraph by enumeration.
 best = brute_force_select(g, 4, cfg)

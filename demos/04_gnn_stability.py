@@ -14,9 +14,9 @@ cannot tell apart although the network can.
 import numpy as np
 
 from treesample import (TmdConfig, clustered_dataset, gin_forward, identity_gin,
-                        layer_lipschitz, parse_weights, random_gin,
+                        layer_lipschitz, make_dataset, parse_weights, random_gin,
                         random_pairs, stability_sweep,
-                        wl_counterexample_pair, wl_distance)
+                        wl_counterexample_pair, wl_pseudometric_matrix)
 
 # Two message-passing layers plus a sum readout; depth-3 trees see exactly
 # as far as this network does.
@@ -50,5 +50,6 @@ print("worst max ratio over 5 random networks:", round(worst, 4))
 g1, g2 = wl_counterexample_pair(5)
 probe = identity_gin(feature_dim=1)
 gap = float(np.linalg.norm(gin_forward(probe, g1) - gin_forward(probe, g2)))
-print("label-refinement distance:", wl_distance(g1, g2, iterations=3))
+wl = wl_pseudometric_matrix(make_dataset([g1, g2]), iterations=3)
+print("label-refinement distance:", wl.value(0, 1))
 print("identity network readout gap:", gap)

@@ -13,15 +13,14 @@ from .errors import (CacheMismatchError, ConfigError, DatasetError,
 from .graphs import (Dataset, Graph, dataset_fingerprint, empty_graph,
                      induced_subgraph, load_jsonl, load_tu, make_dataset,
                      save_jsonl)
-from .tmd import DistanceMatrix, pairwise_matrix, tmd, tmd_subgraph
+from .tmd import DistanceMatrix, pairwise_matrix, tmd
 from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
 from .cache import load_or_compute, read_matrix, write_matrix
 from .graph_select import (Selection, feature_distance_matrix, kmedoids,
-                           nearest_medoid, random_selection, wl_distance,
-                           wl_pseudometric_matrix)
+                           nearest_medoid, random_selection, wl_pseudometric_matrix)
 from .node_select import (NodeSubsample, build_candidates, select_subsets,
                           subsample_dataset, subsample_sweep)
-# perfbench/workloads.py imports it from here; ROADMAP item 14 drops it after item 11
+# perfbench/workloads.py imports it from here; ROADMAP item 21 drops it after item 11
 from .oracles import tmd_naive
 from .gnn import (ErmReport, GinLayer, GinModel, LipschitzProfile,
                   StabilityReport, finite_erm_sweep, gin_forward,

@@ -23,8 +23,8 @@ from .errors import (CacheMismatchError, ConfigError, DatasetError,
 from .gnn import (finite_erm_sweep, gin_forward, identity_gin, random_gin,
                   stability_sweep)
 from .graph_select import (kmedoids, feature_distance_matrix, nearest_medoid,
-                           random_selection, wl_distance, wl_pseudometric_matrix)
-from .graphs import induced_subgraph, load_jsonl, load_tu
+                           random_selection, wl_pseudometric_matrix)
+from .graphs import induced_subgraph, load_jsonl, load_tu, make_dataset
 from .node_select import mean_tmd, subsample_dataset, subsample_sweep
 from .synth import random_pairs, synthetic_dataset, wl_counterexample_pair
 from .tmd import pairwise_matrix
@@ -262,7 +262,7 @@ def _sweep_configs(args) -> list[TmdConfig]:
 
 def _verify_wl_counterexample(args) -> tuple[dict, int, str]:
     ga, gb = wl_counterexample_pair(5)
-    dist = wl_distance(ga, gb, iterations=args.depth)
+    dist = wl_pseudometric_matrix(make_dataset([ga, gb]), args.depth).value(0, 1)
     probe = identity_gin(feature_dim=1, eta=args.eta)
     gap = float(abs(gin_forward(probe, ga)[0] - gin_forward(probe, gb)[0]))
     payload = {"mode": "wl-counterexample", "wl_distance": dist, "gin_gap": gap}

@@ -18,7 +18,7 @@ from scipy.spatial.distance import pdist
 
 from .config import TmdConfig
 from .errors import ConfigError, _require_int, _seeded_rng, require_finite
-from .graphs import Dataset, Graph, make_dataset
+from .graphs import Dataset
 from .tmd import DistanceMatrix
 from .treenorm import feature_norms
 
@@ -390,9 +390,3 @@ def wl_pseudometric_matrix(ds: Dataset, iterations: int) -> DistanceMatrix:
                                    minlength=n * k).reshape(n, k))
     vals = pdist(np.hstack(columns)) if n > 1 else np.zeros(0)
     return DistanceMatrix(n, "wl", iterations, "", vals)
-
-
-def wl_distance(ga: Graph, gb: Graph, iterations: int) -> float:
-    """Pairwise convenience wrapper over :func:`wl_pseudometric_matrix`."""
-    ds = make_dataset([ga, gb])
-    return wl_pseudometric_matrix(ds, iterations).value(0, 1)

@@ -30,7 +30,7 @@ from scipy.spatial.distance import cdist, squareform
 from .config import TmdConfig
 from .errors import DatasetError, NumericalOverflowError, _is_int, _require_int, exact_sums
 from .graphs import Dataset, Graph
-from .treenorm import feature_norms, subset_tree_norm_sweep, tree_norm
+from .treenorm import feature_norms, tree_norm
 
 # blocks up to this size are solved by enumerating injective maps, larger
 # ones by linear_sum_assignment
@@ -302,20 +302,6 @@ def tmd(ga: Graph, gb: Graph, cfg: TmdConfig) -> float:
     :func:`pairwise_matrix`, which solves them in batches.
     """
     return next(_distances([ga, gb], [(0, 1)], cfg))
-
-
-# ---------------------------------------------------------------------------
-# subgraph shortcut and pairwise matrices
-# ---------------------------------------------------------------------------
-
-def tmd_subgraph(g: Graph, nodes, cfg: TmdConfig) -> float:
-    """Distance from ``g`` to its induced subgraph on ``nodes``.
-
-    Computed as the tree-norm difference (the identity transport plan is
-    optimal for subgraph deletions), which costs two fast norm passes instead
-    of a full matching; the subgraph's norm is scored on ``g``'s own edges.
-    """
-    return tree_norm(g, cfg) - float(subset_tree_norm_sweep(g, [nodes], [cfg])[0, 0])
 
 
 @dataclass(frozen=True, eq=False)

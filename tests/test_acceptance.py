@@ -17,7 +17,7 @@ from treesample import (DistanceMatrix, TmdConfig, clustered_dataset, const_weig
                         feature_distance_matrix, feature_norms, finite_erm_sweep, gin_forward,
                         identity_gin, induced_subgraph, kmedoids, load_or_compute,
                         make_dataset, nearest_medoid, pairwise_matrix, random_gin, save_jsonl,
-                        tmd, tree_norm, wl_counterexample_pair, wl_distance)
+                        tmd, tree_norm, wl_counterexample_pair, wl_pseudometric_matrix)
 from treesample.oracles import (brute_force_matching, brute_force_medoids, computation_tree,
                                 matching_value, tree_blank_distance, tree_distance,
                                 tree_norm_naive)
@@ -301,7 +301,7 @@ def test_c08_kmedoids_quality():
 
 def test_c09_refinement_counterexample():
     g1, g2 = wl_counterexample_pair(5)
-    dist = wl_distance(g1, g2, iterations=3)
+    dist = wl_pseudometric_matrix(make_dataset([g1, g2]), 3).value(0, 1)
     probe = identity_gin(feature_dim=1)
     gap = abs(float(gin_forward(probe, g1)[0]) - float(gin_forward(probe, g2)[0]))
     ok = dist == 0.0 and gap > 1e-6

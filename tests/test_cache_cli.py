@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treesample import (CacheMismatchError, ErmReport, Graph, StabilityReport,
+from treesample import (CacheMismatchError, DistanceMatrix, ErmReport, Graph, StabilityReport,
                         clustered_dataset, const_weights, feature_distance_matrix,
                         kmedoids, load_or_compute, make_dataset, pairwise_matrix,
                         random_gin, random_pairs, random_selection, read_matrix,
@@ -532,7 +532,8 @@ def test_cli_verify_preset_failure_still_emits(monkeypatch, tmp_path, capsys):
 
 def test_cli_verify_hard_failure_still_emits(monkeypatch, capsys):
     import treesample.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "wl_distance", lambda *a, **k: 0.5)
+    monkeypatch.setattr(cli_mod, "wl_pseudometric_matrix",
+                        lambda ds, iterations: DistanceMatrix(2, "wl", iterations, "", [0.5]))
     code = main(["verify", "--mode", "wl-counterexample", "--json"])
     assert code == 70
     captured = capsys.readouterr()

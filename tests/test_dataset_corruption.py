@@ -2,16 +2,18 @@
 
 Each example takes one valid dataset (JSON lines, or one file of a TU
 directory) through one byte mutation: a bit flip, a truncation, a deletion
-or an insertion.  ``treenorm`` and ``subsample-nodes`` must then return
-0 (the bytes still hold a valid dataset), 1, 2 or 3.
+or an insertion.  ``treenorm`` and ``subsample-nodes`` must then call the
+loader once and return 0 (the bytes still hold a valid dataset), 1, 2 or 3.
 """
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+import treesample.cli as cli
 from treesample import Graph, make_dataset, save_jsonl
 from treesample.cli import main
 
@@ -80,8 +82,14 @@ TU = _tu_files()
 
 def _run_all(dataset_args) -> None:
     for command in COMMANDS:
-        code = main(command + dataset_args)
+        # spies on the names cli._load looks up (Hypothesis refuses the
+        # function-scoped monkeypatch): exit 1 from a call that stops before
+        # the loader, at argparse say, must not pass as a clean exit
+        with (mock.patch.object(cli, "load_jsonl", wraps=cli.load_jsonl) as jsonl,
+              mock.patch.object(cli, "load_tu", wraps=cli.load_tu) as tu):
+            code = main(command + dataset_args)
         assert code in EXIT_CODES, (command, code)
+        assert jsonl.call_count + tu.call_count == 1, (command, code)
 
 
 def test_unmutated_datasets_load():

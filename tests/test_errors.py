@@ -24,7 +24,7 @@ from treesample import (ConfigError, DistanceMatrix, Graph, NumericalOverflowErr
                         nearest_medoid, parse_weights, random_gin, random_graph, random_pairs,
                         random_selection, save_jsonl, select_subsets, stability_sweep,
                         subsample_dataset, subsample_sweep, wl_counterexample_pair,
-                        wl_distance, wl_pseudometric_matrix)
+                        wl_pseudometric_matrix)
 from treesample.oracles import brute_force_medoids, brute_force_select, computation_tree
 from treesample.cli import main
 from treesample.errors import exact_sums, require_finite
@@ -154,7 +154,6 @@ _INT_ARGS = [
     ("random_selection-seed", lambda v: random_selection(6, 2, v), "seed", 1),
     ("nearest_medoid", lambda v: nearest_medoid(_DM, [0, v]), "medoid index", 3),
     ("wl_pseudometric_matrix", lambda v: wl_pseudometric_matrix(_DS, v), "iterations", 1),
-    ("wl_distance", lambda v: wl_distance(_DS[0], _DS[1], v), "iterations", 2),
     ("build_candidates-k", lambda v: build_candidates(_PATH, v, 0), "k", 2),
     ("build_candidates-seed", lambda v: build_candidates(_PATH, 2, v), "seed", 1),
     ("subsample_dataset-seed", lambda v: subsample_dataset(_DS, 0.5, _CFG, seed=v),

@@ -11,8 +11,7 @@ from scipy.spatial.distance import pdist
 
 from treesample import (ConfigError, DatasetError, DistanceMatrix, Graph, Selection,
                         feature_distance_matrix, kmedoids, make_dataset, nearest_medoid,
-                        random_selection, wl_distance, wl_counterexample_pair,
-                        wl_pseudometric_matrix)
+                        random_selection, wl_counterexample_pair, wl_pseudometric_matrix)
 from treesample.oracles import brute_force_medoids
 from treesample import graph_select
 
@@ -496,23 +495,27 @@ def test_feature_distance_matrix_bit_identical_to_pair_loop(norm):
             (want.n, want.metric, want.depth, want.weight_preset)
 
 
+def _wl_pair(ga, gb, iterations):
+    return wl_pseudometric_matrix(make_dataset([ga, gb]), iterations).value(0, 1)
+
+
 def test_wl_counterexample_distance_zero():
     g1, g2 = wl_counterexample_pair()
-    assert wl_distance(g1, g2, iterations=3) == 0.0
+    assert _wl_pair(g1, g2, 3) == 0.0
 
 
 def test_wl_separates_structures():
     path = Graph(4, [(0, 1), (1, 2), (2, 3)], np.ones((4, 1)))
     star = Graph(4, [(0, 1), (0, 2), (0, 3)], np.ones((4, 1)))
-    assert wl_distance(path, star, iterations=2) > 0.1
-    assert wl_distance(path, path, iterations=3) == 0.0
+    assert _wl_pair(path, star, 2) > 0.1
+    assert _wl_pair(path, path, 3) == 0.0
 
 
 def test_wl_distance_rejects_graphs_of_different_widths():
     one = Graph(2, [(0, 1)], np.ones((2, 1)))
     two = Graph(2, [(0, 1)], np.ones((2, 2)))
     with pytest.raises(DatasetError, match=r"feature dimension: \[1, 2\]"):
-        wl_distance(one, two, iterations=1)
+        _wl_pair(one, two, 1)
 
 
 def test_wl_histogram_refinement_counts():

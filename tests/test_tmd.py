@@ -2,13 +2,14 @@ import importlib
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from treesample import (ConfigError, DatasetError, Graph, NumericalOverflowError, TmdConfig,
                         const_weights, empty_graph, induced_subgraph, make_dataset,
-                        pairwise_matrix, tmd, tmd_subgraph, tree_norm)
+                        pairwise_matrix, select_subsets, tmd, tree_norm)
 from treesample.oracles import (ScaleLimitError, blank_tree, brute_force_matching,
                                 computation_tree, tmd_naive, tree_blank_distance,
                                 tree_distance)
@@ -149,14 +150,20 @@ def test_tree_distance_depth_guard():
         tree_blank_distance(deep, cfg(2))
 
 
+def _to_subgraph(g, nodes, c):
+    """The distance from ``g`` to its subgraph on ``nodes`` that the
+    package reports: a tree-norm difference, as the identity plan is optimal."""
+    return select_subsets(g, {tuple(nodes): "t"}, [c])[0].tmd_to_full
+
+
 def test_subgraph_distance_worked_examples():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)], np.array([[3.0], [1.0], [1.0]]))
     c = cfg(2)
     # ||G|| = 15, ||G[{0,1}]|| = (3 + 1) + (1 + 3) = 8
-    assert tmd_subgraph(g, [0, 1], c) == 7.0
-    assert tmd_subgraph(g, [0, 1, 2], c) == 0.0
+    assert _to_subgraph(g, [0, 1], c) == 7.0
+    assert _to_subgraph(g, [0, 1, 2], c) == 0.0
     p = Graph(2, [(0, 1)], np.ones((2, 1)))
-    assert tmd_subgraph(p, [1], c) == 3.0
+    assert _to_subgraph(p, [1], c) == 3.0
 
 
 def test_subgraph_shortcut_equals_full_solver():
@@ -167,7 +174,7 @@ def test_subgraph_shortcut_equals_full_solver():
         k = int(rng.integers(1, g.node_count + 1))
         nodes = sorted(rng.choice(g.node_count, size=k, replace=False).tolist())
         direct = tmd(g, induced_subgraph(g, nodes), c)
-        shortcut = tmd_subgraph(g, nodes, c)
+        shortcut = _to_subgraph(g, nodes, c)
         assert math.isclose(direct, shortcut, rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -404,13 +411,32 @@ def test_distances_memory_does_not_grow_with_the_graph_count():
     assert peak(200) < 2 * peak(20)
 
 
-def test_top_level_runs_without_the_entry_map():
+def test_top_level_runs_without_the_entry_map(monkeypatch):
     # two 300-node G(n, 4/n) graphs at depth 2: with the per-entry map and
     # the cell arrays still held through the top-level matching, the peak
     # traced ~11.3 MiB; released before it, ~10.5 MiB
     rng = np.random.default_rng(300)
     ga, gb = (random_graph(rng, n_max=300, n_min=300, p=4 / 300) for _ in range(2))
-    expected = tmd(ga, gb, cfg(2))  # the first call also imports and warms up
+    # on any allocator: _cells' three map inputs and four cell arrays are all
+    # dead when the one 300-wide (top-level) matching starts
+    refs, alive_at_top = [], []
+    cells, solve = TMD_MODULE._cells, TMD_MODULE._solve_lsap
+
+    def spy_cells(owner, ua, vb, deg, blank):
+        out = cells(owner, ua, vb, deg, blank)
+        refs.extend(weakref.ref(a) for a in (owner, ua, vb, *out[0]))
+        return out
+
+    def spy_solve(blocks, r):
+        if blocks.shape[2] == 300:
+            alive_at_top.append(sum(ref() is not None for ref in refs))
+        return solve(blocks, r)
+
+    with monkeypatch.context() as m:
+        m.setattr(TMD_MODULE, "_cells", spy_cells)
+        m.setattr(TMD_MODULE, "_solve_lsap", spy_solve)
+        expected = tmd(ga, gb, cfg(2))  # the first call also imports and warms up
+    assert len(refs) == 7 and alive_at_top == [0]
     tracemalloc.start()
     try:
         value = tmd(ga, gb, cfg(2))

@@ -7,7 +7,7 @@ import pytest
 
 from treesample import (DatasetError, Graph, NumericalOverflowError, TmdConfig, WeightFn,
                         empty_graph, feature_norms, induced_subgraph, select_subsets,
-                        subset_tree_norm_sweep, tmd_subgraph, tree_norm)
+                        subset_tree_norm_sweep, tree_norm)
 from treesample.oracles import tree_norm_naive
 from treesample.node_select import (_k_bfs_candidates as k_bfs_candidates,
                                     _kcore_candidate as kcore_candidate,
@@ -202,8 +202,6 @@ def test_node_indices_that_are_not_integers_are_refused(bad):
         induced_subgraph(g, [bad, 2])
     with pytest.raises(DatasetError, match=f"subset_tree_norm_sweep: {re.escape(match)}"):
         subset_tree_norm_sweep(g, [(0, 1), (bad, 2)], [c])
-    with pytest.raises(DatasetError, match=re.escape(match)):
-        tmd_subgraph(g, [bad, 2], c)
 
 
 # each entry with the node list it is given and the name its message carries
@@ -212,7 +210,6 @@ _NODE_ENTRIES = {
     "induced_subgraph": (lambda g, c, v: induced_subgraph(g, [0, v]), "induced_subgraph"),
     "subset_tree_norm_sweep": (lambda g, c, v: subset_tree_norm_sweep(g, [(0, 1), (0, v)], [c]),
                                "subset_tree_norm_sweep"),
-    "tmd_subgraph": (lambda g, c, v: tmd_subgraph(g, [0, v], c), "subset_tree_norm_sweep"),
     "select_subsets": (lambda g, c, v: select_subsets(g, {(0,): "a", (0, v): "b"}, [c]),
                        "subset_tree_norm_sweep"),
 }
@@ -248,4 +245,3 @@ def test_numpy_integer_node_indices_are_kept():
     assert induced_subgraph(g, nodes) == induced_subgraph(g, [0, 1])
     assert (subset_tree_norm_sweep(g, [nodes], [c])
             == subset_tree_norm_sweep(g, [[0, 1]], [c])).all()
-    assert tmd_subgraph(g, nodes, c) == tmd_subgraph(g, [0, 1], c)
