@@ -50,12 +50,13 @@ def _pack_str(s: str) -> bytes:
 
 def write_matrix(path: str, dm: DistanceMatrix, *, norm: str,
                  dataset_hash: str) -> None:
-    """Write the matrix and its key atomically (temp file + rename)."""
-    values = np.ascontiguousarray(dm.values, dtype="<f8").tobytes()
+    """Write the matrix and its key atomically (temp file + rename).  The
+    values are hashed and written from the array's buffer, not a copy."""
+    values = np.ascontiguousarray(dm.values, dtype="<f8")
     fields = (dm.metric, dm.weight_preset, norm, dataset_hash,
               hashlib.sha256(values).hexdigest())
-    payload = (MAGIC + _HEAD.pack(VERSION, dm.n, dm.depth)
-               + b"".join(map(_pack_str, fields)) + values)
+    header = (MAGIC + _HEAD.pack(VERSION, dm.n, dm.depth)
+              + b"".join(map(_pack_str, fields)))
     directory = os.path.dirname(os.path.abspath(path)) or "."
     # mode 0o666 less the umask, as open(path, "w") gives, where mkstemp's 0o600
     # would lock out other accounts that share the cache directory
@@ -63,7 +64,8 @@ def write_matrix(path: str, dm: DistanceMatrix, *, norm: str,
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.write(header)
+            fh.write(values)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -119,8 +119,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--frac", type=float, required=True,
                    help="target fraction of nodes to keep, in (0, 1]")
-    p.add_argument("--heuristics", default="bfs,rw,kcore",
-                   help="comma list from {bfs, rw, kcore}")
     p.set_defaults(func=_cmd_subsample_nodes)
 
     p = sub.add_parser("verify", help="run empirical guarantee checks")
@@ -184,9 +182,11 @@ def _labelled(record, **labels) -> dict:
 
 
 def _file_sha256(path: str) -> str:
+    """SHA-256 of the file, read 1 MiB at a time."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
     return h.hexdigest()
 
 
@@ -240,8 +240,7 @@ def _cmd_subsample_graphs(args) -> int:
 def _cmd_subsample_nodes(args) -> int:
     ds = _load(args)
     cfg = _config(args)
-    heuristics = tuple(tok.strip() for tok in args.heuristics.split(",") if tok.strip())
-    subs = subsample_dataset(ds, args.frac, cfg, heuristics=heuristics, seed=args.seed)
+    subs = subsample_dataset(ds, args.frac, cfg, seed=args.seed)
     mean_eps = mean_tmd(subs)
     _emit(args, {"graphs": len(subs), "mean_tmd": mean_eps},
           f"graphs={len(subs)} mean_tmd={mean_eps}", (s.to_json() for s in subs))

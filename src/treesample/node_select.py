@@ -4,15 +4,14 @@ Finding the k-node induced subgraph closest to the parent graph is the same
 problem as finding the k-node subgraph with the largest tree norm, so the
 selector evaluates cheap tree norms over a candidate pool, all candidates in
 one masked pass over the parent's edges, instead of running any matching.
-Candidates come from three heuristics: per-node BFS balls, a restarting
-random walk, and a k-core peel.
+The candidate pool is always the same three sources: per-node BFS balls, a
+restarting random walk, and a k-core peel.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +19,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .config import TmdConfig
-from .errors import (ConfigError, _require_choice, _require_int, _require_real,
-                     _seeded_rng, exact_sums, require_finite)
+from .errors import (ConfigError, _require_int, _require_real, _seeded_rng,
+                     exact_sums, require_finite)
 from .graphs import Dataset, Graph
 from .treenorm import subset_tree_norm_sweep
 
-_HEURISTICS = ("bfs", "rw", "kcore")
 # roots per shortest_path call in _k_bfs_candidates, which bounds its memory
 _BFS_BLOCK = 512
 
@@ -172,36 +170,20 @@ def select_subsets(g: Graph, candidates: dict, cfgs,
     return out
 
 
-def _check_heuristics(heuristics) -> tuple[str, ...]:
-    """The checked names, as a tuple: an iterator could be read only once."""
-    # a str would be read letter by letter
-    if isinstance(heuristics, str) or not isinstance(heuristics, Iterable):
-        raise ConfigError(f"heuristics must be a collection of names, got {heuristics!r}")
-    names = tuple(_require_choice(name, "heuristic", _HEURISTICS) for name in heuristics)
-    if not names:
-        raise ConfigError("at least one heuristic must be enabled")
-    return names
-
-
-def build_candidates(g: Graph, k: int, seed: int,
-                     heuristics=_HEURISTICS) -> dict[tuple[int, ...], str]:
-    """Union of candidate subsets from the enabled heuristics, as a dict from
-    each sorted node tuple to the tag of the first heuristic that produced it.
-    ``k``, ``seed`` (an integer >= 0, which seeds the random walk) and
-    ``heuristics`` are checked here, for all three heuristics."""
+def build_candidates(g: Graph, k: int, seed: int) -> dict[tuple[int, ...], str]:
+    """The candidate pool: the BFS balls, then the random walk, then the
+    k-core pick, as a dict from each sorted node tuple to the tag of the
+    first source that produced it.  ``k`` and ``seed`` (an integer >= 0,
+    which seeds the random walk) are checked here, for all three sources."""
     k = _require_int(k, "k", 1, None)
     rng = _seeded_rng(seed)
-    heuristics = _check_heuristics(heuristics)
-    cands = _k_bfs_candidates(g, k) if "bfs" in heuristics else {}
-    if "rw" in heuristics:
-        cands.setdefault(_rw_candidate(g, k, rng), "rw")
-    if "kcore" in heuristics:
-        cands.setdefault(_kcore_candidate(g, k), "kcore")
+    cands = _k_bfs_candidates(g, k)
+    cands.setdefault(_rw_candidate(g, k, rng), "rw")
+    cands.setdefault(_kcore_candidate(g, k), "kcore")
     return cands
 
 
 def subsample_dataset(ds: Dataset, frac: float, cfg: TmdConfig,
-                      heuristics=_HEURISTICS,
                       seed: int = 0) -> list[NodeSubsample]:
     """Subsample every graph to roughly ``frac`` of its nodes.
 
@@ -210,11 +192,10 @@ def subsample_dataset(ds: Dataset, frac: float, cfg: TmdConfig,
     ``seed + i``, so its random-walk candidate follows its position in the
     dataset.
     """
-    return subsample_sweep(ds, frac, [cfg], heuristics, seed)[0]
+    return subsample_sweep(ds, frac, [cfg], seed)[0]
 
 
 def subsample_sweep(ds: Dataset, frac: float, cfgs,
-                    heuristics=_HEURISTICS,
                     seed: int = 0) -> list[list[NodeSubsample]]:
     """:func:`subsample_dataset` under each config in ``cfgs``, one list per
     config.  The candidates do not depend on the config, so each graph's
@@ -223,7 +204,6 @@ def subsample_sweep(ds: Dataset, frac: float, cfgs,
     if not 0.0 < frac <= 1.0:
         raise ConfigError(f"frac must be in (0, 1], got {frac}")
     seed = _require_int(seed, "seed", 0, None)
-    heuristics = _check_heuristics(heuristics)
     out = [[] for _ in cfgs]
     for i, g in enumerate(ds):
         n = g.node_count
@@ -232,7 +212,7 @@ def subsample_sweep(ds: Dataset, frac: float, cfgs,
                 subs.append(NodeSubsample(i, (), 0.0, 0.0, "empty"))
             continue
         k = min(n, max(1, int(math.floor(frac * n + 0.5))))
-        cands = build_candidates(g, k, seed + i, heuristics)
+        cands = build_candidates(g, k, seed + i)
         for subs, pick in zip(out, select_subsets(g, cands, cfgs, i)):
             subs.append(pick)
     return out

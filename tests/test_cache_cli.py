@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,34 @@ def test_binary_round_trip_is_bit_exact(tmp_path, small_ds):
     assert back.values.tobytes() == dm.values.tobytes()
     assert (norm, dataset_hash) == ("l2", "abc")
     assert os.listdir(tmp_path) == ["d.tmdc"]  # one file, no temp left behind
+
+
+def test_cache_file_bytes_are_pinned(tmp_path):
+    # the layout in cache.py's docstring, byte for byte: a changed writer
+    # must not orphan the caches already on disk
+    dm = DistanceMatrix(5, "tmd", 3, "const:0.5", np.arange(10) / 8.0)
+    path = tmp_path / "d.tmdc"
+    write_matrix(str(path), dm, norm="l1", dataset_hash="ab" * 32)
+    blob = path.read_bytes()
+    assert len(blob) == 262 and blob.endswith(dm.values.tobytes())
+    assert hashlib.sha256(blob).hexdigest() == (
+        "ddb49e678459805976e888f6db05b1831b9fe175f1cbfc611b9efbb8ff2671c1")
+
+
+def test_write_matrix_hashes_and_writes_the_values_without_a_copy(tmp_path):
+    # the values go from their array to the hash and the file: a bytes copy
+    # joined to the header would peak at twice their size
+    n = 1000
+    dm = DistanceMatrix(n, "tmd", 2, "const:1.0",
+                        np.random.default_rng(0).uniform(0, 9, n * (n - 1) // 2))
+    tracemalloc.start()
+    try:
+        write_matrix(str(tmp_path / "d.tmdc"), dm, norm="l2", dataset_hash="abc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dm.values.nbytes / 8, f"{peak} bytes for {dm.values.nbytes} of values"
+    assert read_matrix(str(tmp_path / "d.tmdc"))[0].values.tobytes() == dm.values.tobytes()
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])

@@ -188,10 +188,7 @@ FLAGS = {
     "subsample-graphs": [
         WEIGHTS, SEED, CACHE, ("--k", *_ints(1, 4), True),
         ("--method", *_choices(["tmd", "wl", "feature", "random"], ["x"]), False)],
-    "subsample-nodes": [
-        WEIGHTS, SEED, ("--frac", *FRACS, True),
-        ("--heuristics", *_choices(["bfs,rw,kcore", "bfs", "kcore,rw"], [",", "bfs,x"]),
-         False)],
+    "subsample-nodes": [WEIGHTS, SEED, ("--frac", *FRACS, True)],
     "verify": [
         SEED, ("--mode", *_choices(["stability", "erm-graphs", "erm-nodes",
                                     "wl-counterexample"], ["x"]), True),
@@ -323,7 +320,8 @@ _BASE_ARGVS = [
     ["verify", "--mode", "wl-counterexample"],
 ]
 # what a request adds: flag values, valid or not, flags the command may not
-# read, both spellings of a negative infinity, and stray tokens
+# read or that no command has (--format, --heuristics), both spellings of a
+# negative infinity, and stray tokens
 _EXTRAS = [
     ["--depth", "1"], ["--depth", "3"], ["--depth", "0"], ["--depth", "x"],
     ["--weights", "const:2"], ["--weights", "table:1,2,3"], ["--weights", "const:inf"],
@@ -477,21 +475,19 @@ def test_cli_degenerate_dataset_exits_with_a_documented_code(data, argv, tmp_pat
         assert err.startswith("error: "), err
 
 
-@pytest.mark.parametrize("heuristics, message", [
-    ("bogus", "heuristic must be one of ('bfs', 'rw', 'kcore'), got 'bogus'"),
-    (",", "at least one heuristic must be enabled"),
-], ids=["bogus", "comma"])
+@pytest.mark.parametrize("heuristics", ["bogus", ","], ids=["bogus", "comma"])
 @pytest.mark.parametrize("data", ["empty-file", "two-0-node-graphs"])
-def test_cli_subsample_nodes_checks_heuristics_without_a_graph(data, heuristics, message,
+def test_cli_subsample_nodes_checks_heuristics_without_a_graph(data, heuristics,
                                                                 tmp_path, capsys):
-    # no graph here has a node, so no candidate is ever built
+    # the candidate pool is always the BFS balls, the walk and the core pick,
+    # so --heuristics is an unknown flag, refused before any graph is read
     path = tmp_path / "ds.jsonl"
     save_jsonl(make_dataset(_DEGENERATE[data]), path)
     code = main(["subsample-nodes", "--dataset", str(path), "--frac", "0.5",
                  "--heuristics", heuristics])
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: {message}"), err
+    assert err == f"error: unrecognized arguments: --heuristics {heuristics}\n"
 
 
 @pytest.mark.parametrize("mode", ["erm-graphs", "erm-nodes"])

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from treesample import ConfigError, TmdConfig, WeightFn, const_weights, parse_weights
+from treesample.config import _PASCAL_MSG
 
 
 def test_const_weight_is_flat():
@@ -33,6 +37,13 @@ def test_parse_rejects_pascal_alias():
         parse_weights("pascal")
     with pytest.raises(ConfigError, match="reserved"):
         parse_weights("  PASCAL ")
+
+
+def test_the_pascal_message_names_a_readme_heading():
+    # the message pointed at "README, Weight presets" while no such heading existed
+    heading, = re.findall(r"see README, ([^)]+)\)", _PASCAL_MSG)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert re.search(rf"^#+ {re.escape(heading)}$", readme, re.M), heading
 
 
 def test_weight_fn_refuses_an_unknown_kind():

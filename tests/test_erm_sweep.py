@@ -90,8 +90,8 @@ def test_verify_erm_graphs_payload_matches_one_pipeline_per_preset():
 def test_subsample_sweep_matches_subsample_dataset_per_config():
     ds = _nodes_dataset(4, count=5)
     cfgs = [cfg(2, w) for w in (0.5, 2.0)] + [cfg(3, 1.0, "l1")]
-    got = subsample_sweep(ds, 0.4, cfgs, ("bfs", "kcore"), seed=7)
-    assert got == [subsample_dataset(ds, 0.4, c, ("bfs", "kcore"), seed=7) for c in cfgs]
+    got = subsample_sweep(ds, 0.4, cfgs, seed=7)
+    assert got == [subsample_dataset(ds, 0.4, c, seed=7) for c in cfgs]
     assert subsample_sweep(ds, 0.4, [], seed=7) == []
     with pytest.raises(ConfigError, match="frac must be in"):
         subsample_sweep(ds, 1.5, cfgs)
@@ -100,7 +100,7 @@ def test_subsample_sweep_matches_subsample_dataset_per_config():
         with pytest.raises(ConfigError,
                            match=re.escape(f"frac must be a finite real number, got {frac!r}")):
             subsample_sweep(ds, frac, cfgs)
-    assert subsample_sweep(ds, np.float64(0.4), cfgs, ("bfs", "kcore"), seed=7) == got
+    assert subsample_sweep(ds, np.float64(0.4), cfgs, seed=7) == got
 
 
 def test_verify_erm_nodes_does_preset_independent_work_once(monkeypatch):

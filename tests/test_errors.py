@@ -248,10 +248,6 @@ _CHOICE_ARGS = [
      "table"),
     ("GinLayer-activation", lambda v: GinLayer(np.eye(2), np.zeros(2), v), "activation",
      ("relu", "identity"), "identity"),
-    ("build_candidates-heuristics", lambda v: build_candidates(_PATH, 2, 0, heuristics=(v,)),
-     "heuristic", ("bfs", "rw", "kcore"), "kcore"),
-    ("subsample_sweep-heuristics", lambda v: subsample_sweep(_DS, 0.5, [_CFG], (v, "bfs")),
-     "heuristic", ("bfs", "rw", "kcore"), "rw"),
 ]
 
 
@@ -271,12 +267,6 @@ def test_every_choice_argument_goes_through_one_gate(call, name, choices, good):
 # (entry point, a call passing the value under test, the refusal before the
 # value, a good value)
 _KIND_ARGS = [
-    ("build_candidates-heuristics", lambda v: build_candidates(_PATH, 2, 0, heuristics=v),
-     "heuristics must be a collection of names", ("bfs",)),
-    ("subsample_sweep-heuristics", lambda v: subsample_sweep(_DS, 0.5, [_CFG], v),
-     "heuristics must be a collection of names", ["rw", "bfs"]),
-    ("subsample_dataset-heuristics", lambda v: subsample_dataset(_DS, 0.5, _CFG, v),
-     "heuristics must be a collection of names", {"kcore"}),
     ("parse_weights", lambda v: parse_weights(v), "weight spec must be a string",
      "const:0.5"),
 ]

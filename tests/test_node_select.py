@@ -26,7 +26,8 @@ def test_candidate_set_deduplicates():
     # on the star every 4-node BFS ball, the walk and the core are one set
     cands = build_candidates(STAR, 4, seed=0)
     assert cands == {(0, 1, 2, 3): "bfs:0"}
-    cands = build_candidates(STAR, 1, seed=0, heuristics=("kcore", "bfs"))
+    # at k = 1 the walk and the core pick are both the hub's ball
+    cands = build_candidates(STAR, 1, seed=0)
     assert list(cands) == [(0,), (1,), (2,), (3,)]
     assert list(cands.values()) == ["bfs:0", "bfs:1", "bfs:2", "bfs:3"]
 
@@ -146,34 +147,13 @@ def test_rw_candidate_pads_disconnected_graph():
     assert len(rw_candidate(g, 4, np.random.default_rng(0))) == 4
 
 
-def test_build_candidates_validates_heuristics():
-    with pytest.raises(ConfigError):
-        build_candidates(STAR, 2, 0, heuristics=("bfs", "magic"))
-    with pytest.raises(ConfigError):
-        build_candidates(STAR, 2, 0, heuristics=())
-    # a bare string is refused whole; this said "unknown heuristics ['b', 'f', 's']"
-    with pytest.raises(ConfigError) as info:
-        build_candidates(STAR, 2, 0, heuristics="bfs")
-    assert str(info.value) == "heuristics must be a collection of names, got 'bfs'"
-
-
-def test_heuristics_may_be_an_iterator():
-    # the check read an iterator to its end, so no heuristic ran after it
-    want = build_candidates(PATH5, 2, 0, heuristics=("bfs", "kcore"))
-    assert build_candidates(PATH5, 2, 0, heuristics=iter(["bfs", "kcore"])) == want
-    ds = make_dataset([STAR, PATH5])
-    assert (subsample_dataset(ds, 0.5, cfg(2), heuristics=iter(["rw"]))
-            == subsample_dataset(ds, 0.5, cfg(2), heuristics=("rw",)))
-
-
 @pytest.mark.parametrize("k", [0, -1, 2.5, np.float64(2.0), True, "2"])
 def test_build_candidates_checks_k_for_every_heuristic(k):
-    # the only k check: the three heuristics trust it
-    for heuristics in (("bfs", "rw", "kcore"), ("bfs",), ("rw",), ("kcore",)):
-        message = re.escape(f"k must be >= 1, got {k}" if type(k) is int
-                            else f"k must be an integer, got {k!r}")
-        with pytest.raises(ConfigError, match=message):
-            build_candidates(STAR, k, 0, heuristics)
+    # the only k check: the BFS balls, the walk and the core pick trust it
+    message = re.escape(f"k must be >= 1, got {k}" if type(k) is int
+                        else f"k must be an integer, got {k!r}")
+    with pytest.raises(ConfigError, match=message):
+        build_candidates(STAR, k, 0)
 
 
 def test_build_candidates_of_a_graph_without_nodes_is_the_empty_walk():
@@ -182,13 +162,18 @@ def test_build_candidates_of_a_graph_without_nodes_is_the_empty_walk():
 
 
 def test_bfs_only_candidates_are_the_bfs_set():
+    # the pool is the BFS set, in its order, then the walk and the core
+    # pick where they add a subset the balls do not hold
     rng = np.random.default_rng(24)
     for _ in range(12):
         g = random_graph(rng, n_max=20, n_min=1, p=float(rng.uniform(0.05, 0.4)))
         k = int(rng.integers(1, g.node_count + 1))
-        got = build_candidates(g, k, 0, ("bfs",))
+        got = list(build_candidates(g, k, 0).items())
         want = k_bfs_candidates(g, k)
-        assert list(got.items()) == list(want.items())
+        assert got[:len(want)] == list(want.items())
+        want.setdefault(rw_candidate(g, k, np.random.default_rng(0)), "rw")
+        want.setdefault(kcore_candidate(g, k), "kcore")
+        assert got == list(want.items())
 
 
 def test_select_subset_takes_largest_norm():

@@ -13,14 +13,16 @@ import argparse
 import dataclasses
 import importlib
 import inspect
+import itertools
 import pkgutil
+import re
 from pathlib import Path
 
 import treesample
 from treesample import cli
 
-SETTABLE_VALUES = 182
-SRC_LINES = 2841
+SETTABLE_VALUES = 178
+SRC_LINES = 2822
 # the names themselves, not only their count, so a swap of one for another shows
 EXPORTED = (
     "CacheMismatchError", "ConfigError", "Dataset", "DatasetError",
@@ -52,11 +54,15 @@ def _own(module, predicate):
             if obj.__module__ == module.__name__]
 
 
-def count_flags() -> int:
-    """(subcommand, flag) pairs, ``-h`` not counted."""
+def _subparsers() -> dict:
     parser = cli.build_parser()
     [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return sum(1 for p in sub.choices.values() for a in p._actions
+    return sub.choices
+
+
+def count_flags() -> int:
+    """(subcommand, flag) pairs, ``-h`` not counted."""
+    return sum(1 for p in _subparsers().values() for a in p._actions
                if a.option_strings and not isinstance(a, argparse._HelpAction))
 
 
@@ -117,6 +123,25 @@ def test_src_lines_are_counted():
         f"src/treesample/*.py without oracles.py holds {lines} lines, expected "
         f"{SRC_LINES}. If the change is meant, update SRC_LINES here and ROADMAP's "
         f"size line together.")
+
+
+def test_readme_flag_table_matches_the_parser():
+    # README's "subcommand | its own flags" table names each subcommand's
+    # flags beyond the six every subcommand takes; a flag added or removed
+    # without its row fails here
+    common = {"--dataset", "--depth", "--weights", "--norm", "--out", "--json"}
+    parsed = {name: {flag for a in p._actions if not isinstance(a, argparse._HelpAction)
+                     for flag in a.option_strings} - common
+              for name, p in _subparsers().items()}
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    [head] = [i for i, line in enumerate(lines)
+              if re.fullmatch(r"\|\s*subcommand\s*\|\s*its own flags\s*\|", line)]
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[head + 2:])
+    documented = {}
+    for row in rows:
+        name, flags = row.strip("|").split("|")
+        documented[name.strip().strip("`")] = set(re.findall(r"`(--[\w-]+)", flags))
+    assert documented == parsed
 
 
 # the three sizes, then the exported names, so a log shows which came or went:
