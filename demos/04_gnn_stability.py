@@ -11,6 +11,8 @@ fall behind, and finishes with the pair of graphs that label refinement
 cannot tell apart although the network can.
 """
 
+import math
+
 import numpy as np
 
 from treesample import (TmdConfig, clustered_dataset, gin_forward, identity_gin,
@@ -21,9 +23,9 @@ from treesample import (TmdConfig, clustered_dataset, gin_forward, identity_gin,
 # Two message-passing layers plus a sum readout; depth-3 trees see exactly
 # as far as this network does.
 model = random_gin(seed=0, feature_dim=3, hidden=8, depth=3, eta=1.0)
-prof = layer_lipschitz(model)
-print("layer Lipschitz constants:", [round(c, 3) for c in prof.per_layer],
-      "product", round(prof.product, 3))
+norms = layer_lipschitz(model)
+print("layer Lipschitz constants:", [round(c, 3) for c in norms],
+      "product", round(math.prod(norms), 3))
 
 # Pairs are index pairs into the dataset, as the distance kernel takes them.
 ds = clustered_dataset(40, 5, seed=0)
@@ -47,8 +49,8 @@ print("worst max ratio over 5 random networks:", round(worst, 4))
 # Refinement distance treats features as opaque labels, so scaling every
 # feature tenfold is invisible to it.  The network output moves; the tree
 # distance moves with it.  This is why the metric tracks feature geometry.
-g1, g2 = wl_counterexample_pair(5)
-probe = identity_gin(feature_dim=1)
+g1, g2 = wl_counterexample_pair()
+probe = identity_gin()
 gap = float(np.linalg.norm(gin_forward(probe, g1) - gin_forward(probe, g2)))
 wl = wl_pseudometric_matrix(make_dataset([g1, g2]), iterations=3)
 print("label-refinement distance:", wl.value(0, 1))

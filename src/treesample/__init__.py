@@ -22,9 +22,9 @@ from .node_select import (NodeSubsample, build_candidates, select_subsets,
                           subsample_dataset, subsample_sweep)
 # perfbench/workloads.py imports it from here; ROADMAP item 21 drops it after item 11
 from .oracles import tmd_naive
-from .gnn import (ErmReport, GinLayer, GinModel, LipschitzProfile,
-                  StabilityReport, finite_erm_sweep, gin_forward,
-                  identity_gin, layer_lipschitz, random_gin, stability_sweep)
+from .gnn import (ErmReport, GinLayer, GinModel, StabilityReport,
+                  finite_erm_sweep, gin_forward, identity_gin, layer_lipschitz,
+                  random_gin, stability_sweep)
 from .synth import (clustered_dataset, random_graph, random_pairs,
                     synthetic_dataset, wl_counterexample_pair)
 

@@ -51,7 +51,8 @@ def _pack_str(s: str) -> bytes:
 def write_matrix(path: str, dm: DistanceMatrix, *, norm: str,
                  dataset_hash: str) -> None:
     """Write the matrix and its key atomically (temp file + rename).  The
-    values are hashed and written from the array's buffer, not a copy."""
+    values are hashed and written from the array's buffer, not a copy.  An
+    ``OSError`` names ``path``, and no temp file is left behind."""
     values = np.ascontiguousarray(dm.values, dtype="<f8")
     fields = (dm.metric, dm.weight_preset, norm, dataset_hash,
               hashlib.sha256(values).hexdigest())
@@ -61,16 +62,21 @@ def write_matrix(path: str, dm: DistanceMatrix, *, norm: str,
     # mode 0o666 less the umask, as open(path, "w") gives, where mkstemp's 0o600
     # would lock out other accounts that share the cache directory
     tmp = os.path.join(directory, f".tmdc-{secrets.token_hex(8)}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(values)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(header)
+                fh.write(values)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # name the cache the caller gave, not the temp file
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def read_matrix(path: str) -> tuple[DistanceMatrix, str, str]:

@@ -79,14 +79,14 @@ class _Noted(argparse.Action):
         namespace.given = getattr(namespace, "given", frozenset()) | {self.option_strings[0]}
 
 
-def _add_common(p: _Parser) -> None:
+def _add_common(p: _Parser, *, weights: bool) -> None:
     p.add_argument("--dataset", action=_Noted,
                    help="a .jsonl file, a TU directory DIR (read as DIR/<basename "
                    "DIR>_*.txt), or DIR/NAME (read as DIR/NAME_*.txt)")
     p.add_argument("--depth", type=_int_from(1), default=2, help="tree depth L (default 2)")
-    p.add_argument("--weights", default="const:1.0",
-                   help="level weights: const:<x> or table:w1,w2,... (default "
-                   "const:1.0; verify sweeps its own and takes none)")
+    if weights:  # verify sweeps its own level weights
+        p.add_argument("--weights", default="const:1.0",
+                       help="level weights: const:<x> or table:w1,w2,... (default const:1.0)")
     p.add_argument("--norm", action=_Noted, choices=("l1", "l2"), default="l2")
     p.add_argument("--out", help="output file path")
     p.add_argument("--json", action="store_true", help="machine-readable stdout")
@@ -97,16 +97,16 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dist", help="compute and cache pairwise distances")
-    _add_common(p)
+    _add_common(p, weights=True)
     p.add_argument("--cache", help="binary distance-cache path")
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("treenorm", help="print the tree norm of every graph")
-    _add_common(p)
+    _add_common(p, weights=True)
     p.set_defaults(func=_cmd_treenorm)
 
     p = sub.add_parser("subsample-graphs", help="select k weighted medoid graphs")
-    _add_common(p)
+    _add_common(p, weights=True)
     p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--cache", help="binary distance-cache path")
     p.add_argument("--k", type=_int_from(1), required=True)
@@ -115,14 +115,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_subsample_graphs)
 
     p = sub.add_parser("subsample-nodes", help="shrink every graph to a node subset")
-    _add_common(p)
+    _add_common(p, weights=True)
     p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--frac", type=float, required=True,
                    help="target fraction of nodes to keep, in (0, 1]")
     p.set_defaults(func=_cmd_subsample_nodes)
 
     p = sub.add_parser("verify", help="run empirical guarantee checks")
-    _add_common(p)
+    _add_common(p, weights=False)
     p.add_argument("--seed", action=_Noted, type=_int_from(0), default=0)
     p.add_argument("--mode", required=True,
                    choices=("stability", "erm-graphs", "erm-nodes",
@@ -139,7 +139,7 @@ def build_parser() -> _Parser:
                    help="node fraction (erm-nodes)")
     p.add_argument("--hidden", action=_Noted, type=_int_from(1), default=8)
     p.add_argument("--eta", type=_positive_float, default=1.0)
-    p.set_defaults(func=_cmd_verify, weights=None)  # None: --weights not given
+    p.set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -260,9 +260,9 @@ def _sweep_configs(args) -> list[TmdConfig]:
 
 
 def _verify_wl_counterexample(args) -> tuple[dict, int, str]:
-    ga, gb = wl_counterexample_pair(5)
+    ga, gb = wl_counterexample_pair()
     dist = wl_pseudometric_matrix(make_dataset([ga, gb]), args.depth).value(0, 1)
-    probe = identity_gin(feature_dim=1, eta=args.eta)
+    probe = identity_gin(eta=args.eta)
     gap = float(abs(gin_forward(probe, ga)[0] - gin_forward(probe, gb)[0]))
     payload = {"mode": "wl-counterexample", "wl_distance": dist, "gin_gap": gap}
     if dist != 0.0:
@@ -354,10 +354,6 @@ _VERIFY_READERS = {
 
 
 def _cmd_verify(args) -> int:
-    if args.weights is not None:  # a preset that would never run
-        sweep = ",".join(f"{lam:g}" for lam in LAMBDA_SWEEP)
-        raise ConfigError(f"verify takes no --weights: it sweeps the level "
-                          f"weights const:{{{sweep}}}*eta (scale them with --eta)")
     given = getattr(args, "given", frozenset())
     unread = [flag for flag in sorted(given)
               if args.mode not in _VERIFY_READERS.get(flag, (args.mode,))]

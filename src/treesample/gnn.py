@@ -26,7 +26,7 @@ from .tmd import _distances
 _ACTIVATIONS = ("relu", "identity")
 _LOSS_CLIP = 10.0  # the per-graph loss |prediction - label| is clipped here
 _ERM_TOL = 1e-9  # float slack on the ERM bound, the chain and zero-distance readouts
-_POWER_ITERS = 200  # power-iteration steps before a spectral norm is flagged
+_POWER_ITERS = 200  # at most this many power-iteration steps per spectral norm
 _POWER_TOL = 1e-10  # relative change at which a spectral norm has converged
 
 
@@ -118,17 +118,8 @@ def gin_forward(model: GinModel, g: Graph) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Lipschitz profiles
+# Lipschitz constants
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LipschitzProfile:
-    """Spectral norm of each layer's weight matrix, and their product."""
-
-    per_layer: tuple[float, ...]
-    converged: tuple[bool, ...]
-    product = property(lambda self: math.prod(self.per_layer))
-
 
 @functools.cache
 def _power_start(size: int) -> np.ndarray:
@@ -139,36 +130,36 @@ def _power_start(size: int) -> np.ndarray:
     return x
 
 
-def _spectral_norm(w: np.ndarray):
+def _spectral_norm(w: np.ndarray) -> float:
     # math.sqrt(v.dot(v)) is how np.linalg.norm computes a vector's norm
     if w.size == 0:
-        return 0.0, True
+        return 0.0
     x = _power_start(w.shape[0])
     sigma = 0.0
     for _ in range(_POWER_ITERS):
         y = x @ w
         ny = math.sqrt(y.dot(y))
         if ny == 0.0:
-            return 0.0, True
+            return 0.0
         x = y @ w.T
         nx = math.sqrt(x.dot(x))
         new_sigma = math.sqrt(nx) if nx > 0 else ny
         x = x / nx if nx > 0 else x
         if sigma > 0 and abs(new_sigma - sigma) <= _POWER_TOL * sigma:
-            return new_sigma, True
+            return new_sigma
         sigma = new_sigma
-    return sigma, False
+    return sigma
 
 
-def layer_lipschitz(model: GinModel) -> LipschitzProfile:
-    """Per-layer Lipschitz constants via power iteration.
+def layer_lipschitz(model: GinModel) -> tuple[float, ...]:
+    """Per-layer Lipschitz constants via power iteration; their product is
+    the ``c`` of the stability and ERM bounds.
 
     relu and identity activations are 1-Lipschitz, so each constant is the
-    layer's largest singular value.  Non-convergence within ``_POWER_ITERS``
-    steps is flagged, not raised.
+    layer's largest singular value.  An iteration that has not converged
+    within ``_POWER_ITERS`` steps returns its last estimate.
     """
-    norms, flags = zip(*(_spectral_norm(layer.weight) for layer in model.layers))
-    return LipschitzProfile(norms, flags)
+    return tuple(_spectral_norm(layer.weight) for layer in model.layers)
 
 
 def random_gin(seed: int, feature_dim: int, hidden: int, depth: int,
@@ -194,11 +185,10 @@ def random_gin(seed: int, feature_dim: int, hidden: int, depth: int,
     return GinModel(tuple(layers), eta=eta)
 
 
-def identity_gin(feature_dim: int = 1, eta: float = 1.0) -> GinModel:
-    """Identity-weight, identity-activation model with one message-passing
-    layer before the readout (used as a separator probe)."""
-    eye = np.eye(_require_int(feature_dim, "feature_dim", 1, None))
-    layer = GinLayer(eye, np.zeros(len(eye)), "identity")
+def identity_gin(eta: float = 1.0) -> GinModel:
+    """Identity-weight, identity-activation model on 1-d features, with one
+    message-passing layer before the readout (used as a separator probe)."""
+    layer = GinLayer(np.eye(1), np.zeros(1), "identity")
     return GinModel((layer, layer), eta=eta)
 
 
@@ -247,7 +237,7 @@ def stability_sweep(model: GinModel, graphs: list[Graph], pairs,
             raise ConfigError(f"a pair must be two graph indices, got {pair!r}")
         for i in pair:
             _require_int(i, "pair index", 0, len(graphs) - 1)
-    prod = layer_lipschitz(model).product
+    prod = math.prod(layer_lipschitz(model))
     used = sorted({i for pair in pairs for i in pair})
     out = dict(zip(used, _readouts([model], [graphs[i] for i in used])[0]))
     with np.errstate(over="ignore"):  # both readouts are finite: inf is an overflow
@@ -357,7 +347,7 @@ def finite_erm_sweep(ds: Dataset, hypotheses, plans) -> list[ErmReport]:
 
     full_losses = mean_loss(preds_full, labels)
     min_loss_full = min(full_losses)
-    c = max(layer_lipschitz(h).product for h in hypotheses)
+    c = max(math.prod(layer_lipschitz(h)) for h in hypotheses)
 
     def report(epsilon, stand_ins, stand_in_labels):
         # stand_ins[t, i]: hypothesis t's readout on the graph standing in for G_i

@@ -103,15 +103,13 @@ def random_pairs(ds: Dataset, count: int, seed: int) -> list[tuple[int, int]]:
             for _ in range(count)]
 
 
-def wl_counterexample_pair(n: int = 5) -> tuple[Graph, Graph]:
-    """Two path graphs telling structural refinement apart from feature-aware
-    distances: identical edges, features ``i`` versus ``10 i``.
+def wl_counterexample_pair() -> tuple[Graph, Graph]:
+    """Two 5-node path graphs telling structural refinement apart from
+    feature-aware distances: identical edges, features ``1..5`` versus
+    ``10..50``.
 
     Label refinement sees the same structure (distance 0); any feature-aware
     readout separates them.
     """
-    n = _require_int(n, "n", 2, None)
-    edges = [(i, i + 1) for i in range(n - 1)]
-    f1 = [[float(i + 1)] for i in range(n)]
-    f2 = [[10.0 * (i + 1)] for i in range(n)]
-    return Graph(n, edges, f1), Graph(n, edges, f2)
+    edges = [(i, i + 1) for i in range(4)]
+    return tuple(Graph(5, edges, [[scale * i] for i in range(1, 6)]) for scale in (1.0, 10.0))

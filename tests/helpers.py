@@ -479,7 +479,7 @@ def reference_stability_report(model, pairs, cfg):
     of two :func:`reference_gin_forward` and one ``tmd`` call per pair; a
     zero-distance pair scores 0.0 if its gap is at most 1e-9 times the
     larger readout norm."""
-    prod = layer_lipschitz(model).product
+    prod = math.prod(layer_lipschitz(model))
     ratios = []
     for ga, gb in pairs:
         ra, rb = reference_gin_forward(model, ga), reference_gin_forward(model, gb)
@@ -535,7 +535,7 @@ def reference_finite_erm_check(ds, labels, hypotheses, *, selection=None,
         math.fsum(abs_clipped_loss(p[i], labels[i], clip) for i in range(n)) / n
         for p in preds_full]
     min_loss_full = min(full_losses)
-    c = m_lip * max(layer_lipschitz(h).product for h in hypotheses)
+    c = m_lip * max(math.prod(layer_lipschitz(h)) for h in hypotheses)
     if selection is not None:
         idx, full = sorted(selection.indices), distances.full()
         owners = [idx[j] for j in np.argmin(full[:, idx], axis=1)]

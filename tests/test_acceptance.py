@@ -300,9 +300,9 @@ def test_c08_kmedoids_quality():
 # ---------------------------------------------------------------------------
 
 def test_c09_refinement_counterexample():
-    g1, g2 = wl_counterexample_pair(5)
+    g1, g2 = wl_counterexample_pair()
     dist = wl_pseudometric_matrix(make_dataset([g1, g2]), 3).value(0, 1)
-    probe = identity_gin(feature_dim=1)
+    probe = identity_gin()
     gap = abs(float(gin_forward(probe, g1)[0]) - float(gin_forward(probe, g2)[0]))
     ok = dist == 0.0 and gap > 1e-6
     _line(9, "refinement distance 0 but readout gap positive", ok,

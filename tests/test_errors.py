@@ -23,8 +23,7 @@ from treesample import (ConfigError, DistanceMatrix, Graph, NumericalOverflowErr
                         empty_graph, feature_norms, finite_erm_sweep, identity_gin, kmedoids,
                         nearest_medoid, parse_weights, random_gin, random_graph, random_pairs,
                         random_selection, save_jsonl, select_subsets, stability_sweep,
-                        subsample_dataset, subsample_sweep, wl_counterexample_pair,
-                        wl_pseudometric_matrix)
+                        subsample_dataset, subsample_sweep, wl_pseudometric_matrix)
 from treesample.oracles import brute_force_medoids, brute_force_select, computation_tree
 from treesample.cli import main
 from treesample.errors import exact_sums, require_finite
@@ -145,7 +144,6 @@ _INT_ARGS = [
     ("random_gin-feature_dim", lambda v: random_gin(0, v, 4, 2), "feature_dim", 3),
     ("random_gin-hidden", lambda v: random_gin(0, 3, v, 2), "hidden", 4),
     ("random_gin-depth", lambda v: random_gin(0, 3, 4, v), "depth", 2),
-    ("identity_gin", lambda v: identity_gin(v), "feature_dim", 2),
     ("stability_sweep", lambda v: stability_sweep(random_gin(0, 3, 4, 2), _DS.graphs,
                                                   [(0, v)], [_CFG]), "pair index", 1),
     ("kmedoids", lambda v: kmedoids(_DM, v), "k", 2),
@@ -166,7 +164,6 @@ _INT_ARGS = [
     ("synthetic_dataset-seed", lambda v: synthetic_dataset(4, v), "seed", 1),
     ("random_pairs-count", lambda v: random_pairs(_DS, v, 0), "count", 3),
     ("random_pairs-seed", lambda v: random_pairs(_DS, 3, v), "seed", 1),
-    ("wl_counterexample_pair", lambda v: wl_counterexample_pair(v), "n", 3),
     ("empty_graph", lambda v: empty_graph(v), "feature_dim", 2),
     ("random_graph-n", lambda v: random_graph(np.random.default_rng(0), v, 0.5), "n", 4),
     ("random_graph-feature_dim",
@@ -213,7 +210,7 @@ _REAL_ARGS = [
     ("const_weights", lambda v: const_weights(v), "weight", 0.5),
     ("WeightFn-table", lambda v: WeightFn("table", (1.0, v)), "weight", 0.5),
     ("random_gin-eta", lambda v: random_gin(0, 3, 4, 2, eta=v), "eta", 0.5),
-    ("identity_gin-eta", lambda v: identity_gin(2, v), "eta", 0.5),
+    ("identity_gin-eta", lambda v: identity_gin(v), "eta", 0.5),
     ("finite_erm_sweep-epsilon",
      lambda v: finite_erm_sweep(_DS, [random_gin(0, 3, 4, 2)], [(v, list(_DS))]),
      "epsilon", 0.25),

@@ -92,11 +92,10 @@ def test_random_pairs_distinct_and_seeded():
 
 
 def test_wl_counterexample_shape():
-    g1, g2 = wl_counterexample_pair(4)
-    assert g1.edges == g2.edges == [(0, 1), (1, 2), (2, 3)]
+    g1, g2 = wl_counterexample_pair()
+    assert g1.edges == g2.edges == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert g1.features.tolist() == [[1.0], [2.0], [3.0], [4.0], [5.0]]
     assert np.array_equal(g2.features, 10.0 * g1.features)
-    with pytest.raises(ConfigError):
-        wl_counterexample_pair(1)
 
 
 def test_random_regular_graph_degrees():
