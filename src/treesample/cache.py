@@ -118,7 +118,7 @@ def _parse(blob: bytes, path: str) -> tuple[DistanceMatrix, str, str]:
     m = n * (n - 1) // 2
     if len(blob) != off + 8 * m:
         raise _corrupt(path, f"{len(blob)} bytes, expected {off + 8 * m} for n={n}")
-    if hashlib.sha256(blob[off:]).hexdigest() != checksum:
+    if hashlib.sha256(memoryview(blob)[off:]).hexdigest() != checksum:  # no copy
         raise _corrupt(path, "value checksum mismatch")
     values = np.frombuffer(blob, dtype="<f8", count=m, offset=off)  # DistanceMatrix copies it
     return DistanceMatrix(int(n), metric, int(depth), preset, values), norm, dataset_hash

@@ -38,11 +38,19 @@ _ENUM_MAX_Q = 4
 # maps whose float sum is within this relative distance of the smallest one
 # are re-summed exactly
 _NEAR_RTOL = 1e-9
+# the r real rows of a wider block have q!/(q - r)! injective maps; shapes
+# where r times that is at most this are first tried by enumeration: r = 2 up
+# to q = 14 and r = 3 up to q = 6
+_FEW_MAP_TERMS = 400
 # the kernel runs consecutive pairs whose extended tables hold about this
-# many entries together, and gathers at most _SOLVE_ENTRIES block entries per
-# solver call; a chunk's working set is ~125 bytes per table entry
-_CHUNK_ENTRIES = 1 << 13
+# many entries together, and gathers at most _SOLVE_ENTRIES block entries (and
+# map terms) per solver call; a chunk's working set is at most ~70 bytes per
+# table entry
+_CHUNK_ENTRIES = 1 << 15
 _SOLVE_ENTRIES = 1 << 13
+# a chunk with fewer table entries indexes them, and its node table, with
+# int32; a larger one with int64
+_INT32_ENTRIES = 1 << 31
 
 
 def _cross_distances(fa: np.ndarray, fb: np.ndarray, norm: str) -> np.ndarray:
@@ -73,6 +81,11 @@ def _injective_maps(q: int, r: int) -> np.ndarray:
 
 _MAPS = {(q, r): _injective_maps(q, r)
          for q in range(1, _ENUM_MAX_Q + 1) for r in range(q + 1)}
+
+
+# no shape past q = 14 qualifies: r = 2 at q = 15 has 420 terms
+_FEW_MAPS = {(q, r): _injective_maps(q, r) for q in range(_ENUM_MAX_Q + 1, 15)
+             for r in range(2, q) if r * math.perm(q, r) <= _FEW_MAP_TERMS}
 
 
 def _solve_injective(blocks: np.ndarray, r: int) -> np.ndarray:
@@ -109,21 +122,46 @@ def _solve_lsap(blocks: np.ndarray, r: int) -> np.ndarray:
     the real rows i, with b the blank row, so one r x q solve on
     ``c[:r] - b`` picks the real rows' columns and the blank rows take the
     rest; r <= 1 needs no solver call.  The value is the exact sum of the
-    picked entries.
+    picked entries: the real rows' and the blank row's at the columns left
+    over.
+
+    A shape with few maps (``_FEW_MAPS``) first sums every map on
+    ``c[:r] - b``.  Where exactly one map lies within ``_NEAR_RTOL`` times
+    the block's total magnitude of the float minimum, that map is the one
+    ``linear_sum_assignment`` returns, and the block needs no solver call:
+    the solver's assignment is optimal up to rounding, and rounding moves a
+    sum of r terms by a few ulps of that magnitude, far inside the margin,
+    so no other map can be optimal to within it.  Every other block, ties
+    among them, goes to the solver.
     """
     count, q = blocks.shape[0], blocks.shape[2]
     real = blocks[:, :r]
     costs = real if r == q else real - blocks[:, r:r + 1]
+    if (q, r) in _FEW_MAPS:
+        maps = _FEW_MAPS[q, r]
+        flat, at = costs.reshape(count, -1), np.arange(count)
+        totals = flat[:, maps[:, 0]]
+        for i in range(1, r):
+            totals += flat[:, maps[:, i]]
+        best = totals.argmin(axis=1)
+        near = totals[at, best] + _NEAR_RTOL * np.abs(flat).sum(axis=1)
+        totals[at, best] = np.inf  # the least total of every other map
+        tied = np.flatnonzero(totals.min(axis=1) <= near)
+        if tied.size:  # the map whose r entries the solver picks
+            picks = np.array([linear_sum_assignment(c)[1] for c in costs[tied]])
+            picks += q * np.arange(r)
+            best[tied] = (maps[:, :r] == picks[:, None]).all(axis=2).argmax(axis=1)
+        return exact_sums(blocks.reshape(count, -1)[at[:, None], maps[best]], "a matching total")
     if r > 1:
         cols = np.array([linear_sum_assignment(c)[1] for c in costs])
     else:  # no row, or one row's first cheapest column, as the solver picks it
         cols = costs.argmin(axis=2)
     at = np.arange(count)[:, None]
     picked = real[at, np.arange(r), cols]
-    if r < q:  # the blank row at every column but the picked ones, which add 0
-        rest = blocks[:, r].copy()
-        rest[at, cols] = 0.0
-        picked = np.concatenate((picked, rest), axis=1)
+    if r < q:
+        free = np.ones((count, q), dtype=bool)
+        free[at, cols] = False
+        picked = np.concatenate((picked, blocks[:, r][free].reshape(count, q - r)), axis=1)
     return exact_sums(picked, "a matching total")
 
 
@@ -133,15 +171,18 @@ def _cells(owner: np.ndarray, ua: np.ndarray, vb: np.ndarray, deg: np.ndarray,
     ``blank``) and a block that is not empty (q >= 1), sorted by block shape:
     each cell's pair, rows and position in the flat buffer, plus ``(lo, hi,
     q, r)`` per run of one shape (q the larger degree, r the smaller)."""
-    at = np.flatnonzero((ua != blank) & (vb != blank))
+    at = np.flatnonzero((ua != blank) & (vb != blank)).astype(ua.dtype)
     u, v = ua[at], vb[at]
     q, r = np.maximum(deg[u], deg[v]), np.minimum(deg[u], deg[v])
-    key = q * (q + 1) + r
-    order = np.argsort(key, kind="stable")[np.count_nonzero(q == 0):]
-    bounds = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
-    groups = [(lo, hi, int(q[order[lo]]), int(r[order[lo]]))
-              for lo, hi in zip([0, *bounds], [*bounds, order.size]) if lo < hi]
-    return (owner[at[order]], u[order], v[order], at[order]), groups
+    # the key passes int32 at a degree of 46,341
+    order = np.argsort(q.astype(np.int64) * (q + 1) + r,
+                       kind="stable")[np.count_nonzero(q == 0):]
+    at, q, r = at[order], q[order], r[order]
+    bounds = (np.flatnonzero((np.diff(q) != 0) | (np.diff(r) != 0)) + 1).tolist()
+    groups = [(lo, hi, int(q[lo]), int(r[lo]))
+              for lo, hi in zip([0, *bounds], [*bounds, at.size]) if lo < hi]
+    del q, r
+    return (owner[at], u[order], v[order], at), groups
 
 
 @np.errstate(over="ignore")  # a non-finite table is reported by with_blanks
@@ -159,14 +200,21 @@ def _tables(graphs: list[Graph], pairs: list[tuple[int, int]],
     sub-batches of at most ``_SOLVE_ENTRIES`` entries.  A block holds the
     smaller side's r children as rows and, if r < q, one blank row for the
     q - r blank trees that pad it; q <= ``_ENUM_MAX_Q`` blocks are solved by
-    injective maps, wider ones by an r x q ``linear_sum_assignment``.  The
-    top level is one square q x q block per pair, q = max(na, nb), solved
-    in the same way with the pairs grouped by q.
+    injective maps, wider ones by an r x q ``linear_sum_assignment`` unless
+    their maps are few and one of them is the clear minimum.  The top level
+    is one square q x q block per pair, q = max(na, nb), solved in the same
+    way with the pairs grouped by q.  The entry map and the cells are int32
+    below ``_INT32_ENTRIES`` entries, and the map is freed before the first
+    level.
     """
     na = np.array([graphs[i].node_count for i, _ in pairs], dtype=np.intp)
     nb = np.array([graphs[j].node_count for _, j in pairs], dtype=np.intp)
+    off = np.concatenate([[0], np.cumsum((na + 1) * (nb + 1))])
+    # every per-pair, per-node and per-entry index is of one integer type,
+    # int32 while the chunk's entries fit it, so the map below stays small
+    itype = np.int32 if off[-1] < _INT32_ENTRIES else np.int64
+    na, nb, off = na.astype(itype), nb.astype(itype), off.astype(itype)
     stride = nb + 1
-    off = np.concatenate([[0], np.cumsum((na + 1) * stride)])
 
     # the batch's node table, one row block per distinct graph: degrees,
     # neighbours from the graph's CSR padded with its blank index n to the
@@ -175,7 +223,7 @@ def _tables(graphs: list[Graph], pairs: list[tuple[int, int]],
     used, inv = np.unique(pairs, return_inverse=True)
     sizes = np.array([graphs[i].node_count for i in used], dtype=np.intp)
     starts = np.concatenate([[0], np.cumsum(sizes)])
-    deg = np.concatenate([graphs[i].degrees() for i in used])
+    deg = np.concatenate([graphs[i].degrees() for i in used]).astype(itype)
     real = np.arange(deg.max(initial=0)) < deg[:, None]
     nbr = np.repeat(sizes, sizes)[:, None].repeat(real.shape[1], axis=1)
     # a boolean mask fills row by row, the order of the CSR indices
@@ -186,18 +234,30 @@ def _tables(graphs: list[Graph], pairs: list[tuple[int, int]],
     for d in range(2, cfg.depth + 1):
         kid_sums = exact_sums(blanks[-1][kids], "a distance to the blank tree")
         blanks.append(np.append(x + cfg.level_weight(d - 1) * kid_sums, 0.0))
-    a0, b0 = starts[inv.reshape(-1, 2).T]
+    a0, b0 = starts[inv.reshape(-1, 2).T].astype(itype)
 
     # the map of every table entry: its pair, and the node-table rows of its
     # u and v, where row ``blank`` (past every real row) is the blank tree
-    blank = starts[-1]
-    owner = np.repeat(np.arange(len(pairs)), np.diff(off))
-    ua, vb = np.divmod(np.arange(off[-1]) - off[owner], stride[owner])
+    blank = int(starts[-1])
+    owner = np.repeat(np.arange(len(pairs), dtype=itype), np.diff(off))
+    ua, vb = np.divmod(np.arange(off[-1], dtype=itype) - off[owner], stride[owner])
     ua = np.where(ua < na[owner], ua + a0[owner], blank)
     vb = np.where(vb < nb[owner], vb + b0[owner], blank)
     # a blank row or column reads the other side's distance to the blank tree
-    blank_pos = np.flatnonzero((ua == blank) | (vb == blank))
+    blank_pos = np.flatnonzero((ua == blank) | (vb == blank)).astype(itype)
     blank_src = np.minimum(ua, vb)[blank_pos]
+    (pair, ra, rb, cell_at), groups = _cells(owner, ua, vb, deg, blank)
+    del owner, ua, vb
+    # a block's rows are the smaller side's children, then its blank; its
+    # columns the other side's children, then blanks.  A table row steps by
+    # the pair's stride, a column by 1
+    flip = deg[ra] > deg[rb]
+    small, large = np.where(flip, rb, ra), np.where(flip, ra, rb)
+    row_step, col_step = np.where(flip, 1, stride[pair]), np.where(flip, stride[pair], 1)
+    pair_off = off[pair]
+    # the levels read only the oriented cells, the blanks and the tables
+    del pair, ra, rb, flip
+
     ext = np.empty(off[-1])
     for k, (i, j) in enumerate(pairs):
         table = ext[off[k]:off[k + 1]].reshape(na[k] + 1, nb[k] + 1)
@@ -208,27 +268,23 @@ def _tables(graphs: list[Graph], pairs: list[tuple[int, int]],
         table[blank_pos] = blanks[level][blank_src]
         bad = np.flatnonzero(~np.isfinite(table))
         if bad.size:
-            k = owner[bad[0]]
+            k = np.searchsorted(off, bad[0], "right") - 1
             raise NumericalOverflowError(
                 f"tree distance table overflowed (n={na[k]} vs n={nb[k]}); "
                 "reduce the depth, the level weights or the feature scale")
         return table
 
     base = with_blanks(ext, 0)
-    (pair, ra, rb, cell_at), groups = _cells(owner, ua, vb, deg, blank)
-    # a block's rows are the smaller side's children, then its blank; its
-    # columns the other side's children, then blanks.  A table row steps by
-    # the pair's stride, a column by 1
-    flip = deg[ra] > deg[rb]
-    small, large = np.where(flip, rb, ra), np.where(flip, ra, rb)
-    row_step, col_step = np.where(flip, 1, stride[pair]), np.where(flip, stride[pair], 1)
-    pair_off = off[pair]
     for d in range(2, cfg.depth + 1):
         values = np.zeros(off[-1])
         for lo, hi, q, r in groups:
             enum = q <= _ENUM_MAX_Q
             m = r + (r < q)  # the real rows, then one blank row
-            step = max(1, _SOLVE_ENTRIES // (q * (m + math.perm(q, r)) if enum else q * m))
+            # a block's entries, plus what its maps gather: each map's q
+            # entries, or a wide block's map totals and one term of each
+            terms = (q * math.perm(q, r) if enum else
+                     2 * math.perm(q, r) if (q, r) in _FEW_MAPS else 0)
+            step = max(1, _SOLVE_ENTRIES // (q * m + terms))
             for s in range(lo, hi, step):
                 at = slice(s, min(s + step, hi))
                 rows = nbr[small[at], :m] * row_step[at, None] + pair_off[at, None]
@@ -239,9 +295,8 @@ def _tables(graphs: list[Graph], pairs: list[tuple[int, int]],
         values *= cfg.level_weight(d - 1)
         values += base
         ext = with_blanks(values, d - 1)
-    # the entry map and the cells are not read again: free them for the top level
-    del owner, ua, vb, blank_pos, blank_src, base
-    del pair, ra, rb, cell_at, flip, small, large, row_step, col_step, pair_off
+    # the blanks and the cells are not read again: free them for the top level
+    del blank_pos, blank_src, base, cell_at, small, large, row_step, col_step, pair_off
 
     # the top level: pair k's q x q matrix, q = max(na, nb), reads table
     # entry (min(i, na), min(j, nb)) at (i, j), so the smaller side's padding

@@ -1,12 +1,14 @@
 """Shared random generators and reference routines for the test suite."""
 
 import hashlib
+import importlib
 import itertools
 import json
 import math
 from collections import Counter, deque
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from treesample import (ConfigError, Dataset, DistanceMatrix, ErmReport, Graph, NodeSubsample,
                         Selection, StabilityReport, TmdConfig, WeightFn, build_candidates,
@@ -17,6 +19,12 @@ from treesample.node_select import mean_tmd
 from treesample.oracles import (ScaleLimitError, _BRUTE_SUBSET_LIMIT, _padded_matching,
                                 _permutations, abs_clipped_loss)
 from treesample.tmd import _cross_distances
+
+# the kernel module, for tests that patch or read its private names: the
+# package attribute ``treesample.tmd`` is the function ``tmd``, which
+# ``__init__`` re-exports over the submodule, so ``import treesample.tmd as m``
+# binds the function
+TMD_MODULE = importlib.import_module("treesample.tmd")
 
 
 def relabelled_pair(seed: int) -> list[Graph]:
@@ -148,6 +156,28 @@ def reference_solve_enumerated(blocks):
     exact = np.array([math.fsum(row) for row in cand.tolist()])
     firsts = np.flatnonzero(np.r_[True, block[1:] != block[:-1]])
     return np.minimum.reduceat(exact, firsts)
+
+
+def reference_solve_lsap(blocks, r):
+    """Exact matching values of (P, m, q) blocks of r real rows (and, if
+    r < q, one blank row) with one ``linear_sum_assignment`` per block of
+    r > 1 rows: the LSAP solver before few-map blocks were enumerated.  The
+    value is the ``fsum`` of the picked entries and of the blank row, whose
+    entries at the picked columns are zeroed."""
+    count, q = blocks.shape[0], blocks.shape[2]
+    real = blocks[:, :r]
+    costs = real if r == q else real - blocks[:, r:r + 1]
+    if r > 1:
+        cols = np.array([linear_sum_assignment(c)[1] for c in costs])
+    else:
+        cols = costs.argmin(axis=2)
+    at = np.arange(count)[:, None]
+    picked = real[at, np.arange(r), cols]
+    if r < q:
+        rest = blocks[:, r].copy()
+        rest[at, cols] = 0.0
+        picked = np.concatenate((picked, rest), axis=1)
+    return np.array([math.fsum(row) for row in picked.tolist()])
 
 
 def reference_feature_distance_matrix(ds, cfg):

@@ -22,7 +22,7 @@ import treesample
 from treesample import cli
 
 SETTABLE_VALUES = 173
-SRC_LINES = 2812
+SRC_LINES = 2867
 # the names themselves, not only their count, so a swap of one for another shows
 EXPORTED = (
     "CacheMismatchError", "ConfigError", "Dataset", "DatasetError", "DistanceMatrix",

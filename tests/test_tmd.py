@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import math
 import tracemalloc
@@ -13,14 +12,12 @@ from treesample import (ConfigError, DatasetError, Graph, NumericalOverflowError
 from treesample.oracles import (ScaleLimitError, blank_tree, brute_force_matching,
                                 computation_tree, tmd_naive, tree_blank_distance,
                                 tree_distance)
+from treesample.synth import random_graph as synth_random_graph
 from treesample.tmd import (_ENUM_MAX_Q, _cross_distances,
                             _solve_injective, _solve_lsap)
 
-from helpers import (cfg, random_graph, random_table_cfg, reference_solve_enumerated,
-                     reference_tmd)
-
-# the package __init__ rebinds ``treesample.tmd`` to the function
-TMD_MODULE = importlib.import_module("treesample.tmd")
+from helpers import (TMD_MODULE, cfg, random_graph, random_table_cfg,
+                     reference_solve_enumerated, reference_solve_lsap, reference_tmd)
 
 K3 = Graph(3, [(0, 1), (1, 2), (0, 2)], np.ones((3, 1)))
 P2 = Graph(2, [(0, 1)], np.ones((2, 1)))
@@ -309,6 +306,66 @@ def test_block_solvers_match_the_exhaustive_oracle():
                     assert value == brute_force_matching(c).total_cost, (q, r, kind)
 
 
+def _lsap_blocks(rng, count, q, r, kind):
+    """``count`` blocks of r real rows over q columns and one blank row, as
+    the kernel gathers them for q > 4."""
+    if kind == "ints":
+        blocks = rng.integers(0, 4, (count, r + 1, q)).astype(float)
+    else:
+        blocks = np.abs(rng.standard_normal((count, r + 1, q)))
+    if kind == "blank-tail":  # the last real row equals the blank row
+        blocks[:, r - 1] = blocks[:, r]
+    if kind == "scaled":
+        blocks *= 10.0 ** rng.integers(-8, 9, blocks.shape)
+    if kind == "near-ties":
+        # integers a hair apart, and a blank row 1e8 times larger at r
+        # columns: the reduced costs there round by ~1e-8, so rounding, not
+        # the hair, orders the integers' ties
+        blocks = rng.integers(0, 4, blocks.shape) + 1e-9 * rng.random(blocks.shape)
+        big = rng.random((count, q)).argsort(axis=1)[:, :r]
+        blocks[np.arange(count)[:, None], r, big] *= 1e8
+    return blocks
+
+
+def test_few_map_blocks_pick_the_solvers_assignment_bit_for_bit():
+    # every shape whose maps are enumerated, and r = 4 at q = 5, one past the
+    # budget, against one linear_sum_assignment per block; integer entries in
+    # {0..3} tie exactly, a real row equal to the blank row ties every column
+    # it can take, and entries scaled by 1e-8 to 1e8 or near ties make the
+    # reduced costs round, so that only the solver can break some ties
+    few = TMD_MODULE._FEW_MAPS
+    assert set(few) == {(q, 2) for q in range(5, 15)} | {(5, 3), (6, 3)}
+    rng = np.random.default_rng(89)
+    for q, r in [*sorted(few), (5, 4)]:
+        for kind in ("gauss", "ints", "blank-tail", "scaled", "near-ties"):
+            blocks = _lsap_blocks(rng, 400, q, r, kind)
+            assert (_solve_lsap(blocks, r).tobytes()
+                    == reference_solve_lsap(blocks, r).tobytes()), (q, r, kind)
+
+
+def test_only_near_ties_of_few_map_blocks_reach_the_solver(monkeypatch):
+    calls, solver = [], TMD_MODULE.linear_sum_assignment
+
+    def spy(cost):
+        calls.append(cost.shape)
+        return solver(cost)
+
+    monkeypatch.setattr(TMD_MODULE, "linear_sum_assignment", spy)
+    rng = np.random.default_rng(97)
+    for q, r in ((6, 2), (14, 2), (6, 3)):
+        blocks = _lsap_blocks(rng, 50, q, r, "gauss")
+        assert _solve_lsap(blocks, r).tobytes() == reference_solve_lsap(blocks, r).tobytes()
+    assert calls == []
+    # every map of an all-ones block ties, and two maps a relative 1e-12
+    # apart are within the margin: the solver picks
+    ties = np.ones((1, 3, 6))
+    near = np.zeros((1, 3, 6))
+    near[0, :2] = [[1.0, 1.0 + 1e-12, 5, 5, 5, 5], [5, 5, 1, 5, 5, 5]]
+    assert _solve_lsap(ties, 2).tolist() == [6.0]
+    assert _solve_lsap(near, 2).tolist() == [2.0]
+    assert calls == [(2, 6), (2, 6)]
+
+
 def test_hub_blocks_solve_only_the_smaller_sides_children(monkeypatch):
     # two 40-node stars at depth 2: the centres' 39 x 39 block and the
     # 40 x 40 top level are the only solver calls, so no cost matrix has
@@ -414,7 +471,8 @@ def test_distances_memory_does_not_grow_with_the_graph_count():
 def test_top_level_runs_without_the_entry_map(monkeypatch):
     # two 300-node G(n, 4/n) graphs at depth 2: with the per-entry map and
     # the cell arrays still held through the top-level matching, the peak
-    # traced ~11.3 MiB; released before it, ~10.5 MiB
+    # traced ~11.3 MiB; released before it, ~10.5 MiB; with an int32 map
+    # released before the first level, ~4.6 MiB
     rng = np.random.default_rng(300)
     ga, gb = (random_graph(rng, n_max=300, n_min=300, p=4 / 300) for _ in range(2))
     # on any allocator: _cells' three map inputs and four cell arrays are all
@@ -444,7 +502,52 @@ def test_top_level_runs_without_the_entry_map(monkeypatch):
     finally:
         tracemalloc.stop()
     assert value == expected
-    assert peak <= 10.85 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+    assert peak <= 5.0 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+
+
+def _one_chunk_dataset():
+    # 12 seeded G(n, 0.2) graphs of 10-25 nodes with 3-d features, whose
+    # pairs' extended tables fill one chunk
+    rng = np.random.default_rng(101)
+    graphs = [synth_random_graph(rng, n, 0.2, feature_dim=3)
+              for n in np.linspace(10, 25, 12).astype(int).tolist()]
+    entries = sum((a.node_count + 1) * (b.node_count + 1)
+                  for a, b in itertools.combinations(graphs, 2))
+    assert TMD_MODULE._CHUNK_ENTRIES // 2 < entries < TMD_MODULE._CHUNK_ENTRIES
+    return make_dataset(graphs), entries
+
+
+def _traced_matrix(ds, c):
+    pairwise_matrix(ds, c)  # the first call also fills each graph's lazy arrays
+    tracemalloc.start()
+    try:
+        values = pairwise_matrix(ds, c).values
+        return values, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the traced peak of one chunk's pairwise_matrix, per extended-table entry:
+# 64 bytes measured on numpy 2.4 (the per-entry map, cells and tables in int32
+# and float64, plus the bounded solver gathers), with a margin
+CHUNK_BYTES_PER_ENTRY = 70
+
+
+def test_one_chunk_peaks_within_the_stated_bytes_per_entry():
+    ds, entries = _one_chunk_dataset()
+    _, peak = _traced_matrix(ds, cfg(3))
+    assert peak <= CHUNK_BYTES_PER_ENTRY * entries, f"{peak / entries:.1f} B per entry"
+
+
+def test_int64_indices_give_the_int32_bits(monkeypatch):
+    # a chunk of at least _INT32_ENTRIES entries indexes them with int64:
+    # the same values, from a larger working set
+    ds, _ = _one_chunk_dataset()
+    narrow, narrow_peak = _traced_matrix(ds, cfg(3))
+    monkeypatch.setattr(TMD_MODULE, "_INT32_ENTRIES", 1)
+    wide, wide_peak = _traced_matrix(ds, cfg(3))
+    assert wide.tobytes() == narrow.tobytes()
+    assert wide_peak > narrow_peak
 
 
 def _chain(n, features):

@@ -12,7 +12,6 @@ more, shows up here as a table edit.
 """
 
 import functools
-import importlib
 
 import numpy as np
 import pytest
@@ -24,8 +23,7 @@ from treesample.cli import EXIT_OK, EXIT_PRESET, main
 from treesample.node_select import mean_tmd
 from treesample.tmd import _distances, pairwise_matrix
 
-# the module, which the package's tmd function shadows as an attribute
-tmd_mod = importlib.import_module("treesample.tmd")
+from helpers import TMD_MODULE
 
 
 def _greedy(blocks, r):
@@ -46,7 +44,7 @@ def _greedy(blocks, r):
     return total
 
 
-GREEDY = [(tmd_mod, "_solve_injective", _greedy), (tmd_mod, "_solve_lsap", _greedy)]
+GREEDY = [(TMD_MODULE, "_solve_injective", _greedy), (TMD_MODULE, "_solve_lsap", _greedy)]
 
 
 @functools.cache
